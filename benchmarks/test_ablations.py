@@ -2,29 +2,23 @@
 evaluation — these quantify the §4/§5 design decisions DESIGN.md calls out).
 """
 
-from benchmarks.conftest import run_once
-from repro.analysis.ablations import (
-    ablate_dsm_service,
-    ablate_forwarding_window,
-    ablate_quantum,
-    ablate_splitting_trigger,
-)
+from benchmarks.conftest import regenerate
+from repro.analysis.views import bandwidth_mbps
+from repro.workloads import mutex_bench
 
 
-def test_ablation_forwarding_window(benchmark, record_result):
-    result = run_once(benchmark, ablate_forwarding_window)
-    record_result("ablation_forwarding_window", result.render())
-    mbps = result.column(1)
+def test_ablation_forwarding_window(benchmark):
+    records = regenerate(benchmark, "ablation_forwarding_window")
+    mbps = [bandwidth_mbps(r) for r in records.values()]
     # Forwarding off is worst; bandwidth grows monotonically-ish with the cap.
     assert mbps[0] == min(mbps)
     assert max(mbps) > 4 * mbps[0]
 
 
-def test_ablation_splitting_trigger(benchmark, record_result):
-    result = run_once(benchmark, ablate_splitting_trigger)
-    record_result("ablation_splitting_trigger", result.render())
-    mbps = result.column(1)
-    splits = result.column(2)
+def test_ablation_splitting_trigger(benchmark):
+    records = regenerate(benchmark, "ablation_splitting_trigger")
+    mbps = [bandwidth_mbps(r) for r in records.values()]
+    splits = [r["protocol"]["splits"] for r in records.values()]
     # Reachable triggers split and beat the never-split configuration.
     assert splits[0] >= 1
     assert splits[1] >= 1  # the paper's trigger=10 fires too
@@ -33,20 +27,18 @@ def test_ablation_splitting_trigger(benchmark, record_result):
     assert mbps[1] > 1.5 * mbps[-1]
 
 
-def test_ablation_quantum(benchmark, record_result):
-    result = run_once(benchmark, ablate_quantum)
-    record_result("ablation_quantum", result.render())
-    times = result.column(1)
+def test_ablation_quantum(benchmark):
+    records = regenerate(benchmark, "ablation_quantum")
+    times = [mutex_bench.elapsed_ns(r["stdout"]) for r in records.values()]
     # Coarse quanta batch whole critical-section bursts per page hold, so the
     # contended lock finishes sooner but with less interleaving fidelity; the
     # sweep must at least show a consistent, strong effect of the knob.
     assert max(times) > 1.5 * min(times)
 
 
-def test_ablation_dsm_service(benchmark, record_result):
-    result = run_once(benchmark, ablate_dsm_service)
-    record_result("ablation_dsm_service", result.render())
-    lat = result.column(1)
+def test_ablation_dsm_service(benchmark):
+    records = regenerate(benchmark, "ablation_dsm_service")
+    lat = [r["fault_latency_us"] for r in records.values()]
     # Fault latency tracks the master's protocol software cost ~affinely —
     # the paper's point that the 410 us >> 40 us wire bound is software.
     assert lat[0] < lat[-1]

@@ -6,74 +6,41 @@ and asserts its shape claims: a clean run with the retry budget armed sends
 nothing extra, background loss degrades goodput but every drop is
 retransmitted, and a mid-run partition of one slave aborts with a
 ``ServiceTimeout`` when retries are off but is ridden out when they are on.
-
-``test_partition_smoke_matrix`` is the seeded fault-matrix smoke run CI
-executes across several (drop rate, seed) combinations via the
-``DQEMU_SMOKE_DROP_EVERY`` / ``DQEMU_SMOKE_SEED`` environment variables.  It
-deliberately does not use the benchmark fixture, so the main benchmarks job
-(``--benchmark-only``) skips it.
 """
 
-import os
-
-from benchmarks.conftest import run_once
-from repro import Cluster, DQEMUConfig
-from repro.analysis.experiments import run_fig5_partition
-from repro.net.faults import FaultPlan, drop
-from repro.workloads import blackscholes
+from benchmarks.conftest import regenerate
+from repro.analysis.views import breakdown
 
 
-def test_fig5_partition(benchmark, record_result):
-    result = run_once(benchmark, run_fig5_partition)
-    record_result("services_fig5_partition", result.render())
+def test_fig5_partition(benchmark):
+    records = regenerate(benchmark, "services_fig5_partition")
 
-    clean = result.scenario("no faults")
-    assert clean.completed
+    clean = records["no faults"]
+    assert clean["completed"]
     # Arming the retry budget on a lossless fabric must change nothing.
-    assert clean.retransmits == 0 and clean.recoveries == 0
+    assert clean["rpc"]["retransmits"] == 0 and clean["rpc"]["recoveries"] == 0
 
-    for every in result.params["drop_everies"]:
-        lossy = result.scenario(f"drop 1/{every}")
-        assert lossy.completed
+    for label in ("drop 1/120", "drop 1/40"):
+        lossy = records[label]
+        assert lossy["completed"]
         # Every loss was detected and retransmitted, at a goodput cost.
-        assert lossy.dropped_frames > 0
-        assert lossy.retransmits > 0 and lossy.recoveries > 0
-        assert lossy.goodput_mips < clean.goodput_mips
+        assert lossy["faults"]["dropped"] > 0
+        assert lossy["rpc"]["retransmits"] > 0 and lossy["rpc"]["recoveries"] > 0
+        assert lossy["goodput_mips"] < clean["goodput_mips"]
 
-    bare = result.scenario("partition (no retry)")
-    assert not bare.completed
-    assert "no reply" in bare.failure
+    bare = records["partition (no retry)"]
+    assert not bare["completed"]
+    assert "no reply" in bare["failure"]
 
-    healed = result.scenario("partition + retry")
-    assert healed.completed
-    assert healed.dropped_frames > 0
-    assert healed.recoveries > 0
-    assert healed.mean_recovery_us > 0
+    healed = records["partition + retry"]
+    assert healed["completed"]
+    assert healed["faults"]["dropped"] > 0
+    assert healed["rpc"]["recoveries"] > 0
+    assert healed["rpc"]["mean_recovery_us"] > 0
     # Recovering from a partition window costs more wall time than the
     # per-frame background loss (backoff spans the whole window).
-    assert healed.mean_recovery_us > result.scenario("drop 1/40").mean_recovery_us
+    assert healed["rpc"]["mean_recovery_us"] > records["drop 1/40"]["rpc"]["mean_recovery_us"]
     # Everyone came back: the healed run ends with every peer reachable.
-    assert set(result.peer_states.values()) == {"up"}
+    assert set(healed["peers"].values()) == {"up"}
     # The committed table carries the per-service reliability columns.
-    assert "retransmits" in result.healed_breakdown
-
-
-def test_partition_smoke_matrix():
-    """Seeded loss smoke run, parameterized by CI's fault-matrix job."""
-    every = int(os.environ.get("DQEMU_SMOKE_DROP_EVERY", "60"))
-    seed = int(os.environ.get("DQEMU_SMOKE_SEED", "1"))
-    prog = blackscholes.build(n_threads=4, n_options=2040, reps=4)
-    cfg = DQEMUConfig(
-        rpc_timeout_ns=20_000,
-        rpc_max_retries=6,
-        rpc_backoff_base_ns=10_000,
-        rpc_backoff_jitter_ns=2_000,
-        fault_plan=FaultPlan.of(drop(every_nth=every, loopback=False), seed=seed),
-    ).time_scaled(100.0)
-    result = Cluster(2, cfg).run(prog, max_virtual_ms=60_000_000)
-    assert result.exit_code == 0
-    assert result.faults.dropped > 0
-    # Every dropped frame belonged to a retried call (or its reply), so the
-    # run rode out all of them.
-    assert result.rpc.retransmits > 0
-    assert result.rpc.recoveries > 0
+    assert "retransmits" in breakdown("partition + retry")(list(records.values()))

@@ -5,22 +5,23 @@ single slave node is near-linear in the node count (1.00, 1.97, 2.97, 3.98,
 4.93, 5.94) while vanilla QEMU is capped at one node (dashed line at 1.04).
 """
 
-from benchmarks.conftest import run_once
-from repro.analysis import run_fig5
+from benchmarks.conftest import regenerate
+from repro.analysis.metrics import speedup
+from repro.analysis.views import group
 
 
-def test_fig5_scalability(benchmark, record_result):
-    result = run_once(benchmark, run_fig5)
-    record_result("fig5_scalability", result.render())
+def test_fig5_scalability(benchmark):
+    records = regenerate(benchmark, "fig5_scalability")
+    base = records["DQEMU/1"]["virtual_ns"]
+    speedups = [speedup(base, r["virtual_ns"]) for r in group(records.values(), "DQEMU")]
+    qemu_speedup = speedup(base, records["QEMU-4.2.0"]["virtual_ns"])
 
-    speedups = result.speedups
-    counts = result.slave_counts
     # Monotonic scaling across the whole node range.
-    for a, b in zip(counts, counts[1:]):
-        assert speedups[b] > speedups[a]
+    for a, b in zip(speedups, speedups[1:]):
+        assert b > a
     # Near-linear at the high end: the paper reaches 5.94/6; we accept >= 4.5.
-    assert speedups[counts[-1]] >= 4.5
+    assert speedups[-1] >= 4.5
     # Vanilla QEMU is a single-node system, slightly faster than DQEMU-1
     # (paper: 1.04) but far below multi-node DQEMU.
-    assert 1.0 <= result.qemu_speedup <= 1.15
-    assert speedups[counts[-1]] > 3 * result.qemu_speedup
+    assert 1.0 <= qemu_speedup <= 1.15
+    assert speedups[-1] > 3 * qemu_speedup

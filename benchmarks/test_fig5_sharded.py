@@ -8,25 +8,23 @@ queue wait.  Partitioning the directory across shard pools serves requests
 for unrelated pages in parallel and must cut that wait monotonically.
 """
 
-from benchmarks.conftest import run_once
-from repro.analysis import run_fig5_sharded
+from benchmarks.conftest import regenerate
+from repro.analysis.views import group
 
 
-def test_fig5_sharded(benchmark, record_result):
-    result = run_once(benchmark, run_fig5_sharded)
-    record_result("services_fig5_sharded", result.render())
-
-    top = result.slave_counts[-1]
-    shards = result.shard_counts
-    assert shards[0] == 1
+def test_fig5_sharded(benchmark):
+    records = regenerate(benchmark, "services_fig5_sharded")
+    # The highest node count, one record per shard count (1, 2, 4).
+    top = [r["services"]["coherence"] for r in group(records.values(), "6 slaves")]
+    assert records["6 slaves/1 shards"]["cell"]["config"]["master_shards"] == 1
     # There is head-of-line blocking to attack at the high end...
-    assert result.coherence_wait_ns[(top, 1)] > 0
+    assert top[0]["queue_wait_ns"] > 0
     # ...and sharding attacks it: mean coherence queue wait strictly drops
     # at every shard doubling, at the highest node count.
-    waits = [result.mean_wait_us(top, k) for k in shards]
+    waits = [c["queue_wait_ns"] / c["requests"] for c in top]
     for narrow, wide in zip(waits, waits[1:]):
         assert wide < narrow
     # The shard sweep never changes guest work: same request volume (within
     # the small jitter retries introduce) at every shard count.
-    reqs = [result.coherence_requests[(top, k)] for k in shards]
+    reqs = [c["requests"] for c in top]
     assert max(reqs) - min(reqs) <= 0.05 * max(reqs)

@@ -13,84 +13,51 @@ in round trips —
 * ``mixed-sharded`` (private + ping-pong + broadcast pages, two master
   shards): no fixed protocol fits every page; the adaptive classifier must
   match the best fixed choice without knowing the workload.
-
-Writes the drift-checked table (``benchmarks/results/fig6_coherence.txt``)
-plus machine-readable ``benchmarks/results/BENCH_coherence.json``.
-Deterministic simulation: both artifacts regenerate bit-identically.
-
-``test_fig6_coherence_smoke`` is the CI smoke run, parameterized by the
-``DQEMU_SMOKE_COHERENCE`` environment variable (the workflow runs it at
-msi, mesi and adaptive).  It deliberately does not use the benchmark
-fixture, so the main benchmarks job (``--benchmark-only``) skips it.
 """
 
-import json
-import os
-
-from benchmarks.conftest import RESULTS_DIR, run_once
-from repro import Cluster, DQEMUConfig
-from repro.analysis import run_fig6_coherence
+from benchmarks.conftest import regenerate
+from repro.analysis.experiments import COHERENCE_WORKLOADS
 from repro.workloads import memaccess
 
-PROTOCOLS = ("msi", "mesi", "migrate", "adaptive")
-RMW_THREADS = 8
-RMW_PAGES_PER_THREAD = 8
-PRIVATE_PAGES = RMW_THREADS * RMW_PAGES_PER_THREAD
 
+def test_fig6_coherence(benchmark):
+    records = regenerate(benchmark, "fig6_coherence")
+    rmw = records["single-writer/msi"]["cell"]["params"]
+    private_pages = memaccess.private_rmw_pages(rmw["n_threads"], rmw["pages_per_thread"])
 
-def test_fig6_coherence(benchmark, record_result):
-    result = run_once(
-        benchmark,
-        lambda: run_fig6_coherence(
-            protocols=PROTOCOLS,
-            rmw_threads=RMW_THREADS,
-            rmw_pages_per_thread=RMW_PAGES_PER_THREAD,
-        ),
-    )
-    record_result("fig6_coherence", result.render())
-    (RESULTS_DIR / "BENCH_coherence.json").write_text(
-        json.dumps(
-            {
-                "experiment": "fig6_coherence",
-                "params": result.params,
-                "rows": result.rows,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    def m(workload, protocol, key):
+        record = records[f"{workload}/{protocol}"]
+        return record[key] if key in record else record["protocol"][key]
 
-    m = result.metric
     # MSI is the paper's protocol: no Exclusive grants, no silent upgrades,
     # no migrations, ever.
-    for wl in result.workloads:
+    for wl in COHERENCE_WORKLOADS:
         for key in ("exclusive_grants", "silent_upgrades", "upgrade_acks",
-                    "home_migrations", "reclassifications"):
+                    "home_migrations", "adaptive_reclassifications"):
             assert m(wl, "msi", key) == 0, (wl, key)
 
     # Single-writer pages: MESI converts each private page's S→M upgrade
     # round trip into a silent local flip — write upgrades drop by the full
     # private page count and the saved round trips show up end to end.
-    assert m("single-writer", "mesi", "silent_upgrades") >= PRIVATE_PAGES
+    assert m("single-writer", "mesi", "silent_upgrades") >= private_pages
     assert (
         m("single-writer", "mesi", "write_upgrades")
-        <= m("single-writer", "msi", "write_upgrades") - PRIVATE_PAGES
+        <= m("single-writer", "msi", "write_upgrades") - private_pages
     )
-    assert m("single-writer", "mesi", "time_ms") < m("single-writer", "msi", "time_ms")
+    assert m("single-writer", "mesi", "virtual_ns") < m("single-writer", "msi", "virtual_ns")
     assert (
-        m("single-writer", "mesi", "mean_wait_us")
-        < m("single-writer", "msi", "mean_wait_us")
+        m("single-writer", "mesi", "fault_latency_us")
+        < m("single-writer", "msi", "fault_latency_us")
     )
 
     # Fig. 6 mutex pessimum: payload-free upgrade acks reduce the mean
     # coherence wait below MSI's.
     assert m("mutex-worst", "mesi", "upgrade_acks") > 0
     assert (
-        m("mutex-worst", "mesi", "mean_wait_us")
-        < m("mutex-worst", "msi", "mean_wait_us")
+        m("mutex-worst", "mesi", "fault_latency_us")
+        < m("mutex-worst", "msi", "fault_latency_us")
     )
-    assert m("mutex-worst", "mesi", "time_ms") <= m("mutex-worst", "msi", "time_ms")
+    assert m("mutex-worst", "mesi", "virtual_ns") <= m("mutex-worst", "msi", "virtual_ns")
 
     # Home migration actually fires and serves the new home locally.
     assert m("mixed-sharded", "migrate", "home_migrations") > 0
@@ -100,27 +67,9 @@ def test_fig6_coherence(benchmark, record_result):
     # protocol on the mixed sweep (small tolerance) while clearly beating
     # the MSI default — without being told the workload.
     best_fixed = min(
-        m("mixed-sharded", proto, "time_ms") for proto in ("msi", "mesi", "migrate")
+        m("mixed-sharded", proto, "virtual_ns") for proto in ("msi", "mesi", "migrate")
     )
-    adaptive = m("mixed-sharded", "adaptive", "time_ms")
+    adaptive = m("mixed-sharded", "adaptive", "virtual_ns")
     assert adaptive <= 1.05 * best_fixed
-    assert adaptive <= 0.9 * m("mixed-sharded", "msi", "time_ms")
-    assert m("mixed-sharded", "adaptive", "reclassifications") > 0
-
-
-def test_fig6_coherence_smoke():
-    """Coherence smoke run, parameterized by CI's protocol matrix."""
-    protocol = os.environ.get("DQEMU_SMOKE_COHERENCE", "msi")
-    cfg = DQEMUConfig(coherence_protocol=protocol, adaptive_window=8)
-    cluster = Cluster(4, cfg)
-    program = memaccess.build_private_rmw(
-        n_threads=4, n_nodes=4, pages_per_thread=4, passes=2
-    )
-    result = cluster.run(program, max_virtual_ms=60_000_000)
-    assert result.exit_code == 0
-    p = result.stats.protocol
-    if protocol == "msi":
-        assert p.exclusive_grants == 0 and p.silent_upgrades == 0
-    else:
-        assert p.exclusive_grants > 0
-        assert p.silent_upgrades > 0
+    assert adaptive <= 0.9 * m("mixed-sharded", "msi", "virtual_ns")
+    assert m("mixed-sharded", "adaptive", "adaptive_reclassifications") > 0

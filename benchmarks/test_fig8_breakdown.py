@@ -8,39 +8,43 @@ hint-based scheme improves performance "quite substantially" (left bars
 below right bars, mostly via the page-fault component).
 """
 
-from benchmarks.conftest import run_once
-from repro.analysis import run_fig8
+from benchmarks.conftest import regenerate
 
 
-def test_fig8_x264(benchmark, record_result):
-    result = run_once(benchmark, lambda: run_fig8("x264"))
-    record_result("fig8_x264", result.render())
+def _nodes(records):
+    return sorted({r["cell"]["n_slaves"] for r in records.values() if not r["cell"]["baseline"]})
 
-    counts = result.slave_counts
+def _breakdown(records, nodes, scheduler):
+    return records[f"{nodes}/{scheduler}"]["worker_breakdown_ns"]
+
+
+def _total(records, nodes, scheduler):
+    return sum(_breakdown(records, nodes, scheduler).values())
+
+
+def test_fig8_x264(benchmark):
+    records = regenerate(benchmark, "fig8_x264")
     # Execution component is flat (same guest work on any schedule).
-    for n in counts:
-        ex_h = result.normalized(n, "hint")["execute_ns"]
-        ex_r = result.normalized(n, "round_robin")["execute_ns"]
+    for n in _nodes(records):
+        ex_h = _breakdown(records, n, "hint")["execute_ns"]
+        ex_r = _breakdown(records, n, "round_robin")["execute_ns"]
         assert abs(ex_h - ex_r) / ex_r < 0.1
     # Hint scheduling reduces the page-fault component where cross-node
     # reference reads dominate (the paper's effect; strongest at high node
     # counts in our scaled runs).
-    top = counts[-1]
-    pf_hint = result.breakdowns[(top, "hint")]["pagefault_ns"]
-    pf_rr = result.breakdowns[(top, "round_robin")]["pagefault_ns"]
+    top = _nodes(records)[-1]
+    pf_hint = _breakdown(records, top, "hint")["pagefault_ns"]
+    pf_rr = _breakdown(records, top, "round_robin")["pagefault_ns"]
     assert pf_hint < pf_rr
-    assert result.total(top, "hint") < result.total(top, "round_robin")
+    assert _total(records, top, "hint") < _total(records, top, "round_robin")
 
 
-def test_fig8_fluidanimate(benchmark, record_result):
-    result = run_once(benchmark, lambda: run_fig8("fluidanimate"))
-    record_result("fig8_fluidanimate", result.render())
-
-    counts = result.slave_counts
-    for n in counts:
-        pf_hint = result.breakdowns[(n, "hint")]["pagefault_ns"]
-        pf_rr = result.breakdowns[(n, "round_robin")]["pagefault_ns"]
+def test_fig8_fluidanimate(benchmark):
+    records = regenerate(benchmark, "fig8_fluidanimate")
+    for n in _nodes(records):
+        pf_hint = _breakdown(records, n, "hint")["pagefault_ns"]
+        pf_rr = _breakdown(records, n, "round_robin")["pagefault_ns"]
         # Grouped neighbour blocks slash boundary-exchange page faults
         # (paper: "quite substantially"; we require >= 1.5x at every count).
         assert pf_hint < pf_rr / 1.5
-        assert result.total(n, "hint") < result.total(n, "round_robin")
+        assert _total(records, n, "hint") < _total(records, n, "round_robin")

@@ -7,142 +7,29 @@ instructions over the stream's makespan) versus p99 job queue wait.  With
 ``max_concurrent_jobs = 3``, streams of up to three jobs run wholly
 concurrently (zero queue wait); deeper streams queue, so the wait
 percentile becomes visible exactly where the admission limit binds.
-
-Writes the drift-checked paper-style table
-(``benchmarks/results/fig9_multitenant.txt``) plus the machine-readable
-``benchmarks/results/BENCH_multitenant.json`` CI consumes.  All reported
-quantities are *virtual-time* measurements of a deterministic simulation,
-so both artifacts regenerate bit-identically.
-
-``test_multitenant_smoke`` is the CI smoke run, parameterized by the
-``DQEMU_SMOKE_TENANTS`` environment variable (the workflow runs it at 1
-and 3 tenants).  It deliberately does not use the benchmark fixture, so
-the main benchmarks job (``--benchmark-only``) skips it.
 """
 
-import json
-import math
-import os
-import pathlib
-
-from benchmarks.conftest import RESULTS_DIR, run_once
-from repro import Cluster, DQEMUConfig
-from repro.workloads import blackscholes, mutex_bench, x264
-
-TENANT_COUNTS = (1, 2, 3, 4, 6)
-MAX_CONCURRENT = 3
-N_SLAVES = 2
+from benchmarks.conftest import regenerate
+from repro.analysis.experiments import MAX_CONCURRENT_JOBS
 
 
-def _job_stream():
-    """The mixed workload mix, cycled over the stream in this order."""
-    return [
-        ("blackscholes", blackscholes.build(n_threads=4, n_options=16)),
-        ("mutex_bench", mutex_bench.build(n_threads=4, iters=40)),
-        ("x264", x264.build(n_frames=8, group_size=4, pages_per_frame=1)),
-    ]
-
-
-def _percentile(values, q):
-    """Nearest-rank percentile (deterministic, no interpolation)."""
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[rank - 1]
-
-
-def run_fig9_multitenant(tenant_counts=TENANT_COUNTS):
-    mix = _job_stream()
-    rows = []
-    for n_jobs in tenant_counts:
-        cfg = DQEMUConfig(
-            max_concurrent_jobs=MAX_CONCURRENT, admission_queue_depth=16
-        )
-        cluster = Cluster(N_SLAVES, cfg)
-        jobs = [
-            cluster.submit(mix[i % len(mix)][1], name=mix[i % len(mix)][0],
-                           max_virtual_ms=10_000)
-            for i in range(n_jobs)
-        ]
-        results = cluster.join(jobs)
-        makespan_ns = max(job.finished_ns for job in jobs)
-        total_insns = sum(r.stats.insns_executed for r in results)
-        waits = [r.queue_wait_ns for r in results]
-        rows.append({
-            "tenants": n_jobs,
-            "makespan_ms": makespan_ns / 1e6,
-            "total_insns": total_insns,
-            "goodput_mips": total_insns * 1e3 / makespan_ns,
-            "mean_queue_wait_ms": sum(waits) / len(waits) / 1e6,
-            "p99_queue_wait_ms": _percentile(waits, 99) / 1e6,
-            "queued_jobs": sum(1 for w in waits if w > 0),
-            "exit_codes": [r.exit_code for r in results],
-        })
-    return rows
-
-
-def render_fig9(rows) -> str:
-    lines = [
-        "fig9: multi-tenant job admission "
-        f"(mixed blackscholes/mutex_bench/x264 stream, {N_SLAVES} slaves, "
-        f"max_concurrent_jobs={MAX_CONCURRENT})",
-        f"{'tenants':>7} | {'makespan_ms':>11} | {'goodput_mips':>12} | "
-        f"{'mean_wait_ms':>12} | {'p99_wait_ms':>11} | {'queued':>6}",
-    ]
-    lines.append("-" * len(lines[1]))
-    for row in rows:
-        lines.append(
-            f"{row['tenants']:>7} | {row['makespan_ms']:>11.3f} | "
-            f"{row['goodput_mips']:>12.2f} | "
-            f"{row['mean_queue_wait_ms']:>12.3f} | "
-            f"{row['p99_queue_wait_ms']:>11.3f} | {row['queued_jobs']:>6}"
-        )
-    return "\n".join(lines)
-
-
-def test_fig9_multitenant(benchmark, record_result):
-    rows = run_once(benchmark, run_fig9_multitenant)
-    record_result("fig9_multitenant", render_fig9(rows))
-    (RESULTS_DIR / "BENCH_multitenant.json").write_text(
-        json.dumps(
-            {
-                "experiment": "fig9_multitenant",
-                "n_slaves": N_SLAVES,
-                "max_concurrent_jobs": MAX_CONCURRENT,
-                "workload_mix": [name for name, _ in _job_stream()],
-                "rows": rows,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
-
-    by_tenants = {row["tenants"]: row for row in rows}
+def test_fig9_multitenant(benchmark):
+    records = regenerate(benchmark, "fig9_multitenant")
+    by_tenants = {len(r["cell"]["jobs"]): r for r in records.values()}
     # Every job in every stream ran to a clean exit.
-    for row in rows:
-        assert all(code == 0 for code in row["exit_codes"])
+    for n, row in by_tenants.items():
+        assert row["exit_codes"] == [0] * n
     # Within the admission limit nothing queues; beyond it the limit binds
     # and the queue-wait percentile becomes visible.
     for n in (1, 2, 3):
         assert by_tenants[n]["queued_jobs"] == 0
         assert by_tenants[n]["p99_queue_wait_ms"] == 0
     for n in (4, 6):
-        assert by_tenants[n]["queued_jobs"] == n - MAX_CONCURRENT
+        assert by_tenants[n]["queued_jobs"] == n - MAX_CONCURRENT_JOBS
         assert by_tenants[n]["p99_queue_wait_ms"] > 0
     # Co-scheduling pays: three overlapping tenants beat a solo stream's
     # aggregate goodput on the same fleet.
     assert by_tenants[3]["goodput_mips"] > by_tenants[1]["goodput_mips"]
     # Makespan grows monotonically with offered load.
-    makespans = [row["makespan_ms"] for row in rows]
+    makespans = [row["virtual_ns"] for row in records.values()]
     assert makespans == sorted(makespans)
-
-
-def test_multitenant_smoke():
-    """Admission smoke run, parameterized by CI's multitenant matrix."""
-    n_jobs = int(os.environ.get("DQEMU_SMOKE_TENANTS", "1"))
-    rows = run_fig9_multitenant(tenant_counts=(n_jobs,))
-    (row,) = rows
-    assert all(code == 0 for code in row["exit_codes"])
-    assert row["goodput_mips"] > 0
-    if n_jobs <= MAX_CONCURRENT:
-        assert row["queued_jobs"] == 0

@@ -2,7 +2,7 @@
 
 Two representative workloads — the contended-mutex worst case and a
 forwarding-friendly sequential page walk — are run once each and their
-``RunStats.services`` counters rendered with
+per-service counters rendered with
 :func:`~repro.analysis.reporting.render_service_breakdown`.  The runs are
 deterministic, so the emitted tables are byte-stable: CI regenerates them
 and fails on drift, turning per-service load into a tracked regression
@@ -10,56 +10,41 @@ surface (an optimization that silently shifts work between subsystems now
 shows up in review).
 """
 
-from benchmarks.conftest import run_once
-from repro import Cluster, DQEMUConfig
-from repro.analysis.reporting import render_service_breakdown
-from repro.workloads import memaccess, mutex_bench
+from benchmarks.conftest import regenerate
+from repro.analysis.experiments import render
 
 
-def test_service_breakdown_mutex(benchmark, record_result):
-    def run():
-        prog = mutex_bench.build(n_threads=4, iters=200, private=False)
-        return Cluster(n_slaves=2).run(prog)
+def test_service_breakdown_mutex(benchmark):
+    (record,) = regenerate(benchmark, "services_mutex").values()
+    assert record["exit_codes"] == [0]
 
-    result = run_once(benchmark, run)
-    assert result.exit_code == 0
-    record_result("services_mutex", render_service_breakdown(result.stats))
-
-    services = result.stats.services
+    services = record["services"]
     # The global lock hammers the master: syscall delegation and coherence
     # dominate, and the futex service sees the wait/wake storm.
-    assert services["syscall"].busy_ns > 0
-    assert services["coherence"].busy_ns > 0
-    assert services["futex"].requests > 0
+    assert services["syscall"]["busy_ns"] > 0
+    assert services["coherence"]["busy_ns"] > 0
+    assert services["futex"]["requests"] > 0
     # Frame-serialization billing: futex wake/park delivery consumes the
     # master link, so it must not report zero busy time.
-    assert services["futex"].busy_ns > 0
+    assert services["futex"]["busy_ns"] > 0
     # Node-side control work (wake delivery, shutdown) bills its per-command
     # service span instead of reporting zero.
-    assert services["node.control"].busy_ns > 0
+    assert services["node.control"]["busy_ns"] > 0
     # Contention on the master managers is visible as mailbox queue wait.
-    assert services["coherence"].queue_wait_ns > 0
-    assert all(s.duplicates == 0 for s in services.values())
+    assert services["coherence"]["queue_wait_ns"] > 0
+    assert all(s["duplicates"] == 0 for s in services.values())
     # Default config never retransmits, so the reliability columns must stay
     # out of the rendered table (keeping the committed tables byte-stable).
-    assert all(s.retransmits == 0 and s.recoveries == 0 for s in services.values())
-    assert "retransmits" not in render_service_breakdown(result.stats)
+    assert all(s["retransmits"] == 0 and s["recoveries"] == 0 for s in services.values())
+    assert "retransmits" not in render("services_mutex", [record])
 
 
-def test_service_breakdown_seq_forwarding(benchmark, record_result):
-    def run():
-        prog = memaccess.build_seq_walk(npages=64)
-        cfg = DQEMUConfig(forwarding_enabled=True)
-        return Cluster(n_slaves=1, config=cfg).run(prog)
+def test_service_breakdown_seq_forwarding(benchmark):
+    (record,) = regenerate(benchmark, "services_seq_forwarding").values()
+    assert record["exit_codes"] == [0]
 
-    result = run_once(benchmark, run)
-    assert result.exit_code == 0
-    record_result(
-        "services_seq_forwarding", render_service_breakdown(result.stats)
-    )
-
-    services = result.stats.services
+    services = record["services"]
     # A sequential walk with forwarding on: pushes do the heavy lifting and
     # the node-side coherence client receives them.
-    assert services["forwarding"].requests > 0
-    assert services["node.coherence"].requests > 0
+    assert services["forwarding"]["requests"] > 0
+    assert services["node.coherence"]["requests"] > 0

@@ -15,20 +15,21 @@ local QEMU; forwarding recovers most of it and slashes fault latency
 splitting restores it past the single-node baseline.
 """
 
-from benchmarks.conftest import run_once
-from repro.analysis import run_table1
+from benchmarks.conftest import regenerate
+from repro.analysis.views import bandwidth_mbps
 
 
-def test_table1_memory(benchmark, record_result):
-    result = run_once(benchmark, run_table1)
-    record_result("table1_memory", result.render())
-
-    qemu_seq, _ = result.row("QEMU Sequential Access")
-    remote, remote_lat = result.row("Remote Sequential Access")
-    fwd, fwd_lat = result.row("Page forwarding Enabled")
-    qemu_128, _ = result.row("QEMU Access of 128 bytes")
-    false_sharing, _ = result.row("False Sharing of 1 Page")
-    splitting, _ = result.row("Page Splitting Enabled")
+def test_table1_memory(benchmark):
+    records = regenerate(benchmark, "table1_memory")
+    mbps = {label: bandwidth_mbps(r) for label, r in records.items()}
+    qemu_seq = mbps["QEMU Sequential Access"]
+    remote = mbps["Remote Sequential Access"]
+    remote_lat = records["Remote Sequential Access"]["worker_fault_latency_us"]
+    fwd = mbps["Page forwarding Enabled"]
+    fwd_lat = records["Page forwarding Enabled"]["worker_fault_latency_us"]
+    qemu_128 = mbps["QEMU Access of 128 bytes"]
+    false_sharing = mbps["False Sharing of 1 Page"]
+    splitting = mbps["Page Splitting Enabled"]
 
     # Remote sequential access collapses (paper: 173 -> 7.88, ~22x).
     assert remote < qemu_seq / 10

@@ -1,66 +1,9 @@
-"""Experiment harnesses, metrics and reporting for the paper's evaluation."""
+"""The experiment runner, registry, metrics and reporting for the evaluation."""
 
-from repro.analysis.experiments import (
-    CrashScenario,
-    Fig5CrashResult,
-    Fig5HeartbeatResult,
-    Fig5PartitionResult,
-    Fig5Result,
-    Fig5ShardedResult,
-    Fig6CoherenceResult,
-    Fig6Result,
-    Fig7Result,
-    Fig8Result,
-    HeartbeatScenario,
-    PartitionScenario,
-    Table1Result,
-    run_fig5,
-    run_fig5_crash,
-    run_fig5_heartbeat,
-    run_fig5_partition,
-    run_fig5_sharded,
-    run_fig6,
-    run_fig6_coherence,
-    run_fig7,
-    run_fig8,
-    run_table1,
-)
-from repro.analysis.metrics import (
-    mean_fault_latency_us,
-    normalized,
-    speedup,
-    throughput_mbps,
-)
-from repro.analysis.reporting import render_series, render_table
+from repro.analysis.experiments import EXPERIMENTS, Experiment, render, run_experiment, save
+from repro.analysis.runner import Cell, Fault, build_config, run_cell
 
 __all__ = [
-    "CrashScenario",
-    "Fig5CrashResult",
-    "Fig5HeartbeatResult",
-    "Fig5PartitionResult",
-    "Fig5Result",
-    "Fig5ShardedResult",
-    "Fig6CoherenceResult",
-    "Fig6Result",
-    "Fig7Result",
-    "Fig8Result",
-    "HeartbeatScenario",
-    "PartitionScenario",
-    "Table1Result",
-    "mean_fault_latency_us",
-    "normalized",
-    "render_series",
-    "render_table",
-    "run_fig5",
-    "run_fig5_crash",
-    "run_fig5_heartbeat",
-    "run_fig5_partition",
-    "run_fig5_sharded",
-    "run_fig6",
-    "run_fig6_coherence",
-    "run_fig7",
-    "run_fig8",
-    "run_table1",
-    "speedup",
-    "throughput_mbps",
+    "EXPERIMENTS", "Cell", "Experiment", "Fault",
+    "build_config", "render", "run_cell", "run_experiment", "save",
 ]

@@ -1,10 +1,10 @@
-"""Derived metrics for the experiment harnesses."""
+"""Derived metrics for the experiment runner and views."""
 
 from __future__ import annotations
 
 from repro.core.cluster import RunResult
 
-__all__ = ["speedup", "throughput_mbps", "mean_fault_latency_us", "normalized"]
+__all__ = ["speedup", "throughput_mbps", "mean_fault_latency_us"]
 
 
 def speedup(baseline_ns: int, measured_ns: int) -> float:
@@ -34,8 +34,3 @@ def mean_fault_latency_us(result: RunResult, tids: list[int] | None = None) -> f
         return 0.0
     return wait_ns / faults / 1e3
 
-
-def normalized(values: dict, base_key) -> dict:
-    """Normalize a {key: time} map to the entry at ``base_key``."""
-    base = values[base_key]
-    return {k: base / v for k, v in values.items()}

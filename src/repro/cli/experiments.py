@@ -1,88 +1,21 @@
 """``repro-experiments``: regenerate the paper's tables and figures.
 
-Examples::
+Experiments are named by the stem of their artifacts, so ``--out
+benchmarks/results`` rewrites exactly the committed ``<name>.txt`` /
+``<name>.json`` pairs.  Examples::
 
-    repro-experiments fig5
-    repro-experiments table1 --out results/
-    repro-experiments all
+    repro-experiments fig5_scalability
+    repro-experiments table1_memory --out results/
+    repro-experiments all --out benchmarks/results
 """
 
 from __future__ import annotations
 
 import argparse
-from pathlib import Path
 
-from repro.analysis import (
-    run_fig5,
-    run_fig5_crash,
-    run_fig5_heartbeat,
-    run_fig5_sharded,
-    run_fig6,
-    run_fig6_coherence,
-    run_fig7,
-    run_fig8,
-    run_table1,
-)
-from repro.analysis.ablations import (
-    ablate_dsm_service,
-    ablate_forwarding_window,
-    ablate_quantum,
-    ablate_splitting_trigger,
-)
+from repro.analysis.experiments import EXPERIMENTS, render, run_experiment, save
 
-__all__ = ["main", "build_parser", "EXPERIMENTS"]
-
-
-def _fig7_both():
-    class _Both:
-        def __init__(self):
-            self.parts = [run_fig7("blackscholes"), run_fig7("swaptions")]
-
-        def render(self):
-            return "\n\n".join(p.render() for p in self.parts)
-
-    return _Both()
-
-
-def _fig8_both():
-    class _Both:
-        def __init__(self):
-            self.parts = [run_fig8("x264"), run_fig8("fluidanimate")]
-
-        def render(self):
-            return "\n\n".join(p.render() for p in self.parts)
-
-    return _Both()
-
-
-def _ablations():
-    class _All:
-        def __init__(self):
-            self.parts = [
-                ablate_forwarding_window(),
-                ablate_splitting_trigger(),
-                ablate_quantum(),
-                ablate_dsm_service(),
-            ]
-
-        def render(self):
-            return "\n\n".join(p.render() for p in self.parts)
-
-    return _All()
-
-
-EXPERIMENTS = {
-    "fig5": run_fig5,
-    "fig5_crash": run_fig5_crash,
-    "fig5_heartbeat": run_fig5_heartbeat,
-    "fig5_sharded": run_fig5_sharded,
-    "fig6": run_fig6,
-    "fig6_coherence": run_fig6_coherence,
-    "table1": run_table1,
-    "fig7": _fig7_both,
-    "fig8": _fig8_both,
-    "ablations": _ablations,
-}
+__all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,7 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="experiment to run",
     )
     p.add_argument("--out", default=None, metavar="DIR",
-                   help="also write each table to DIR/<name>.txt")
+                   help="also write DIR/<name>.json (the records) and DIR/<name>.txt")
     return p
 
 
@@ -104,14 +37,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     names = sorted(EXPERIMENTS) if args.which == "all" else [args.which]
     for name in names:
-        result = EXPERIMENTS[name]()
-        text = result.render()
-        print(text)
+        records = run_experiment(name)
+        print(save(name, records, args.out) if args.out else render(name, records))
         print()
-        if args.out:
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            (out / f"{name}.txt").write_text(text + "\n")
     return 0
 
 

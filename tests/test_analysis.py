@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.metrics import normalized, speedup, throughput_mbps
+from repro.analysis.metrics import speedup, throughput_mbps
 from repro.analysis.reporting import format_value, render_series, render_table
 from repro.baselines import qemu_config, run_qemu
 from repro.core.config import DQEMUConfig
@@ -24,10 +24,6 @@ class TestMetrics:
         assert throughput_mbps(1_000_000, 1_000_000) == pytest.approx(1000.0)
         with pytest.raises(ValueError):
             throughput_mbps(1, 0)
-
-    def test_normalized(self):
-        out = normalized({1: 100, 2: 50, 4: 25}, base_key=1)
-        assert out == {1: 1.0, 2: 2.0, 4: 4.0}
 
 
 class TestReporting:

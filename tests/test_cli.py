@@ -1,7 +1,12 @@
 """CLI tests (invoking main() in-process)."""
 
+import dataclasses
+import json
+import pathlib
+
 import pytest
 
+from repro.analysis.experiments import EXPERIMENTS, render
 from repro.cli import asm as asm_cli
 from repro.cli import experiments as exp_cli
 from repro.cli import run as run_cli
@@ -122,21 +127,33 @@ class TestAsmCli:
 
 class TestExperimentsCli:
     def test_registry_covers_every_artifact(self):
-        assert set(exp_cli.EXPERIMENTS) == {
-            "fig5", "fig5_crash", "fig5_heartbeat", "fig5_sharded", "fig6",
-            "fig6_coherence", "table1", "fig7", "fig8", "ablations",
-        }
+        # A bijection: `repro-experiments all --out benchmarks/results`
+        # rewrites exactly the committed files, no more and no fewer.
+        results = pathlib.Path(__file__).parent.parent / "benchmarks" / "results"
+        for suffix in ("txt", "json"):
+            assert set(EXPERIMENTS) == {p.stem for p in results.glob(f"*.{suffix}")}
+
+    @pytest.mark.parametrize("flag", ["--smoke", "--json"])
+    def test_no_format_or_smoke_switches(self, flag):
+        with pytest.raises(SystemExit):
+            exp_cli.build_parser().parse_args(["all", flag])
 
     def test_small_fig5_run(self, capsys, monkeypatch, tmp_path):
-        # shrink fig5 so the CLI test is quick
-        from repro.analysis import experiments as harness
-
-        monkeypatch.setitem(
-            exp_cli.EXPERIMENTS, "fig5",
-            lambda: harness.run_fig5(n_threads=4, terms=50, reps=1,
-                                     slave_counts=(1, 2)),
+        # Shrink the experiment by substituting its cell list.
+        fig5 = EXPERIMENTS["fig5_scalability"]
+        tiny = dict(n_threads=4, terms=50, reps=1)
+        cells = tuple(
+            dataclasses.replace(c, params=tiny)
+            for c in fig5.cells if c.n_slaves <= 2
         )
-        assert exp_cli.main(["fig5", "--out", str(tmp_path)]) == 0
+        monkeypatch.setitem(
+            EXPERIMENTS, "fig5_scalability", dataclasses.replace(fig5, cells=cells)
+        )
+        assert exp_cli.main(["fig5_scalability", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "Fig. 5" in out
-        assert (tmp_path / "fig5.txt").exists()
+        records = json.loads((tmp_path / "fig5_scalability.json").read_text())
+        assert [r["label"] for r in records] == ["DQEMU/1", "DQEMU/2", "QEMU-4.2.0"]
+        text = (tmp_path / "fig5_scalability.txt").read_text()
+        assert text == render("fig5_scalability", records) + "\n"
+        assert text in out
