@@ -1,15 +1,14 @@
 """DBT hot-path experiment: chaining + trace superblocks + idiom fusion.
 
 ``test_dbt_hotpath`` runs a PARSEC-stand-in mix on the same fleet shape
-under three DBT configurations — ``nochain`` (every dispatch is a
-code-cache lookup), ``baseline`` (block chaining, the default), and
-``hotpath`` (chaining plus superblock promotion and idiom fusion) — and
-measures what each tier of the hot path buys: code-cache lookups and
+under two DBT configurations — ``baseline`` (block chaining, always on)
+and ``hotpath`` (chaining plus superblock promotion and idiom fusion) — and
+measures what the hot tier buys: code-cache lookups and
 dispatches per thousand executed instructions, the fig8-style
 execute/translate cycle split, superblocks formed, per-pattern fusion
 hits, and the virtual cycles the cheaper superblock CPI / fused idioms
 avoided.  Architectural identity is asserted alongside the numbers:
-computed stdout must be byte-identical across all three configs
+computed stdout must be byte-identical across both configs
 (mutex_bench prints virtual-time measurements, so only its exit code is
 compared).
 """
@@ -28,20 +27,15 @@ def test_dbt_hotpath(benchmark):
 
     for workload in DBT_WORKLOADS:
         cells = [records[f"{workload}/{config}"] for config in DBT_CONFIGS]
-        nochain, base, hot = (cell["dbt"] for cell in cells)
+        base, hot = (cell["dbt"] for cell in cells)
         # Architectural identity: the hot path changes timing, never results.
         assert all(cell["exit_codes"] == [0] for cell in cells)
         if workload not in TIMING_DEPENDENT_STDOUT:
             assert len({cell["stdout"] for cell in cells}) == 1, workload
         # Only the hot path forms superblocks or fuses idioms.
-        for tier in (nochain, base):
-            assert tier["superblocks_formed"] == 0 and not tier["fusion_hits"]
-        # Chaining tier: slow-path lookups per executed instruction drop
-        # measurably once dispatch rides direct block references.
-        assert nochain["chain_follows"] == 0
-        assert base["lookups_per_kinsn"] < 0.7 * nochain["lookups_per_kinsn"]
+        assert base["superblocks_formed"] == 0 and not base["fusion_hits"]
         # Superblock tier: one trace dispatch covers many blocks, so total
-        # dispatches per instruction drop again.
+        # dispatches per instruction drop.
         assert hot["dispatches_per_kinsn"] < base["dispatches_per_kinsn"]
     # Loop-heavy workloads promote traces, bank real cycle savings, and the
     # cheaper superblock CPI beats the trace-compilation cost end to end.

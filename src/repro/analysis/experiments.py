@@ -529,13 +529,12 @@ _experiment(
     ),
 )
 
-# -- DBT hot path: lookups -> chaining -> superblocks + idiom fusion ---------
+# -- DBT hot path: chaining -> superblocks + idiom fusion --------------------
 # The headline column is dbt_cpi — DBT cycles (execute + translate) per guest
 # instruction: loop-heavy workloads amortize trace compilation; the short
 # blackscholes run shows the flip side, where one-off translation dominates.
 
 DBT_CONFIGS = {
-    "nochain": dict(chaining_enabled=False),
     "baseline": {},
     "hotpath": dict(superblock_threshold=8, fusion_enabled=True),
 }
@@ -553,7 +552,7 @@ _experiment(
         for workload, params in DBT_WORKLOADS.items() for name, config in DBT_CONFIGS.items()
     ),
     table(
-        "dbt hot path: lookups (nochain) -> chaining (baseline) -> "
+        "dbt hot path: chaining (baseline) -> "
         "superblocks+fusion (hotpath, threshold=8; 2 slaves)",
         [
             ("workload", "cell.workload"),

@@ -126,15 +126,11 @@ def build_config(cell: Cell, ref: Optional[dict] = None) -> DQEMUConfig:
     opts = dict(cell.config)
     if cell.fault is not None:
         opts["fault_plan"] = cell.fault.plan(ref)
+    for name, frac in cell.ref_fracs.items():
+        opts[name] = max(1, int(frac * ref["virtual_ns"]))
     cfg = DQEMUConfig(**opts)
     if cell.comm_scale is not None:
         cfg = cfg.time_scaled(cell.comm_scale)
-    if cell.ref_fracs:
-        # Fractions of a measured duration are already post-scale virtual ns;
-        # applied earlier, time_scaled would shrink the heartbeat knobs again.
-        cfg = cfg.with_options(
-            **{k: max(1, int(frac * ref["virtual_ns"])) for k, frac in cell.ref_fracs.items()}
-        )
     return qemu_config(cfg) if cell.baseline else cfg
 
 
@@ -206,7 +202,7 @@ def _measure(cell: Cell, cfg: DQEMUConfig, results: list[RunResult], ref: Option
         "failures": _failures(first, cell.fault, ref),
         "heartbeat": cfg.heartbeat_interval_ns and {
             "interval_ns": cfg.heartbeat_interval_ns,
-            "lease_ns": cfg.effective_heartbeat_lease_ns,
+            "lease_ns": cfg.heartbeat_lease_ns,
             "detection_bound_ns": cfg.heartbeat_detection_bound_ns(),
         },
         "checkpoint_interval_ns": cfg.checkpoint_interval_ns,

@@ -160,10 +160,6 @@ class _Fleet:
             # identical.
             for node in self.nodes.values():
                 node.endpoint.rpc.enable_reply_cache()
-        # Topology handout: peer-mode checkpoint buddies are computed from
-        # the node-id ring (pure arithmetic, no wire traffic).
-        for node in self.nodes.values():
-            node.peer_ids = list(self.node_ids)
         #: Tenant-keyed read-only views over each job's directory shards.
         self.directories = TenantDirectoryView()
         #: Jobs currently running (admitted, not yet settled).
@@ -332,10 +328,8 @@ class Cluster:
         for path, data in job.files.items():
             state.vfs.add_file(path, data)
 
-        candidates = (
-            fleet.node_ids[1:]
-            if (self.n_slaves and not cfg.schedule_on_master) else [0]
-        )
+        # Workers go to slave nodes; the master runs the main thread (Fig. 2).
+        candidates = fleet.node_ids[1:] if self.n_slaves else [0]
         placer = ThreadPlacer(
             cfg.scheduler, candidates,
             health=fleet.view if cfg.health_aware_placement else None,

@@ -59,10 +59,7 @@ from repro.sim.engine import Event, Simulator
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.health import ClusterHealthView
 
-__all__ = ["MasterRuntime", "MasterShard", "MasterGuestMemory"]
-
-#: Backwards-compatible name for the kernel's coherent guest-memory accessor.
-MasterGuestMemory = CoherentGuestMemory
+__all__ = ["MasterRuntime", "MasterShard"]
 
 
 class MasterShard:
@@ -187,10 +184,9 @@ class MasterRuntime:
         self.failure_domain: Optional[FailureDomainService] = None
         self.checkpoint_service: Optional[CheckpointService] = None
         self.heartbeat_service: Optional[HeartbeatService] = None
-        if failure_view is not None and config.effective_checkpoint_interval_ns is not None:
+        if failure_view is not None and config.checkpoint_interval_ns is not None:
             self.checkpoint_service = CheckpointService(
-                sim, config, self.endpoint, self.trace, run_stats,
-                failure_view, self.node_ids, node.node_id,
+                sim, config, self.endpoint, run_stats, failure_view,
             )
             self.checkpoint_service.bind(
                 [shard.coherence for shard in self.shards]

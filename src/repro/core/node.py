@@ -37,7 +37,6 @@ from repro.core.llsc import LLSCTable
 from repro.core.services.base import Dispatcher, attribute_timeouts
 from repro.core.services.heartbeat import NodeHeartbeatService
 from repro.core.services.nodeside import (
-    NodeCheckpointService,
     NodeCoherenceService,
     NodeControlService,
     NodeSplitTableService,
@@ -58,12 +57,10 @@ from repro.net.endpoint import Endpoint
 from repro.net.fabric import Fabric
 from repro.net.messages import (
     Checkpoint,
-    CheckpointFlush,
     DrainComplete,
     EvacuateThread,
     MergeRequest,
     PageRequest,
-    PeerCheckpoint,
     SyscallRequest,
 )
 from repro.core.scheduler import FairRunQueue
@@ -75,6 +72,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["NodeRuntime", "NodeTenant", "COMMAND_KINDS"]
 
 A0, A7 = 10, 17
+SYSCALL_TRAP_CYCLES = 500  # local trap cost of a guest syscall (both modes)
 
 #: Inbound kinds handled by a node's communicator (vs. master managers),
 #: derived from the node-side services' routing claims.
@@ -108,8 +106,6 @@ class NodeTenant:
     __slots__ = (
         "tenant", "run_stats", "pagestore", "splitmap", "llsc", "memory",
         "engine", "threads", "inflight", "push_gates", "finished",
-        "page_retry_stats", "merge_retry_stats", "syscall_retry_stats",
-        "evac_retry_stats", "ckpt_retry_stats",
     )
 
     def __init__(self, node: "NodeRuntime", tenant: int, run_stats: RunStats):
@@ -124,31 +120,17 @@ class NodeTenant:
             NodeControlService.name,
         ):
             run_stats.service(name)
-        if config.effective_checkpoint_interval_ns is not None:
-            # Mirrors the conditional dispatcher registration: the row
-            # exists exactly when the service does.
-            run_stats.service(NodeCheckpointService.name)
         if (
             config.heartbeat_interval_ns is not None
             and node.node_id != node.master_id
         ):
-            # Same rule for the lease-renewal sender (slaves only: the
-            # master's liveness is axiomatic).
+            # The lease-renewal sender's row exists exactly when the service
+            # does (slaves only: the master's liveness is axiomatic).
             run_stats.service(NodeHeartbeatService.name)
         if node.rpc_retry is not None:
-            self.page_retry_stats = run_stats.service(NodeCoherenceService.name)
-            self.merge_retry_stats = run_stats.service(NodeSplitTableService.name)
-            self.syscall_retry_stats = run_stats.service("node.syscall")
-            self.evac_retry_stats = run_stats.service(NodeControlService.name)
-        else:
-            self.page_retry_stats = None
-            self.merge_retry_stats = None
-            self.syscall_retry_stats = None
-            self.evac_retry_stats = None
-        if node.rpc_retry is not None and config.effective_checkpoint_interval_ns is not None:
-            self.ckpt_retry_stats = run_stats.service(NodeCheckpointService.name)
-        else:
-            self.ckpt_retry_stats = None
+            # Where delegated syscalls bill their retransmits; not a
+            # registered service, so default runs have no such row.
+            run_stats.service("node.syscall")
         self.pagestore = PageStore()
         self.splitmap = SplitMap()
         self.llsc = LLSCTable()
@@ -161,14 +143,10 @@ class NodeTenant:
             timing=EngineTiming(
                 cpi_dbt=config.effective_cpi_dbt,
                 cpi_interp=config.cpi_interp,
-                cpi_superblock=config.cpi_superblock,
                 translate_per_insn=config.translate_per_insn,
             ),
             mode=config.mode,
-            max_block_insns=config.max_block_insns,
-            chaining=config.chaining_enabled,
             superblock_threshold=config.superblock_threshold,
-            superblock_max_blocks=config.superblock_max_blocks,
             fusion=config.fusion_enabled,
         )
         self.threads: dict[int, GuestThread] = {}
@@ -217,15 +195,6 @@ class NodeRuntime:
             NodeControlService(self),
         ):
             self.dispatcher.register(service)
-        #: Buddy-held register snapshots (peer-mode checkpointing):
-        #: (source node, tenant, tid) -> (taken_ns, context).
-        self.peer_checkpoints: dict[tuple[int, int, int], tuple] = {}
-        if config.effective_checkpoint_interval_ns is not None:
-            # Must register before the router captures the command-kind set
-            # below, or peer_checkpoint/fetch_checkpoints frames would route
-            # to a master manager.  Conditional so default runs create no
-            # "node.checkpoint" stats row and stay bit-identical.
-            self.dispatcher.register(NodeCheckpointService(self))
         #: Lease-renewal sender (docs/PROTOCOL.md "Failure detection"):
         #: built only when heartbeats are armed, and only on slaves — the
         #: master never renews a lease with itself.
@@ -238,11 +207,7 @@ class NodeRuntime:
             lambda msg: "comm" if msg.kind in command_kinds
             else ("mgr", msg.tenant, msg.src, _master_shard_key(msg, nshards))
         )
-        # Loss recovery for node-issued RPCs (page requests, merge requests,
-        # delegated syscalls).  Retransmit traffic is attributed to the
-        # node-side service name that owns the protocol plane; the stats
-        # bindings exist only when retries are armed, so default runs create
-        # no extra RunStats rows ("node.syscall" is not a registered service).
+        # Loss recovery for node-issued RPCs (see _request).
         self.rpc_retry = config.retry_policy()
         self.n_cores = config.cores_of(node_id)
         self.ghz = config.ghz_of(node_id)
@@ -260,10 +225,6 @@ class NodeRuntime:
         self.draining = False
         self._evacuating = 0  # evacuation RPCs still in flight
         self._drain_sent = False
-        #: Cluster node ids (set by the fleet once the topology exists);
-        #: checkpoint buddies are computed from it.  A bare node only knows
-        #: itself — peer-mode checkpoints then fall back to the master.
-        self.peer_ids: list[int] = [node_id]
         #: Virtual time of the last rebalance this node triggered
         #: (cooldown: at most one per rebalance_threshold_ns window).
         self._last_rebalance_ns = 0
@@ -283,33 +244,32 @@ class NodeRuntime:
     def bundle(self, tenant: int) -> NodeTenant:
         return self.tenants[tenant]
 
-    # Single-tenant views: the node's original attribute surface delegates
-    # to tenant 0, so the pure-QEMU local kernel, tests and tooling written
-    # against the one-job node keep reading the same names.
-
-    @property
-    def pagestore(self) -> PageStore:
-        return self.tenants[0].pagestore
-
-    @property
-    def splitmap(self) -> SplitMap:
-        return self.tenants[0].splitmap
-
-    @property
-    def llsc(self) -> LLSCTable:
-        return self.tenants[0].llsc
+    # Tenant-0 views: the pure-QEMU local kernel is written against a one-job node.
 
     @property
     def memory(self):
         return self.tenants[0].memory
 
     @property
-    def engine(self) -> ExecutionEngine:
-        return self.tenants[0].engine
-
-    @property
     def threads(self) -> dict[int, GuestThread]:
         return self.tenants[0].threads
+
+    # -- node-issued RPCs -------------------------------------------------------
+
+    def _request(self, bundle: NodeTenant, service: str, dst: int, msg):
+        """Issue one node-side RPC with the configured timeout and retransmit
+        budget; retransmit traffic is billed to the tenant's ``service`` row
+        (looked up only when retries are armed, so default runs create no
+        extra RunStats rows).  Returns the reply event."""
+        stats = bundle.run_stats.service(service) if self.rpc_retry is not None else None
+        return self.endpoint.request(
+            dst, msg, timeout_ns=self.config.rpc_timeout_ns, retry=self.rpc_retry, stats=stats,
+        )
+
+    def _call(self, bundle: NodeTenant, service: str, dst: int, msg):
+        """:meth:`_request`, awaited, its timeout attributed to ``service``."""
+        with attribute_timeouts(service):
+            return (yield self._request(bundle, service, dst, msg))
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -424,16 +384,12 @@ class NodeRuntime:
         )
 
     def _evacuate_rpc(self, cpu: CPUState, bundle: NodeTenant, reason: str):
-        with attribute_timeouts(NodeControlService.name):
-            yield self.endpoint.request(
-                self.master_id,
-                EvacuateThread(
-                    tid=cpu.tid, context=cpu.snapshot(), tenant=bundle.tenant,
-                    reason=reason,
-                ),
-                timeout_ns=self.config.rpc_timeout_ns,
-                retry=self.rpc_retry, stats=bundle.evac_retry_stats,
-            )
+        yield from self._call(
+            bundle, NodeControlService.name, self.master_id,
+            EvacuateThread(
+                tid=cpu.tid, context=cpu.snapshot(), tenant=bundle.tenant, reason=reason,
+            ),
+        )
         self._evacuating -= 1
         self._check_drain_complete()
 
@@ -462,19 +418,16 @@ class NodeRuntime:
     def _send_drain_complete(self):
         done = DrainComplete()  # drains are single-job (tenant 0) territory
         if self.config.rpc_timeout_ns is not None:
-            with attribute_timeouts(NodeControlService.name):
-                yield self.endpoint.request(
-                    self.master_id, done,
-                    timeout_ns=self.config.rpc_timeout_ns,
-                    retry=self.rpc_retry, stats=self.tenants[0].evac_retry_stats,
-                )
+            yield from self._call(
+                self.tenants[0], NodeControlService.name, self.master_id, done
+            )
         else:  # pragma: no cover - drains require armed timeouts in practice
             self.endpoint.send(self.master_id, done)
 
     # -- checkpointing (docs/PROTOCOL.md "Checkpoint/restore") ------------------
 
     def _checkpoint_due(self, th: GuestThread) -> bool:
-        interval = self.config.effective_checkpoint_interval_ns
+        interval = self.config.checkpoint_interval_ns
         return (
             interval is not None
             and self.node_id != self.master_id  # the master cannot crash
@@ -518,57 +471,20 @@ class NodeRuntime:
 
     def _checkpoint_rpc(self, tid: int, taken_ns: int, context, pages,
                         bundle: NodeTenant):
-        from repro.core.services.checkpoint import checkpoint_buddy
-
         from repro.net.rpc import RpcTimeout
 
         proto = bundle.run_stats.protocol
-        buddy = self.master_id
-        if self.config.checkpoint_target == "peer":
-            buddy = checkpoint_buddy(self.node_id, self.peer_ids, self.master_id)
+        msg = Checkpoint(
+            tid=tid, taken_ns=taken_ns, context=context, pages=pages,
+            tenant=bundle.tenant,
+        )
+        proto.checkpoint_bytes += msg.size_bytes()
         try:
-            with attribute_timeouts(NodeCheckpointService.name):
-                if buddy != self.master_id:
-                    # Peer mode: register context to the ring buddy, Modified
-                    # pages still flush home — the master stays page
-                    # authority.
-                    ctx_msg = PeerCheckpoint(
-                        tid=tid, taken_ns=taken_ns, context=context,
-                        tenant=bundle.tenant,
-                    )
-                    flush = CheckpointFlush(
-                        taken_ns=taken_ns, pages=pages, tenant=bundle.tenant,
-                    )
-                    proto.checkpoint_bytes += (
-                        ctx_msg.size_bytes() + flush.size_bytes()
-                    )
-                    yield self.endpoint.request(
-                        buddy, ctx_msg,
-                        timeout_ns=self.config.rpc_timeout_ns,
-                        retry=self.rpc_retry, stats=bundle.ckpt_retry_stats,
-                    )
-                    yield self.endpoint.request(
-                        self.master_id, flush,
-                        timeout_ns=self.config.rpc_timeout_ns,
-                        retry=self.rpc_retry, stats=bundle.ckpt_retry_stats,
-                    )
-                else:
-                    # Master mode (or a degenerate single-slave peer ring):
-                    # context and pages travel in one frame.
-                    msg = Checkpoint(
-                        tid=tid, taken_ns=taken_ns, context=context,
-                        pages=pages, tenant=bundle.tenant,
-                    )
-                    proto.checkpoint_bytes += msg.size_bytes()
-                    yield self.endpoint.request(
-                        self.master_id, msg,
-                        timeout_ns=self.config.rpc_timeout_ns,
-                        retry=self.rpc_retry, stats=bundle.ckpt_retry_stats,
-                    )
+            yield from self._call(bundle, "node.checkpoint", self.master_id, msg)
         except RpcTimeout:
-            # The holder stopped answering (a dead buddy, or the master is
-            # drowning) — a checkpoint is best-effort by design: drop this
-            # snapshot and carry on; the next interval tries again.
+            # The master stopped answering (it is drowning) — a checkpoint
+            # is best-effort by design: drop this snapshot and carry on; the
+            # next interval tries again.
             proto.checkpoints_discarded += 1
             self.trace.emit(
                 "thread", self.node_id, "checkpoint lost (holder timeout)",
@@ -720,14 +636,12 @@ class NodeRuntime:
             ev = self.sim.event()
             bundle.inflight[page] = (ev, write)
             try:
-                req = self.endpoint.request(
-                    self.master_id,
+                req = self._request(
+                    bundle, NodeCoherenceService.name, self.master_id,
                     PageRequest(
                         page=page, write=write, offset=offset, size=size,
                         tenant=bundle.tenant,
                     ),
-                    timeout_ns=self.config.rpc_timeout_ns,
-                    retry=self.rpc_retry, stats=bundle.page_retry_stats,
                 )
                 if write:
                     reply = yield req
@@ -768,22 +682,18 @@ class NodeRuntime:
             return
 
     def _request_merge(self, orig_page: int, tenant: int = 0):
-        bundle = self.tenants[tenant]
-        with attribute_timeouts(NodeSplitTableService.name):
-            yield self.endpoint.request(
-                self.master_id, MergeRequest(page=orig_page, tenant=tenant),
-                timeout_ns=self.config.rpc_timeout_ns,
-                retry=self.rpc_retry, stats=bundle.merge_retry_stats,
-            )
+        yield from self._call(
+            self.tenants[tenant], NodeSplitTableService.name, self.master_id,
+            MergeRequest(page=orig_page, tenant=tenant),
+        )
 
     # -- syscalls ----------------------------------------------------------------
 
     def _syscall_handler(self, th: GuestThread):
-        cfg = self.config
         cpu = th.cpu
         bundle = self.tenants[th.tenant]
         t0 = self.sim.now
-        yield self.sim.timeout(self._cycles_to_ns(cfg.syscall_trap_cycles))
+        yield self.sim.timeout(self._cycles_to_ns(SYSCALL_TRAP_CYCLES))
         sysno = cpu.regs[A7]
         args = tuple(cpu.regs[A0: A0 + 6])
         th.stats.syscalls += 1
@@ -801,16 +711,13 @@ class NodeRuntime:
             return
 
         bundle.run_stats.protocol.delegated_syscalls += 1
-        with attribute_timeouts("node.syscall"):
-            reply = yield self.endpoint.request(
-                self.master_id,
-                SyscallRequest(
-                    tid=cpu.tid, sysno=sysno, args=args, context=cpu.snapshot(),
-                    tenant=th.tenant,
-                ),
-                timeout_ns=self.config.rpc_timeout_ns,
-                retry=self.rpc_retry, stats=bundle.syscall_retry_stats,
-            )
+        reply = yield from self._call(
+            bundle, "node.syscall", self.master_id,
+            SyscallRequest(
+                tid=cpu.tid, sysno=sysno, args=args, context=cpu.snapshot(),
+                tenant=th.tenant,
+            ),
+        )
         th.stats.syscall_ns += self.sim.now - t0
         if reply.exited:
             th.state = GuestThreadState.EXITED

@@ -10,7 +10,7 @@ Two policies:
   back to round-robin.
 
 Worker threads go to slave nodes; the master runs the main thread (Fig. 2),
-unless ``schedule_on_master`` or there are no slaves.
+unless there are no slaves.
 
 With ``DQEMUConfig.health_aware_placement`` the placer also consults the
 cluster health view (:class:`repro.net.health.ClusterHealthView`): ``down``,

@@ -8,10 +8,8 @@ holds **Modified** on that node (the write-back barrier that makes the
 snapshot a consistent cut; see ``NodeRuntime._take_checkpoint`` in
 :mod:`repro.core.node` for the capture side).  This service is the master
 half: it lands :class:`~repro.net.messages.Checkpoint` frames (context +
-pages, ``checkpoint_target="master"``) and :class:`CheckpointFlush` frames
-(pages only — the context went to a buddy peer, ``checkpoint_target="peer"``),
-keeps the newest snapshot per tid, and folds the flushed pages into each
-page's home copy.
+pages), keeps the newest snapshot per tid, and folds the flushed pages into
+each page's home copy.
 
 Consistent-cut rule for page installs: a flushed page is applied to the home
 store only while the directory still records the *sender* as the page's
@@ -23,9 +21,7 @@ writing its M copy, and post-snapshot writes flow through normal coherence.
 
 Restore rides :class:`~repro.core.services.failure.FailureDomainService`:
 on a crash, threads whose tid has a live snapshot are rolled back to it and
-re-placed instead of reaped.  In peer mode the failure domain first calls
-:meth:`collect_for` to pull the dead node's contexts from its buddy — if the
-buddy died too, those checkpoints died with it and the threads stay lost.
+re-placed instead of reaped.
 
 Registered on shard 0's dispatcher only when ``checkpoint_interval_ns`` is
 set, so default runs create no stats row and stay bit-identical.
@@ -36,63 +32,40 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, List, Optional
 
 from repro.core.config import DQEMUConfig
-from repro.core.services.base import attribute_timeouts
 from repro.core.stats import RunStats
 from repro.mem.sharding import shard_of
 from repro.net.endpoint import Endpoint
-from repro.net.messages import Ack, FetchCheckpoints
-from repro.net.rpc import RpcTimeout
+from repro.net.messages import Ack
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.services.coherence import CoherenceService
     from repro.net.health import ClusterHealthView
 
-__all__ = ["CheckpointService", "checkpoint_buddy"]
-
-
-def checkpoint_buddy(node: int, node_ids: list[int], master_id: int) -> int:
-    """The peer that holds ``node``'s register snapshots in peer mode.
-
-    Slaves form a ring (buddy of slave *n* is the next slave); with a single
-    slave there is no peer to lean on and the master holds the snapshots —
-    peer mode degenerates to master mode.
-    """
-    slaves = [n for n in node_ids if n != master_id]
-    if node not in slaves or len(slaves) < 2:
-        return master_id
-    return slaves[(slaves.index(node) + 1) % len(slaves)]
+__all__ = ["CheckpointService"]
 
 
 class CheckpointService:
     name = "checkpoint"
-    handled_kinds = frozenset({"checkpoint", "checkpoint_flush"})
+    handled_kinds = frozenset({"checkpoint"})
 
     def __init__(
         self,
         sim: Simulator,
         config: DQEMUConfig,
         endpoint: Endpoint,
-        trace,
         run_stats: RunStats,
         view: "ClusterHealthView",
-        node_ids: list[int],
-        node_id: int,
     ) -> None:
         self.sim = sim
         self.config = config
         self.endpoint = endpoint
-        self.trace = trace
         self.run_stats = run_stats
         self.view = view
-        self.node_ids = list(node_ids)
-        self.node_id = node_id
         # Newest snapshot per tid: tid -> (taken_ns, context).  Checkpointing
         # requires evacuation_enabled, which forces a single-job fleet, so
         # the store needs no tenant key.
         self.store: dict[int, tuple[int, Any]] = {}
-        self.retry = config.nested_retry_policy()
-        self.retry_stats = run_stats.service(self.name) if self.retry else None
         # Bound by the composition root once the shard pools exist.
         self.coherences: List["CoherenceService"] = []
 
@@ -100,9 +73,6 @@ class CheckpointService:
         self.coherences = list(coherences)
 
     # -- snapshot store ---------------------------------------------------------
-
-    def latest(self, tid: int) -> Optional[tuple[int, Any]]:
-        return self.store.get(tid)
 
     def take(self, tid: int) -> Optional[tuple[int, Any]]:
         """Consume the stored snapshot for ``tid`` (restore is one-shot)."""
@@ -113,49 +83,7 @@ class CheckpointService:
         if prev is None or prev[0] <= taken_ns:
             self.store[tid] = (taken_ns, context)
 
-    # -- peer-mode recovery fetch ----------------------------------------------
-
-    def collect_for(self, node: int):
-        """Pull the dead ``node``'s register snapshots from its buddy.
-
-        Master mode: no-op, the contexts are already here.  Peer mode: one
-        ``FetchCheckpoints`` round trip to the buddy; if the buddy is dead
-        too (or dies while we ask), the snapshots died with it — the caller
-        proceeds and the uncovered threads stay lost.
-        """
-        if self.config.checkpoint_target != "peer":
-            return
-        buddy = checkpoint_buddy(node, self.node_ids, self.node_id)
-        if buddy == self.node_id:
-            return  # degenerate single-slave ring: contexts came here anyway
-        if self.view.is_failed(buddy):
-            self.trace.emit(
-                "node", buddy,
-                f"checkpoint holder for n{node} is dead: snapshots lost",
-            )
-            return
-        try:
-            with attribute_timeouts(self.name):
-                reply = yield self.endpoint.request(
-                    buddy, FetchCheckpoints(node=node),
-                    timeout_ns=self.config.rpc_timeout_ns,
-                    retry=self.retry, stats=self.retry_stats,
-                )
-        except RpcTimeout:
-            # The buddy stopped answering mid-recovery; treat its snapshots
-            # as gone rather than wedging the whole recovery on it.
-            self.trace.emit(
-                "node", buddy,
-                f"checkpoint fetch for n{node} timed out: snapshots lost",
-            )
-            return
-        for tid, taken_ns, context in reply.entries:
-            self._remember(tid, taken_ns, context)
-
     # -- inbound frames ---------------------------------------------------------
-
-    def handle(self, msg):
-        yield from getattr(self, "_on_" + msg.kind)(msg)
 
     def _install_pages(self, src: int, pages):
         """Fold flushed page bytes into the home copies (consistent-cut rule:
@@ -175,7 +103,7 @@ class CheckpointService:
             finally:
                 lock.release()
 
-    def _on_checkpoint(self, msg):
+    def handle(self, msg):
         proto = self.run_stats.protocol
         if self.view.is_failed(msg.src):
             # The sender was declared dead while this frame was in flight;
@@ -187,13 +115,4 @@ class CheckpointService:
         yield from self._install_pages(msg.src, msg.pages)
         self._remember(msg.tid, msg.taken_ns, msg.context)
         proto.checkpoints_stored += 1
-        self.endpoint.reply(msg, Ack())
-
-    def _on_checkpoint_flush(self, msg):
-        proto = self.run_stats.protocol
-        if self.view.is_failed(msg.src):
-            proto.checkpoints_discarded += 1
-            return
-        yield self.sim.timeout(self.config.checkpoint_service_ns)
-        yield from self._install_pages(msg.src, msg.pages)
         self.endpoint.reply(msg, Ack())

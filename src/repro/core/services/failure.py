@@ -148,11 +148,6 @@ class FailureDomainService:
         """Re-home every thread the dead node was running or parking."""
         t0 = self.sim.now
         stats = self.run_stats.service(self.name)
-        if self.checkpoints is not None:
-            # Peer mode parks register snapshots on a buddy node; pull the
-            # dead node's before deciding any thread's fate (a dead buddy
-            # means those snapshots are gone and the threads stay lost).
-            yield from self.checkpoints.collect_for(node)
         for trec in list(self.state.threads.on_node(node)):
             tid = trec.tid
             waiter = self.state.futexes.find(tid)

@@ -15,7 +15,7 @@ adds the active half:
   plans exercise the detector directly.
 
 * :class:`HeartbeatService` (master side) — each renewal re-arms a
-  per-peer lease (``effective_heartbeat_lease_ns`` of tolerated silence)
+  per-peer lease (``heartbeat_lease_ns`` of tolerated silence)
   and feeds the shared :class:`~repro.net.health.HealthTracker` as
   positive evidence.  A monitor process checks every interval; a peer
   whose lease has expired accrues one *missed-lease* count per check,
@@ -30,9 +30,9 @@ adds the active half:
 Detection latency is bounded by
 :meth:`DQEMUConfig.heartbeat_detection_bound_ns`: one in-flight renewal's
 wire latency, plus a full lease, plus ``health_down_after`` (+1 tick of
-phase) monitor intervals.  Because the lease must cover at least two
-intervals and misses escalate through ``suspect`` first, a single delayed,
-dropped or duplicated renewal can never false-positive a healthy node, and
+phase) monitor intervals.  Because the lease covers four intervals and
+misses escalate through ``suspect`` first, a single delayed, dropped or
+duplicated renewal can never false-positive a healthy node, and
 a renewal that lands before the DOWN threshold demotes suspicion back to
 ``up``.
 
@@ -90,7 +90,7 @@ class HeartbeatService:
         self.spawn_guarded = spawn_guarded
         self.finished = finished
         self.interval_ns = config.heartbeat_interval_ns
-        self.lease_ns = config.effective_heartbeat_lease_ns
+        self.lease_ns = config.heartbeat_lease_ns
         #: Per-peer lease expiry on the simulated clock: the instant after
         #: which silence becomes failure evidence.
         self.deadlines: dict[int, int] = {}

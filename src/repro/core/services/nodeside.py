@@ -20,7 +20,7 @@ from repro.core.gthread import GuestThreadState
 from repro.dbt.cpu import CPUState
 from repro.mem.msi import MSIState
 from repro.mem.splitmap import SplitEntry
-from repro.net.messages import Ack, CheckpointBatch, InvalidateAck, SpawnAck
+from repro.net.messages import Ack, InvalidateAck, SpawnAck
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.node import NodeRuntime, NodeTenant
@@ -29,7 +29,6 @@ __all__ = [
     "NodeCoherenceService",
     "NodeSplitTableService",
     "NodeControlService",
-    "NodeCheckpointService",
 ]
 
 
@@ -129,45 +128,6 @@ class NodeSplitTableService(_NodeService):
                 bundle.splitmap.install(entry)
                 bundle.pagestore.drop(orig)
                 bundle.llsc.kill_page(orig)
-
-
-class NodeCheckpointService(_NodeService):
-    """Buddy-peer checkpoint depot (docs/PROTOCOL.md "Checkpoint/restore").
-
-    With ``checkpoint_target="peer"`` each slave ships its threads' register
-    snapshots to the next slave in the ring instead of the master (the
-    Modified-page flush still goes home).  This service is the receiving
-    side: it keeps the newest snapshot per (source node, tenant, tid) and
-    surrenders a dead node's snapshots when the master's recovery asks
-    (``FetchCheckpoints`` → :class:`~repro.net.messages.CheckpointBatch`).
-
-    Registered — and its stats row created — only when checkpointing is
-    armed, so default runs stay bit-identical.
-    """
-
-    name = "node.checkpoint"
-    handled_kinds = frozenset({"peer_checkpoint", "fetch_checkpoints"})
-
-    def _on_peer_checkpoint(self, msg):
-        store = self.node.peer_checkpoints
-        key = (msg.src, msg.tenant, msg.tid)
-        prev = store.get(key)
-        if prev is None or prev[0] <= msg.taken_ns:
-            store[key] = (msg.taken_ns, msg.context)
-        self.endpoint.reply(msg, Ack())
-        return
-        yield  # pragma: no cover - generator protocol
-
-    def _on_fetch_checkpoints(self, msg):
-        entries = tuple(
-            (tid, taken_ns, context)
-            for (src, tenant, tid), (taken_ns, context)
-            in sorted(self.node.peer_checkpoints.items())
-            if src == msg.node and tenant == msg.tenant
-        )
-        self.endpoint.reply(msg, CheckpointBatch(entries=entries))
-        return
-        yield  # pragma: no cover - generator protocol
 
 
 class NodeControlService(_NodeService):

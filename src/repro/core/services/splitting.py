@@ -68,11 +68,7 @@ class SplittingService:
         self.retry = config.nested_retry_policy()
         self.retry_stats = run_stats.service(self.name) if self.retry else None
         self.split = SplitMap()  # this shard's slice of the canonical table
-        self.detector = FalseSharingDetector(
-            trigger=config.splitting_trigger,
-            history=config.splitting_history,
-            max_regions=config.splitting_max_regions,
-        )
+        self.detector = FalseSharingDetector(trigger=config.splitting_trigger)
         self._shadows = ShadowPageAllocator(shard, coordinator.nshards)
         self._retired_shadows: set[int] = set()
         # Adaptive revert (§5.1 "adaptive scheme"): a split whose shadow pages

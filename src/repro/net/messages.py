@@ -35,10 +35,6 @@ __all__ = [
     "EvacuateThread",
     "DrainComplete",
     "Checkpoint",
-    "CheckpointFlush",
-    "PeerCheckpoint",
-    "FetchCheckpoints",
-    "CheckpointBatch",
     "Heartbeat",
     "HEADER_BYTES",
 ]
@@ -318,49 +314,6 @@ class Checkpoint(Message):
 
 
 @dataclass(kw_only=True)
-class CheckpointFlush(Message):
-    """Slave → master: the page half of a peer-mode checkpoint.
-
-    With ``checkpoint_target="peer"`` the register context goes to the buddy
-    node (:class:`PeerCheckpoint`) but the Modified-page write-back still
-    goes home — the master's store is the page authority under every
-    coherence protocol.
-    """
-
-    kind: ClassVar[str] = "checkpoint_flush"
-    taken_ns: int = 0
-    pages: tuple = ()  # tuple of (page_no, bytes)
-
-    def payload_bytes(self) -> int:
-        return sum(16 + len(data) for _, data in self.pages)
-
-
-@dataclass(kw_only=True)
-class PeerCheckpoint(Message):
-    """Slave → buddy slave: hold this thread's register snapshot for me."""
-
-    kind: ClassVar[str] = "peer_checkpoint"
-    tid: int = 0
-    taken_ns: int = 0
-    context: Any = None  # CPUState snapshot, same blob as SpawnThread
-
-    def payload_bytes(self) -> int:
-        return 1024  # registers + thread metadata
-
-
-@dataclass(kw_only=True)
-class FetchCheckpoints(Message):
-    """Master → buddy slave: surrender the snapshots you hold for ``node``
-    (which just died); reply is a :class:`CheckpointBatch`."""
-
-    kind: ClassVar[str] = "fetch_checkpoints"
-    node: int = -1
-
-    def payload_bytes(self) -> int:
-        return 8
-
-
-@dataclass(kw_only=True)
 class Heartbeat(Message):
     """Slave → master: lease-renewal liveness frame (docs/PROTOCOL.md
     "Failure detection").
@@ -377,14 +330,3 @@ class Heartbeat(Message):
 
     def payload_bytes(self) -> int:
         return 16  # sequence number + sender clock sample
-
-
-@dataclass(kw_only=True)
-class CheckpointBatch(Message):
-    """Buddy slave → master: every snapshot held for the dead node."""
-
-    kind: ClassVar[str] = "checkpoint_batch"
-    entries: tuple = ()  # tuple of (tid, taken_ns, context)
-
-    def payload_bytes(self) -> int:
-        return sum(16 + 1024 for _ in self.entries)

@@ -6,12 +6,8 @@ runs small clusters per protocol and checks the counters line up with what
 the protocol is supposed to do on the wire.
 """
 
-import pytest
-
 from repro import Cluster, DQEMUConfig
 from repro.analysis.reporting import render_service_breakdown
-from repro.cli.run import build_parser
-from repro.errors import ConfigError
 from repro.mem import MSIState, PageStore
 from repro.mem.directory import Directory
 from repro.mem.protocols import (
@@ -191,32 +187,6 @@ class TestAdaptiveClassifier:
         p.observe(1, 100, write=True)
         assert p.evict_node(1) == [100]
         assert p.home_of(100) is None
-
-
-class TestConfigAndCLI:
-    def test_unknown_protocol_rejected(self):
-        with pytest.raises(ConfigError, match="coherence protocol"):
-            DQEMUConfig(coherence_protocol="mosi")
-
-    def test_bad_trigger_and_window_rejected(self):
-        with pytest.raises(ConfigError):
-            DQEMUConfig(migration_trigger=0)
-        with pytest.raises(ConfigError):
-            DQEMUConfig(adaptive_window=1)
-        with pytest.raises(ConfigError):
-            DQEMUConfig(migration_penalty_ns=-1)
-
-    def test_cli_flag_choices(self):
-        parser = build_parser()
-        args = parser.parse_args(["prog.s", "--coherence-protocol", "mesi"])
-        assert args.coherence_protocol == "mesi"
-        with pytest.raises(SystemExit):
-            parser.parse_args(["prog.s", "--coherence-protocol", "mosi"])
-
-    def test_time_scaled_keeps_protocol(self):
-        cfg = DQEMUConfig(coherence_protocol="migrate").time_scaled(10)
-        assert cfg.coherence_protocol == "migrate"
-        assert cfg.migration_penalty_ns == 16_000
 
 
 class TestEndToEnd:

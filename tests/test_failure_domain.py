@@ -14,7 +14,6 @@ import functools
 import pytest
 
 from repro import Cluster, DQEMUConfig, FaultPlan, ServiceTimeout
-from repro.cli.run import build_parser
 from repro.core.scheduler import ThreadPlacer
 from repro.errors import ConfigError
 from repro.mem.directory import Directory
@@ -248,76 +247,6 @@ class TestFaultPlanSchedules:
             FaultPlan(crashes=((1, "soon"),))
         with pytest.raises(ConfigError):
             FaultPlan(drains=((-1, 5),))
-
-
-class TestConfigValidation:
-    def test_health_thresholds(self):
-        with pytest.raises(ConfigError):
-            DQEMUConfig(health_suspect_after=0)
-        with pytest.raises(ConfigError):
-            DQEMUConfig(health_suspect_after=3, health_down_after=3)
-        cfg = DQEMUConfig(health_suspect_after=3, health_down_after=9)
-        assert (cfg.health_suspect_after, cfg.health_down_after) == (3, 9)
-
-    def test_evacuation_requires_timeouts(self):
-        with pytest.raises(ConfigError):
-            DQEMUConfig(evacuation_enabled=True)
-        DQEMUConfig(evacuation_enabled=True, rpc_timeout_ns=10_000)
-
-    def test_cli_flags_parse(self):
-        args = build_parser().parse_args(
-            ["prog.s", "--health-suspect-after", "3", "--health-down-after", "9"]
-        )
-        assert args.health_suspect_after == 3
-        assert args.health_down_after == 9
-
-    def test_checkpoint_requires_evacuation(self):
-        with pytest.raises(ConfigError):
-            DQEMUConfig(checkpoint_interval_ns=10_000, rpc_timeout_ns=10_000)
-        cfg = DQEMUConfig(
-            checkpoint_interval_ns=10_000, evacuation_enabled=True,
-            rpc_timeout_ns=10_000,
-        )
-        assert cfg.checkpoint_interval_ns == 10_000
-
-    def test_checkpoint_interval_and_target_validated(self):
-        with pytest.raises(ConfigError):
-            DQEMUConfig(
-                checkpoint_interval_ns=0, evacuation_enabled=True,
-                rpc_timeout_ns=10_000,
-            )
-        with pytest.raises(ConfigError):
-            DQEMUConfig(checkpoint_target="nowhere")
-        with pytest.raises(ConfigError):
-            DQEMUConfig(checkpoint_service_ns=-1)
-
-    def test_rebalance_requires_evacuation(self):
-        with pytest.raises(ConfigError):
-            DQEMUConfig(rebalance_threshold_ns=5_000, rpc_timeout_ns=10_000)
-        with pytest.raises(ConfigError):
-            DQEMUConfig(
-                rebalance_threshold_ns=0, evacuation_enabled=True,
-                rpc_timeout_ns=10_000,
-            )
-        DQEMUConfig(
-            rebalance_threshold_ns=5_000, evacuation_enabled=True,
-            rpc_timeout_ns=10_000,
-        )
-
-    def test_checkpoint_cli_flags_parse(self):
-        args = build_parser().parse_args(
-            [
-                "prog.s", "--rpc-timeout-ns", "20000", "--evacuation",
-                "--checkpoint-interval-ns", "50000",
-                "--checkpoint-target", "peer",
-                "--rebalance-threshold-ns", "8000",
-            ]
-        )
-        assert args.rpc_timeout_ns == 20_000
-        assert args.evacuation
-        assert args.checkpoint_interval_ns == 50_000
-        assert args.checkpoint_target == "peer"
-        assert args.rebalance_threshold_ns == 8_000
 
 
 # -- directory re-homing -------------------------------------------------------
@@ -621,18 +550,6 @@ class TestEvacuationTargeting:
 # -- checkpoint/restore --------------------------------------------------------
 
 
-class TestCheckpointBuddy:
-    def test_ring_and_degenerate_cases(self):
-        from repro.core.services.checkpoint import checkpoint_buddy
-
-        ids = [0, 1, 2, 3]
-        assert checkpoint_buddy(1, ids, 0) == 2
-        assert checkpoint_buddy(2, ids, 0) == 3
-        assert checkpoint_buddy(3, ids, 0) == 1  # ring wraps
-        assert checkpoint_buddy(0, ids, 0) == 0  # the master keeps its own
-        assert checkpoint_buddy(1, [0, 1], 0) == 0  # single slave -> master
-
-
 class TestCheckpointRestore:
     ARMED = dict(evacuation_enabled=True, health_aware_placement=True)
 
@@ -661,6 +578,8 @@ class TestCheckpointRestore:
         p = r.stats.protocol
         assert p.checkpoints_taken >= p.checkpoints_stored > 0
         assert p.checkpoint_bytes > 0
+        # Shipped checkpoints bill their retransmits to their own row.
+        assert "node.checkpoint" in r.stats.services
 
     def test_rollback_shrinks_with_the_interval(self):
         crash_at = int(_clean().virtual_ns * 0.35)
@@ -707,43 +626,6 @@ class TestCheckpointRestore:
         assert len(rec.restored) + len(rec.lost) + len(rec.evacuated) > 0
         for _tid, _target, rollback_ns in rec.restored:
             assert rollback_ns > 0
-
-    def test_peer_mode_restores_via_buddy(self):
-        crash_at = int(_clean().virtual_ns * 0.35)
-        plan = FaultPlan.crash(1, crash_at, seed=1)
-        r = _run(
-            fault_plan=plan, checkpoint_interval_ns=self._interval(),
-            checkpoint_target="peer", **self.ARMED, **RELIABLE,
-        )
-        assert r.exit_code == 0
-        rec = r.failures.nodes[1]
-        assert rec.restored and not rec.lost
-        assert r.stdout == _clean().stdout
-        # Contexts came off the ring buddy at recovery time.
-        assert r.stats.services["node.checkpoint"].requests > 0
-
-    def test_peer_holder_crash_loses_only_the_orphaned_snapshots(self):
-        # Kill node 1's buddy (node 2) first, then node 1: node 1's
-        # snapshots died with their holder, so its threads reap as lost;
-        # node 2's own snapshots live on *its* buddy (node 3) and restore.
-        crash_at = int(_clean().virtual_ns * 0.35)
-        p_buddy = FaultPlan.crash(2, crash_at - 10_000, seed=7)
-        p_victim = FaultPlan.crash(1, crash_at, seed=7)
-        plan = FaultPlan(
-            rules=p_buddy.rules + p_victim.rules, seed=7,
-            crashes=p_buddy.crashes + p_victim.crashes,
-        )
-        r = _run(
-            fault_plan=plan, checkpoint_interval_ns=self._interval(),
-            checkpoint_target="peer", **self.ARMED, **RELIABLE,
-        )
-        assert r.exit_code == 0
-        holder = r.failures.nodes[2]
-        orphan = r.failures.nodes[1]
-        assert holder.restored  # fetched from node 3, its ring buddy
-        assert orphan.lost and not orphan.restored
-        # Best-effort shipping: RPCs against the corpses were written off.
-        assert r.stats.protocol.checkpoints_discarded > 0
 
     @pytest.mark.parametrize("protocol", ["msi", "mesi", "migrate", "adaptive"])
     def test_restore_under_crash_per_protocol(self, protocol):

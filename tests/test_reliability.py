@@ -89,8 +89,6 @@ class TestRetryPolicy:
         assert policy == RetryPolicy(
             max_retries=2, backoff_base_ns=1_000, backoff_jitter_ns=100
         )
-        with pytest.raises(ConfigError, match="needs rpc_timeout_ns"):
-            DQEMUConfig(rpc_max_retries=1)
 
 
 # -- retransmission ------------------------------------------------------------

@@ -54,8 +54,6 @@ class TestShardOf:
     def test_rejects_bad_shard_count(self):
         with pytest.raises(ConfigError):
             shard_of(1, 0)
-        with pytest.raises(ConfigError):
-            DQEMUConfig(master_shards=0)
 
 
 class TestShadowPageAllocator:
