@@ -2,7 +2,7 @@
 
 from repro.core.cluster import Cluster, RunResult
 from repro.core.config import DQEMUConfig
-from repro.core.dsmmem import DSMMemory, LocalMemory, MergeStall
+from repro.core.dsmmem import DSMMemory, MergeStall
 from repro.core.forwarding import ReadAheadEngine
 from repro.core.gthread import GuestThread, GuestThreadState
 from repro.core.llsc import LLSCTable
@@ -20,7 +20,6 @@ __all__ = [
     "GuestThread",
     "GuestThreadState",
     "LLSCTable",
-    "LocalMemory",
     "MasterRuntime",
     "MergeStall",
     "NodeRuntime",

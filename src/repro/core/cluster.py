@@ -99,7 +99,6 @@ class _JobRuntime:
 
     stats: RunStats
     done: Event
-    home: PageStore
     state: SystemState
     placer: ThreadPlacer
     master: Optional[MasterRuntime]
@@ -316,11 +315,6 @@ class Cluster:
         program = job.program
         done = sim.event()
 
-        # Authoritative guest memory on the master (the "home" copies).
-        home = PageStore()
-        for vaddr, data in program.iter_load_segments():
-            self._load_segment(home, vaddr, data)
-
         state = SystemState(
             brk_start=program.load_end, stdin=job.stdin,
             clock_ns=lambda: sim.now, tenant=job.tenant,
@@ -346,15 +340,17 @@ class Cluster:
                 node0, state,
                 finish=lambda status: self._finish_local(node0, done, status),
             )
-            # The baseline executes against its own page store directly.
-            bundle = node0.tenants[job.tenant]
-            for page in home.pages():
-                bundle.pagestore.install(page, home.snapshot(page), MSIState.MODIFIED)
+            # The baseline executes against its own private memory directly.
+            node0.tenants[job.tenant].memory.load_image(program.iter_load_segments())
         else:
             drains = cfg.fault_plan.drains if cfg.fault_plan is not None else ()
             master_view = (
                 fleet.view if (cfg.evacuation_enabled or drains) else None
             )
+            # Authoritative guest memory on the master (the "home" copies).
+            home = PageStore()
+            for vaddr, data in program.iter_load_segments():
+                self._load_segment(home, vaddr, data)
             master = MasterRuntime(
                 sim, cfg, fleet.nodes[0], fleet.node_ids, home, state, placer,
                 stats, done, failure_view=master_view, tenant=job.tenant,
@@ -399,7 +395,6 @@ class Cluster:
         job.runtime = _JobRuntime(
             stats=stats,
             done=done,
-            home=home,
             state=state,
             placer=placer,
             master=master,

@@ -1,32 +1,27 @@
-"""Node memory systems.
+"""The memory a DQEMU instance's engine executes against.
 
-:class:`DSMMemory` is what a DQEMU instance's engine executes against: the
-guest→host address translation step applies the shadow-page split table
-(§5.1), then the page-protection check — an access to a page the node does
-not hold (or holds in an insufficient MSI state) raises
+:class:`DSMMemory` is :class:`~repro.mem.flat.FlatMemory` with the DSM layer
+in front of the miss: the guest→host address translation step applies the
+shadow-page split table (§5.1), then the page-protection check — an access to
+a page the node does not hold (or holds in an insufficient MSI state) raises
 :class:`~repro.mem.api.PageStall`, the software analogue of the
 page-protection faults DQEMU drives its coherence state machine with (§4.2).
-
-:class:`LocalMemory` is the same interface with the DSM layer removed: every
-page is local and writable.  It backs the vanilla single-node QEMU baseline.
+Everything an access does once its page permits it is the base class's; the
+vanilla single-node QEMU baseline runs on that base class directly.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import Optional
 
-from repro.core.llsc import LLSCTable
-from repro.errors import UnalignedAccess
-from repro.mem.api import M64, PageStall, check_span, sign_extend
-from repro.mem.layout import PAGE_SIZE
-from repro.mem.msi import MSIState
+from repro.mem.api import PageStall, check_span
+from repro.mem.flat import MODIFIED, OFFSET_MASK, FlatMemory
+from repro.mem.layout import PAGE_SHIFT
+from repro.mem.llsc import LLSCTable
 from repro.mem.pagestore import PageStore
 from repro.mem.splitmap import SplitCrossing, SplitMap
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.dbt.cpu import CPUState
-
-__all__ = ["MergeStall", "DSMMemory", "LocalMemory"]
+__all__ = ["MergeStall", "DSMMemory"]
 
 
 class MergeStall(PageStall):
@@ -38,179 +33,49 @@ class MergeStall(PageStall):
         self.orig_page = orig_page
 
 
-class DSMMemory:
+class DSMMemory(FlatMemory):
     """MemoryAPI over a node's page cache, split table and LL/SC table."""
 
     def __init__(self, store: PageStore, split: SplitMap, llsc: LLSCTable):
-        self.pages = store
+        self._own(store, llsc)
         self.split = split
-        self.llsc = llsc
+        self._split = split.by_orig  # never rebound: truthy while any page is split
 
-    # -- translation + protection ----------------------------------------------
-
-    def _translate(self, addr: int, size: int) -> int:
-        if len(self.split):
+    def _resolve(self, addr: int, size: int, write: bool) -> int:
+        """Translation + protection: the serving address, or the stall that
+        brings the page in (resp. merges it back)."""
+        if self._split:
             try:
                 addr = self.split.translate_span(addr, size)
             except SplitCrossing as sc:
                 raise MergeStall(sc.page, sc.offset) from None
         check_span(addr, size)
+        page = addr >> PAGE_SHIFT
+        state = self._states.get(page)
+        if (state is not MODIFIED) if write else (state is None):
+            raise PageStall(page, write, addr & OFFSET_MASK, size)
         return addr
 
-    def _need_read(self, addr: int, size: int = 8) -> None:
-        page = addr >> 12
-        if not self.pages.has_read(page):
-            raise PageStall(page, False, addr & (PAGE_SIZE - 1), size)
-
-    def _need_write(self, addr: int, size: int = 8) -> None:
-        page = addr >> 12
-        if not self.pages.has_write(page):
-            raise PageStall(page, True, addr & (PAGE_SIZE - 1), size)
-
-    # -- MemoryAPI ------------------------------------------------------------
+    # The per-access entry points of a cluster node.  With no page split they
+    # add nothing; with one, the access is translated (and checked) first so
+    # the shared path sees only an address its page already permits.
 
     def load(self, addr: int, size: int, signed: bool) -> int:
-        taddr = self._translate(addr, size)
-        self._need_read(taddr, size)
-        value = self.pages.read(taddr, size)
-        if signed and size < 8:
-            return sign_extend(value, size)
-        return value
+        if self._split:
+            addr = self._resolve(addr, size, False)
+        return FlatMemory.load(self, addr, size, signed)
 
     def store(self, addr: int, size: int, value: int) -> None:
-        taddr = self._translate(addr, size)
-        self._need_write(taddr, size)
-        self.pages.write(taddr, size, value)
-        if not self.llsc.empty:
-            self.llsc.kill_store(taddr, size)
+        if self._split:
+            addr = self._resolve(addr, size, True)
+        FlatMemory.store(self, addr, size, value)
 
-    def fetch_code(self, addr: int, size: int) -> bytes:
-        taddr = self._translate(addr, size)
-        self._need_read(taddr)
-        return self.pages.read_bytes(taddr, size)
-
-    # -- atomics (two-level scheme, §4.4) --------------------------------------
-
-    @staticmethod
-    def _check_atomic(addr: int) -> None:
-        if addr % 8:
-            raise UnalignedAccess(f"atomic access to unaligned address {addr:#x}", addr=addr)
-
-    def load_reserved(self, cpu: "CPUState", addr: int) -> int:
-        self._check_atomic(addr)
-        taddr = self._translate(addr, 8)
-        self._need_read(taddr)
-        self.llsc.reserve(taddr, cpu.tid)
-        return self.pages.read(taddr, 8)
-
-    def store_conditional(self, cpu: "CPUState", addr: int, value: int) -> bool:
-        self._check_atomic(addr)
-        taddr = self._translate(addr, 8)
-        # SC stores, so it needs the page Modified — this is what makes one
-        # node's spinlock exclusive cluster-wide (Fig. 3).
-        self._need_write(taddr)
-        if not self.llsc.consume(taddr, cpu.tid):
-            return False
-        self.pages.write(taddr, 8, value)
-        return True
-
-    def atomic_cas(self, cpu: "CPUState", addr: int, expected: int, desired: int) -> int:
-        self._check_atomic(addr)
-        taddr = self._translate(addr, 8)
-        self._need_write(taddr)
-        old = self.pages.read(taddr, 8)
-        if old == (expected & M64):
-            self.pages.write(taddr, 8, desired & M64)
-            self.llsc.kill_store(taddr, 8)
-        return old
-
-    def atomic_add(self, cpu: "CPUState", addr: int, operand: int) -> int:
-        self._check_atomic(addr)
-        taddr = self._translate(addr, 8)
-        self._need_write(taddr)
-        old = self.pages.read(taddr, 8)
-        self.pages.write(taddr, 8, (old + operand) & M64)
-        self.llsc.kill_store(taddr, 8)
-        return old
-
-    def atomic_swap(self, cpu: "CPUState", addr: int, operand: int) -> int:
-        self._check_atomic(addr)
-        taddr = self._translate(addr, 8)
-        self._need_write(taddr)
-        old = self.pages.read(taddr, 8)
-        self.pages.write(taddr, 8, operand & M64)
-        self.llsc.kill_store(taddr, 8)
-        return old
-
-
-class LocalMemory:
-    """Single-node memory: every page local and writable (QEMU baseline)."""
-
-    def __init__(self, store: PageStore, llsc: LLSCTable):
-        self.pages = store
-        self.llsc = llsc
-
-    def _page(self, addr: int):
-        page = addr >> 12
-        if page not in self.pages:
-            self.pages.ensure(page, MSIState.MODIFIED)
-        return page
-
-    def load(self, addr: int, size: int, signed: bool) -> int:
-        check_span(addr, size)
-        self._page(addr)
-        value = self.pages.read(addr, size)
-        if signed and size < 8:
-            return sign_extend(value, size)
-        return value
-
-    def store(self, addr: int, size: int, value: int) -> None:
-        check_span(addr, size)
-        self._page(addr)
-        self.pages.write(addr, size, value)
-        if not self.llsc.empty:
-            self.llsc.kill_store(addr, size)
-
-    def fetch_code(self, addr: int, size: int) -> bytes:
-        check_span(addr, size)
-        self._page(addr)
-        return self.pages.read_bytes(addr, size)
-
-    def load_reserved(self, cpu: "CPUState", addr: int) -> int:
-        DSMMemory._check_atomic(addr)
-        self._page(addr)
-        self.llsc.reserve(addr, cpu.tid)
-        return self.pages.read(addr, 8)
-
-    def store_conditional(self, cpu: "CPUState", addr: int, value: int) -> bool:
-        DSMMemory._check_atomic(addr)
-        self._page(addr)
-        if not self.llsc.consume(addr, cpu.tid):
-            return False
-        self.pages.write(addr, 8, value)
-        return True
-
-    def atomic_cas(self, cpu: "CPUState", addr: int, expected: int, desired: int) -> int:
-        DSMMemory._check_atomic(addr)
-        self._page(addr)
-        old = self.pages.read(addr, 8)
-        if old == (expected & M64):
-            self.pages.write(addr, 8, desired & M64)
-            self.llsc.kill_store(addr, 8)
-        return old
-
-    def atomic_add(self, cpu: "CPUState", addr: int, operand: int) -> int:
-        DSMMemory._check_atomic(addr)
-        self._page(addr)
-        old = self.pages.read(addr, 8)
-        self.pages.write(addr, 8, (old + operand) & M64)
-        self.llsc.kill_store(addr, 8)
-        return old
-
-    def atomic_swap(self, cpu: "CPUState", addr: int, operand: int) -> int:
-        DSMMemory._check_atomic(addr)
-        self._page(addr)
-        old = self.pages.read(addr, 8)
-        self.pages.write(addr, 8, operand & M64)
-        self.llsc.kill_store(addr, 8)
-        return old
+    def invalidate(self, page: int) -> Optional[bytes]:
+        """Page teardown: drop the local copy and kill every reservation on it
+        (the paper's false-positive SC scheme).  Returns the copy if it was
+        Modified — the only content the home lacks; Shared and Exclusive-clean
+        copies drop without payload."""
+        dirty = self._states.get(page) is MODIFIED
+        copy = self.pages.drop(page)
+        self.llsc.kill_page(page)
+        return copy if dirty else None

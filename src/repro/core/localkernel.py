@@ -9,7 +9,7 @@ the node's own run queue, and clone always lands on this node.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator
+from typing import TYPE_CHECKING, Callable
 
 from repro.core.gthread import GuestThread, GuestThreadState
 from repro.core.migration import build_child_context
@@ -26,41 +26,13 @@ __all__ = ["LocalKernel"]
 A0 = 10
 
 
-class _LocalGuestMemory:
-    """KernelMemory over the node's LocalMemory (never stalls)."""
-
-    def __init__(self, node: "NodeRuntime"):
-        self.node = node
-
-    def read_guest(self, addr: int, size: int) -> Generator:
-        out = bytearray()
-        mem = self.node.memory
-        pos = 0
-        while pos < size:
-            step = min(8, size - pos)
-            out += mem.load(addr + pos, step, False).to_bytes(8, "little")[:step]
-            pos += step
-        return bytes(out)
-        yield  # pragma: no cover
-
-    def write_guest(self, addr: int, data: bytes) -> Generator:
-        mem = self.node.memory
-        pos = 0
-        while pos < len(data):
-            step = min(8, len(data) - pos)
-            mem.store(addr + pos, step, int.from_bytes(data[pos : pos + step], "little"))
-            pos += step
-        return None
-        yield  # pragma: no cover
-
-
 class LocalKernel:
     def __init__(self, node: "NodeRuntime", state: SystemState,
                  finish: Callable[[int], None]):
         self.node = node
         self.state = state
         self.finish = finish
-        self.executor = SyscallExecutor(state, _LocalGuestMemory(node))
+        self.executor = SyscallExecutor(state, node)  # the node is the KernelMemory
 
     def handle(self, node: "NodeRuntime", th: GuestThread, sysno: int,
                args: tuple[int, ...]):
@@ -106,11 +78,10 @@ class LocalKernel:
         rec = self.state.threads.create(
             node=node.node_id, parent_tid=clone.parent_tid, ctid=ctid, hint_group=hint
         )
-        mem = _LocalGuestMemory(node)
         if clone.flags & CLONE_PARENT_SETTID and clone.ptid:
-            yield from mem.write_guest(clone.ptid, rec.tid.to_bytes(8, "little"))
+            yield from node.write_guest(clone.ptid, rec.tid.to_bytes(8, "little"))
         if clone.flags & CLONE_CHILD_SETTID and clone.ctid:
-            yield from mem.write_guest(clone.ctid, rec.tid.to_bytes(8, "little"))
+            yield from node.write_guest(clone.ctid, rec.tid.to_bytes(8, "little"))
         child_cpu = CPUState.from_snapshot(
             build_child_context(th.cpu.snapshot(), clone, rec.tid, hint)
         )

@@ -31,9 +31,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.config import DQEMUConfig
-from repro.core.dsmmem import DSMMemory, LocalMemory, MergeStall
+from repro.core.dsmmem import DSMMemory, MergeStall
 from repro.core.gthread import GuestThread, GuestThreadState
-from repro.core.llsc import LLSCTable
 from repro.core.services.base import Dispatcher, attribute_timeouts
 from repro.core.services.heartbeat import NodeHeartbeatService
 from repro.core.services.nodeside import (
@@ -49,6 +48,8 @@ from repro.errors import GuestFault, ProtocolError
 from repro.kernel.classify import is_global
 from repro.kernel.sysnums import SYS
 from repro.mem.api import M64, PageStall
+from repro.mem.flat import FlatMemory
+from repro.mem.llsc import LLSCTable
 from repro.mem.msi import MSIState
 from repro.mem.pagestore import PageStore
 from repro.mem.sharding import shard_of
@@ -104,8 +105,8 @@ class NodeTenant:
     """
 
     __slots__ = (
-        "tenant", "run_stats", "pagestore", "splitmap", "llsc", "memory",
-        "engine", "threads", "inflight", "push_gates", "finished",
+        "tenant", "run_stats", "memory", "engine", "threads", "inflight",
+        "push_gates", "finished",
     )
 
     def __init__(self, node: "NodeRuntime", tenant: int, run_stats: RunStats):
@@ -131,13 +132,11 @@ class NodeTenant:
             # Where delegated syscalls bill their retransmits; not a
             # registered service, so default runs have no such row.
             run_stats.service("node.syscall")
-        self.pagestore = PageStore()
-        self.splitmap = SplitMap()
-        self.llsc = LLSCTable()
-        if config.pure_qemu:
-            self.memory = LocalMemory(self.pagestore, self.llsc)
-        else:
-            self.memory = DSMMemory(self.pagestore, self.splitmap, self.llsc)
+        #: Owns the job's page copies, split table and LL/SC reservations.
+        self.memory = (
+            FlatMemory() if config.pure_qemu
+            else DSMMemory(PageStore(), SplitMap(), LLSCTable())
+        )
         self.engine = ExecutionEngine(
             self.memory,
             timing=EngineTiming(
@@ -244,11 +243,7 @@ class NodeRuntime:
     def bundle(self, tenant: int) -> NodeTenant:
         return self.tenants[tenant]
 
-    # Tenant-0 views: the pure-QEMU local kernel is written against a one-job node.
-
-    @property
-    def memory(self):
-        return self.tenants[0].memory
+    # Tenant-0 view: the pure-QEMU local kernel is written against a one-job node.
 
     @property
     def threads(self) -> dict[int, GuestThread]:
@@ -452,7 +447,7 @@ class NodeRuntime:
         taken_ns = self.sim.now
         th.last_checkpoint_ns = taken_ns
         context = th.cpu.snapshot()
-        store = bundle.pagestore
+        store = bundle.memory.pages
         pages = tuple(
             (page, store.snapshot(page))
             for page in sorted(store.pages())
@@ -596,15 +591,19 @@ class NodeRuntime:
         cfg = self.config
         t0 = self.sim.now
         yield self.sim.timeout(self._cycles_to_ns(cfg.page_fault_trap_cycles))
-        if isinstance(stall, MergeStall):
-            yield from self._request_merge(stall.orig_page, th.tenant)
-        else:
-            yield from self.acquire_page(
-                stall.page, stall.write, stall.offset, stall.size, tenant=th.tenant
-            )
+        yield from self._resolve_stall(stall, th.tenant)
         th.stats.pagefault_ns += self.sim.now - t0
         th.stats.page_faults += 1
         self._requeue(th)
+
+    def _resolve_stall(self, stall: PageStall, tenant: int):
+        """Do what the stalled access asked for; the access then re-executes."""
+        if isinstance(stall, MergeStall):
+            yield from self._request_merge(stall.orig_page, tenant)
+        else:
+            yield from self.acquire_page(
+                stall.page, stall.write, stall.offset, stall.size, tenant=tenant
+            )
 
     def acquire_page(
         self, page: int, write: bool, offset: int = 0, size: int = 8, tenant: int = 0
@@ -617,7 +616,7 @@ class NodeRuntime:
     def _acquire_page(
         self, bundle: NodeTenant, page: int, write: bool, offset: int, size: int
     ):
-        store = bundle.pagestore
+        store = bundle.memory.pages
         while True:
             if write and store.silently_upgrade(page):
                 # MESI: an Exclusive-clean copy becomes Modified right here
@@ -750,8 +749,8 @@ class NodeRuntime:
         now = self.sim.now
         tenant = th.tenant
         if sysno == SYS.NANOSLEEP:
-            sec = yield from self._load_guest_local(args[0], 8, tenant)
-            nsec = yield from self._load_guest_local(args[0] + 8, 8, tenant)
+            spec = yield from self.read_guest(args[0], 16, tenant)
+            sec, nsec = (int.from_bytes(spec[k : k + 8], "little") for k in (0, 8))
             yield self.sim.timeout(sec * 1_000_000_000 + nsec)
             cpu.regs[A0] = 0
         elif sysno == SYS.GETTID:
@@ -764,44 +763,35 @@ class NodeRuntime:
             data = (now // 1_000_000_000).to_bytes(8, "little") + (
                 now % 1_000_000_000
             ).to_bytes(8, "little")
-            yield from self._store_guest_local(args[1], data, tenant)
+            yield from self.write_guest(args[1], data, tenant)
             cpu.regs[A0] = 0
         elif sysno == SYS.GETTIMEOFDAY:
             data = (now // 1_000_000_000).to_bytes(8, "little") + (
                 (now % 1_000_000_000) // 1000
             ).to_bytes(8, "little")
-            yield from self._store_guest_local(args[0], data, tenant)
+            yield from self.write_guest(args[0], data, tenant)
             cpu.regs[A0] = 0
         else:  # pragma: no cover - classify() keeps this unreachable
             raise ProtocolError(f"syscall {sysno} not handled locally")
         return
         yield  # pragma: no cover - generator protocol
 
-    def _load_guest_local(self, addr: int, size: int, tenant: int = 0):
-        """Guest-memory read through the tenant's memory (acquiring pages)."""
-        memory = self.tenants[tenant].memory
+    # -- kernel access to guest memory (KernelMemory) ---------------------------
+
+    def _guest_bytes(self, tenant: int, access, *args):
+        """One byte-range access on the tenant's memory, resolving every stall
+        it raises (the baseline's private memory raises none)."""
         while True:
             try:
-                return memory.load(addr, size, False)
+                return access(*args)
             except PageStall as stall:
-                yield from self.acquire_page(
-                    stall.page, stall.write, stall.offset, tenant=tenant
-                )
+                yield from self._resolve_stall(stall, tenant)
 
-    def _store_guest_local(self, addr: int, data: bytes, tenant: int = 0):
-        """8-byte-chunk store through the tenant's memory (acquiring pages)."""
-        memory = self.tenants[tenant].memory
-        for k in range(0, len(data), 8):
-            chunk = data[k : k + 8]
-            value = int.from_bytes(chunk, "little")
-            while True:
-                try:
-                    memory.store(addr + k, len(chunk), value)
-                    break
-                except PageStall as stall:
-                    yield from self.acquire_page(
-                        stall.page, stall.write, stall.offset, tenant=tenant
-                    )
+    def read_guest(self, addr: int, size: int, tenant: int = 0):
+        return self._guest_bytes(tenant, self.tenants[tenant].memory.read_bytes, addr, size)
+
+    def write_guest(self, addr: int, data: bytes, tenant: int = 0):
+        return self._guest_bytes(tenant, self.tenants[tenant].memory.write_bytes, addr, data)
 
     # -- communicator ------------------------------------------------------------
 

@@ -57,39 +57,32 @@ class NodeCoherenceService(_NodeService):
 
     def _on_invalidate(self, msg):
         bundle = self._bundle(msg)
-        data = None
-        if msg.page in bundle.pagestore:
-            # Only a Modified copy carries content the home lacks; Shared
-            # and Exclusive-clean copies drop without payload (the home is
-            # still current for both).
-            if bundle.pagestore.state(msg.page) is MSIState.MODIFIED:
-                data = bundle.pagestore.snapshot(msg.page)
-            bundle.pagestore.drop(msg.page)
-        bundle.llsc.kill_page(msg.page)
+        data = bundle.memory.invalidate(msg.page)
         bundle.engine.cache.invalidate_page(msg.page)
         self.endpoint.reply(msg, InvalidateAck(page=msg.page, data=data))
         return
         yield  # pragma: no cover - generator protocol
 
     def _on_write_back(self, msg):
-        bundle = self._bundle(msg)
+        store = self._bundle(msg).memory.pages
         # An Exclusive copy that was never written is clean by definition —
         # the master's home copy is still current, so the downgrade acks
         # without the 4 KiB payload (MESI's cheap E→S).  A silently
         # upgraded copy is Modified by then and writes back as usual.
-        if bundle.pagestore.state(msg.page) is MSIState.EXCLUSIVE:
+        if store.state(msg.page) is MSIState.EXCLUSIVE:
             data = None
         else:
-            data = bundle.pagestore.snapshot(msg.page)
-        bundle.pagestore.set_state(msg.page, MSIState.SHARED)
+            data = store.snapshot(msg.page)
+        store.set_state(msg.page, MSIState.SHARED)
         self.endpoint.reply(msg, InvalidateAck(page=msg.page, data=data))
         return
         yield  # pragma: no cover - generator protocol
 
     def _on_page_push(self, msg):
         bundle = self._bundle(msg)
-        if bundle.pagestore.state(msg.page) is MSIState.INVALID:
-            bundle.pagestore.install(msg.page, msg.data, MSIState.SHARED)
+        store = bundle.memory.pages
+        if store.state(msg.page) is MSIState.INVALID:
+            store.install(msg.page, msg.data, MSIState.SHARED)
             gate = bundle.push_gates.pop(msg.page, None)
             if gate is not None and not gate.triggered:
                 gate.succeed()
@@ -114,20 +107,19 @@ class NodeSplitTableService(_NodeService):
         bundle: "NodeTenant", entries: tuple[SplitEntry, ...]
     ) -> None:
         """Install the master's full split table, dropping stale copies."""
+        memory = bundle.memory
         new = {e.orig_page: e for e in entries}
-        old = {e.orig_page: e for e in bundle.splitmap.entries()}
+        old = {e.orig_page: e for e in memory.split.entries()}
         for orig, entry in old.items():
             if orig not in new:
                 # merged back: local shadow copies are stale
-                bundle.splitmap.remove(orig)
+                memory.split.remove(orig)
                 for shadow in entry.shadow_pages:
-                    bundle.pagestore.drop(shadow)
-                    bundle.llsc.kill_page(shadow)
+                    memory.invalidate(shadow)
         for orig, entry in new.items():
             if orig not in old:
-                bundle.splitmap.install(entry)
-                bundle.pagestore.drop(orig)
-                bundle.llsc.kill_page(orig)
+                memory.split.install(entry)
+                memory.invalidate(orig)
 
 
 class NodeControlService(_NodeService):

@@ -103,12 +103,11 @@ class Tracer:
 
     def render(self, events: Optional[Iterable[TraceEvent]] = None,
                limit: int = 200) -> str:
-        rows = list(self.events if events is None else events)[:limit]
-        body = "\n".join(ev.render() for ev in rows)
+        rows = self.events if events is None else list(events)  # any iterable, read once
+        body = "\n".join(ev.render() for ev in rows[:limit])
         footer = ""
-        total = len(self.events if events is None else list(events))
-        if total > limit:
-            footer = f"\n... ({total - limit} more events)"
+        if len(rows) > limit:
+            footer = f"\n... ({len(rows) - limit} more events)"
         if self.dropped:
             footer += f"\n... ({self.dropped} events dropped at capacity)"
         return body + footer

@@ -1,11 +1,11 @@
 """Memory interface between the DBT engine and a memory system.
 
 The execution engine is memory-system agnostic: it runs against anything
-implementing :class:`MemoryAPI`.  Unit tests and the single-node QEMU
-baseline use :class:`~repro.mem.flat.FlatMemory`; DQEMU nodes use the
-DSM-backed memory in :mod:`repro.core.node`, whose accesses can raise
-:class:`PageStall` when the coherence protocol must fetch a page — the
-software equivalent of the page-protection faults DQEMU relies on (§4.2).
+implementing :class:`MemoryAPI`.  Unit tests, the differential oracle and
+the single-node QEMU baseline use :class:`~repro.mem.flat.FlatMemory`; DQEMU
+nodes use its subclass :class:`~repro.core.dsmmem.DSMMemory`, whose accesses
+can raise :class:`PageStall` when the coherence protocol must fetch a page —
+the software equivalent of the page-protection faults DQEMU relies on (§4.2).
 
 GA64 access rules enforced here:
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Protocol
 
 from repro.errors import UnalignedAccess
-from repro.mem.layout import page_of
+from repro.mem.layout import PAGE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dbt.cpu import CPUState
@@ -49,7 +49,7 @@ class PageStall(Exception):
 
 def check_span(addr: int, size: int, *, pc: int | None = None) -> None:
     """Reject accesses that cross a page boundary."""
-    if page_of(addr) != page_of(addr + size - 1):
+    if (addr & (PAGE_SIZE - 1)) + size > PAGE_SIZE:
         raise UnalignedAccess(
             f"access of {size} bytes at {addr:#x} crosses a page boundary",
             pc=pc,

@@ -1,145 +1,172 @@
-"""Flat (non-distributed) guest memory.
+"""Guest memory: the one implementation of what a guest access does.
 
-Implements :class:`~repro.mem.api.MemoryAPI` with no coherence protocol:
-every page is local and writable.  Used by the DBT unit tests, the
-differential interpreter oracle, and the single-node QEMU baseline where the
-host hardware keeps memory coherent.
+:class:`FlatMemory` implements :class:`~repro.mem.api.MemoryAPI` over one
+:class:`~repro.mem.pagestore.PageStore` and one
+:class:`~repro.mem.llsc.LLSCTable`.  An access whose page already permits it
+is served inline — span check, state lookup, ``bytearray`` slice; everything
+else goes through :meth:`FlatMemory._resolve`, the only thing a variant
+overrides.  Here memory is private to one emulator (DBT unit tests, the
+differential interpreter oracle, the single-node QEMU baseline where the host
+hardware keeps memory coherent), so a miss zero-fills a Modified page;
+:class:`~repro.core.dsmmem.DSMMemory` turns the miss into the page fault that
+drives the coherence protocol.
 
 LL/SC semantics follow the paper's intra-node scheme: a reservation table
-keyed by address; any store to a reserved address by *another* thread kills
-the reservation (conservative, like QEMU's emulation).  The store check is
-only performed while the table is non-empty — the paper makes the same
-observation that the LL→SC window is short so checks are rare (§4.4).
+keyed by address; any store to a reserved cell kills the reservation
+(conservative, like QEMU's emulation).  The store check is only performed
+while the table is non-empty — the paper makes the same observation that the
+LL→SC window is short so checks are rare (§4.4).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
-from repro.errors import SegmentationFault, UnalignedAccess
+from repro.errors import UnalignedAccess
 from repro.mem.api import M64, check_span, sign_extend
-from repro.mem.layout import PAGE_SIZE, page_of, page_offset
+from repro.mem.layout import PAGE_SHIFT, PAGE_SIZE
+from repro.mem.llsc import LLSCTable
+from repro.mem.msi import MSIState
+from repro.mem.pagestore import PageStore
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dbt.cpu import CPUState
 
 __all__ = ["FlatMemory"]
 
+OFFSET_MASK = PAGE_SIZE - 1
+MODIFIED = MSIState.MODIFIED
+
 
 class FlatMemory:
-    """Sparse flat memory with auto-allocating pages."""
+    """Sparse private memory: every page local, writable, zero until written."""
 
-    def __init__(self, *, auto_alloc: bool = True):
-        self._pages: dict[int, bytearray] = {}
-        self.auto_alloc = auto_alloc
-        # addr -> set of tids holding a valid LL reservation
-        self.reservations: dict[int, set[int]] = {}
+    def __init__(self) -> None:
+        self._own(PageStore(), LLSCTable())
 
-    # -- setup helpers --------------------------------------------------------
+    def _own(self, pages: PageStore, llsc: LLSCTable) -> None:
+        self.pages = pages
+        self.llsc = llsc
+        # Neither container ever rebinds its dicts, so the access path tests
+        # and indexes them directly instead of paying a call per lookup.
+        self._bufs = pages._pages
+        self._states = pages._states
+        self._armed = llsc._res
 
-    def load_image(self, segments) -> None:
-        """Copy ``(vaddr, bytes)`` segments (e.g. Program sections) in."""
-        for vaddr, data in segments:
-            self.write_bytes(vaddr, data)
-
-    def _page(self, page: int) -> bytearray:
-        buf = self._pages.get(page)
-        if buf is None:
-            if not self.auto_alloc:
-                raise SegmentationFault(f"unmapped page {page:#x}")
-            buf = bytearray(PAGE_SIZE)
-            self._pages[page] = buf
-        return buf
-
-    def write_bytes(self, addr: int, data: bytes) -> None:
-        pos = 0
-        while pos < len(data):
-            page = page_of(addr + pos)
-            off = page_offset(addr + pos)
-            n = min(PAGE_SIZE - off, len(data) - pos)
-            self._page(page)[off : off + n] = data[pos : pos + n]
-            pos += n
-
-    def read_bytes(self, addr: int, size: int) -> bytes:
-        out = bytearray()
-        pos = 0
-        while pos < size:
-            page = page_of(addr + pos)
-            off = page_offset(addr + pos)
-            n = min(PAGE_SIZE - off, size - pos)
-            out += self._page(page)[off : off + n]
-            pos += n
-        return bytes(out)
+    def _resolve(self, addr: int, size: int, write: bool) -> int:
+        """Make the page of ``[addr, addr+size)`` permit the access and return
+        the address that serves it.  This is what a permission miss does, and
+        all a variant changes: private memory zero-fills the page Modified."""
+        check_span(addr, size)
+        page = addr >> PAGE_SHIFT
+        if self._states.get(page) is not MODIFIED:
+            self.pages.ensure(page, MODIFIED)
+        return addr
 
     # -- MemoryAPI ------------------------------------------------------------
 
     def load(self, addr: int, size: int, signed: bool) -> int:
-        check_span(addr, size)
-        buf = self._page(page_of(addr))
-        off = page_offset(addr)
-        value = int.from_bytes(buf[off : off + size], "little")
+        off = addr & OFFSET_MASK
+        page = addr >> PAGE_SHIFT
+        if off + size > PAGE_SIZE or page not in self._states:
+            # A shadow page keeps the original's offsets, so ``off`` stands.
+            page = self._resolve(addr, size, False) >> PAGE_SHIFT
+        value = int.from_bytes(self._bufs[page][off : off + size], "little")
         if signed and size < 8:
             return sign_extend(value, size)
         return value
 
     def store(self, addr: int, size: int, value: int) -> None:
-        check_span(addr, size)
-        buf = self._page(page_of(addr))
-        off = page_offset(addr)
-        buf[off : off + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-        if self.reservations:
-            self._kill_reservations(addr, size)
+        off = addr & OFFSET_MASK
+        page = addr >> PAGE_SHIFT
+        if off + size > PAGE_SIZE or self._states.get(page) is not MODIFIED:
+            addr = self._resolve(addr, size, True)
+            page = addr >> PAGE_SHIFT
+        self._bufs[page][off : off + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(
+            size, "little"
+        )
+        if self._armed:
+            self.llsc.kill_store(addr, size)
 
     def fetch_code(self, addr: int, size: int) -> bytes:
-        return self.read_bytes(addr, size)
+        addr = self._resolve(addr, size, False)
+        off = addr & OFFSET_MASK
+        return bytes(self._bufs[addr >> PAGE_SHIFT][off : off + size])
 
-    # -- atomics ----------------------------------------------------------------
+    # -- atomics (two-level scheme, §4.4) --------------------------------------
 
-    @staticmethod
-    def _check_atomic_alignment(addr: int) -> None:
-        if addr % 8 != 0:
+    def _cell(self, addr: int, write: bool) -> tuple[int, bytearray, int]:
+        """An atomic's 8-byte cell: (serving address, page buffer, offset)."""
+        if addr % 8:
             raise UnalignedAccess(f"atomic access to unaligned address {addr:#x}", addr=addr)
+        addr = self._resolve(addr, 8, write)
+        return addr, self._bufs[addr >> PAGE_SHIFT], addr & OFFSET_MASK
+
+    def _put_cell(self, addr: int, buf: bytearray, off: int, value: int) -> None:
+        buf[off : off + 8] = (value & M64).to_bytes(8, "little")
+        self.llsc.kill_store(addr, 8)
 
     def load_reserved(self, cpu: "CPUState", addr: int) -> int:
-        self._check_atomic_alignment(addr)
-        value = self.load(addr, 8, False)
-        self.reservations.setdefault(addr, set()).add(cpu.tid)
-        return value
+        addr, buf, off = self._cell(addr, False)
+        self.llsc.reserve(addr, cpu.tid)
+        return int.from_bytes(buf[off : off + 8], "little")
 
     def store_conditional(self, cpu: "CPUState", addr: int, value: int) -> bool:
-        self._check_atomic_alignment(addr)
-        holders = self.reservations.get(addr)
-        if not holders or cpu.tid not in holders:
+        # SC stores, so it needs the page Modified — this is what makes one
+        # node's spinlock exclusive cluster-wide (Fig. 3).
+        addr, buf, off = self._cell(addr, True)
+        if not self.llsc.consume(addr, cpu.tid):
             return False
-        del self.reservations[addr]
-        self.store(addr, 8, value)
+        buf[off : off + 8] = (value & M64).to_bytes(8, "little")
         return True
 
     def atomic_cas(self, cpu: "CPUState", addr: int, expected: int, desired: int) -> int:
-        self._check_atomic_alignment(addr)
-        old = self.load(addr, 8, False)
+        addr, buf, off = self._cell(addr, True)
+        old = int.from_bytes(buf[off : off + 8], "little")
         if old == (expected & M64):
-            self.store(addr, 8, desired)  # store() also kills reservations
+            self._put_cell(addr, buf, off, desired)
         return old
 
     def atomic_add(self, cpu: "CPUState", addr: int, operand: int) -> int:
-        self._check_atomic_alignment(addr)
-        old = self.load(addr, 8, False)
-        self.store(addr, 8, (old + operand) & M64)
+        addr, buf, off = self._cell(addr, True)
+        old = int.from_bytes(buf[off : off + 8], "little")
+        self._put_cell(addr, buf, off, old + operand)
         return old
 
     def atomic_swap(self, cpu: "CPUState", addr: int, operand: int) -> int:
-        self._check_atomic_alignment(addr)
-        old = self.load(addr, 8, False)
-        self.store(addr, 8, operand & M64)
+        addr, buf, off = self._cell(addr, True)
+        old = int.from_bytes(buf[off : off + 8], "little")
+        self._put_cell(addr, buf, off, operand)
         return old
 
-    # -- reservation bookkeeping -------------------------------------------------
+    # -- byte ranges (loader, kernel) --------------------------------------------
 
-    def _kill_reservations(self, addr: int, size: int = 8) -> None:
-        """A store touching ``[addr, addr+size)`` conservatively kills every
-        reservation on the 8-byte cell(s) it overlaps, whoever stored."""
-        lo = addr & ~7
-        hi = (addr + size - 1) & ~7
-        for a in ((lo,) if lo == hi else (lo, hi)):
-            self.reservations.pop(a, None)
+    def _pieces(self, addr: int, size: int, write: bool) -> Iterator[tuple[int, int]]:
+        """``[addr, addr+size)`` cut at page boundaries: (serving address,
+        length) per piece, each resolved like any other access."""
+        while size > 0:
+            n = min(size, PAGE_SIZE - (addr & OFFSET_MASK))
+            yield self._resolve(addr, n, write), n
+            addr += n
+            size -= n
+
+    def read_bytes(self, addr: int, size: int) -> bytes:
+        out = bytearray()
+        for at, n in self._pieces(addr, size, False):
+            off = at & OFFSET_MASK
+            out += self._bufs[at >> PAGE_SHIFT][off : off + n]
+        return bytes(out)
+
+    def write_bytes(self, addr: int, data: bytes) -> None:
+        pos = 0
+        for at, n in self._pieces(addr, len(data), True):
+            off = at & OFFSET_MASK
+            self._bufs[at >> PAGE_SHIFT][off : off + n] = data[pos : pos + n]
+            if self._armed:
+                self.llsc.kill_store(at, n)
+            pos += n
+
+    def load_image(self, segments) -> None:
+        """Copy ``(vaddr, bytes)`` segments (e.g. Program sections) in."""
+        for vaddr, data in segments:
+            self.write_bytes(vaddr, data)

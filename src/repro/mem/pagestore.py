@@ -21,6 +21,8 @@ class PageStore:
     """Sparse page container with per-page MSI state."""
 
     def __init__(self) -> None:
+        # Never rebound, and a page with no entry in ``_states`` is Invalid:
+        # FlatMemory's access path holds both dicts and relies on that.
         self._pages: dict[int, bytearray] = {}
         self._states: dict[int, MSIState] = {}
 

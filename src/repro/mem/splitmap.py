@@ -56,30 +56,32 @@ class SplitMap:
     """Per-node copy of the shadow-page translation table."""
 
     def __init__(self) -> None:
-        self._by_orig: dict[int, SplitEntry] = {}
+        #: orig page -> entry; never rebound, so a memory can hold it and test
+        #: "is anything split?" without a call.
+        self.by_orig: dict[int, SplitEntry] = {}
         self._shadow_owner: dict[int, tuple[int, int]] = {}  # shadow -> (orig, region)
 
     def __len__(self) -> int:
-        return len(self._by_orig)
+        return len(self.by_orig)
 
     def __contains__(self, page: int) -> bool:
-        return page in self._by_orig
+        return page in self.by_orig
 
     def entry(self, page: int) -> SplitEntry | None:
-        return self._by_orig.get(page)
+        return self.by_orig.get(page)
 
     def install(self, entry: SplitEntry) -> None:
-        if entry.orig_page in self._by_orig:
+        if entry.orig_page in self.by_orig:
             raise ProtocolError(f"page {entry.orig_page:#x} already split")
         for shadow in entry.shadow_pages:
             if shadow in self._shadow_owner:
                 raise ProtocolError(f"shadow page {shadow:#x} reused")
-        self._by_orig[entry.orig_page] = entry
+        self.by_orig[entry.orig_page] = entry
         for region, shadow in enumerate(entry.shadow_pages):
             self._shadow_owner[shadow] = (entry.orig_page, region)
 
     def remove(self, orig_page: int) -> SplitEntry:
-        entry = self._by_orig.pop(orig_page, None)
+        entry = self.by_orig.pop(orig_page, None)
         if entry is None:
             raise ProtocolError(f"page {orig_page:#x} is not split")
         for shadow in entry.shadow_pages:
@@ -91,7 +93,7 @@ class SplitMap:
     def translate_span(self, addr: int, size: int) -> int:
         """Translate ``addr`` if its page is split; raises
         :class:`SplitCrossing` when ``[addr, addr+size)`` spans regions."""
-        entry = self._by_orig.get(page_of(addr))
+        entry = self.by_orig.get(page_of(addr))
         if entry is None:
             return addr
         off = page_offset(addr)
@@ -105,7 +107,7 @@ class SplitMap:
         return self._shadow_owner.get(shadow_page)
 
     def entries(self) -> tuple[SplitEntry, ...]:
-        return tuple(self._by_orig.values())
+        return tuple(self.by_orig.values())
 
     def clone_state(self) -> tuple[SplitEntry, ...]:
         """Serializable form for SplitTableUpdate broadcasts."""

@@ -42,7 +42,7 @@ without limit.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.errors import ConfigError, NetworkError
@@ -138,16 +138,10 @@ class RpcStats:
 
     @classmethod
     def collect(cls, channels: Iterable["RpcChannel"]) -> "RpcStats":
-        total = cls()
-        for ch in channels:
-            total.dropped_replies += ch.dropped_replies
-            total.duplicate_replies += ch.duplicate_replies
-            total.retransmits += ch.retransmits
-            total.recoveries += ch.recoveries
-            total.exhausted += ch.exhausted
-            total.reply_replays += ch.reply_replays
-            total.recovery_wait_ns += ch.recovery_wait_ns
-        return total
+        channels = list(channels)
+        return cls(**{
+            f.name: sum(getattr(ch, f.name) for ch in channels) for f in fields(cls)
+        })
 
     def minus(self, base: "RpcStats") -> "RpcStats":
         """Counter delta since ``base`` — a job's share of shared channels.
@@ -157,15 +151,9 @@ class RpcStats:
         jobs that retransmit on the same channel show up in each other's
         window (a documented attribution caveat, not a bug).
         """
-        return RpcStats(
-            dropped_replies=self.dropped_replies - base.dropped_replies,
-            duplicate_replies=self.duplicate_replies - base.duplicate_replies,
-            retransmits=self.retransmits - base.retransmits,
-            recoveries=self.recoveries - base.recoveries,
-            exhausted=self.exhausted - base.exhausted,
-            reply_replays=self.reply_replays - base.reply_replays,
-            recovery_wait_ns=self.recovery_wait_ns - base.recovery_wait_ns,
-        )
+        return RpcStats(**{
+            f.name: getattr(self, f.name) - getattr(base, f.name) for f in fields(self)
+        })
 
 
 @dataclass

@@ -1,14 +1,24 @@
-"""DSMMemory unit tests: protection checks, split translation, atomics."""
+"""DSMMemory unit tests: protection checks, split translation, atomics, the
+length of the resident access path and node-side page teardown.  What every
+memory variant shares is tested once in test_mem_stores.py."""
+
+import sys
 
 import pytest
 
-from repro.core.dsmmem import DSMMemory, LocalMemory, MergeStall
+from repro.core.config import DQEMUConfig
+from repro.core.dsmmem import DSMMemory, MergeStall
 from repro.core.llsc import LLSCTable
+from repro.core.node import NodeRuntime
+from repro.core.stats import RunStats
 from repro.dbt.cpu import CPUState
 from repro.mem.api import PageStall
 from repro.mem.msi import MSIState
 from repro.mem.pagestore import PageStore
 from repro.mem.splitmap import SplitEntry, SplitMap
+from repro.net.fabric import Fabric
+from repro.net.messages import Invalidate, SplitTableUpdate
+from repro.sim import Simulator
 
 PAGE = 0x10
 BASE = PAGE << 12
@@ -109,7 +119,7 @@ class TestAtomics:
         store.install(PAGE, bytes(4096), MSIState.MODIFIED)
         c = cpu()
         mem.load_reserved(c, BASE)
-        llsc.kill_page(PAGE)  # coherence invalidation
+        assert mem.invalidate(PAGE) == bytes(4096)  # coherence invalidation
         store.install(PAGE, bytes(4096), MSIState.MODIFIED)  # re-acquired
         assert mem.store_conditional(c, BASE, 1) is False
         assert llsc.spurious_kills == 1
@@ -121,18 +131,89 @@ class TestAtomics:
             mem.atomic_cas(cpu(), BASE, 0, 1)
 
 
-class TestLocalMemory:
-    def test_auto_allocates_modified(self):
-        store, llsc = PageStore(), LLSCTable()
-        mem = LocalMemory(store, llsc)
-        mem.store(BASE, 8, 5)
-        assert store.state(PAGE) is MSIState.MODIFIED
-        assert mem.load(BASE, 8, False) == 5
+def python_calls(fn, *args):
+    """Python-level function calls made while running ``fn(*args)``."""
+    calls = []
 
-    def test_llsc_works_without_dsm(self):
-        store, llsc = PageStore(), LLSCTable()
-        mem = LocalMemory(store, llsc)
-        c1, c2 = cpu(1), cpu(2)
-        mem.load_reserved(c1, BASE)
-        mem.store(BASE, 8, 3)  # intervening store
-        assert mem.store_conditional(c1, BASE, 9) is False
+    def profiler(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_qualname)
+
+    sys.setprofile(profiler)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestResidentPathLength:
+    """A resident, unsplit, reservation-free access is the softmmu-hit case:
+    it must stay a couple of frames, not a walk through the layers."""
+
+    def setup_method(self):
+        self.mem, store, *_ = make_mem()
+        store.install(PAGE, bytes(4096), MSIState.MODIFIED)
+
+    def test_load_is_at_most_two_python_calls(self):
+        calls = python_calls(self.mem.load, BASE + 8, 8, False)
+        assert len(calls) <= 2, calls
+
+    def test_store_is_at_most_two_python_calls(self):
+        calls = python_calls(self.mem.store, BASE + 8, 8, 7)
+        assert len(calls) <= 2, calls
+        assert self.mem.load(BASE + 8, 8, False) == 7
+
+
+class TestNodeSideTeardown:
+    """Reservations die with their page whichever handler drops it: an SC on
+    a page the node lost must fail even after the page comes back."""
+
+    SHADOWS = (0x60000, 0x60001)
+
+    def setup_method(self):
+        self.sim = Simulator()
+        fabric = Fabric(self.sim)
+        self.master, self.node = (
+            NodeRuntime(self.sim, fabric, nid, DQEMUConfig(), RunStats()) for nid in (0, 1)
+        )
+        self.node.start()
+        self.mem = self.node.bundle(0).memory
+
+    def command(self, msg):
+        self.master.endpoint.request(self.node.node_id, msg)
+        self.sim.run()
+
+    def reserve(self, page, addr):
+        """Hold ``page`` Modified with one live reservation, taken at ``addr``."""
+        self.mem.pages.install(page, bytes(4096), MSIState.MODIFIED)
+        self.mem.load_reserved(cpu(), addr)
+        assert len(self.mem.llsc) == 1
+
+    def assert_torn_down(self, page, addr):
+        """``page`` and its reservation are gone, and stay gone for the SC
+        that follows the re-acquired page."""
+        assert self.mem.pages.state(page) is MSIState.INVALID
+        assert len(self.mem.llsc) == 0
+        self.mem.pages.install(page, bytes(4096), MSIState.MODIFIED)
+        assert self.mem.store_conditional(cpu(), addr, 1) is False
+
+    def test_invalidate_handler(self):
+        self.reserve(PAGE, BASE)
+        self.command(Invalidate(page=PAGE))
+        self.assert_torn_down(PAGE, BASE)
+
+    def test_split_install_drops_the_original_page(self):
+        self.reserve(PAGE, BASE)
+        self.command(SplitTableUpdate(entries=(SplitEntry(PAGE, self.SHADOWS, 2048),)))
+        assert PAGE in self.mem.split
+        assert self.mem.pages.state(PAGE) is MSIState.INVALID
+        # BASE is now served by the first shadow page, which holds no reservation.
+        self.assert_torn_down(self.SHADOWS[0], BASE)
+
+    def test_merge_drops_the_shadow_pages(self):
+        self.command(SplitTableUpdate(entries=(SplitEntry(PAGE, self.SHADOWS, 2048),)))
+        self.reserve(self.SHADOWS[0], BASE)  # the reservation lands on the shadow page
+        self.command(SplitTableUpdate(entries=()))
+        assert PAGE not in self.mem.split
+        self.assert_torn_down(self.SHADOWS[0], self.SHADOWS[0] << 12)

@@ -44,12 +44,6 @@ class TestLLSCTable:
         assert t.spurious_kills == 2
         assert t.validate(0x2000, 3)
 
-    def test_empty_flag_for_store_fast_path(self):
-        t = LLSCTable()
-        assert t.empty
-        t.reserve(0x1000, 1)
-        assert not t.empty
-
 
 class TestThreadPlacer:
     def test_round_robin_equal_spread(self):

@@ -1,12 +1,47 @@
-"""PageStore and FlatMemory unit tests."""
+"""PageStore unit tests, and the contract every guest memory keeps: the
+cluster memory (with its pages resident Modified), the QEMU baseline's private
+memory and a bare FlatMemory run one implementation, checked here as one."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import DQEMUConfig
+from repro.core.dsmmem import DSMMemory
+from repro.core.llsc import LLSCTable
+from repro.core.node import NodeRuntime
+from repro.core.stats import RunStats
 from repro.dbt import CPUState
 from repro.errors import SegmentationFault, UnalignedAccess
 from repro.mem import FlatMemory, MSIState, PAGE_SIZE, PageStore
 from repro.mem.api import sign_extend
+from repro.mem.splitmap import SplitMap
+from repro.net.fabric import Fabric
+from repro.sim import Simulator
+
+#: Pages the contract cases touch; the cluster variant holds them Modified.
+PAGES = (0, 1, 2, 3, 0x123)
+
+
+def cluster_memory():
+    store = PageStore()
+    for page in PAGES:
+        store.ensure(page, MSIState.MODIFIED)
+    return DSMMemory(store, SplitMap(), LLSCTable())
+
+
+def baseline_memory():
+    """The memory a pure-QEMU node executes against."""
+    sim = Simulator()
+    node = NodeRuntime(sim, Fabric(sim), 0, DQEMUConfig(pure_qemu=True), RunStats())
+    return node.bundle(0).memory
+
+
+VARIANTS = {"cluster": cluster_memory, "baseline": baseline_memory, "flat": FlatMemory}
+
+
+@pytest.fixture(params=VARIANTS)
+def mem(request):
+    return VARIANTS[request.param]()
 
 
 class TestPageStore:
@@ -67,57 +102,72 @@ class TestPageStore:
         assert sorted(ps.pages()) == [1, 9]
 
 
-class TestFlatMemory:
-    def test_auto_alloc_reads_zero(self):
-        mem = FlatMemory()
-        assert mem.load(0x123456, 8, False) == 0
+class TestPrivateMemory:
+    def test_untouched_page_reads_zero(self):
+        for make in (baseline_memory, FlatMemory):
+            assert make().load(0x7654_3210, 8, False) == 0
 
-    def test_no_auto_alloc_segfaults(self):
-        mem = FlatMemory(auto_alloc=False)
-        with pytest.raises(SegmentationFault):
-            mem.load(0x123456, 8, False)
-
-    def test_cross_page_write_bytes_allowed(self):
-        """Bulk (loader) writes may span pages; guest accesses may not."""
+    def test_zero_fill_is_a_modified_page(self):
         mem = FlatMemory()
+        mem.store(0x5008, 8, 5)
+        assert mem.pages.state(5) is MSIState.MODIFIED
+        assert mem.load(0x5008, 8, False) == 5
+
+
+class TestMemoryContract:
+    def test_cross_page_write_bytes_allowed(self, mem):
+        """Bulk (loader, kernel) accesses may span pages; guest accesses may not."""
         addr = PAGE_SIZE - 2
         mem.write_bytes(addr, b"\x01\x02\x03\x04")
         assert mem.read_bytes(addr, 4) == b"\x01\x02\x03\x04"
+        assert mem.load(PAGE_SIZE, 2, False) == 0x0403
 
-    def test_guest_access_cross_page_rejected(self):
-        mem = FlatMemory()
+    def test_guest_access_cross_page_rejected(self, mem):
         with pytest.raises(UnalignedAccess):
             mem.load(PAGE_SIZE - 2, 4, False)
         with pytest.raises(UnalignedAccess):
             mem.store(PAGE_SIZE - 1, 2, 0)
+        with pytest.raises(UnalignedAccess):
+            mem.fetch_code(PAGE_SIZE - 2, 4)
+
+    def test_unaligned_atomic_rejected(self, mem):
+        with pytest.raises(UnalignedAccess):
+            mem.atomic_add(CPUState(tid=1), 0x1004, 1)
+
+    @pytest.mark.parametrize("size", [1, 2, 4])
+    def test_narrow_loads_sign_extend_on_request(self, mem, size):
+        mem.store(0x123456, size, -2)
+        assert mem.load(0x123456, size, False) == (1 << (8 * size)) - 2
+        assert mem.load(0x123456, size, True) == 2**64 - 2
 
     def test_sign_extension_helper(self):
         assert sign_extend(0xFF, 1) == 2**64 - 1
         assert sign_extend(0x7F, 1) == 0x7F
         assert sign_extend(0x8000, 2) == 2**64 - 0x8000
 
-    def test_reservation_killed_by_other_thread_store(self):
-        mem = FlatMemory()
+    def test_reservation_killed_by_other_thread_store(self, mem):
         cpu1 = CPUState(tid=1)
-        cpu2 = CPUState(tid=2)
         mem.store(0x1000, 8, 5)
         mem.load_reserved(cpu1, 0x1000)
-        # thread 2 stores into the reserved cell
-        mem.store(0x1000, 8, 6)
+        mem.store(0x1000, 8, 6)  # thread 2 stores into the reserved cell
         assert mem.store_conditional(cpu1, 0x1000, 7) is False
         assert mem.load(0x1000, 8, False) == 6
 
-    def test_reservation_killed_by_overlapping_narrow_store(self):
-        mem = FlatMemory()
+    def test_reservation_killed_by_overlapping_narrow_store(self, mem):
         cpu = CPUState(tid=1)
         mem.load_reserved(cpu, 0x1000)
         mem.store(0x1004, 1, 9)  # 1-byte store inside the reserved cell
         assert mem.store_conditional(cpu, 0x1000, 7) is False
 
-    def test_two_threads_can_both_reserve(self):
+    def test_reservation_killed_by_kernel_write(self, mem):
+        cpu = CPUState(tid=1)
+        mem.load_reserved(cpu, 0x1008)
+        mem.write_bytes(0x1000, bytes(16))  # e.g. a timespec written over it
+        assert mem.store_conditional(cpu, 0x1008, 7) is False
+
+    def test_two_threads_can_both_reserve(self, mem):
         """LL by two threads: first SC wins, second fails (its reservation
         is killed by the successful store)."""
-        mem = FlatMemory()
         cpu1, cpu2 = CPUState(tid=1), CPUState(tid=2)
         mem.load_reserved(cpu1, 0x2000)
         mem.load_reserved(cpu2, 0x2000)
@@ -125,11 +175,50 @@ class TestFlatMemory:
         assert mem.store_conditional(cpu2, 0x2000, 2) is False
         assert mem.load(0x2000, 8, False) == 1
 
-    def test_sc_to_different_address_fails(self):
-        mem = FlatMemory()
+    def test_sc_to_different_address_fails(self, mem):
         cpu = CPUState(tid=1)
         mem.load_reserved(cpu, 0x3000)
         assert mem.store_conditional(cpu, 0x3008, 1) is False
+
+
+# -- differential: the variants are one implementation ---------------------------
+
+_ADDR = st.builds(
+    lambda page, cell, byte: (page << 12) + 8 * cell + byte,
+    st.sampled_from(PAGES[:3]), st.integers(0, 3), st.integers(0, 7),
+)
+_CELL = _ADDR.map(lambda a: a & ~7)
+_VALUE = st.one_of(st.integers(0, 2), st.integers(0, 2**64 - 1))  # small ones let CAS match
+_TID = st.sampled_from([1, 2])
+_SIZE = st.sampled_from([1, 2, 4, 8])
+_OPS = st.one_of(
+    st.tuples(st.just("load"), _ADDR, _SIZE, st.booleans()),
+    st.tuples(st.just("store"), _ADDR, _SIZE, _VALUE),
+    st.tuples(st.just("load_reserved"), _TID, _CELL),
+    st.tuples(st.just("store_conditional"), _TID, _CELL, _VALUE),
+    st.tuples(st.just("atomic_cas"), _TID, _CELL, _VALUE, _VALUE),
+    st.tuples(st.just("atomic_add"), _TID, _CELL, _VALUE),
+    st.tuples(st.just("atomic_swap"), _TID, _CELL, _VALUE),
+)
+
+
+def apply(mem, op):
+    name, *args = op
+    if name not in ("load", "store"):
+        args[0] = CPUState(tid=args[0])
+    return getattr(mem, name)(*args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(_OPS, max_size=40))
+def test_variants_agree(ops):
+    mems = [make() for make in VARIANTS.values()]
+    for op in ops:
+        results = [apply(mem, op) for mem in mems]
+        assert results[1:] == results[:-1], op
+    for page in PAGES[:3]:
+        images = [mem.read_bytes(page << 12, PAGE_SIZE) for mem in mems]
+        assert images[1:] == images[:-1]
 
 
 @settings(max_examples=100, deadline=None)

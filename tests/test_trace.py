@@ -83,3 +83,9 @@ class TestClusterTracing:
         r = Cluster(1, trace=True).run(prog, max_virtual_ms=600_000)
         text = r.trace.render(limit=5)
         assert text.count("\n") <= 6
+        # Any iterable of events renders the same, a one-shot generator included.
+        events = r.trace.events
+        more = f"... ({len(events) - 5} more events)"
+        assert text.endswith(more)
+        assert r.trace.render(events, limit=5) == text
+        assert r.trace.render((ev for ev in events), limit=5) == text
