@@ -442,25 +442,10 @@ class Cluster:
         stats = rt.stats
         stats.wall_ns = fleet.sim.now
         for node in fleet.nodes.values():
-            bundle = node.tenants[job.tenant]
-            engine = bundle.engine
+            engine = node.tenants[job.tenant].engine
             stats.insns_executed += engine.insns_executed
             stats.insns_translated += engine.insns_translated
-            dbt = stats.dbt
-            cs = engine.cache.stats
-            dbt.lookups += cs.lookups
-            dbt.misses += cs.misses
-            dbt.chain_follows += cs.chain_follows
-            dbt.translations += cs.translations
-            dbt.invalidations += cs.invalidations
-            dbt.unchains += cs.unchains
-            dbt.superblocks_formed += engine.superblocks_formed
-            dbt.execute_cycles += engine.execute_cycles
-            dbt.translate_cycles += engine.translate_cycles
-            dbt.superblock_saved_cycles += engine.superblock_saved_cycles
-            dbt.fusion_saved_cycles += engine.fusion_saved_cycles
-            for pattern, hits in engine.fusion_hits.items():
-                dbt.fusion_hits[pattern] = dbt.fusion_hits.get(pattern, 0) + hits
+            stats.dbt.add_engine(engine)
         rpc_total = RpcStats.collect(
             node.endpoint.rpc for node in fleet.nodes.values()
         )

@@ -4,8 +4,8 @@ The master owns the page directory, the centralized system state, and the
 manager processes serving each node's requests (including its own — the
 master's guest threads talk to their managers over the fabric's loopback).
 The protocol work itself lives in the service layer
-(:mod:`repro.core.services`); this class is the composition root wiring it
-together.
+(:mod:`repro.core.services`); this class is the composition root: it
+builds each service from itself and registers it.
 
 The directory is partitioned across ``DQEMUConfig.master_shards``
 independent *shard pools* (:class:`MasterShard`): shard ``s`` owns the
@@ -23,12 +23,12 @@ default ``master_shards = 1`` this collapses to the paper's
 single-directory master, bit-for-bit.
 
 Multi-tenancy: one ``MasterRuntime`` per admitted job, all sharing node 0's
-physical endpoint through a :class:`~repro.net.endpoint.TenantEndpoint`
-that stamps the job's tenant id onto every frame the runtime originates.
-Manager subscriptions are keyed ``("mgr", tenant, src, shard)``, so each
-job's managers only ever see its own frames, and the whole service stack
-below them (directory, futexes, thread table, system state) is per job by
-construction.
+physical endpoint; the services' one send/request path
+(:class:`~repro.core.services.base.MasterService`) stamps the job's tenant
+id onto every frame the runtime originates.  Manager subscriptions are
+keyed ``("mgr", tenant, src, shard)``, so each job's managers only ever see
+its own frames, and the whole service stack below them (directory, futexes,
+thread table, system state) is per job by construction.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.core.node import NodeRuntime
 from repro.core.scheduler import ThreadPlacer
 from repro.core.services.base import Dispatcher
 from repro.core.services.checkpoint import CheckpointService
-from repro.core.services.coherence import CoherenceService, CoherentGuestMemory
+from repro.core.services.coherence import CoherenceService
 from repro.core.services.coordinator import CrossShardCoordinator
 from repro.core.services.failure import FailureDomainService
 from repro.core.services.forwarding import ForwardingService
@@ -52,7 +52,6 @@ from repro.core.stats import RunStats
 from repro.kernel.syscalls import SystemState
 from repro.mem.pagestore import PageStore
 from repro.mem.sharding import ShardedDirectoryView, ShardedSplitView
-from repro.net.endpoint import TenantEndpoint
 from repro.net.messages import Shutdown
 from repro.sim.engine import Event, Simulator
 
@@ -71,36 +70,27 @@ class MasterShard:
     are disjoint from every other shard's by construction.
     """
 
-    def __init__(
-        self,
-        shard: int,
-        sim: Simulator,
-        config: DQEMUConfig,
-        endpoint,
-        trace,
-        run_stats: RunStats,
-        home: PageStore,
-        node_ids: list[int],
-        node_id: int,
-        spawn_guarded,
-        coordinator: CrossShardCoordinator,
-        view: Optional["ClusterHealthView"] = None,
-    ) -> None:
+    def __init__(self, master: "MasterRuntime", shard: int) -> None:
         self.shard = shard
-        self.coherence = CoherenceService(
-            sim, config, endpoint, trace, run_stats, home, view=view
+        self.coherence = CoherenceService(master, self)
+        self.splitting = SplittingService(master, self)
+        self.dispatcher = Dispatcher(
+            master.sim, master.run_stats, shard=shard, endpoint=master.endpoint
         )
-        self.splitting = SplittingService(
-            sim, config, endpoint, trace, run_stats,
-            node_ids, node_id, spawn_guarded, coordinator, shard,
-        )
-        self.dispatcher = Dispatcher(sim, run_stats, shard=shard, endpoint=endpoint)
         self.dispatcher.register(self.coherence)
         self.dispatcher.register(self.splitting)
 
 
 class MasterRuntime:
-    """Composition root for the master's shard pools and shared services."""
+    """Composition root for the master's shard pools and shared services.
+
+    Every service is built from this runtime and reads the shared state
+    (``sim``, ``config``, ``state``, ``placer``, ``node_ids``, ``finished``,
+    ...) and its sibling services from here at the time it needs them, so
+    construction order below carries no wiring — only the
+    ``RunStats.services`` row order (rows appear at registration and, with
+    retries armed, when a request-issuing service is built).
+    """
 
     def __init__(
         self,
@@ -120,10 +110,10 @@ class MasterRuntime:
         self.sim = sim
         self.config = config
         self.node = node
+        #: The job's tenant id, stamped onto every frame the services
+        #: originate (replies inherit it from the request automatically).
         self.tenant = tenant
-        # Every frame this runtime's services originate carries the job's
-        # tenant id; replies inherit it from the request automatically.
-        self.endpoint = TenantEndpoint(node.endpoint, tenant)
+        self.endpoint = node.endpoint
         self.node_ids = list(node_ids)
         self.home = home
         self.state = state
@@ -131,98 +121,47 @@ class MasterRuntime:
         self.run_stats = run_stats
         self.done = done
         self.trace = node.trace
-        self._finished = False
+        self.finished = False
         # Cluster failure view; None keeps every service on its
         # failure-blind, bit-identical code paths.
         self.failure_view = failure_view
 
-        spawn_guarded = self._spawn_guarded
-
         # -- shard pools (see docs/PROTOCOL.md "Sharded master") ----------------
-        self.coordinator = CrossShardCoordinator(
-            sim, config, self.endpoint, self.node_ids, view=failure_view
-        )
-        self.shards = [
-            MasterShard(
-                s, sim, config, self.endpoint, self.trace, run_stats, home,
-                self.node_ids, node.node_id, spawn_guarded, self.coordinator,
-                view=failure_view,
-            )
-            for s in range(config.master_shards)
-        ]
-        self.coordinator.bind(
-            [shard.coherence for shard in self.shards],
-            [shard.splitting for shard in self.shards],
-        )
+        self.coordinator = CrossShardCoordinator(self)
+        self.shards = [MasterShard(self, s) for s in range(config.master_shards)]
 
         # -- shared services (control shard 0) ---------------------------------
         # Forwarding spans the page space (consecutive stream pages interleave
         # over every shard); syscalls and futexes operate on the centralized
         # system state.  They live on shard 0's dispatcher, and control frames
         # (syscall_request has no page key) route there.
-        self.forwarding = ForwardingService(
-            sim, config, self.endpoint, self.trace, run_stats, spawn_guarded
-        )
-        self.futexes = FutexService(
-            self.endpoint, run_stats, config, spawn_guarded, view=failure_view
-        )
-        guest_mem = CoherentGuestMemory(self.coordinator)
-        self.syscalls = SyscallService(
-            sim, config, self.endpoint, self.trace, run_stats,
-            state, placer, self.node_ids, node.node_id,
-            guest_mem, self.futexes, self._finish, view=failure_view,
-        )
-        for shard in self.shards:
-            shard.coherence.bind(shard.splitting, self.forwarding)
-            shard.splitting.bind(shard.coherence)
-        self.forwarding.bind(self.coordinator)
+        self.forwarding = ForwardingService(self)
+        self.futexes = FutexService(self)
+        self.syscalls = SyscallService(self)
 
         # The failure domain exists only when armed: registering it eagerly
         # would add a zero "failure" row to every committed breakdown table.
         # Same rule for the checkpoint service (checkpoint_interval_ns set
-        # implies evacuation_enabled, so failure_view is always there too).
-        self.failure_domain: Optional[FailureDomainService] = None
-        self.checkpoint_service: Optional[CheckpointService] = None
-        self.heartbeat_service: Optional[HeartbeatService] = None
-        if failure_view is not None and config.checkpoint_interval_ns is not None:
-            self.checkpoint_service = CheckpointService(
-                sim, config, self.endpoint, run_stats, failure_view,
-            )
-            self.checkpoint_service.bind(
-                [shard.coherence for shard in self.shards]
-            )
-        if failure_view is not None:
-            self.failure_domain = FailureDomainService(
-                sim, config, self.endpoint, self.trace, run_stats,
-                state, failure_view, placer.candidates, node.node_id,
-                spawn_guarded, lambda: self._finished,
-            )
-            self.failure_domain.bind(
-                [shard.coherence for shard in self.shards],
-                self.syscalls.executor, self.futexes,
-                checkpoints=self.checkpoint_service,
-            )
-        if failure_view is not None and config.heartbeat_interval_ns is not None:
-            # Active liveness (docs/PROTOCOL.md "Failure detection"): lease
-            # expiry escalates through the shared HealthTracker, whose
-            # on_down callbacks the fleet wires to the failure domain —
-            # exactly the path an exhausted RPC budget takes.
-            self.heartbeat_service = HeartbeatService(
-                sim, config, self.endpoint, self.trace, run_stats,
-                node.endpoint.fabric.health, failure_view,
-                self.node_ids, node.node_id,
-                spawn_guarded, lambda: self._finished,
-            )
+        # implies evacuation_enabled, so failure_view is always there too)
+        # and for active liveness (docs/PROTOCOL.md "Failure detection").
+        armed = failure_view is not None
+        self.checkpoint_service = (
+            CheckpointService(self)
+            if armed and config.checkpoint_interval_ns is not None else None
+        )
+        self.failure_domain = FailureDomainService(self) if armed else None
+        self.heartbeat_service = (
+            HeartbeatService(self)
+            if armed and config.heartbeat_interval_ns is not None else None
+        )
 
         shard0 = self.shards[0]
-        for service in (self.syscalls, self.forwarding, self.futexes):
-            shard0.dispatcher.register(service)
-        if self.failure_domain is not None:
-            shard0.dispatcher.register(self.failure_domain)
-        if self.checkpoint_service is not None:
-            shard0.dispatcher.register(self.checkpoint_service)
-        if self.heartbeat_service is not None:
-            shard0.dispatcher.register(self.heartbeat_service)
+        for service in (
+            self.syscalls, self.forwarding, self.futexes,
+            self.failure_domain, self.checkpoint_service, self.heartbeat_service,
+        ):
+            if service is not None:
+                shard0.dispatcher.register(service)
 
         # Single-shard aliases (debugging, tests, unsharded call sites).
         self.coherence = shard0.coherence
@@ -254,7 +193,7 @@ class MasterRuntime:
 
     # -- lifecycle ------------------------------------------------------------
 
-    def _spawn_guarded(self, gen, name: str):
+    def spawn_guarded(self, gen, name: str):
         """Spawn a master process whose crashes surface as run failures."""
         return self.sim.spawn(self.node._guarded(gen), name=name)
 
@@ -263,7 +202,7 @@ class MasterRuntime:
         # unsharded manager-per-node spawn sequence (bit-identity).
         for nid in self.node_ids:
             for shard in self.shards:
-                self._spawn_guarded(
+                self.spawn_guarded(
                     self._manager(nid, shard), f"mgr{nid}.{shard.shard}@master"
                 )
         if self.heartbeat_service is not None:
@@ -275,7 +214,7 @@ class MasterRuntime:
         q = self.endpoint.subscribe(("mgr", self.tenant, nid, shard.shard))
         while True:
             msg = yield q.get()
-            if self._finished:
+            if self.finished:
                 # The guest is gone; drop the frame but keep the drop visible
                 # (a silently swallowed post-exit frame made races
                 # undiagnosable).
@@ -283,10 +222,11 @@ class MasterRuntime:
                 continue
             yield from shard.dispatcher.dispatch(msg)
 
-    def _finish(self, status: int) -> None:
+    def finish(self, status: int) -> None:
         self.trace.emit("run", self.node.node_id, f"exit_group({status})")
-        self._finished = True
+        self.finished = True
         for nid in self.node_ids:
-            self.endpoint.request(nid, Shutdown())  # acks intentionally unawaited
+            # Un-timed, acks intentionally unawaited.
+            self.endpoint.request(nid, Shutdown(tenant=self.tenant))
         if not self.done.triggered:
             self.done.succeed(status & 0xFF)

@@ -4,7 +4,9 @@ The master and node runtimes are composition roots over a set of
 *services*: each service owns one protocol subsystem (coherence, syscall
 delegation, futexes, splitting, forwarding, ...), declares the message
 kinds it handles, and exposes a generator ``handle(msg)`` run inside the
-owning runtime's manager/communicator process.  The :class:`Dispatcher`
+owning runtime's manager/communicator process.  Master-side services
+derive from :class:`MasterService`, which builds them from their runtime
+and owns the one path by which they originate frames.  The :class:`Dispatcher`
 routes inbound frames by kind and keeps uniform per-service counters
 (requests served, virtual-ns busy time) in
 :class:`~repro.core.stats.RunStats` so experiments can attribute
@@ -35,14 +37,23 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Generator, Optional, Protocol, runtime_checkable
+from typing import (
+    TYPE_CHECKING, Any, Callable, Generator, Optional, Protocol, Sequence,
+    runtime_checkable,
+)
 
-from repro.core.stats import RunStats, ServiceStats
+from repro.core.stats import RunStats
 from repro.errors import NetworkError, ProtocolError
 from repro.net.rpc import RpcTimeout
 from repro.sim.engine import Simulator
 
-__all__ = ["Service", "Dispatcher", "ServiceTimeout", "attribute_timeouts"]
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.master import MasterRuntime
+    from repro.net.messages import Message
+
+__all__ = [
+    "Service", "MasterService", "Dispatcher", "ServiceTimeout", "attribute_timeouts",
+]
 
 
 class ServiceTimeout(RpcTimeout):
@@ -101,6 +112,141 @@ class Service(Protocol):
 
     def handle(self, msg: Any) -> Generator[Any, Any, Any]:
         ...
+
+
+def _absorb(_event) -> None:
+    """No-op event callback: parks a possible failure until it is awaited.
+
+    The engine raises a failed event's exception out of ``step()`` when the
+    event has no callbacks (a failure nobody could see); a tolerant
+    :meth:`MasterService.gather` issues several requests before awaiting
+    any, so each needs a callback from the moment it is issued.  Awaiting
+    later still delivers the failure to the awaiting process (late
+    subscription re-fires)."""
+
+
+class MasterService:
+    """Shared plumbing of the master-side services — the twin of
+    :class:`~repro.core.services.nodeside._NodeService`.
+
+    A service is built from the :class:`~repro.core.master.MasterRuntime` it
+    belongs to and reads shared state (``master.state``, ``master.placer``,
+    ``master.node_ids``, ``master.finished``, ...) and its sibling services
+    (``master.forwarding``, ``master.coordinator``, ...) from there when it
+    needs them.  What every handler touches per frame is copied onto the
+    service once, here.
+
+    This class is also the one path by which the master originates frames:
+    :meth:`send` and :meth:`request` stamp the job's tenant id and carry the
+    configured timeout and retransmit budget; :meth:`call`, :meth:`ask` and
+    :meth:`gather` are the three ways of awaiting a request.
+    """
+
+    name = "master"
+    handled_kinds: frozenset[str] = frozenset()
+    #: False on the services that never issue a request (forwarding only
+    #: pushes; checkpoint and heartbeat only receive): they get no
+    #: retransmit counter sink, so their stats row appears at registration
+    #: whether or not retries are armed.
+    originates_requests = True
+
+    def __init__(self, master: "MasterRuntime") -> None:
+        self.master = master
+        self.sim = master.sim
+        self.config = master.config
+        self.endpoint = master.endpoint
+        self.trace = master.trace
+        self.run_stats = master.run_stats
+        self.tenant = master.tenant
+        self.node_id = master.node.node_id
+        # Cluster failure view: when set, work touching a confirmed-dead
+        # peer degrades (skip it, count it) instead of aborting the run.
+        # None keeps every code path and event schedule bit-identical to
+        # the failure-blind protocol.
+        self.view = master.failure_view
+        # Loss recovery for the requests this service issues.  Resolved
+        # once; the stats row is looked up only when armed, so default runs
+        # create no extra RunStats entries.
+        self.retry = (
+            self.config.nested_retry_policy() if self.originates_requests else None
+        )
+        self.retry_stats = self.run_stats.service(self.name) if self.retry else None
+
+    def handle(self, msg):
+        """Default for the internal services driven by their siblings."""
+        raise NotImplementedError(f"{self.name} service handles no inbound kinds")
+        yield  # pragma: no cover - generator protocol
+
+    # -- failure view -----------------------------------------------------------
+
+    def _dead(self, node: int) -> bool:
+        return self.view is not None and self.view.is_failed(node)
+
+    def live(self, peers: Sequence[int]) -> Sequence[int]:
+        """``peers`` minus the ones the failure view has latched failed."""
+        if self.view is None:
+            return peers
+        return [n for n in peers if not self.view.is_failed(n)]
+
+    # -- originating frames -----------------------------------------------------
+
+    def send(self, dst: int, msg: "Message") -> None:
+        """Fire-and-forget transmission on behalf of this job."""
+        msg.tenant = self.tenant
+        self.endpoint.send(dst, msg)
+
+    def request(self, dst: int, msg: "Message"):
+        """Issue one RPC with the configured timeout and retransmit budget
+        (retransmits billed to this service's row); returns the reply event."""
+        msg.tenant = self.tenant
+        return self.endpoint.request(
+            dst, msg, timeout_ns=self.config.rpc_timeout_ns,
+            retry=self.retry, stats=self.retry_stats,
+        )
+
+    def call(self, dst: int, msg: "Message"):
+        """:meth:`request`, awaited, its timeout attributed to this service
+        (for processes running outside a dispatch)."""
+        with attribute_timeouts(self.name):
+            return (yield self.request(dst, msg))
+
+    def _reply_or_none(self, peer: int, reply_event):
+        """Await a request issued to ``peer``, tolerating it dying mid-call.
+
+        Returns the reply, or ``None`` when the call timed out against a
+        peer the failure detector has confirmed dead.  Timeouts against live
+        peers still raise — a slow peer is not a dead one."""
+        try:
+            return (yield reply_event)
+        except RpcTimeout:
+            if not self._dead(peer):
+                raise
+            return None
+
+    def ask(self, peer: int, msg: "Message"):
+        """Request/await; ``None`` if ``peer`` died mid-call."""
+        return (yield from self._reply_or_none(peer, self.request(peer, msg)))
+
+    def gather(self, peers: Sequence[int], make_msg: Callable[[int], "Message"]):
+        """Issue ``make_msg(peer)`` to every peer, then await them all.
+
+        Returns ``(acks, skipped)``: the replies in peer order and how many
+        peers died mid-call and were skipped (the caller decides whether
+        that is billed).  All requests go out before any is awaited.
+        Failure-blind, that is one ``all_of``; with a view each request is
+        absorbed and awaited in turn so a peer's death costs its ack, not
+        the transaction."""
+        requests = [self.request(n, make_msg(n)) for n in peers]
+        if self.view is None:
+            return (yield self.sim.all_of(requests)), 0
+        for ev in requests:
+            ev.add_callback(_absorb)
+        acks = []
+        for n, ev in zip(peers, requests):
+            ack = yield from self._reply_or_none(n, ev)
+            if ack is not None:
+                acks.append(ack)
+        return acks, len(requests) - len(acks)
 
 
 class Dispatcher:
@@ -164,9 +310,6 @@ class Dispatcher:
             return self._routes[kind]
         except KeyError:
             raise ProtocolError(f"no service registered for kind {kind!r}") from None
-
-    def stats_of(self, service: Service) -> ServiceStats:
-        return self.run_stats.service(service.name)
 
     # -- replay detection -------------------------------------------------------
 

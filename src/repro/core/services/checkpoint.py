@@ -29,48 +29,28 @@ set, so default runs create no stats row and stay bit-identical.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
-from repro.core.config import DQEMUConfig
-from repro.core.stats import RunStats
-from repro.mem.sharding import shard_of
-from repro.net.endpoint import Endpoint
+from repro.core.services.base import MasterService
 from repro.net.messages import Ack
-from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.services.coherence import CoherenceService
-    from repro.net.health import ClusterHealthView
+    from repro.core.master import MasterRuntime
 
 __all__ = ["CheckpointService"]
 
 
-class CheckpointService:
+class CheckpointService(MasterService):
     name = "checkpoint"
     handled_kinds = frozenset({"checkpoint"})
+    originates_requests = False  # only receives
 
-    def __init__(
-        self,
-        sim: Simulator,
-        config: DQEMUConfig,
-        endpoint: Endpoint,
-        run_stats: RunStats,
-        view: "ClusterHealthView",
-    ) -> None:
-        self.sim = sim
-        self.config = config
-        self.endpoint = endpoint
-        self.run_stats = run_stats
-        self.view = view
+    def __init__(self, master: "MasterRuntime") -> None:
+        super().__init__(master)
         # Newest snapshot per tid: tid -> (taken_ns, context).  Checkpointing
         # requires evacuation_enabled, which forces a single-job fleet, so
         # the store needs no tenant key.
         self.store: dict[int, tuple[int, Any]] = {}
-        # Bound by the composition root once the shard pools exist.
-        self.coherences: List["CoherenceService"] = []
-
-    def bind(self, coherences: List["CoherenceService"]) -> None:
-        self.coherences = list(coherences)
 
     # -- snapshot store ---------------------------------------------------------
 
@@ -89,9 +69,9 @@ class CheckpointService:
         """Fold flushed page bytes into the home copies (consistent-cut rule:
         only while the sender still owns the page, under the page lock)."""
         proto = self.run_stats.protocol
-        nshards = max(1, len(self.coherences))
+        coherence_of = self.master.coordinator.coherence_of
         for page, data in pages:
-            coherence = self.coherences[shard_of(page, nshards)]
+            coherence = coherence_of(page)
             lock = coherence.lock(page)
             yield lock.acquire()
             try:

@@ -19,38 +19,21 @@ protocol.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Generator, Optional
+from typing import TYPE_CHECKING, Generator
 
-from repro.core.config import DQEMUConfig
-from repro.core.stats import RunStats
+from repro.core.services.base import MasterService
 from repro.mem.directory import Directory
 from repro.mem.layout import PAGE_SIZE, page_of, page_offset
 from repro.mem.msi import MSIState
-from repro.mem.pagestore import PageStore
 from repro.mem.protocols import make_policy
-from repro.net.endpoint import Endpoint
 from repro.net.messages import Invalidate, PageData, WriteBack
-from repro.net.rpc import RpcTimeout
-from repro.sim.engine import Simulator
 from repro.sim.sync import SimLock
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.master import MasterRuntime, MasterShard
     from repro.core.services.coordinator import CrossShardCoordinator
-    from repro.core.services.forwarding import ForwardingService
-    from repro.core.services.splitting import SplittingService
-    from repro.net.health import ClusterHealthView
 
 __all__ = ["CoherenceService", "CoherentGuestMemory"]
-
-
-def _absorb(_event) -> None:
-    """No-op event callback: parks a possible failure until it is awaited.
-
-    The engine raises a failed event's exception out of ``step()`` when the
-    event has no callbacks (a failure nobody could see); the tolerant gather
-    below issues several requests before awaiting any, so each needs a
-    callback from the moment it is issued.  Awaiting later still delivers
-    the failure to the awaiting process (late subscription re-fires)."""
 
 
 class CoherentGuestMemory:
@@ -105,50 +88,21 @@ class CoherentGuestMemory:
         return None
 
 
-class CoherenceService:
+class CoherenceService(MasterService):
     name = "coherence"
     handled_kinds = frozenset({"page_request"})
 
-    def __init__(
-        self,
-        sim: Simulator,
-        config: DQEMUConfig,
-        endpoint: Endpoint,
-        trace,
-        run_stats: RunStats,
-        home: PageStore,
-        view: Optional["ClusterHealthView"] = None,
-    ) -> None:
-        self.sim = sim
-        self.config = config
-        self.endpoint = endpoint
-        self.trace = trace
-        self.run_stats = run_stats
-        self.home = home
-        # Cluster failure view: when set, transactions touching a
-        # confirmed-dead peer degrade (skip it, count it) instead of
-        # aborting the run.  None keeps every code path and event schedule
-        # bit-identical to the failure-blind protocol.
-        self.view = view
+    def __init__(self, master: "MasterRuntime", shard: "MasterShard") -> None:
+        super().__init__(master)
+        self.shard = shard
+        self.home = master.home
         self.directory = Directory()
         # Per-page protocol decisions (docs/PROTOCOL.md "Coherence
         # protocols").  One policy per shard: its state is page-keyed and
         # pages are shard-disjoint.  The default MSI policy is stateless
         # no-ops — bit-identical behavior.
-        self.policy = make_policy(config)
-        # Loss recovery for the requests this service issues (invalidates,
-        # write-backs).  Resolved once; stats binding only when armed, so
-        # default runs create no extra RunStats entries.
-        self.retry = config.nested_retry_policy()
-        self.retry_stats = run_stats.service(self.name) if self.retry else None
+        self.policy = make_policy(self.config)
         self._page_locks: dict[int, SimLock] = {}
-        # Bound by the composition root (MasterRuntime.__init__).
-        self.splitting: "SplittingService" = None  # type: ignore[assignment]
-        self.forwarding: "ForwardingService" = None  # type: ignore[assignment]
-
-    def bind(self, splitting: "SplittingService", forwarding: "ForwardingService") -> None:
-        self.splitting = splitting
-        self.forwarding = forwarding
 
     # -- failure-domain degradation (docs/PROTOCOL.md "Failure domains") -------
 
@@ -167,54 +121,35 @@ class CoherenceService:
             self.trace.emit("page", node, "home reverted to master", page=page)
         return self.directory.evict_node(node)
 
-    def _dead(self, node: int) -> bool:
-        return self.view is not None and self.view.is_failed(node)
+    def _pull(self, peer: int, msg):
+        """Ask ``peer`` to give up (``Invalidate``) or clean (``WriteBack``)
+        its copy of ``msg.page`` and fold any dirty data into the home copy.
 
-    def _ask(self, peer: int, msg):
-        """Request/await tolerating the peer dying mid-call.
-
-        Returns the ack, or ``None`` when the call timed out against a peer
-        the failure detector has confirmed dead (the caller proceeds with
-        the home copy).  Timeouts against live peers still raise — a slow
-        peer is not a dead one."""
-        try:
-            ack = yield self.endpoint.request(
-                peer, msg,
-                timeout_ns=self.config.rpc_timeout_ns,
-                retry=self.retry, stats=self.retry_stats,
-            )
-        except RpcTimeout:
-            if not self._dead(peer):
-                raise
+        A clean Exclusive holder acks without payload (the home copy is
+        still current); a peer that died mid-call is counted and the home
+        copy stands."""
+        ack = yield from self.ask(peer, msg)
+        if ack is None:
             self.run_stats.protocol.dead_peer_skips += 1
-            return None
-        return ack
+        elif ack.data is not None:
+            self.home_install(msg.page, ack.data)
 
-    def _gather_tolerant(self, targets: list[int], make_msg):
-        """Issue one request per target, await all, skip confirmed-dead peers.
-
-        All requests go out before any is awaited (same concurrency as the
-        ``all_of`` fast path); each gets an ``_absorb`` callback immediately
-        so a failure arriving while an earlier request is being awaited
-        cannot escape the simulator loop unobserved."""
-        pairs = []
-        for n in targets:
-            ev = self.endpoint.request(
-                n, make_msg(n),
-                timeout_ns=self.config.rpc_timeout_ns,
-                retry=self.retry, stats=self.retry_stats,
+    def _invalidate(self, page: int, peers, owner=None):
+        """Invalidate ``page`` on every live peer (pulling ``owner``'s data
+        home), billing the dead ones; returns the peers that were asked."""
+        proto = self.run_stats.protocol
+        live = self.live(peers)
+        proto.dead_peer_skips += len(peers) - len(live)
+        if live:
+            acks, skipped = yield from self.gather(
+                live, lambda n: Invalidate(page=page, want_data=(n == owner))
             )
-            ev.add_callback(_absorb)
-            pairs.append((n, ev))
-        acks = []
-        for n, ev in pairs:
-            try:
-                acks.append((yield ev))
-            except RpcTimeout:
-                if not self._dead(n):
-                    raise
-                self.run_stats.protocol.dead_peer_skips += 1
-        return acks
+            proto.dead_peer_skips += skipped
+            for ack in acks:
+                if ack.data is not None:
+                    self.home_install(page, ack.data)
+            proto.invalidations += len(live)
+        return live
 
     # -- per-page serialization ---------------------------------------------
 
@@ -261,11 +196,7 @@ class CoherenceService:
                 self.directory.downgrade_owner(page)
                 owner = None
             if owner is not None:
-                ack = yield from self._ask(owner, WriteBack(page=page))
-                # A clean Exclusive holder acks without payload (the home
-                # copy is still current); only dirty data is installed.
-                if ack is not None and ack.data is not None:
-                    self.home_install(page, ack.data)
+                yield from self._pull(owner, WriteBack(page=page))
                 self.directory.downgrade_owner(page)
                 self.run_stats.protocol.downgrades += 1
         finally:
@@ -283,42 +214,18 @@ class CoherenceService:
         """Invalidate every copy, pulling the owner's data home first.
 
         Caller holds the page's lock."""
-        owner = self.directory.owner(page)
-        holders = self.directory.holders(page)
-        if self.view is not None:
-            dead = [n for n in holders if self.view.is_failed(n)]
-            if dead:
-                self.run_stats.protocol.dead_peer_skips += len(dead)
-                holders = tuple(n for n in holders if n not in dead)
-        if holders:
-            if self.view is None:
-                acks = yield self.sim.all_of(
-                    [
-                        self.endpoint.request(
-                            n, Invalidate(page=page, want_data=(n == owner)),
-                            timeout_ns=self.config.rpc_timeout_ns,
-                            retry=self.retry, stats=self.retry_stats,
-                        )
-                        for n in holders
-                    ]
-                )
-            else:
-                acks = yield from self._gather_tolerant(
-                    list(holders),
-                    lambda n: Invalidate(page=page, want_data=(n == owner)),
-                )
-            for ack in acks:
-                if ack.data is not None:
-                    self.home_install(page, ack.data)
-            for n in holders:
-                self.trace.emit("page", n, "invalidate", page=page)
-            self.run_stats.protocol.invalidations += len(holders)
+        asked = yield from self._invalidate(
+            page, self.directory.holders(page), owner=self.directory.owner(page)
+        )
+        for n in asked:
+            self.trace.emit("page", n, "invalidate", page=page)
         self.directory.invalidate_all(page)
 
     # -- page requests (§4.2) ------------------------------------------------------
 
     def handle(self, msg):
         cfg = self.config
+        splitting = self.shard.splitting
         page, node, write = msg.page, msg.src, msg.write
         proto = self.run_stats.protocol
         if self._dead(node):
@@ -341,7 +248,7 @@ class CoherenceService:
             # directory-lookup ack (home is fresh for any shared page).
             if (
                 not write
-                and self.splitting.entry(page) is None
+                and splitting.entry(page) is None
                 and self.directory.plan(node, page, write=False).already_granted
             ):
                 yield self.sim.timeout(cfg.dsm_fast_service_ns)
@@ -369,7 +276,7 @@ class CoherenceService:
                 yield self.sim.timeout(cfg.dsm_service_ns)
 
             # Requests racing a split/merge retry against the new table.
-            if self.splitting.entry(page) is not None or self.splitting.is_retired(page):
+            if splitting.entry(page) is not None or splitting.is_retired(page):
                 proto.split_retry_replies += 1
                 self.endpoint.reply(msg, PageData(page=page, retry=True))
                 return
@@ -377,7 +284,7 @@ class CoherenceService:
             # False-sharing detection on write traffic (§5.1) lives in the
             # splitting service; a performed split answers with a retry.
             if cfg.splitting_enabled and write:
-                did_split = yield from self.splitting.observe_write(
+                did_split = yield from splitting.observe_write(
                     page, node, msg.offset, msg.size
                 )
                 if did_split:
@@ -408,37 +315,16 @@ class CoherenceService:
                 fetch_from = None
             if fetch_from is not None:
                 if write:
-                    ack = yield from self._ask(
+                    yield from self._pull(
                         fetch_from, Invalidate(page=page, want_data=True)
                     )
                     proto.invalidations += 1
                 else:
-                    ack = yield from self._ask(fetch_from, WriteBack(page=page))
+                    yield from self._pull(fetch_from, WriteBack(page=page))
                     proto.downgrades += 1
-                if ack is not None and ack.data is not None:
-                    self.home_install(page, ack.data)
             others = [n for n in plan.invalidate if n != plan.fetch_from]
-            if self.view is not None:
-                live = [n for n in others if not self.view.is_failed(n)]
-                proto.dead_peer_skips += len(others) - len(live)
-                others = live
             if others:
-                if self.view is None:
-                    yield self.sim.all_of(
-                        [
-                            self.endpoint.request(
-                                n, Invalidate(page=page, want_data=False),
-                                timeout_ns=cfg.rpc_timeout_ns,
-                                retry=self.retry, stats=self.retry_stats,
-                            )
-                            for n in others
-                        ]
-                    )
-                else:
-                    yield from self._gather_tolerant(
-                        others, lambda n: Invalidate(page=page, want_data=False)
-                    )
-                proto.invalidations += len(others)
+                yield from self._invalidate(page, others)
 
             if self._dead(node):
                 # The requester died while we were serving it: do not commit
@@ -484,4 +370,4 @@ class CoherenceService:
             lock.release()
 
         if cfg.forwarding_enabled and not write:
-            self.forwarding.note_read(node, page)
+            self.master.forwarding.note_read(node, page)

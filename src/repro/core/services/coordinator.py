@@ -36,67 +36,30 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.config import DQEMUConfig
 from repro.mem.sharding import shard_of
-from repro.net.endpoint import Endpoint
 from repro.net.messages import SplitTableUpdate
-from repro.net.rpc import RpcTimeout
-from repro.sim.engine import Simulator
 from repro.sim.sync import SimLock
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.master import MasterRuntime
     from repro.core.services.coherence import CoherenceService
     from repro.core.services.splitting import SplittingService
     from repro.mem.splitmap import SplitEntry
-    from repro.net.health import ClusterHealthView
 
 __all__ = ["CrossShardCoordinator"]
-
-
-def _absorb(_event) -> None:
-    """No-op callback: keeps an unawaited failed request from killing the sim
-    (the engine raises a failed event's error if nothing observed it)."""
 
 
 class CrossShardCoordinator:
     """Routes per-page operations to their shard and orders cross-shard ones."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        config: DQEMUConfig,
-        endpoint: Endpoint,
-        node_ids: list[int],
-        view: Optional["ClusterHealthView"] = None,
-    ) -> None:
-        self.sim = sim
-        self.config = config
-        self.endpoint = endpoint
-        self.node_ids = list(node_ids)
-        # Cluster failure view (None = failure-blind, bit-identical paths).
-        self.view = view
-        self.nshards = config.master_shards
-        # Bound by the composition root once the shard pools exist.
-        self.coherences: list["CoherenceService"] = []
-        self.splittings: list["SplittingService"] = []
+    def __init__(self, master: "MasterRuntime") -> None:
+        self.master = master
+        self.nshards = master.config.master_shards
         # Broadcast serialization: only needed (and only constructed) for
         # K > 1 — see the module docstring on why K == 1 must not lock.
         self._broadcast_lock: Optional[SimLock] = (
-            SimLock(sim) if self.nshards > 1 else None
+            SimLock(master.sim) if self.nshards > 1 else None
         )
-
-    def bind(
-        self,
-        coherences: list["CoherenceService"],
-        splittings: list["SplittingService"],
-    ) -> None:
-        if len(coherences) != self.nshards or len(splittings) != self.nshards:
-            raise ValueError(
-                f"coordinator for {self.nshards} shards bound to "
-                f"{len(coherences)} coherence / {len(splittings)} splitting services"
-            )
-        self.coherences = list(coherences)
-        self.splittings = list(splittings)
 
     # -- per-page shard resolution -------------------------------------------
 
@@ -104,10 +67,10 @@ class CrossShardCoordinator:
         return shard_of(page, self.nshards)
 
     def coherence_of(self, page: int) -> "CoherenceService":
-        return self.coherences[shard_of(page, self.nshards)]
+        return self.master.shards[shard_of(page, self.nshards)].coherence
 
     def splitting_of(self, page: int) -> "SplittingService":
-        return self.splittings[shard_of(page, self.nshards)]
+        return self.master.shards[shard_of(page, self.nshards)].splitting
 
     def split_entry(self, page: int) -> Optional["SplitEntry"]:
         return self.splitting_of(page).entry(page)
@@ -119,15 +82,16 @@ class CrossShardCoordinator:
 
     def split_table_snapshot(self) -> tuple["SplitEntry", ...]:
         """Union of every shard's split-table entries (deterministic order)."""
+        shards = self.master.shards
         if self.nshards == 1:
-            return self.splittings[0].split.clone_state()
+            return shards[0].splitting.split.clone_state()
         entries: list["SplitEntry"] = []
-        for splitting in self.splittings:
-            entries.extend(splitting.split.clone_state())
+        for shard in shards:
+            entries.extend(shard.splitting.split.clone_state())
         entries.sort(key=lambda e: e.orig_page)
         return tuple(entries)
 
-    def broadcast_split_table(self, retry=None, stats=None):
+    def broadcast_split_table(self, via: "SplittingService"):
         """Push the full (union) split table to every node, serialized.
 
         Nodes replace their whole table on each ``SplitTableUpdate``, so
@@ -135,54 +99,22 @@ class CrossShardCoordinator:
         frame would clobber the earlier shard's change with a stale union.
         The caller still holds its shard's page locks for the split/merge
         being published — broadcast order is therefore also the publication
-        order of table changes.  ``retry``/``stats`` are the *calling*
-        splitting service's loss-recovery policy and counter sink — the
-        coordinator issues the frames, the shard's service owns the traffic.
+        order of table changes.  ``via`` is the *calling* splitting service:
+        the coordinator orders the broadcast, the shard's service issues the
+        frames and owns the traffic (its retry policy, its counter sink).
         """
-        if self._broadcast_lock is None:
-            # Single shard: the unsharded fast path, bit-identical to the
-            # pre-sharding master (no lock event is ever scheduled).
-            acks = yield from self._send_update(
-                self.split_table_snapshot(), retry, stats
-            )
-            return acks
-        yield self._broadcast_lock.acquire()
+        lock = self._broadcast_lock
+        if lock is not None:  # K == 1 has none: see the module docstring
+            yield lock.acquire()
         try:
-            acks = yield from self._send_update(
-                self.split_table_snapshot(), retry, stats
+            entries = self.split_table_snapshot()
+            # A node that dies with the broadcast in flight must not abort
+            # the split/merge — its table copy dies with it, nothing is billed.
+            acks, _skipped = yield from via.gather(
+                via.live(self.master.node_ids),
+                lambda _n: SplitTableUpdate(entries=entries),
             )
             return acks
         finally:
-            self._broadcast_lock.release()
-
-    def _send_update(self, entries: tuple["SplitEntry", ...], retry=None, stats=None):
-        view = self.view
-        targets = (
-            self.node_ids if view is None
-            else [n for n in self.node_ids if not view.is_failed(n)]
-        )
-        reqs = [
-            self.endpoint.request(
-                nid, SplitTableUpdate(entries=entries),
-                timeout_ns=self.config.rpc_timeout_ns,
-                retry=retry, stats=stats,
-            )
-            for nid in targets
-        ]
-        if view is None:
-            acks = yield self.sim.all_of(reqs)
-            return acks
-        # Failure-tolerant gather: a node that dies with the broadcast in
-        # flight must not abort the split/merge — its table copy dies with
-        # it.  Requests are all issued above; absorbing each event keeps a
-        # late timeout from raising out of the engine unobserved.
-        for ev in reqs:
-            ev.add_callback(_absorb)
-        acks = []
-        for nid, ev in zip(targets, reqs):
-            try:
-                acks.append((yield ev))
-            except RpcTimeout:
-                if not view.is_failed(nid):
-                    raise
-        return acks
+            if lock is not None:
+                lock.release()

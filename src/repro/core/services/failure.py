@@ -26,82 +26,30 @@ create no stats row and stay bit-identical.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING
 
-from repro.core.config import DQEMUConfig
-from repro.core.services.base import attribute_timeouts
-from repro.core.stats import FailureStats, NodeFailure, RunStats
-from repro.kernel.syscalls import SystemState
+from repro.core.services.base import MasterService
+from repro.core.stats import FailureStats, NodeFailure
 from repro.kernel.threads import ThreadState
-from repro.net.endpoint import Endpoint
 from repro.net.messages import Ack, SpawnThread, StartDrain
-from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.services.checkpoint import CheckpointService
-    from repro.core.services.coherence import CoherenceService
-    from repro.core.services.futexes import FutexService
-    from repro.kernel.syscalls import SyscallExecutor
-    from repro.net.health import ClusterHealthView
+    from repro.core.master import MasterRuntime
 
 __all__ = ["FailureDomainService"]
 
 A0 = 10
 
 
-class FailureDomainService:
+class FailureDomainService(MasterService):
     name = "failure"
     handled_kinds = frozenset({"evacuate_thread", "drain_complete"})
 
-    def __init__(
-        self,
-        sim: Simulator,
-        config: DQEMUConfig,
-        endpoint: Endpoint,
-        trace,
-        run_stats: RunStats,
-        state: SystemState,
-        view: "ClusterHealthView",
-        candidates: list[int],
-        node_id: int,
-        spawn_guarded: Callable,
-        finished: Callable[[], bool],
-    ) -> None:
-        self.sim = sim
-        self.config = config
-        self.endpoint = endpoint
-        self.trace = trace
-        self.run_stats = run_stats
-        self.state = state
-        self.view = view
-        self.candidates = list(candidates)
-        self.node_id = node_id
-        self.spawn_guarded = spawn_guarded
-        self.finished = finished
+    def __init__(self, master: "MasterRuntime") -> None:
+        super().__init__(master)
+        self.state = master.state
         self.failures = FailureStats()
-        self.retry = config.nested_retry_policy()
-        self.retry_stats = run_stats.service(self.name) if self.retry else None
         self._evac_rr = 0  # round-robin cursor over evacuation targets
-        # Bound by the composition root once the shard pools exist.
-        self.coherences: List["CoherenceService"] = []
-        self.executor: Optional["SyscallExecutor"] = None
-        self.futex_service: Optional["FutexService"] = None
-        # Checkpoint store (docs/PROTOCOL.md "Checkpoint/restore"); None
-        # unless checkpoint_interval_ns is armed — recovery then reaps
-        # running threads exactly as before.
-        self.checkpoints: Optional["CheckpointService"] = None
-
-    def bind(
-        self,
-        coherences: List["CoherenceService"],
-        executor: "SyscallExecutor",
-        futexes: "FutexService",
-        checkpoints: Optional["CheckpointService"] = None,
-    ) -> None:
-        self.coherences = list(coherences)
-        self.executor = executor
-        self.futex_service = futexes
-        self.checkpoints = checkpoints
 
     # -- crash recovery ---------------------------------------------------------
 
@@ -114,7 +62,7 @@ class FailureDomainService:
         directory already evicted.  Thread recovery needs the clock (guest
         memory writes, spawn round trips) and runs as a spawned process.
         """
-        if node == self.node_id or node in self.failures.nodes or self.finished():
+        if node == self.node_id or node in self.failures.nodes or self.master.finished:
             return
         self.view.mark_failed(node)
         # Calls still waiting out retry budgets against the corpse cannot
@@ -131,8 +79,8 @@ class FailureDomainService:
         self.failures.nodes[node] = rec
         stats = self.run_stats.service(self.name)
         stats.requests += 1
-        for coherence in self.coherences:
-            rehomed, lost = coherence.evict_node(node)
+        for shard in self.master.shards:
+            rehomed, lost = shard.coherence.evict_node(node)
             rec.rehomed_pages += len(rehomed)
             rec.lost_pages += len(lost)
         stats.rehomed_pages += rec.rehomed_pages
@@ -142,7 +90,7 @@ class FailureDomainService:
             f"declared dead: {rec.rehomed_pages} pages re-homed, "
             f"{rec.lost_pages} lost",
         )
-        self.spawn_guarded(self._recover(node, rec), f"recover-n{node}@master")
+        self.master.spawn_guarded(self._recover(node, rec), f"recover-n{node}@master")
 
     def _recover(self, node: int, rec: NodeFailure):
         """Re-home every thread the dead node was running or parking."""
@@ -166,19 +114,15 @@ class FailureDomainService:
                 self.trace.emit(
                     "thread", target, f"evacuated from dead n{node}", tid=tid
                 )
-                with attribute_timeouts(self.name):
-                    yield self.endpoint.request(
-                        target, SpawnThread(tid=tid, context=context),
-                        timeout_ns=self.config.rpc_timeout_ns,
-                        retry=self.retry, stats=self.retry_stats,
-                    )
+                yield from self.call(target, SpawnThread(tid=tid, context=context))
                 rec.evacuated.append((tid, target))
                 stats.evacuations += 1
                 continue
-            snap = (
-                self.checkpoints.take(tid)
-                if self.checkpoints is not None else None
-            )
+            # Checkpoint store (docs/PROTOCOL.md "Checkpoint/restore"): None
+            # unless checkpoint_interval_ns is armed — recovery then reaps
+            # running threads.
+            checkpoints = self.master.checkpoint_service
+            snap = checkpoints.take(tid) if checkpoints is not None else None
             if snap is not None:
                 # A live checkpoint: roll the thread back to its last
                 # consistent cut and re-place it — the re-executed span
@@ -195,12 +139,7 @@ class FailureDomainService:
                     f"restored from checkpoint (rollback "
                     f"{rollback_ns / 1000:.1f}us)", tid=tid,
                 )
-                with attribute_timeouts(self.name):
-                    yield self.endpoint.request(
-                        target, SpawnThread(tid=tid, context=context),
-                        timeout_ns=self.config.rpc_timeout_ns,
-                        retry=self.retry, stats=self.retry_stats,
-                    )
+                yield from self.call(target, SpawnThread(tid=tid, context=context))
                 rec.restored.append((tid, target, rollback_ns))
                 stats.restores += 1
             else:
@@ -209,8 +148,8 @@ class FailureDomainService:
                 # it unblock with the loss reported instead of hanging.
                 if waiter is not None:
                     self.state.futexes.remove(tid)
-                result = yield from self.executor.reap_thread(tid, 137)
-                self.futex_service.wake(result.woken)
+                result = yield from self.master.syscalls.executor.reap_thread(tid, 137)
+                self.master.futexes.wake(result.woken)
                 rec.lost.append((tid, "context lost in crash"))
                 stats.lost_threads += 1
                 self.trace.emit(
@@ -231,7 +170,7 @@ class FailureDomainService:
         """
         healthy: list[int] = []
         suspect: list[int] = []
-        for n in self.candidates:
+        for n in self.master.placer.candidates:
             if n == exclude or not self.view.usable(n):
                 continue
             (suspect if self.view.is_suspect(n) else healthy).append(n)
@@ -257,22 +196,16 @@ class FailureDomainService:
 
     def start_drain(self, node: int) -> None:
         """Order ``node`` to evacuate itself (FaultPlan.drain schedules)."""
-        if node in self.failures.nodes or self.finished():
+        if node in self.failures.nodes or self.master.finished:
             return
         self.view.mark_draining(node)
         rec = NodeFailure(node=node, kind="drain", detected_ns=self.sim.now)
         self.failures.nodes[node] = rec
         self.run_stats.service(self.name).requests += 1
         self.trace.emit("node", node, "drain ordered")
-        self.spawn_guarded(self._order_drain(node), f"drain-n{node}@master")
-
-    def _order_drain(self, node: int):
-        with attribute_timeouts(self.name):
-            yield self.endpoint.request(
-                node, StartDrain(),
-                timeout_ns=self.config.rpc_timeout_ns,
-                retry=self.retry, stats=self.retry_stats,
-            )
+        self.master.spawn_guarded(
+            self.call(node, StartDrain()), f"drain-n{node}@master"
+        )
 
     # -- inbound frames ---------------------------------------------------------
 
@@ -297,12 +230,7 @@ class FailureDomainService:
             )
         self.state.threads.move(msg.tid, target)
         self.run_stats.service(self.name).evacuations += 1
-        with attribute_timeouts(self.name):
-            yield self.endpoint.request(
-                target, SpawnThread(tid=msg.tid, context=msg.context),
-                timeout_ns=self.config.rpc_timeout_ns,
-                retry=self.retry, stats=self.retry_stats,
-            )
+        yield from self.call(target, SpawnThread(tid=msg.tid, context=msg.context))
         self.endpoint.reply(msg, Ack())
 
     def _on_drain_complete(self, msg):

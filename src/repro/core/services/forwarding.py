@@ -8,53 +8,31 @@ paced against the target's downlink backlog.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator
+from typing import TYPE_CHECKING
 
-from repro.core.config import DQEMUConfig
 from repro.core.forwarding import ReadAheadEngine
-from repro.core.stats import RunStats
-from repro.net.endpoint import Endpoint
+from repro.core.services.base import MasterService
 from repro.net.messages import PagePush
-from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.services.coordinator import CrossShardCoordinator
+    from repro.core.master import MasterRuntime
 
 __all__ = ["ForwardingService"]
 
 
-class ForwardingService:
+class ForwardingService(MasterService):
     name = "forwarding"
     handled_kinds = frozenset()  # internal: driven by the coherence service
+    originates_requests = False  # pushes are fire-and-forget sends
 
-    def __init__(
-        self,
-        sim: Simulator,
-        config: DQEMUConfig,
-        endpoint: Endpoint,
-        trace,
-        run_stats: RunStats,
-        spawn_guarded: Callable[[Generator, str], object],
-    ) -> None:
-        self.sim = sim
-        self.config = config
-        self.endpoint = endpoint
-        self.trace = trace
-        self.run_stats = run_stats
-        self.spawn_guarded = spawn_guarded
+    def __init__(self, master: "MasterRuntime") -> None:
+        super().__init__(master)
+        config = self.config
         self.readahead = ReadAheadEngine(
             trigger=config.forwarding_trigger,
             initial_window=config.forwarding_initial_window,
             max_window=config.forwarding_max_window,
         )
-        self.coordinator: "CrossShardCoordinator" = None  # type: ignore[assignment]
-
-    def bind(self, coordinator: "CrossShardCoordinator") -> None:
-        self.coordinator = coordinator
-
-    def handle(self, msg):  # pragma: no cover - no wire-facing kinds
-        raise NotImplementedError("forwarding service handles no inbound kinds")
-        yield
 
     # -- stream detection (fed by the coherence service on read grants) ---------
 
@@ -66,7 +44,7 @@ class ForwardingService:
             # serving this node's demand requests.
             stats = self.run_stats.service(self.name)
             stats.requests += 1
-            self.spawn_guarded(self._pusher(node, pushes), f"pusher->{node}")
+            self.master.spawn_guarded(self._pusher(node, pushes), f"pusher->{node}")
 
     def _pusher(self, node: int, pages: list[int]):
         """Forward pages ahead of a detected sequential stream (§5.2).
@@ -81,7 +59,7 @@ class ForwardingService:
         trigger); each pushed page resolves to its owning shard's coherence
         service and is handled entirely under that one shard's page lock.
         """
-        coord = self.coordinator
+        coord = self.master.coordinator
         proto = self.run_stats.protocol
         stats = self.run_stats.service(self.name)
         fabric = self.endpoint.fabric
@@ -108,7 +86,7 @@ class ForwardingService:
                     yield self.sim.timeout(self.config.forwarding_push_ns)
                     co.directory.commit(node, p, write=False)
                     self.trace.emit("push", node, "forwarded", page=p)
-                    self.endpoint.send(node, PagePush(page=p, data=co.home_snapshot(p)))
+                    self.send(node, PagePush(page=p, data=co.home_snapshot(p)))
                     proto.pages_forwarded += 1
                 finally:
                     lock.release()

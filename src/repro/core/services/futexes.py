@@ -20,47 +20,16 @@ and therefore every timing — bit-identical.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator, Optional
-
-from repro.core.config import DQEMUConfig
-from repro.core.services.base import ServiceTimeout, attribute_timeouts
-from repro.core.stats import RunStats
+from repro.core.services.base import MasterService, attribute_timeouts
 from repro.kernel.futex import Waiter
-from repro.net.endpoint import Endpoint
 from repro.net.messages import FutexWake, Message, SyscallReply
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.health import ClusterHealthView
 
 __all__ = ["FutexService"]
 
 
-class FutexService:
+class FutexService(MasterService):
     name = "futex"
     handled_kinds = frozenset()  # internal: driven by the syscall service
-
-    def __init__(
-        self,
-        endpoint: Endpoint,
-        run_stats: RunStats,
-        config: DQEMUConfig,
-        spawn_guarded: Callable[[Generator, str], object],
-        view: Optional["ClusterHealthView"] = None,
-    ) -> None:
-        self.endpoint = endpoint
-        self.run_stats = run_stats
-        self.config = config
-        self.spawn_guarded = spawn_guarded
-        # Cluster failure view (None = failure-blind, bit-identical paths).
-        self.view = view
-        # Loss recovery for acked wake delivery (only meaningful when wakes
-        # are requests at all, i.e. rpc_timeout_ns armed).
-        self.retry = config.nested_retry_policy()
-        self.retry_stats = run_stats.service(self.name) if self.retry else None
-
-    def handle(self, msg):  # pragma: no cover - no wire-facing kinds
-        raise NotImplementedError("futex service handles no inbound kinds")
-        yield
 
     def _bill_frame(self, msg: Message) -> None:
         """Attribute a delivered frame's wire-serialization time as busy time.
@@ -86,32 +55,20 @@ class FutexService:
             wake = FutexWake(tid=waiter.tid, retval=0)
             self._bill_frame(wake)
             if timeout_ns is None:
-                self.endpoint.send(waiter.node, wake)
+                self.send(waiter.node, wake)
             else:
-                ack = self.endpoint.request(
-                    waiter.node, wake, timeout_ns=timeout_ns,
-                    retry=self.retry, stats=self.retry_stats,
-                )
-                self.spawn_guarded(
-                    self._await_ack(ack, waiter.node),
+                self.master.spawn_guarded(
+                    self._await_ack(self.request(waiter.node, wake), waiter.node),
                     f"futex-wake-ack@tid{waiter.tid}",
                 )
 
-    def _await_ack(self, ack, peer: Optional[int] = None):
-        try:
-            with attribute_timeouts(self.name):
-                yield ack
-        except ServiceTimeout:
-            if (
-                peer is None
-                or self.view is None
-                or not self.view.is_failed(peer)
-            ):
-                raise
-            # The sleeper's node died before the wake landed; the recovery
-            # pass owns that thread's fate now (evacuated or reaped), so a
-            # lost wake is accounting, not an abort.
-            self.run_stats.protocol.lost_wakes += 1
+    def _await_ack(self, ack, peer: int):
+        with attribute_timeouts(self.name):
+            if (yield from self._reply_or_none(peer, ack)) is None:
+                # The sleeper's node died before the wake landed; the
+                # recovery pass owns that thread's fate now (evacuated or
+                # reaped), so a lost wake is accounting, not an abort.
+                self.run_stats.protocol.lost_wakes += 1
 
     def park(self, msg: Message) -> None:
         """Answer a delegated ``futex_wait`` with a parked reply."""

@@ -43,54 +43,31 @@ bit-identical.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
-from repro.core.config import DQEMUConfig
-from repro.core.stats import RunStats
-from repro.net.endpoint import Endpoint
+from repro.core.services.base import MasterService
 from repro.net.messages import Heartbeat
-from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.master import MasterRuntime
     from repro.core.node import NodeRuntime
-    from repro.net.health import ClusterHealthView, HealthTracker
 
 __all__ = ["HeartbeatService", "NodeHeartbeatService"]
 
 
-class HeartbeatService:
+class HeartbeatService(MasterService):
     """Master half: per-peer lease tracking on the simulated clock."""
 
     name = "heartbeat"
     handled_kinds = frozenset({"heartbeat"})
+    originates_requests = False  # only receives
 
-    def __init__(
-        self,
-        sim: Simulator,
-        config: DQEMUConfig,
-        endpoint: Endpoint,
-        trace,
-        run_stats: RunStats,
-        health: "HealthTracker",
-        view: "ClusterHealthView",
-        node_ids: list[int],
-        node_id: int,
-        spawn_guarded,
-        finished: Callable[[], bool],
-    ) -> None:
-        self.sim = sim
-        self.config = config
-        self.endpoint = endpoint
-        self.trace = trace
-        self.run_stats = run_stats
-        self.health = health
-        self.view = view
-        self.node_ids = list(node_ids)
-        self.node_id = node_id
-        self.spawn_guarded = spawn_guarded
-        self.finished = finished
-        self.interval_ns = config.heartbeat_interval_ns
-        self.lease_ns = config.heartbeat_lease_ns
+    def __init__(self, master: "MasterRuntime") -> None:
+        super().__init__(master)
+        #: The fleet's shared tracker: lease evidence merges with RPC evidence.
+        self.health = self.endpoint.fabric.health
+        self.interval_ns = self.config.heartbeat_interval_ns
+        self.lease_ns = self.config.heartbeat_lease_ns
         #: Per-peer lease expiry on the simulated clock: the instant after
         #: which silence becomes failure evidence.
         self.deadlines: dict[int, int] = {}
@@ -102,10 +79,12 @@ class HeartbeatService:
         boot; the lease invariant (>= 2 intervals) guarantees the initial
         grant outlives it, so a healthy slave never starts suspected.
         """
-        for nid in self.node_ids:
+        for nid in self.master.node_ids:
             if nid != self.node_id:
                 self.deadlines[nid] = self.sim.now + self.lease_ns
-        self.spawn_guarded(self._monitor(), f"heartbeat-monitor@{self.node_id}")
+        self.master.spawn_guarded(
+            self._monitor(), f"heartbeat-monitor@{self.node_id}"
+        )
 
     def _monitor(self):
         """Check every peer's lease once per renewal interval.
@@ -118,7 +97,7 @@ class HeartbeatService:
         proto = self.run_stats.protocol
         while True:
             yield self.sim.timeout(self.interval_ns)
-            if self.finished():
+            if self.master.finished:
                 return
             for nid in sorted(self.deadlines):
                 if self.view.is_failed(nid):

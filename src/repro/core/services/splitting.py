@@ -15,71 +15,38 @@ the one genuinely cross-shard operation, go through the
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator
+from typing import TYPE_CHECKING
 
-from repro.core.config import DQEMUConfig
-from repro.core.services.base import attribute_timeouts
+from repro.core.services.base import MasterService, attribute_timeouts
 from repro.core.splitting import FalseSharingDetector, SplitDecision
-from repro.core.stats import RunStats
 from repro.errors import ProtocolError
 from repro.mem.layout import PAGE_SIZE
 from repro.mem.sharding import ShadowPageAllocator, shard_of
 from repro.mem.splitmap import SplitEntry, SplitMap
-from repro.net.endpoint import Endpoint
 from repro.net.messages import Ack
-from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.services.coherence import CoherenceService
-    from repro.core.services.coordinator import CrossShardCoordinator
+    from repro.core.master import MasterRuntime, MasterShard
 
 __all__ = ["SplittingService"]
 
 
-class SplittingService:
+class SplittingService(MasterService):
     name = "splitting"
     handled_kinds = frozenset({"merge_request"})
 
-    def __init__(
-        self,
-        sim: Simulator,
-        config: DQEMUConfig,
-        endpoint: Endpoint,
-        trace,
-        run_stats: RunStats,
-        node_ids: list[int],
-        node_id: int,
-        spawn_guarded: Callable[[Generator, str], object],
-        coordinator: "CrossShardCoordinator",
-        shard: int = 0,
-    ) -> None:
-        self.sim = sim
-        self.config = config
-        self.endpoint = endpoint
-        self.trace = trace
-        self.run_stats = run_stats
-        self.node_ids = list(node_ids)
-        self.node_id = node_id
-        self.spawn_guarded = spawn_guarded
-        self.coordinator = coordinator
+    def __init__(self, master: "MasterRuntime", shard: "MasterShard") -> None:
+        super().__init__(master)
         self.shard = shard
-        # Loss recovery for the split-table broadcasts this service triggers
-        # (issued through the coordinator, attributed here).
-        self.retry = config.nested_retry_policy()
-        self.retry_stats = run_stats.service(self.name) if self.retry else None
         self.split = SplitMap()  # this shard's slice of the canonical table
-        self.detector = FalseSharingDetector(trigger=config.splitting_trigger)
-        self._shadows = ShadowPageAllocator(shard, coordinator.nshards)
+        self.detector = FalseSharingDetector(trigger=self.config.splitting_trigger)
+        self._shadows = ShadowPageAllocator(shard.shard, self.config.master_shards)
         self._retired_shadows: set[int] = set()
         # Adaptive revert (§5.1 "adaptive scheme"): a split whose shadow pages
         # keep ping-ponging was mis-inferred; merge it back and never re-split.
         self._shadow_conflicts: dict[int, tuple[int, int, int]] = {}  # shadow -> (node, off, n)
         self._split_blacklist: set[int] = set()
         self._merging: set[int] = set()
-        self.coherence: "CoherenceService" = None  # type: ignore[assignment]
-
-    def bind(self, coherence: "CoherenceService") -> None:
-        self.coherence = coherence
 
     # -- split-table queries (coherence fast paths, guest-memory spans) ---------
 
@@ -113,12 +80,13 @@ class SplittingService:
     def _do_split(self, decision: SplitDecision):
         """Caller holds the original page's lock."""
         cfg = self.config
-        co = self.coherence
+        co = self.shard.coherence
         page = decision.page
-        if shard_of(page, self.coordinator.nshards) != self.shard:
+        owner = shard_of(page, cfg.master_shards)
+        if owner != self.shard.shard:
             raise ProtocolError(
-                f"split of page {page:#x} routed to shard {self.shard} "
-                f"(owner is shard {shard_of(page, self.coordinator.nshards)})"
+                f"split of page {page:#x} routed to shard {self.shard.shard} "
+                f"(owner is shard {owner})"
             )
         yield self.sim.timeout(cfg.split_service_ns)
         yield from co.pull_home_and_invalidate(page)
@@ -132,7 +100,9 @@ class SplittingService:
         self.split.install(
             SplitEntry(orig_page=page, shadow_pages=shadows, region_bytes=decision.region_bytes)
         )
-        yield from self._broadcast_split_table()
+        # Cross-shard: nodes replace their whole table per update, so the
+        # coordinator unions every shard's entries and serializes broadcasts.
+        yield from self.master.coordinator.broadcast_split_table(via=self)
         self.detector.forget(page)
         self.trace.emit(
             "split", self.node_id,
@@ -140,14 +110,6 @@ class SplittingService:
             page=page,
         )
         self.run_stats.protocol.splits += 1
-
-    def _broadcast_split_table(self):
-        # Cross-shard: nodes replace their whole table per update, so the
-        # coordinator unions every shard's entries and serializes broadcasts.
-        acks = yield from self.coordinator.broadcast_split_table(
-            retry=self.retry, stats=self.retry_stats
-        )
-        return acks
 
     # -- merging (correctness escape hatch for region-crossing accesses) ----------
 
@@ -165,7 +127,7 @@ class SplittingService:
                 "split", self.node_id,
                 "shadow still ping-ponging: revert + blacklist", page=orig,
             )
-            self.spawn_guarded(
+            self.master.spawn_guarded(
                 self._merge_and_release(orig), f"revert-split@{orig:#x}"
             )
 
@@ -182,7 +144,7 @@ class SplittingService:
         """Merge a split page's shadows back into the original (locks the
         original and every shadow in sorted order; single-lock managers and
         disjoint merge lock-sets cannot deadlock against this)."""
-        co = self.coherence
+        co = self.shard.coherence
         entry = self.split.entry(orig)
         if entry is None:
             return
@@ -202,7 +164,7 @@ class SplittingService:
                 self._retired_shadows.add(shadow)
                 self._shadow_conflicts.pop(shadow, None)
             self.split.remove(orig)
-            yield from self._broadcast_split_table()
+            yield from self.master.coordinator.broadcast_split_table(via=self)
             self.trace.emit("split", self.node_id, "merged back", page=orig)
             self.run_stats.protocol.merges += 1
         finally:

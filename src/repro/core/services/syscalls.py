@@ -15,15 +15,12 @@ one page at a time.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING
 
-from repro.core.config import DQEMUConfig
 from repro.core.migration import build_child_context
-from repro.core.scheduler import ThreadPlacer
+from repro.core.services.base import MasterService
 from repro.core.services.coherence import CoherentGuestMemory
-from repro.core.services.futexes import FutexService
-from repro.core.stats import RunStats
-from repro.kernel.syscalls import SyscallExecutor, SyscallResult, SystemState
+from repro.kernel.syscalls import SyscallExecutor, SyscallResult
 from repro.kernel.sysnums import (
     CLONE_CHILD_CLEARTID,
     CLONE_CHILD_SETTID,
@@ -32,61 +29,29 @@ from repro.kernel.sysnums import (
     sys_name,
 )
 from repro.kernel.threads import ThreadState
-from repro.net.endpoint import Endpoint
 from repro.net.messages import SpawnThread, SyscallReply
-from repro.net.rpc import RpcTimeout
-from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.health import ClusterHealthView
+    from repro.core.master import MasterRuntime
 
 __all__ = ["SyscallService"]
 
 
-class SyscallService:
+class SyscallService(MasterService):
     name = "syscall"
     handled_kinds = frozenset({"syscall_request"})
 
-    def __init__(
-        self,
-        sim: Simulator,
-        config: DQEMUConfig,
-        endpoint: Endpoint,
-        trace,
-        run_stats: RunStats,
-        state: SystemState,
-        placer: ThreadPlacer,
-        node_ids: list[int],
-        node_id: int,
-        guest_mem: CoherentGuestMemory,
-        futexes: FutexService,
-        finish: Callable[[int], None],
-        view: Optional["ClusterHealthView"] = None,
-    ) -> None:
-        self.sim = sim
-        self.config = config
-        self.endpoint = endpoint
-        self.trace = trace
-        self.run_stats = run_stats
-        self.state = state
-        self.placer = placer
-        self.node_ids = list(node_ids)
-        self.node_id = node_id
-        self.guest_mem = guest_mem
-        self.futexes = futexes
-        self.finish = finish
-        # Cluster failure view (None = failure-blind, bit-identical paths).
-        self.view = view
-        self.executor = SyscallExecutor(state, guest_mem)
-        # Loss recovery for the spawn/migrate requests this service issues.
-        self.retry = config.nested_retry_policy()
-        self.retry_stats = run_stats.service(self.name) if self.retry else None
+    def __init__(self, master: "MasterRuntime") -> None:
+        super().__init__(master)
+        self.state = master.state
+        self.guest_mem = CoherentGuestMemory(master.coordinator)
+        self.executor = SyscallExecutor(self.state, self.guest_mem)
 
     # -- delegated syscalls (§4.3) ---------------------------------------------------
 
     def handle(self, msg):
         cfg = self.config
-        if self.view is not None and self.view.is_failed(msg.src):
+        if self._dead(msg.src):
             # The caller's node died with this request still in the mailbox;
             # executing it would mutate kernel state for a dead thread and
             # the reply is unroutable.
@@ -105,7 +70,7 @@ class SyscallService:
             yield from self._handle_migrate(msg, result)
             return
 
-        self.futexes.wake(result.woken)
+        self.master.futexes.wake(result.woken)
 
         if result.action == "blocked":
             if self.view is not None:
@@ -122,19 +87,19 @@ class SyscallService:
                 # table, which is what makes it evacuable after its node
                 # dies (docs/PROTOCOL.md "Failure domains").
                 self.state.futexes.attach_context(msg.tid, msg.context)
-            self.futexes.park(msg)
+            self.master.futexes.park(msg)
         elif result.action == "exit":
             self.endpoint.reply(msg, SyscallReply(exited=True))
         elif result.action == "exit_group":
             self.endpoint.reply(msg, SyscallReply(exited=True))
-            self.finish(result.exit_status)
+            self.master.finish(result.exit_status)
         else:  # "return" / "yield"
             self.endpoint.reply(msg, SyscallReply(retval=result.retval))
 
     def _handle_clone(self, msg, result: SyscallResult):
         clone = result.clone
         hint = (msg.context or {}).get("hint_group")
-        node_id = self.placer.place(hint)
+        node_id = self.master.placer.place(hint)
         ctid = clone.ctid if clone.flags & CLONE_CHILD_CLEARTID else 0
         rec = self.state.threads.create(
             node=node_id, parent_tid=clone.parent_tid, ctid=ctid, hint_group=hint
@@ -163,30 +128,23 @@ class SyscallService:
         next usable candidate — the child was already announced to its
         parent, so failing the clone retroactively is not an option.
         """
-        attempts = len(self.node_ids) + 1
+        attempts = len(self.master.node_ids) + 1
         for _ in range(attempts):
-            try:
-                yield self.endpoint.request(
-                    node_id, SpawnThread(tid=tid, context=context),
-                    timeout_ns=self.config.rpc_timeout_ns,
-                    retry=self.retry, stats=self.retry_stats,
-                )
+            ack = yield from self.ask(node_id, SpawnThread(tid=tid, context=context))
+            if ack is not None:
                 return
-            except RpcTimeout:
-                if self.view is None or not self.view.is_failed(node_id):
-                    raise
-                pool = [
-                    n for n in self.placer.candidates
-                    if n != node_id and self.view.usable(n)
-                ]
-                retarget = pool[tid % len(pool)] if pool else self.node_id
-                self.trace.emit(
-                    "thread", retarget,
-                    f"spawn failover: n{node_id} died mid-clone", tid=tid,
-                )
-                self.run_stats.protocol.spawn_failovers += 1
-                self.state.threads.move(tid, retarget)
-                node_id = retarget
+            pool = [
+                n for n in self.master.placer.candidates
+                if n != node_id and self.view.usable(n)
+            ]
+            retarget = pool[tid % len(pool)] if pool else self.node_id
+            self.trace.emit(
+                "thread", retarget,
+                f"spawn failover: n{node_id} died mid-clone", tid=tid,
+            )
+            self.run_stats.protocol.spawn_failovers += 1
+            self.state.threads.move(tid, retarget)
+            node_id = retarget
         raise RuntimeError(f"spawn of tid {tid} failed over more than {attempts} times")
 
     def _handle_migrate(self, msg, result: SyscallResult):
@@ -198,7 +156,7 @@ class SyscallService:
         """
         target = result.migrate_to
         unusable = self.view is not None and not self.view.usable(target)
-        if target not in self.node_ids or unusable:
+        if target not in self.master.node_ids or unusable:
             # Unknown node, or a known-dead/draining one: migrating there
             # would strand the thread, so the guest gets EINVAL either way.
             self.endpoint.reply(

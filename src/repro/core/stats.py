@@ -8,7 +8,7 @@ protocol-level counters for the experiment harnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 __all__ = [
@@ -221,6 +221,23 @@ class DbtStats:
     superblock_saved_cycles: float = 0.0
     fusion_saved_cycles: float = 0.0
     fusion_hits: dict[str, int] = field(default_factory=dict)
+
+    #: Counters kept by the engine itself; the rest are read from its code
+    #: cache's :class:`~repro.dbt.codecache.CacheStats`.
+    _ON_ENGINE = frozenset({
+        "superblocks_formed", "execute_cycles", "translate_cycles",
+        "superblock_saved_cycles", "fusion_saved_cycles",
+    })
+
+    def add_engine(self, engine) -> None:
+        """Fold one node engine's counters into the aggregate."""
+        for f in fields(self):
+            if f.name == "fusion_hits":
+                continue
+            source = engine if f.name in self._ON_ENGINE else engine.cache.stats
+            setattr(self, f.name, getattr(self, f.name) + getattr(source, f.name))
+        for pattern, hits in engine.fusion_hits.items():
+            self.fusion_hits[pattern] = self.fusion_hits.get(pattern, 0) + hits
 
     @property
     def dispatches(self) -> int:

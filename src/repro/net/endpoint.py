@@ -20,7 +20,7 @@ from repro.net.rpc import RpcChannel
 from repro.sim.engine import Event, Simulator
 from repro.sim.sync import SimQueue
 
-__all__ = ["Endpoint", "TenantEndpoint"]
+__all__ = ["Endpoint"]
 
 
 class Endpoint:
@@ -129,70 +129,3 @@ class Endpoint:
     @property
     def pending_requests(self) -> int:
         return self.rpc.in_flight
-
-
-class TenantEndpoint:
-    """A job-scoped view of an :class:`Endpoint`.
-
-    Per-job master runtimes share node 0's physical endpoint; each wraps it
-    in one of these so every frame the job's services *originate* (grants,
-    invalidations, spawns, wakes, shutdown) is stamped with the job's tenant
-    id without the services knowing about tenancy.  Replies need no stamping
-    here — :meth:`repro.net.rpc.RpcChannel.reply` copies the request's
-    tenant onto the reply, which also covers node-side services replying
-    through the raw endpoint.
-    """
-
-    def __init__(self, endpoint: Endpoint, tenant: int):
-        self._endpoint = endpoint
-        self.tenant = tenant
-
-    @property
-    def sim(self) -> Simulator:
-        return self._endpoint.sim
-
-    @property
-    def fabric(self) -> Fabric:
-        return self._endpoint.fabric
-
-    @property
-    def node_id(self) -> int:
-        return self._endpoint.node_id
-
-    @property
-    def rpc(self) -> RpcChannel:
-        return self._endpoint.rpc
-
-    @property
-    def pending_requests(self) -> int:
-        return self._endpoint.pending_requests
-
-    def subscribe(self, key: Hashable) -> SimQueue:
-        return self._endpoint.subscribe(key)
-
-    def subscribe_default(self) -> SimQueue:
-        return self._endpoint.subscribe_default()
-
-    def transmit(self, dst: int, msg: Message) -> None:
-        msg.tenant = self.tenant
-        self._endpoint.transmit(dst, msg)
-
-    def send(self, dst: int, msg: Message) -> None:
-        self.transmit(dst, msg)
-
-    def request(
-        self,
-        dst: int,
-        msg: Message,
-        *,
-        timeout_ns: Optional[int] = None,
-        retry=None,
-        stats=None,
-    ) -> Event:
-        msg.tenant = self.tenant
-        return self._endpoint.request(
-            dst, msg, timeout_ns=timeout_ns, retry=retry, stats=stats
-        )
-
-    def reply(self, to: Message, msg: Message) -> None:
-        self._endpoint.reply(to, msg)

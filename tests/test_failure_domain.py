@@ -489,13 +489,20 @@ class TestEvacuationTargeting:
     suspect or draining node risks a second evacuation moments later."""
 
     def _svc(self, view, candidates=(1, 2, 3)):
+        """The service over a fake runtime: taking the runtime is what lets a
+        test hand in only the parts target selection reads."""
+        from types import SimpleNamespace
+
         from repro.core.services.failure import FailureDomainService
         from repro.core.stats import RunStats
 
-        return FailureDomainService(
-            Simulator(), DQEMUConfig(), None, None, RunStats(), None,
-            view, list(candidates), 0, None, lambda: False,
+        runtime = SimpleNamespace(
+            sim=Simulator(), config=DQEMUConfig(), failure_view=view,
+            placer=SimpleNamespace(candidates=list(candidates)),
+            node=SimpleNamespace(node_id=0),
+            endpoint=None, trace=None, run_stats=RunStats(), tenant=0, state=None,
         )
+        return FailureDomainService(runtime)
 
     def test_pick_target_skips_suspect_nodes(self):
         view, tracker = make_view(suspect_after=1, down_after=5)

@@ -86,6 +86,18 @@ class TestConcurrentIsolation:
             else:
                 assert res.stdout == solo[name].stdout, name
 
+    def test_finished_jobs_shutdown_leaves_cotenants_running(self):
+        # A job's exit broadcasts Shutdown to every node; the frame must carry
+        # the finishing job's tenant or it stops tenant 0's threads instead.
+        prog = mutex_bench.build(n_threads=4, iters=40)
+        fleet = Cluster(2, MULTI_CFG)
+        long_job = fleet.submit(prog, name="long", max_virtual_ms=2_000)
+        short_job = fleet.submit(tagged_program("short", 3), name="short")
+        long_res, short_res = fleet.join([long_job, short_job])
+        assert short_job.finished_ns < long_job.finished_ns
+        assert (long_res.exit_code, short_res.exit_code) == (0, 3)
+        assert len(mutex_bench.parse_elapsed_ns(long_res.stdout)) == 4
+
     def test_solo_run_on_fleet_matches_fresh_cluster(self):
         # Cluster.run is the one-job compat wrapper: same numbers as ever.
         prog = mutex_bench.build(n_threads=4, iters=40)

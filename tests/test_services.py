@@ -1,19 +1,31 @@
 """Tests for the runtime service layer: dispatcher routing, the typed RPC
 channel, per-service counters, and the protocol frame inventory."""
 
+import ast
 import dataclasses
+import importlib
 import inspect
+import pkgutil
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro import Cluster, DQEMUConfig, assemble
 from repro.core.services.base import Dispatcher
+from repro.core.services.coherence import CoherenceService
+from repro.core.services.coordinator import CrossShardCoordinator
+from repro.core.services.splitting import SplittingService
 from repro.core.stats import RunStats
+from repro.core.trace import NULL_TRACER
 from repro.errors import NetworkError, ProtocolError
+from repro.mem.pagestore import PageStore
 from repro.net import Endpoint, Fabric
+from repro.net.health import ClusterHealthView, HealthTracker
 from repro.net.messages import (
     HEADER_BYTES,
     Ack,
+    InvalidateAck,
     Message,
     PageData,
     PageRequest,
@@ -184,6 +196,105 @@ class TestRpc:
             sim.run()
 
 
+class TestGather:
+    """``MasterService.gather`` is the one dead-peer-tolerant await: driven
+    here through both routes that used to carry their own copy — a coherence
+    invalidation and a split-table broadcast — against two peers, one of
+    which may stay silent."""
+
+    TIMEOUT_NS = 1_000_000
+    PAGE = 7
+
+    def _rig(self, route, with_view, silent):
+        sim, _fabric, eps = make_cluster(3)
+        view = (
+            ClusterHealthView(tracker=HealthTracker(sim, suspect_after=2, down_after=5))
+            if with_view else None
+        )
+        runtime = SimpleNamespace(
+            sim=sim, config=DQEMUConfig(rpc_timeout_ns=self.TIMEOUT_NS),
+            endpoint=eps[0], trace=NULL_TRACER, run_stats=RunStats(), tenant=0,
+            failure_view=view, node=SimpleNamespace(node_id=0), node_ids=[1, 2],
+            home=PageStore(),
+        )
+        shard = SimpleNamespace(shard=0)
+        shard.coherence = CoherenceService(runtime, shard)
+        shard.splitting = SplittingService(runtime, shard)
+        runtime.shards = [shard]
+        runtime.coordinator = CrossShardCoordinator(runtime)
+
+        def peer(ep):
+            q = ep.subscribe_default()
+            while ep.node_id not in silent:
+                msg = yield q.get()
+                ack = InvalidateAck(page=msg.page) if msg.kind == "invalidate" else Ack()
+                ep.reply(msg, ack)
+
+        for ep in eps[1:]:
+            sim.spawn(peer(ep))
+
+        if route == "invalidate":
+            service = shard.coherence
+            for n in (1, 2):
+                service.directory.commit(n, self.PAGE, write=False)
+            operation = service.pull_home_and_invalidate(self.PAGE)
+        else:
+            service = shard.splitting
+            operation = runtime.coordinator.broadcast_split_table(via=service)
+
+        gathered, raised = [], []
+        inner = service.gather
+
+        def recording_gather(peers, make_msg):
+            result = yield from inner(peers, make_msg)
+            gathered.append(result)
+            return result
+
+        service.gather = recording_gather
+
+        def driver():
+            try:
+                yield from operation
+            except RpcTimeout as exc:
+                raised.append(exc)
+
+        sim.spawn(driver())
+        return sim, runtime, gathered, raised
+
+    @pytest.mark.parametrize("route", ["invalidate", "broadcast"])
+    @pytest.mark.parametrize("with_view", [False, True])
+    def test_all_peers_ack(self, route, with_view):
+        sim, runtime, gathered, raised = self._rig(route, with_view, silent=())
+        sim.run()
+        [(acks, skipped)] = gathered
+        assert len(acks) == 2 and skipped == 0 and not raised
+        assert runtime.run_stats.protocol.dead_peer_skips == 0
+
+    @pytest.mark.parametrize("route", ["invalidate", "broadcast"])
+    @pytest.mark.parametrize("with_view", [False, True])
+    def test_silent_live_peer_raises(self, route, with_view):
+        # Failure-blind, or with a view that has not latched the peer as
+        # failed: a slow peer is not a dead one.
+        sim, _runtime, gathered, raised = self._rig(route, with_view, silent={2})
+        sim.run()
+        assert not gathered
+        assert [exc.request.dst for exc in raised] == [2]
+
+    @pytest.mark.parametrize("route", ["invalidate", "broadcast"])
+    def test_peer_latched_failed_mid_call_is_skipped_and_reported(self, route):
+        sim, runtime, gathered, raised = self._rig(route, True, silent={2})
+        sim.timeout(self.TIMEOUT_NS // 2).add_callback(
+            lambda _e: runtime.failure_view.mark_failed(2)
+        )
+        sim.run()
+        [(acks, skipped)] = gathered
+        assert len(acks) == 1 and skipped == 1 and not raised
+        # Billing stays with the caller: coherence counts the skip, the
+        # coordinator's broadcast does not.
+        billed = runtime.run_stats.protocol.dead_peer_skips
+        assert billed == (1 if route == "invalidate" else 0)
+
+
 def all_message_types(cls=Message):
     for sub in cls.__subclasses__():
         yield sub
@@ -221,6 +332,58 @@ class TestRuntimeDecomposition:
 
         assert "msg.kind ==" not in inspect.getsource(master)
         assert "msg.kind ==" not in inspect.getsource(node)
+
+    MASTER_SIDE = [
+        Path(inspect.getsourcefile(importlib.import_module("repro.core.master"))),
+        *sorted(
+            Path(inspect.getsourcefile(importlib.import_module("repro.core.services")))
+            .parent.glob("*.py")
+        ),
+    ]
+
+    def test_master_services_are_not_bind_wired(self):
+        for path in self.MASTER_SIDE:
+            assert "def bind" not in path.read_text(), path.name
+
+    def test_one_function_names_the_rpc_budget(self):
+        """``timeout_ns=`` is passed by ``MasterService.request`` and nowhere
+        else on the master side."""
+        sites = []
+        for path in self.MASTER_SIDE:
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if isinstance(fn, ast.FunctionDef):
+                    sites += [
+                        (path.name, fn.name)
+                        for node in ast.walk(fn)
+                        if isinstance(node, ast.keyword) and node.arg == "timeout_ns"
+                    ]
+        assert sites == [("base.py", "request")]
+
+    def test_tenant_endpoint_is_gone(self):
+        import repro.net
+        import repro.net.endpoint
+
+        assert not hasattr(repro.net.endpoint, "TenantEndpoint")
+        assert not hasattr(repro.net, "TenantEndpoint")
+
+    def test_services_are_built_from_their_runtime(self):
+        """Every service takes its runtime (plus its shard for the per-shard
+        ones).  ``Dispatcher`` is the router both runtimes share, not a
+        service, and keeps its optional hooks."""
+        import repro.core.services as pkg
+        from repro.core.master import MasterShard
+
+        classes = [MasterShard]
+        for info in pkgutil.iter_modules(pkg.__path__):
+            module = importlib.import_module(f"{pkg.__name__}.{info.name}")
+            classes += [
+                cls for _, cls in inspect.getmembers(module, inspect.isclass)
+                if cls.__module__ == module.__name__ and cls is not Dispatcher
+            ]
+        assert len(classes) > 10
+        for cls in classes:
+            params = list(inspect.signature(cls.__init__).parameters)[1:]
+            assert len(params) <= 2, (cls.__name__, params)
 
     def test_run_surfaces_per_service_counters(self):
         prog = assemble(

@@ -194,7 +194,7 @@ class TestPostFinishDrops:
         sim, node, master, stats = self._make_master(nshards)
         master.start()
         node.start()
-        master._finish(0)
+        master.finish(0)
         node.endpoint.request(0, PageRequest(page=5, write=False))
         sim.run()
         assert stats.protocol.post_finish_drops == 1
