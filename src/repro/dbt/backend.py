@@ -5,12 +5,19 @@ generated Python function, built as source text and compiled with
 ``compile()`` — the same generate-once/execute-many structure as a JIT
 emitting machine code, with the translation cost paid once per block.
 
-Precise guest state: guest registers are committed as each guest instruction
-completes, and before any instruction that can fault the generated code
-records its pc and the count of completed instructions (``cpu.block_ic``).
-A :class:`~repro.mem.api.PageStall` raised by the memory system therefore
-propagates with the CPU stopped exactly at the faulting instruction, which
-DQEMU's coherence machinery requires (§4.2).
+Precise guest state: integer results are committed to ``cpu.regs`` as each
+guest instruction completes, and before any instruction that can fault the
+generated code records its pc and the count of completed instructions
+(``cpu.block_ic``).  A :class:`~repro.mem.api.PageStall` raised by the
+memory system therefore propagates with the CPU stopped exactly at the
+faulting instruction, which DQEMU's coherence machinery requires (§4.2).
+
+Float shadow.  Inside a generated function an FP value is a host local
+``fN`` (a Python ``float``) and ``R[N]`` may be stale.  ``R[N] = f2b(fN)`` is
+emitted before an integer read of ``N``, before every ``can_fault``
+instruction and on every ``return`` — the only points at which anything
+outside the function (fault handler, migration and checkpoint capture, the
+next block) reads ``cpu.regs``, so the register file is exact whenever read.
 
 Hot-path tier.  Beyond plain per-block compilation the backend supports:
 
@@ -34,6 +41,7 @@ can observe the intermediate value.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -63,8 +71,8 @@ _CODEGEN_GLOBALS = {
     "fsqrt_h": fpu.fsqrt,
     "fmin_h": fpu.fmin,
     "fmax_h": fpu.fmax,
-    "fcvt_l_d": fpu.fcvt_l_d,
-    "fcvt_d_l": fpu.fcvt_d_l,
+    "d2l": fpu.d2l,
+    "l2d": fpu.l2d,
 }
 
 _COND_EXPR = {
@@ -76,20 +84,17 @@ _COND_EXPR = {
     "geu": "{a} >= {b}",
 }
 
+#: FP ops over host floats: operands and result are float expressions.
 _FBIN_EXPR = {
-    "fadd": "f2b(b2f({a}) + b2f({b}))",
-    "fsub": "f2b(b2f({a}) - b2f({b}))",
-    "fmul": "f2b(b2f({a}) * b2f({b}))",
-    "fdiv": "f2b(fdiv_h(b2f({a}), b2f({b})))",
-    "fmin": "f2b(fmin_h(b2f({a}), b2f({b})))",
-    "fmax": "f2b(fmax_h(b2f({a}), b2f({b})))",
+    "fadd": "{a} + {b}",
+    "fsub": "{a} - {b}",
+    "fmul": "{a} * {b}",
+    "fdiv": "fdiv_h({a}, {b})",
+    "fmin": "fmin_h({a}, {b})",
+    "fmax": "fmax_h({a}, {b})",
 }
 
-_FSET_EXPR = {
-    "feq": "1 if b2f({a}) == b2f({b}) else 0",
-    "flt": "1 if b2f({a}) < b2f({b}) else 0",
-    "fle": "1 if b2f({a}) <= b2f({b}) else 0",
-}
+_FSET_EXPR = {"feq": "{a} == {b}", "flt": "{a} < {b}", "fle": "{a} <= {b}"}
 
 _BIN_EXPR = {
     "add": "({a} + {b}) & M",
@@ -283,10 +288,10 @@ class Backend:
         groups: list[tuple[int, str]] = []
         if fusion:
             instrs, groups = find_fusions(instrs)
-        body, _terminated = self._emit_body(instrs, groups, 0, None, block.next_pc, set())
-        lines = ["R = cpu.regs"] + body
+        em = _Emitter()
+        em.body(instrs, groups, 0, None, block.next_pc, set())
         name = f"tb_{block.pc:x}_{next(self._ids)}"
-        src = f"def {name}(cpu, mem):\n" + "\n".join("    " + ln for ln in lines) + "\n"
+        src = f"def {name}(cpu, mem):\n" + "\n".join("    " + ln for ln in em.lines) + "\n"
         ns: dict = {}
         exec(compile(src, f"<tb@{block.pc:#x}>", "exec"), dict(_CODEGEN_GLOBALS), ns)
         return TranslationBlock(
@@ -308,11 +313,12 @@ class Backend:
 
         One entry (the head's pc); interior terminators that reach the next
         member fall through inside the function, every other outcome is a
-        side exit that returns with guest state fully committed.  The same
-        block may appear more than once (loop traces unroll themselves up
-        to the trace-length cap).
+        side exit that returns with guest state fully committed.  Float
+        shadows carry across member boundaries.  The same block may appear
+        more than once (loop traces unroll themselves up to the trace-length
+        cap).
         """
-        lines = ["R = cpu.regs"]
+        em = _Emitter()
         groups_all: list[tuple[int, str]] = []
         side_exits: set[int] = set()
         pages: set[int] = set()
@@ -327,17 +333,14 @@ class Backend:
             groups_all.extend((base + end, pat) for end, pat in groups)
             pages.update(_page_span(block.pc, block.next_pc))
             next_entry = members[mi + 1].pc if mi < last else None
-            lines.append(f"# member {mi}: block {block.pc:#x}")
-            body, _terminated = self._emit_body(
-                instrs, groups, base, next_entry, block.next_pc, side_exits
-            )
-            lines.extend(body)
+            em.lines.append(f"# member {mi}: block {block.pc:#x}")
+            em.body(instrs, groups, base, next_entry, block.next_pc, side_exits)
             base += len(instrs)
             if mi == last:
                 tail_succs = _successors(instrs, block.next_pc)
         head = members[0]
         name = f"sb_{head.pc:x}_{next(self._ids)}"
-        src = f"def {name}(cpu, mem):\n" + "\n".join("    " + ln for ln in lines) + "\n"
+        src = f"def {name}(cpu, mem):\n" + "\n".join("    " + ln for ln in em.lines) + "\n"
         ns: dict = {}
         exec(compile(src, f"<sb@{head.pc:#x}>", "exec"), dict(_CODEGEN_GLOBALS), ns)
         return TranslationBlock(
@@ -354,9 +357,107 @@ class Backend:
             member_pcs=tuple(b.pc for b in members),
         )
 
+
+class _Emitter:
+    """Source lines of one generated function, plus the float-shadow state
+    that decides where register bits are materialised (module docstring)."""
+
+    def __init__(self) -> None:
+        self.lines = ["R = cpu.regs"]
+        #: Guest reg → float expression equal to its value: the host local
+        #: ``fN`` or a literal.  An ``int`` entry is the bits of a visible
+        #: ``mov imm``, turned into one of the two on the first FP read.
+        self.shadow: dict[int, str | int] = {}
+        #: Guest regs whose ``fN`` is newer than ``R[N]``.
+        self.dirty: set[int] = set()
+
+    # -- operands -------------------------------------------------------------
+
+    def ref(self, operand, sub: Optional[dict] = None) -> str:
+        """Integer read.  Every integer use of a guest register comes through
+        here, so a dirty shadow is committed before its bits are read."""
+        if sub is not None and operand in sub:
+            return sub[operand]
+        kind, v = operand
+        if kind == "g":
+            if v == 0:
+                return "0"
+            if v in self.dirty:
+                self.lines.append(f"R[{v}] = f2b(f{v})")
+                self.dirty.discard(v)
+            return f"R[{v}]"
+        if kind == "t":
+            return f"t{v}"
+        return repr(v & M64)
+
+    def set(self, d, expr: str) -> None:
+        """Integer write ``d = expr``; a guest register loses its shadow.
+        ``expr`` is built (and its reads flushed) before this runs, so an
+        instruction that reads and writes the same register reads it first."""
+        kind, v = d
+        if kind == "t":
+            target = f"t{v}"
+        elif v == 0:
+            target = "_"
+        else:
+            target = f"R[{v}]"
+            self.shadow.pop(v, None)
+            self.dirty.discard(v)
+        self.lines.append(f"{target} = {expr}")
+
+    def fref(self, operand) -> str:
+        """FP read of a guest register: a float expression.  ``b2f`` is
+        emitted once, on the first FP read with no shadow."""
+        _g, v = operand  # FP micro-ops take guest registers only (tcg.py)
+        if v == 0:
+            return "0.0"
+        expr = self.shadow.get(v)
+        if not isinstance(expr, str):
+            x = math.nan if expr is None else fpu.b2f(expr)
+            if math.isfinite(x):
+                expr = repr(x)
+            else:  # unknown bits, or inf/NaN (no literal)
+                expr = f"f{v}"
+                self.lines.append(f"f{v} = b2f(R[{v}])")
+            self.shadow[v] = expr
+        return expr
+
+    def fset(self, d, expr: str) -> None:
+        """FP write: the result stays a host float and ``R[d]`` goes stale."""
+        _g, v = d
+        if v == 0:
+            self.lines.append(f"_ = {expr}")
+            return
+        self.lines.append(f"f{v} = {expr}")
+        self.shadow[v] = f"f{v}"
+        self.dirty.add(v)
+
+    # -- materialisation points ---------------------------------------------------
+
+    def _commits(self) -> list[str]:
+        return [f"R[{n}] = f2b(f{n})" for n in sorted(self.dirty)]
+
+    def flush(self) -> None:
+        """Commit every dirty shadow (the floats stay valid for later reads)."""
+        if self.dirty:
+            self.lines.extend(self._commits())
+            self.dirty.clear()
+
+    def leave(self, rc: int = 0, *, unless: Optional[int] = None) -> None:
+        """Return to the engine with ``cpu.regs`` exact.  With ``unless`` (a
+        superblock's next member) the return is a side exit taken only when
+        ``cpu.pc`` went elsewhere; the trace continues with its shadows."""
+        if unless is None:
+            self.flush()
+            self.lines.append(f"return {rc}")
+        else:
+            self.lines.append(f"if cpu.pc != {unless}:")
+            self.lines.extend("    " + ln for ln in self._commits())
+            self.lines.append("    return 0")
+
     # -- emission -------------------------------------------------------------
 
-    def _emit_body(
+    def body(
         self,
         instrs: list[InstrIR],
         groups: list[tuple[int, str]],
@@ -364,7 +465,7 @@ class Backend:
         next_entry: Optional[int],
         next_pc: int,
         side_exits: set[int],
-    ) -> tuple[list[str], bool]:
+    ) -> None:
         """Emit ``instrs`` with cumulative instruction indices from ``base``.
 
         ``next_entry`` is the pc the enclosing superblock continues into
@@ -372,7 +473,7 @@ class Backend:
         that reach it fall through to the member emitted next, anything
         else returns.  Off-trace targets are collected into ``side_exits``.
         """
-        lines: list[str] = []
+        lines = self.lines
         end_ic = base + len(instrs)
         load_starts = {end - 1 for end, pat in groups if pat == "load_op"}
         skip: set[int] = set()
@@ -383,42 +484,40 @@ class Backend:
             k = base + j
             lines.append(f"# {ir.pc:#x}: {ir.mnemonic}")
             if ir.can_fault:
-                # Precise exception point: pc + completed-instruction count.
+                # Precise exception point: exact registers, pc and
+                # completed-instruction count.
+                self.flush()
                 lines.append(f"cpu.pc = {ir.pc}")
                 lines.append(f"cpu.block_ic = {k}")
             if j in load_starts:
-                lines.extend(self._emit_load_op(ir, instrs[j + 1]))
+                self.load_op(ir, instrs[j + 1])
                 skip.add(j + 1)
                 continue
             for op in ir.ops:
                 if op.name in _TERMINALS:
-                    lines.extend(
-                        self._emit_terminal(op, ir, k, end_ic, next_entry, side_exits)
-                    )
+                    self.terminal(op, ir, k, end_ic, next_entry, side_exits)
                     terminated = True
                 else:
-                    lines.extend(self._emit_simple(op))
+                    self.simple(op)
         if not terminated and (next_entry is None or next_pc != next_entry):
             lines.append(f"cpu.block_ic = {end_ic}")
             lines.append(f"cpu.pc = {next_pc}")
-            lines.append("return 0")
-        return lines, terminated
+            self.leave()
 
-    def _emit_load_op(self, ld_ir: InstrIR, op_ir: InstrIR) -> list[str]:
+    def load_op(self, ld_ir: InstrIR, op_ir: InstrIR) -> None:
         """Fused load+op: one combined sequence, the consumer reading the
         loaded value from a host local instead of re-reading the register
         file.  The load still commits its register first, so a later fault
         observes precise state."""
         add_op, ld_op = ld_ir.ops
         d, addr, size, signed = ld_op.args
-        lines = self._emit_simple(add_op)
-        lines.append(f"_v = mem.load({self._ref(addr)}, {size}, {signed})")
-        lines.append(f"{self._dst(d)} = _v")
-        lines.append(f"# {op_ir.pc:#x}: {op_ir.mnemonic} (fused)")
-        lines.extend(self._emit_simple(op_ir.ops[0], sub={d: "_v"}))
-        return lines
+        self.simple(add_op)
+        self.lines.append(f"_v = mem.load({self.ref(addr)}, {size}, {signed})")
+        self.set(d, "_v")
+        self.lines.append(f"# {op_ir.pc:#x}: {op_ir.mnemonic} (fused)")
+        self.simple(op_ir.ops[0], sub={d: "_v"})
 
-    def _emit_terminal(
+    def terminal(
         self,
         op: TCGOp,
         ir: InstrIR,
@@ -426,114 +525,92 @@ class Backend:
         end_ic: int,
         next_entry: Optional[int],
         side_exits: set[int],
-    ) -> list[str]:
+    ) -> None:
         name = op.name
+        lines = self.lines
         if name == "brcond":
             a, b, cond, tgt, fall = op.args
-            expr = _COND_EXPR[cond].format(a=self._ref(a), b=self._ref(b))
-            lines = [
-                f"cpu.block_ic = {end_ic}",
-                f"cpu.pc = {tgt} if {expr} else {fall}",
-            ]
-            if next_entry is None:
-                lines.append("return 0")
-            else:
+            expr = _COND_EXPR[cond].format(a=self.ref(a), b=self.ref(b))
+            lines.append(f"cpu.block_ic = {end_ic}")
+            lines.append(f"cpu.pc = {tgt} if {expr} else {fall}")
+            if next_entry is not None:
                 side_exits.update(x for x in (tgt, fall) if x != next_entry)
-                lines.append(f"if cpu.pc != {next_entry}:")
-                lines.append("    return 0")
-            return lines
-        if name == "jmp":
+            self.leave(unless=next_entry)
+        elif name == "jmp":
             (tgt,) = op.args
-            lines = [f"cpu.block_ic = {end_ic}", f"cpu.pc = {tgt}"]
+            lines.append(f"cpu.block_ic = {end_ic}")
+            lines.append(f"cpu.pc = {tgt}")
             if next_entry is None or tgt != next_entry:
                 if next_entry is not None:
                     side_exits.add(tgt)
-                lines.append("return 0")
-            return lines
-        if name == "jmp_ind":
+                self.leave()
+        elif name == "jmp_ind":
             (addr,) = op.args
-            lines = [f"cpu.block_ic = {end_ic}", f"cpu.pc = {self._ref(addr)}"]
-            if next_entry is None:
-                lines.append("return 0")
-            else:
-                lines.append(f"if cpu.pc != {next_entry}:")
-                lines.append("    return 0")
-            return lines
-        # exit: ecall/ebreak hand control to the engine unconditionally.
-        (rc,) = op.args
-        return [f"cpu.block_ic = {k + 1}", f"cpu.pc = {ir.pc + 4}", f"return {rc}"]
+            lines.append(f"cpu.block_ic = {end_ic}")
+            lines.append(f"cpu.pc = {self.ref(addr)}")
+            self.leave(unless=next_entry)
+        else:  # exit: ecall/ebreak hand control to the engine unconditionally.
+            (rc,) = op.args
+            lines.append(f"cpu.block_ic = {k + 1}")
+            lines.append(f"cpu.pc = {ir.pc + 4}")
+            self.leave(rc)
 
-    def _ref(self, operand, sub: Optional[dict] = None) -> str:
-        if sub is not None and operand in sub:
-            return sub[operand]
-        kind, v = operand
-        if kind == "g":
-            return "0" if v == 0 else f"R[{v}]"
-        if kind == "t":
-            return f"t{v}"
-        return repr(v & M64)
-
-    def _dst(self, operand) -> str:
-        kind, v = operand
-        if kind == "g":
-            return "_" if v == 0 else f"R[{v}]"
-        return f"t{v}"
-
-    def _emit_simple(self, op: TCGOp, sub: Optional[dict] = None) -> list[str]:
+    def simple(self, op: TCGOp, sub: Optional[dict] = None) -> None:
         name = op.name
+        ref = self.ref
         if name in _BIN_EXPR:
             d, a, b = op.args
-            return [
-                f"{self._dst(d)} = "
-                + _BIN_EXPR[name].format(a=self._ref(a, sub), b=self._ref(b, sub))
-            ]
-        if name == "mov":
+            self.set(d, _BIN_EXPR[name].format(a=ref(a, sub), b=ref(b, sub)))
+        elif name == "mov":
             d, s = op.args
-            return [f"{self._dst(d)} = {self._ref(s, sub)}"]
-        if name == "setcond":
+            self.set(d, ref(s, sub))
+            if d[0] == "g" and d[1] != 0 and s[0] == "i":
+                self.shadow[d[1]] = s[1] & M64
+        elif name == "setcond":
             d, a, b, cond = op.args
-            expr = _COND_EXPR[cond].format(a=self._ref(a, sub), b=self._ref(b, sub))
-            return [f"{self._dst(d)} = 1 if {expr} else 0"]
-        if name == "fbin":
+            expr = _COND_EXPR[cond].format(a=ref(a, sub), b=ref(b, sub))
+            self.set(d, f"1 if {expr} else 0")
+        elif name == "fbin":
             d, a, b, f = op.args
-            return [f"{self._dst(d)} = " + _FBIN_EXPR[f].format(a=self._ref(a), b=self._ref(b))]
-        if name == "fun":
+            self.fset(d, _FBIN_EXPR[f].format(a=self.fref(a), b=self.fref(b)))
+        elif name == "fun":
             d, a, f = op.args
             if f == "fsqrt":
-                return [f"{self._dst(d)} = f2b(fsqrt_h(b2f({self._ref(a)})))"]
-            return [f"{self._dst(d)} = {f}({self._ref(a)})"]
-        if name == "fsetcond":
+                self.fset(d, f"fsqrt_h({self.fref(a)})")
+            elif f == "fcvt_d_l":
+                self.fset(d, f"l2d({ref(a)})")
+            else:  # fcvt_l_d: float in, integer bits out
+                self.set(d, f"d2l({self.fref(a)})")
+        elif name == "fsetcond":
             d, a, b, cond = op.args
-            return [f"{self._dst(d)} = " + _FSET_EXPR[cond].format(a=self._ref(a), b=self._ref(b))]
-        if name == "ld":
+            expr = _FSET_EXPR[cond].format(a=self.fref(a), b=self.fref(b))
+            self.set(d, f"1 if {expr} else 0")
+        elif name == "ld":
             d, addr, size, signed = op.args
-            return [f"{self._dst(d)} = mem.load({self._ref(addr)}, {size}, {signed})"]
-        if name == "st":
+            self.set(d, f"mem.load({ref(addr)}, {size}, {signed})")
+        elif name == "st":
             val, addr, size = op.args
-            return [f"mem.store({self._ref(addr)}, {size}, {self._ref(val)})"]
-        if name == "lr":
+            self.lines.append(f"mem.store({ref(addr)}, {size}, {ref(val)})")
+        elif name == "lr":
             d, addr = op.args
-            return [f"{self._dst(d)} = mem.load_reserved(cpu, {self._ref(addr)})"]
-        if name == "sc":
+            self.set(d, f"mem.load_reserved(cpu, {ref(addr)})")
+        elif name == "sc":
             d, val, addr = op.args
-            return [
-                f"{self._dst(d)} = 0 if mem.store_conditional(cpu, {self._ref(addr)}, {self._ref(val)}) else 1"
-            ]
-        if name == "cas":
+            self.set(d, f"0 if mem.store_conditional(cpu, {ref(addr)}, {ref(val)}) else 1")
+        elif name == "cas":
             d, exp, val, addr = op.args
-            return [
-                f"{self._dst(d)} = mem.atomic_cas(cpu, {self._ref(addr)}, {self._ref(exp)}, {self._ref(val)})"
-            ]
-        if name in ("amoadd", "amoswap"):
+            self.set(d, f"mem.atomic_cas(cpu, {ref(addr)}, {ref(exp)}, {ref(val)})")
+        elif name in ("amoadd", "amoswap"):
             d, val, addr = op.args
             fn = "atomic_add" if name == "amoadd" else "atomic_swap"
-            return [f"{self._dst(d)} = mem.{fn}(cpu, {self._ref(addr)}, {self._ref(val)})"]
-        if name == "hint":
+            self.set(d, f"mem.{fn}(cpu, {ref(addr)}, {ref(val)})")
+        elif name == "hint":
             (value,) = op.args
-            return [f"cpu.hint_group = {value}"]
-        if name == "hint_reg":
+            self.lines.append(f"cpu.hint_group = {value}")
+        elif name == "hint_reg":
             (src,) = op.args
-            return [f"cpu.hint_group = {self._ref(src)}"]
-        if name == "fence":
-            return ["pass  # fence: sequential across nodes by construction"]
-        raise NotImplementedError(f"backend cannot emit {name}")  # pragma: no cover
+            self.lines.append(f"cpu.hint_group = {ref(src)}")
+        elif name == "fence":
+            self.lines.append("pass  # fence: sequential across nodes by construction")
+        else:  # pragma: no cover
+            raise NotImplementedError(f"backend cannot emit {name}")

@@ -1,9 +1,11 @@
 """Double-precision helpers for GA64's FP instructions.
 
-GA64 stores IEEE-754 doubles as bit patterns in the integer registers, so
-every FP op is bits → float → op → bits.  Helpers here define the edge-case
-behaviour (division by zero, NaN propagation, conversion saturation) in one
-place for both the interpreter and the translated code.
+GA64 stores IEEE-754 doubles as bit patterns in the integer registers.  The
+interpreter does bits → float → op → bits per instruction; translated code
+keeps values as host floats and reinterprets only where bits are observable
+(see :mod:`repro.dbt.backend`).  The arithmetic helpers here take and return
+floats and define the edge-case behaviour (division by zero, NaN
+propagation, conversion saturation) in one place for both.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ __all__ = [
     "fsqrt",
     "fmin",
     "fmax",
+    "d2l",
+    "l2d",
     "fcvt_l_d",
     "fcvt_d_l",
 ]
@@ -28,8 +32,8 @@ _I64_MIN = -(1 << 63)
 
 _pack = struct.Struct("<d").pack
 _unpack = struct.Struct("<d").unpack
-_qpack = struct.Struct("<q").pack
-_qunpack = struct.Struct("<q").unpack
+_qpack = struct.Struct("<Q").pack
+_qunpack = struct.Struct("<Q").unpack
 
 #: Canonical quiet NaN bit pattern (matches RISC-V's canonical NaN).
 CANONICAL_NAN = 0x7FF8_0000_0000_0000
@@ -37,12 +41,17 @@ CANONICAL_NAN = 0x7FF8_0000_0000_0000
 
 def b2f(bits: int) -> float:
     """Reinterpret 64 register bits as a double."""
-    return _unpack(_qpack(bits - (1 << 64) if bits > _I64_MAX else bits))[0]
+    return _unpack(_qpack(bits))[0]
 
 
 def f2b(value: float) -> int:
-    """Reinterpret a double as 64 register bits (unsigned)."""
-    return _qunpack(_pack(value))[0] & M64
+    """Register bits of a double.  Every NaN becomes the canonical quiet NaN,
+    as in RISC-V: an FP result never carries a payload.  Which operand's
+    payload the host would propagate depends on the C compiler's operand
+    order — it differs between CPython's specialised and generic float paths
+    — so a payload would make guest results depend on how warm host code is.
+    """
+    return CANONICAL_NAN if value != value else _qunpack(_pack(value))[0]
 
 
 def fdiv(a: float, b: float) -> float:
@@ -83,9 +92,9 @@ def fmax(a: float, b: float) -> float:
     return a if a > b else b
 
 
-def fcvt_l_d(bits: int) -> int:
-    """Double → int64, truncating toward zero, saturating (NaN → 0)."""
-    x = b2f(bits)
+def d2l(x: float) -> int:
+    """Double → int64 register bits, truncating toward zero, saturating
+    (NaN → 0)."""
     if math.isnan(x):
         return 0
     if x >= _I64_MAX:
@@ -95,7 +104,16 @@ def fcvt_l_d(bits: int) -> int:
     return int(x) & M64
 
 
+def l2d(bits: int) -> float:
+    """Int64 (register bits, signed) → double."""
+    return float(bits - (1 << 64) if bits > _I64_MAX else bits)
+
+
+def fcvt_l_d(bits: int) -> int:
+    """``fcvt.l.d`` on register bits."""
+    return d2l(b2f(bits))
+
+
 def fcvt_d_l(bits: int) -> int:
-    """Int64 (register bits, signed) → double bits."""
-    signed = bits - (1 << 64) if bits > _I64_MAX else bits
-    return f2b(float(signed))
+    """``fcvt.d.l`` on register bits."""
+    return f2b(l2d(bits))

@@ -96,6 +96,9 @@ class TCGOp:
     jmp_ind               (addr,)
     exit                  (rc,)
     ====================  ============================================
+
+    The FP ops (``fbin``, ``fun``, ``fsetcond``) take guest registers only:
+    the backend shadows them by register number as host floats.
     """
 
     name: str

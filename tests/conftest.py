@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.dbt import CPUState, ExecutionEngine, StopKind
 from repro.isa import assemble
 from repro.mem import STACK_TOP, FlatMemory
+
+# `pytest --hypothesis-profile=ci` widens every property test that leaves its
+# example count to the profile (the FP bit-exactness differential does).
+settings.register_profile("ci", max_examples=2000, derandomize=True, deadline=None)
 
 
 def run_to_ecall(source: str, *, mode: str = "dbt", regs: dict | None = None,

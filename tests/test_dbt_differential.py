@@ -88,13 +88,15 @@ def initial_regs(draw):
     return [0] + [draw(st.integers(0, M64)) for _ in range(31)]
 
 
+_BUF_INIT = bytes((i * 37 + 11) % 256 for i in range(4096))  # deterministic, non-zero
+
+
 def _run(instrs, regs, mode, **engine_kwargs):
     mem = FlatMemory()
     words = b"".join(encode(i).to_bytes(4, "little") for i in instrs)
     ecall = encode(Instruction(SPECS["ecall"])).to_bytes(4, "little")
     mem.write_bytes(TEXT, words + ecall)
-    # deterministic, non-zero data buffer
-    mem.write_bytes(BUF, bytes((i * 37 + 11) % 256 for i in range(4096)))
+    mem.write_bytes(BUF, _BUF_INIT)
     cpu = CPUState(pc=TEXT, tid=1)
     cpu.regs = list(regs)
     cpu.regs[BUF_REG] = BUF
@@ -138,6 +140,125 @@ def test_fused_dbt_matches_interpreter(instrs, regs):
     assert cpu_i.regs == cpu_f.regs
     assert cpu_i.pc == cpu_f.pc
     assert mem_i.read_bytes(BUF, 4096) == mem_f.read_bytes(BUF, 4096)
+
+
+# -- FP values as host floats ---------------------------------------------------
+#
+# The backend keeps FP results as Python floats inside a generated function
+# and materialises register bits only where they are observable.  A float
+# and its bit pattern could part ways on signed zeros, infinities, quiet and
+# signalling NaNs with payloads, denormals and the int64 conversion
+# boundaries — so those are what registers and movz/movk immediates are drawn
+# from here, with FP and integer instructions sharing four registers and the
+# body looping so that blocks chain, get promoted and carry shadows across
+# superblock members.
+
+FP_SPECIALS = [
+    0x0000_0000_0000_0000,  # +0.0
+    0x8000_0000_0000_0000,  # -0.0 (and int64 min)
+    0x7FF0_0000_0000_0000,  # +inf
+    0xFFF0_0000_0000_0000,  # -inf
+    0x7FF8_0000_0000_0000,  # canonical qNaN
+    0xFFF8_0000_0000_0001,  # negative qNaN with a payload
+    0x7FF8_DEAD_BEEF_CAFE,  # qNaN with a payload
+    0x7FF0_0000_0000_0001,  # sNaN, smallest payload
+    0x7FF4_0000_0BAD_F00D,  # sNaN with a payload
+    0xFFF7_FFFF_FFFF_FFFF,  # negative sNaN, every payload bit
+    0x0000_0000_0000_0001,  # smallest denormal
+    0x800F_FFFF_FFFF_FFFF,  # largest-magnitude negative denormal
+    0x0010_0000_0000_0000,  # smallest normal
+    0x7FEF_FFFF_FFFF_FFFF,  # largest finite
+    0x43E0_0000_0000_0000,  # 2^63: first double fcvt.l.d saturates
+    0x43DF_FFFF_FFFF_FFFF,  # the double just below 2^63
+    0xC3E0_0000_0000_0000,  # -2^63: exactly int64 min
+    0xC3E0_0000_0000_0001,  # the double just below -2^63
+    0x7FFF_FFFF_FFFF_FFFF,  # int64 max (a NaN read as a double)
+    0x3FF0_0000_0000_0000,  # 1.0
+    0xBFF8_0000_0000_0000,  # -1.5
+]
+fp_bits = st.sampled_from(FP_SPECIALS) | st.integers(0, M64)
+
+_FP_OPS = ["fadd", "fsub", "fmul", "fdiv", "fmin", "fmax", "fsqrt",
+           "fcvt.d.l", "fcvt.l.d", "feq", "flt", "fle"]
+_INT_R_OPS = ["add", "sub", "xor", "and", "or", "sll", "srl", "slt", "sltu"]
+_INT_I_OPS = ["addi", "xori", "slli", "srli", "slti"]
+FP_POOL = [5, 6, 7, 28]  # few registers, so FP and integer ops collide on them
+LOOP_REG = 18  # s2 — loop counter, never touched by the body
+ADDR_REG = 29  # atomic address staging
+fp_dst = st.sampled_from(FP_POOL + [0])  # x0 as a destination included
+fp_src = st.sampled_from(FP_POOL + [0])
+slot = st.integers(0, 3).map(lambda i: i * 8)  # few slots: loads see FP stores
+
+
+@st.composite
+def fp_mix_instr(draw):
+    group = draw(st.sampled_from(["fp"] * 5 + ["int"] * 3 + ["const"] * 2 + ["mem"] * 2
+                                 + ["atomic"]))
+    if group == "fp":
+        return [Instruction(SPECS[draw(st.sampled_from(_FP_OPS))],
+                            rd=draw(fp_dst), rs1=draw(fp_src), rs2=draw(fp_src))]
+    if group == "int":
+        if draw(st.booleans()):
+            return [Instruction(SPECS[draw(st.sampled_from(_INT_R_OPS))],
+                                rd=draw(fp_dst), rs1=draw(fp_src), rs2=draw(fp_src))]
+        return [Instruction(SPECS[draw(st.sampled_from(_INT_I_OPS))],
+                            rd=draw(fp_dst), rs1=draw(fp_src), imm=draw(st.integers(0, 63)))]
+    if group == "const":
+        rd, bits = draw(st.sampled_from(FP_POOL)), draw(fp_bits)
+        parts = [(bits >> (16 * hw)) & 0xFFFF for hw in range(4)]
+        shape = draw(st.sampled_from(["movz", "movk", "full"]))
+        if shape == "movz":  # the whole register from one visible movz
+            return [Instruction(SPECS["movz"], rd=rd, imm=parts[3], hw=3)]
+        if shape == "movk":  # an integer edit of whatever value is live
+            hw = draw(st.integers(0, 3))
+            return [Instruction(SPECS["movk"], rd=rd, imm=parts[hw], hw=hw)]
+        return [Instruction(SPECS["movz"], rd=rd, imm=parts[0], hw=0)] + [
+            Instruction(SPECS["movk"], rd=rd, imm=parts[hw], hw=hw) for hw in (1, 2, 3)]
+    if group == "mem":
+        if draw(st.booleans()):
+            return [Instruction(SPECS["sd"], rs1=BUF_REG, rs2=draw(fp_src), imm=draw(slot))]
+        return [Instruction(SPECS["ld"], rd=draw(fp_dst), rs1=BUF_REG, imm=draw(slot))]
+    return [Instruction(SPECS["addi"], rd=ADDR_REG, rs1=BUF_REG, imm=draw(slot)),
+            Instruction(SPECS[draw(st.sampled_from(["amoswap", "amoadd", "cas"]))],
+                        rd=draw(fp_dst), rs1=ADDR_REG, rs2=draw(fp_src))]
+
+
+@st.composite
+def fp_loops(draw, iterations=4):
+    """``iterations`` passes over a random FP/integer body."""
+    body = [i for group in draw(st.lists(fp_mix_instr(), min_size=1, max_size=16))
+            for i in group]
+    return (
+        [Instruction(SPECS["addi"], rd=LOOP_REG, rs1=0, imm=iterations)]
+        + body
+        + [Instruction(SPECS["addi"], rd=LOOP_REG, rs1=LOOP_REG, imm=-1),
+           Instruction(SPECS["bne"], rs1=LOOP_REG, rs2=0, imm=-4 * (len(body) + 1))]
+    )
+
+
+@st.composite
+def fp_initial_regs(draw):
+    return [0] + [draw(fp_bits) for _ in range(31)]
+
+
+FP_ENGINES = [
+    dict(max_block_insns=1),
+    dict(max_block_insns=3),
+    dict(max_block_insns=64),
+    dict(max_block_insns=64, superblock_threshold=2, fusion=True),
+    dict(max_block_insns=3, superblock_threshold=2, fusion=True),  # multi-member traces
+]
+
+
+@settings(deadline=None)  # example count comes from the profile (tests/conftest.py)
+@given(fp_loops(), fp_initial_regs())
+def test_fp_shadow_matches_interpreter_bit_for_bit(instrs, regs):
+    cpu_i, mem_i = _run(instrs, regs, "interp")
+    for kwargs in FP_ENGINES:
+        cpu_d, mem_d = _run(instrs, regs, "dbt", **kwargs)
+        assert cpu_d.regs == cpu_i.regs, kwargs
+        assert cpu_d.pc == cpu_i.pc, kwargs
+        assert mem_d.read_bytes(BUF, 4096) == mem_i.read_bytes(BUF, 4096), kwargs
 
 
 # -- hot-path identity on looping programs -----------------------------------

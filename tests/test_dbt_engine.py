@@ -1,9 +1,18 @@
 """Execution-engine behaviour: quanta, code cache, precise page stalls, faults."""
 
-from repro.dbt import CPUState, EngineTiming, ExecutionEngine, StopKind
+import pytest
+
+from repro.core.dsmmem import DSMMemory
+from repro.dbt import Backend, CPUState, EngineTiming, ExecutionEngine, Frontend, StopKind
+from repro.dbt.interp import Interpreter
 from repro.errors import InvalidInstruction, UnalignedAccess
 from repro.isa import assemble
 from repro.mem import FlatMemory, PAGE_SIZE, PageStall, page_of
+from repro.mem.llsc import LLSCTable
+from repro.mem.msi import MSIState
+from repro.mem.pagestore import PageStore
+from repro.mem.splitmap import SplitMap
+from repro.workloads import swaptions
 
 TEXT = 0x1_0000
 
@@ -225,6 +234,93 @@ class TestPreciseStalls:
         assert cpu.regs[11] == 99
 
 
+# FP state carried as host floats: a0/a1 live across iterations (and across
+# superblock members), a0/a2/a4 are dirty at the store, a1 goes dirty after
+# it.  The store walks from page A (iterations 0-1) onto page B (2-3).
+FP_STALL_LOOP = """
+_start:
+  la t2, cells
+  li a0, 0x3FF8000000000000   # 1.5
+  li a1, 0x3FD0000000000000   # 0.25
+  li t0, 4
+  li t1, 2048
+loop:
+  fmul a2, a0, a1
+  fadd a0, a2, a0
+  fsqrt a4, a0
+fault:
+  sd a0, 0(t2)
+  fsub a1, a1, a4
+  add t2, t2, t1
+  addi t0, t0, -1
+  bnez t0, loop
+  ecall
+.bss
+.align 4096
+cells: .space 8192
+"""
+
+
+class TestPreciseFloatState:
+    """A PageStall inside a block that holds FP values as host floats leaves
+    ``cpu.regs`` exactly as the interpreter has them at that instruction —
+    what the fault handler, migration and checkpoint capture read (§4.2)."""
+
+    @staticmethod
+    def _resident(prog):
+        """A node's memory with every page of ``prog`` held Modified."""
+        store = PageStore()
+        mem = DSMMemory(store, SplitMap(), LLSCTable())
+        for sec in prog.sections.values():
+            for page in range(page_of(sec.base), page_of(max(sec.end - 1, sec.base)) + 1):
+                store.ensure(page, MSIState.MODIFIED)
+        mem.load_image(prog.iter_load_segments())
+        return mem, store
+
+    @pytest.mark.parametrize(
+        "hot", [{}, dict(superblock_threshold=2, fusion=True)], ids=["blocks", "superblock"]
+    )
+    def test_stall_commits_every_dirty_shadow_and_resumes(self, hot):
+        prog = assemble(FP_STALL_LOOP)
+        cells, loop, fault = (prog.symbol(n) for n in ("cells", "loop", "fault"))
+        page_a, page_b = page_of(cells), page_of(cells) + 1
+
+        # Unfaulted run; with ``hot`` it also leaves the loop promoted.
+        mem, store = self._resident(prog)
+        engine = ExecutionEngine(mem, **hot)
+        unfaulted = CPUState(pc=prog.entry, tid=1)
+        assert engine.run_quantum(unfaulted, 10**9).kind is StopKind.SYSCALL
+        want_cells = mem.read_bytes(cells, 2 * PAGE_SIZE)
+        assert engine.cache.peek(loop).is_superblock == bool(hot)
+
+        # Same engine, page B gone: iteration 2's store stalls.
+        store.install(page_a, bytes(PAGE_SIZE), MSIState.MODIFIED)
+        mem.invalidate(page_b)
+        cpu = CPUState(pc=prog.entry, tid=1)
+        before = engine.insns_executed
+        stop = engine.run_quantum(cpu, 10**9)
+        assert stop.kind is StopKind.PAGE_STALL
+        assert (stop.info.page, stop.info.write) == (page_b, True)
+        assert cpu.pc == fault
+        # Three FP ops precede the store.  The entry block subsumes iteration
+        # 0, so iteration 2 is the trace's second member (8 insns each).
+        assert cpu.block_ic == (8 if hot else 0) + 3
+
+        # The oracle, stepped over exactly the instructions that completed.
+        oracle_mem = FlatMemory()
+        oracle_mem.load_image(prog.iter_load_segments())
+        oracle = CPUState(pc=prog.entry, tid=1)
+        Interpreter(oracle_mem).run(oracle, engine.insns_executed - before)
+        assert oracle.pc == fault
+        assert cpu.regs == oracle.regs
+
+        # The page arrives; the run ends where the unfaulted one did.
+        store.install(page_b, bytes(PAGE_SIZE), MSIState.MODIFIED)
+        assert engine.run_quantum(cpu, 10**9).kind is StopKind.SYSCALL
+        assert cpu.regs == unfaulted.regs
+        assert mem.read_bytes(cells, 2 * PAGE_SIZE) == want_cells
+
+
 class TestFaults:
     def test_invalid_instruction_faults(self):
         mem = FlatMemory()
@@ -307,6 +403,41 @@ class TestGeneratedCode:
         assert tb is not None
         assert "def tb_" in tb.source
         assert "R = cpu.regs" in tb.source
+
+    @staticmethod
+    def _casts(source):
+        return source.count("b2f(") + source.count("f2b(")
+
+    def test_swaptions_trial_block_casts_only_at_boundaries(self):
+        """The fp_compute hot block: three first reads, two commits before
+        the store (13 casts when every FP op round-tripped its operands)."""
+        prog = swaptions.build(8, 16, trials=10)
+        mem = FlatMemory()
+        mem.load_image(prog.iter_load_segments())
+        tb = Backend().compile(Frontend(mem).build_block(prog.symbol(".sw_trial")))
+        assert self._casts(tb.source) <= 5, tb.source
+
+    def test_fp_chain_materialises_bits_only_at_fault_point_and_exit(self):
+        prog, mem, _cpu = load(
+            """
+            _start:
+              fadd a2, a0, a1
+              fmul a3, a2, a2
+              fsub a2, a3, a0
+              fsqrt a4, a2
+              fmin zero, a4, a2
+              sd a4, 0(sp)
+              fdiv a5, a4, a3
+              ecall
+            """
+        )
+        src = Backend().compile(Frontend(mem).build_block(prog.entry)).source
+        chain, at_store = src.split("sd\n")
+        at_store, at_exit = at_store.split("fdiv\n")
+        assert "f2b(" not in chain and chain.count("b2f(") == 2  # a0, a1 read once
+        # a2, a3, a4 dirty at the store; only a5 since; x0 never committed
+        assert self._casts(at_store) == 3 and self._casts(at_exit) == 1, src
+        assert "R[0]" not in src and "f0" not in src
 
     def test_exec_count_tracks_hot_blocks(self):
         prog, mem, cpu = load(

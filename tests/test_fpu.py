@@ -5,7 +5,9 @@ import math
 from hypothesis import given, strategies as st
 
 from repro.dbt.fpu import (
+    CANONICAL_NAN,
     b2f,
+    d2l,
     f2b,
     fcvt_d_l,
     fcvt_l_d,
@@ -13,6 +15,7 @@ from repro.dbt.fpu import (
     fmax,
     fmin,
     fsqrt,
+    l2d,
 )
 
 M64 = 2**64 - 1
@@ -32,6 +35,14 @@ class TestBitCasts:
         # but non-NaN patterns must.
         if not math.isnan(b2f(bits)):
             assert back == bits
+
+    def test_every_nan_becomes_the_canonical_quiet_nan(self):
+        # quiet/signalling, either sign, any payload: which payload a host
+        # operation propagates is not something guest results may depend on
+        for bits in (0x7FF8_DEAD_BEEF_CAFE, 0x7FF0_0000_0000_0001, 0xFFF7_FFFF_FFFF_FFFF):
+            assert math.isnan(b2f(bits))
+            assert f2b(b2f(bits)) == CANONICAL_NAN
+        assert f2b(b2f(0x7FF8_0000_0000_0034) + b2f(0x7FF8_0000_0000_0ABC)) == CANONICAL_NAN
 
     def test_known_patterns(self):
         assert f2b(0.0) == 0
@@ -102,6 +113,12 @@ class TestConversions:
     def test_int_to_double_negative(self):
         bits = fcvt_d_l((-5) & M64)
         assert b2f(bits) == -5.0
+
+    @given(st.integers(0, M64))
+    def test_bit_wrappers_are_the_float_cores(self, bits):
+        # one definition of saturation / NaN -> 0 for interpreter and DBT
+        assert fcvt_l_d(bits) == d2l(b2f(bits))
+        assert fcvt_d_l(bits) == f2b(l2d(bits))
 
     @given(st.integers(-(2**52), 2**52))
     def test_int_roundtrip_exact_range(self, v):
