@@ -39,34 +39,35 @@ class DSMMemory(FlatMemory):
     def __init__(self, store: PageStore, split: SplitMap, llsc: LLSCTable):
         self._own(store, llsc)
         self.split = split
-        self._split = split.by_orig  # never rebound: truthy while any page is split
+        self.split_pages = split.by_orig  # never rebound: truthy while any page is split
 
     def _resolve(self, addr: int, size: int, write: bool) -> int:
         """Translation + protection: the serving address, or the stall that
         brings the page in (resp. merges it back)."""
-        if self._split:
+        if self.split_pages:
             try:
                 addr = self.split.translate_span(addr, size)
             except SplitCrossing as sc:
                 raise MergeStall(sc.page, sc.offset) from None
         check_span(addr, size)
         page = addr >> PAGE_SHIFT
-        state = self._states.get(page)
+        state = self.page_states.get(page)
         if (state is not MODIFIED) if write else (state is None):
             raise PageStall(page, write, addr & OFFSET_MASK, size)
         return addr
 
-    # The per-access entry points of a cluster node.  With no page split they
-    # add nothing; with one, the access is translated (and checked) first so
-    # the shared path sees only an address its page already permits.
+    # The per-access entry points of a cluster node: translated code's miss
+    # arm, the interpreter's only path.  With no page split they add nothing;
+    # with one, the access is translated (and checked) first so the shared
+    # path sees only an address its page already permits.
 
     def load(self, addr: int, size: int, signed: bool) -> int:
-        if self._split:
+        if self.split_pages:
             addr = self._resolve(addr, size, False)
         return FlatMemory.load(self, addr, size, signed)
 
     def store(self, addr: int, size: int, value: int) -> None:
-        if self._split:
+        if self.split_pages:
             addr = self._resolve(addr, size, True)
         FlatMemory.store(self, addr, size, value)
 
@@ -75,7 +76,7 @@ class DSMMemory(FlatMemory):
         (the paper's false-positive SC scheme).  Returns the copy if it was
         Modified — the only content the home lacks; Shared and Exclusive-clean
         copies drop without payload."""
-        dirty = self._states.get(page) is MODIFIED
+        dirty = self.page_states.get(page) is MODIFIED
         copy = self.pages.drop(page)
         self.llsc.kill_page(page)
         return copy if dirty else None

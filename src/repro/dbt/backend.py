@@ -19,6 +19,20 @@ instruction and on every ``return`` — the only points at which anything
 outside the function (fault handler, migration and checkpoint capture, the
 next block) reads ``cpu.regs``, so the register file is exact whenever read.
 
+Resident fast path.  Every ``ld``/``st`` micro-op is emitted as the memory's
+hit test inline plus the out-of-line method as its miss arm — QEMU's softmmu
+TLB check, with the containers of :class:`~repro.mem.api.MemoryAPI`'s
+resident-access view in the TLB's place.  A load is served by indexing the
+page's ``bytearray`` iff nothing is split, the span stays inside the page and
+the page has a state; a store iff additionally no reservation is armed and the
+state is Modified — exactly when ``DSMMemory.load``/``store`` would neither
+enter ``_resolve`` nor call ``kill_store``.  Anything else calls ``mem.load`` /
+``mem.store`` unchanged, after the ``can_fault`` preamble has committed pc,
+``block_ic`` and float shadows, so stalls, faults and silent upgrades behave
+as if every access were the call.  The containers are read from the ``mem``
+argument at function entry (:data:`MEM_VIEW`), never bound at compile time: a
+block serves whichever memory it is run against.
+
 Hot-path tier.  Beyond plain per-block compilation the backend supports:
 
 * **successor metadata** — every block records its statically-known
@@ -49,13 +63,19 @@ from repro.dbt import fpu
 from repro.dbt import runtime as rt
 from repro.dbt.frontend import BlockIR
 from repro.dbt.tcg import InstrIR, TCGOp
-from repro.mem.layout import PAGE_SIZE
+from repro.mem.layout import PAGE_SHIFT, PAGE_SIZE
+from repro.mem.msi import MSIState
 
-__all__ = ["TranslationBlock", "Backend", "find_fusions"]
+__all__ = ["TranslationBlock", "Backend", "find_fusions", "MEM_VIEW"]
 
 M64 = rt.M64
 
-#: Globals visible to generated code.
+#: Host local → the :class:`~repro.mem.api.MemoryAPI` container it aliases.
+#: A generated function that touches memory binds the ones it tests at entry,
+#: from its ``mem`` argument (module docstring, "Resident fast path").
+MEM_VIEW = {"S": "page_states", "B": "page_bufs", "X": "split_pages", "A": "reservations"}
+
+#: Globals of every generated function (one shared dict: none assigns one).
 _CODEGEN_GLOBALS = {
     "M": M64,
     "s64": rt.s64,
@@ -73,6 +93,9 @@ _CODEGEN_GLOBALS = {
     "fmax_h": fpu.fmax,
     "d2l": fpu.d2l,
     "l2d": fpu.l2d,
+    "W": MSIState.MODIFIED,
+    "ifb": int.from_bytes,
+    "itb": int.to_bytes,
 }
 
 _COND_EXPR = {
@@ -290,15 +313,12 @@ class Backend:
             instrs, groups = find_fusions(instrs)
         em = _Emitter()
         em.body(instrs, groups, 0, None, block.next_pc, set())
-        name = f"tb_{block.pc:x}_{next(self._ids)}"
-        src = f"def {name}(cpu, mem):\n" + "\n".join("    " + ln for ln in em.lines) + "\n"
-        ns: dict = {}
-        exec(compile(src, f"<tb@{block.pc:#x}>", "exec"), dict(_CODEGEN_GLOBALS), ns)
+        fn, src = em.function(f"tb_{block.pc:x}_{next(self._ids)}", f"<tb@{block.pc:#x}>")
         return TranslationBlock(
             pc=block.pc,
             n_insns=len(instrs),
             end_pc=block.next_pc,
-            fn=ns[name],
+            fn=fn,
             source=src,
             succ_pcs=_successors(instrs, block.next_pc),
             pages=_page_span(block.pc, block.next_pc),
@@ -339,15 +359,12 @@ class Backend:
             if mi == last:
                 tail_succs = _successors(instrs, block.next_pc)
         head = members[0]
-        name = f"sb_{head.pc:x}_{next(self._ids)}"
-        src = f"def {name}(cpu, mem):\n" + "\n".join("    " + ln for ln in em.lines) + "\n"
-        ns: dict = {}
-        exec(compile(src, f"<sb@{head.pc:#x}>", "exec"), dict(_CODEGEN_GLOBALS), ns)
+        fn, src = em.function(f"sb_{head.pc:x}_{next(self._ids)}", f"<sb@{head.pc:#x}>")
         return TranslationBlock(
             pc=head.pc,
             n_insns=base,
             end_pc=head.next_pc,
-            fn=ns[name],
+            fn=fn,
             source=src,
             succ_pcs=tuple(sorted(set(tail_succs) | side_exits)),
             pages=tuple(sorted(pages)),
@@ -363,13 +380,24 @@ class _Emitter:
     that decides where register bits are materialised (module docstring)."""
 
     def __init__(self) -> None:
-        self.lines = ["R = cpu.regs"]
+        self.lines: list[str] = []
         #: Guest reg → float expression equal to its value: the host local
         #: ``fN`` or a literal.  An ``int`` entry is the bits of a visible
         #: ``mov imm``, turned into one of the two on the first FP read.
         self.shadow: dict[int, str | int] = {}
         #: Guest regs whose ``fN`` is newer than ``R[N]``.
         self.dirty: set[int] = set()
+        #: :data:`MEM_VIEW` locals the emitted resident tests read.
+        self.views: set[str] = set()
+
+    def function(self, name: str, filename: str) -> tuple[Callable, str]:
+        """The emitted lines as a compiled ``name(cpu, mem)`` and its source."""
+        entry = ["R = cpu.regs"]
+        entry += [f"{v} = mem.{attr}" for v, attr in MEM_VIEW.items() if v in self.views]
+        src = f"def {name}(cpu, mem):\n" + "".join(f"    {ln}\n" for ln in entry + self.lines)
+        ns: dict = {}
+        exec(compile(src, filename, "exec"), _CODEGEN_GLOBALS, ns)
+        return ns[name], src
 
     # -- operands -------------------------------------------------------------
 
@@ -390,20 +418,23 @@ class _Emitter:
             return f"t{v}"
         return repr(v & M64)
 
-    def set(self, d, expr: str) -> None:
-        """Integer write ``d = expr``; a guest register loses its shadow.
-        ``expr`` is built (and its reads flushed) before this runs, so an
-        instruction that reads and writes the same register reads it first."""
+    def target(self, d) -> str:
+        """Where an integer write to ``d`` lands; a guest register loses its
+        shadow.  The written expression is built (and its reads flushed)
+        before this runs, so an instruction that reads and writes the same
+        register reads it first."""
         kind, v = d
         if kind == "t":
-            target = f"t{v}"
-        elif v == 0:
-            target = "_"
-        else:
-            target = f"R[{v}]"
-            self.shadow.pop(v, None)
-            self.dirty.discard(v)
-        self.lines.append(f"{target} = {expr}")
+            return f"t{v}"
+        if v == 0:
+            return "_"
+        self.shadow.pop(v, None)
+        self.dirty.discard(v)
+        return f"R[{v}]"
+
+    def set(self, d, expr: str) -> None:
+        """Integer write ``d = expr``."""
+        self.lines.append(f"{self.target(d)} = {expr}")
 
     def fref(self, operand) -> str:
         """FP read of a guest register: a float expression.  ``b2f`` is
@@ -512,10 +543,50 @@ class _Emitter:
         add_op, ld_op = ld_ir.ops
         d, addr, size, signed = ld_op.args
         self.simple(add_op)
-        self.lines.append(f"_v = mem.load({self.ref(addr)}, {size}, {signed})")
+        self.load("_v", self.ref(addr), size, signed)
         self.set(d, "_v")
         self.lines.append(f"# {op_ir.pc:#x}: {op_ir.mnemonic} (fused)")
         self.simple(op_ir.ops[0], sub={d: "_v"})
+
+    # -- memory: resident test inline, the method as miss arm (module docstring)
+
+    def locate(self, a: str, size: int) -> tuple[str, str]:
+        """Bind ``p`` to the page of address ``a``; returns the page-offset
+        expression and the hit test's span term (none for one byte)."""
+        self.lines.append(f"p = {a} >> {PAGE_SHIFT}")
+        if size == 1:
+            return f"{a} & {PAGE_SIZE - 1}", ""
+        self.lines.append(f"o = {a} & {PAGE_SIZE - 1}")
+        return "o", f"o > {PAGE_SIZE - size} or "
+
+    def load(self, target: str, a: str, size: int, signed: bool) -> None:
+        """``target = <size bytes at a>``: hit iff nothing is split, the
+        span stays inside the page and the page has a state."""
+        self.views.update("SBX")
+        o, spans = self.locate(a, size)
+        if size == 1:
+            hit = f"(B[p][{o}] ^ 128) - 128 & M" if signed else f"B[p][{o}]"
+        elif signed and size < 8:
+            hit = f'ifb(B[p][o:o + {size}], "little", signed=True) & M'
+        else:
+            hit = f'ifb(B[p][o:o + {size}], "little")'
+        self.lines.append(
+            f"{target} = mem.load({a}, {size}, {signed}) if X or {spans}p not in S else {hit}"
+        )
+
+    def store(self, a: str, size: int, v: str) -> None:
+        """``<size bytes at a> = v``: hit iff additionally no reservation is
+        armed and the page is Modified."""
+        self.views.update("SBXA")
+        o, spans = self.locate(a, size)
+        if size == 1:
+            hit = f"B[p][{o}] = {v} & 255"
+        else:
+            # Registers and temps are held masked, so 8 bytes need no mask.
+            low = v if size == 8 else f"{v} & {(1 << 8 * size) - 1}"
+            hit = f'B[p][o:o + {size}] = itb({low}, {size}, "little")'
+        self.lines.append(f"if X or A or {spans}S.get(p) is not W: mem.store({a}, {size}, {v})")
+        self.lines.append(f"else: {hit}")
 
     def terminal(
         self,
@@ -560,7 +631,12 @@ class _Emitter:
         ref = self.ref
         if name in _BIN_EXPR:
             d, a, b = op.args
-            self.set(d, _BIN_EXPR[name].format(a=ref(a, sub), b=ref(b, sub)))
+            if name == "add" and b[0] == "i" and (b[1] == 0 or a == ("g", 0)):
+                # ``x + 0`` (zero-displacement address, ``mv``) and ``0 + imm``
+                # (``li``): registers, temps and immediates are held masked.
+                self.set(d, ref(a, sub) if b[1] == 0 else ref(b))
+            else:
+                self.set(d, _BIN_EXPR[name].format(a=ref(a, sub), b=ref(b, sub)))
         elif name == "mov":
             d, s = op.args
             self.set(d, ref(s, sub))
@@ -587,10 +663,11 @@ class _Emitter:
             self.set(d, f"1 if {expr} else 0")
         elif name == "ld":
             d, addr, size, signed = op.args
-            self.set(d, f"mem.load({ref(addr)}, {size}, {signed})")
+            a = ref(addr)  # read (and flush) before the target drops its shadow
+            self.load(self.target(d), a, size, signed)
         elif name == "st":
             val, addr, size = op.args
-            self.lines.append(f"mem.store({ref(addr)}, {size}, {ref(val)})")
+            self.store(ref(addr), size, ref(val))
         elif name == "lr":
             d, addr = op.args
             self.set(d, f"mem.load_reserved(cpu, {ref(addr)})")

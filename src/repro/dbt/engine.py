@@ -27,6 +27,12 @@ Cycle accounting is exact: the fractional cycle remainder at each stop is
 carried on the vCPU (``cpu.cycle_frac``) into its next quantum instead of
 being truncated, so long-run totals match the per-instruction model to the
 cycle even for fractional CPIs.
+
+The dispatch loop pays per quantum what it can: a chained plain block costs
+it one call (the block) and arithmetic on locals; counters are written back
+at the loop's single exit, successor edges are counted only for the
+superblock tier that reads them, and ``_bill`` is entered only for the hot
+tier's blocks and for a block a stall or fault cut short.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.dbt.backend import Backend, TranslationBlock
+from repro.dbt.backend import MEM_VIEW, Backend, TranslationBlock
 from repro.dbt.codecache import CodeCache
 from repro.dbt.cpu import CPUState
 from repro.dbt.frontend import Frontend
@@ -78,6 +84,10 @@ class ExecutionEngine:
             raise ConfigError(
                 "superblocks require block chaining: traces grow along recorded chain edges"
             )
+        # Translated code reads the resident-access view off ``mem`` on every
+        # call; a memory without it must fail here, not inside a block.
+        for attr in MEM_VIEW.values():
+            getattr(mem, attr)
         self.mem = mem
         self.mode = mode
         self.timing = timing or EngineTiming()
@@ -111,6 +121,7 @@ class ExecutionEngine:
 
     def _run_dbt(self, cpu: CPUState, cycle_budget: int) -> StopEvent:
         t = self.timing
+        cpi = t.cpi_dbt
         cycles = cpu.cycle_frac  # remainder carried from the last quantum
         cpu.cycle_frac = 0.0
         tcycles = 0.0
@@ -118,12 +129,18 @@ class ExecutionEngine:
         cache = self.cache
         chaining = self.chaining
         threshold = self.superblock_threshold
+        # Per-block bookkeeping lives in locals and is written back once, at
+        # the exit below; the float sums add the same terms in the same order.
+        follows = 0
+        insns = 0
+        exec_cycles = self.execute_cycles
+        kind, info = StopKind.QUANTUM, None
         prev: Optional[TranslationBlock] = None
         while cycles < cycle_budget:
             pc = cpu.pc
             tb = prev.chain.get(pc) if prev is not None else None
             if tb is not None:
-                cache.stats.chain_follows += 1
+                follows += 1
             else:
                 tb = cache.lookup(pc)
                 if tb is None:
@@ -131,9 +148,11 @@ class ExecutionEngine:
                         block_ir = self.frontend.build_block(pc)
                         tb = self.backend.compile(block_ir, fusion=self.fusion)
                     except PageStall as stall:
-                        return self._stop(StopKind.PAGE_STALL, cycles, tcycles, cpu, stall)
+                        kind, info = StopKind.PAGE_STALL, stall
+                        break
                     except GuestFault as fault:
-                        return self._stop(StopKind.FAULT, cycles, tcycles, cpu, fault)
+                        kind, info = StopKind.FAULT, fault
+                        break
                     cache.insert(tb)
                     self.insns_translated += tb.n_insns
                     cost = tb.n_insns * t.translate_per_insn
@@ -141,21 +160,32 @@ class ExecutionEngine:
                     tcycles += cost
                 if chaining and prev is not None and pc in prev.succ_pcs:
                     cache.chain(prev, pc, tb)
-            if chaining and prev is not None and pc in prev.succ_pcs:
+            # Successor counts feed trace growth, their only reader.
+            if threshold and prev is not None and pc in prev.succ_pcs:
                 prev.edges[pc] = prev.edges.get(pc, 0) + 1
             # A stall/fault raised before the block's first checkpoint must
             # bill zero completed instructions, not the previous block's.
             cpu.block_ic = 0
             try:
                 rc = tb.fn(cpu, mem)
-            except PageStall as stall:
-                cycles += self._bill(tb, cpu.block_ic, t)
-                return self._stop(StopKind.PAGE_STALL, cycles, tcycles, cpu, stall)
-            except GuestFault as fault:
-                cycles += self._bill(tb, cpu.block_ic, t)
-                return self._stop(StopKind.FAULT, cycles, tcycles, cpu, fault)
+            except (PageStall, GuestFault) as exc:
+                done = cpu.block_ic  # a partially-completed block
+                cost = self._bill(tb, done, t)
+                insns += done
+                cycles += cost
+                exec_cycles += cost
+                kind = StopKind.PAGE_STALL if isinstance(exc, PageStall) else StopKind.FAULT
+                info = exc
+                break
             tb.exec_count += 1
-            cycles += self._bill(tb, cpu.block_ic, t)
+            done = cpu.block_ic
+            if tb.fused or tb.is_superblock:
+                cost = self._bill(tb, done, t)
+            else:  # a plain block: _bill's arithmetic without the frame
+                cost = done * cpi
+            insns += done
+            cycles += cost
+            exec_cycles += cost
             if (
                 threshold
                 and not tb.is_superblock
@@ -166,18 +196,21 @@ class ExecutionEngine:
                 cost = self._try_promote(tb)
                 cycles += cost
                 tcycles += cost
-            if rc == RC_SYSCALL:
-                return self._stop(StopKind.SYSCALL, cycles, tcycles, cpu)
-            if rc == RC_BREAK:
-                return self._stop(StopKind.BREAK, cycles, tcycles, cpu)
+            if rc:  # not RC_NEXT: ecall/ebreak hand control to the caller
+                kind = StopKind.SYSCALL if rc == RC_SYSCALL else StopKind.BREAK
+                break
             prev = tb
-        return self._stop(StopKind.QUANTUM, cycles, tcycles, cpu)
+        cache.stats.chain_follows += follows
+        self.insns_executed += insns
+        self.execute_cycles = exec_cycles
+        return self._stop(kind, cycles, tcycles, cpu, info)
 
     # -- hot-path accounting -----------------------------------------------
 
     def _bill(self, tb: TranslationBlock, done: int, t: EngineTiming) -> float:
-        """Execution cycles for ``done`` completed guest instructions."""
-        self.insns_executed += done
+        """Execution cycles for ``done`` completed guest instructions of
+        ``tb``, with the hot tier's savings counted; the caller accumulates
+        the cycles and the instruction count."""
         cpi = t.cpi_superblock if tb.is_superblock else t.cpi_dbt
         billed = done
         if tb.fused:
@@ -191,9 +224,7 @@ class ExecutionEngine:
                 self.fusion_saved_cycles += saved * cpi
         if tb.is_superblock:
             self.superblock_saved_cycles += done * (t.cpi_dbt - t.cpi_superblock)
-        cost = billed * cpi
-        self.execute_cycles += cost
-        return cost
+        return billed * cpi
 
     def _try_promote(self, head: TranslationBlock) -> float:
         """Grow a trace from ``head`` along its hottest recorded edges and

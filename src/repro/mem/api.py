@@ -23,6 +23,7 @@ from repro.mem.layout import PAGE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dbt.cpu import CPUState
+    from repro.mem.msi import MSIState
 
 __all__ = ["PageStall", "MemoryAPI", "check_span", "sign_extend", "M64"]
 
@@ -64,7 +65,29 @@ def sign_extend(value: int, size: int) -> int:
 
 
 class MemoryAPI(Protocol):
-    """What the interpreter and translated code require of memory."""
+    """What the interpreter and translated code require of memory.
+
+    Resident-access view.  Translated code does not call :meth:`load` /
+    :meth:`store` for an access the page already permits: it tests these four
+    containers inline and indexes the page's ``bytearray`` itself
+    (:mod:`repro.dbt.backend`).  A load hits iff ``split_pages`` is empty, the
+    span stays inside the page and the page has an entry in ``page_states``; a
+    store iff additionally ``reservations`` is empty and the state is
+    Modified.  Everything else calls the method, which is therefore the miss
+    arm (and the interpreter's only path) and must behave exactly as if every
+    access came through it.  Generated functions read the four attributes
+    from their ``mem`` argument on entry and the memory mutates them in place
+    for its whole life, so none may ever be rebound.
+    """
+
+    #: page → coherence state; a page with no entry is Invalid.
+    page_states: dict[int, "MSIState"]
+    #: page → its bytes; every page in ``page_states`` has one.
+    page_bufs: dict[int, bytearray]
+    #: Non-empty while any page is split into shadow pages (§5.1).
+    split_pages: dict
+    #: Non-empty while any LL reservation is armed (§4.4).
+    reservations: dict
 
     def load(self, addr: int, size: int, signed: bool) -> int:
         """Read ``size`` bytes; returns the 64-bit (sign/zero extended) value."""

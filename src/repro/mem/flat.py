@@ -11,6 +11,12 @@ hardware keeps memory coherent), so a miss zero-fills a Modified page;
 :class:`~repro.core.dsmmem.DSMMemory` turns the miss into the page fault that
 drives the coherence protocol.
 
+Translated code makes the same inline test itself, on the same containers
+(the resident-access view of :class:`~repro.mem.api.MemoryAPI`), and calls
+:meth:`~FlatMemory.load` / :meth:`~FlatMemory.store` only when it fails: the
+two methods are the DBT's miss arm and the interpreter's only path, and must
+stay correct for every access either way.
+
 LL/SC semantics follow the paper's intra-node scheme: a reservation table
 keyed by address; any store to a reserved cell kills the reservation
 (conservative, like QEMU's emulation).  The store check is only performed
@@ -47,11 +53,13 @@ class FlatMemory:
     def _own(self, pages: PageStore, llsc: LLSCTable) -> None:
         self.pages = pages
         self.llsc = llsc
-        # Neither container ever rebinds its dicts, so the access path tests
-        # and indexes them directly instead of paying a call per lookup.
-        self._bufs = pages._pages
-        self._states = pages._states
-        self._armed = llsc._res
+        # The resident-access view (MemoryAPI): neither container ever rebinds
+        # its dicts, so this path and translated code test and index them
+        # directly instead of paying a call per lookup.
+        self.page_bufs = pages._pages
+        self.page_states = pages._states
+        self.reservations = llsc._res
+        self.split_pages: dict = {}  # private memory never splits a page
 
     def _resolve(self, addr: int, size: int, write: bool) -> int:
         """Make the page of ``[addr, addr+size)`` permit the access and return
@@ -59,7 +67,7 @@ class FlatMemory:
         all a variant changes: private memory zero-fills the page Modified."""
         check_span(addr, size)
         page = addr >> PAGE_SHIFT
-        if self._states.get(page) is not MODIFIED:
+        if self.page_states.get(page) is not MODIFIED:
             self.pages.ensure(page, MODIFIED)
         return addr
 
@@ -68,10 +76,10 @@ class FlatMemory:
     def load(self, addr: int, size: int, signed: bool) -> int:
         off = addr & OFFSET_MASK
         page = addr >> PAGE_SHIFT
-        if off + size > PAGE_SIZE or page not in self._states:
+        if off + size > PAGE_SIZE or page not in self.page_states:
             # A shadow page keeps the original's offsets, so ``off`` stands.
             page = self._resolve(addr, size, False) >> PAGE_SHIFT
-        value = int.from_bytes(self._bufs[page][off : off + size], "little")
+        value = int.from_bytes(self.page_bufs[page][off : off + size], "little")
         if signed and size < 8:
             return sign_extend(value, size)
         return value
@@ -79,19 +87,19 @@ class FlatMemory:
     def store(self, addr: int, size: int, value: int) -> None:
         off = addr & OFFSET_MASK
         page = addr >> PAGE_SHIFT
-        if off + size > PAGE_SIZE or self._states.get(page) is not MODIFIED:
+        if off + size > PAGE_SIZE or self.page_states.get(page) is not MODIFIED:
             addr = self._resolve(addr, size, True)
             page = addr >> PAGE_SHIFT
-        self._bufs[page][off : off + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(
+        self.page_bufs[page][off : off + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(
             size, "little"
         )
-        if self._armed:
+        if self.reservations:
             self.llsc.kill_store(addr, size)
 
     def fetch_code(self, addr: int, size: int) -> bytes:
         addr = self._resolve(addr, size, False)
         off = addr & OFFSET_MASK
-        return bytes(self._bufs[addr >> PAGE_SHIFT][off : off + size])
+        return bytes(self.page_bufs[addr >> PAGE_SHIFT][off : off + size])
 
     # -- atomics (two-level scheme, §4.4) --------------------------------------
 
@@ -100,7 +108,7 @@ class FlatMemory:
         if addr % 8:
             raise UnalignedAccess(f"atomic access to unaligned address {addr:#x}", addr=addr)
         addr = self._resolve(addr, 8, write)
-        return addr, self._bufs[addr >> PAGE_SHIFT], addr & OFFSET_MASK
+        return addr, self.page_bufs[addr >> PAGE_SHIFT], addr & OFFSET_MASK
 
     def _put_cell(self, addr: int, buf: bytearray, off: int, value: int) -> None:
         buf[off : off + 8] = (value & M64).to_bytes(8, "little")
@@ -154,15 +162,15 @@ class FlatMemory:
         out = bytearray()
         for at, n in self._pieces(addr, size, False):
             off = at & OFFSET_MASK
-            out += self._bufs[at >> PAGE_SHIFT][off : off + n]
+            out += self.page_bufs[at >> PAGE_SHIFT][off : off + n]
         return bytes(out)
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         pos = 0
         for at, n in self._pieces(addr, len(data), True):
             off = at & OFFSET_MASK
-            self._bufs[at >> PAGE_SHIFT][off : off + n] = data[pos : pos + n]
-            if self._armed:
+            self.page_bufs[at >> PAGE_SHIFT][off : off + n] = data[pos : pos + n]
+            if self.reservations:
                 self.llsc.kill_store(at, n)
             pos += n
 

@@ -17,7 +17,7 @@ __all__ = ["LLSCTable"]
 
 class LLSCTable:
     def __init__(self) -> None:
-        self._res: dict[int, set[int]] = {}  # never rebound (FlatMemory holds it)
+        self._res: dict[int, set[int]] = {}  # never rebound (MemoryAPI.reservations)
         self.spurious_kills = 0  # reservations killed by page invalidation
 
     def __len__(self) -> int:

@@ -22,7 +22,8 @@ class PageStore:
 
     def __init__(self) -> None:
         # Never rebound, and a page with no entry in ``_states`` is Invalid:
-        # FlatMemory's access path holds both dicts and relies on that.
+        # FlatMemory exposes both dicts as MemoryAPI's resident-access view,
+        # and its access path and translated code rely on that.
         self._pages: dict[int, bytearray] = {}
         self._states: dict[int, MSIState] = {}
 

@@ -56,8 +56,8 @@ class SplitMap:
     """Per-node copy of the shadow-page translation table."""
 
     def __init__(self) -> None:
-        #: orig page -> entry; never rebound, so a memory can hold it and test
-        #: "is anything split?" without a call.
+        #: orig page -> entry; never rebound (MemoryAPI.split_pages), so a
+        #: memory and translated code test "is anything split?" without a call.
         self.by_orig: dict[int, SplitEntry] = {}
         self._shadow_owner: dict[int, tuple[int, int]] = {}  # shadow -> (orig, region)
 

@@ -2,16 +2,87 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import settings
 
+from repro.core.dsmmem import DSMMemory
 from repro.dbt import CPUState, ExecutionEngine, StopKind
 from repro.isa import assemble
-from repro.mem import STACK_TOP, FlatMemory
+from repro.mem import (
+    PAGE_SIZE, STACK_TOP, FlatMemory, MSIState, PageStall, PageStore, page_of,
+)
+from repro.mem.llsc import LLSCTable
+from repro.mem.splitmap import SplitMap
 
 # `pytest --hypothesis-profile=ci` widens every property test that leaves its
 # example count to the profile (the FP bit-exactness differential does).
 settings.register_profile("ci", max_examples=2000, derandomize=True, deadline=None)
+
+
+class StallingMemory(FlatMemory):
+    """Private memory that withholds ``stall_pages`` the way ``DSMMemory``
+    withholds a page its node does not hold: once the image is loaded the page
+    has no state-table entry, so the first guest access — the resident test
+    inlined in translated code included — reaches ``_resolve``, which raises
+    the ``PageStall`` and counts the page as fetched (contents intact)."""
+
+    def __init__(self, stall_pages):
+        super().__init__()
+        self.stall_pages = set(stall_pages)
+        self.withheld: set[int] = set()
+
+    def load_image(self, segments):
+        super().load_image(segments)
+        self.withheld = set(self.stall_pages)
+        for page in self.withheld:
+            self.pages.set_state(page, MSIState.INVALID)
+
+    def _resolve(self, addr, size, write):
+        page = page_of(addr)
+        if page in self.withheld:
+            self.withheld.discard(page)
+            raise PageStall(page, write, addr % PAGE_SIZE, size)
+        return super()._resolve(addr, size, write)
+
+
+def resident_node_memory(prog):
+    """A cluster node's memory holding every page of ``prog`` Modified."""
+    store = PageStore()
+    mem = DSMMemory(store, SplitMap(), LLSCTable())
+    for sec in prog.sections.values():
+        for page in range(page_of(sec.base), page_of(max(sec.end - 1, sec.base)) + 1):
+            store.ensure(page, MSIState.MODIFIED)
+    mem.load_image(prog.iter_load_segments())
+    return mem
+
+
+def memory_image(mem):
+    """Everything an access can leave behind: bytes, states, reservations."""
+    return (
+        {page: bytes(buf) for page, buf in mem.page_bufs.items()},
+        dict(mem.page_states),
+        {addr: set(tids) for addr, tids in mem.reservations.items()},
+    )
+
+
+def python_calls(fn, *args):
+    """``(file, function)`` of every Python-level call made while running
+    ``fn(*args)``, in call order (C functions make no ``call`` event)."""
+    calls = []
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            code = frame.f_code  # co_qualname is CPython >= 3.11
+            calls.append((code.co_filename, getattr(code, "co_qualname", code.co_name)))
+
+    sys.setprofile(profiler)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 def run_to_ecall(source: str, *, mode: str = "dbt", regs: dict | None = None,

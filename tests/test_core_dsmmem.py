@@ -2,8 +2,6 @@
 length of the resident access path and node-side page teardown.  What every
 memory variant shares is tested once in test_mem_stores.py."""
 
-import sys
-
 import pytest
 
 from repro.core.config import DQEMUConfig
@@ -19,6 +17,7 @@ from repro.mem.splitmap import SplitEntry, SplitMap
 from repro.net.fabric import Fabric
 from repro.net.messages import Invalidate, SplitTableUpdate
 from repro.sim import Simulator
+from tests.conftest import python_calls
 
 PAGE = 0x10
 BASE = PAGE << 12
@@ -129,22 +128,6 @@ class TestAtomics:
         store.install(PAGE, bytes(4096), MSIState.SHARED)
         with pytest.raises(PageStall):
             mem.atomic_cas(cpu(), BASE, 0, 1)
-
-
-def python_calls(fn, *args):
-    """Python-level function calls made while running ``fn(*args)``."""
-    calls = []
-
-    def profiler(frame, event, arg):
-        if event == "call":
-            calls.append(frame.f_code.co_qualname)
-
-    sys.setprofile(profiler)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(None)
-    return calls
 
 
 class TestResidentPathLength:

@@ -6,12 +6,17 @@ This is the guard that keeps the DBT backend semantically equal to the
 interpreter oracle across the whole ISA.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dbt import CPUState, ExecutionEngine, StopKind
+from repro.core.dsmmem import DSMMemory, MergeStall
+from repro.dbt import CPUState, EngineTiming, ExecutionEngine, StopKind
 from repro.isa import SPECS, Instruction, assemble, encode
 from repro.isa.instructions import Fmt
-from repro.mem import FlatMemory
+from repro.mem import FlatMemory, MSIState, PageStore
+from repro.mem.llsc import LLSCTable
+from repro.mem.splitmap import SplitEntry, SplitMap
+from tests.conftest import memory_image
 
 TEXT = 0x1_0000
 BUF = 0x10_0000  # data buffer page, preloaded in a fixed register
@@ -223,17 +228,21 @@ def fp_mix_instr(draw):
                         rd=draw(fp_dst), rs1=ADDR_REG, rs2=draw(fp_src))]
 
 
-@st.composite
-def fp_loops(draw, iterations=4):
-    """``iterations`` passes over a random FP/integer body."""
-    body = [i for group in draw(st.lists(fp_mix_instr(), min_size=1, max_size=16))
-            for i in group]
+def _looped(body, iterations):
+    """``iterations`` passes over ``body``, counted in LOOP_REG."""
     return (
         [Instruction(SPECS["addi"], rd=LOOP_REG, rs1=0, imm=iterations)]
         + body
         + [Instruction(SPECS["addi"], rd=LOOP_REG, rs1=LOOP_REG, imm=-1),
            Instruction(SPECS["bne"], rs1=LOOP_REG, rs2=0, imm=-4 * (len(body) + 1))]
     )
+
+
+@st.composite
+def fp_loops(draw, iterations=4):
+    """``iterations`` passes over a random FP/integer body."""
+    return _looped([i for group in draw(st.lists(fp_mix_instr(), min_size=1, max_size=16))
+                    for i in group], iterations)
 
 
 @st.composite
@@ -352,3 +361,162 @@ class TestHotPathIdentity:
         ):
             got, _ = _run_asm(HOT_LOOP, "dbt", **kwargs)
             assert got.regs == ref.regs and got.pc == ref.pc, kwargs
+
+
+# -- a node's memory: stalls, upgrades, split pages, reservations --------------
+#
+# Translated code serves a resident access inline and calls ``mem.load`` /
+# ``mem.store`` only when its inline test fails.  Everything that test must
+# get right is varied here at once: two buffer pages (and the two shadow
+# regions of the first, split or not) start absent, Shared, Exclusive or
+# Modified; accesses of every width land anywhere up to and across the page
+# and region edges; LL/SC cells sit under plain stores.  A tiny node plays
+# the DSM's part between quanta, and the interpreter — which only ever calls
+# the methods — is the oracle for everything observable.
+
+DSM_PAGE = BUF >> 12
+DSM_SHADOWS = (0x60000, 0x60001)  # the 2048-byte regions of DSM_PAGE when split
+_CELLS = [0, 8, 2040, 2048, 4088, 4096]  # few, so plain stores land on reservations
+_EDGES = [1, 7, 2041, 2045, 2047, 4081, 4089, 4093, 4095, 4097]
+dsm_offset = st.sampled_from(_CELLS + _EDGES) | st.integers(0, 2 * 4096 - 1)
+dsm_reg = st.sampled_from(FP_POOL)
+page_state = st.sampled_from([None, MSIState.SHARED, MSIState.EXCLUSIVE, MSIState.MODIFIED])
+
+
+@st.composite
+def dsm_instr(draw):
+    group = draw(st.sampled_from(["load"] * 3 + ["store"] * 3 + ["atomic"] * 2 + ["int"]))
+    if group == "load":
+        return [Instruction(SPECS[draw(st.sampled_from(_LOADS))],
+                            rd=draw(dsm_reg), rs1=BUF_REG, imm=draw(dsm_offset))]
+    if group == "store":
+        return [Instruction(SPECS[draw(st.sampled_from(_STORES))],
+                            rs1=BUF_REG, rs2=draw(dsm_reg), imm=draw(dsm_offset))]
+    if group == "int":
+        return [Instruction(SPECS[draw(st.sampled_from(["add", "xor", "sltu"]))],
+                            rd=draw(dsm_reg), rs1=draw(dsm_reg), rs2=draw(dsm_reg))]
+    stage = Instruction(SPECS["addi"], rd=ADDR_REG, rs1=BUF_REG,
+                        imm=draw(st.sampled_from(_CELLS)))
+    m = draw(st.sampled_from(_ATOMICS))
+    if m == "lr":
+        return [stage, Instruction(SPECS[m], rd=draw(dsm_reg), rs1=ADDR_REG)]
+    return [stage, Instruction(SPECS[m], rd=draw(dsm_reg), rs1=ADDR_REG, rs2=draw(dsm_reg))]
+
+
+@st.composite
+def dsm_loops(draw):
+    return _looped([i for group in draw(st.lists(dsm_instr(), min_size=1, max_size=12))
+                    for i in group], 3)
+
+
+def _page_bytes(page):
+    return bytes((i * 37 + page % 251) % 256 for i in range(4096))
+
+
+def _run_on_node(instrs, regs, states, split, mode, **engine_kwargs):
+    """Run ``instrs`` to the ecall (or a guest fault) on a node's memory.
+    ``states``: initial state of the two buffer pages and the two shadows."""
+    store, table, llsc = PageStore(), SplitMap(), LLSCTable()
+    mem = DSMMemory(store, table, llsc)
+    code = b"".join(encode(i).to_bytes(4, "little") for i in instrs)
+    code += encode(Instruction(SPECS["ecall"])).to_bytes(4, "little")
+    store.install(TEXT >> 12, code.ljust(4096, b"\0"), MSIState.SHARED)
+    for page, state in zip((DSM_PAGE, DSM_PAGE + 1) + DSM_SHADOWS, states):
+        if state is not None:
+            store.install(page, _page_bytes(page), state)
+    if split:
+        table.install(SplitEntry(DSM_PAGE, DSM_SHADOWS, 2048))
+    cpu = CPUState(pc=TEXT, tid=1)
+    cpu.regs = list(regs)
+    cpu.regs[BUF_REG] = BUF
+    one = EngineTiming(cpi_dbt=1.0, cpi_interp=1.0, cpi_superblock=1.0, translate_per_insn=0.0)
+    engine = ExecutionEngine(mem, mode=mode, timing=one, **engine_kwargs)
+    events, cycles = [], 0
+    while True:
+        stop = engine.run_quantum(cpu, 1_000_000)
+        cycles += stop.cycles
+        if stop.kind is StopKind.SYSCALL:
+            break
+        if stop.kind is StopKind.FAULT:
+            events.append((type(stop.info).__name__, cpu.pc))
+            break
+        stall = stop.info
+        events.append((type(stall).__name__, cpu.pc, stall.page, stall.write, stall.offset,
+                       stall.size))
+        if isinstance(stall, MergeStall):  # the master merges the page back
+            merged = b"".join(
+                (store.snapshot(s) if s in store else _page_bytes(s))[k * 2048:(k + 1) * 2048]
+                for k, s in enumerate(DSM_SHADOWS)
+            )
+            for shadow in table.remove(DSM_PAGE).shadow_pages:
+                mem.invalidate(shadow)
+            store.install(DSM_PAGE, merged, MSIState.MODIFIED)
+        else:  # the page arrives, or the copy held is upgraded in place
+            data = store.snapshot(stall.page) if stall.page in store else _page_bytes(stall.page)
+            store.install(stall.page, data, MSIState.MODIFIED if stall.write else MSIState.SHARED)
+    cycles += cpu.cycle_frac + engine.fusion_saved_cycles
+    return dict(
+        events=events, regs=cpu.regs, pc=cpu.pc,
+        memory=memory_image(mem), insns=engine.insns_executed, cycles=cycles,
+    )
+
+
+DSM_ENGINES = [
+    dict(max_block_insns=1),
+    dict(max_block_insns=64),
+    dict(max_block_insns=64, superblock_threshold=2, fusion=True),
+]
+
+
+def _ld(m, rd, off):
+    return Instruction(SPECS[m], rd=rd, rs1=BUF_REG, imm=off)
+
+
+def _st(m, rs2, off):
+    return Instruction(SPECS[m], rs1=BUF_REG, rs2=rs2, imm=off)
+
+
+def _assert_node_runs_agree(instrs, regs, states, split):
+    want = _run_on_node(instrs, regs, states, split, "interp")
+    for kwargs in DSM_ENGINES:
+        got = _run_on_node(instrs, regs, states, split, "dbt", **kwargs)
+        for key, value in want.items():
+            assert got[key] == value, (key, kwargs)
+    assert want["cycles"] == want["insns"]
+    return want
+
+
+_ALL_M = (MSIState.MODIFIED,) * 4
+_REGS = [0] + [0x0123_4567_89AB_CDEF ^ (r * 0x1111) for r in range(1, 32)]
+# One program per term of the inline test — each goes wrong if that term is
+# dropped — with the stops it must make (body instruction k sits at TEXT+4+4k).
+_GUARD_EXAMPLES = {
+    # the original page is resident too, but its shadows hold the truth
+    "split": ([_st("sd", 5, 2048), _ld("ld", 6, 2048), _ld("lbu", 7, 0)], _ALL_M, True, []),
+    # a plain store on a Modified page must kill the reservation under it
+    "armed": ([Instruction(SPECS["addi"], rd=ADDR_REG, rs1=BUF_REG, imm=8),
+               Instruction(SPECS["lr"], rd=5, rs1=ADDR_REG), _st("sb", 6, 13),
+               Instruction(SPECS["sc"], rd=7, rs1=ADDR_REG, rs2=6)], _ALL_M, False, []),
+    # a store to a Shared or Exclusive copy is an upgrade fault
+    "modified": ([_st("sw", 5, 4), _st("sb", 6, 4096 + 9), _ld("ld", 7, 0)],
+                 (MSIState.SHARED, MSIState.EXCLUSIVE, None, None), False,
+                 [("PageStall", TEXT + 4, DSM_PAGE, True, 4, 4),
+                  ("PageStall", TEXT + 8, DSM_PAGE + 1, True, 9, 1)]),
+    # the last bytes of a page serve narrow accesses only
+    "span-load": ([_ld("lhu", 5, 4094), _st("sh", 5, 4094), _ld("lw", 6, 4093)], _ALL_M, False,
+                  [("UnalignedAccess", TEXT + 12)]),
+    "span-store": ([_st("sd", 5, 4088), _st("sd", 6, 4089)], _ALL_M, False,
+                   [("UnalignedAccess", TEXT + 8)]),
+}
+
+
+@pytest.mark.parametrize("body,states,split,stops", _GUARD_EXAMPLES.values(),
+                         ids=list(_GUARD_EXAMPLES))
+def test_each_term_of_the_inline_test_is_observable(body, states, split, stops):
+    assert _assert_node_runs_agree(_looped(body, 3), _REGS, states, split)["events"] == stops
+
+
+@settings(deadline=None)  # example count comes from the profile (tests/conftest.py)
+@given(dsm_loops(), initial_regs(), st.tuples(*[page_state] * 4), st.booleans())
+def test_dbt_matches_interpreter_on_a_nodes_memory(instrs, regs, states, split):
+    _assert_node_runs_agree(instrs, regs, states, split)

@@ -2,17 +2,14 @@
 
 import pytest
 
-from repro.core.dsmmem import DSMMemory
 from repro.dbt import Backend, CPUState, EngineTiming, ExecutionEngine, Frontend, StopKind
 from repro.dbt.interp import Interpreter
 from repro.errors import InvalidInstruction, UnalignedAccess
 from repro.isa import assemble
-from repro.mem import FlatMemory, PAGE_SIZE, PageStall, page_of
-from repro.mem.llsc import LLSCTable
+from repro.mem import FlatMemory, PAGE_SIZE, page_of
 from repro.mem.msi import MSIState
-from repro.mem.pagestore import PageStore
-from repro.mem.splitmap import SplitMap
 from repro.workloads import swaptions
+from tests.conftest import StallingMemory, resident_node_memory
 
 TEXT = 0x1_0000
 
@@ -23,30 +20,6 @@ def load(source):
     mem.load_image(prog.iter_load_segments())
     cpu = CPUState(pc=prog.entry, tid=1, sp=0x7000_0000)
     return prog, mem, cpu
-
-
-class StallingMemory(FlatMemory):
-    """Raises PageStall on first access to each data page, like a DSM client."""
-
-    def __init__(self, stall_pages):
-        super().__init__()
-        self.stall_pages = set(stall_pages)
-        self.stall_log = []
-
-    def _maybe_stall(self, addr, write):
-        page = page_of(addr)
-        if page in self.stall_pages:
-            self.stall_pages.discard(page)
-            self.stall_log.append((page, write))
-            raise PageStall(page, write, addr % PAGE_SIZE)
-
-    def load(self, addr, size, signed):
-        self._maybe_stall(addr, False)
-        return super().load(addr, size, signed)
-
-    def store(self, addr, size, value):
-        self._maybe_stall(addr, True)
-        super().store(addr, size, value)
 
 
 class TestQuantum:
@@ -266,17 +239,6 @@ class TestPreciseFloatState:
     ``cpu.regs`` exactly as the interpreter has them at that instruction —
     what the fault handler, migration and checkpoint capture read (§4.2)."""
 
-    @staticmethod
-    def _resident(prog):
-        """A node's memory with every page of ``prog`` held Modified."""
-        store = PageStore()
-        mem = DSMMemory(store, SplitMap(), LLSCTable())
-        for sec in prog.sections.values():
-            for page in range(page_of(sec.base), page_of(max(sec.end - 1, sec.base)) + 1):
-                store.ensure(page, MSIState.MODIFIED)
-        mem.load_image(prog.iter_load_segments())
-        return mem, store
-
     @pytest.mark.parametrize(
         "hot", [{}, dict(superblock_threshold=2, fusion=True)], ids=["blocks", "superblock"]
     )
@@ -286,7 +248,8 @@ class TestPreciseFloatState:
         page_a, page_b = page_of(cells), page_of(cells) + 1
 
         # Unfaulted run; with ``hot`` it also leaves the loop promoted.
-        mem, store = self._resident(prog)
+        mem = resident_node_memory(prog)
+        store = mem.pages
         engine = ExecutionEngine(mem, **hot)
         unfaulted = CPUState(pc=prog.entry, tid=1)
         assert engine.run_quantum(unfaulted, 10**9).kind is StopKind.SYSCALL

@@ -14,6 +14,7 @@ from repro.dbt.backend import TranslationBlock
 from repro.dbt.codecache import CodeCache
 from repro.isa import SPECS, Instruction, assemble, encode
 from repro.mem import FlatMemory, PAGE_SIZE, PageStall, page_of
+from tests.conftest import StallingMemory
 
 TEXT = 0x1_0000
 
@@ -51,28 +52,6 @@ def synthetic_tb(pc, fn, *, n_insns=1, pages=None):
         source="<synthetic>",
         pages=pages if pages is not None else (pc // PAGE_SIZE,),
     )
-
-
-class StallingMemory(FlatMemory):
-    """Raises PageStall on first access to each listed data page."""
-
-    def __init__(self, stall_pages):
-        super().__init__()
-        self.stall_pages = set(stall_pages)
-
-    def _maybe_stall(self, addr, write):
-        page = page_of(addr)
-        if page in self.stall_pages:
-            self.stall_pages.discard(page)
-            raise PageStall(page, write, addr % PAGE_SIZE)
-
-    def load(self, addr, size, signed):
-        self._maybe_stall(addr, False)
-        return super().load(addr, size, signed)
-
-    def store(self, addr, size, value):
-        self._maybe_stall(addr, True)
-        super().store(addr, size, value)
 
 
 def emit_words(mem, addr, instrs):
