@@ -55,6 +55,8 @@ from repro.sim.engine import Event, Simulator
 
 __all__ = ["Cluster", "RunResult", "Job", "JobState"]
 
+_SETTLED = (JobState.FINISHED, JobState.FAILED)
+
 
 @dataclass
 class RunResult:
@@ -163,8 +165,15 @@ class _Fleet:
         self.directories = TenantDirectoryView()
         #: Jobs currently running (admitted, not yet settled).
         self.active: list[Job] = []
+        #: The earliest virtual-time budget among them, if any has one.
+        self.deadline_ns: Optional[int] = None
         self.started = False
         self.broken_error: Optional[BaseException] = None
+
+    def retime(self) -> None:
+        """``active`` changed: recompute the deadline the driver checks."""
+        budgets = [job.runtime.deadline_ns for job in self.active]
+        self.deadline_ns = min((d for d in budgets if d is not None), default=None)
 
     def fail(self, exc: BaseException) -> None:
         """A node-level failure poisons every active job on the fleet."""
@@ -410,6 +419,7 @@ class Cluster:
             ),
         )
         fleet.active.append(job)
+        fleet.retime()
         done.add_callback(lambda _ev, j=job: self._settle(j))
 
         if not fleet.started:
@@ -433,6 +443,7 @@ class Cluster:
             job.error = done.value
         if job in fleet.active:
             fleet.active.remove(job)
+            fleet.retime()
         # Freeing the slot may admit the queue head — at this virtual time.
         self.manager.job_done(job)
 
@@ -492,27 +503,26 @@ class Cluster:
         if not done.triggered:
             done.succeed(status & 0xFF)
 
-    @staticmethod
-    def _settled(job: Job) -> bool:
-        return job.state in (JobState.FINISHED, JobState.FAILED)
-
     def _drive(self, targets: list[Job]) -> None:
         fleet = self._fleet
         sim = fleet.sim
-        while any(not self._settled(job) for job in targets):
-            if not sim._heap:
+        heap, step = sim._heap, sim.step
+        # Per event: one state test on the target waited for, and the fleet
+        # deadline as ``_admit``/``_settle`` left it.
+        pending = list(targets)
+        while pending:
+            if pending[-1].state in _SETTLED:
+                pending.pop()
+                continue
+            if not heap:
                 raise SimulationError(
                     f"guest program deadlocked at t={sim.now} ns "
                     "(all threads blocked, no pending events)"
                 )
-            deadline: Optional[int] = None
-            for job in fleet.active:
-                d = job.runtime.deadline_ns
-                if d is not None and (deadline is None or d < deadline):
-                    deadline = d
-            if deadline is not None and sim._heap[0][0] > deadline:
+            deadline = fleet.deadline_ns
+            if deadline is not None and heap[0][0] > deadline:
                 raise self._deadline_error(deadline)
-            sim.step()
+            step()
 
     def _deadline_error(self, deadline: int) -> SimulationError:
         """Budget-exceeded report: how far we got and who was still running."""

@@ -54,7 +54,6 @@ can observe the intermediate value.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -147,6 +146,11 @@ class TranslationBlock:
 
     ``eq=False`` keeps object-identity hashing so blocks can sit in the
     chain-backlink sets the code cache maintains for unchaining.
+
+    The translation (every field down to ``member_pcs``) is a function of the
+    guest words alone and is never written after ``compile``; the fields
+    below it are one engine's execution state.  :meth:`fresh` gives an engine
+    its own block over a translation made for any other.
     """
 
     pc: int
@@ -154,7 +158,6 @@ class TranslationBlock:
     end_pc: int  # first byte past the last guest instruction
     fn: Callable
     source: str
-    exec_count: int = 0
     #: Statically-known successor entry pcs (empty for indirect jumps).
     succ_pcs: tuple[int, ...] = ()
     #: Guest pages this block's code spans (union over members for
@@ -168,6 +171,7 @@ class TranslationBlock:
     ir: Optional[BlockIR] = None
     is_superblock: bool = False
     member_pcs: tuple[int, ...] = ()
+    exec_count: int = 0
     #: Latched when trace formation from this head failed; stops retrying.
     no_promote: bool = False
     #: Direct successor references (pc → block), filled by the code cache.
@@ -177,6 +181,15 @@ class TranslationBlock:
     #: Dynamic successor execution counts, recorded by the engine and used
     #: to pick the hottest path when growing a trace.
     edges: dict[int, int] = field(default_factory=dict)
+
+    def fresh(self) -> "TranslationBlock":
+        """A block sharing this one's translation, with execution state of
+        its own: never run, chained to nothing."""
+        return TranslationBlock(
+            pc=self.pc, n_insns=self.n_insns, end_pc=self.end_pc, fn=self.fn,
+            source=self.source, succ_pcs=self.succ_pcs, pages=self.pages, fused=self.fused,
+            ir=self.ir, is_superblock=self.is_superblock, member_pcs=self.member_pcs,
+        )
 
 
 def _page_span(pc: int, end_pc: int) -> tuple[int, ...]:
@@ -302,9 +315,7 @@ def find_fusions(instrs: list[InstrIR]) -> tuple[list[InstrIR], list[tuple[int, 
 
 
 class Backend:
-    """TCG-to-Python compiler."""
-
-    _ids = itertools.count()
+    """TCG-to-Python compiler.  Stateless: equal IR compiles to equal source."""
 
     def compile(self, block: BlockIR, *, fusion: bool = False) -> TranslationBlock:
         instrs = block.instrs
@@ -313,7 +324,7 @@ class Backend:
             instrs, groups = find_fusions(instrs)
         em = _Emitter()
         em.body(instrs, groups, 0, None, block.next_pc, set())
-        fn, src = em.function(f"tb_{block.pc:x}_{next(self._ids)}", f"<tb@{block.pc:#x}>")
+        fn, src = em.function(f"tb_{block.pc:x}", f"<tb@{block.pc:#x}>")
         return TranslationBlock(
             pc=block.pc,
             n_insns=len(instrs),
@@ -359,7 +370,7 @@ class Backend:
             if mi == last:
                 tail_succs = _successors(instrs, block.next_pc)
         head = members[0]
-        fn, src = em.function(f"sb_{head.pc:x}_{next(self._ids)}", f"<sb@{head.pc:#x}>")
+        fn, src = em.function(f"sb_{head.pc:x}", f"<sb@{head.pc:#x}>")
         return TranslationBlock(
             pc=head.pc,
             n_insns=base,

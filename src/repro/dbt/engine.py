@@ -7,7 +7,9 @@ must fetch, or a guest fault.  Cycle accounting is virtual: translated code
 is billed ``cpi_dbt`` cycles per guest instruction, interpretation
 ``cpi_interp``, superblock code ``cpi_superblock``, and translation
 ``translate_per_insn`` once per block — constants calibrated in
-:mod:`repro.core.config`.
+:mod:`repro.core.config`.  The *host* work of a translation is shared
+process-wide (:mod:`repro.dbt.memo`); the virtual bill is not: every engine
+pays it for every block it inserts, as a node with its own TCG would.
 
 Hot-path tier (all off by default except chaining, which is
 timing-neutral):
@@ -40,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.dbt import memo
 from repro.dbt.backend import MEM_VIEW, Backend, TranslationBlock
 from repro.dbt.codecache import CodeCache
 from repro.dbt.cpu import CPUState
@@ -145,8 +148,7 @@ class ExecutionEngine:
                 tb = cache.lookup(pc)
                 if tb is None:
                     try:
-                        block_ir = self.frontend.build_block(pc)
-                        tb = self.backend.compile(block_ir, fusion=self.fusion)
+                        tb = memo.block(self.frontend, self.backend, pc, self.fusion)
                     except PageStall as stall:
                         kind, info = StopKind.PAGE_STALL, stall
                         break
@@ -250,9 +252,7 @@ class ExecutionEngine:
         if len(trace) < 2:
             head.no_promote = True
             return 0.0
-        sb = self.backend.compile_superblock(
-            [tb.ir for tb in trace], fusion=self.fusion
-        )
+        sb = memo.superblock(self.backend, [tb.ir for tb in trace], self.fusion)
         self.cache.promote(sb)
         self.superblocks_formed += 1
         self.insns_translated += sb.n_insns

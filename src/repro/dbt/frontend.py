@@ -4,6 +4,14 @@ A translation block extends from its entry pc to the first control-flow or
 trap instruction (branch, jal, jalr, ecall, ebreak), up to
 ``max_block_insns``, never crossing a guest page (translated code is
 invalidated page-wise, as in QEMU).
+
+Building a block is two steps.  :meth:`Frontend.fetch_block` reads the
+block's instruction words through the memory system and finds its end from
+the opcode byte alone — every stall and fault a translation can raise is
+raised here.  :meth:`Frontend.lower_block` turns ``(pc, words)`` into IR and
+touches no memory: it is a pure function, which is what lets
+:mod:`repro.dbt.memo` reuse one translation wherever the same words sit at
+the same pc.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from dataclasses import dataclass
 from repro.dbt.stop import RC_BREAK, RC_SYSCALL
 from repro.dbt.tcg import InstrIR, TCGOp, guest, imm, temp
 from repro.isa.encoding import INSTR_BYTES, decode
-from repro.isa.instructions import Instruction
+from repro.isa.instructions import BY_OPCODE, Flag, Instruction
 from repro.mem.api import MemoryAPI
 from repro.mem.layout import PAGE_SIZE
 
@@ -36,14 +44,30 @@ _IMM_BINOPS = {
     "slli": "shl", "srli": "shr", "srai": "sar",
 }
 
+#: Opcodes whose lowering ends in a :data:`~repro.dbt.tcg.TERMINALS` micro-op.
+_ENDS_BLOCK = frozenset(
+    spec.opcode
+    for spec in BY_OPCODE.values()
+    if spec.flags & Flag.BRANCH or spec.mnemonic in ("ecall", "ebreak")
+)
+
 
 @dataclass
 class BlockIR:
-    """IR for a whole translation block."""
+    """IR for a whole translation block.
+
+    Read-only once built: one ``BlockIR`` (and its ``InstrIR``s) is shared by
+    every engine whose memory holds ``words`` at ``pc`` and by every
+    superblock stitched from it, so passes that rewrite instructions work on
+    a copy of the list (``find_fusions`` does).
+    """
 
     pc: int
     instrs: list[InstrIR]
     next_pc: int  # static fallthrough if the block has no terminal
+    #: The instruction words ``instrs`` was lowered from; with ``pc``, the
+    #: block's identity in the translation memo.
+    words: tuple[int, ...]
 
 
 class Frontend:
@@ -54,18 +78,37 @@ class Frontend:
         self.max_block_insns = max_block_insns
 
     def build_block(self, pc: int) -> BlockIR:
-        instrs: list[InstrIR] = []
+        return self.lower_block(pc, self.fetch_block(pc))
+
+    def fetch_block(self, pc: int) -> tuple[int, ...]:
+        """Instruction words of the block entered at ``pc``, fetched one
+        ``fetch_code`` per instruction in address order; raises what the
+        memory raises (``PageStall``, ``MergeStall``) and
+        :class:`~repro.errors.InvalidInstruction` at an undefined opcode."""
+        fetch = self.mem.fetch_code
+        words: list[int] = []
         cur = pc
-        page = pc // PAGE_SIZE
-        while len(instrs) < self.max_block_insns and cur // PAGE_SIZE == page:
-            word = int.from_bytes(self.mem.fetch_code(cur, INSTR_BYTES), "little")
-            decoded = decode(word, pc=cur)
-            ir = self.lower(decoded, cur)
-            instrs.append(ir)
+        # The block stops at its page's edge and at ``max_block_insns``.
+        end = min((pc // PAGE_SIZE + 1) * PAGE_SIZE, pc + self.max_block_insns * INSTR_BYTES)
+        while cur < end:
+            word = int.from_bytes(fetch(cur, INSTR_BYTES), "little")
+            opcode = word >> 24
+            if opcode not in BY_OPCODE:
+                decode(word, pc=cur)  # raises the guest fault at ``cur``
+            words.append(word)
             cur += INSTR_BYTES
-            if ir.ops and ir.ops[-1].name in ("brcond", "jmp", "jmp_ind", "exit"):
+            if opcode in _ENDS_BLOCK:
                 break
-        return BlockIR(pc=pc, instrs=instrs, next_pc=cur)
+        return tuple(words)
+
+    def lower_block(self, pc: int, words: tuple[int, ...]) -> BlockIR:
+        """IR of the block ``words`` forms at ``pc``; reads no memory."""
+        next_pc = pc + len(words) * INSTR_BYTES
+        instrs = [
+            self.lower(decode(word, pc=cur), cur)
+            for cur, word in zip(range(pc, next_pc, INSTR_BYTES), words)
+        ]
+        return BlockIR(pc=pc, instrs=instrs, next_pc=next_pc, words=words)
 
     # -- lowering ----------------------------------------------------------------
 

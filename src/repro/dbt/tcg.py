@@ -110,7 +110,12 @@ class TCGOp:
 
 @dataclass
 class InstrIR:
-    """IR for one guest instruction (the precise-exception unit)."""
+    """IR for one guest instruction (the precise-exception unit).
+
+    Read-only once lowered: translations are shared between engines
+    (:mod:`repro.dbt.memo`), so a pass that rewrites an instruction builds a
+    new ``InstrIR`` instead of editing ``ops``.
+    """
 
     pc: int
     mnemonic: str

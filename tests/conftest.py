@@ -8,7 +8,7 @@ import pytest
 from hypothesis import settings
 
 from repro.core.dsmmem import DSMMemory
-from repro.dbt import CPUState, ExecutionEngine, StopKind
+from repro.dbt import CPUState, ExecutionEngine, StopKind, memo
 from repro.isa import assemble
 from repro.mem import (
     PAGE_SIZE, STACK_TOP, FlatMemory, MSIState, PageStall, PageStore, page_of,
@@ -19,6 +19,13 @@ from repro.mem.splitmap import SplitMap
 # `pytest --hypothesis-profile=ci` widens every property test that leaves its
 # example count to the profile (the FP bit-exactness differential does).
 settings.register_profile("ci", max_examples=2000, derandomize=True, deadline=None)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def cold_translation_memo():
+    """Every test module starts on an empty translation memo, so no test
+    passes only because an earlier module translated its blocks."""
+    memo.clear()
 
 
 class StallingMemory(FlatMemory):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.dsmmem import DSMMemory, MergeStall
-from repro.dbt import CPUState, EngineTiming, ExecutionEngine, StopKind
+from repro.dbt import CPUState, EngineTiming, ExecutionEngine, StopKind, memo
 from repro.isa import SPECS, Instruction, assemble, encode
 from repro.isa.instructions import Fmt
 from repro.mem import FlatMemory, MSIState, PageStore
@@ -520,3 +520,14 @@ def test_each_term_of_the_inline_test_is_observable(body, states, split, stops):
 @given(dsm_loops(), initial_regs(), st.tuples(*[page_state] * 4), st.booleans())
 def test_dbt_matches_interpreter_on_a_nodes_memory(instrs, regs, states, split):
     _assert_node_runs_agree(instrs, regs, states, split)
+
+
+@settings(deadline=None)  # example count comes from the profile (tests/conftest.py)
+@given(dsm_loops(), initial_regs(), st.tuples(*[page_state] * 4), st.booleans())
+def test_dbt_matches_interpreter_on_a_cold_and_on_a_warm_memo(instrs, regs, states, split):
+    """The translation memo is invisible: each example is run on an empty
+    memo and again on the memo that run filled, and both must agree with the
+    interpreter on every stop, register, byte, instruction and cycle."""
+    memo.clear()
+    _assert_node_runs_agree(instrs, regs, states, split)  # every engine misses
+    _assert_node_runs_agree(instrs, regs, states, split)  # every engine hits
