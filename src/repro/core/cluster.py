@@ -485,7 +485,7 @@ class Cluster:
     # -- helpers ----------------------------------------------------------------
 
     @staticmethod
-    def _load_segment(home: PageStore, vaddr: int, data: bytes) -> None:
+    def _load_segment(home: PageStore, vaddr: int, data: memoryview) -> None:
         pos = 0
         while pos < len(data):
             page = page_of(vaddr + pos)

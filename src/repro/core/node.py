@@ -601,21 +601,16 @@ class NodeRuntime:
         if isinstance(stall, MergeStall):
             yield from self._request_merge(stall.orig_page, tenant)
         else:
-            yield from self.acquire_page(
-                stall.page, stall.write, stall.offset, stall.size, tenant=tenant
-            )
-
-    def acquire_page(
-        self, page: int, write: bool, offset: int = 0, size: int = 8, tenant: int = 0
-    ):
-        """Bring ``page`` in at (at least) the needed state, deduplicating
-        concurrent requests from the tenant's threads on this node."""
-        with attribute_timeouts(NodeCoherenceService.name):
-            yield from self._acquire_page(self.tenants[tenant], page, write, offset, size)
+            with attribute_timeouts(NodeCoherenceService.name):
+                yield from self._acquire_page(
+                    self.tenants[tenant], stall.page, stall.write, stall.offset, stall.size
+                )
 
     def _acquire_page(
         self, bundle: NodeTenant, page: int, write: bool, offset: int, size: int
     ):
+        """Bring ``page`` in at (at least) the needed state, deduplicating
+        concurrent requests from the tenant's threads on this node."""
         store = bundle.memory.pages
         while True:
             if write and store.silently_upgrade(page):
@@ -642,7 +637,8 @@ class NodeRuntime:
                         tenant=bundle.tenant,
                     ),
                 )
-                if write:
+                if write or not self.config.forwarding_enabled:
+                    # No push can arrive: the reply alone completes the fault.
                     reply = yield req
                 else:
                     # A forwarded page may land while the demand request is in
@@ -655,7 +651,9 @@ class NodeRuntime:
             finally:
                 del bundle.inflight[page]
                 bundle.push_gates.pop(page, None)
-                ev.succeed()
+                # Out of the table, so no new waiter can find it: with none
+                # subscribed already there is nobody to wake through the heap.
+                ev.settle()
             if reply is None or reply.ack_only:
                 # A push installed the page (or will momentarily); if it was
                 # somehow dropped meanwhile, the access simply faults again.

@@ -36,7 +36,6 @@ Two protocol-robustness concerns live at this seam as well:
 from __future__ import annotations
 
 from collections import OrderedDict
-from contextlib import contextmanager
 from typing import (
     TYPE_CHECKING, Any, Callable, Generator, Optional, Protocol, Sequence,
     runtime_checkable,
@@ -79,21 +78,27 @@ class ServiceTimeout(RpcTimeout):
         self.retries = retries
 
 
-@contextmanager
-def attribute_timeouts(service: str):
-    """Re-raise any bare :class:`RpcTimeout` escaping the block as a
-    :class:`ServiceTimeout` attributed to ``service``.
+class attribute_timeouts:
+    """Context manager: re-raise any bare :class:`RpcTimeout` escaping the
+    block as a :class:`ServiceTimeout` attributed to ``service``.
 
     Safe inside generator-based simulation processes (the block may span
     ``yield`` suspension points), and idempotent: an already-attributed
-    timeout passes through unchanged.
+    timeout passes through unchanged.  A plain class rather than a
+    ``@contextmanager`` generator: it sits on every fault.
     """
-    try:
-        yield
-    except ServiceTimeout:
-        raise
-    except RpcTimeout as exc:
-        raise ServiceTimeout(service, exc) from exc
+
+    __slots__ = ("service",)
+
+    def __init__(self, service: str):
+        self.service = service
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, _exc_type, exc, _tb) -> None:
+        if isinstance(exc, RpcTimeout) and not isinstance(exc, ServiceTimeout):
+            raise ServiceTimeout(self.service, exc) from exc
 
 
 @runtime_checkable
@@ -311,17 +316,6 @@ class Dispatcher:
         except KeyError:
             raise ProtocolError(f"no service registered for kind {kind!r}") from None
 
-    # -- replay detection -------------------------------------------------------
-
-    def _first_delivery(self, req_id: int) -> bool:
-        served = self._served
-        if req_id in served:
-            return False
-        served[req_id] = None
-        if len(served) > self.DEDUP_LIMIT:
-            served.popitem(last=False)
-        return True
-
     # -- dispatch ----------------------------------------------------------------
 
     def dispatch(
@@ -347,15 +341,21 @@ class Dispatcher:
             self.run_stats if self.stats_resolver is None else self.stats_resolver(msg)
         )
         stats = run_stats.service(service.name)
-        if msg.req_id and not self._first_delivery(msg.req_id):
-            stats.duplicates += 1
-            if self.endpoint is not None:
-                # A retransmit of an already-answered request: replay the
-                # cached reply (no-op when the cache is off, evicted, or the
-                # original dispatch is still running — its eventual reply or
-                # the client's next retransmit covers those).
-                self.endpoint.rpc.resend_reply(msg)
-            return None
+        req_id = msg.req_id
+        if req_id:
+            served = self._served
+            if req_id in served:
+                stats.duplicates += 1
+                if self.endpoint is not None:
+                    # A retransmit of an already-answered request: replay the
+                    # cached reply (no-op when the cache is off, evicted, or
+                    # the original dispatch is still running — its eventual
+                    # reply or the client's next retransmit covers those).
+                    self.endpoint.rpc.resend_reply(msg)
+                return None
+            served[req_id] = None
+            if len(served) > self.DEDUP_LIMIT:
+                served.popitem(last=False)
         t0 = self.sim.now if started_at is None else started_at
         arrived = getattr(msg, "_arrived_ns", None)
         waited = t0 - arrived if arrived is not None else 0

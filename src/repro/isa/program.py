@@ -51,11 +51,16 @@ class Program:
         except KeyError:
             raise AssemblerError(f"unknown symbol {name!r}") from None
 
-    def iter_load_segments(self) -> Iterator[tuple[int, bytes]]:
-        """Yield ``(vaddr, bytes)`` pairs in ascending address order."""
+    def iter_load_segments(self) -> Iterator[tuple[int, memoryview]]:
+        """Yield ``(vaddr, contents)`` pairs in ascending address order.
+
+        The contents are a read-only view of the section, not a copy (a
+        ``.bss`` runs to megabytes and every run loads the image): loaders
+        slice it page by page, and a slice of a view copies nothing either.
+        """
         for sec in sorted(self.sections.values(), key=lambda s: s.base):
             if sec.data:
-                yield sec.base, bytes(sec.data)
+                yield sec.base, memoryview(sec.data).toreadonly()
 
     @property
     def load_end(self) -> int:

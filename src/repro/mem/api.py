@@ -41,11 +41,18 @@ class PageStall(Exception):
     __slots__ = ("page", "write", "offset", "size")
 
     def __init__(self, page: int, write: bool, offset: int, size: int = 8):
-        super().__init__(f"page stall: page={page:#x} write={write}")
         self.page = page
         self.write = write
         self.offset = offset
         self.size = size  # access width — the false-sharing detector needs it
+
+    # Raised on every fault and read by nobody on the way: the text is built
+    # only when something (a traceback, a log line) asks for it.
+    def __str__(self) -> str:
+        return f"page stall: page={self.page:#x} write={self.write}"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self)!r})"
 
 
 def check_span(addr: int, size: int, *, pc: int | None = None) -> None:

@@ -175,6 +175,6 @@ class FlatMemory:
             pos += n
 
     def load_image(self, segments) -> None:
-        """Copy ``(vaddr, bytes)`` segments (e.g. Program sections) in."""
+        """Copy ``(vaddr, bytes-like)`` segments (e.g. Program sections) in."""
         for vaddr, data in segments:
             self.write_bytes(vaddr, data)

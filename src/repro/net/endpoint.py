@@ -56,25 +56,19 @@ class Endpoint:
 
     # -- sending ------------------------------------------------------------
 
-    def stamp(self, msg: Message) -> Message:
-        """Assign ``msg`` a request id from the fabric's sequence.
-
-        Idempotent: a frame that already carries an id (a retransmit clone,
-        a cached-reply resend) keeps it, so deduplication by id still works.
-        """
-        if not msg.req_id:
-            msg.req_id = self.fabric.next_req_id()
-        return msg
-
     def transmit(self, dst: int, msg: Message) -> None:
         """Stamp addressing and put ``msg`` on the wire (no correlation).
 
-        The caller's object is stamped *in place* and owned by the fabric
-        from here on — anything re-injecting a frame (the fault injector's
-        duplicate action, a hypothetical retransmit layer) must send a copy
+        The frame gets a request id from the fabric's sequence unless it
+        already carries one (a retransmit clone, a cached-reply resend), so
+        deduplication by id still works.  The caller's object is stamped *in
+        place* and owned by the fabric from here on — anything re-injecting a
+        frame (the fault injector's duplicate action, a hypothetical
+        retransmit layer) must send a copy
         (:func:`repro.net.faults.clone_frame`), never the same instance.
         """
-        self.stamp(msg)
+        if not msg.req_id:
+            msg.req_id = self.fabric.next_req_id()
         msg.src = self.node_id
         msg.dst = dst
         self.fabric.transmit(msg)
@@ -105,6 +99,10 @@ class Endpoint:
         self.rpc.reply(to, msg)
 
     # -- receiving (called by the fabric) ------------------------------------
+
+    def on_arrival(self, timer: Event) -> None:
+        """The fabric's delivery callback: the frame is the timer's value."""
+        self.deliver(timer.value)
 
     def deliver(self, msg: Message) -> None:
         """Hand an arrived frame to the RPC channel or a subscriber queue."""

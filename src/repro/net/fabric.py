@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.errors import NetworkError
 from repro.net.messages import Message
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.endpoint import Endpoint
@@ -45,14 +45,25 @@ class FabricStats:
         self.tx_bytes_by_node: Counter[int] = Counter()
         self.rx_bytes_by_node: Counter[int] = Counter()
 
-    def record(self, msg: Message) -> None:
+    def record(self, msg: Message, size: int) -> None:
+        """Count one frame of ``size`` wire bytes (``msg.size_bytes()``, which
+        the fabric has already computed for the link model)."""
+        kind = msg.kind
         self.messages_sent += 1
-        size = msg.size_bytes()
         self.bytes_sent += size
-        self.by_kind[msg.kind] += 1
-        self.bytes_by_kind[msg.kind] += size
+        self.by_kind[kind] += 1
+        self.bytes_by_kind[kind] += size
         self.tx_bytes_by_node[msg.src] += size
         self.rx_bytes_by_node[msg.dst] += size
+
+    def add(self, other: "FabricStats") -> None:
+        """Fold another slice's counters into this one."""
+        self.messages_sent += other.messages_sent
+        self.bytes_sent += other.bytes_sent
+        self.by_kind.update(other.by_kind)
+        self.bytes_by_kind.update(other.bytes_by_kind)
+        self.tx_bytes_by_node.update(other.tx_bytes_by_node)
+        self.rx_bytes_by_node.update(other.rx_bytes_by_node)
 
 
 class Fabric:
@@ -77,10 +88,9 @@ class Fabric:
         self._endpoints: dict[int, "Endpoint"] = {}
         self._uplink_free: dict[int, int] = {}
         self._downlink_free: dict[int, int] = {}
-        self.stats = FabricStats()
-        #: Per-tenant traffic slices: every frame is recorded both in the
-        #: aggregate ``stats`` and in its tenant's slice, so each job's
-        #: ``RunResult.fabric`` is exact attribution, not an estimate.
+        #: Per-tenant traffic slices: every frame is recorded once, in its
+        #: tenant's slice, so each job's ``RunResult.fabric`` is exact
+        #: attribution, not an estimate; the fleet-wide ``stats`` is their sum.
         self.tenant_stats: dict[int, FabricStats] = {}
         # Request-id sequence for every endpoint attached to this fabric.
         # Owning the counter here (instead of a module global) makes req ids
@@ -119,6 +129,14 @@ class Fabric:
         """Allocate the next request id for a frame entering this fabric."""
         return next(self._req_seq)
 
+    @property
+    def stats(self) -> FabricStats:
+        """Fleet-wide traffic totals: a fresh sum over the tenant slices."""
+        total = FabricStats()
+        for slice_ in self.tenant_stats.values():
+            total.add(slice_)
+        return total
+
     def stats_for(self, tenant: int) -> FabricStats:
         """The tenant's traffic slice (created on first use)."""
         try:
@@ -153,24 +171,29 @@ class Fabric:
         Loopback traffic (``src == dst``, the master talking to itself)
         bypasses the switch with a small fixed cost.
         """
-        if msg.dst not in self._endpoints:
-            raise NetworkError(f"message to unknown node {msg.dst}")
-        if msg.src not in self._endpoints:
-            raise NetworkError(f"message from unknown node {msg.src}")
-        self.stats.record(msg)
-        self.stats_for(msg.tenant).record(msg)
-        now = self.sim.now
-        if msg.src == msg.dst:
+        src, dst = msg.src, msg.dst
+        dest = self._endpoints.get(dst)
+        if dest is None:
+            raise NetworkError(f"message to unknown node {dst}")
+        if src not in self._endpoints:
+            raise NetworkError(f"message from unknown node {src}")
+        size = msg.size_bytes()
+        slice_ = self.tenant_stats.get(msg.tenant)
+        if slice_ is None:
+            slice_ = self.stats_for(msg.tenant)
+        slice_.record(msg, size)
+        sim = self.sim
+        now = sim.now
+        if src == dst:
             arrival = now + self.loopback_latency_ns
         else:
-            ser = self.serialization_ns(msg.size_bytes())
-            tx_start = max(now, self._uplink_free[msg.src])
-            tx_end = tx_start + ser
-            self._uplink_free[msg.src] = tx_end
+            ser = self.serialization_ns(size)
+            tx_end = max(now, self._uplink_free[src]) + ser
+            self._uplink_free[src] = tx_end
             at_switch = tx_end + self.one_way_latency_ns
-            rx_start = max(at_switch, self._downlink_free[msg.dst])
-            arrival = rx_start + ser
-            self._downlink_free[msg.dst] = arrival
-        dest = self._endpoints[msg.dst]
-        self.sim.timeout(arrival - now).add_callback(lambda _e: dest.deliver(msg))
+            arrival = max(at_switch, self._downlink_free[dst]) + ser
+            self._downlink_free[dst] = arrival
+        # The frame rides as the delivery timer's value, so the callback is
+        # the destination's own bound method: no closure per frame.
+        Timeout(sim, arrival - now, msg).callbacks.append(dest.on_arrival)
         return arrival

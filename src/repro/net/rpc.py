@@ -194,8 +194,12 @@ class RpcChannel:
         #: one live timer per armed call; stale ones are cancelled on re-arm
         #: and on completion so long runs don't accumulate dead callbacks.
         self._timers: dict[int, Event] = {}
-        #: req_id -> (settled-at ns, "expired" | "completed")
+        #: req_id -> (settled-at ns, "expired" | "completed"), oldest first.
         self._tombstones: OrderedDict[int, tuple[int, str]] = OrderedDict()
+        #: No tombstone is older than this (the oldest one's stamp as of the
+        #: last sweep): lets :meth:`_remember` skip a sweep that would find
+        #: nothing.
+        self._oldest_tomb_ns = 0
         #: req_id -> the reply frame we sent, for replay to retransmits.
         #: Only populated once :meth:`enable_reply_cache` is called (retries
         #: armed somewhere in the cluster) — default runs keep zero extra
@@ -238,10 +242,10 @@ class RpcChannel:
             # completes, which is what issuing an RPC from a dead machine
             # looks like.  No timer is armed — dead nodes do not retransmit.
             return ev
-        # Stamp before registering: the pending table is keyed by req id.
-        self.endpoint.stamp(msg)
-        self._pending[msg.req_id] = ev
+        # Transmit before registering: the pending table is keyed by the req
+        # id the endpoint stamps, and nothing is delivered synchronously.
         self.endpoint.transmit(dst, msg)
+        self._pending[msg.req_id] = ev
         if timeout_ns is not None:
             self._calls[msg.req_id] = _Call(
                 dst=dst, msg=msg, timeout_ns=timeout_ns, retry=retry,
@@ -446,12 +450,19 @@ class RpcChannel:
         even inside the TTL window.
         """
         tombs = self._tombstones
-        tombs[req_id] = (self.sim.now, why)
-        tombs.move_to_end(req_id)
-        horizon = self.sim.now - self.TOMBSTONE_TTL_NS
+        now = self.sim.now
+        if req_id in tombs:
+            # Settled before (a re-issued frame keeps its id): young again.
+            # Ids are otherwise new here, and a new key lands at the end.
+            del tombs[req_id]
+        tombs[req_id] = (now, why)
+        horizon = now - self.TOMBSTONE_TTL_NS
+        if len(tombs) <= self.TOMBSTONE_LIMIT and self._oldest_tomb_ns >= horizon:
+            return
         while tombs:
             stamp, _why = next(iter(tombs.values()))
             if stamp >= horizon and len(tombs) <= self.TOMBSTONE_LIMIT:
+                self._oldest_tomb_ns = stamp
                 break
             tombs.popitem(last=False)
 

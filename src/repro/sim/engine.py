@@ -7,11 +7,18 @@ of SimPy: *processes* are Python generators that ``yield`` events; the
 :class:`Simulator` owns a binary heap of ``(time, seq, event)`` entries and
 fires them in order.  Ties are broken by insertion sequence, which makes every
 run bit-for-bit reproducible.
+
+The kernel's fixed cost is paid once per event, so the hot constructors
+(:class:`Timeout`, :meth:`Event.succeed`) fill their slots and push their own
+heap entry, and events that carry no information are never scheduled: a
+process runs its first segment inside :meth:`Simulator.spawn`, and an event
+settled with nobody subscribed (:meth:`Event.settle`) is processed in place.
+docs/SIMULATION.md "Event kernel" states the contract.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import SimulationError
@@ -24,6 +31,11 @@ __all__ = [
     "AnyOf",
     "Simulator",
 ]
+
+#: What a processed event's ``callbacks`` slot holds.  Immutable, so a
+#: subscriber that bypassed :meth:`Event.add_callback` fails loudly instead of
+#: being silently dropped.
+_NO_CALLBACKS: tuple = ()
 
 
 class Event:
@@ -84,10 +96,35 @@ class Event:
         """Trigger the event successfully after ``delay`` ns (default: now)."""
         if self._triggered:
             raise SimulationError("event triggered twice")
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay}")
         self._triggered = True
         self._value = value
-        self.sim._push(self, delay)
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._heap, ((sim.now + int(delay)) if delay else sim.now, seq, self))
         return self
+
+    def settle(self, value: Any = None) -> None:
+        """:meth:`succeed` now, skipping the heap when nobody is subscribed.
+
+        An event with no callback has nothing to run when its heap entry is
+        popped, so it is marked processed right here; a subscriber arriving
+        later takes the late-subscription path of :meth:`add_callback` (next
+        scheduling slot), exactly as it would have after the pop.  Only for
+        events no one else can trigger or reach any more — a process
+        finishing, a fault's in-flight marker already out of its table; a
+        plain :meth:`succeed` always crosses the heap.
+        """
+        if self._triggered:
+            raise SimulationError("event triggered twice")
+        self._triggered = True
+        self._value = value
+        if self.callbacks:
+            self.sim._push(self, 0)
+        else:
+            self._processed = True
+            self.callbacks = _NO_CALLBACKS
 
     def fail(self, exc: BaseException, delay: int = 0) -> "Event":
         """Trigger the event with an exception to be thrown into waiters."""
@@ -123,10 +160,16 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: int, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout: {delay}")
-        super().__init__(sim)
-        self._triggered = True
+        # Event.__init__ and Simulator._push, inlined: born triggered.
+        self.sim = sim
+        self.callbacks = []
         self._value = value
-        sim._push(self, delay)
+        self._ok = True
+        self._triggered = True
+        self._processed = False
+        self._cancelled = False
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._heap, (sim.now + delay, seq, self))
 
 
 class Process(Event):
@@ -142,33 +185,40 @@ class Process(Event):
     __slots__ = ("_gen", "name")
 
     def __init__(self, sim: "Simulator", gen: Generator[Event, Any, Any], name: str = "?"):
-        super().__init__(sim)
+        Event.__init__(self, sim)
         self._gen = gen
         self.name = name
-        # Kick off the generator on the next scheduling slot.
-        start = Event(sim)
-        start.callbacks.append(self._resume)
-        start._triggered = True
-        sim._push(start, 0)
+        # The first segment runs right here, up to the first ``yield``: a
+        # start event would carry no information across the heap.
+        self._resume(_STARTED)
 
     def _resume(self, trigger: Event) -> None:
         try:
-            if trigger.ok:
-                target = self._gen.send(trigger.value)
+            if trigger._ok:
+                target = self._gen.send(trigger._value)
             else:
-                target = self._gen.throw(trigger.value)
+                target = self._gen.throw(trigger._value)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            self.settle(stop.value)
             return
         except BaseException as exc:  # propagate crash to waiters
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
-            self.fail(exc)
+            self._crash(exc)
             return
         if not isinstance(target, Event):
-            self.fail(SimulationError(f"process {self.name!r} yielded non-event {target!r}"))
-            return
-        target.add_callback(self._resume)
+            self._crash(SimulationError(f"process {self.name!r} yielded non-event {target!r}"))
+        elif target._processed:
+            target.add_callback(self._resume)
+        else:
+            target.callbacks.append(self._resume)
+
+    def _crash(self, exc: BaseException) -> None:
+        """Finish failed: ``exc`` is thrown into whoever waits on the process
+        (a process failure nobody waits on is not an error of the kernel's —
+        see :meth:`Simulator.step`)."""
+        self._ok = False
+        self.settle(exc)
 
     def interrupt(self, exc: BaseException) -> None:
         """Throw ``exc`` into the process at the next scheduling slot."""
@@ -178,6 +228,10 @@ class Process(Event):
         kick._ok = False
         kick._value = exc
         self.sim._push(kick, 0)
+
+
+#: What a new process's first ``send`` sees as its trigger: ok, no value.
+_STARTED = Event(None)  # type: ignore[arg-type]
 
 
 class AllOf(Event):
@@ -199,10 +253,10 @@ class AllOf(Event):
     def _child(self, i: int, ev: Event) -> None:
         if self._triggered:
             return
-        if not ev.ok:
-            self.fail(ev.value)
+        if not ev._ok:
+            self.fail(ev._value)
             return
-        self._values[i] = ev.value
+        self._values[i] = ev._value
         self._pending -= 1
         if self._pending == 0:
             self.succeed(self._values)
@@ -224,10 +278,10 @@ class AnyOf(Event):
     def _child(self, i: int, ev: Event) -> None:
         if self._triggered:
             return
-        if not ev.ok:
-            self.fail(ev.value)
+        if not ev._ok:
+            self.fail(ev._value)
         else:
-            self.succeed((i, ev.value))
+            self.succeed((i, ev._value))
 
 
 class Simulator:
@@ -244,7 +298,7 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
         self._seq += 1
-        heapq.heappush(self._heap, (self.now + int(delay), self._seq, event))
+        heappush(self._heap, (self.now + int(delay), self._seq, event))
 
     def event(self) -> Event:
         return Event(self)
@@ -253,7 +307,8 @@ class Simulator:
         return Timeout(self, int(delay), value)
 
     def spawn(self, gen: Generator[Event, Any, Any], name: str = "?") -> Process:
-        """Register a generator as a new process."""
+        """Start a generator as a new process: it runs to its first ``yield``
+        before this returns."""
         return Process(self, gen, name)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
@@ -266,24 +321,23 @@ class Simulator:
 
     def step(self) -> None:
         """Process the single next event."""
-        when, _seq, event = heapq.heappop(self._heap)
+        when, _seq, event = heappop(self._heap)
         if when < self.now:
             raise SimulationError("time went backwards")
         self.now = when
+        callbacks = event.callbacks
+        event.callbacks = _NO_CALLBACKS
+        event._processed = True
         if event._cancelled:
             # Same clock advance a live no-op callback would have caused, but
             # neither callbacks nor the failed-event check run.
-            event._processed = True
-            event.callbacks = []
             return
-        event._processed = True
-        callbacks, event.callbacks = event.callbacks, []
         for cb in callbacks:
             cb(event)
-        if not event.ok and not callbacks and not isinstance(event, Process):
+        if not event._ok and not callbacks and not isinstance(event, Process):
             # A failed event nobody waited on would silently swallow the
             # exception; surface it instead.
-            raise event.value
+            raise event._value
 
     def run(self, until: Optional[Event | int] = None) -> Any:
         """Run until the heap drains, a deadline passes, or an event fires.
@@ -292,15 +346,15 @@ class Simulator:
         failed) or an integer virtual-time deadline in ns.
         """
         if isinstance(until, Event):
-            while not until.processed:
+            while not until._processed:
                 if not self._heap:
                     raise SimulationError(
                         f"simulation deadlocked at t={self.now} ns waiting for event"
                     )
                 self.step()
-            if not until.ok:
-                raise until.value
-            return until.value
+            if not until._ok:
+                raise until._value
+            return until._value
         deadline = None if until is None else int(until)
         while self._heap:
             if deadline is not None and self._heap[0][0] > deadline:

@@ -1,14 +1,26 @@
-"""Unit tests for core components: LL/SC table, scheduler, forwarding, splitting."""
+"""Unit tests for core components: LL/SC table, scheduler, forwarding,
+splitting, the node's read-fault wait, the image loader."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.cluster import Cluster
+from repro.core.config import DQEMUConfig
 from repro.core.forwarding import ReadAheadEngine
 from repro.core.llsc import LLSCTable
+from repro.core.node import NodeRuntime
 from repro.core.scheduler import ThreadPlacer
+from repro.core.services.base import ServiceTimeout, attribute_timeouts
 from repro.core.splitting import FalseSharingDetector
+from repro.core.stats import RunStats
 from repro.errors import ConfigError
-from repro.mem.layout import PAGE_SIZE
+from repro.isa.program import Program, Section
+from repro.mem import FlatMemory, MSIState, PageStall, PageStore
+from repro.mem.layout import PAGE_SIZE, page_of
+from repro.net import Endpoint, Fabric
+from repro.net.messages import PageData, PagePush, PageRequest
+from repro.net.rpc import RpcTimeout
+from repro.sim import Simulator
 
 
 class TestLLSCTable:
@@ -232,3 +244,224 @@ def test_detector_decisions_are_well_formed(accesses):
         if decision is not None:
             assert decision.regions >= 2
             assert decision.region_bytes * decision.regions == PAGE_SIZE
+
+
+# -- the node's read-fault wait ------------------------------------------------
+
+PAGE = 0x40
+PUSHED, REPLIED = b"\x01" * PAGE_SIZE, b"\x02" * PAGE_SIZE
+
+
+class _Slave:
+    """One slave node facing a scripted master endpoint (node 0)."""
+
+    def __init__(self, **options):
+        self.sim = Simulator()
+        fabric = Fabric(self.sim)
+        self.master = Endpoint(self.sim, fabric, 0)
+        self.requests = self.master.subscribe_default()
+        self.node = NodeRuntime(
+            self.sim, fabric, 1, DQEMUConfig(**options), RunStats()
+        )
+        self.node.start()
+        self.bundle = self.node.bundle(0)
+        self.store = self.bundle.memory.pages
+
+    def fault(self, write=False):
+        """A thread's stalled access to PAGE, as its own process."""
+        return self.sim.spawn(self.node._resolve_stall(PageStall(PAGE, write, 0), 0))
+
+    def page(self):
+        return bytes(self.store.raw(PAGE))
+
+
+class TestReadFaultWait:
+    def test_push_first_completes_the_fault_and_the_late_reply_installs_nothing(self):
+        s = _Slave(forwarding_enabled=True)
+        done_at = []
+
+        def master():
+            request = yield s.requests.get()
+            s.master.send(1, PagePush(page=PAGE, data=PUSHED))
+            yield s.sim.timeout(500_000)
+            s.master.reply(request, PageData(page=PAGE, data=REPLIED))
+
+        s.sim.spawn(master())
+        s.fault().add_callback(lambda _e: done_at.append(s.sim.now))
+        assert PAGE in s.bundle.push_gates  # armed while the request is out
+        s.sim.run()
+        assert done_at and done_at[0] < 500_000  # the push, not the reply
+        assert s.page() == PUSHED and s.store.state(PAGE) is MSIState.SHARED
+        assert PAGE not in s.bundle.push_gates and not s.bundle.inflight
+        assert s.node.endpoint.pending_requests == 0  # the reply was consumed
+
+    def test_reply_first_discards_the_gate_and_a_later_push_is_ignored(self):
+        s = _Slave(forwarding_enabled=True)
+
+        def master():
+            request = yield s.requests.get()
+            s.master.reply(request, PageData(page=PAGE, data=REPLIED))
+            yield s.sim.timeout(500_000)
+            s.master.send(1, PagePush(page=PAGE, data=PUSHED))
+
+        s.sim.spawn(master())
+        fault = s.fault()
+        s.sim.run(until=fault)
+        assert s.page() == REPLIED
+        assert PAGE not in s.bundle.push_gates and not s.bundle.inflight
+        s.sim.run()  # the push lands on a page already held: dropped
+        assert s.page() == REPLIED
+
+    def test_without_forwarding_the_fault_waits_on_its_reply_alone(self):
+        s = _Slave()  # forwarding is off by default: no push can arrive
+
+        def master():
+            request = yield s.requests.get()
+            yield s.sim.timeout(500_000)
+            s.master.reply(request, PageData(page=PAGE, data=REPLIED))
+
+        s.sim.spawn(master())
+        fault = s.fault()
+        assert not s.bundle.push_gates and PAGE in s.bundle.inflight
+        s.sim.run(until=fault)
+        assert s.sim.now > 500_000 and s.page() == REPLIED
+        assert not s.bundle.inflight
+
+    @pytest.mark.parametrize("forwarding", [False, True])
+    def test_two_threads_on_one_page_issue_one_request_and_both_resume(self, forwarding):
+        s = _Slave(forwarding_enabled=forwarding)
+        seen = []
+
+        def master():
+            while True:
+                request = yield s.requests.get()
+                seen.append(request)
+                yield s.sim.timeout(10_000)
+                s.master.reply(request, PageData(page=PAGE, data=REPLIED))
+
+        s.sim.spawn(master())
+        first, second = s.fault(), s.fault()
+        s.sim.run(until=s.sim.all_of([first, second]))
+        assert [type(m) for m in seen] == [PageRequest]
+        assert s.page() == REPLIED and not s.bundle.inflight
+
+    def test_unwatched_fault_marker_costs_no_event(self):
+        """With one thread on the page, nobody waits on the in-flight marker:
+        it is settled in place, so the fault is done in the very step that
+        delivers the reply."""
+        s = _Slave()
+
+        def master():
+            request = yield s.requests.get()
+            s.master.reply(request, PageData(page=PAGE, data=REPLIED))
+
+        s.sim.spawn(master())
+        fault = s.fault()
+        marker, _write = s.bundle.inflight[PAGE]
+        s.sim.run(until=fault)
+        assert marker.processed and not s.sim._heap
+
+
+class TestAttributeTimeouts:
+    def _timeout(self):
+        return RpcTimeout(PageRequest(page=1, dst=3, req_id=9), 1000)
+
+    def test_bare_timeout_is_attributed_and_chained(self):
+        inner = self._timeout()
+        with pytest.raises(ServiceTimeout, match="service 'coherence'") as exc:
+            with attribute_timeouts("coherence"):
+                raise inner
+        assert exc.value.__cause__ is inner and exc.value.service == "coherence"
+
+    def test_attributed_timeout_and_other_errors_pass_through(self):
+        attributed = ServiceTimeout("futex", self._timeout())
+        with pytest.raises(ServiceTimeout) as exc:
+            with attribute_timeouts("coherence"):
+                raise attributed
+        assert exc.value is attributed
+        with pytest.raises(KeyError):
+            with attribute_timeouts("coherence"):
+                raise KeyError("not a timeout")
+
+    def test_spans_a_yield_inside_a_process(self):
+        sim = Simulator()
+        reply = sim.event()
+
+        def proc():
+            with attribute_timeouts("node.coherence"):
+                yield reply
+
+        p = sim.spawn(proc())
+        reply.fail(self._timeout())
+        with pytest.raises(ServiceTimeout, match="node.coherence"):
+            sim.run(until=p)
+
+
+def test_page_stall_formats_its_text_on_demand():
+    stall = PageStall(0x999, False, 8)
+    assert (stall.page, stall.write, stall.offset, stall.size) == (0x999, False, 8, 8)
+    assert str(stall) == "page stall: page=0x999 write=False"
+    assert repr(stall) == "PageStall('page stall: page=0x999 write=False')"
+
+
+# -- image load ----------------------------------------------------------------
+
+
+class TestImageLoad:
+    """Sections are loaded through read-only views (no section-sized copy);
+    what lands in memory is what the copying loader put there."""
+
+    @staticmethod
+    def _program():
+        def pattern(n, salt):
+            return bytearray((i * 31 + salt) & 0xFF or 1 for i in range(n))
+
+        return Program(
+            sections={
+                ".text": Section(".text", 0x10000, pattern(40, 3)),
+                # Odd bases and lengths: first and last pages are partial, and
+                # .bss starts inside the page .data ends in.
+                ".data": Section(".data", 0x20FF3, pattern(2 * PAGE_SIZE + 29, 5)),
+                ".bss": Section(".bss", 0x23010, pattern(3 * PAGE_SIZE - 7, 7)),
+                ".empty": Section(".empty", 0x30000),
+            },
+            symbols={}, entry=0x10000,
+        )
+
+    @staticmethod
+    def _reference(program):
+        """Byte-at-a-time load of a copy of each section: page -> contents."""
+        pages = {}
+        for sec in program.sections.values():
+            for i, byte in enumerate(bytes(sec.data)):
+                addr = sec.base + i
+                pages.setdefault(page_of(addr), bytearray(PAGE_SIZE))[addr % PAGE_SIZE] = byte
+        return pages
+
+    def test_segments_are_readonly_views_of_the_sections(self):
+        program = self._program()
+        segments = list(program.iter_load_segments())
+        assert [base for base, _ in segments] == [0x10000, 0x20FF3, 0x23010]
+        for (_, view), name in zip(segments, (".text", ".data", ".bss")):
+            assert view.obj is program.sections[name].data and view.readonly
+            assert view == program.sections[name].data
+
+    def test_home_store_matches_the_copying_loader(self):
+        program = self._program()
+        home = PageStore()
+        for vaddr, data in program.iter_load_segments():
+            Cluster._load_segment(home, vaddr, data)
+        expected = self._reference(program)
+        assert set(home.pages()) == set(expected)
+        for page, contents in expected.items():
+            assert home.raw(page) == contents
+            assert home.state(page) is MSIState.SHARED
+
+    def test_flat_memory_matches_the_copying_loader(self):
+        program = self._program()
+        mem = FlatMemory()
+        mem.load_image(program.iter_load_segments())
+        expected = self._reference(program)
+        assert set(mem.pages.pages()) == set(expected)
+        for page, contents in expected.items():
+            assert mem.pages.raw(page) == contents

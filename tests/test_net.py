@@ -2,10 +2,14 @@
 
 import pytest
 
+from collections import Counter
+
 from repro.errors import NetworkError
 from repro.net import Endpoint, Fabric
+from repro.net.faults import FaultInjector, FaultPlan, duplicate
 from repro.net.messages import (
     HEADER_BYTES,
+    Ack,
     PageData,
     PageRequest,
     SyscallReply,
@@ -261,3 +265,75 @@ class TestMessages:
         sim.spawn(receiver())
         sim.run()
         assert got[0].page == 9
+
+
+class TestFrameDelivery:
+    """``Fabric.transmit``: the frame rides as the delivery timer's value."""
+
+    def test_stats_equal_a_recount_over_the_delivered_frames(self):
+        sim, fabric, eps = make_cluster()
+        inboxes = [ep.subscribe_default() for ep in eps]
+        sent = [
+            (0, 1, PageRequest(page=1)),
+            (1, 0, PageData(page=1, data=bytes(4096), tenant=1)),
+            (2, 0, PageRequest(page=2, tenant=1)),
+            (0, 0, Ack()),  # loopback is counted like any frame
+            (2, 1, PageData(page=3, data=bytes(100))),
+            (1, 2, Ack(tenant=1)),
+        ]
+        for src, dst, msg in sent:
+            eps[src].send(dst, msg)
+        sim.run()
+        delivered = [m for q in inboxes for m in q.peek_all()]
+        assert sorted(map(id, delivered)) == sorted(id(m) for _, _, m in sent)
+
+        def recount(frames):
+            return {
+                "messages_sent": len(frames),
+                "bytes_sent": sum(m.size_bytes() for m in frames),
+                "by_kind": Counter(m.kind for m in frames),
+                "bytes_by_kind": sum(
+                    (Counter({m.kind: m.size_bytes()}) for m in frames), Counter()
+                ),
+                "tx_bytes_by_node": sum(
+                    (Counter({m.src: m.size_bytes()}) for m in frames), Counter()
+                ),
+                "rx_bytes_by_node": sum(
+                    (Counter({m.dst: m.size_bytes()}) for m in frames), Counter()
+                ),
+            }
+
+        assert vars(fabric.stats) == recount(delivered)
+        for tenant in (0, 1):
+            assert vars(fabric.stats_for(tenant)) == recount(
+                [m for m in delivered if m.tenant == tenant]
+            )
+        # The fleet total is computed from the slices on every read.
+        assert vars(fabric.stats) == vars(fabric.stats)
+        assert fabric.stats is not fabric.stats
+
+    def test_unknown_destination_and_source_still_raise(self):
+        sim, fabric, eps = make_cluster(n=2)
+        with pytest.raises(NetworkError, match="message to unknown node 9"):
+            eps[0].send(9, Ack())
+        with pytest.raises(NetworkError, match="message from unknown node 7"):
+            fabric.transmit(Ack(src=7, dst=1))
+        assert fabric.stats.messages_sent == 0  # rejected before being counted
+
+    def test_rejected_call_leaves_nothing_pending(self):
+        sim, fabric, eps = make_cluster(n=2)
+        with pytest.raises(NetworkError, match="unknown node 9"):
+            eps[0].request(9, PageRequest(page=1))
+        assert eps[0].pending_requests == 0
+
+    def test_injected_duplicate_arrives_as_a_distinct_clone(self):
+        sim, fabric, eps = make_cluster(n=2)
+        FaultInjector(sim, FaultPlan.of(duplicate(kinds={"page_data"}))).attach(fabric)
+        inbox = eps[1].subscribe_default()
+        original = PageData(page=4, data=b"\x07" * 64)
+        eps[0].send(1, original)
+        sim.run()
+        first, second = inbox.peek_all()
+        assert first is original and second is not original
+        assert second == original  # field for field, request id included
+        assert fabric.stats.messages_sent == 2

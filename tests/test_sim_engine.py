@@ -1,9 +1,11 @@
 """Unit tests for the discrete-event kernel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import Simulator
+from repro.sim import SimQueue, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -294,3 +296,291 @@ def test_cancel_after_processing_is_a_noop():
     sim.run()
     t.cancel()
     assert seen == [5]
+
+
+# -- a process starts inside spawn() -------------------------------------------
+
+
+def test_spawn_runs_the_first_segment_immediately():
+    sim = Simulator()
+    log = []
+
+    def proc():
+        log.append("first segment")
+        yield sim.timeout(5)
+        log.append("second segment")
+
+    p = sim.spawn(proc())
+    assert log == ["first segment"]  # before a single event was processed
+    assert not p.triggered
+    sim.run()
+    assert log == ["first segment", "second segment"]
+    assert sim.now == 5
+
+
+def test_raising_before_the_first_yield_fails_the_process():
+    sim = Simulator()
+
+    def bad():
+        raise ValueError("no first yield")
+        yield  # pragma: no cover - generator protocol
+
+    p = sim.spawn(bad())  # the error belongs to the process, not to spawn()
+    assert p.processed and not p.ok
+    with pytest.raises(ValueError, match="no first yield"):
+        sim.run(until=p)
+
+    def waiter():
+        try:
+            yield sim.spawn(bad())
+        except ValueError as exc:
+            return f"caught {exc}"
+
+    assert sim.run(until=sim.spawn(waiter())) == "caught no first yield"
+
+
+def test_interrupt_on_a_just_spawned_process_lands_at_its_first_suspension():
+    sim = Simulator()
+    log = []
+
+    def sleeper():
+        log.append("started")
+        try:
+            yield sim.timeout(1000)
+        except RuntimeError as exc:
+            log.append(f"interrupted at {sim.now}: {exc}")
+
+    p = sim.spawn(sleeper())
+    p.interrupt(RuntimeError("kick"))
+    assert log == ["started"]  # thrown on the next slot, not synchronously
+    sim.run(until=p)
+    assert log == ["started", "interrupted at 0: kick"]
+
+
+# -- events nobody waits on are settled in place -------------------------------
+
+
+def test_unwatched_process_is_processed_the_moment_it_finishes():
+    sim = Simulator()
+    seen = []
+
+    def proc():
+        yield sim.timeout(5)
+        return 7
+
+    p = sim.spawn(proc())
+    # Pushed after the process's own timer, so it fires right after the
+    # process finished, in the same instant: no completion event in between.
+    sim.timeout(5).add_callback(lambda _e: seen.append((p.processed, p.value)))
+    sim.run()
+    assert seen == [(True, 7)]
+    assert sim.run(until=p) == 7
+
+
+def test_unwatched_failed_process_raises_from_run_until():
+    sim = Simulator()
+
+    def proc():
+        yield sim.timeout(5)
+        raise KeyError("late")
+
+    p = sim.spawn(proc())
+    sim.run()  # a process failure nobody waits on is not the kernel's error
+    assert p.processed and not p.ok
+    with pytest.raises(KeyError, match="late"):
+        sim.run(until=p)
+
+
+def test_late_waiter_on_a_settled_process_resumes_on_the_next_slot():
+    sim = Simulator()
+    got = []
+
+    def child():
+        yield sim.timeout(3)
+        return "done"
+
+    p = sim.spawn(child())
+    sim.run()
+    assert p.processed
+
+    def waiter():
+        got.append((sim.now, (yield p)))
+
+    sim.spawn(waiter())
+    assert got == []  # subscribed late: fires from the heap, not synchronously
+    sim.step()
+    assert got == [(3, "done")]
+
+
+def test_watched_process_still_completes_through_the_heap():
+    sim = Simulator()
+
+    def child():
+        yield sim.timeout(1)
+        return 1
+
+    def parent(p):
+        return (yield p) + 1
+
+    p = sim.spawn(child())
+    q = sim.spawn(parent(p))
+    sim.step()  # the child's timer: it finishes with a waiter subscribed ...
+    assert p.triggered and not p.processed  # ... so completion is an event
+    assert not q.triggered
+    sim.step()
+    assert p.processed and q.processed and q.value == 2
+
+
+def test_plain_succeed_crosses_the_heap_even_when_unwatched():
+    sim = Simulator()
+    ev = sim.event()
+    ev.succeed("v")
+    assert ev.triggered and not ev.processed
+    sim.run()
+    assert ev.processed and ev.value == "v"
+
+
+def test_settle_is_in_place_only_when_nobody_is_subscribed():
+    sim = Simulator()
+    alone = sim.event()
+    alone.settle("a")
+    assert alone.processed and alone.value == "a"
+    with pytest.raises(SimulationError, match="twice"):
+        alone.settle("again")
+
+    seen = []
+    watched = sim.event()
+    watched.add_callback(lambda e: seen.append(e.value))
+    watched.settle("w")
+    assert watched.triggered and not watched.processed and seen == []
+    sim.run()
+    assert seen == ["w"]
+
+
+def test_failed_plain_event_nobody_waited_on_raises_out_of_step():
+    sim = Simulator()
+    sim.event().fail(RuntimeError("unseen"))
+    with pytest.raises(RuntimeError, match="unseen"):
+        sim.step()
+
+
+def test_negative_succeed_delay_rejected_before_triggering():
+    sim = Simulator()
+    ev = sim.event()
+    with pytest.raises(SimulationError, match="negative delay"):
+        ev.succeed(delay=-1)
+    assert not ev.triggered
+
+
+# -- process soup --------------------------------------------------------------
+
+DELAYS = st.sampled_from([0, 1, 1, 2, 3, 5])  # few values: expiry times collide
+
+
+class _Kick(Exception):
+    pass
+
+
+def _ops(depth):
+    leaf = st.one_of(
+        st.tuples(st.just("sleep"), DELAYS),
+        st.tuples(st.just("cancel"), DELAYS),
+        st.tuples(st.just("any"), st.lists(DELAYS, min_size=1, max_size=3)),
+        st.tuples(st.just("all"), st.lists(DELAYS, min_size=0, max_size=3)),
+        st.tuples(st.just("put"), st.integers(0, 1)),
+        st.tuples(st.just("get"), st.integers(0, 1)),
+        st.tuples(st.just("park"), st.just(None)),
+        st.tuples(st.just("interrupt"), st.integers(0, 7)),
+    )
+    if depth == 0:
+        return st.lists(leaf, max_size=5)
+    return st.lists(
+        st.one_of(leaf, st.tuples(st.just("spawn"), _ops(depth - 1))), max_size=6
+    )
+
+
+def _run_soup(scripts):
+    """Run the scripts as processes; returns what the properties need."""
+    sim = Simulator()
+    queues = [SimQueue(sim), SimQueue(sim)]
+    log = []  # everything observable, in the order it happened
+    fired = []  # (fire time, timer serial) per timer callback
+    timers = []  # serial -> (expiry, cancelled)
+    procs, parked = [], set()
+
+    def timer(delay, cancelled=False):
+        serial = len(timers)
+        timers.append((sim.now + delay, cancelled))
+        t = sim.timeout(delay, value=serial)
+        t.add_callback(lambda e: fired.append((sim.now, e.value)))
+        if cancelled:
+            t.cancel()
+        return t
+
+    def body(me, script):
+        for op, arg in script:
+            log.append((sim.now, me, op))
+            if op == "sleep":
+                log.append((yield timer(arg)))
+            elif op == "cancel":
+                timer(arg, cancelled=True)
+            elif op == "any":
+                log.append((yield sim.any_of([timer(d) for d in arg])))
+            elif op == "all":
+                log.append((yield sim.all_of([timer(d) for d in arg])))
+            elif op == "put":
+                queues[arg].put((me, sim.now))
+            elif op == "get":
+                log.append((yield queues[arg].get()))
+            elif op == "park":
+                # Waits on an event nobody triggers, so an interrupt is the
+                # only thing that can ever resume it (interrupt does not
+                # unsubscribe the target it abandons).
+                parked.add(me)
+                try:
+                    yield sim.event()
+                except _Kick:
+                    log.append((sim.now, me, "kicked"))
+            elif op == "interrupt":
+                if arg in parked:
+                    parked.remove(arg)
+                    procs[arg].interrupt(_Kick())
+            else:
+                start(arg)
+        return me
+
+    def start(script):
+        me = len(procs)
+        procs.append(None)
+        procs[me] = sim.spawn(body(me, script), name=f"p{me}")
+
+    for script in scripts:
+        start(script)
+    clock = []
+    while sim._heap:
+        sim.step()
+        clock.append(sim.now)
+    return log, fired, timers, clock, [(p.processed, p.ok) for p in procs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_ops(2), min_size=1, max_size=5))
+def test_process_soup_keeps_the_kernel_contract(scripts):
+    log, fired, timers, clock, states = _run_soup(scripts)
+    # Time never decreases, and the run ends at the last expiry there was —
+    # a cancelled timer's included: it fires nothing but advances the clock.
+    assert clock == sorted(clock)
+    if timers:
+        assert clock[-1] == max(expiry for expiry, _ in timers)
+    # Every live timer's callback fired exactly once, at its expiry; a
+    # cancelled one's never did.
+    assert sorted(serial for _, serial in fired) == [
+        serial for serial, (_, cancelled) in enumerate(timers) if not cancelled
+    ]
+    assert all(at == timers[serial][0] for at, serial in fired)
+    # Same-time events fire in push order (serials count pushes).
+    assert fired == sorted(fired)
+    # No process crashed: the soup raises nothing it does not catch.
+    assert all(ok for _, ok in states)
+    # Determinism: the same scripts give the same run.
+    assert (log, fired, timers, clock, states) == _run_soup(scripts)

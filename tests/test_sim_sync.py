@@ -217,3 +217,60 @@ class TestGate:
         sim.spawn(opener())
         sim.run()
         assert hits == [10, 20]
+
+
+class TestHops:
+    """What crosses the heap and what does not (docs/SIMULATION.md "Event
+    kernel"): a primitive's grant is always an event, even when immediate —
+    same-time grants at the master are ordered by it — while a process starts
+    inside ``spawn()``."""
+
+    def test_uncontended_acquire_still_takes_its_hop(self):
+        sim = Simulator()
+        lock = SimLock(sim)
+        grant = lock.acquire()
+        assert lock.locked
+        assert grant.triggered and not grant.processed
+        sim.step()
+        assert grant.processed
+
+    def test_get_from_a_nonempty_queue_still_takes_its_hop(self):
+        sim = Simulator()
+        q = SimQueue(sim)
+        q.put("item")
+        got = q.get()
+        assert got.triggered and not got.processed
+        sim.step()
+        assert got.processed and got.value == "item"
+
+    def test_getters_queue_in_spawn_order(self):
+        """Processes reach their first ``get`` inside ``spawn()``, so the
+        spawn order is the service order (cores of a node, managers of a
+        master)."""
+        sim = Simulator()
+        q = SimQueue(sim)
+        served = []
+
+        def worker(tag):
+            served.append((tag, (yield q.get())))
+
+        for tag in "abc":
+            sim.spawn(worker(tag))
+        for item in (1, 2, 3):  # before any event was processed
+            q.put(item)
+        sim.run()
+        assert served == [("a", 1), ("b", 2), ("c", 3)]
+
+    def test_gate_waiter_registered_inside_spawn_sees_the_next_open(self):
+        sim = Simulator()
+        gate = Gate(sim)
+        got = []
+
+        def waiter():
+            got.append((yield gate.wait()))
+
+        sim.spawn(waiter())
+        assert gate.n_waiting == 1
+        assert gate.open("now") == 1
+        sim.run()
+        assert got == ["now"]
