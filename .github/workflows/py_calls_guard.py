@@ -9,6 +9,13 @@ a per-block bookkeeping frame in the dispatch loop — moves it by hundreds.
 translation: 255 distinct blocks are compiled once each for the whole process
 (``repro.dbt.memo``); translating per node and per job again makes it 2050.
 
+``full_stack_pipeline`` is the only row that runs the armed paths — its
+superblocks loop in place and bill their fused groups per complete entry —
+and two of its counts are asserted *equal*: ``prof.sim.events`` moves when a
+change to the engine's allowance rule adds or loses a quantum (every quantum
+is a kernel event), ``prof.dbt.blocks_compiled`` when promotion fires on a
+different entry and grows a different trace.
+
 ``fault_storm`` is the row for host work per *message* rather than per guest
 instruction: ``prof.sim.events`` counts kernel events (``Simulator.step``), so
 a closure, a property or an idle event put back on the fault path moves it or
@@ -25,20 +32,23 @@ import subprocess
 import sys
 
 CALLS = "prof.py_calls_per_kinsn"
-#: workload -> metric -> ceiling (PR 17 measured 830.0, 703.4 and 1964.3;
-#: PR 18 measured 2071.0 and 255 on cold_start, 2736 and 2050 before it;
-#: PR 19 measured 17432.7 and 85904 on fault_storm, 23781.0 and 113493
-#: before it, and 1835.4 on cold_start).
+#: workload -> metric -> ceiling (PR 18 measured 255 blocks on cold_start,
+#: 2050 before it; PR 19 measured 85904 events on fault_storm, 113493 before
+#: it; PR 20 measured the calls: 22.9, 166.9, 1036.6, 1419.8, 17223.0 and
+#: 577.7 in table order, against 820.5, 674.5, 1947.1, 1834.6, 17432.7 and
+#: 919.2 before it).
 CEILINGS = {
-    "mem_read_walk": {CALLS: 871.5},
-    "mem_rmw_walk": {CALLS: 738.6},
-    "fp_compute": {CALLS: 2062.5},
-    "cold_start": {CALLS: 1927.2, "prof.dbt.blocks_compiled": 268},
-    "fault_storm": {CALLS: 18304.3, "prof.sim.events": 90199},
+    "mem_read_walk": {CALLS: 24.1},
+    "mem_rmw_walk": {CALLS: 175.2},
+    "fp_compute": {CALLS: 1088.4},
+    "cold_start": {CALLS: 1490.8, "prof.dbt.blocks_compiled": 268},
+    "fault_storm": {CALLS: 18084.1, "prof.sim.events": 90199},
+    "full_stack_pipeline": {CALLS: 606.6},
 }
 #: workload -> metric -> the exact value it must keep.
 EQUALITIES = {
     "fault_storm": {"prof.net.transmits": 20905, "prof.core.dispatches": 27933},
+    "full_stack_pipeline": {"prof.sim.events": 40482, "prof.dbt.blocks_compiled": 67},
 }
 
 

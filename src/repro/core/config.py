@@ -65,11 +65,14 @@ class DQEMUConfig:
     # -- DBT engine ----------------------------------------------------------
     mode: str = field(default="dbt", metadata=dict(
         choices=("dbt", "interp"), help="run translated blocks, or interpret every instruction"))
-    cpi_dbt: float = field(default=3.0, metadata=dict(help="cycles per translated instruction"))
+    # A quantum ends when its cycles are spent, so a CPI must move the clock
+    # forward; cpi_dbt is also a divisor (the engine's in-function allowance).
+    cpi_dbt: float = field(
+        default=3.0, metadata=dict(above=0, help="cycles per translated instruction"))
     cpi_interp: float = field(
-        default=30.0, metadata=dict(help="cycles per interpreted instruction"))
+        default=30.0, metadata=dict(above=0, help="cycles per interpreted instruction"))
     translate_per_insn: float = field(
-        default=800.0, metadata=dict(help="cycles to translate one guest instruction"))
+        default=800.0, metadata=dict(min=0, help="cycles to translate one guest instruction"))
     quantum_cycles: int = field(default=50_000, metadata=dict(
         min=1, help="cycles a thread runs before its core looks at the run queue again"))
     # DBT hot-path tier (docs/PROTOCOL.md "DBT hot path").  Superblocks and

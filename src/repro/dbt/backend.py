@@ -6,18 +6,40 @@ generated Python function, built as source text and compiled with
 emitting machine code, with the translation cost paid once per block.
 
 Precise guest state: integer results are committed to ``cpu.regs`` as each
-guest instruction completes, and before any instruction that can fault the
-generated code records its pc and the count of completed instructions
-(``cpu.block_ic``).  A :class:`~repro.mem.api.PageStall` raised by the
-memory system therefore propagates with the CPU stopped exactly at the
-faulting instruction, which DQEMU's coherence machinery requires (§4.2).
+guest instruction completes, and wherever an instruction can fault the
+generated code first records its pc and the count of completed instructions
+(``cpu.block_ic``).  A plain ``ld``/``st`` can only fault in its miss arm, so
+that bookkeeping lives *in the miss arm* and a resident access pays none of
+it; an atomic always leaves the function and keeps its bookkeeping up front.
+A :class:`~repro.mem.api.PageStall` raised by the memory system therefore
+propagates with the CPU stopped exactly at the faulting instruction, which
+DQEMU's coherence machinery requires (§4.2).
+
+Known values.  The emitter tracks what it already knows about each guest
+register while it emits: an integer write is *write-through*, ``R[28] = r28 =
+(r5 + r6) & M``, and every later integer read of that register in the function
+is the host local ``rN`` (a register first met as a read is bound there,
+``r6 = R[6]``).  So the integer side of ``cpu.regs`` is exact at every
+instant — miss arms and exits have nothing integer to flush, and a local can
+never be staler than the register file, only equal to it.  A visible
+``mov imm`` / ``li`` is remembered as a constant and folds into its consumers:
+into arithmetic (``(r18 + 8) & M``; a negative step subtracts its magnitude so
+small operands stay one-digit ints), into shift amounts, and into signed
+order, which makes no call — against a constant one unsigned range test
+(``a < c or a >= 2**63``), otherwise the unsigned order flipped when the signs
+differ (``(a < b) == ((a ^ b) < 2**63)``).  A temp that merely copies a value
+(``add t0, rs1, 0``) is no statement at all: it stands for the local it
+copies, and is given a statement of its own only if that local is about to be
+reassigned while the temp is still live.
 
 Float shadow.  Inside a generated function an FP value is a host local
-``fN`` (a Python ``float``) and ``R[N]`` may be stale.  ``R[N] = f2b(fN)`` is
-emitted before an integer read of ``N``, before every ``can_fault``
-instruction and on every ``return`` — the only points at which anything
-outside the function (fault handler, migration and checkpoint capture, the
-next block) reads ``cpu.regs``, so the register file is exact whenever read.
+``fN`` (a Python ``float``) and ``R[N]`` may be stale; an FP write forgets the
+integer local.  ``R[N] = f2b(fN)`` is emitted before an integer read of ``N``,
+in the miss arm of every plain access (which does not clear the emitter's
+``dirty`` set: the hit path runs no ``f2b``), before every atomic, on a loop's
+back edge and on every ``return`` — the only points at which anything outside
+the function (fault handler, migration and checkpoint capture, the next
+block) reads ``cpu.regs``, so the register file is exact whenever read.
 
 Resident fast path.  Every ``ld``/``st`` micro-op is emitted as the memory's
 hit test inline plus the out-of-line method as its miss arm — QEMU's softmmu
@@ -26,12 +48,33 @@ resident-access view in the TLB's place.  A load is served by indexing the
 page's ``bytearray`` iff nothing is split, the span stays inside the page and
 the page has a state; a store iff additionally no reservation is armed and the
 state is Modified — exactly when ``DSMMemory.load``/``store`` would neither
-enter ``_resolve`` nor call ``kill_store``.  Anything else calls ``mem.load`` /
-``mem.store`` unchanged, after the ``can_fault`` preamble has committed pc,
-``block_ic`` and float shadows, so stalls, faults and silent upgrades behave
-as if every access were the call.  The containers are read from the ``mem``
-argument at function entry (:data:`MEM_VIEW`), never bound at compile time: a
-block serves whichever memory it is run against.
+enter ``_resolve`` nor call ``kill_store``.  A one-byte hit is an index; 2, 4
+and 8 bytes go through the ``unpack_from`` / ``pack_into`` accessors of
+:mod:`repro.mem.flat` (the same table ``FlatMemory`` uses), held in the codegen
+globals.  Anything else calls ``mem.load`` / ``mem.store`` unchanged, after the
+miss arm has committed pc, ``block_ic`` and float shadows, so stalls, faults
+and silent upgrades behave as if every access were the call.  The containers
+are read from the ``mem`` argument at function entry (:data:`MEM_VIEW`), never
+bound at compile time: a block serves whichever memory it is run against.
+
+Loop residency.  Every generated function is ``fn(cpu, mem, n)``.  One whose
+static successors include its own entry pc — a plain block branching to
+itself, a superblock whose tail can branch to its head — is emitted as a
+loop: a *pre-header* binds, once, every register whose first access in the
+body is a read (``rN = R[N]`` for integer reads, ``fN = b2f(R[N])`` for FP
+reads: the value there is the value on entry), then ``i = 0`` and the body
+inside ``while True:``.  At the tail, ahead of the unchanged exit, sits the
+*back edge*: ``if i + 1 < n and (<the branch re-enters>): <commit dirty floats;
+re-bind what the pre-header bound and the body left stale>; i += 1; continue``
+— the loop head always finds exactly what the pre-header left it, and
+``cpu.regs`` is exact there.  ``n`` is the engine's allowance, the number of
+entries this call may make; a function that does not loop never reads it.
+Every way out of a looping function reports through ``cpu.block_runs``: a
+return (tail or side exit) sets it to ``i + 1``, the entries made, with the
+last one's instruction count in ``cpu.block_ic`` as ever; a fault point sets
+it to ``i``, the complete entries before the faulting one, next to
+``cpu.pc``/``block_ic``.  Whether a function loops is read off its own
+successors (``TranslationBlock.loops``); there is no second emitter.
 
 Hot-path tier.  Beyond plain per-block compilation the backend supports:
 
@@ -45,7 +88,9 @@ Hot-path tier.  Beyond plain per-block compilation the backend supports:
 * **idiom fusion** (:func:`find_fusions`) — a peephole over adjacent guest
   instructions that collapses recurring GA64 idioms (compare+branch,
   load+op, the guest-libc atomic spin idiom) into single host operations,
-  each fused pair billed as one instruction by the engine.
+  each fused pair billed as one instruction by the engine.  (A fused
+  load+op needs no emission of its own: the consumer reads the loaded
+  register's local like any other known value.)
 
 Fusion never changes architectural state: every guest register write still
 happens, and fused pairs are only formed when no precise-exception point
@@ -55,6 +100,7 @@ can observe the intermediate value.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -62,12 +108,14 @@ from repro.dbt import fpu
 from repro.dbt import runtime as rt
 from repro.dbt.frontend import BlockIR
 from repro.dbt.tcg import InstrIR, TCGOp
+from repro.mem.flat import PACK, UNPACK
 from repro.mem.layout import PAGE_SHIFT, PAGE_SIZE
 from repro.mem.msi import MSIState
 
 __all__ = ["TranslationBlock", "Backend", "find_fusions", "MEM_VIEW"]
 
 M64 = rt.M64
+SIGN = 1 << 63
 
 #: Host local → the :class:`~repro.mem.api.MemoryAPI` container it aliases.
 #: A generated function that touches memory binds the ones it tests at entry,
@@ -93,18 +141,15 @@ _CODEGEN_GLOBALS = {
     "d2l": fpu.d2l,
     "l2d": fpu.l2d,
     "W": MSIState.MODIFIED,
-    "ifb": int.from_bytes,
-    "itb": int.to_bytes,
+    # The wide accessors of ``repro.mem.flat``: ``u8``/``u4``/``u2`` read
+    # unsigned, ``s4``/``s2`` signed, ``p8``/``p4``/``p2`` write.
+    **{f"{'s' if signed else 'u'}{size}": unpack for (size, signed), unpack in UNPACK.items()},
+    **{f"p{size}": pack for size, pack in PACK.items()},
 }
 
-_COND_EXPR = {
-    "eq": "{a} == {b}",
-    "ne": "{a} != {b}",
-    "lt": "s64({a}) < s64({b})",
-    "ge": "s64({a}) >= s64({b})",
-    "ltu": "{a} < {b}",
-    "geu": "{a} >= {b}",
-}
+#: Conditions that are one host comparison; signed order is
+#: :meth:`_Emitter.cond`'s.
+_COND_EXPR = {"eq": "{a} == {b}", "ne": "{a} != {b}", "ltu": "{a} < {b}", "geu": "{a} >= {b}"}
 
 #: FP ops over host floats: operands and result are float expressions.
 _FBIN_EXPR = {
@@ -124,9 +169,9 @@ _BIN_EXPR = {
     "and": "{a} & {b}",
     "or": "{a} | {b}",
     "xor": "{a} ^ {b}",
-    "shl": "({a} << ({b} & 63)) & M",
-    "shr": "{a} >> ({b} & 63)",
-    "sar": "(s64({a}) >> ({b} & 63)) & M",
+    "shl": "({a} << {b}) & M",  # the amount arrives reduced mod 64
+    "shr": "{a} >> {b}",
+    "sar": "(s64({a}) >> {b}) & M",
     "mul": "({a} * {b}) & M",
     "mulh": "mulh64({a}, {b})",
     "mulhu": "mulhu64({a}, {b})",
@@ -147,7 +192,7 @@ class TranslationBlock:
     ``eq=False`` keeps object-identity hashing so blocks can sit in the
     chain-backlink sets the code cache maintains for unchaining.
 
-    The translation (every field down to ``member_pcs``) is a function of the
+    The translation (every field down to ``loops``) is a function of the
     guest words alone and is never written after ``compile``; the fields
     below it are one engine's execution state.  :meth:`fresh` gives an engine
     its own block over a translation made for any other.
@@ -171,6 +216,12 @@ class TranslationBlock:
     ir: Optional[BlockIR] = None
     is_superblock: bool = False
     member_pcs: tuple[int, ...] = ()
+    #: ``(pattern, groups of it in fused)``: what one complete entry adds to
+    #: the engine's per-pattern hit counters, without walking ``fused``.
+    fused_counts: tuple[tuple[str, int], ...] = ()
+    #: The function re-enters itself: its static successors include ``pc``, so
+    #: ``fn`` was emitted as a loop and honours its allowance argument.
+    loops: bool = False
     exec_count: int = 0
     #: Latched when trace formation from this head failed; stops retrying.
     no_promote: bool = False
@@ -189,6 +240,7 @@ class TranslationBlock:
             pc=self.pc, n_insns=self.n_insns, end_pc=self.end_pc, fn=self.fn,
             source=self.source, succ_pcs=self.succ_pcs, pages=self.pages, fused=self.fused,
             ir=self.ir, is_superblock=self.is_superblock, member_pcs=self.member_pcs,
+            fused_counts=self.fused_counts, loops=self.loops,
         )
 
 
@@ -314,16 +366,19 @@ def find_fusions(instrs: list[InstrIR]) -> tuple[list[InstrIR], list[tuple[int, 
     return out, groups
 
 
+def _fused(block: BlockIR, fusion: bool) -> tuple[list[InstrIR], list[tuple[int, str]]]:
+    return find_fusions(block.instrs) if fusion else (block.instrs, [])
+
+
 class Backend:
     """TCG-to-Python compiler.  Stateless: equal IR compiles to equal source."""
 
     def compile(self, block: BlockIR, *, fusion: bool = False) -> TranslationBlock:
-        instrs = block.instrs
-        groups: list[tuple[int, str]] = []
-        if fusion:
-            instrs, groups = find_fusions(instrs)
-        em = _Emitter()
-        em.body(instrs, groups, 0, None, block.next_pc, set())
+        instrs, groups = _fused(block, fusion)
+        succ_pcs = _successors(instrs, block.next_pc)
+        loops = block.pc in succ_pcs
+        em = _Emitter(block.pc if loops else None)
+        em.body(instrs, 0, None, block.next_pc, set())
         fn, src = em.function(f"tb_{block.pc:x}", f"<tb@{block.pc:#x}>")
         return TranslationBlock(
             pc=block.pc,
@@ -331,10 +386,12 @@ class Backend:
             end_pc=block.next_pc,
             fn=fn,
             source=src,
-            succ_pcs=_successors(instrs, block.next_pc),
+            succ_pcs=succ_pcs,
             pages=_page_span(block.pc, block.next_pc),
             fused=tuple(groups),
             ir=block,
+            fused_counts=_pattern_counts(groups),
+            loops=loops,
         )
 
     def compile_superblock(
@@ -345,31 +402,27 @@ class Backend:
         One entry (the head's pc); interior terminators that reach the next
         member fall through inside the function, every other outcome is a
         side exit that returns with guest state fully committed.  Float
-        shadows carry across member boundaries.  The same block may appear
-        more than once (loop traces unroll themselves up to the trace-length
-        cap).
+        shadows and known integer values carry across member boundaries.  The
+        same block may appear more than once (loop traces unroll themselves
+        up to the trace-length cap), and a tail that can branch to the head
+        makes the whole trace loop in place.
         """
-        em = _Emitter()
+        head = members[0]
+        fused = [_fused(block, fusion) for block in members]
+        tail_succs = _successors(fused[-1][0], members[-1].next_pc)
+        loops = head.pc in tail_succs
+        em = _Emitter(head.pc if loops else None)
         groups_all: list[tuple[int, str]] = []
         side_exits: set[int] = set()
         pages: set[int] = set()
         base = 0
-        last = len(members) - 1
-        tail_succs: tuple[int, ...] = ()
-        for mi, block in enumerate(members):
-            instrs = block.instrs
-            groups: list[tuple[int, str]] = []
-            if fusion:
-                instrs, groups = find_fusions(instrs)
+        for mi, (block, (instrs, groups)) in enumerate(zip(members, fused)):
             groups_all.extend((base + end, pat) for end, pat in groups)
             pages.update(_page_span(block.pc, block.next_pc))
-            next_entry = members[mi + 1].pc if mi < last else None
+            next_entry = members[mi + 1].pc if mi + 1 < len(members) else None
             em.lines.append(f"# member {mi}: block {block.pc:#x}")
-            em.body(instrs, groups, base, next_entry, block.next_pc, side_exits)
+            em.body(instrs, base, next_entry, block.next_pc, side_exits)
             base += len(instrs)
-            if mi == last:
-                tail_succs = _successors(instrs, block.next_pc)
-        head = members[0]
         fn, src = em.function(f"sb_{head.pc:x}", f"<sb@{head.pc:#x}>")
         return TranslationBlock(
             pc=head.pc,
@@ -383,15 +436,46 @@ class Backend:
             ir=None,
             is_superblock=True,
             member_pcs=tuple(b.pc for b in members),
+            fused_counts=_pattern_counts(groups_all),
+            loops=loops,
         )
 
 
-class _Emitter:
-    """Source lines of one generated function, plus the float-shadow state
-    that decides where register bits are materialised (module docstring)."""
+def _pattern_counts(groups: list[tuple[int, str]]) -> tuple[tuple[str, int], ...]:
+    return tuple(Counter(pattern for _end, pattern in groups).items())
 
-    def __init__(self) -> None:
+
+def _text(value: "int | str") -> str:
+    return value if isinstance(value, str) else repr(value)
+
+
+class _Emitter:
+    """Source lines of one generated function, plus what is known while they
+    are emitted: which host local or constant equals which guest register
+    ("Known values"), which float shadows are newer than the register file
+    ("Float shadow"), and — for a function that loops — what its pre-header
+    binds ("Loop residency"; module docstring for all three)."""
+
+    def __init__(self, head: Optional[int] = None) -> None:
+        #: The entry pc when the function's own exit can re-enter it (it is
+        #: then emitted as a loop), else ``None``.
+        self.head = head
         self.lines: list[str] = []
+        #: Bindings made once, before the loop: registers whose first access
+        #: in the body is a read (so their value there is their value on entry).
+        self.pre: list[str] = []
+        #: Guest regs the loop head finds bound: ``rN`` resp. ``fN``.
+        self.pins: set[int] = set()
+        self.fpins: set[int] = set()
+        #: Guest regs written so far (a loop's pre-header binds none of them).
+        self.written: set[int] = set()
+        #: Guest regs whose host local ``rN`` equals ``R[N]``.
+        self.local: set[int] = set()
+        #: Guest reg → the value a visible ``mov imm`` / ``li`` gave it.
+        self.const: dict[int, int] = {}
+        #: Temp → its value: a constant, the name of the local it copies (no
+        #: statement was emitted for it), or its own ``tN``.
+        self.temps: dict[int, "int | str"] = {}
         #: Guest reg → float expression equal to its value: the host local
         #: ``fN`` or a literal.  An ``int`` entry is the bits of a visible
         #: ``mov imm``, turned into one of the two on the first FP read.
@@ -402,50 +486,104 @@ class _Emitter:
         self.views: set[str] = set()
 
     def function(self, name: str, filename: str) -> tuple[Callable, str]:
-        """The emitted lines as a compiled ``name(cpu, mem)`` and its source."""
+        """The emitted lines as a compiled ``name(cpu, mem, n)`` and its
+        source; only a looping function reads ``n``, its allowance."""
         entry = ["R = cpu.regs"]
         entry += [f"{v} = mem.{attr}" for v, attr in MEM_VIEW.items() if v in self.views]
-        src = f"def {name}(cpu, mem):\n" + "".join(f"    {ln}\n" for ln in entry + self.lines)
+        body = self.lines
+        if self.head is not None:
+            entry += self.pre + ["i = 0", "while True:"]
+            body = ["    " + ln for ln in body]
+        src = f"def {name}(cpu, mem, n):\n" + "".join(f"    {ln}\n" for ln in entry + body)
         ns: dict = {}
         exec(compile(src, filename, "exec"), _CODEGEN_GLOBALS, ns)
         return ns[name], src
 
     # -- operands -------------------------------------------------------------
 
-    def ref(self, operand, sub: Optional[dict] = None) -> str:
-        """Integer read.  Every integer use of a guest register comes through
-        here, so a dirty shadow is committed before its bits are read."""
-        if sub is not None and operand in sub:
-            return sub[operand]
+    def bind(self, v: int, line: str, pinned: set[int]) -> None:
+        """First read of guest register ``v`` with nothing known about it:
+        ``line`` loads its host local — in the pre-header, once, when the
+        function loops and nothing in its body has written ``v`` yet."""
+        if self.head is not None and v not in self.written:
+            self.pre.append(line)
+            pinned.add(v)
+        else:
+            self.lines.append(line)
+
+    def keep(self, name: str) -> None:
+        """``name`` is about to be assigned: a temp that stands for its
+        current value gets a statement of its own first."""
+        for k, value in self.temps.items():
+            if value == name and name != f"t{k}":
+                self.lines.append(f"t{k} = {name}")
+                self.temps[k] = f"t{k}"
+
+    def val(self, operand) -> "int | str":
+        """Integer read: a constant, or the host local holding the value.
+        Every integer use of a guest register comes through here, so a dirty
+        shadow is committed before its bits are read."""
         kind, v = operand
-        if kind == "g":
-            if v == 0:
-                return "0"
-            if v in self.dirty:
-                self.lines.append(f"R[{v}] = f2b(f{v})")
-                self.dirty.discard(v)
-            return f"R[{v}]"
+        if kind == "i":
+            return v & M64
         if kind == "t":
-            return f"t{v}"
-        return repr(v & M64)
+            return self.temps[v]
+        if v == 0:
+            return 0
+        if v in self.const:
+            return self.const[v]
+        if v not in self.local:
+            if v in self.dirty:
+                self.keep(f"r{v}")
+                self.lines.append(f"R[{v}] = r{v} = f2b(f{v})")
+                self.dirty.discard(v)
+            else:
+                if v in self.written:
+                    self.keep(f"r{v}")
+                self.bind(v, f"r{v} = R[{v}]", self.pins)
+            self.local.add(v)
+        return f"r{v}"
+
+    def ref(self, operand) -> str:
+        return _text(self.val(operand))
 
     def target(self, d) -> str:
-        """Where an integer write to ``d`` lands; a guest register loses its
-        shadow.  The written expression is built (and its reads flushed)
-        before this runs, so an instruction that reads and writes the same
-        register reads it first."""
+        """Where an integer write to ``d`` lands: a guest register is written
+        through (``R[N]`` and ``rN`` together) and loses its shadow.  The
+        written expression is built (and its reads flushed) before this runs,
+        so an instruction that reads and writes the same register reads it
+        first."""
         kind, v = d
         if kind == "t":
+            self.keep(f"t{v}")
+            self.temps[v] = f"t{v}"
             return f"t{v}"
         if v == 0:
             return "_"
+        self.keep(f"r{v}")
         self.shadow.pop(v, None)
+        self.const.pop(v, None)
         self.dirty.discard(v)
-        return f"R[{v}]"
+        self.written.add(v)
+        self.local.add(v)
+        return f"R[{v}] = r{v}"
 
     def set(self, d, expr: str) -> None:
         """Integer write ``d = expr``."""
         self.lines.append(f"{self.target(d)} = {expr}")
+
+    def move(self, d, value: "int | str") -> None:
+        """``d = value`` with no arithmetic (``mov``, ``li``, ``mv``, a
+        zero-displacement address): a temp just stands for the value, a
+        guest register remembers a constant for its consumers."""
+        kind, v = d
+        if kind == "t":
+            self.keep(f"t{v}")
+            self.temps[v] = value
+            return
+        self.set(d, _text(value))
+        if v and isinstance(value, int):
+            self.const[v] = self.shadow[v] = value
 
     def fref(self, operand) -> str:
         """FP read of a guest register: a float expression.  ``b2f`` is
@@ -460,12 +598,13 @@ class _Emitter:
                 expr = repr(x)
             else:  # unknown bits, or inf/NaN (no literal)
                 expr = f"f{v}"
-                self.lines.append(f"f{v} = b2f(R[{v}])")
+                self.bind(v, f"f{v} = b2f(R[{v}])", self.fpins)
             self.shadow[v] = expr
         return expr
 
     def fset(self, d, expr: str) -> None:
-        """FP write: the result stays a host float and ``R[d]`` goes stale."""
+        """FP write: the result stays a host float, ``R[d]`` goes stale and
+        the integer local is forgotten with it."""
         _g, v = d
         if v == 0:
             self.lines.append(f"_ = {expr}")
@@ -473,36 +612,77 @@ class _Emitter:
         self.lines.append(f"f{v} = {expr}")
         self.shadow[v] = f"f{v}"
         self.dirty.add(v)
+        self.written.add(v)
+        self.local.discard(v)
+        self.const.pop(v, None)
+
+    def cond(self, cond: str, a: "int | str", b: "int | str") -> str:
+        """Host expression of ``a <cond> b`` over register values held
+        unsigned.  Signed order makes no call: against a constant it is one
+        unsigned range test, otherwise the unsigned order flipped when the
+        signs differ — ``(a ^ b) < 2**63`` keeps small operands small."""
+        if cond in _COND_EXPR:
+            return _COND_EXPR[cond].format(a=_text(a), b=_text(b))
+        lt = cond == "lt"
+        if isinstance(a, int) and isinstance(b, int):
+            return repr((rt.s64(a) < rt.s64(b)) == lt)
+        if isinstance(b, int):  # a < b resp. a >= b; the negatives lie above 2**63
+            if b >= SIGN:
+                return f"{SIGN} <= {a} < {b}" if lt else f"{a} >= {b} or {a} < {SIGN}"
+            if b == 0:
+                return f"{a} >= {SIGN}" if lt else f"{a} < {SIGN}"
+            return f"{a} < {b} or {a} >= {SIGN}" if lt else f"{b} <= {a} < {SIGN}"
+        if isinstance(a, int):  # b > a resp. b <= a
+            if a >= SIGN:
+                return f"{b} > {a} or {b} < {SIGN}" if lt else f"{SIGN} <= {b} <= {a}"
+            return f"{a} < {b} < {SIGN}" if lt else f"{b} <= {a} or {b} >= {SIGN}"
+        return f"({a} < {b}) {'==' if lt else '!='} (({a} ^ {b}) < {SIGN})"
 
     # -- materialisation points ---------------------------------------------------
 
     def _commits(self) -> list[str]:
         return [f"R[{n}] = f2b(f{n})" for n in sorted(self.dirty)]
 
-    def flush(self) -> None:
-        """Commit every dirty shadow (the floats stay valid for later reads)."""
-        if self.dirty:
-            self.lines.extend(self._commits())
-            self.dirty.clear()
+    def _fault_point(self, ir: InstrIR, k: int) -> list[str]:
+        """What makes guest state precise should ``ir`` (the function's
+        ``k``-th instruction) fault: float shadows committed — the integer
+        file is never stale — its pc, and the count of what completed."""
+        where = [f"cpu.pc = {ir.pc}", f"cpu.block_ic = {k}"]
+        if self.head is not None:
+            where.append("cpu.block_runs = i")
+        return self._commits() + where
 
     def leave(self, rc: int = 0, *, unless: Optional[int] = None) -> None:
         """Return to the engine with ``cpu.regs`` exact.  With ``unless`` (a
         superblock's next member) the return is a side exit taken only when
         ``cpu.pc`` went elsewhere; the trace continues with its shadows."""
+        out = self._commits()
+        if self.head is not None:
+            out.append("cpu.block_runs = i + 1")
+        out.append(f"return {rc}")
         if unless is None:
-            self.flush()
-            self.lines.append(f"return {rc}")
+            self.lines.extend(out)
         else:
             self.lines.append(f"if cpu.pc != {unless}:")
-            self.lines.extend("    " + ln for ln in self._commits())
-            self.lines.append("    return 0")
+            self.lines.extend("    " + ln for ln in out)
+
+    def back_edge(self, taken: Optional[str]) -> None:
+        """The function's exit re-enters it when ``taken`` holds (always, if
+        ``None``): while the allowance lasts, go round in place.  The loop
+        head finds what the pre-header left it: registers exact, every pinned
+        local equal to its register."""
+        self.lines.append("if i + 1 < n" + (f" and ({taken}):" if taken else ":"))
+        again = self._commits()
+        again += [f"r{v} = R[{v}]" for v in sorted(self.pins - self.local)]
+        again += [f"f{v} = b2f(R[{v}])" for v in sorted(self.fpins)
+                  if self.shadow.get(v) != f"f{v}"]
+        self.lines.extend("    " + ln for ln in again + ["i += 1", "continue"])
 
     # -- emission -------------------------------------------------------------
 
     def body(
         self,
         instrs: list[InstrIR],
-        groups: list[tuple[int, str]],
         base: int,
         next_entry: Optional[int],
         next_pc: int,
@@ -517,51 +697,35 @@ class _Emitter:
         """
         lines = self.lines
         end_ic = base + len(instrs)
-        load_starts = {end - 1 for end, pat in groups if pat == "load_op"}
-        skip: set[int] = set()
         terminated = False
-        for j, ir in enumerate(instrs):
-            if j in skip:
-                continue
-            k = base + j
+        for k, ir in enumerate(instrs, base):
             lines.append(f"# {ir.pc:#x}: {ir.mnemonic}")
-            if ir.can_fault:
-                # Precise exception point: exact registers, pc and
-                # completed-instruction count.
-                self.flush()
-                lines.append(f"cpu.pc = {ir.pc}")
-                lines.append(f"cpu.block_ic = {k}")
-            if j in load_starts:
-                self.load_op(ir, instrs[j + 1])
-                skip.add(j + 1)
-                continue
+            self.temps.clear()  # a temp lives within one instruction (tcg.py)
             for op in ir.ops:
                 if op.name in _TERMINALS:
                     self.terminal(op, ir, k, end_ic, next_entry, side_exits)
                     terminated = True
+                elif op.name == "ld":
+                    d, addr, size, signed = op.args
+                    self.load(d, self.val(addr), size, signed, self._fault_point(ir, k))
+                elif op.name == "st":
+                    val, addr, size = op.args
+                    self.store(self.val(addr), size, self.val(val), self._fault_point(ir, k))
                 else:
+                    if op.name in _ATOMIC_OPS:
+                        # Always out of line: its precise exception point is
+                        # made up front, and leaves nothing dirty.
+                        lines.extend(self._fault_point(ir, k))
+                        self.dirty.clear()
                     self.simple(op)
         if not terminated and (next_entry is None or next_pc != next_entry):
             lines.append(f"cpu.block_ic = {end_ic}")
             lines.append(f"cpu.pc = {next_pc}")
             self.leave()
 
-    def load_op(self, ld_ir: InstrIR, op_ir: InstrIR) -> None:
-        """Fused load+op: one combined sequence, the consumer reading the
-        loaded value from a host local instead of re-reading the register
-        file.  The load still commits its register first, so a later fault
-        observes precise state."""
-        add_op, ld_op = ld_ir.ops
-        d, addr, size, signed = ld_op.args
-        self.simple(add_op)
-        self.load("_v", self.ref(addr), size, signed)
-        self.set(d, "_v")
-        self.lines.append(f"# {op_ir.pc:#x}: {op_ir.mnemonic} (fused)")
-        self.simple(op_ir.ops[0], sub={d: "_v"})
-
     # -- memory: resident test inline, the method as miss arm (module docstring)
 
-    def locate(self, a: str, size: int) -> tuple[str, str]:
+    def locate(self, a: "int | str", size: int) -> tuple[str, str]:
         """Bind ``p`` to the page of address ``a``; returns the page-offset
         expression and the hit test's span term (none for one byte)."""
         self.lines.append(f"p = {a} >> {PAGE_SHIFT}")
@@ -570,33 +734,36 @@ class _Emitter:
         self.lines.append(f"o = {a} & {PAGE_SIZE - 1}")
         return "o", f"o > {PAGE_SIZE - size} or "
 
-    def load(self, target: str, a: str, size: int, signed: bool) -> None:
-        """``target = <size bytes at a>``: hit iff nothing is split, the
-        span stays inside the page and the page has a state."""
+    def load(self, d, a: "int | str", size: int, signed: bool, fault_point: list[str]) -> None:
+        """``d = <size bytes at a>``: hit iff nothing is split, the span
+        stays inside the page and the page has a state; the miss arm, the
+        only place the access can fault, does the fault bookkeeping."""
         self.views.update("SBX")
         o, spans = self.locate(a, size)
         if size == 1:
             hit = f"(B[p][{o}] ^ 128) - 128 & M" if signed else f"B[p][{o}]"
         elif signed and size < 8:
-            hit = f'ifb(B[p][o:o + {size}], "little", signed=True) & M'
+            hit = f"s{size}(B[p], o)[0] & M"
         else:
-            hit = f'ifb(B[p][o:o + {size}], "little")'
-        self.lines.append(
-            f"{target} = mem.load({a}, {size}, {signed}) if X or {spans}p not in S else {hit}"
-        )
+            hit = f"u{size}(B[p], o)[0]"
+        target = self.target(d)  # after the address was read
+        self.lines.append(f"if X or {spans}p not in S:")
+        self.lines.extend("    " + ln for ln in fault_point)
+        self.lines.append(f"    {target} = mem.load({a}, {size}, {signed})")
+        self.lines.append(f"else: {target} = {hit}")
 
-    def store(self, a: str, size: int, v: str) -> None:
+    def store(self, a: "int | str", size: int, v: "int | str", fault_point: list[str]) -> None:
         """``<size bytes at a> = v``: hit iff additionally no reservation is
         armed and the page is Modified."""
         self.views.update("SBXA")
         o, spans = self.locate(a, size)
-        if size == 1:
-            hit = f"B[p][{o}] = {v} & 255"
-        else:
-            # Registers and temps are held masked, so 8 bytes need no mask.
-            low = v if size == 8 else f"{v} & {(1 << 8 * size) - 1}"
-            hit = f'B[p][o:o + {size}] = itb({low}, {size}, "little")'
-        self.lines.append(f"if X or A or {spans}S.get(p) is not W: mem.store({a}, {size}, {v})")
+        # Registers and temps are held masked, so 8 bytes need no mask.
+        mask = (1 << 8 * size) - 1
+        low = v if size == 8 else v & mask if isinstance(v, int) else f"{v} & {mask}"
+        hit = f"B[p][{o}] = {low}" if size == 1 else f"p{size}(B[p], o, {low})"
+        self.lines.append(f"if X or A or {spans}S.get(p) is not W:")
+        self.lines.extend("    " + ln for ln in fault_point)
+        self.lines.append(f"    mem.store({a}, {size}, {v})")
         self.lines.append(f"else: {hit}")
 
     def terminal(
@@ -610,16 +777,25 @@ class _Emitter:
     ) -> None:
         name = op.name
         lines = self.lines
+        # The tail of a looping function: a way out that is its own way in.
+        back = self.head if next_entry is None else None
         if name == "brcond":
             a, b, cond, tgt, fall = op.args
-            expr = _COND_EXPR[cond].format(a=self.ref(a), b=self.ref(b))
+            x, y = self.val(a), self.val(b)
+            if back is not None and back in (tgt, fall):
+                self.back_edge(
+                    None if tgt == fall
+                    else self.cond(cond if tgt == back else _NEGATE_COND[cond], x, y)
+                )
             lines.append(f"cpu.block_ic = {end_ic}")
-            lines.append(f"cpu.pc = {tgt} if {expr} else {fall}")
+            lines.append(f"cpu.pc = {tgt} if {self.cond(cond, x, y)} else {fall}")
             if next_entry is not None:
-                side_exits.update(x for x in (tgt, fall) if x != next_entry)
+                side_exits.update(pc for pc in (tgt, fall) if pc != next_entry)
             self.leave(unless=next_entry)
         elif name == "jmp":
             (tgt,) = op.args
+            if back is not None and tgt == back:
+                self.back_edge(None)
             lines.append(f"cpu.block_ic = {end_ic}")
             lines.append(f"cpu.pc = {tgt}")
             if next_entry is None or tgt != next_entry:
@@ -637,26 +813,30 @@ class _Emitter:
             lines.append(f"cpu.pc = {ir.pc + 4}")
             self.leave(rc)
 
-    def simple(self, op: TCGOp, sub: Optional[dict] = None) -> None:
+    def simple(self, op: TCGOp) -> None:
         name = op.name
         ref = self.ref
         if name in _BIN_EXPR:
             d, a, b = op.args
-            if name == "add" and b[0] == "i" and (b[1] == 0 or a == ("g", 0)):
+            x, y = self.val(a), self.val(b)
+            if name == "add" and 0 in (x, y):
                 # ``x + 0`` (zero-displacement address, ``mv``) and ``0 + imm``
                 # (``li``): registers, temps and immediates are held masked.
-                self.set(d, ref(a, sub) if b[1] == 0 else ref(b))
-            else:
-                self.set(d, _BIN_EXPR[name].format(a=ref(a, sub), b=ref(b, sub)))
+                self.move(d, y if x == 0 else x)
+                return
+            if name in ("shl", "shr", "sar"):
+                y = y & 63 if isinstance(y, int) else f"({y} & 63)"
+            elif name == "add" and isinstance(y, int) and y >= SIGN:
+                # A negative displacement or step: subtracting its magnitude
+                # keeps a small operand a one-digit int.
+                name, y = "sub", (1 << 64) - y
+            self.set(d, _BIN_EXPR[name].format(a=_text(x), b=_text(y)))
         elif name == "mov":
             d, s = op.args
-            self.set(d, ref(s, sub))
-            if d[0] == "g" and d[1] != 0 and s[0] == "i":
-                self.shadow[d[1]] = s[1] & M64
+            self.move(d, self.val(s))
         elif name == "setcond":
             d, a, b, cond = op.args
-            expr = _COND_EXPR[cond].format(a=ref(a, sub), b=ref(b, sub))
-            self.set(d, f"1 if {expr} else 0")
+            self.set(d, f"1 if {self.cond(cond, self.val(a), self.val(b))} else 0")
         elif name == "fbin":
             d, a, b, f = op.args
             self.fset(d, _FBIN_EXPR[f].format(a=self.fref(a), b=self.fref(b)))
@@ -672,13 +852,6 @@ class _Emitter:
             d, a, b, cond = op.args
             expr = _FSET_EXPR[cond].format(a=self.fref(a), b=self.fref(b))
             self.set(d, f"1 if {expr} else 0")
-        elif name == "ld":
-            d, addr, size, signed = op.args
-            a = ref(addr)  # read (and flush) before the target drops its shadow
-            self.load(self.target(d), a, size, signed)
-        elif name == "st":
-            val, addr, size = op.args
-            self.store(ref(addr), size, ref(val))
         elif name == "lr":
             d, addr = op.args
             self.set(d, f"mem.load_reserved(cpu, {ref(addr)})")

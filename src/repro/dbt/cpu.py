@@ -27,6 +27,7 @@ class CPUState:
         "tid",
         "hint_group",
         "block_ic",
+        "block_runs",
         "cycle_frac",
         "halted",
         "exit_status",
@@ -42,6 +43,10 @@ class CPUState:
         #: Scratch used by translated blocks to report executed-instruction
         #: counts to the engine (precise even across page stalls).
         self.block_ic = 0
+        #: Scratch a looping block reports its entries through: on return how
+        #: many it made (the last one's count is ``block_ic``), at a fault
+        #: how many it completed before the faulting one.
+        self.block_runs = 0
         #: Fractional virtual-cycle remainder carried between quanta so the
         #: engine's long-run totals match the per-instruction model exactly.
         self.cycle_frac = 0.0

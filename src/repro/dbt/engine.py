@@ -35,10 +35,36 @@ it one call (the block) and arithmetic on locals; counters are written back
 at the loop's single exit, successor edges are counted only for the
 superblock tier that reads them, and ``_bill`` is entered only for the hot
 tier's blocks and for a block a stall or fault cut short.
+
+Allowance.  A block whose exit re-enters it (``tb.loops``) is generated as a
+loop (:mod:`repro.dbt.backend`, "Loop residency") and, once it is chained to
+itself — so its first self re-entry still takes the counted ``lookup`` and
+``chain``, and an unchained engine never qualifies — is handed the number of
+entries it may make in one call: ``int((cycle_budget - cycles) / full) - 1``,
+``full`` being the bill of one complete entry.  Floor-minus-one is
+conservative: every entry made in place is one the dispatcher would certainly
+have made, and the last entries of a quantum go through the dispatcher, which
+alone decides where the quantum ends.  While the block can still be promoted
+the allowance also stops at ``superblock_threshold - exec_count``, so
+promotion fires after the same entry as ever.  A non-positive bill gets an
+allowance of one, never a division.
+
+Afterwards the entries made in place are booked exactly as the dispatcher
+would have booked them (``_replay``).  Integer counters move in closed form
+(``chain_follows``, ``exec_count``, instructions, the self edge, fusion hits).
+The float accumulators are *replayed, not multiplied*: ``cycles``,
+``execute_cycles`` and the two ``*_saved_cycles`` run at fractional CPIs
+(2.88 on every pure-QEMU row), ``cycles`` decides where a quantum ends and its
+remainder is carried into the next one, so how each sum rounds is part of
+virtual time — and ``c + k * x`` does not round like ``k`` additions of ``x``.
+They take the same additions in the same order, one per entry.  A fault books
+its complete entries first and then the partial one as before.  Nothing
+simulated can tell an entry the function made from one the dispatcher made.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -63,6 +89,14 @@ class EngineTiming:
     cpi_interp: float = 30.0  # cycles per interpreted instruction
     cpi_superblock: float = 1.0  # cycles per instruction inside a superblock
     translate_per_insn: float = 800.0  # one-time per-block translation cost
+
+
+def _add_times(total: float, term: float, times: int) -> float:
+    """``total`` after ``term`` was added to it ``times`` times, one addition
+    at a time: ``total + term * times`` rounds differently."""
+    for _ in range(times):
+        total += term
+    return total
 
 
 class ExecutionEngine:
@@ -94,7 +128,7 @@ class ExecutionEngine:
         self.mem = mem
         self.mode = mode
         self.timing = timing or EngineTiming()
-        self.cache = cache or CodeCache()
+        self.cache = CodeCache() if cache is None else cache  # an empty cache is falsy
         self.frontend = Frontend(mem, max_block_insns=max_block_insns)
         self.backend = Backend()
         self.interp = Interpreter(mem)
@@ -165,12 +199,28 @@ class ExecutionEngine:
             # Successor counts feed trace growth, their only reader.
             if threshold and prev is not None and pc in prev.succ_pcs:
                 prev.edges[pc] = prev.edges.get(pc, 0) + 1
+            # A block that re-enters itself may do so in place, as often as
+            # is certain to fit the budget (module docstring, "Allowance").
+            n = 1
+            if tb.loops and tb.chain.get(pc) is tb:
+                full = (tb.n_insns - len(tb.fused)) * (
+                    t.cpi_superblock if tb.is_superblock else cpi
+                )
+                if full > 0:
+                    n = int((cycle_budget - cycles) / full) - 1
+                    if threshold and not tb.is_superblock and not tb.no_promote:
+                        n = min(n, threshold - tb.exec_count)  # promote on the same entry
+                    n = max(n, 1)
             # A stall/fault raised before the block's first checkpoint must
             # bill zero completed instructions, not the previous block's.
             cpu.block_ic = 0
             try:
-                rc = tb.fn(cpu, mem)
+                rc = tb.fn(cpu, mem, n)
             except (PageStall, GuestFault) as exc:
+                if n > 1 and cpu.block_runs:  # the complete entries before this one
+                    cycles, exec_cycles = self._replay(
+                        tb, cpu.block_runs, full, cycles, exec_cycles
+                    )
                 done = cpu.block_ic  # a partially-completed block
                 cost = self._bill(tb, done, t)
                 insns += done
@@ -179,6 +229,10 @@ class ExecutionEngine:
                 kind = StopKind.PAGE_STALL if isinstance(exc, PageStall) else StopKind.FAULT
                 info = exc
                 break
+            if n > 1 and cpu.block_runs > 1:  # every entry but the last is complete
+                cycles, exec_cycles = self._replay(
+                    tb, cpu.block_runs - 1, full, cycles, exec_cycles
+                )
             tb.exec_count += 1
             done = cpu.block_ic
             if tb.fused or tb.is_superblock:
@@ -216,17 +270,50 @@ class ExecutionEngine:
         cpi = t.cpi_superblock if tb.is_superblock else t.cpi_dbt
         billed = done
         if tb.fused:
+            # A group counts once its second instruction completed; a complete
+            # entry has them all, counted per pattern at translation.
+            hit = tb.fused_counts if done == tb.n_insns else Counter(
+                pattern for end, pattern in tb.fused if end < done
+            ).items()
             saved = 0
-            for end, pattern in tb.fused:
-                if end < done:  # the pair's second instruction completed
-                    saved += 1
-                    self.fusion_hits[pattern] = self.fusion_hits.get(pattern, 0) + 1
+            for pattern, count in hit:
+                saved += count
+                self.fusion_hits[pattern] = self.fusion_hits.get(pattern, 0) + count
             if saved:
                 billed -= saved
                 self.fusion_saved_cycles += saved * cpi
         if tb.is_superblock:
             self.superblock_saved_cycles += done * (t.cpi_dbt - t.cpi_superblock)
         return billed * cpi
+
+    def _replay(
+        self, tb: TranslationBlock, entries: int, full: float, cycles: float, exec_cycles: float
+    ) -> tuple[float, float]:
+        """Book ``entries`` complete entries ``tb`` made inside its own
+        function, each billed ``full``, exactly as the dispatcher books a
+        chained re-entry.  Counters move in closed form; every float
+        accumulator takes the same additions in the same order, one per entry
+        — they run at fractional CPIs and their rounding is part of virtual
+        time."""
+        t = self.timing
+        self.cache.stats.chain_follows += entries
+        self.insns_executed += entries * tb.n_insns
+        tb.exec_count += entries
+        if self.superblock_threshold:
+            tb.edges[tb.pc] = tb.edges.get(tb.pc, 0) + entries
+        for pattern, count in tb.fused_counts:
+            self.fusion_hits[pattern] = self.fusion_hits.get(pattern, 0) + count * entries
+        for _ in range(entries):
+            cycles += full
+            exec_cycles += full
+        if tb.fused:
+            saved = len(tb.fused) * (t.cpi_superblock if tb.is_superblock else t.cpi_dbt)
+            self.fusion_saved_cycles = _add_times(self.fusion_saved_cycles, saved, entries)
+        if tb.is_superblock:
+            self.superblock_saved_cycles = _add_times(
+                self.superblock_saved_cycles, tb.n_insns * (t.cpi_dbt - t.cpi_superblock), entries
+            )
+        return cycles, exec_cycles
 
     def _try_promote(self, head: TranslationBlock) -> float:
         """Grow a trace from ``head`` along its hottest recorded edges and

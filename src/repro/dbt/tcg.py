@@ -8,7 +8,8 @@ adding a guest ISA means writing a new frontend; adding a host means a new
 backend.
 
 Operands are tagged pairs: ``("g", i)`` guest register, ``("t", i)`` temp,
-``("i", v)`` immediate constant.
+``("i", v)`` immediate constant.  A temp lives within one :class:`InstrIR`: it
+is written before it is read there and means nothing to the next instruction.
 """
 
 from __future__ import annotations
@@ -120,4 +121,4 @@ class InstrIR:
     pc: int
     mnemonic: str
     ops: list[TCGOp]
-    can_fault: bool  # touches memory → backend records pc/ic before it
+    can_fault: bool  # touches memory → the backend makes state precise where it can fault

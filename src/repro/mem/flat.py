@@ -26,6 +26,7 @@ LL→SC window is short so checks are rare (§4.4).
 
 from __future__ import annotations
 
+from struct import Struct
 from typing import TYPE_CHECKING, Iterator
 
 from repro.errors import UnalignedAccess
@@ -38,10 +39,26 @@ from repro.mem.pagestore import PageStore
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dbt.cpu import CPUState
 
-__all__ = ["FlatMemory"]
+__all__ = ["FlatMemory", "UNPACK", "PACK"]
 
 OFFSET_MASK = PAGE_SIZE - 1
 MODIFIED = MSIState.MODIFIED
+
+#: The wide accessors, one table for both sides of the hit test: the methods
+#: below and the hit arms of translated code (which holds the same callables
+#: in its globals) read and write a 2/4/8-byte little-endian value in place in
+#: a page's ``bytearray`` — no slice, no intermediate ``bytes``.
+#: ``UNPACK[size, signed](buf, off)[0]`` is the value (negative when a signed
+#: narrow one has its top bit set: mask to 64 bits); ``PACK[size](buf, off, v)``
+#: stores ``v``, already reduced to ``size`` bytes.  One byte is an index.
+UNPACK = {
+    (2, False): Struct("<H").unpack_from, (2, True): Struct("<h").unpack_from,
+    (4, False): Struct("<I").unpack_from, (4, True): Struct("<i").unpack_from,
+    (8, False): Struct("<Q").unpack_from,  # 8 signed bytes are the register as it is
+}
+PACK = {2: Struct("<H").pack_into, 4: Struct("<I").pack_into, 8: Struct("<Q").pack_into}
+_UNPACK8 = UNPACK[8, False]
+_PACK8 = PACK[8]
 
 
 class FlatMemory:
@@ -79,10 +96,12 @@ class FlatMemory:
         if off + size > PAGE_SIZE or page not in self.page_states:
             # A shadow page keeps the original's offsets, so ``off`` stands.
             page = self._resolve(addr, size, False) >> PAGE_SHIFT
-        value = int.from_bytes(self.page_bufs[page][off : off + size], "little")
-        if signed and size < 8:
-            return sign_extend(value, size)
-        return value
+        if size == 1:
+            value = self.page_bufs[page][off]
+            return sign_extend(value, 1) if signed else value
+        if size == 8:
+            return _UNPACK8(self.page_bufs[page], off)[0]
+        return UNPACK[size, signed](self.page_bufs[page], off)[0] & M64
 
     def store(self, addr: int, size: int, value: int) -> None:
         off = addr & OFFSET_MASK
@@ -90,9 +109,10 @@ class FlatMemory:
         if off + size > PAGE_SIZE or self.page_states.get(page) is not MODIFIED:
             addr = self._resolve(addr, size, True)
             page = addr >> PAGE_SHIFT
-        self.page_bufs[page][off : off + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(
-            size, "little"
-        )
+        if size == 1:
+            self.page_bufs[page][off] = value & 255
+        else:
+            PACK[size](self.page_bufs[page], off, value & ((1 << (8 * size)) - 1))
         if self.reservations:
             self.llsc.kill_store(addr, size)
 
@@ -111,13 +131,13 @@ class FlatMemory:
         return addr, self.page_bufs[addr >> PAGE_SHIFT], addr & OFFSET_MASK
 
     def _put_cell(self, addr: int, buf: bytearray, off: int, value: int) -> None:
-        buf[off : off + 8] = (value & M64).to_bytes(8, "little")
+        _PACK8(buf, off, value & M64)
         self.llsc.kill_store(addr, 8)
 
     def load_reserved(self, cpu: "CPUState", addr: int) -> int:
         addr, buf, off = self._cell(addr, False)
         self.llsc.reserve(addr, cpu.tid)
-        return int.from_bytes(buf[off : off + 8], "little")
+        return _UNPACK8(buf, off)[0]
 
     def store_conditional(self, cpu: "CPUState", addr: int, value: int) -> bool:
         # SC stores, so it needs the page Modified — this is what makes one
@@ -125,25 +145,25 @@ class FlatMemory:
         addr, buf, off = self._cell(addr, True)
         if not self.llsc.consume(addr, cpu.tid):
             return False
-        buf[off : off + 8] = (value & M64).to_bytes(8, "little")
+        _PACK8(buf, off, value & M64)
         return True
 
     def atomic_cas(self, cpu: "CPUState", addr: int, expected: int, desired: int) -> int:
         addr, buf, off = self._cell(addr, True)
-        old = int.from_bytes(buf[off : off + 8], "little")
+        old = _UNPACK8(buf, off)[0]
         if old == (expected & M64):
             self._put_cell(addr, buf, off, desired)
         return old
 
     def atomic_add(self, cpu: "CPUState", addr: int, operand: int) -> int:
         addr, buf, off = self._cell(addr, True)
-        old = int.from_bytes(buf[off : off + 8], "little")
+        old = _UNPACK8(buf, off)[0]
         self._put_cell(addr, buf, off, old + operand)
         return old
 
     def atomic_swap(self, cpu: "CPUState", addr: int, operand: int) -> int:
         addr, buf, off = self._cell(addr, True)
-        old = int.from_bytes(buf[off : off + 8], "little")
+        old = _UNPACK8(buf, off)[0]
         self._put_cell(addr, buf, off, operand)
         return old
 

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import sys
+from dataclasses import asdict
 
 import pytest
 from hypothesis import settings
 
 from repro.core.dsmmem import DSMMemory
-from repro.dbt import CPUState, ExecutionEngine, StopKind, memo
+from repro.dbt import CodeCache, CPUState, ExecutionEngine, StopKind, memo
 from repro.isa import assemble
 from repro.mem import (
     PAGE_SIZE, STACK_TOP, FlatMemory, MSIState, PageStall, PageStore, page_of,
@@ -52,6 +53,35 @@ class StallingMemory(FlatMemory):
             self.withheld.discard(page)
             raise PageStall(page, write, addr % PAGE_SIZE, size)
         return super()._resolve(addr, size, write)
+
+
+class OneEntryCache(CodeCache):
+    """Pins an engine's allowance to one entry per call: no block it hands out
+    admits to looping, so every re-entry goes through the dispatcher — the
+    reference an engine that loops inside its generated functions must be
+    indistinguishable from (``chaining=False`` is the other: it never has a
+    chained re-entry to make in place, but cannot run superblocks)."""
+
+    def insert(self, tb):
+        tb.loops = False
+        super().insert(tb)
+
+    def promote(self, sb):
+        sb.loops = False
+        super().promote(sb)
+
+
+def engine_books(engine):
+    """Every number an engine keeps, its code cache's and each block's included."""
+    return dict(
+        insns=engine.insns_executed, translated=engine.insns_translated,
+        execute_cycles=engine.execute_cycles, translate_cycles=engine.translate_cycles,
+        fusion_saved_cycles=engine.fusion_saved_cycles, fusion_hits=dict(engine.fusion_hits),
+        superblock_saved_cycles=engine.superblock_saved_cycles,
+        superblocks_formed=engine.superblocks_formed, cache=asdict(engine.cache.stats),
+        blocks={pc: (tb.is_superblock, tb.exec_count, tb.no_promote, dict(tb.edges),
+                     sorted(tb.chain)) for pc, tb in engine.cache._blocks.items()},
+    )
 
 
 def resident_node_memory(prog):

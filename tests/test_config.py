@@ -22,6 +22,10 @@ INVALID = [
     (dict(cores_per_node=0), "cores_per_node must be >= 1"),
     (dict(cpu_ghz=0), "cpu_ghz must be > 0"),
     (dict(bandwidth_bps=0), "bandwidth_bps must be > 0"),
+    (dict(cpi_dbt=0), "cpi_dbt must be > 0"),  # never exhausts a quantum; a divisor
+    (dict(cpi_dbt=-1.0), "cpi_dbt must be > 0"),  # runs the clock backwards
+    (dict(cpi_interp=0), "cpi_interp must be > 0"),
+    (dict(translate_per_insn=-5), "translate_per_insn must be >= 0"),
     (dict(quantum_cycles=0), "quantum_cycles must be >= 1"),
     (dict(superblock_threshold=-1), "superblock_threshold must be >= 0"),
     (dict(migration_trigger=0), "migration_trigger must be >= 1"),

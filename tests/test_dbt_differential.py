@@ -16,7 +16,7 @@ from repro.isa.instructions import Fmt
 from repro.mem import FlatMemory, MSIState, PageStore
 from repro.mem.llsc import LLSCTable
 from repro.mem.splitmap import SplitEntry, SplitMap
-from tests.conftest import memory_image
+from tests.conftest import OneEntryCache, engine_books, memory_image
 
 TEXT = 0x1_0000
 BUF = 0x10_0000  # data buffer page, preloaded in a fixed register
@@ -413,9 +413,9 @@ def _page_bytes(page):
     return bytes((i * 37 + page % 251) % 256 for i in range(4096))
 
 
-def _run_on_node(instrs, regs, states, split, mode, **engine_kwargs):
-    """Run ``instrs`` to the ecall (or a guest fault) on a node's memory.
-    ``states``: initial state of the two buffer pages and the two shadows."""
+def _node(instrs, regs, states, split):
+    """A node's memory holding ``instrs`` (then an ecall) at TEXT, the two
+    buffer pages and the two shadows in ``states``, and a vCPU at TEXT."""
     store, table, llsc = PageStore(), SplitMap(), LLSCTable()
     mem = DSMMemory(store, table, llsc)
     code = b"".join(encode(i).to_bytes(4, "little") for i in instrs)
@@ -429,6 +429,29 @@ def _run_on_node(instrs, regs, states, split, mode, **engine_kwargs):
     cpu = CPUState(pc=TEXT, tid=1)
     cpu.regs = list(regs)
     cpu.regs[BUF_REG] = BUF
+    return mem, cpu
+
+
+def _serve(mem, stall):
+    """The DSM's part between two quanta: what ``stall`` asked for happens."""
+    store, table = mem.pages, mem.split
+    if isinstance(stall, MergeStall):  # the master merges the page back
+        merged = b"".join(
+            (store.snapshot(s) if s in store else _page_bytes(s))[k * 2048:(k + 1) * 2048]
+            for k, s in enumerate(DSM_SHADOWS)
+        )
+        for shadow in table.remove(DSM_PAGE).shadow_pages:
+            mem.invalidate(shadow)
+        store.install(DSM_PAGE, merged, MSIState.MODIFIED)
+    else:  # the page arrives, or the copy held is upgraded in place
+        data = store.snapshot(stall.page) if stall.page in store else _page_bytes(stall.page)
+        store.install(stall.page, data, MSIState.MODIFIED if stall.write else MSIState.SHARED)
+
+
+def _run_on_node(instrs, regs, states, split, mode, **engine_kwargs):
+    """Run ``instrs`` to the ecall (or a guest fault) on a node's memory.
+    ``states``: initial state of the two buffer pages and the two shadows."""
+    mem, cpu = _node(instrs, regs, states, split)
     one = EngineTiming(cpi_dbt=1.0, cpi_interp=1.0, cpi_superblock=1.0, translate_per_insn=0.0)
     engine = ExecutionEngine(mem, mode=mode, timing=one, **engine_kwargs)
     events, cycles = [], 0
@@ -443,17 +466,7 @@ def _run_on_node(instrs, regs, states, split, mode, **engine_kwargs):
         stall = stop.info
         events.append((type(stall).__name__, cpu.pc, stall.page, stall.write, stall.offset,
                        stall.size))
-        if isinstance(stall, MergeStall):  # the master merges the page back
-            merged = b"".join(
-                (store.snapshot(s) if s in store else _page_bytes(s))[k * 2048:(k + 1) * 2048]
-                for k, s in enumerate(DSM_SHADOWS)
-            )
-            for shadow in table.remove(DSM_PAGE).shadow_pages:
-                mem.invalidate(shadow)
-            store.install(DSM_PAGE, merged, MSIState.MODIFIED)
-        else:  # the page arrives, or the copy held is upgraded in place
-            data = store.snapshot(stall.page) if stall.page in store else _page_bytes(stall.page)
-            store.install(stall.page, data, MSIState.MODIFIED if stall.write else MSIState.SHARED)
+        _serve(mem, stall)
     cycles += cpu.cycle_frac + engine.fusion_saved_cycles
     return dict(
         events=events, regs=cpu.regs, pc=cpu.pc,
@@ -531,3 +544,146 @@ def test_dbt_matches_interpreter_on_a_cold_and_on_a_warm_memo(instrs, regs, stat
     memo.clear()
     _assert_node_runs_agree(instrs, regs, states, split)  # every engine misses
     _assert_node_runs_agree(instrs, regs, states, split)  # every engine hits
+
+
+# -- loop residency: invisible to everything but the host clock ---------------
+#
+# A block whose exit re-enters it goes round inside its generated function for
+# as many entries as the engine's allowance hands it, and the engine then books
+# those entries as if its dispatcher had made them one by one.  Nothing
+# simulated may tell the difference: an engine whose allowance is pinned to one
+# entry per call, an unchained engine (which never has a chained re-entry to
+# make in place) and the interpreter are the references, under quanta small
+# enough to cut every loop mid-flight, fractional CPIs whose sums round, the
+# superblock tier promoting in the middle of a loop, fusion, and a pointer
+# that walks off its page into whatever state the next one is in.
+
+WALK_REG = 30  # t5: the walking pointer (no pool register, not the counter)
+ONE_REG = 31  # t6: holds a visible constant for the ``bge`` loop tail
+_QUANTA = [7, 11, 13, 29, 53, 101, 211, 499, 997]
+_LOOP_BRANCHES = ["beq", "bne", "blt", "bge", "bltu", "bgeu"]
+small_imm = st.sampled_from([0, 1, -1, 2, -2, 5, 8191, -8192]) | st.integers(-8192, 8191)
+
+
+@st.composite
+def walk_instr(draw):
+    """An access through the walking pointer, or a step of it."""
+    kind = draw(st.sampled_from(["load", "store", "step"]))
+    near = draw(st.sampled_from([0, 0, 8, -8, 1]))
+    if kind == "load":
+        return [Instruction(SPECS[draw(st.sampled_from(_LOADS))],
+                            rd=draw(dsm_reg), rs1=WALK_REG, imm=near)]
+    if kind == "store":
+        return [Instruction(SPECS[draw(st.sampled_from(_STORES))],
+                            rs1=WALK_REG, rs2=draw(dsm_reg), imm=near)]
+    return [Instruction(SPECS["addi"], rd=WALK_REG, rs1=WALK_REG,
+                        imm=draw(st.sampled_from([1, 8, 264, 1032, 2048, -8])))]
+
+
+@st.composite
+def order_instr(draw):
+    """Signed and unsigned order against registers, immediates and visible
+    constants (an ``li`` a later compare or branch can fold)."""
+    shape = draw(st.sampled_from(["slt", "sltu", "slti", "sltiu", "li"]))
+    if shape == "li":
+        return [Instruction(SPECS["addi"], rd=draw(dsm_reg), rs1=0, imm=draw(small_imm))]
+    if shape in ("slt", "sltu"):
+        return [Instruction(SPECS[shape], rd=draw(dsm_reg), rs1=draw(fp_src), rs2=draw(fp_src))]
+    return [Instruction(SPECS[shape], rd=draw(dsm_reg), rs1=draw(fp_src), imm=draw(small_imm))]
+
+
+@st.composite
+def resident_loops(draw):
+    """A counted loop over a random
+    body — walking and fixed accesses of every width, atomics, FP, compares —
+    with one of three tails, maybe an early exit out of the middle of the
+    body, maybe a single-instruction self-branch behind it."""
+    groups = draw(st.lists(
+        st.one_of(walk_instr(), walk_instr(), dsm_instr(), fp_mix_instr(), order_instr()),
+        min_size=1, max_size=8))
+    body = [i for group in groups for i in group]
+    iterations = draw(st.integers(2, 14))
+    tail = [Instruction(SPECS["addi"], rd=LOOP_REG, rs1=LOOP_REG, imm=-1)]
+    shape = draw(st.sampled_from(["bne", "blt", "bge"]))
+    if shape == "bne":
+        back = dict(rs1=LOOP_REG, rs2=0)  # counter != 0
+    elif shape == "blt":
+        back = dict(rs1=0, rs2=LOOP_REG)  # 0 < counter: the constant on the left
+    else:
+        tail.append(Instruction(SPECS["addi"], rd=ONE_REG, rs1=0, imm=1))
+        back = dict(rs1=LOOP_REG, rs2=ONE_REG)  # counter >= 1: a visible constant
+    if draw(st.booleans()):  # an early exit: the body becomes two blocks
+        at = draw(st.integers(0, len(body)))
+        body.insert(at, Instruction(
+            SPECS[draw(st.sampled_from(_LOOP_BRANCHES))], rs1=draw(fp_src), rs2=draw(fp_src),
+            imm=4 * (len(body) - at + len(tail) + 2)))
+    loop = body + tail
+    loop.append(Instruction(SPECS[shape], imm=-4 * len(loop), **back))
+    start = draw(st.sampled_from([0, 2040, 4000, 4088, 4095])) - draw(st.sampled_from([0, 8, 2048]))
+    instrs = [Instruction(SPECS["addi"], rd=LOOP_REG, rs1=0, imm=iterations),
+              Instruction(SPECS["addi"], rd=WALK_REG, rs1=BUF_REG, imm=start)] + loop
+    spin = draw(st.sampled_from([None, None, "jal", "beq", "bne", "blt", "bge"]))
+    if spin == "jal":
+        instrs.append(Instruction(SPECS["jal"], rd=0, imm=0))
+    elif spin is not None:  # taken for ever or never: no register changes
+        ra, rb = (0, 0) if spin == "beq" else (draw(fp_src), draw(fp_src))
+        instrs.append(Instruction(SPECS[spin], rs1=ra, rs2=rb, imm=0))
+    return instrs
+
+
+def _trace_on_node(instrs, regs, states, split, quantum, timing, **engine_kwargs):
+    """Run quantum by quantum; what every stop could show anyone, then the books."""
+    mem, cpu = _node(instrs, regs, states, split)
+    engine = ExecutionEngine(mem, timing=timing, **engine_kwargs)
+    stops = []
+    for _ in range(150):  # a self-branch taken once is taken for ever
+        stop = engine.run_quantum(cpu, quantum)
+        event = None
+        if stop.kind is StopKind.PAGE_STALL:
+            stall = stop.info
+            event = (type(stall).__name__, cpu.pc, stall.page, stall.write, stall.offset,
+                     stall.size)
+        elif stop.kind is StopKind.FAULT:
+            event = (type(stop.info).__name__, cpu.pc)
+        stops.append((stop.kind, stop.cycles, stop.translate_cycles, cpu.cycle_frac, cpu.pc,
+                      event, list(cpu.regs), memory_image(mem)))
+        if stop.kind in (StopKind.SYSCALL, StopKind.FAULT):
+            break
+        if stop.kind is StopKind.PAGE_STALL:
+            _serve(mem, stop.info)
+    return stops, engine_books(engine)
+
+
+def _assert_loops_are_invisible(instrs, regs, states, split, quantum, cpi, threshold, fusion):
+    timing = EngineTiming(cpi_dbt=cpi, cpi_superblock=cpi / 3, translate_per_insn=2.5)
+    where = dict(instrs=instrs, states=states, split=split, timing=timing, regs=regs)
+    hot = dict(superblock_threshold=threshold, superblock_max_blocks=4, fusion=fusion)
+    stops, books = _trace_on_node(quantum=quantum, **where, **hot)
+    pinned = _trace_on_node(quantum=quantum, cache=OneEntryCache(), **where, **hot)
+    assert stops == pinned[0]
+    assert books == pinned[1]
+    if not threshold:  # superblocks need chaining; everything else must not notice it
+        plain_stops, plain_books = _trace_on_node(quantum=quantum, chaining=False, fusion=fusion,
+                                                  **where)
+        assert stops == plain_stops
+        for side in (books, plain_books):  # the one thing chaining is allowed to move
+            cache = side["cache"]
+            cache["dispatches"] = cache.pop("lookups") + cache.pop("chain_follows")
+            for pc, block in side["blocks"].items():
+                side["blocks"][pc] = block[:-1]
+        assert books == plain_books
+    if stops[-1][0] in (StopKind.SYSCALL, StopKind.FAULT):  # it ends: where the oracle does
+        want = _run_on_node(instrs, regs, states, split, "interp")
+        assert [s[5] for s in stops if s[5] is not None] == want["events"]
+        assert (stops[-1][4], stops[-1][6], stops[-1][7]) == (
+            want["pc"], want["regs"], want["memory"])
+        assert books["insns"] == want["insns"]
+
+
+@settings(deadline=None)  # example count comes from the profile (tests/conftest.py)
+@given(resident_loops(), fp_initial_regs(), st.tuples(*[page_state] * 4), st.booleans(),
+       st.sampled_from(_QUANTA), st.sampled_from([3.0, 2.88, 0.7]), st.sampled_from([0, 2, 8]),
+       st.booleans())
+def test_loop_residency_is_invisible_to_everything_but_the_host_clock(
+        loop, regs, states, split, quantum, cpi, threshold, fusion):
+    _assert_loops_are_invisible(loop, regs, states, split, quantum, cpi, threshold, fusion)

@@ -6,10 +6,10 @@ from repro.dbt import Backend, CPUState, EngineTiming, ExecutionEngine, Frontend
 from repro.dbt.interp import Interpreter
 from repro.errors import InvalidInstruction, UnalignedAccess
 from repro.isa import assemble
-from repro.mem import FlatMemory, PAGE_SIZE, page_of
+from repro.mem import FlatMemory, PAGE_SIZE, PageStall, page_of
 from repro.mem.msi import MSIState
 from repro.workloads import swaptions
-from tests.conftest import StallingMemory, resident_node_memory
+from tests.conftest import StallingMemory, python_calls, resident_node_memory
 
 TEXT = 0x1_0000
 
@@ -284,6 +284,47 @@ class TestPreciseFloatState:
         assert mem.read_bytes(cells, 2 * PAGE_SIZE) == want_cells
 
 
+    def test_stall_in_the_third_trip_of_an_in_function_loop(self):
+        """The loop block goes round in place; its store walks onto the absent
+        page in the third trip of one call.  The two complete trips are
+        reported next to the faulting instruction's pc and count, every dirty
+        float is committed, and the books say exactly what ran."""
+        # Seven stores 1024 bytes apart, the first at cells + 1024.
+        source = (FP_STALL_LOOP.replace("li t0, 4", "li t0, 7")
+                  .replace("li t1, 2048", "li t1, 1024")
+                  .replace("la t2, cells", "la t2, cells\n  addi t2, t2, 1024"))
+        prog = assemble(source)
+        cells, loop, fault = (prog.symbol(n) for n in ("cells", "loop", "fault"))
+        mem = resident_node_memory(prog)
+        engine = ExecutionEngine(mem)
+        warm = CPUState(pc=prog.entry, tid=1)
+        assert engine.run_quantum(warm, 10**9).kind is StopKind.SYSCALL
+        assert engine.cache.peek(loop).chain[loop] is engine.cache.peek(loop)
+
+        mem.invalidate(page_of(cells) + 1)
+        cpu = CPUState(pc=prog.entry, tid=1)
+        before = engine.insns_executed
+        stop = engine.run_quantum(cpu, 10**9)
+        # The entry block subsumes iteration 0; the loop block is called once
+        # and makes iterations 1 and 2, then stalls in iteration 3.
+        assert stop.kind is StopKind.PAGE_STALL and cpu.pc == fault
+        assert (cpu.block_runs, cpu.block_ic) == (2, 3)
+        ran = engine.insns_executed - before
+        assert ran == (loop - prog.entry) // 4 + 3 * 8 + 3  # set-up, three whole trips, a part
+        assert stop.cycles == ran * engine.timing.cpi_dbt
+
+        oracle_mem = FlatMemory()
+        oracle_mem.load_image(prog.iter_load_segments())
+        oracle = CPUState(pc=prog.entry, tid=1)
+        Interpreter(oracle_mem).run(oracle, ran)
+        assert oracle.pc == fault
+        assert cpu.regs == oracle.regs
+
+        mem.pages.install(page_of(cells) + 1, bytes(PAGE_SIZE), MSIState.MODIFIED)
+        assert engine.run_quantum(cpu, 10**9).kind is StopKind.SYSCALL
+        assert cpu.regs == warm.regs
+
+
 class TestFaults:
     def test_invalid_instruction_faults(self):
         mem = FlatMemory()
@@ -368,39 +409,73 @@ class TestGeneratedCode:
         assert "R = cpu.regs" in tb.source
 
     @staticmethod
-    def _casts(source):
-        return source.count("b2f(") + source.count("f2b(")
+    def _fp_helper_calls(calls):
+        return [name for file, name in calls if file.endswith("dbt/fpu.py")]
 
     def test_swaptions_trial_block_casts_only_at_boundaries(self):
-        """The fp_compute hot block: three first reads, two commits before
-        the store (13 casts when every FP op round-tripped its operands)."""
-        prog = swaptions.build(8, 16, trials=10)
-        mem = FlatMemory()
-        mem.load_image(prog.iter_load_segments())
-        tb = Backend().compile(Frontend(mem).build_block(prog.symbol(".sw_trial")))
-        assert self._casts(tb.source) <= 5, tb.source
+        """The fp_compute hot loop: per trial ``l2d``, ``fmax`` and the bits
+        of what it stores and leaves dirty — at most 5 helper calls (13 when
+        every FP op round-tripped its operands) — and no cast at all of the
+        two loop-invariant operands, which the pre-header reads once."""
+        prog = swaptions.build(8, 16, trials=400)
+        engine = ExecutionEngine(resident_node_memory(prog),
+                                 timing=EngineTiming(translate_per_insn=0.0))
+        cpu = CPUState(pc=prog.symbol("worker"), tid=1, sp=0x7000_0000)
+        assert engine.run_quantum(cpu, 400).kind is StopKind.QUANTUM
+        hot = engine.cache.peek(prog.symbol(".sw_trial"))
+        assert hot.chain == {hot.pc: hot}
+        before = hot.exec_count
+        calls = python_calls(engine.run_quantum, cpu, 60 * hot.n_insns * 3)
+        trials = hot.exec_count - before
+        assert trials >= 50
+        helpers = self._fp_helper_calls(calls)
+        assert len(helpers) <= 5 * trials + 12, helpers[:40]
+        entered = sum(file.startswith("<tb@") for file, _name in calls)
+        assert helpers.count("b2f") <= 3 * entered < trials  # read on entry, never per trial
+
+    FP_CHAIN = """
+    _start:
+      fadd a2, a0, a1
+      fmul a3, a2, a2
+      fsub a2, a3, a0
+      fsqrt a4, a2
+      fmin zero, a4, a2
+      sd a4, 0(sp)
+      fdiv a5, a4, a3
+      ecall
+    """
 
     def test_fp_chain_materialises_bits_only_at_fault_point_and_exit(self):
-        prog, mem, _cpu = load(
-            """
-            _start:
-              fadd a2, a0, a1
-              fmul a3, a2, a2
-              fsub a2, a3, a0
-              fsqrt a4, a2
-              fmin zero, a4, a2
-              sd a4, 0(sp)
-              fdiv a5, a4, a3
-              ecall
-            """
-        )
-        src = Backend().compile(Frontend(mem).build_block(prog.entry)).source
-        chain, at_store = src.split("sd\n")
-        at_store, at_exit = at_store.split("fdiv\n")
-        assert "f2b(" not in chain and chain.count("b2f(") == 2  # a0, a1 read once
-        # a2, a3, a4 dirty at the store; only a5 since; x0 never committed
-        assert self._casts(at_store) == 3 and self._casts(at_exit) == 1, src
-        assert "R[0]" not in src and "f0" not in src
+        prog = assemble(self.FP_CHAIN)
+        sp = 0x7000_0000
+        for resident in (True, False):
+            mem = resident_node_memory(prog)
+            if resident:
+                mem.pages.ensure(page_of(sp), MSIState.MODIFIED)
+            tb = Backend().compile(Frontend(mem).build_block(prog.entry))
+            cpu = CPUState(pc=prog.entry, tid=1, sp=sp)
+            cpu.regs[10], cpu.regs[11] = 0x4002_0000_0000_0000, 0x3FF8_0000_0000_0000  # 2.25, 1.5
+
+            def run():
+                try:
+                    tb.fn(cpu, mem, 1)
+                except PageStall:
+                    assert not resident
+
+            helpers = self._fp_helper_calls(python_calls(run))
+            assert helpers.count("b2f") == 2  # a0 and a1, read once each
+            # Every result is cast once, where its bits are first observable:
+            # a4 for the store to read; a2 and a3 in the miss arm when the
+            # store faults, else with a5 at the exit.  x0 is never committed.
+            assert helpers.count("f2b") == (4 if resident else 3)
+            oracle_mem = FlatMemory()
+            oracle_mem.load_image(prog.iter_load_segments())
+            oracle = CPUState(pc=prog.entry, tid=1, sp=sp)
+            oracle.regs[10], oracle.regs[11] = cpu.regs[10], cpu.regs[11]
+            Interpreter(oracle_mem).run(oracle, 7 if resident else 5)
+            assert cpu.regs == oracle.regs and cpu.regs[0] == 0
+            # Stopped at the store, resp. past the ecall with all 8 counted.
+            assert (cpu.pc - prog.entry, cpu.block_ic) == ((32, 8) if resident else (20, 5))
 
     def test_exec_count_tracks_hot_blocks(self):
         prog, mem, cpu = load(

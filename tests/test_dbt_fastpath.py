@@ -2,20 +2,23 @@
 
 Generated code tests the memory's resident-access view inline and calls
 ``mem.load`` / ``mem.store`` only as the miss arm (``repro.dbt.backend``,
-``repro.mem.api.MemoryAPI``).  Pinned here: the inline predicate is exactly
-"the out-of-line method would take no slow step", the two arms are
-indistinguishable from the method, a steady-state hot block leaves the
-generated function for nothing but its signed compares, and the emitted
-source has the shape that makes that so.
+``repro.mem.api.MemoryAPI``).  Pinned here, on what the code does and never on
+its text: the inline predicate is exactly "the out-of-line method would take
+no slow step", the two arms are indistinguishable from the method, a trip
+round a hot one-block loop leaves the generated function for nothing, and
+signed order — the last helper such a loop used to call — agrees with
+``runtime.s64`` on every edge value.
 """
 
 import itertools
-import re
 
 import pytest
 
 from repro.core.dsmmem import DSMMemory
 from repro.dbt import Backend, CPUState, EngineTiming, ExecutionEngine, Frontend, StopKind
+from repro.dbt.frontend import BlockIR
+from repro.dbt.runtime import s64
+from repro.dbt.tcg import InstrIR, TCGOp, guest, imm
 from repro.errors import GuestFault
 from repro.isa import SPECS, Instruction, encode
 from repro.mem import PAGE_SIZE, FlatMemory, MSIState, PageStall
@@ -128,7 +131,7 @@ def test_inline_arm_is_taken_exactly_when_the_method_would_not_go_slow(kind, siz
         cpu.regs[DATA_REG] = STORED
 
         def run():
-            tb.fn(cpu, translated)
+            tb.fn(cpu, translated, 1)
             return cpu.regs[DATA_REG] if kind == "load" else None
 
         assert outcome(run, translated) == want, where
@@ -145,82 +148,130 @@ def test_memory_without_the_view_is_refused_at_construction():
         ExecutionEngine(Opaque())
 
 
-# -- steady state: no call leaves the block for memory ------------------------
+# -- steady state: a loop iteration leaves the generated function for nothing ----
+
+
+def steady_quantum(prog, label, regs, trips=50, **engine_options):
+    """Python calls of one warm quantum of about ``trips`` trips round the
+    one-block loop at ``label``, and how many trips it made."""
+    free_translation = EngineTiming(translate_per_insn=0.0)
+    engine = ExecutionEngine(resident_node_memory(prog), timing=free_translation,
+                             **engine_options)
+    cpu = CPUState(pc=prog.symbol(label), tid=1)
+    for reg, value in regs.items():
+        cpu.regs[reg] = value
+    assert engine.run_quantum(cpu, 300).kind is StopKind.QUANTUM
+    hot = engine.cache.peek(prog.symbol(label))
+    assert hot.chain == {hot.pc: hot}  # translated and chained to itself
+    per_trip = (hot.n_insns - len(hot.fused)) * engine.timing.cpi_dbt
+    before = hot.exec_count
+    calls = python_calls(engine.run_quantum, cpu, int(trips * per_trip))
+    return calls, hot.exec_count - before
+
+
+def assert_no_call_per_trip(calls, ran):
+    """What a quantum may call: the dispatcher, one lookup (its entry has no
+    chain predecessor), the block — once for its in-place trips, once each for
+    the few boundary trips the allowance leaves to the dispatcher — and the
+    StopEvent.  No memory method, no arithmetic or FP helper, nothing per trip."""
+    def frames(part):  # bare names: co_qualname only exists on CPython >= 3.11
+        return [name.rpartition(".")[2] for file, name in calls if part in file]
+
+    assert ran >= 50
+    assert not frames("/repro/mem/") and not frames("dsmmem.py"), calls
+    assert not frames("dbt/runtime.py") and not frames("dbt/fpu.py"), calls
+    engine = frames("dbt/engine.py")
+    assert engine[:2] == ["run_quantum", "_run_dbt"] and engine[-1] == "_stop"
+    assert engine.count("_replay") == 1  # the in-place trips, booked in one go
+    # (a fused block's boundary trips bill their saving through ``_bill``)
+    assert set(engine[2:-1]) <= {"_replay", "_add_times", "_bill"}
+    assert frames("dbt/codecache.py") == ["lookup"]
+    assert 1 <= len(frames("<tb@")) <= 4
+    assert len(calls) <= 16, calls
 
 
 def test_hot_seq_walk_block_makes_no_memory_call_and_one_dispatch_call():
     prog = memaccess.build_seq_walk(npages=1)
-    free_translation = EngineTiming(translate_per_insn=0.0)
-    engine = ExecutionEngine(resident_node_memory(prog), timing=free_translation)
-    cpu = CPUState(pc=prog.symbol(".sw_loop"), tid=1)
-    cpu.regs[5] = prog.symbol("region")  # t0: base; t1 (index) and t5 (sum) start at 0
-    cpu.regs[7] = PAGE_SIZE  # t2: bytes to walk
-    per_block = 5 * engine.timing.cpi_dbt
-    assert engine.run_quantum(cpu, int(20 * per_block)).kind is StopKind.QUANTUM
-    hot = engine.cache.peek(prog.symbol(".sw_loop"))
-    assert hot.chain == {hot.pc: hot}  # translated and chained to itself
-    before = hot.exec_count
-
-    calls = python_calls(engine.run_quantum, cpu, int(50 * per_block))
-
-    ran = hot.exec_count - before
-    assert ran >= 50
-
-    def frames(suffix):  # bare names: co_qualname only exists on CPython >= 3.11
-        return [name.rpartition(".")[2] for file, name in calls if file.endswith(suffix)]
-
-    assert not [c for c in calls if "/repro/mem/" in c[0] or c[0].endswith("dsmmem.py")], calls
-    # The dispatch loop's only call per chained plain block is the block; the
-    # quantum's entry has no chain predecessor and pays the one cache lookup.
-    assert frames("dbt/engine.py") == ["run_quantum", "_run_dbt", "_stop"]
-    assert frames("dbt/codecache.py") == ["lookup"]
-    assert sum(file.startswith("<tb@") for file, _name in calls) == ran
-    # What is left: the block's two signed-compare helpers, and the StopEvent.
-    assert frames("dbt/runtime.py") == ["s64"] * (2 * ran)
-    assert len(calls) == 3 * ran + 5, calls[-8:]
-
-
-# -- codegen shape -------------------------------------------------------------
-
-
-def block_source(prog, label, **compile_options):
-    mem = FlatMemory()
-    mem.load_image(prog.iter_load_segments())
-    return Backend().compile(
-        Frontend(mem).build_block(prog.symbol(label)), **compile_options
-    ).source
+    # t0: base, t2: bytes to walk; t1 (index) and t5 (sum) start at 0.
+    regs = {5: prog.symbol("region"), 7: PAGE_SIZE}
+    assert_no_call_per_trip(*steady_quantum(prog, ".sw_loop", regs))
 
 
 @pytest.mark.parametrize("fusion", [False, True], ids=["plain", "fused"])
 def test_private_rmw_inner_block_shape(fusion):
+    """Load, increment, store, two ``li`` and a signed compare against one of
+    them: every access resident, every operand a local or a constant."""
     prog = memaccess.build_private_rmw(2, 2, pages_per_thread=2, passes=2, stride=8)
-    src = block_source(prog, ".pr_step", fusion=fusion)
-    # Zero-displacement address and immediate-only add carry no arithmetic.
-    assert "t0 = R[28]\n" in src
-    assert "R[30] = 8\n" in src
-    assert not re.search(r"\+ 0\)|\(0 \+", src), src
-    # The byte arms index the page buffer directly: no slice, no from_bytes.
-    assert " else B[p][t0 & 4095]\n" in src
-    assert "else: B[p][t0 & 4095] = R[29] & 255\n" in src
-    assert "ifb(" not in src and "itb(" not in src
-    # Every out-of-line access is a miss arm, behind the whole inline test.
-    for line in src.splitlines():
-        if "mem.load(" in line:
-            assert re.search(r"= mem\.load\(t0, 1, False\) if X or p not in S else ", line), line
-        if "mem.store(" in line:
-            assert line.strip().startswith("if X or A or S.get(p) is not W: mem.store("), line
-    assert src.count("mem.load(") == src.count("mem.store(") == 1
-    # The view is read from the ``mem`` argument, once, on entry.
-    assert src.splitlines()[1:6] == [
-        "    R = cpu.regs", "    S = mem.page_states", "    B = mem.page_bufs",
-        "    X = mem.split_pages", "    A = mem.reservations",
-    ]
+    regs = {9: prog.symbol("region")}  # s1: region base; s2 (offset) starts at 0
+    assert_no_call_per_trip(*steady_quantum(prog, ".pr_step", regs, fusion=fusion))
 
 
 def test_wide_accesses_add_the_span_test_and_pure_blocks_bind_no_view():
-    prog = memaccess.build_seq_walk(npages=1)
-    worker = block_source(prog, "worker")  # sd ra, 8(sp) right after the prologue addi
-    assert "if X or A or o > 4088 or S.get(p) is not W: mem.store(t0, 8, R[1])\n" in worker
-    assert 'else: B[p][o:o + 8] = itb(R[1], 8, "little")\n' in worker
-    arith = one_insn_block(Instruction(SPECS["add"], rd=5, rs1=6, rs2=7)).source
-    assert "mem." not in arith
+    """A resident access of any width is served without a Python call, up to
+    the last offset its span fits; a block with no access reads nothing off
+    its memory argument."""
+    accesses = [(size, Instruction(SPECS[m], rd=DATA_REG, rs1=ADDR_REG, imm=DISP))
+                for (size, _signed), m in LOADS.items()]
+    accesses += [(size, Instruction(SPECS[m], rs1=ADDR_REG, rs2=DATA_REG, imm=DISP))
+                 for size, m in STORES.items()]
+    for size, instr in accesses:
+        tb = one_insn_block(instr)
+        mem = node_memory(MSIState.MODIFIED, False, False, BASE)
+        cpu = CPUState(pc=TEXT, tid=1)
+        cpu.regs[ADDR_REG] = BASE + PAGE_SIZE - size - DISP
+        cpu.regs[DATA_REG] = STORED
+        calls = python_calls(tb.fn, cpu, mem, 1)
+        assert [name for _file, name in calls] == [tb.fn.__name__], (instr, calls)
+        cpu.regs[ADDR_REG] += 1  # one byte further the span leaves the page
+        if size > 1:
+            with pytest.raises(GuestFault):
+                tb.fn(cpu, mem, 1)
+    arith = one_insn_block(Instruction(SPECS["add"], rd=5, rs1=6, rs2=7))
+    cpu = CPUState(pc=TEXT, tid=1)
+    cpu.regs[6], cpu.regs[7] = 2**64 - 1, 3
+    arith.fn(cpu, None, 1)  # no memory at all
+    assert cpu.regs[5] == 2
+
+
+# -- signed order without a call -----------------------------------------------
+
+EDGES = [0, 1, 2**63 - 1, 2**63, 2**64 - 1]
+ORDER = {
+    "eq": lambda a, b: a == b, "ne": lambda a, b: a != b,
+    "lt": lambda a, b: s64(a) < s64(b), "ge": lambda a, b: s64(a) >= s64(b),
+    "ltu": lambda a, b: a < b, "geu": lambda a, b: a >= b,
+}
+#: How the two operands reach the compare: in registers, as immediate
+#: operands (one or both: ``slti rd, x0, 5``), or the right one as a constant
+#: a visible ``mov`` left in its register.
+FORMS = ["reg-reg", "reg-imm", "imm-reg", "imm-imm", "reg-mov"]
+TAKEN, FALL = TEXT + 0x100, TEXT + 8
+
+
+def compare_block(op, cond, form, a, b):
+    """One hand-lowered instruction ``x5 = (x6 cond x7)`` resp. ``branch if
+    x6 cond x7``, the operands supplied as ``form`` says."""
+    left = imm(a) if form.startswith("imm-") else guest(6)
+    right = imm(b) if form.endswith("-imm") else guest(7)
+    ops = [TCGOp("mov", (guest(7), imm(b)))] if form == "reg-mov" else []
+    if op == "setcond":
+        ops.append(TCGOp("setcond", (guest(5), left, right, cond)))
+    else:
+        ops.append(TCGOp("brcond", (left, right, cond, TAKEN, FALL)))
+    ir = BlockIR(pc=TEXT, instrs=[InstrIR(TEXT, op, ops, False)], next_pc=TEXT + 4, words=())
+    return Backend().compile(ir)
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("cond", list(ORDER))
+@pytest.mark.parametrize("op", ["setcond", "brcond"])
+def test_every_condition_agrees_with_s64_on_the_edge_values(op, cond, form):
+    for a, b in itertools.product(EDGES, EDGES):  # the equal pairs included
+        tb = compare_block(op, cond, form, a, b)
+        cpu = CPUState(pc=TEXT, tid=1)
+        cpu.regs[6], cpu.regs[7] = a, b
+        calls = python_calls(tb.fn, cpu, None, 1)
+        assert len(calls) == 1, calls  # the block itself: no helper
+        got = cpu.regs[5] == 1 if op == "setcond" else cpu.pc == TAKEN
+        assert got == ORDER[cond](a, b), (hex(a), hex(b), tb.source)
+        assert cpu.regs[5] in (0, 1) and cpu.pc in (TEXT, TEXT + 4, TAKEN, FALL)

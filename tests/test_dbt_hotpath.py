@@ -9,12 +9,16 @@ thread would.
 
 import pytest
 
-from repro.dbt import CPUState, EngineTiming, ExecutionEngine, StopKind
+from repro.dbt import Backend, CPUState, EngineTiming, ExecutionEngine, StopKind
 from repro.dbt.backend import TranslationBlock
 from repro.dbt.codecache import CodeCache
+from repro.dbt.frontend import BlockIR
+from repro.dbt.tcg import InstrIR, TCGOp, guest, imm, temp
 from repro.isa import SPECS, Instruction, assemble, encode
 from repro.mem import FlatMemory, PAGE_SIZE, PageStall, page_of
-from tests.conftest import StallingMemory
+from tests.conftest import (
+    OneEntryCache, StallingMemory, engine_books, memory_image, python_calls,
+)
 
 TEXT = 0x1_0000
 
@@ -67,7 +71,7 @@ class TestMultiPageInvalidation:
         cache = CodeCache()
         pc = 0x10_0000
         page = pc // PAGE_SIZE
-        spanning = synthetic_tb(pc, lambda cpu, mem: 0, pages=(page, page + 1))
+        spanning = synthetic_tb(pc, lambda cpu, mem, n: 0, pages=(page, page + 1))
         cache.insert(spanning)
 
         assert cache.invalidate_page(page) == 1
@@ -75,7 +79,7 @@ class TestMultiPageInvalidation:
 
         # Re-translate at the same pc, this time within one page.  The old
         # block's stale entry in page+1's index must not shoot it down.
-        smaller = synthetic_tb(pc, lambda cpu, mem: 0, pages=(page,))
+        smaller = synthetic_tb(pc, lambda cpu, mem, n: 0, pages=(page,))
         cache.insert(smaller)
         assert cache.invalidate_page(page + 1) == 0
         assert cache.peek(pc) is smaller
@@ -85,7 +89,7 @@ class TestMultiPageInvalidation:
         pc = 0x10_0000
         page = pc // PAGE_SIZE
         for victim in (page, page + 1):
-            tb = synthetic_tb(pc, lambda cpu, mem: 0, pages=(page, page + 1))
+            tb = synthetic_tb(pc, lambda cpu, mem, n: 0, pages=(page, page + 1))
             cache.insert(tb)
             assert cache.invalidate_page(victim) == 1
             assert cache.peek(pc) is None
@@ -97,9 +101,9 @@ class TestMultiPageInvalidation:
         cache = CodeCache()
         pc = 0x10_0000
         page = pc // PAGE_SIZE
-        cache.insert(synthetic_tb(pc, lambda cpu, mem: 0, pages=(page, page + 1)))
+        cache.insert(synthetic_tb(pc, lambda cpu, mem, n: 0, pages=(page, page + 1)))
         cache.invalidate_page(page)
-        cache.insert(synthetic_tb(pc, lambda cpu, mem: 0, pages=(page,)))
+        cache.insert(synthetic_tb(pc, lambda cpu, mem, n: 0, pages=(page,)))
         cache.invalidate_page(page + 1)
         assert cache.stats.invalidations == 1
 
@@ -112,7 +116,7 @@ class TestBlockIcReset:
         # A block that stalls before its first `cpu.block_ic = k` assignment
         # (as a fused or miscompiled prologue could) must not be billed the
         # previous block's completed-instruction count.
-        def stalls_immediately(cpu, mem):
+        def stalls_immediately(cpu, mem, n):
             raise PageStall(0x999, False, 0)
 
         mem = FlatMemory()
@@ -497,3 +501,299 @@ class TestModeSplit:
         engine.run_quantum(cpu, 10_000)  # warm: all blocks translated
         stop = engine.run_quantum(cpu, 10_000)
         assert stop.translate_cycles == 0
+
+
+# -- loop residency -----------------------------------------------------------
+#
+# A block whose exit re-enters it goes round inside its generated function and
+# the engine books those entries afterwards (test_dbt_differential.py has the
+# property).  Each case below is the smallest program that tells one line of
+# that machinery from its absence; the reference is the same engine with its
+# allowance pinned to one entry per call.
+
+WALK = """
+_start:
+  la t0, region
+  li t1, 24
+  li t4, 0
+  la a0, cell
+  li a1, 3
+loop:
+  {access}
+  add t4, t4, t5
+  addi t0, t0, 256
+  addi t1, t1, -1
+  bnez t1, loop
+  ecall
+.data
+.align 8
+cell: .quad 0
+.bss
+.align 4096
+region: .space 8192
+"""
+
+# An early exit makes the body two blocks: only the trace loops, and the exit
+# is a side exit taken in a late trip.
+EARLY_EXIT = """
+_start:
+  li t0, 0
+  li t1, 60
+  li t2, 41
+loop:
+  addi t0, t0, 1
+  beq t0, t2, out
+  slt t5, t0, t1
+  bnez t5, loop
+out:
+  ecall
+"""
+
+# t0 is read before anything writes it, so the pre-header pins it: the ``li``
+# must leave its constant in the local the next trip reads, not only in the
+# register file (the ``addi`` makes the two differ if it does not).
+PINNED_LI = """
+_start:
+  li t0, 7
+  li t1, 9
+  li t2, 0
+loop:
+  add t2, t2, t0
+  addi t0, t0, 5
+  li t0, 3
+  addi t1, t1, -1
+  bnez t1, loop
+  ecall
+"""
+
+# a2 holds an integer sum, becomes an FP product, and is read as bits again.
+FP_OVER_INT = """
+_start:
+  li a0, 0x3FF8000000000000
+  li t0, 5
+  li t1, 6
+  li t2, 0
+loop:
+  add a2, t0, t1
+  add t3, a2, a2
+  fmul a2, a0, a0
+  add t2, t2, a2
+  add t2, t2, t3
+  addi t1, t1, -1
+  bnez t1, loop
+  ecall
+"""
+
+# a2 is read as bits at the top of each trip and written as a float below it.
+FP_CARRIED_AS_BITS = """
+_start:
+  li a0, 0x3FF8000000000000
+  li a2, 0x3FF0000000000000
+  li t1, 9
+  li t2, 0
+loop:
+  add t2, t2, a2
+  fmul a2, a2, a0
+  addi t1, t1, -1
+  bnez t1, loop
+  ecall
+"""
+
+# a2 is read as a float at the top of each trip and edited as bits below it.
+FP_READ_BITS_EDITED = """
+_start:
+  li a0, 0x3FF8000000000000
+  li a2, 0x4008000000000000
+  li t1, 9
+  li t2, 0
+loop:
+  fadd a3, a2, a0
+  add t2, t2, a3
+  addi a2, a2, 1
+  addi t1, t1, -1
+  bnez t1, loop
+  ecall
+"""
+
+# Reads of registers the body has already written are bound where they stand,
+# never in the pre-header: a2 (integer, then read as a float) and a4 (a float
+# committed by the atomic's fault point, then read as bits).
+WRITTEN_THEN_READ = """
+_start:
+  li a0, 0x3FF8000000000000
+  la a1, cell
+  li t0, 0x4000000000000000
+  li t1, 6
+  li t2, 0
+loop:
+  add a2, t0, t1
+  fadd a3, a2, a0
+  fmul a4, a3, a0
+  amoadd t5, t1, (a1)
+  add t2, t2, a4
+  add t2, t2, a3
+  addi t1, t1, -1
+  bnez t1, loop
+  ecall
+.data
+.align 8
+cell: .quad 0
+"""
+
+# Pointer chasing: the address register is the load's destination.
+CHASE = """
+_start:
+  la t0, n0
+  li t1, 12
+loop:
+  ld t0, 0(t0)
+  addi t1, t1, -1
+  bnez t1, loop
+  ecall
+.data
+.align 8
+n0: .quad n1
+n1: .quad n2
+n2: .quad n0
+"""
+
+# ``jalr t0, t0, 0``: the link overwrites the register the target came from.
+JALR_SELF = """
+_start:
+  la t0, hop
+  li t1, 0
+  jalr t0, t0, 0
+back:
+  addi t1, t1, 100
+  ecall
+hop:
+  addi t1, t1, 1
+  jalr t0, t0, 0
+"""
+
+SELF_JUMP = "_start:\n  j _start\n"
+
+LOOPS = {
+    "plain": (LOOP_SRC, ()),
+    "walk-load": (WALK.format(access="lbu t5, 0(t0)"), ("region",)),
+    "walk-store": (WALK.format(access="sd t1, 8(t0)"), ("region",)),
+    "walk-atomic": (WALK.format(access="amoadd t5, a1, (a0)\n  sb t5, 0(t0)"), ("region",)),
+    "atomic-stalls": (WALK.format(access="mv a0, t0\n  amoadd t5, a1, (a0)"), ("region",)),
+    "early-exit": (EARLY_EXIT, ()),
+    "pinned-li": (PINNED_LI, ()),
+    "fp-over-int": (FP_OVER_INT, ()),
+    "fp-carried-as-bits": (FP_CARRIED_AS_BITS, ()),
+    "fp-read-bits-edited": (FP_READ_BITS_EDITED, ()),
+    "written-then-read": (WRITTEN_THEN_READ, ()),
+    "chase": (CHASE, ()),
+    "jalr-self": (JALR_SELF, ()),
+    "self-jump": (SELF_JUMP, ()),
+}
+HOT_TIERS = [
+    {}, dict(fusion=True), dict(superblock_threshold=2), dict(superblock_threshold=8, fusion=True)
+]
+
+
+def quanta(source, stall, quantum, timing, **engine_options):
+    """``source`` run quantum by quantum (to its ecall, or for 200,000 cycles)
+    on a memory that withholds the second page of each ``stall`` label: what
+    every stop shows, then the engine."""
+    prog = assemble(source)
+    mem = StallingMemory({page_of(prog.symbol(label)) + 1 for label in stall})
+    mem.load_image(prog.iter_load_segments())
+    cpu = CPUState(pc=prog.entry, tid=1, sp=0x7000_0000)
+    engine = ExecutionEngine(mem, timing=timing, **engine_options)
+    stops, spent = [], 0
+    while spent < 200_000:
+        stop = engine.run_quantum(cpu, quantum)
+        spent += stop.cycles
+        stops.append((stop.kind, stop.cycles, stop.translate_cycles, cpu.cycle_frac, cpu.pc,
+                      list(cpu.regs), memory_image(mem)))
+        if stop.kind is StopKind.SYSCALL:
+            break
+        assert stop.kind in (StopKind.QUANTUM, StopKind.PAGE_STALL), stop
+    return stops, engine
+
+
+class TestLoopResidency:
+    @pytest.mark.parametrize("name", list(LOOPS))
+    def test_in_place_trips_are_booked_as_the_dispatcher_books_them(self, name):
+        source, stall = LOOPS[name]
+        timing = EngineTiming(cpi_dbt=2.88, cpi_superblock=0.9, translate_per_insn=2.5)
+        for hot in HOT_TIERS:
+            for quantum in (53, 997, 10**6):
+                stops, engine = quanta(source, stall, quantum, timing, **hot)
+                want, pinned = quanta(source, stall, quantum, timing, cache=OneEntryCache(),
+                                      **hot)
+                assert stops == want, (hot, quantum)
+                assert engine_books(engine) == engine_books(pinned), (hot, quantum)
+        if name != "self-jump":  # and where it ends is where the interpreter ends
+            oracle, _engine = quanta(source, stall, 10**6, timing, mode="interp")
+            assert stops[-1][4:] == oracle[-1][4:]
+
+    @pytest.mark.parametrize("name", ["plain", "walk-load", "fp-over-int", "chase"])
+    def test_the_trips_really_are_made_in_place(self, name):
+        source, stall = LOOPS[name]
+        prog = assemble(source)
+        mem = StallingMemory(())
+        mem.load_image(prog.iter_load_segments())
+        engine = ExecutionEngine(mem)
+        calls = python_calls(engine.run_quantum, CPUState(pc=prog.entry, tid=1), 10**6)
+        hot = engine.cache.peek(prog.symbol("loop"))
+        assert hot.loops and hot.exec_count >= 5
+        # Entered by the dispatcher twice — found by lookup, then chained to
+        # itself — and never again.
+        assert sum(file == f"<tb@{hot.pc:#x}>" for file, _name in calls) == 2
+
+    def test_allowance_stops_where_the_block_is_promoted(self):
+        """The trip that reaches the threshold must be the last of its call:
+        promotion (and its translation bill) lands after the same entry, and
+        every later trip runs at the superblock's CPI."""
+        source = LOOP_SRC.replace("li t1, 200", "li t1, 2000")
+        timing = EngineTiming(translate_per_insn=100.0)
+        stops, engine = quanta(source, (), 10**6, timing, superblock_threshold=8)
+        want, pinned = quanta(source, (), 10**6, timing, superblock_threshold=8,
+                              cache=OneEntryCache())
+        assert engine.superblocks_formed == 1
+        assert [s[1:3] for s in stops] == [s[1:3] for s in want]
+        assert engine.superblock_saved_cycles == pinned.superblock_saved_cycles > 0
+
+    def test_fractional_cycles_are_replayed_add_for_add(self):
+        """1157 trips of 8.64 cycles per quantum: their sum, added one at a
+        time, is not ``1157 * 8.64`` in the last bits — and those bits are the
+        remainder the vCPU carries into its next quantum."""
+        source = LOOP_SRC.replace("li t1, 200", "li t1, 20000")
+        timing = EngineTiming(cpi_dbt=2.88, translate_per_insn=0.0)
+        stops, engine = quanta(source, (), 10_000, timing)
+        want, pinned = quanta(source, (), 10_000, timing, cache=OneEntryCache())
+        assert len(stops) > 15
+        assert [s[3] for s in stops] == [s[3] for s in want]  # cycle_frac, to the bit
+        assert engine.execute_cycles == pinned.execute_cycles
+
+    def test_a_non_positive_cpi_never_divides(self):
+        prog, mem, cpu = load(LOOP_SRC)
+        for cpi in (0.0, -1.0):
+            engine = ExecutionEngine(mem, timing=EngineTiming(cpi_dbt=cpi, translate_per_insn=1.0))
+            cpu = CPUState(pc=prog.entry, tid=1)
+            assert engine.run_quantum(cpu, 10**6).kind is StopKind.SYSCALL
+            assert cpu.regs[5] == 200
+
+
+class TestKnownValues:
+    def test_a_temp_keeps_the_value_its_register_had_when_copied(self):
+        """The backend's contract with any frontend: a temp copied from a
+        guest register (no statement is emitted for the copy) still holds the
+        old value after the register is rewritten."""
+        target, link = 0x2_0000, 0x1234
+        for rewrite in (TCGOp("mov", (guest(5), imm(link))),
+                        TCGOp("add", (guest(5), guest(6), imm(8))),
+                        TCGOp("ld", (guest(5), guest(7), 8, False))):
+            ops = [TCGOp("add", (temp(0), guest(5), imm(0))), rewrite,
+                   TCGOp("jmp_ind", (temp(0),))]
+            ir = BlockIR(pc=TEXT, instrs=[InstrIR(TEXT, "x", ops, False)], next_pc=TEXT + 4,
+                         words=())
+            tb = Backend().compile(ir)
+            cpu = CPUState(pc=TEXT, tid=1)
+            cpu.regs[5], cpu.regs[7] = target, 0x8000
+            tb.fn(cpu, FlatMemory(), 1)
+            assert cpu.pc == target and cpu.regs[5] != target, tb.source
