@@ -506,22 +506,25 @@ class Cluster:
     def _drive(self, targets: list[Job]) -> None:
         fleet = self._fleet
         sim = fleet.sim
-        heap, step = sim._heap, sim.step
+        heap, fifo, step = sim._heap, sim._fifo, sim.step
         # Per event: one state test on the target waited for, and the fleet
-        # deadline as ``_admit``/``_settle`` left it.
+        # deadline as ``_admit``/``_settle`` left it.  Work due now never
+        # crosses it: the clock only reaches times at or before the deadline,
+        # and a new deadline is never earlier than its admission.
         pending = list(targets)
         while pending:
             if pending[-1].state in _SETTLED:
                 pending.pop()
                 continue
-            if not heap:
-                raise SimulationError(
-                    f"guest program deadlocked at t={sim.now} ns "
-                    "(all threads blocked, no pending events)"
-                )
-            deadline = fleet.deadline_ns
-            if deadline is not None and heap[0][0] > deadline:
-                raise self._deadline_error(deadline)
+            if not fifo:
+                if not heap:
+                    raise SimulationError(
+                        f"guest program deadlocked at t={sim.now} ns "
+                        "(all threads blocked, no pending events)"
+                    )
+                deadline = fleet.deadline_ns
+                if deadline is not None and heap[0][0] > deadline:
+                    raise self._deadline_error(deadline)
             step()
 
     def _deadline_error(self, deadline: int) -> SimulationError:

@@ -193,18 +193,12 @@ class MasterRuntime:
 
     # -- lifecycle ------------------------------------------------------------
 
-    def spawn_guarded(self, gen, name: str):
-        """Spawn a master process whose crashes surface as run failures."""
-        return self.sim.spawn(self.node._guarded(gen), name=name)
-
     def start(self) -> None:
         # Node-major spawn order: with one shard this is exactly the
         # unsharded manager-per-node spawn sequence (bit-identity).
         for nid in self.node_ids:
             for shard in self.shards:
-                self.spawn_guarded(
-                    self._manager(nid, shard), f"mgr{nid}.{shard.shard}@master"
-                )
+                self.node.spawn(self._manager(nid, shard), f"mgr{nid}.{shard.shard}@master")
         if self.heartbeat_service is not None:
             self.heartbeat_service.start()
 

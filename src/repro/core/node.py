@@ -65,7 +65,7 @@ from repro.net.messages import (
     SyscallRequest,
 )
 from repro.core.scheduler import FairRunQueue
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.localkernel import LocalKernel
@@ -82,6 +82,11 @@ COMMAND_KINDS = (
     | NodeSplitTableService.handled_kinds
     | NodeControlService.handled_kinds
 )
+
+
+def _reraise(exc: BaseException) -> None:
+    """A bare node's failure policy: the crash fails the process itself."""
+    raise exc
 
 
 def _master_shard_key(msg, nshards: int) -> int:
@@ -179,7 +184,7 @@ class NodeRuntime:
         self.master_id = master_id
         self.run_stats = run_stats
         self.trace = tracer if tracer is not None else NULL_TRACER
-        self.on_failure = on_failure or (lambda exc: (_ for _ in ()).throw(exc))
+        self.on_failure = on_failure or _reraise
 
         self.endpoint = Endpoint(sim, fabric, node_id)
         # Node-side services serve every tenant on this node; billing follows
@@ -269,24 +274,19 @@ class NodeRuntime:
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> None:
-        self.sim.spawn(self._guarded(self._communicator()), name=f"comm@{self.node_id}")
+        self.spawn(self._communicator(), f"comm@{self.node_id}")
         for k in range(self.n_cores):
-            self.sim.spawn(self._guarded(self._core(k)), name=f"core{k}@{self.node_id}")
+            self.spawn(self._core(k), f"core{k}@{self.node_id}")
         if self.heartbeat_sender is not None:
             self.heartbeat_sender.start()
 
-    def _guarded(self, gen):
-        """Wrap a node process so crashes surface as run failures."""
+    def spawn(self, gen, name: str):
+        """Start a node or master process whose crash is a run failure."""
+        return self.sim.spawn(gen, name, self._crashed)
 
-        def runner():
-            try:
-                yield from gen
-            except BaseException as exc:  # noqa: BLE001 - report and stop
-                if self.crashed:
-                    return  # a dead node's processes fail silently with it
-                self.on_failure(exc)
-
-        return runner()
+    def _crashed(self, exc: BaseException) -> None:
+        if not self.crashed:  # a dead node's processes fail silently with it
+            self.on_failure(exc)
 
     def crash(self) -> None:
         """Fail-stop this node (FaultPlan.crash): freeze it mid-flight.
@@ -373,10 +373,7 @@ class NodeRuntime:
         bundle.threads.pop(cpu.tid, None)
         self.trace.emit("thread", self.node_id, f"evacuating ({reason})", tid=cpu.tid)
         self._evacuating += 1
-        self.sim.spawn(
-            self._guarded(self._evacuate_rpc(cpu, bundle, reason)),
-            name=f"evac@{self.node_id}",
-        )
+        self.spawn(self._evacuate_rpc(cpu, bundle, reason), f"evac@{self.node_id}")
 
     def _evacuate_rpc(self, cpu: CPUState, bundle: NodeTenant, reason: str):
         yield from self._call(
@@ -405,10 +402,7 @@ class NodeRuntime:
         ):
             return
         self._drain_sent = True
-        self.sim.spawn(
-            self._guarded(self._send_drain_complete()),
-            name=f"drained@{self.node_id}",
-        )
+        self.spawn(self._send_drain_complete(), f"drained@{self.node_id}")
 
     def _send_drain_complete(self):
         done = DrainComplete()  # drains are single-job (tenant 0) territory
@@ -458,10 +452,9 @@ class NodeRuntime:
             "thread", self.node_id,
             f"checkpoint ({len(pages)} M pages)", tid=th.tid,
         )
-        self.sim.spawn(
-            self._guarded(self._checkpoint_rpc(th.tid, taken_ns, context,
-                                               pages, bundle)),
-            name=f"ckpt@{self.node_id}",
+        self.spawn(
+            self._checkpoint_rpc(th.tid, taken_ns, context, pages, bundle),
+            f"ckpt@{self.node_id}",
         )
 
     def _checkpoint_rpc(self, tid: int, taken_ns: int, context, pages,
@@ -551,12 +544,14 @@ class NodeRuntime:
             stop = bundle.engine.run_quantum(cpu, cfg.quantum_cycles)
             ns = self._cycles_to_ns(stop.cycles)
             if ns:
-                yield self.sim.timeout(ns)
+                yield Timeout(self.sim, ns)
             # Split the quantum's wall time into translation vs execution
             # mode for the Fig. 8 breakdown; the sum stays exactly ns.
-            tr_ns = min(ns, self._cycles_to_ns(stop.translate_cycles))
-            th.stats.translate_ns += tr_ns
-            th.stats.execute_ns += ns - tr_ns
+            if stop.translate_cycles:
+                tr_ns = min(ns, self._cycles_to_ns(stop.translate_cycles))
+                th.stats.translate_ns += tr_ns
+                ns -= tr_ns
+            th.stats.execute_ns += ns
             th.stats.quanta += 1
             kind = stop.kind
             if kind is StopKind.QUANTUM:
@@ -570,16 +565,10 @@ class NodeRuntime:
                     self._take_checkpoint(th, bundle)
                 continue
             if kind is StopKind.PAGE_STALL:
-                self.sim.spawn(
-                    self._guarded(self._fault_handler(th, stop.info)),
-                    name=f"fault@{self.node_id}",
-                )
+                self.spawn(self._fault_handler(th, stop.info), f"fault@{self.node_id}")
                 return
             if kind is StopKind.SYSCALL:
-                self.sim.spawn(
-                    self._guarded(self._syscall_handler(th)),
-                    name=f"sys@{self.node_id}",
-                )
+                self.spawn(self._syscall_handler(th), f"sys@{self.node_id}")
                 return
             if kind is StopKind.BREAK:
                 raise GuestFault(f"ebreak at pc={cpu.pc - 4:#x}", pc=cpu.pc - 4)
@@ -590,7 +579,7 @@ class NodeRuntime:
     def _fault_handler(self, th: GuestThread, stall: PageStall):
         cfg = self.config
         t0 = self.sim.now
-        yield self.sim.timeout(self._cycles_to_ns(cfg.page_fault_trap_cycles))
+        yield Timeout(self.sim, self._cycles_to_ns(cfg.page_fault_trap_cycles))
         yield from self._resolve_stall(stall, th.tenant)
         th.stats.pagefault_ns += self.sim.now - t0
         th.stats.page_faults += 1
@@ -627,7 +616,7 @@ class NodeRuntime:
                 ev, in_write = inflight
                 yield ev
                 continue  # re-check: the finished request may not suffice
-            ev = self.sim.event()
+            ev = Event(self.sim)
             bundle.inflight[page] = (ev, write)
             try:
                 req = self._request(
@@ -652,7 +641,7 @@ class NodeRuntime:
                 del bundle.inflight[page]
                 bundle.push_gates.pop(page, None)
                 # Out of the table, so no new waiter can find it: with none
-                # subscribed already there is nobody to wake through the heap.
+                # subscribed already there is nobody to wake through the kernel.
                 ev.settle()
             if reply is None or reply.ack_only:
                 # A push installed the page (or will momentarily); if it was
@@ -802,7 +791,7 @@ class NodeRuntime:
             # its start as started_at bills it as the handling service's busy
             # time (not mailbox queue wait) without changing any timing.
             started_at = self.sim.now
-            yield self.sim.timeout(cfg.slave_coherence_service_ns)
+            yield Timeout(self.sim, cfg.slave_coherence_service_ns)
             yield from self.dispatcher.dispatch(msg, started_at=started_at)
             if self.shutdown:
                 return

@@ -27,6 +27,7 @@ from repro.mem.layout import PAGE_SIZE, page_of, page_offset
 from repro.mem.msi import MSIState
 from repro.mem.protocols import make_policy
 from repro.net.messages import Invalidate, PageData, WriteBack
+from repro.sim.engine import Timeout
 from repro.sim.sync import SimLock
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -273,7 +274,7 @@ class CoherenceService(MasterService):
                 proto.home_remote_misses += 1
                 yield self.sim.timeout(cfg.dsm_service_ns + cfg.migration_penalty_ns)
             else:
-                yield self.sim.timeout(cfg.dsm_service_ns)
+                yield Timeout(self.sim, cfg.dsm_service_ns)
 
             # Requests racing a split/merge retry against the new table.
             if splitting.entry(page) is not None or splitting.is_retired(page):

@@ -90,7 +90,7 @@ class FailureDomainService(MasterService):
             f"declared dead: {rec.rehomed_pages} pages re-homed, "
             f"{rec.lost_pages} lost",
         )
-        self.master.spawn_guarded(self._recover(node, rec), f"recover-n{node}@master")
+        self.master.node.spawn(self._recover(node, rec), f"recover-n{node}@master")
 
     def _recover(self, node: int, rec: NodeFailure):
         """Re-home every thread the dead node was running or parking."""
@@ -203,7 +203,7 @@ class FailureDomainService(MasterService):
         self.failures.nodes[node] = rec
         self.run_stats.service(self.name).requests += 1
         self.trace.emit("node", node, "drain ordered")
-        self.master.spawn_guarded(
+        self.master.node.spawn(
             self.call(node, StartDrain()), f"drain-n{node}@master"
         )
 

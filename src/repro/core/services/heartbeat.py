@@ -82,7 +82,7 @@ class HeartbeatService(MasterService):
         for nid in self.master.node_ids:
             if nid != self.node_id:
                 self.deadlines[nid] = self.sim.now + self.lease_ns
-        self.master.spawn_guarded(
+        self.master.node.spawn(
             self._monitor(), f"heartbeat-monitor@{self.node_id}"
         )
 
@@ -158,9 +158,7 @@ class NodeHeartbeatService:
 
     def start(self) -> None:
         node = self.node
-        node.sim.spawn(
-            node._guarded(self._sender()), name=f"heartbeat@{node.node_id}"
-        )
+        node.spawn(self._sender(), f"heartbeat@{node.node_id}")
 
     def _sender(self):
         node = self.node

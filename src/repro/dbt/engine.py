@@ -184,7 +184,7 @@ class ExecutionEngine:
                     try:
                         tb = memo.block(self.frontend, self.backend, pc, self.fusion)
                     except PageStall as stall:
-                        kind, info = StopKind.PAGE_STALL, stall
+                        kind, info = StopKind.PAGE_STALL, stall.with_traceback(None)
                         break
                     except GuestFault as fault:
                         kind, info = StopKind.FAULT, fault
@@ -227,7 +227,10 @@ class ExecutionEngine:
                 cycles += cost
                 exec_cycles += cost
                 kind = StopKind.PAGE_STALL if isinstance(exc, PageStall) else StopKind.FAULT
-                info = exc
+                # A stall's traceback holds this frame, whose ``info`` holds the
+                # stall: kept, every fault would leave a cycle for the GC.  A
+                # guest fault keeps its traceback: the node re-raises it.
+                info = exc.with_traceback(None) if kind is StopKind.PAGE_STALL else exc
                 break
             if n > 1 and cpu.block_runs > 1:  # every entry but the last is complete
                 cycles, exec_cycles = self._replay(
@@ -368,7 +371,9 @@ class ExecutionEngine:
             try:
                 rc = self.interp.step(cpu)
             except PageStall as stall:
-                return self._stop(StopKind.PAGE_STALL, cycles, 0.0, cpu, stall)
+                return self._stop(
+                    StopKind.PAGE_STALL, cycles, 0.0, cpu, stall.with_traceback(None)
+                )
             except GuestFault as fault:
                 return self._stop(StopKind.FAULT, cycles, 0.0, cpu, fault)
             cycles += t.cpi_interp

@@ -24,7 +24,7 @@ class StopKind(enum.Enum):
     FAULT = "fault"  # guest crashed (segfault, illegal instruction...)
 
 
-@dataclass
+@dataclass(slots=True)
 class StopEvent:
     """Engine exit record: what stopped the vCPU and the cycles it used."""
 

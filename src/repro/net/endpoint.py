@@ -101,18 +101,16 @@ class Endpoint:
     # -- receiving (called by the fabric) ------------------------------------
 
     def on_arrival(self, timer: Event) -> None:
-        """The fabric's delivery callback: the frame is the timer's value."""
-        self.deliver(timer.value)
-
-    def deliver(self, msg: Message) -> None:
-        """Hand an arrived frame to the RPC channel or a subscriber queue."""
+        """The fabric's delivery callback (the frame is the timer's value):
+        hand the frame to the RPC channel or a subscriber queue."""
+        msg = timer._value
         if msg.in_reply_to:
             self.rpc.complete(msg)
             return
         # Mailbox-arrival stamp: dispatchers subtract this from their dispatch
         # start to attribute queue wait (head-of-line blocking) per service.
-        # A dynamic attribute, not a frame field — it never hits the wire
-        # model and re-stamps naturally on injected duplicates.
+        # A declared slot, not a frame field — it never hits the wire model
+        # and re-stamps naturally on injected duplicates.
         msg._arrived_ns = self.sim.now
         key = self._route(msg)
         queue = self._queues.get(key)
@@ -123,6 +121,12 @@ class Endpoint:
                 f"node {self.node_id}: no subscriber for key {key!r} (kind={msg.kind})"
             )
         queue.put(msg)
+
+    def deliver(self, msg: Message) -> None:
+        """Hand ``msg`` on exactly as if the fabric had just delivered it."""
+        carrier = Event(self.sim)
+        carrier._value = msg
+        self.on_arrival(carrier)
 
     @property
     def pending_requests(self) -> int:

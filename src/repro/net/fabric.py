@@ -32,38 +32,39 @@ __all__ = ["Fabric", "FabricStats"]
 class FabricStats:
     """Aggregate traffic counters, queryable per experiment.
 
-    ``tx_bytes_by_node`` / ``rx_bytes_by_node`` attribute wire load to the
-    sending/receiving node — on a star topology the master's rows are the
-    bottleneck links the paper's worst-case mutex test saturates.
+    The fabric books each frame once, into ``frames[(kind, src, dst)] =
+    [frames, bytes]``; the six counters below are folds over that record,
+    computed on read.  ``tx_bytes_by_node`` / ``rx_bytes_by_node`` attribute
+    wire load to the sending/receiving node — on a star topology the master's
+    rows are the bottleneck links the paper's worst-case mutex test saturates.
     """
 
     def __init__(self) -> None:
-        self.messages_sent = 0
-        self.bytes_sent = 0
-        self.by_kind: Counter[str] = Counter()
-        self.bytes_by_kind: Counter[str] = Counter()
-        self.tx_bytes_by_node: Counter[int] = Counter()
-        self.rx_bytes_by_node: Counter[int] = Counter()
+        self.frames: dict[tuple[str, int, int], list[int]] = {}
 
-    def record(self, msg: Message, size: int) -> None:
-        """Count one frame of ``size`` wire bytes (``msg.size_bytes()``, which
-        the fabric has already computed for the link model)."""
-        kind = msg.kind
-        self.messages_sent += 1
-        self.bytes_sent += size
-        self.by_kind[kind] += 1
-        self.bytes_by_kind[kind] += size
-        self.tx_bytes_by_node[msg.src] += size
-        self.rx_bytes_by_node[msg.dst] += size
+    def _fold(self, part: int, column: int) -> Counter:
+        total: Counter = Counter()
+        for key, record in self.frames.items():
+            total[key[part]] += record[column]
+        return total
+
+    messages_sent = property(lambda self: sum(r[0] for r in self.frames.values()))
+    bytes_sent = property(lambda self: sum(r[1] for r in self.frames.values()))
+    by_kind = property(lambda self: self._fold(0, 0))
+    bytes_by_kind = property(lambda self: self._fold(0, 1))
+    tx_bytes_by_node = property(lambda self: self._fold(1, 1))
+    rx_bytes_by_node = property(lambda self: self._fold(2, 1))
 
     def add(self, other: "FabricStats") -> None:
         """Fold another slice's counters into this one."""
-        self.messages_sent += other.messages_sent
-        self.bytes_sent += other.bytes_sent
-        self.by_kind.update(other.by_kind)
-        self.bytes_by_kind.update(other.bytes_by_kind)
-        self.tx_bytes_by_node.update(other.tx_bytes_by_node)
-        self.rx_bytes_by_node.update(other.rx_bytes_by_node)
+        frames = self.frames
+        for key, (count, size) in other.frames.items():
+            record = frames.get(key)
+            if record is None:
+                frames[key] = [count, size]
+            else:
+                record[0] += count
+                record[1] += size
 
 
 class Fabric:
@@ -181,13 +182,19 @@ class Fabric:
         slice_ = self.tenant_stats.get(msg.tenant)
         if slice_ is None:
             slice_ = self.stats_for(msg.tenant)
-        slice_.record(msg, size)
+        key = (msg.kind, src, dst)
+        record = slice_.frames.get(key)
+        if record is None:
+            slice_.frames[key] = [1, size]
+        else:
+            record[0] += 1
+            record[1] += size
         sim = self.sim
         now = sim.now
         if src == dst:
             arrival = now + self.loopback_latency_ns
         else:
-            ser = self.serialization_ns(size)
+            ser = int(round(size * 8 / self.bandwidth_bps * 1e9))  # serialization_ns
             tx_end = max(now, self._uplink_free[src]) + ser
             self._uplink_free[src] = tx_end
             at_switch = tx_end + self.one_way_latency_ns

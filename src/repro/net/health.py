@@ -106,7 +106,7 @@ class HealthTracker:
     # -- signals from the RPC layer ------------------------------------------
 
     def heard_from(self, node: int) -> None:
-        p = self.peer(node)
+        p = self.peers.get(node) or self.peer(node)
         p.last_heard_ns = self.sim.now
         p.consecutive_failures = 0
         p.state = PeerState.UP

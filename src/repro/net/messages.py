@@ -42,8 +42,17 @@ __all__ = [
 HEADER_BYTES = 64
 
 
-@dataclass(kw_only=True)
-class Message:
+class _Frame:
+    """What a frame carries besides its fields: the receiving endpoint's
+    mailbox-arrival stamp (``Endpoint.on_arrival``), unset until the frame
+    is queued.  A declared slot, so it is no field — not compared, not in
+    ``repr``, not copied by :func:`~repro.net.faults.clone_frame`."""
+
+    __slots__ = ("_arrived_ns",)
+
+
+@dataclass(kw_only=True, slots=True)
+class Message(_Frame):
     """Base protocol frame.
 
     ``src`` is stamped by the sending endpoint; ``req_id`` / ``in_reply_to``
@@ -70,7 +79,7 @@ class Message:
         return HEADER_BYTES + self.payload_bytes()
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class PageRequest(Message):
     """Slave → master: bring a guest page to ``src`` in S (read) or M (write).
 
@@ -85,7 +94,7 @@ class PageRequest(Message):
     size: int = 8  # faulting access width (false-sharing geometry inference)
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class PageData(Message):
     """Master → slave: page content grant (reply to :class:`PageRequest`).
 
@@ -116,7 +125,7 @@ class PageData(Message):
         return len(self.data)
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class Invalidate(Message):
     """Master → sharer/owner: drop the page (I state); owner sends data back."""
 
@@ -125,7 +134,7 @@ class Invalidate(Message):
     want_data: bool = False
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class InvalidateAck(Message):
     """Reply to :class:`Invalidate`; carries the page if it was Modified."""
 
@@ -137,7 +146,7 @@ class InvalidateAck(Message):
         return len(self.data) if self.data else 0
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class WriteBack(Message):
     """Master → owner: downgrade M → S, returning the current content."""
 
@@ -145,7 +154,7 @@ class WriteBack(Message):
     page: int = 0
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class PagePush(Message):
     """Master → slave: unsolicited forwarded page in Shared state (§5.2)."""
 
@@ -157,7 +166,7 @@ class PagePush(Message):
         return len(self.data)
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class SyscallRequest(Message):
     """Slave → master: delegate a global syscall (§4.3).
 
@@ -175,7 +184,7 @@ class SyscallRequest(Message):
         return 8 * (2 + len(self.args)) + 256  # regs + context snapshot
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class SyscallReply(Message):
     kind: ClassVar[str] = "syscall_reply"
     retval: int = 0
@@ -187,7 +196,7 @@ class SyscallReply(Message):
         return 16
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class SpawnThread(Message):
     """Master → slave: create a guest thread remotely with a cloned context."""
 
@@ -199,13 +208,13 @@ class SpawnThread(Message):
         return 1024  # registers + thread metadata
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class SpawnAck(Message):
     kind: ClassVar[str] = "spawn_ack"
     tid: int = 0
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class ThreadExited(Message):
     """Slave → master: a guest thread finished (exit code, for join/wait)."""
 
@@ -214,7 +223,7 @@ class ThreadExited(Message):
     status: int = 0
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class FutexWake(Message):
     """Master → slave: wake a thread parked in futex_wait on that node."""
 
@@ -223,7 +232,7 @@ class FutexWake(Message):
     retval: int = 0
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class SplitTableUpdate(Message):
     """Master → all slaves: new shadow-page mapping entries (§5.1)."""
 
@@ -234,7 +243,7 @@ class SplitTableUpdate(Message):
         return 32 * len(self.entries)
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class MergeRequest(Message):
     """Slave → master: an access spans split-region boundaries — merge the
     shadow pages back into the original page (§5.1 correctness escape hatch)."""
@@ -243,21 +252,21 @@ class MergeRequest(Message):
     page: int = 0  # original (pre-split) page
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class Ack(Message):
     """Generic acknowledgement (split-table installs, shutdown)."""
 
     kind: ClassVar[str] = "ack"
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class Shutdown(Message):
     """Master → slave: guest program finished; stop service loops."""
 
     kind: ClassVar[str] = "shutdown"
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class StartDrain(Message):
     """Master → slave: stop running guest threads; evacuate them instead.
 
@@ -269,7 +278,7 @@ class StartDrain(Message):
     kind: ClassVar[str] = "start_drain"
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class EvacuateThread(Message):
     """Slave → master: re-home this live thread; carries its full context."""
 
@@ -285,14 +294,14 @@ class EvacuateThread(Message):
         return 1024  # registers + thread metadata
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class DrainComplete(Message):
     """Slave → master: the drained node's last guest thread is gone."""
 
     kind: ClassVar[str] = "drain_complete"
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class Checkpoint(Message):
     """Slave → master: periodic snapshot of one running thread.
 
@@ -313,7 +322,7 @@ class Checkpoint(Message):
         return 1024 + sum(16 + len(data) for _, data in self.pages)
 
 
-@dataclass(kw_only=True)
+@dataclass(kw_only=True, slots=True)
 class Heartbeat(Message):
     """Slave → master: lease-renewal liveness frame (docs/PROTOCOL.md
     "Failure detection").

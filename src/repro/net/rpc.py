@@ -410,9 +410,10 @@ class RpcChannel:
         """Resolve the pending request that ``msg`` replies to."""
         if self._halted:
             return  # the node is dead; whatever arrives no longer matters
-        ev = self._pending.pop(msg.in_reply_to, None)
+        req_id = msg.in_reply_to
+        ev = self._pending.pop(req_id, None)
         if ev is None:
-            tomb = self._tombstones.get(msg.in_reply_to)
+            tomb = self._tombstones.get(req_id)
             if tomb is not None:
                 if tomb[1] == "expired":
                     self.dropped_replies += 1  # late reply, dropped
@@ -420,12 +421,14 @@ class RpcChannel:
                     self.duplicate_replies += 1  # replayed frame, dropped
                 return
             raise NetworkError(
-                f"node {self.endpoint.node_id}: reply to unknown request "
-                f"{msg.in_reply_to}"
+                f"node {self.endpoint.node_id}: reply to unknown request {req_id}"
             )
-        self._disarm(msg.in_reply_to)
-        call = self._calls.pop(msg.in_reply_to, None)
-        health = self._health()
+        if self._calls:  # an armed call: disarm it, count a recovery
+            self._disarm(req_id)
+            call = self._calls.pop(req_id, None)
+        else:
+            call = None
+        health = self.endpoint.fabric.health
         if health is not None:
             health.heard_from(msg.src)
         if call is not None and call.retransmitted:
@@ -437,7 +440,7 @@ class RpcChannel:
                 call.stats.recovery_wait_ns += waited
             if health is not None:
                 health.recovered(msg.src)
-        self._remember(msg.in_reply_to, "completed")
+        self._remember(req_id, "completed")
         ev.succeed(msg)
 
     # -- tombstones -------------------------------------------------------------

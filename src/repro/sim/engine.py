@@ -3,14 +3,21 @@
 The whole DQEMU reproduction runs on virtual time: guest execution, network
 transfers and protocol handling all advance a single simulated clock measured
 in nanoseconds.  The kernel is a small, deterministic event loop in the style
-of SimPy: *processes* are Python generators that ``yield`` events; the
-:class:`Simulator` owns a binary heap of ``(time, seq, event)`` entries and
-fires them in order.  Ties are broken by insertion sequence, which makes every
-run bit-for-bit reproducible.
+of SimPy: *processes* are Python generators that ``yield`` events, and the
+:class:`Simulator` fires events in ``(time, seq)`` order, ``seq`` counting
+pushes.  Ties are broken by insertion sequence, which makes every run
+bit-for-bit reproducible.
+
+The order lives in two containers.  An event due later than now is a
+``(time, seq, event)`` entry of a binary heap; an event due *now* is appended
+to a FIFO beside it, no tuple and no heap operation.  Every heap entry due at
+time T was pushed before the clock reached T, so it precedes every zero-delay
+push made at T: :meth:`Simulator.step` takes the heap entries due now, then
+the FIFO, and only then advances the clock — exactly ``(time, seq)`` order.
 
 The kernel's fixed cost is paid once per event, so the hot constructors
-(:class:`Timeout`, :meth:`Event.succeed`) fill their slots and push their own
-heap entry, and events that carry no information are never scheduled: a
+(:class:`Timeout`, :meth:`Event.succeed`) fill their slots and schedule
+themselves, and events that carry no information are never scheduled: a
 process runs its first segment inside :meth:`Simulator.spawn`, and an event
 settled with nobody subscribed (:meth:`Event.settle`) is processed in place.
 docs/SIMULATION.md "Event kernel" states the contract.
@@ -18,6 +25,7 @@ docs/SIMULATION.md "Event kernel" states the contract.
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -70,12 +78,12 @@ class Event:
         return self._cancelled
 
     def cancel(self) -> None:
-        """Neutralize a scheduled event: when its heap entry is popped, it is
-        discarded without running callbacks (and a failed one without raising).
+        """Neutralize a scheduled event: when it is popped, it is discarded
+        without running callbacks (and a failed one without raising).
 
-        The heap entry itself stays put — removing from the middle of a binary
-        heap is O(n) — so the clock still advances to the entry's time exactly
-        as it would have for the live event.  Meant for armed timers whose
+        The entry itself stays put — removing from the middle of a binary heap
+        is O(n) — so the clock still advances to the entry's time exactly as
+        it would have for the live event.  Meant for armed timers whose
         outcome is no longer wanted (an RPC timeout whose reply arrived); a
         long-lived channel that re-arms timers cancels the stale ones instead
         of accumulating dead callbacks.
@@ -100,28 +108,29 @@ class Event:
             raise SimulationError(f"negative delay: {delay}")
         self._triggered = True
         self._value = value
-        sim = self.sim
-        sim._seq = seq = sim._seq + 1
-        heappush(sim._heap, ((sim.now + int(delay)) if delay else sim.now, seq, self))
+        if delay:
+            self.sim._push(self, delay)
+        else:
+            self.sim._fifo.append(self)
         return self
 
     def settle(self, value: Any = None) -> None:
-        """:meth:`succeed` now, skipping the heap when nobody is subscribed.
+        """:meth:`succeed` now, not scheduled when nobody is subscribed.
 
-        An event with no callback has nothing to run when its heap entry is
-        popped, so it is marked processed right here; a subscriber arriving
-        later takes the late-subscription path of :meth:`add_callback` (next
+        An event with no callback has nothing to run when it is popped, so it
+        is marked processed right here; a subscriber arriving later takes the
+        late-subscription path of :meth:`add_callback` (next
         scheduling slot), exactly as it would have after the pop.  Only for
         events no one else can trigger or reach any more — a process
         finishing, a fault's in-flight marker already out of its table; a
-        plain :meth:`succeed` always crosses the heap.
+        plain :meth:`succeed` is always scheduled.
         """
         if self._triggered:
             raise SimulationError("event triggered twice")
         self._triggered = True
         self._value = value
         if self.callbacks:
-            self.sim._push(self, 0)
+            self.sim._fifo.append(self)
         else:
             self._processed = True
             self.callbacks = _NO_CALLBACKS
@@ -147,7 +156,7 @@ class Event:
             stub._triggered = True
             stub._value = self._value
             stub._ok = True
-            self.sim._push(stub, 0)
+            self.sim._fifo.append(stub)
         else:
             self.callbacks.append(cb)
 
@@ -168,8 +177,11 @@ class Timeout(Event):
         self._triggered = True
         self._processed = False
         self._cancelled = False
-        sim._seq = seq = sim._seq + 1
-        heappush(sim._heap, (sim.now + delay, seq, self))
+        if delay:
+            sim._seq = seq = sim._seq + 1
+            heappush(sim._heap, (sim.now + delay, seq, self))
+        else:
+            sim._fifo.append(self)
 
 
 class Process(Event):
@@ -179,17 +191,20 @@ class Process(Event):
     the yielded event fires (receiving its value via ``send``, or its
     exception via ``throw``).  The process *is itself an event* that triggers
     when the generator returns, carrying the return value, so processes can
-    wait on one another.
+    wait on one another.  ``on_error``, when given, is called with whatever
+    the generator raises (see :meth:`_crash`).
     """
 
-    __slots__ = ("_gen", "name")
+    __slots__ = ("_gen", "name", "_on_error")
 
-    def __init__(self, sim: "Simulator", gen: Generator[Event, Any, Any], name: str = "?"):
+    def __init__(self, sim: "Simulator", gen: Generator[Event, Any, Any], name: str = "?",
+                 on_error: Optional[Callable[[BaseException], None]] = None):
         Event.__init__(self, sim)
         self._gen = gen
         self.name = name
+        self._on_error = on_error
         # The first segment runs right here, up to the first ``yield``: a
-        # start event would carry no information across the heap.
+        # start event would carry no information through the kernel.
         self._resume(_STARTED)
 
     def _resume(self, trigger: Event) -> None:
@@ -204,21 +219,41 @@ class Process(Event):
         except BaseException as exc:  # propagate crash to waiters
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
-            self._crash(exc)
+            self._crash(exc, trigger)
             return
         if not isinstance(target, Event):
-            self._crash(SimulationError(f"process {self.name!r} yielded non-event {target!r}"))
+            self._crash(
+                SimulationError(f"process {self.name!r} yielded non-event {target!r}"), trigger
+            )
         elif target._processed:
             target.add_callback(self._resume)
         else:
             target.callbacks.append(self._resume)
 
-    def _crash(self, exc: BaseException) -> None:
-        """Finish failed: ``exc`` is thrown into whoever waits on the process
-        (a process failure nobody waits on is not an error of the kernel's —
-        see :meth:`Simulator.step`)."""
-        self._ok = False
-        self.settle(exc)
+    def _crash(self, exc: BaseException, trigger: Event) -> None:
+        """The generator raised ``exc`` while resumed by ``trigger``.
+
+        With an ``on_error`` hook the hook takes it and the process finishes
+        with ``None``; an exception out of the hook is the process's failure
+        instead.  A failure is thrown into whoever waits on the process, and
+        one nobody waits on raises out of :meth:`Simulator.step` like any
+        unwatched failed event — except a crash in the first segment, which
+        runs inside ``spawn()``: that one is settled in place for the spawner
+        to find (``run(until=proc)``, a later ``yield``)."""
+        on_error = self._on_error
+        if on_error is not None:
+            try:
+                on_error(exc)
+            except Exception as err:  # the hook's failure is the process's
+                exc = err
+            else:
+                self.settle()
+                return
+        if trigger is _STARTED:
+            self._ok = False
+            self.settle(exc)
+        else:
+            self.fail(exc)
 
     def interrupt(self, exc: BaseException) -> None:
         """Throw ``exc`` into the process at the next scheduling slot."""
@@ -227,7 +262,7 @@ class Process(Event):
         kick._triggered = True
         kick._ok = False
         kick._value = exc
-        self.sim._push(kick, 0)
+        self.sim._fifo.append(kick)
 
 
 #: What a new process's first ``send`` sees as its trigger: ok, no value.
@@ -289,7 +324,10 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: int = 0
+        #: ``(time, seq, event)`` entries due after ``now``.
         self._heap: list[tuple[int, int, Event]] = []
+        #: Events due at ``now``, in push order (module docstring).
+        self._fifo: deque[Event] = deque()
         self._seq = 0
 
     # -- scheduling ---------------------------------------------------------
@@ -297,8 +335,17 @@ class Simulator:
     def _push(self, event: Event, delay: int) -> None:
         if delay < 0:
             raise SimulationError(f"negative delay: {delay}")
-        self._seq += 1
-        heappush(self._heap, (self.now + int(delay), self._seq, event))
+        delay = int(delay)
+        if delay:
+            self._seq += 1
+            heappush(self._heap, (self.now + delay, self._seq, event))
+        else:
+            self._fifo.append(event)
+
+    @property
+    def pending(self) -> int:
+        """Scheduled events not yet processed, in both containers."""
+        return len(self._heap) + len(self._fifo)
 
     def event(self) -> Event:
         return Event(self)
@@ -306,10 +353,12 @@ class Simulator:
     def timeout(self, delay: int, value: Any = None) -> Timeout:
         return Timeout(self, int(delay), value)
 
-    def spawn(self, gen: Generator[Event, Any, Any], name: str = "?") -> Process:
+    def spawn(self, gen: Generator[Event, Any, Any], name: str = "?",
+              on_error: Optional[Callable[[BaseException], None]] = None) -> Process:
         """Start a generator as a new process: it runs to its first ``yield``
-        before this returns."""
-        return Process(self, gen, name)
+        before this returns.  ``on_error`` takes the process's crash instead
+        of its waiters (:meth:`Process._crash`)."""
+        return Process(self, gen, name, on_error)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
@@ -320,11 +369,20 @@ class Simulator:
     # -- main loop ----------------------------------------------------------
 
     def step(self) -> None:
-        """Process the single next event."""
-        when, _seq, event = heappop(self._heap)
-        if when < self.now:
-            raise SimulationError("time went backwards")
-        self.now = when
+        """Process the single next event: a heap entry due now, else the
+        FIFO's head, else the heap's head, advancing the clock to it."""
+        fifo = self._fifo
+        if fifo:
+            heap = self._heap
+            if heap and heap[0][0] == self.now:
+                event = heappop(heap)[2]
+            else:
+                event = fifo.popleft()
+        else:
+            when, _seq, event = heappop(self._heap)
+            if when < self.now:
+                raise SimulationError("time went backwards")
+            self.now = when
         callbacks = event.callbacks
         event.callbacks = _NO_CALLBACKS
         event._processed = True
@@ -334,20 +392,22 @@ class Simulator:
             return
         for cb in callbacks:
             cb(event)
-        if not event._ok and not callbacks and not isinstance(event, Process):
+        if not event._ok and not callbacks:
             # A failed event nobody waited on would silently swallow the
             # exception; surface it instead.
             raise event._value
 
     def run(self, until: Optional[Event | int] = None) -> Any:
-        """Run until the heap drains, a deadline passes, or an event fires.
+        """Run until nothing is scheduled, a deadline passes, or an event
+        fires.
 
         ``until`` may be an :class:`Event` (returns its value; raises if it
         failed) or an integer virtual-time deadline in ns.
         """
+        heap, fifo = self._heap, self._fifo
         if isinstance(until, Event):
             while not until._processed:
-                if not self._heap:
+                if not heap and not fifo:
                     raise SimulationError(
                         f"simulation deadlocked at t={self.now} ns waiting for event"
                     )
@@ -356,8 +416,8 @@ class Simulator:
                 raise until._value
             return until._value
         deadline = None if until is None else int(until)
-        while self._heap:
-            if deadline is not None and self._heap[0][0] > deadline:
+        while heap or fifo:
+            if deadline is not None and (self.now if fifo else heap[0][0]) > deadline:
                 self.now = deadline
                 return None
             self.step()

@@ -359,7 +359,7 @@ class TestReadFaultWait:
         fault = s.fault()
         marker, _write = s.bundle.inflight[PAGE]
         s.sim.run(until=fault)
-        assert marker.processed and not s.sim._heap
+        assert marker.processed and not s.sim.pending
 
 
 class TestAttributeTimeouts:

@@ -1,14 +1,17 @@
 """Execution-engine behaviour: quanta, code cache, precise page stalls, faults."""
 
+import gc
+
 import pytest
 
+from repro import Cluster, DQEMUConfig
 from repro.dbt import Backend, CPUState, EngineTiming, ExecutionEngine, Frontend, StopKind
 from repro.dbt.interp import Interpreter
 from repro.errors import InvalidInstruction, UnalignedAccess
 from repro.isa import assemble
 from repro.mem import FlatMemory, PAGE_SIZE, PageStall, page_of
 from repro.mem.msi import MSIState
-from repro.workloads import swaptions
+from repro.workloads import memaccess, swaptions
 from tests.conftest import StallingMemory, python_calls, resident_node_memory
 
 TEXT = 0x1_0000
@@ -323,6 +326,64 @@ class TestPreciseFloatState:
         mem.pages.install(page_of(cells) + 1, bytes(PAGE_SIZE), MSIState.MODIFIED)
         assert engine.run_quantum(cpu, 10**9).kind is StopKind.SYSCALL
         assert cpu.regs == warm.regs
+
+
+def _cyclic_garbage(fn):
+    """Run ``fn`` with the collector off, then collect: the objects only a
+    cycle kept alive, by type name.  The collector's state is restored."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = fn()
+        del result
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return {type(obj).__name__ for obj in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+
+
+class TestStallsLeaveNoGarbage:
+    """A stall reaches the node without its traceback: kept, the traceback
+    would hold the engine's frame, which holds the stall — one reference
+    cycle per fault, left for the cycle collector."""
+
+    LEAKS = {"PageStall", "traceback", "frame"}
+
+    @pytest.mark.parametrize("mode", ["dbt", "interp"])
+    def test_a_fault_storm_leaves_no_stall_cycles(self, mode):
+        prog = memaccess.build_private_rmw(
+            n_threads=8, n_nodes=4, pages_per_thread=12, passes=1, stride=1024, shared_beat=8
+        )
+
+        def storm():
+            result = Cluster(4, DQEMUConfig(mode=mode)).run(prog)
+            assert result.exit_code == 0 and result.stats.protocol.page_requests > 100
+
+        assert not _cyclic_garbage(storm) & self.LEAKS
+
+    def test_a_code_fetch_stall_leaves_no_cycle(self):
+        prog = assemble("_start:\n li a0, 1\n ecall\n")
+        mem = StallingMemory([page_of(prog.entry)])
+        mem.load_image(prog.iter_load_segments())
+        engine = ExecutionEngine(mem)
+
+        def fetch():
+            stop = engine.run_quantum(CPUState(pc=prog.entry, tid=1), 1000)
+            assert stop.kind is StopKind.PAGE_STALL and stop.info.__traceback__ is None
+
+        assert not _cyclic_garbage(fetch) & self.LEAKS
+
+    def test_a_guest_fault_keeps_its_traceback(self):
+        mem = FlatMemory()
+        mem.write_bytes(TEXT, b"\x00\x00\x00\x00")  # opcode 0 undefined
+        stop = ExecutionEngine(mem).run_quantum(CPUState(pc=TEXT, tid=1), 1000)
+        assert stop.kind is StopKind.FAULT
+        assert stop.info.__traceback__ is not None  # the node re-raises it
 
 
 class TestFaults:

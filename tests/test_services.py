@@ -6,6 +6,7 @@ import dataclasses
 import importlib
 import inspect
 import pkgutil
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -297,6 +298,10 @@ class TestGather:
 
 def all_message_types(cls=Message):
     for sub in cls.__subclasses__():
+        # ``dataclass(slots=True)`` replaces the class its body built; the
+        # discarded one lingers among the subclasses until a collection.
+        if getattr(sys.modules[sub.__module__], sub.__name__, None) is not sub:
+            continue
         yield sub
         yield from all_message_types(sub)
 

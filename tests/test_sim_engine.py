@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
+from heapq import heappop, heappush
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -385,10 +387,84 @@ def test_unwatched_failed_process_raises_from_run_until():
         raise KeyError("late")
 
     p = sim.spawn(proc())
-    sim.run()  # a process failure nobody waits on is not the kernel's error
-    assert p.processed and not p.ok
+    with pytest.raises(KeyError, match="late"):
+        sim.run()  # nobody waits and no on_error: like any unwatched failure
+    assert sim.now == 5 and p.processed and not p.ok
     with pytest.raises(KeyError, match="late"):
         sim.run(until=p)
+
+
+def test_unwatched_crash_in_the_first_segment_stays_with_the_process():
+    sim = Simulator()
+
+    def boom():
+        raise KeyError("early")
+        yield  # pragma: no cover - generator protocol
+
+    p = sim.spawn(boom())  # does not raise out of spawn() ...
+    sim.run()  # ... nor out of the kernel: the spawner holds the process
+    assert p.processed and not p.ok
+    with pytest.raises(KeyError, match="early"):
+        sim.run(until=p)
+
+
+def test_a_crash_a_waiter_subscribes_to_in_the_same_instant_reaches_it():
+    sim = Simulator()
+
+    def boom():
+        yield sim.timeout(5)
+        raise KeyError("late")
+
+    p = sim.spawn(boom())
+    caught = []
+
+    def waiter():
+        yield sim.timeout(5)  # pushed after boom's timer: subscribes after the crash
+        try:
+            yield p
+        except KeyError as exc:
+            caught.append((sim.now, exc.args[0]))
+
+    sim.spawn(waiter())
+    sim.run()
+    assert caught == [(5, "late")]
+
+
+def test_on_error_takes_the_crash_and_the_process_finishes_quietly():
+    sim = Simulator()
+    seen = []
+
+    def boom(when):
+        yield sim.timeout(when)
+        raise KeyError(when)
+
+    early = sim.spawn(boom(0), on_error=seen.append)
+    late = sim.spawn(boom(5), "late", seen.append)
+    sim.run()
+    assert [exc.args[0] for exc in seen] == [0, 5]
+    assert early.ok and late.ok and sim.run(until=late) is None
+
+    def first_segment():
+        raise KeyError("first")
+        yield  # pragma: no cover - generator protocol
+
+    assert sim.spawn(first_segment(), on_error=seen.append).ok
+    assert seen[-1].args[0] == "first"
+
+
+def test_an_exception_out_of_on_error_is_the_process_failure():
+    sim = Simulator()
+
+    def boom():
+        yield sim.timeout(1)
+        raise KeyError("inner")
+
+    def hook(exc):
+        raise RuntimeError(f"reported {exc.args[0]}")
+
+    sim.spawn(boom(), on_error=hook)
+    with pytest.raises(RuntimeError, match="reported inner"):
+        sim.run()
 
 
 def test_late_waiter_on_a_settled_process_resumes_on_the_next_slot():
@@ -481,6 +557,44 @@ class _Kick(Exception):
     pass
 
 
+class _IntoHeap:
+    """The reference kernel's same-time "FIFO": every push is a heap entry."""
+
+    def __init__(self, sim):
+        self.sim = sim
+
+    def __len__(self):
+        return 0
+
+    def append(self, event):
+        sim = self.sim
+        sim._seq += 1
+        heappush(sim._heap, (sim.now, sim._seq, event))
+
+
+class ReferenceSimulator(Simulator):
+    """The kernel without the FIFO: one ``(time, seq)`` heap holds every
+    scheduled event, ``seq`` counting every push — the order the FIFO kernel
+    must reproduce event for event."""
+
+    def __init__(self):
+        super().__init__()
+        self._fifo = _IntoHeap(self)
+
+    def step(self):
+        when, _seq, event = heappop(self._heap)
+        assert when >= self.now
+        self.now = when
+        callbacks, event.callbacks = event.callbacks, ()
+        event._processed = True
+        if event._cancelled:
+            return
+        for cb in callbacks:
+            cb(event)
+        if not event._ok and not callbacks:
+            raise event._value
+
+
 def _ops(depth):
     leaf = st.one_of(
         st.tuples(st.just("sleep"), DELAYS),
@@ -491,6 +605,9 @@ def _ops(depth):
         st.tuples(st.just("get"), st.integers(0, 1)),
         st.tuples(st.just("park"), st.just(None)),
         st.tuples(st.just("interrupt"), st.integers(0, 7)),
+        st.tuples(st.just("succeed"), DELAYS),
+        st.tuples(st.just("settle"), st.booleans()),
+        st.tuples(st.just("late"), st.just(None)),
     )
     if depth == 0:
         return st.lists(leaf, max_size=5)
@@ -499,22 +616,29 @@ def _ops(depth):
     )
 
 
-def _run_soup(scripts):
-    """Run the scripts as processes; returns what the properties need."""
-    sim = Simulator()
+def _run_soup(scripts, deadlines=(), kernel=Simulator):
+    """Run the scripts as processes, first to each deadline in turn, then
+    until nothing is scheduled; returns what the properties need."""
+    sim = kernel()
     queues = [SimQueue(sim), SimQueue(sim)]
     log = []  # everything observable, in the order it happened
     fired = []  # (fire time, timer serial) per timer callback
     timers = []  # serial -> (expiry, cancelled)
+    made = []  # events a "late" op may wait on, oldest first
+    due = []  # when each timer and delayed succeed is scheduled to fire
     procs, parked = [], set()
+    trace = []  # after every step: the clock and how much was observed
 
     def timer(delay, cancelled=False):
         serial = len(timers)
         timers.append((sim.now + delay, cancelled))
+        due.append(sim.now + delay)
         t = sim.timeout(delay, value=serial)
         t.add_callback(lambda e: fired.append((sim.now, e.value)))
         if cancelled:
-            t.cancel()
+            t.cancel()  # waiting on it would park forever
+        else:
+            made.append(t)
         return t
 
     def body(me, script):
@@ -545,6 +669,21 @@ def _run_soup(scripts):
                 if arg in parked:
                     parked.remove(arg)
                     procs[arg].interrupt(_Kick())
+            elif op == "succeed":
+                ev = sim.event()
+                made.append(ev)
+                due.append(sim.now + arg)
+                log.append((yield ev.succeed((me, sim.now), delay=arg)))
+            elif op == "settle":
+                ev = sim.event()
+                made.append(ev)
+                if arg:  # watched: scheduled; unwatched: processed in place
+                    ev.add_callback(lambda e, me=me: log.append((sim.now, me, "settled")))
+                ev.settle((me, sim.now))
+                log.append((yield ev))  # late subscription when processed
+            elif op == "late":
+                if made:
+                    log.append((yield made[0]))  # the oldest: most likely processed
             else:
                 start(arg)
         return me
@@ -554,24 +693,34 @@ def _run_soup(scripts):
         procs.append(None)
         procs[me] = sim.spawn(body(me, script), name=f"p{me}")
 
+    step = sim.step
+
+    def traced_step():
+        step()
+        trace.append((sim.now, len(log), len(fired)))
+
+    sim.step = traced_step
     for script in scripts:
         start(script)
-    clock = []
-    while sim._heap:
-        sim.step()
-        clock.append(sim.now)
-    return log, fired, timers, clock, [(p.processed, p.ok) for p in procs]
+    for deadline in sorted(deadlines):
+        sim.run(until=deadline)
+        trace.append(("until", sim.now, len(log), len(fired)))
+    sim.run()
+    assert not sim.pending
+    clock = [entry[0] for entry in trace if entry[0] != "until"]
+    states = [(p.processed, p.ok) for p in procs]
+    return log, fired, timers, clock, states, due, trace
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_ops(2), min_size=1, max_size=5))
 def test_process_soup_keeps_the_kernel_contract(scripts):
-    log, fired, timers, clock, states = _run_soup(scripts)
+    log, fired, timers, clock, states, due, _trace = _run_soup(scripts)
     # Time never decreases, and the run ends at the last expiry there was —
     # a cancelled timer's included: it fires nothing but advances the clock.
     assert clock == sorted(clock)
-    if timers:
-        assert clock[-1] == max(expiry for expiry, _ in timers)
+    if due:
+        assert clock[-1] == max(due)
     # Every live timer's callback fired exactly once, at its expiry; a
     # cancelled one's never did.
     assert sorted(serial for _, serial in fired) == [
@@ -583,4 +732,50 @@ def test_process_soup_keeps_the_kernel_contract(scripts):
     # No process crashed: the soup raises nothing it does not catch.
     assert all(ok for _, ok in states)
     # Determinism: the same scripts give the same run.
-    assert (log, fired, timers, clock, states) == _run_soup(scripts)
+    assert (log, fired, timers, clock, states) == _run_soup(scripts)[:5]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_ops(2), min_size=1, max_size=5),
+    st.lists(st.integers(0, 8), max_size=4),
+)
+def test_fifo_kernel_fires_in_reference_heap_order(scripts, deadlines):
+    """Same-time events beside the heap change where an event waits, never
+    when it fires: step for step, the clock and everything observed equal a
+    kernel that keeps every event in one ``(time, seq)`` heap — deadlines
+    that fall while same-time work is pending included."""
+    assert _run_soup(scripts, deadlines) == _run_soup(scripts, deadlines, ReferenceSimulator)
+
+
+def test_same_time_work_runs_after_the_heap_entries_due_now():
+    """Heap entries due at T were pushed before the clock reached T, so they
+    precede every zero-delay push made at T."""
+    sim = Simulator()
+    order = []
+    for tag in "ab":
+        sim.timeout(5).add_callback(
+            lambda _e, tag=tag: (order.append(tag), sim.timeout(0).add_callback(
+                lambda _e, tag=tag: order.append(tag + "0")
+            ))
+        )
+    sim.step()
+    assert (sim.now, order, sim.pending) == (5, ["a"], 2)
+    sim.run()
+    assert order == ["a", "b", "a0", "b0"]
+
+
+def test_run_until_a_deadline_finishes_the_work_due_at_it():
+    sim = Simulator()
+    seen = []
+
+    def chain(k):
+        seen.append((sim.now, k))
+        if k < 3:
+            sim.timeout(0).add_callback(lambda _e: chain(k + 1))
+
+    sim.timeout(4).add_callback(lambda _e: chain(0))
+    sim.timeout(5)
+    sim.run(until=4)
+    assert seen == [(4, 0), (4, 1), (4, 2), (4, 3)]
+    assert sim.now == 4 and sim.pending == 1
