@@ -33,10 +33,10 @@ from typing import Optional
 
 from repro.core.config import DQEMUConfig
 from repro.core.jobs import Job, JobManager, JobState
-from repro.core.localkernel import LocalKernel
 from repro.core.master import MasterRuntime
 from repro.core.node import NodeRuntime
 from repro.core.scheduler import ThreadPlacer
+from repro.core.services.syscalls import LocalKernel
 from repro.core.stats import FailureStats, RunStats
 from repro.core.trace import NULL_TRACER, Tracer
 from repro.dbt.cpu import CPUState
@@ -322,11 +322,9 @@ class Cluster:
         job.state = JobState.RUNNING
         job.admitted_ns = sim.now
         program = job.program
-        done = sim.event()
 
         state = SystemState(
-            brk_start=program.load_end, stdin=job.stdin,
-            clock_ns=lambda: sim.now, tenant=job.tenant,
+            brk_start=program.load_end, stdin=job.stdin, tenant=job.tenant,
         )
         for path, data in job.files.items():
             state.vfs.add_file(path, data)
@@ -345,13 +343,12 @@ class Cluster:
         master: Optional[MasterRuntime] = None
         if cfg.pure_qemu:
             node0 = fleet.nodes[0]
-            node0.local_kernel = LocalKernel(
-                node0, state,
-                finish=lambda status: self._finish_local(node0, done, status),
-            )
+            node0.local_kernel = LocalKernel(node0, state)
+            done = node0.local_kernel.done
             # The baseline executes against its own private memory directly.
             node0.tenants[job.tenant].memory.load_image(program.iter_load_segments())
         else:
+            done = sim.event()
             drains = cfg.fault_plan.drains if cfg.fault_plan is not None else ()
             master_view = (
                 fleet.view if (cfg.evacuation_enabled or drains) else None
@@ -494,14 +491,6 @@ class Cluster:
             buf = home.ensure(page, MSIState.SHARED)
             buf[off : off + n] = data[pos : pos + n]
             pos += n
-
-    @staticmethod
-    def _finish_local(node: NodeRuntime, done, status: int) -> None:
-        node.shutdown = True
-        for _ in range(node.n_cores):
-            node.runqueue.put(None)
-        if not done.triggered:
-            done.succeed(status & 0xFF)
 
     def _drive(self, targets: list[Job]) -> None:
         fleet = self._fleet

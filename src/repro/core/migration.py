@@ -13,9 +13,10 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.isa.registers import SP
-from repro.kernel.syscalls import CloneRequest
+from repro.kernel.syscalls import CloneRequest, KernelMemory, SystemState
+from repro.kernel.sysnums import CLONE_CHILD_CLEARTID, CLONE_CHILD_SETTID, CLONE_PARENT_SETTID
 
-__all__ = ["build_child_context"]
+__all__ = ["build_child_context", "create_child"]
 
 A0 = 10
 
@@ -33,3 +34,20 @@ def build_child_context(parent_snapshot: dict, clone: CloneRequest, child_tid: i
         "tid": child_tid,
         "hint_group": hint_group,
     }
+
+
+def create_child(state: SystemState, mem: KernelMemory, parent_snapshot: dict,
+                 clone: CloneRequest, node: int):
+    """Create ``clone``'s child on ``node``: its thread record, the
+    ``CLONE_{PARENT,CHILD}_SETTID`` tid writes through ``mem``, and its CPU
+    snapshot.  A kernel-style generator returning ``(tid, snapshot)``."""
+    hint = parent_snapshot.get("hint_group")
+    ctid = clone.ctid if clone.flags & CLONE_CHILD_CLEARTID else 0
+    rec = state.threads.create(
+        node=node, parent_tid=clone.parent_tid, ctid=ctid, hint_group=hint
+    )
+    if clone.flags & CLONE_PARENT_SETTID and clone.ptid:
+        yield from mem.write_guest(clone.ptid, rec.tid.to_bytes(8, "little"))
+    if clone.flags & CLONE_CHILD_SETTID and clone.ctid:
+        yield from mem.write_guest(clone.ctid, rec.tid.to_bytes(8, "little"))
+    return rec.tid, build_child_context(parent_snapshot, clone, rec.tid, hint)

@@ -8,9 +8,12 @@ Each node runs:
   :class:`~repro.core.services.base.Dispatcher` over the node-side services
   (coherence client, split-table client, thread control — see
   :mod:`repro.core.services.nodeside`);
-* per-fault/per-syscall handler processes, so a thread waiting on a remote
-  page or a delegated syscall frees its core for other runnable threads
-  (the host OS would deschedule the blocked TCG thread the same way).
+* per-fault/per-syscall handler processes (the two traps), so a thread
+  waiting on a remote page or a delegated syscall frees its core for other
+  runnable threads (the host OS would deschedule the blocked TCG thread the
+  same way).  The syscall trap answers local syscalls itself and applies
+  every other answer as a ``SyscallReply`` — the master's, or the pure-QEMU
+  baseline's :class:`~repro.core.services.syscalls.LocalKernel`'s.
 
 The same class is every node: the master is node 0 with a
 :class:`~repro.core.master.MasterRuntime` attached, talking to itself over
@@ -38,6 +41,7 @@ from repro.core.services.heartbeat import NodeHeartbeatService
 from repro.core.services.nodeside import (
     NodeCoherenceService,
     NodeControlService,
+    NodeFailureDomain,
     NodeSplitTableService,
 )
 from repro.core.stats import RunStats
@@ -56,32 +60,17 @@ from repro.mem.sharding import shard_of
 from repro.mem.splitmap import SplitMap
 from repro.net.endpoint import Endpoint
 from repro.net.fabric import Fabric
-from repro.net.messages import (
-    Checkpoint,
-    DrainComplete,
-    EvacuateThread,
-    MergeRequest,
-    PageRequest,
-    SyscallRequest,
-)
+from repro.net.messages import MergeRequest, PageRequest, SyscallRequest
 from repro.core.scheduler import FairRunQueue
 from repro.sim.engine import Event, Simulator, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.localkernel import LocalKernel
+    from repro.core.services.syscalls import LocalKernel
 
-__all__ = ["NodeRuntime", "NodeTenant", "COMMAND_KINDS"]
+__all__ = ["NodeRuntime", "NodeTenant"]
 
 A0, A7 = 10, 17
 SYSCALL_TRAP_CYCLES = 500  # local trap cost of a guest syscall (both modes)
-
-#: Inbound kinds handled by a node's communicator (vs. master managers),
-#: derived from the node-side services' routing claims.
-COMMAND_KINDS = (
-    NodeCoherenceService.handled_kinds
-    | NodeSplitTableService.handled_kinds
-    | NodeControlService.handled_kinds
-)
 
 
 def _reraise(exc: BaseException) -> None:
@@ -221,18 +210,14 @@ class NodeRuntime:
         self.add_tenant(0, run_stats)
         self.runqueue = FairRunQueue(sim)
         self.shutdown = False
-        #: Failure-domain state (docs/PROTOCOL.md "Failure domains"):
-        #: ``crashed`` is fail-stop (set by FaultPlan.crash schedules);
-        #: ``draining`` diverts every thread reaching a scheduling point
-        #: into evacuation back to the master.
+        #: Fail-stop (set by FaultPlan.crash schedules, docs/PROTOCOL.md
+        #: "Failure domains").
         self.crashed = False
-        self.draining = False
-        self._evacuating = 0  # evacuation RPCs still in flight
-        self._drain_sent = False
-        #: Virtual time of the last rebalance this node triggered
-        #: (cooldown: at most one per rebalance_threshold_ns window).
-        self._last_rebalance_ns = 0
-        #: Set for the pure-QEMU baseline: syscalls short-circuit locally.
+        #: Drain, checkpoint and rebalance duties; None where none can happen.
+        self.failure_domain: Optional[NodeFailureDomain] = (
+            NodeFailureDomain(self) if NodeFailureDomain.armed(self) else None
+        )
+        #: Set for the pure-QEMU baseline: global syscalls execute in the trap.
         self.local_kernel: Optional["LocalKernel"] = None
 
     # -- tenancy ------------------------------------------------------------
@@ -247,12 +232,6 @@ class NodeRuntime:
 
     def bundle(self, tenant: int) -> NodeTenant:
         return self.tenants[tenant]
-
-    # Tenant-0 view: the pure-QEMU local kernel is written against a one-job node.
-
-    @property
-    def threads(self) -> dict[int, GuestThread]:
-        return self.tenants[0].threads
 
     # -- node-issued RPCs -------------------------------------------------------
 
@@ -327,18 +306,9 @@ class NodeRuntime:
         return int(round(cycles / self.ghz))
 
     def _requeue(self, th: GuestThread) -> None:
-        if self.draining and not self.shutdown:
-            # Cooperative drain: every thread reaching a scheduling point is
-            # handed back to the master instead of queued locally.
-            self._evacuate(th)
+        domain = self.failure_domain
+        if domain is not None and domain.on_requeue(th):
             return
-        if self._checkpoint_due(th):
-            # Every requeue is a consistent capture point: the fault or
-            # syscall that stopped the thread has fully resolved, so the
-            # context sits at an instruction boundary with no pending
-            # kernel interaction to replay (docs/PROTOCOL.md
-            # "Checkpoint/restore").
-            self._take_checkpoint(th, self.tenants[th.tenant])
         th.state = GuestThreadState.READY
         th.enqueued_at = self.sim.now
         self.runqueue.put(th)
@@ -354,130 +324,18 @@ class NodeRuntime:
         self.trace.emit("thread", self.node_id, "wake", tid=tid)
         self._requeue(th)
 
-    # -- drain evacuation (docs/PROTOCOL.md "Failure domains") -----------------
-
-    def _evacuate(self, th: GuestThread, reason: str = "drain") -> None:
-        """Hand a thread back to the master for re-placement elsewhere.
-
-        Locally this looks exactly like a live migration away (same
-        bookkeeping as the ``reply.migrated`` branch of the syscall
-        handler); the context travels in an ``EvacuateThread`` request and
-        the master's failure-domain service re-spawns it on a usable node.
-        ``reason`` distinguishes a drain (the node is emptying itself) from
-        a load rebalance (the node is shedding its hottest thread).
-        """
-        cpu = th.cpu
-        bundle = self.tenants[th.tenant]
+    def leave(self, th: GuestThread, why: str, *, finished: bool = False) -> None:
+        """The one way a thread leaves this node — exit, live migration,
+        evacuation or its job's shutdown.  ``finished``: the thread exited
+        for good (its finish time is recorded)."""
         th.state = GuestThreadState.EXITED
-        cpu.halted = True
-        bundle.threads.pop(cpu.tid, None)
-        self.trace.emit("thread", self.node_id, f"evacuating ({reason})", tid=cpu.tid)
-        self._evacuating += 1
-        self.spawn(self._evacuate_rpc(cpu, bundle, reason), f"evac@{self.node_id}")
-
-    def _evacuate_rpc(self, cpu: CPUState, bundle: NodeTenant, reason: str):
-        yield from self._call(
-            bundle, NodeControlService.name, self.master_id,
-            EvacuateThread(
-                tid=cpu.tid, context=cpu.snapshot(), tenant=bundle.tenant, reason=reason,
-            ),
-        )
-        self._evacuating -= 1
-        self._check_drain_complete()
-
-    def _check_drain_complete(self) -> None:
-        """Announce drain completion once no thread remains on this node.
-
-        Parked threads stay local until their futex wake arrives (the wake
-        path then diverts them into evacuation), so a drain completes lazily
-        — exactly when the last local incarnation is gone and every
-        evacuation RPC has been acknowledged.
-        """
-        if (
-            not self.draining
-            or self._drain_sent
-            or self.shutdown
-            or any(b.threads for b in self.tenants.values())
-            or self._evacuating
-        ):
-            return
-        self._drain_sent = True
-        self.spawn(self._send_drain_complete(), f"drained@{self.node_id}")
-
-    def _send_drain_complete(self):
-        done = DrainComplete()  # drains are single-job (tenant 0) territory
-        if self.config.rpc_timeout_ns is not None:
-            yield from self._call(
-                self.tenants[0], NodeControlService.name, self.master_id, done
-            )
-        else:  # pragma: no cover - drains require armed timeouts in practice
-            self.endpoint.send(self.master_id, done)
-
-    # -- checkpointing (docs/PROTOCOL.md "Checkpoint/restore") ------------------
-
-    def _checkpoint_due(self, th: GuestThread) -> bool:
-        interval = self.config.checkpoint_interval_ns
-        return (
-            interval is not None
-            and self.node_id != self.master_id  # the master cannot crash
-            and not self.draining  # a draining node evacuates live contexts
-            and not self.tenants[th.tenant].finished
-            and self.sim.now - th.last_checkpoint_ns >= interval
-        )
-
-    def _take_checkpoint(self, th: GuestThread, bundle: NodeTenant) -> None:
-        """Snapshot ``th`` at this scheduling boundary and ship it async.
-
-        The capture itself is synchronous — the register context plus
-        byte-copies of every page the tenant holds Modified on this node,
-        taken before the thread runs another instruction.  That page set is
-        a conservative superset of the thread's own dirty pages (no
-        per-thread dirty tracking), and copying it here is what makes the
-        snapshot a consistent cut: restoring (context, flushed pages)
-        reproduces exactly the memory this thread could have observed at
-        ``taken_ns``, under any coherence protocol.  Shipping happens in a
-        spawned process so the core keeps executing.
-        """
-        taken_ns = self.sim.now
-        th.last_checkpoint_ns = taken_ns
-        context = th.cpu.snapshot()
-        store = bundle.memory.pages
-        pages = tuple(
-            (page, store.snapshot(page))
-            for page in sorted(store.pages())
-            if store.state(page) is MSIState.MODIFIED
-        )
-        bundle.run_stats.protocol.checkpoints_taken += 1
-        self.trace.emit(
-            "thread", self.node_id,
-            f"checkpoint ({len(pages)} M pages)", tid=th.tid,
-        )
-        self.spawn(
-            self._checkpoint_rpc(th.tid, taken_ns, context, pages, bundle),
-            f"ckpt@{self.node_id}",
-        )
-
-    def _checkpoint_rpc(self, tid: int, taken_ns: int, context, pages,
-                        bundle: NodeTenant):
-        from repro.net.rpc import RpcTimeout
-
-        proto = bundle.run_stats.protocol
-        msg = Checkpoint(
-            tid=tid, taken_ns=taken_ns, context=context, pages=pages,
-            tenant=bundle.tenant,
-        )
-        proto.checkpoint_bytes += msg.size_bytes()
-        try:
-            yield from self._call(bundle, "node.checkpoint", self.master_id, msg)
-        except RpcTimeout:
-            # The master stopped answering (it is drowning) — a checkpoint
-            # is best-effort by design: drop this snapshot and carry on; the
-            # next interval tries again.
-            proto.checkpoints_discarded += 1
-            self.trace.emit(
-                "thread", self.node_id, "checkpoint lost (holder timeout)",
-                tid=tid,
-            )
+        th.cpu.halted = True
+        self.tenants[th.tenant].threads.pop(th.tid, None)
+        if finished:
+            th.stats.finished_ns = self.sim.now
+        self.trace.emit("thread", self.node_id, why, tid=th.tid)
+        if self.failure_domain is not None:
+            self.failure_domain.check_drain_complete()
 
     # -- core scheduling ------------------------------------------------------
 
@@ -488,58 +346,21 @@ class NodeRuntime:
                 return
             if th.state is not GuestThreadState.READY:
                 continue
-            if self.draining:
-                # Queued before the drain order arrived: evacuate instead of
-                # running another quantum here.
-                self._evacuate(th)
-                continue
-            if th.evac_requested:
-                # The rebalancer picked this thread while it sat queued:
-                # ship it to an underloaded node instead of running it.
-                th.evac_requested = False
-                self._evacuate(th, reason="rebalance")
+            domain = self.failure_domain
+            if domain is not None and domain.diverts(th):
                 continue
             waited = self.sim.now - th.enqueued_at
             th.stats.runnable_wait_ns += waited
-            if self._should_rebalance(waited):
-                victim = self._rebalance_victim(th)
-                self._last_rebalance_ns = self.sim.now
-                self.tenants[victim.tenant].run_stats.protocol \
-                    .rebalance_evacuations += 1
-                if victim is th:
-                    self._evacuate(th, reason="rebalance")
-                    continue
-                victim.evac_requested = True
+            if domain is not None and domain.rebalances(th, waited):
+                continue
             th.state = GuestThreadState.RUNNING
             yield from self._run_turn(th)
-
-    def _should_rebalance(self, waited_ns: int) -> bool:
-        """A queue-wait stint crossed the threshold on a healthy slave, and
-        the per-node cooldown (one shed per threshold window) has passed."""
-        threshold = self.config.rebalance_threshold_ns
-        return (
-            threshold is not None
-            and self.node_id != self.master_id
-            and not self.draining
-            and not self.shutdown
-            and waited_ns >= threshold
-            and self.sim.now - self._last_rebalance_ns >= threshold
-        )
-
-    def _rebalance_victim(self, current: GuestThread) -> GuestThread:
-        """The hottest runnable thread on this node: shedding the biggest
-        compute consumer moves the most queue pressure per evacuation."""
-        candidates = [current] + [
-            t for t in self.runqueue.peek_all()
-            if t is not None and t.state is GuestThreadState.READY
-            and not t.evac_requested
-        ]
-        return max(candidates, key=lambda t: (t.stats.execute_ns, -t.tid))
 
     def _run_turn(self, th: GuestThread):
         cfg = self.config
         cpu = th.cpu
         bundle = self.tenants[th.tenant]
+        domain = self.failure_domain
         while not self.shutdown and not bundle.finished:
             stop = bundle.engine.run_quantum(cpu, cfg.quantum_cycles)
             ns = self._cycles_to_ns(stop.cycles)
@@ -555,14 +376,14 @@ class NodeRuntime:
             th.stats.quanta += 1
             kind = stop.kind
             if kind is StopKind.QUANTUM:
-                if self.draining or len(self.runqueue):
+                if len(self.runqueue) or (domain is not None and domain.draining):
                     self._requeue(th)  # other threads are waiting: yield the core
                     return
-                if self._checkpoint_due(th):
+                if domain is not None:
                     # A solo thread keeps the core without requeueing, so
                     # its quantum boundary is the capture point (the requeue
                     # path handles every other scheduling boundary).
-                    self._take_checkpoint(th, bundle)
+                    domain.capture(th)
                 continue
             if kind is StopKind.PAGE_STALL:
                 self.spawn(self._fault_handler(th, stop.info), f"fault@{self.node_id}")
@@ -588,7 +409,10 @@ class NodeRuntime:
     def _resolve_stall(self, stall: PageStall, tenant: int):
         """Do what the stalled access asked for; the access then re-executes."""
         if isinstance(stall, MergeStall):
-            yield from self._request_merge(stall.orig_page, tenant)
+            yield from self._call(
+                self.tenants[tenant], NodeSplitTableService.name, self.master_id,
+                MergeRequest(page=stall.orig_page, tenant=tenant),
+            )
         else:
             with attribute_timeouts(NodeCoherenceService.name):
                 yield from self._acquire_page(
@@ -667,12 +491,6 @@ class NodeRuntime:
             store.install(page, reply.data, state)
             return
 
-    def _request_merge(self, orig_page: int, tenant: int = 0):
-        yield from self._call(
-            self.tenants[tenant], NodeSplitTableService.name, self.master_id,
-            MergeRequest(page=orig_page, tenant=tenant),
-        )
-
     # -- syscalls ----------------------------------------------------------------
 
     def _syscall_handler(self, th: GuestThread):
@@ -691,44 +509,32 @@ class NodeRuntime:
             self._requeue(th)
             return
 
-        if self.local_kernel is not None:
-            yield from self.local_kernel.handle(self, th, sysno, args)
-            th.stats.syscall_ns += self.sim.now - t0
-            return
-
-        bundle.run_stats.protocol.delegated_syscalls += 1
-        reply = yield from self._call(
-            bundle, "node.syscall", self.master_id,
-            SyscallRequest(
-                tid=cpu.tid, sysno=sysno, args=args, context=cpu.snapshot(),
-                tenant=th.tenant,
-            ),
-        )
+        kernel = self.local_kernel
+        if kernel is not None:
+            reply = yield from kernel.execute(th, sysno, args)
+        else:
+            bundle.run_stats.protocol.delegated_syscalls += 1
+            reply = yield from self._call(
+                bundle, "node.syscall", self.master_id,
+                SyscallRequest(
+                    tid=cpu.tid, sysno=sysno, args=args, context=cpu.snapshot(),
+                    tenant=th.tenant,
+                ),
+            )
         th.stats.syscall_ns += self.sim.now - t0
         if reply.exited:
-            th.state = GuestThreadState.EXITED
-            th.stats.finished_ns = self.sim.now
-            cpu.halted = True
-            bundle.threads.pop(cpu.tid, None)
-            self.trace.emit("thread", self.node_id, "exit", tid=cpu.tid)
-            self._check_drain_complete()
-            return
-        if reply.parked:
+            self.leave(th, "exit", finished=True)
+        elif reply.parked:
             th.state = GuestThreadState.BLOCKED
             th.blocked_at = self.sim.now
             self.trace.emit("thread", self.node_id, "park", tid=cpu.tid)
-            return
-        if reply.migrated:
+        elif reply.migrated:
             # The thread now runs on another node (live migration); just
             # forget the local incarnation — no exit bookkeeping.
-            th.state = GuestThreadState.EXITED
-            cpu.halted = True
-            bundle.threads.pop(cpu.tid, None)
-            self.trace.emit("thread", self.node_id, "migrated away", tid=cpu.tid)
-            self._check_drain_complete()
-            return
-        cpu.regs[A0] = reply.retval & M64
-        self._requeue(th)
+            self.leave(th, "migrated away")
+        else:
+            cpu.regs[A0] = reply.retval & M64
+            self._requeue(th)
 
     def _local_syscall(self, th: GuestThread, sysno: int, args: tuple[int, ...]):
         """Paper §4.3: local syscalls are served without a master round trip."""
@@ -746,22 +552,16 @@ class NodeRuntime:
             cpu.regs[A0] = 1
         elif sysno in (SYS.SCHED_YIELD, SYS.MPROTECT, SYS.MADVISE):
             cpu.regs[A0] = 0
-        elif sysno == SYS.CLOCK_GETTIME:
-            data = (now // 1_000_000_000).to_bytes(8, "little") + (
-                now % 1_000_000_000
-            ).to_bytes(8, "little")
-            yield from self.write_guest(args[1], data, tenant)
-            cpu.regs[A0] = 0
-        elif sysno == SYS.GETTIMEOFDAY:
-            data = (now // 1_000_000_000).to_bytes(8, "little") + (
-                (now % 1_000_000_000) // 1000
-            ).to_bytes(8, "little")
-            yield from self.write_guest(args[0], data, tenant)
+        elif sysno in (SYS.CLOCK_GETTIME, SYS.GETTIMEOFDAY):
+            # struct timespec {sec, nsec} at a1, or struct timeval {sec, usec} at a0
+            sec, ns = divmod(now, 1_000_000_000)
+            timespec = sysno == SYS.CLOCK_GETTIME
+            frac = ns if timespec else ns // 1000
+            data = sec.to_bytes(8, "little") + frac.to_bytes(8, "little")
+            yield from self.write_guest(args[1] if timespec else args[0], data, tenant)
             cpu.regs[A0] = 0
         else:  # pragma: no cover - classify() keeps this unreachable
             raise ProtocolError(f"syscall {sysno} not handled locally")
-        return
-        yield  # pragma: no cover - generator protocol
 
     # -- kernel access to guest memory (KernelMemory) ---------------------------
 

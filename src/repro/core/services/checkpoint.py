@@ -5,8 +5,8 @@ thread at a scheduling boundary (a quantum stop or a requeue after a resolved
 fault/syscall — points where the context has no pending kernel interaction to
 replay) — its register context plus byte-copies of every page the tenant
 holds **Modified** on that node (the write-back barrier that makes the
-snapshot a consistent cut; see ``NodeRuntime._take_checkpoint`` in
-:mod:`repro.core.node` for the capture side).  This service is the master
+snapshot a consistent cut; see ``NodeFailureDomain.capture`` in
+:mod:`repro.core.services.nodeside` for the capture side).  This service is the master
 half: it lands :class:`~repro.net.messages.Checkpoint` frames (context +
 pages), keeps the newest snapshot per tid, and folds the flushed pages into
 each page's home copy.

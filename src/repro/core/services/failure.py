@@ -148,7 +148,7 @@ class FailureDomainService(MasterService):
                 # it unblock with the loss reported instead of hanging.
                 if waiter is not None:
                     self.state.futexes.remove(tid)
-                result = yield from self.master.syscalls.executor.reap_thread(tid, 137)
+                result = yield from self.master.syscalls.executor.exit_thread(tid, 137)
                 self.master.futexes.wake(result.woken)
                 rec.lost.append((tid, "context lost in crash"))
                 stats.lost_threads += 1

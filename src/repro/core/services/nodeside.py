@@ -3,9 +3,13 @@
 Every node's communicator process is a dispatcher over three services
 mirroring the master-side decomposition: the coherence client (invalidate /
 write-back / forwarded pages), the split-table client, and thread control
-(remote spawn, futex wake, shutdown).  Services keep a reference to their
-:class:`~repro.core.node.NodeRuntime` because the state they act on (page
-store, run queue, guest threads) is shared with the execution engine.
+(remote spawn, futex wake, drain order, shutdown).  Services keep a
+reference to their :class:`~repro.core.node.NodeRuntime` because the state
+they act on (page store, run queue, guest threads) is shared with the
+execution engine.
+
+Beside them, :class:`NodeFailureDomain` owns a slave's drain, checkpoint and
+rebalance duties; it handles no frame, so no dispatcher knows it.
 
 Every handler resolves the frame's tenant bundle first: page stores, split
 tables and thread tables are per-job namespaces on a multi-tenant node, and
@@ -20,15 +24,24 @@ from repro.core.gthread import GuestThreadState
 from repro.dbt.cpu import CPUState
 from repro.mem.msi import MSIState
 from repro.mem.splitmap import SplitEntry
-from repro.net.messages import Ack, InvalidateAck, SpawnAck
+from repro.net.messages import (
+    Ack,
+    Checkpoint,
+    DrainComplete,
+    EvacuateThread,
+    InvalidateAck,
+    SpawnAck,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.gthread import GuestThread
     from repro.core.node import NodeRuntime, NodeTenant
 
 __all__ = [
     "NodeCoherenceService",
     "NodeSplitTableService",
     "NodeControlService",
+    "NodeFailureDomain",
 ]
 
 
@@ -153,18 +166,19 @@ class NodeControlService(_NodeService):
         # on every thread reaching a scheduling point is evacuated back to
         # the master instead of being run or requeued.  Coherence service
         # stays up — the node's pages migrate away lazily.
-        node = self.node
-        node.draining = True
+        domain = self.node.failure_domain
+        domain.draining = True
         self.endpoint.reply(msg, Ack())
-        node._check_drain_complete()
+        domain.check_drain_complete()
         return
         yield  # pragma: no cover - generator protocol
 
     def _on_shutdown(self, msg):
         # Tenant-scoped: the sending job is over, but the node — and any
         # other job running on it — lives on.  Threads of the finished
-        # tenant are marked exited here and dropped by the cores at their
-        # next scheduling point (via the bundle's finished flag); no
+        # tenant leave the node here; one still queued or mid-quantum is
+        # dropped by its core at its next scheduling point (via the
+        # bundle's finished flag); no
         # sentinel goes into the run queue, so the cores survive to serve
         # the remaining tenants.  (In a single-job run the master's
         # ``done`` fires before this frame is even delivered, so the old
@@ -172,9 +186,221 @@ class NodeControlService(_NodeService):
         bundle = self._bundle(msg)
         bundle.finished = True
         for th in list(bundle.threads.values()):
-            th.state = GuestThreadState.EXITED
-            th.cpu.halted = True
-        bundle.threads.clear()
+            self.node.leave(th, "job finished")
         self.endpoint.reply(msg, Ack())
         return
         yield  # pragma: no cover - generator protocol
+
+
+class NodeFailureDomain:
+    """A slave's failure-domain duties and their state (docs/PROTOCOL.md
+    "Failure domains", "Checkpoint/restore"): cooperative drain, crash-restore
+    checkpoints, load-shedding rebalance.  Built only where one of them can
+    happen (:meth:`armed`); the node consults it when a thread is requeued or
+    dequeued."""
+
+    def __init__(self, node: "NodeRuntime") -> None:
+        self.node = node
+        self.sim = node.sim
+        self.config = node.config
+        #: Set by the master's ``start_drain`` order: every thread reaching a
+        #: scheduling point is evacuated instead of run or requeued.
+        self.draining = False
+        self.evacuating = 0  # evacuation RPCs still in flight
+        self.drain_sent = False
+        #: Virtual time of the last rebalance this node triggered
+        #: (cooldown: at most one per rebalance_threshold_ns window).
+        self.last_rebalance_ns = 0
+
+    @staticmethod
+    def armed(node: "NodeRuntime") -> bool:
+        """A drain is scheduled for ``node``, or checkpointing or rebalancing
+        is on — never on the master, which neither crashes nor drains."""
+        cfg = node.config
+        drains = cfg.fault_plan.drains if cfg.fault_plan is not None else ()
+        return node.node_id != node.master_id and (
+            cfg.checkpoint_interval_ns is not None
+            or cfg.rebalance_threshold_ns is not None
+            or any(n == node.node_id for n, _ in drains)
+        )
+
+    # -- the node's scheduling points -----------------------------------------
+
+    def on_requeue(self, th: "GuestThread") -> bool:
+        """True if ``th``, on its way back to the run queue, was evacuated."""
+        if self.draining and not self.node.shutdown:
+            self.evacuate(th)
+            return True
+        # Every requeue is a consistent capture point: the fault or syscall
+        # that stopped the thread has fully resolved.
+        self.capture(th)
+        return False
+
+    def diverts(self, th: "GuestThread") -> bool:
+        """True if ``th``, just dequeued, was evacuated instead of run: it was
+        queued before the drain order, or the rebalancer picked it."""
+        if self.draining:
+            self.evacuate(th)
+            return True
+        if th.evac_requested:
+            th.evac_requested = False
+            self.evacuate(th, reason="rebalance")
+            return True
+        return False
+
+    def rebalances(self, th: "GuestThread", waited_ns: int) -> bool:
+        """Shed the hottest runnable thread if ``th``'s queue wait crossed the
+        threshold; True if ``th`` itself went."""
+        if not self._should_rebalance(waited_ns):
+            return False
+        victim = self._rebalance_victim(th)
+        self.last_rebalance_ns = self.sim.now
+        self.node.tenants[victim.tenant].run_stats.protocol.rebalance_evacuations += 1
+        if victim is th:
+            self.evacuate(th, reason="rebalance")
+            return True
+        victim.evac_requested = True
+        return False
+
+    # -- drain evacuation -------------------------------------------------------
+
+    def evacuate(self, th: "GuestThread", reason: str = "drain") -> None:
+        """Hand a thread back to the master, whose failure-domain service
+        re-spawns it on a usable node.  ``reason`` is "drain" (the node
+        empties itself) or "rebalance" (it sheds its hottest thread)."""
+        node = self.node
+        self.evacuating += 1
+        node.leave(th, f"evacuating ({reason})")
+        node.spawn(
+            self._evacuate_rpc(th.cpu, node.tenants[th.tenant], reason),
+            f"evac@{node.node_id}",
+        )
+
+    def _evacuate_rpc(self, cpu, bundle: "NodeTenant", reason: str):
+        node = self.node
+        yield from node._call(
+            bundle, NodeControlService.name, node.master_id,
+            EvacuateThread(
+                tid=cpu.tid, context=cpu.snapshot(), tenant=bundle.tenant, reason=reason,
+            ),
+        )
+        self.evacuating -= 1
+        self.check_drain_complete()
+
+    def check_drain_complete(self) -> None:
+        """Announce drain completion once no thread remains on this node.
+
+        Parked threads stay local until their futex wake diverts them, so a
+        drain completes lazily — when the last local incarnation is gone and
+        every evacuation RPC has been acknowledged."""
+        node = self.node
+        if (
+            not self.draining
+            or self.drain_sent
+            or node.shutdown
+            or any(b.threads for b in node.tenants.values())
+            or self.evacuating
+        ):
+            return
+        self.drain_sent = True
+        node.spawn(self._send_drain_complete(), f"drained@{node.node_id}")
+
+    def _send_drain_complete(self):
+        node = self.node
+        done = DrainComplete()  # drains are single-job (tenant 0) territory
+        if self.config.rpc_timeout_ns is not None:
+            yield from node._call(
+                node.tenants[0], NodeControlService.name, node.master_id, done
+            )
+        else:  # pragma: no cover - drains require armed timeouts in practice
+            node.endpoint.send(node.master_id, done)
+
+    # -- checkpointing ------------------------------------------------------------
+
+    def capture(self, th: "GuestThread") -> None:
+        """Checkpoint ``th`` at this scheduling boundary if one is due."""
+        if self._checkpoint_due(th):
+            self._take_checkpoint(th, self.node.tenants[th.tenant])
+
+    def _checkpoint_due(self, th: "GuestThread") -> bool:
+        interval = self.config.checkpoint_interval_ns
+        return (
+            interval is not None
+            and not self.draining  # a draining node evacuates live contexts
+            and not self.node.tenants[th.tenant].finished
+            and self.sim.now - th.last_checkpoint_ns >= interval
+        )
+
+    def _take_checkpoint(self, th: "GuestThread", bundle: "NodeTenant") -> None:
+        """Snapshot ``th`` synchronously and ship it async.
+
+        The snapshot is the register context plus byte-copies of every page
+        the tenant holds Modified on this node (a superset of the thread's
+        own dirty pages), taken before the thread runs another instruction:
+        restoring it reproduces exactly the memory this thread could have
+        observed at ``taken_ns``, under any coherence protocol."""
+        node = self.node
+        taken_ns = self.sim.now
+        th.last_checkpoint_ns = taken_ns
+        context = th.cpu.snapshot()
+        store = bundle.memory.pages
+        pages = tuple(
+            (page, store.snapshot(page))
+            for page in sorted(store.pages())
+            if store.state(page) is MSIState.MODIFIED
+        )
+        bundle.run_stats.protocol.checkpoints_taken += 1
+        node.trace.emit(
+            "thread", node.node_id,
+            f"checkpoint ({len(pages)} M pages)", tid=th.tid,
+        )
+        node.spawn(
+            self._checkpoint_rpc(th.tid, taken_ns, context, pages, bundle),
+            f"ckpt@{node.node_id}",
+        )
+
+    def _checkpoint_rpc(self, tid: int, taken_ns: int, context, pages,
+                        bundle: "NodeTenant"):
+        from repro.net.rpc import RpcTimeout
+
+        node = self.node
+        proto = bundle.run_stats.protocol
+        msg = Checkpoint(
+            tid=tid, taken_ns=taken_ns, context=context, pages=pages,
+            tenant=bundle.tenant,
+        )
+        proto.checkpoint_bytes += msg.size_bytes()
+        try:
+            yield from node._call(bundle, "node.checkpoint", node.master_id, msg)
+        except RpcTimeout:
+            # The master stopped answering (it is drowning): a checkpoint is
+            # best-effort, so drop this one; the next interval tries again.
+            proto.checkpoints_discarded += 1
+            node.trace.emit(
+                "thread", node.node_id, "checkpoint lost (holder timeout)",
+                tid=tid,
+            )
+
+    # -- rebalancing --------------------------------------------------------------
+
+    def _should_rebalance(self, waited_ns: int) -> bool:
+        """The wait crossed the threshold on a healthy slave, and the
+        cooldown (one shed per threshold window) has passed."""
+        threshold = self.config.rebalance_threshold_ns
+        return (
+            threshold is not None
+            and not self.draining
+            and not self.node.shutdown
+            and waited_ns >= threshold
+            and self.sim.now - self.last_rebalance_ns >= threshold
+        )
+
+    def _rebalance_victim(self, current: "GuestThread") -> "GuestThread":
+        """The hottest runnable thread: shedding the biggest compute consumer
+        moves the most queue pressure per evacuation."""
+        candidates = [current] + [
+            t for t in self.node.runqueue.peek_all()
+            if t is not None and t.state is GuestThreadState.READY
+            and not t.evac_requested
+        ]
+        return max(candidates, key=lambda t: (t.stats.execute_ns, -t.tid))

@@ -1,10 +1,12 @@
-"""Master syscall service: delegated syscall execution (paper §4.3).
+"""Global syscall execution (paper §4.3): the master's delegated-syscall
+service and the pure-QEMU baseline's in-node kernel.  Both answer with a
+``SyscallReply`` that the node's syscall trap applies the same way.
 
-Executes each ``syscall_request`` against the centralized system state,
-migrating pointer-argument pages home through the coherence layer's
-guest-memory accessor.  Thread-lifecycle results (clone placement, live
-migration, exit_group) are resolved here; futex park/wake delivery is
-delegated to the futex service.
+:class:`SyscallService` executes each ``syscall_request`` against the
+centralized system state, migrating pointer-argument pages home through the
+coherence layer's guest-memory accessor.  Thread-lifecycle results (clone
+placement, live migration, exit_group) are resolved here; futex park/wake
+delivery is delegated to the futex service.
 
 On a sharded master this is a *shared control service*, registered on shard
 0's dispatcher (``syscall_request`` carries no page key, so it routes to
@@ -17,24 +19,21 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.migration import build_child_context
+from repro.core.migration import create_child
 from repro.core.services.base import MasterService
 from repro.core.services.coherence import CoherentGuestMemory
-from repro.kernel.syscalls import SyscallExecutor, SyscallResult
-from repro.kernel.sysnums import (
-    CLONE_CHILD_CLEARTID,
-    CLONE_CHILD_SETTID,
-    CLONE_PARENT_SETTID,
-    ERRNO,
-    sys_name,
-)
+from repro.dbt.cpu import CPUState
+from repro.kernel.syscalls import SyscallExecutor, SyscallResult, SystemState
+from repro.kernel.sysnums import ERRNO, sys_name
 from repro.kernel.threads import ThreadState
 from repro.net.messages import SpawnThread, SyscallReply
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.gthread import GuestThread
     from repro.core.master import MasterRuntime
+    from repro.core.node import NodeRuntime
 
-__all__ = ["SyscallService"]
+__all__ = ["SyscallService", "LocalKernel"]
 
 
 class SyscallService(MasterService):
@@ -93,31 +92,23 @@ class SyscallService(MasterService):
         elif result.action == "exit_group":
             self.endpoint.reply(msg, SyscallReply(exited=True))
             self.master.finish(result.exit_status)
-        else:  # "return" / "yield"
+        else:
             self.endpoint.reply(msg, SyscallReply(retval=result.retval))
 
     def _handle_clone(self, msg, result: SyscallResult):
-        clone = result.clone
-        hint = (msg.context or {}).get("hint_group")
+        hint = msg.context.get("hint_group")
         node_id = self.master.placer.place(hint)
-        ctid = clone.ctid if clone.flags & CLONE_CHILD_CLEARTID else 0
-        rec = self.state.threads.create(
-            node=node_id, parent_tid=clone.parent_tid, ctid=ctid, hint_group=hint
+        tid, child = yield from create_child(
+            self.state, self.guest_mem, msg.context, result.clone, node_id
         )
-        mem = self.guest_mem
-        if clone.flags & CLONE_PARENT_SETTID and clone.ptid:
-            yield from mem.write_guest(clone.ptid, rec.tid.to_bytes(8, "little"))
-        if clone.flags & CLONE_CHILD_SETTID and clone.ctid:
-            yield from mem.write_guest(clone.ctid, rec.tid.to_bytes(8, "little"))
-        child = build_child_context(msg.context, clone, rec.tid, hint)
         if node_id != self.node_id:
             self.run_stats.protocol.remote_thread_spawns += 1
         self.trace.emit(
             "thread", node_id,
-            f"clone: placed (hint={hint})", tid=rec.tid,
+            f"clone: placed (hint={hint})", tid=tid,
         )
-        yield from self._spawn_with_failover(node_id, rec.tid, child)
-        self.endpoint.reply(msg, SyscallReply(retval=rec.tid))
+        yield from self._spawn_with_failover(node_id, tid, child)
+        self.endpoint.reply(msg, SyscallReply(retval=tid))
 
     def _spawn_with_failover(self, node_id: int, tid: int, context):
         """Ship a new thread's context, re-placing it if the target dies.
@@ -177,3 +168,50 @@ class SyscallService(MasterService):
         self.run_stats.protocol.thread_migrations += 1
         yield from self._spawn_with_failover(target, msg.tid, context)
         self.endpoint.reply(msg, SyscallReply(migrated=True))
+
+
+class LocalKernel:
+    """The pure-QEMU baseline's global syscalls, executed in the node's trap.
+
+    User-mode QEMU issues the host syscall directly, so this bills no wire
+    or service time: it executes against the job's own :class:`SystemState`,
+    wakes futex waiters on the node's own run queue and starts every clone
+    child on this node.  ``exit_group`` stops the node and fires ``done``,
+    the job's completion event, with the exit status.
+    """
+
+    def __init__(self, node: "NodeRuntime", state: SystemState):
+        self.node = node
+        self.state = state
+        self.done = node.sim.event()
+        self.executor = SyscallExecutor(state, node)  # the node is the KernelMemory
+
+    def execute(self, th: "GuestThread", sysno: int, args: tuple[int, ...]):
+        """Run one global syscall; returns the :class:`SyscallReply` the trap
+        applies, exactly as it would apply the master's."""
+        node = self.node
+        result: SyscallResult = yield from self.executor.execute(
+            th.tid, node.node_id, sysno, args
+        )
+        action = result.action
+        if action == "clone":
+            tid, child = yield from create_child(
+                self.state, node, th.cpu.snapshot(), result.clone, node.node_id
+            )
+            node.add_thread(CPUState.from_snapshot(child), th.tenant)
+            return SyscallReply(retval=tid)
+        if action == "migrate":
+            return SyscallReply()  # one node: affinity is trivially satisfied
+        for waiter in result.woken:
+            node._wake_thread(waiter.tid, 0, th.tenant)
+        if action == "blocked":
+            return SyscallReply(parked=True)
+        if action == "exit_group":
+            node.shutdown = True
+            for _ in range(node.n_cores):
+                node.runqueue.put(None)
+            if not self.done.triggered:
+                self.done.succeed(result.exit_status & 0xFF)
+        if action in ("exit", "exit_group"):
+            return SyscallReply(exited=True)
+        return SyscallReply(retval=result.retval)

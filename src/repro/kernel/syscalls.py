@@ -17,7 +17,7 @@ Deviations from Linux, by design of the GA64 ISA:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Optional, Protocol
+from typing import Any, Generator, Optional, Protocol
 
 from repro.kernel.futex import FutexTable, Waiter
 from repro.kernel.mm import MemoryManager
@@ -61,7 +61,6 @@ class SyscallResult:
     * ``clone``       — the scheduler must place and start a child thread;
     * ``exit``        — the calling thread is done;
     * ``exit_group``  — the whole guest program is done;
-    * ``yield``       — reschedule the thread on its node;
     * ``migrate``     — move the calling thread to ``migrate_to``
       (``sched_setaffinity``: cpuset bit *k* selects node *k*).
     """
@@ -82,15 +81,12 @@ class SystemState:
     per-tenant isolation structural on a shared fleet.
     """
 
-    def __init__(self, *, brk_start: int, stdin: bytes = b"",
-                 clock_ns: Callable[[], int] = lambda: 0, tenant: int = 0):
+    def __init__(self, *, brk_start: int, stdin: bytes = b"", tenant: int = 0):
         self.tenant = tenant
         self.vfs = VFS(stdin=stdin)
         self.futexes = FutexTable(tenant=tenant)
         self.threads = ThreadTable()
         self.mm = MemoryManager(brk_start=brk_start)
-        self.clock_ns = clock_ns
-        self.pid = 1
 
 
 def _ret(value: int) -> SyscallResult:
@@ -103,7 +99,8 @@ def _s(value: int) -> int:
 
 
 class SyscallExecutor:
-    """Executes syscalls for any guest thread against a SystemState."""
+    """Executes global syscalls for any guest thread against a SystemState
+    (every node serves the local ones in its own trap)."""
 
     def __init__(self, state: SystemState, mem: KernelMemory):
         self.state = state
@@ -177,7 +174,7 @@ class SyscallExecutor:
             )
 
         if sysno == SYS.EXIT:
-            return (yield from self._exit_thread(tid, _s(a[0])))
+            return (yield from self.exit_thread(tid, _s(a[0])))
 
         if sysno == SYS.EXIT_GROUP:
             return SyscallResult(action="exit_group", exit_status=_s(a[0]) & 0xFF)
@@ -191,31 +188,6 @@ class SyscallExecutor:
 
         if sysno == SYS.MUNMAP:
             return _ret(st.mm.munmap(a[0], _s(a[1])))
-
-        if sysno == SYS.GETPID:
-            return _ret(st.pid)
-
-        if sysno == SYS.GETTID:
-            return _ret(tid)
-
-        if sysno == SYS.SCHED_YIELD:
-            return SyscallResult(action="yield")
-
-        if sysno == SYS.CLOCK_GETTIME:
-            now = st.clock_ns()
-            ts = (now // 1_000_000_000).to_bytes(8, "little") + (
-                now % 1_000_000_000
-            ).to_bytes(8, "little")
-            yield from self.mem.write_guest(a[1], ts)
-            return _ret(0)
-
-        if sysno == SYS.GETTIMEOFDAY:
-            now = st.clock_ns()
-            tv = (now // 1_000_000_000).to_bytes(8, "little") + (
-                (now % 1_000_000_000) // 1000
-            ).to_bytes(8, "little")
-            yield from self.mem.write_guest(a[0], tv)
-            return _ret(0)
 
         if sysno == SYS.SCHED_SETAFFINITY:
             # (pid, cpusetsize, mask*) — pid 0/self only; in this cluster
@@ -231,9 +203,6 @@ class SyscallExecutor:
                 return _ret(-ERRNO.EINVAL)
             target = (mask & -mask).bit_length() - 1  # lowest set bit
             return SyscallResult(action="migrate", migrate_to=target)
-
-        if sysno in (SYS.MPROTECT, SYS.MADVISE):
-            return _ret(0)
 
         return _ret(-ERRNO.ENOSYS)
 
@@ -260,7 +229,11 @@ class SyscallExecutor:
 
     # -- thread exit ------------------------------------------------------------
 
-    def _exit_thread(self, tid: int, status: int) -> Generator[Any, Any, SyscallResult]:
+    def exit_thread(self, tid: int, status: int) -> Generator[Any, Any, SyscallResult]:
+        """The exit path: mark ``tid`` exited, zero its ``clear_child_tid``
+        and wake its joiners.  The failure domain also reaps a thread whose
+        context died with its node this way (status 137 = 128 + SIGKILL), so
+        joiners unblock with the loss reported instead of hanging."""
         st = self.state
         rec = st.threads.mark_exited(tid, status)
         result = SyscallResult(action="exit", exit_status=status)
@@ -272,15 +245,3 @@ class SyscallExecutor:
                 st.threads.set_state(w.tid, ThreadState.RUNNING)
             result.woken = woken
         return result
-
-    def reap_thread(self, tid: int, status: int) -> Generator[Any, Any, SyscallResult]:
-        """Force-exit a thread whose context died with its node.
-
-        The failure domain uses this for threads lost to a hard crash: they
-        cannot run again, but running the normal exit path (mark exited,
-        zero ``clear_child_tid``, wake joiners) means threads joining on
-        them unblock with the loss *reported* instead of the run hanging.
-        By convention the status is 137 (128 + SIGKILL), as if the kernel
-        had killed the thread.
-        """
-        return (yield from self._exit_thread(tid, status))

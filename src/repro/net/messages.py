@@ -27,7 +27,6 @@ __all__ = [
     "Ack",
     "SpawnThread",
     "SpawnAck",
-    "ThreadExited",
     "FutexWake",
     "SplitTableUpdate",
     "Shutdown",
@@ -212,15 +211,6 @@ class SpawnThread(Message):
 class SpawnAck(Message):
     kind: ClassVar[str] = "spawn_ack"
     tid: int = 0
-
-
-@dataclass(kw_only=True, slots=True)
-class ThreadExited(Message):
-    """Slave → master: a guest thread finished (exit code, for join/wait)."""
-
-    kind: ClassVar[str] = "thread_exited"
-    tid: int = 0
-    status: int = 0
 
 
 @dataclass(kw_only=True, slots=True)

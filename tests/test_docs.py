@@ -31,3 +31,55 @@ def test_module_map_matches_the_tree():
     mapped = mapped_paths()
     assert mapped - tree == set(), "DESIGN.md §3 names files that do not exist"
     assert tree - mapped == set(), "DESIGN.md §3 omits modules"
+
+
+#: The living design documents; CHANGES.md and docs/host_trajectory.md are
+#: historical records and may name code as it was.
+LIVING_DOCS = ("DESIGN.md", "docs/PROTOCOL.md", "docs/SIMULATION.md")
+
+
+def _package_classes():
+    """Every class defined under ``src/repro``, by name."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import repro
+
+    classes: dict[str, list[type]] = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__:
+                classes.setdefault(name, []).append(cls)
+    return classes
+
+
+def _has_attr(cls: type, attr: str) -> bool:
+    """A class attribute, a declared field, or a ``self.attr`` assignment in
+    the source of the class or one of its bases."""
+    import inspect
+
+    if hasattr(cls, attr):
+        return True
+    assigned = re.compile(rf"\bself\.{attr}\b\s*(?::[^=\n]+)?=(?!=)")
+    for base in cls.__mro__:
+        if attr in getattr(base, "__annotations__", {}):
+            return True
+        if base.__module__.startswith("repro") and assigned.search(inspect.getsource(base)):
+            return True
+    return False
+
+
+def test_code_references_in_docs_resolve():
+    """Every `Class.attr` a living doc names, for a class under src/repro,
+    still exists."""
+    classes = _package_classes()
+    stale = []
+    for doc in LIVING_DOCS:
+        text = (ROOT / doc).read_text()
+        for lineno, line in enumerate(text.splitlines(), 1):
+            for name, attr in re.findall(r"`([A-Z]\w*)\.([A-Za-z_]\w*)", line):
+                if name in classes and not any(_has_attr(c, attr) for c in classes[name]):
+                    stale.append(f"{doc}:{lineno} {name}.{attr}")
+    assert stale == []

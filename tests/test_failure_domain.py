@@ -667,3 +667,74 @@ class TestCheckpointRestore:
         assert "node.checkpoint" not in plain.stats.services
         assert plain.stats.protocol.checkpoints_taken == 0
         assert plain.stats.protocol.rebalance_evacuations == 0
+
+
+# -- checkpointing under a fault-heavy guest (open bug, ROADMAP item 1) --------
+
+#: The host benchmark's fault_storm guest at 32 pages per thread: every worker
+#: read-increment-writes its private pages, plus its byte of one shared page
+#: every 8 steps.  Closed-form checksum: 8 * 128 + 8 * (128 // 8) = 1152.
+LOADED = dict(
+    n_threads=8, n_nodes=4, pages_per_thread=32, passes=1, stride=1024, shared_beat=8
+)
+LOADED_CHECKSUM = "1152"
+#: Every correct default-off feature armed at once (the host benchmark's
+#: full-stack config), plus crash-restore checkpoints every 5 ms.
+CHECKPOINTED = DQEMUConfig(
+    rpc_timeout_ns=50_000_000,
+    rpc_max_retries=4,
+    rpc_backoff_base_ns=10_000,
+    rpc_backoff_jitter_ns=2_000,
+    evacuation_enabled=True,
+    health_aware_placement=True,
+    heartbeat_interval_ns=500_000,
+    master_shards=2,
+    coherence_protocol="adaptive",
+    forwarding_enabled=True,
+    splitting_enabled=True,
+    superblock_threshold=8,
+    fusion_enabled=True,
+    checkpoint_interval_ns=5_000_000,
+)
+
+
+class TestCheckpointUnderLoad:
+    """Fault-free runs must print the oracle's checksum and latch no failure.
+
+    With checkpoints and heartbeats both armed they do not: the master
+    expires the leases of healthy slaves.  The two failing cells are pinned
+    as strict xfails, so fixing the bug turns them into errors to promote.
+    """
+
+    @staticmethod
+    def _run(**overrides):
+        return Cluster(4, CHECKPOINTED.with_options(**overrides)).run(
+            memaccess.build_private_rmw(**LOADED)
+        )
+
+    @staticmethod
+    def _assert_oracle(r):
+        assert r.exit_code == 0
+        assert r.stdout.splitlines()[-1] == LOADED_CHECKSUM
+        assert not r.failures.nodes
+
+    @pytest.mark.xfail(
+        strict=True, raises=ServiceTimeout,
+        reason="healthy slaves lose their leases; re-placing their threads "
+               "times out ('spawn_thread', req 1141)",
+    )
+    def test_full_stack(self):
+        self._assert_oracle(self._run())
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="exits 0 with checksum 867: all four slaves latched failed "
+               "on lease expiry",
+    )
+    def test_full_stack_msi(self):
+        self._assert_oracle(self._run(coherence_protocol="msi"))
+
+    def test_heartbeats_off_is_correct(self):
+        """The control: without heartbeats the same run is correct, so they
+        are a necessary ingredient of the bug."""
+        self._assert_oracle(self._run(heartbeat_interval_ns=None))

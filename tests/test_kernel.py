@@ -292,19 +292,6 @@ class TestSyscallExecutor:
         assert res.action == "exit_group"
         assert res.exit_status == 3
 
-    def test_gettid_getpid(self, kernel):
-        state, executor, mem = kernel
-        assert syscall(executor, SYS.GETTID, tid=1).retval == 1
-        assert syscall(executor, SYS.GETPID).retval == 1
-
-    def test_clock_gettime_uses_virtual_clock(self, kernel):
-        state, executor, mem = kernel
-        state.clock_ns = lambda: 3_000_000_123
-        syscall(executor, SYS.CLOCK_GETTIME, 0, 0xB000)
-        sec = mem.load(0xB000, 8, False)
-        nsec = mem.load(0xB008, 8, False)
-        assert (sec, nsec) == (3, 123)
-
     def test_mmap_munmap_via_syscall(self, kernel):
         state, executor, mem = kernel
         res = syscall(executor, SYS.MMAP, 0, 16384, 3, 0x22, -1, 0)
@@ -316,10 +303,6 @@ class TestSyscallExecutor:
         state, executor, mem = kernel
         res = syscall(executor, 9999)
         assert res.retval == (-ERRNO.ENOSYS) & (2**64 - 1)
-
-    def test_sched_yield_action(self, kernel):
-        state, executor, mem = kernel
-        assert syscall(executor, SYS.SCHED_YIELD).action == "yield"
 
 
 class TestClassification:

@@ -182,7 +182,7 @@ class TestPostFinishDrops:
         )
         stats = RunStats()
         node = NodeRuntime(sim, fabric, 0, cfg, stats)
-        state = SystemState(brk_start=0x10000, stdin=b"", clock_ns=lambda: sim.now)
+        state = SystemState(brk_start=0x10000, stdin=b"")
         master = MasterRuntime(
             sim, cfg, node, [0], PageStore(), state,
             ThreadPlacer(cfg.scheduler, [0]), stats, sim.event(),
