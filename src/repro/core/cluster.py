@@ -49,7 +49,7 @@ from repro.mem.pagestore import PageStore
 from repro.mem.sharding import TenantDirectoryView
 from repro.net.fabric import Fabric, FabricStats
 from repro.net.faults import FaultInjector, FaultStats
-from repro.net.health import ClusterHealthView, HealthTracker
+from repro.net.health import HealthTracker
 from repro.net.rpc import RpcStats
 from repro.sim.engine import Event, Simulator
 
@@ -138,13 +138,6 @@ class _Fleet:
             down_after=cfg.health_down_after,
         )
         self.fabric.health = self.health
-        drains = cfg.fault_plan.drains if cfg.fault_plan is not None else ()
-        need_view = (
-            cfg.evacuation_enabled or cfg.health_aware_placement or bool(drains)
-        )
-        self.view: Optional[ClusterHealthView] = (
-            ClusterHealthView(tracker=self.health) if need_view else None
-        )
         cluster.tracer.bind_clock(lambda: self.sim.now)
         self.node_ids = list(range(cluster.n_slaves + 1))
         self.nodes = {
@@ -333,7 +326,7 @@ class Cluster:
         candidates = fleet.node_ids[1:] if self.n_slaves else [0]
         placer = ThreadPlacer(
             cfg.scheduler, candidates,
-            health=fleet.view if cfg.health_aware_placement else None,
+            health=fleet.health if cfg.health_aware_placement else None,
             fallback=0,
             # Stagger each tenant's round-robin cursor so concurrent jobs
             # interleave across the slaves instead of piling onto node 1.
@@ -349,17 +342,14 @@ class Cluster:
             node0.tenants[job.tenant].memory.load_image(program.iter_load_segments())
         else:
             done = sim.event()
-            drains = cfg.fault_plan.drains if cfg.fault_plan is not None else ()
-            master_view = (
-                fleet.view if (cfg.evacuation_enabled or drains) else None
-            )
             # Authoritative guest memory on the master (the "home" copies).
             home = PageStore()
             for vaddr, data in program.iter_load_segments():
                 self._load_segment(home, vaddr, data)
             master = MasterRuntime(
                 sim, cfg, fleet.nodes[0], fleet.node_ids, home, state, placer,
-                stats, done, failure_view=master_view, tenant=job.tenant,
+                stats, done, tenant=job.tenant,
+                failure_view=fleet.health if cfg.failure_domain else None,
             )
             fleet.directories.add_tenant(
                 job.tenant,
@@ -370,8 +360,6 @@ class Cluster:
         # -- failure-domain wiring (docs/PROTOCOL.md "Failure domains") --------
         failure_domain = master.failure_domain if master is not None else None
         if first:
-            crashes = cfg.fault_plan.crashes if cfg.fault_plan is not None else ()
-            drains = cfg.fault_plan.drains if cfg.fault_plan is not None else ()
             if cfg.evacuation_enabled:
                 if failure_domain is None:
                     raise ConfigError("evacuation_enabled requires a master runtime")
@@ -379,13 +367,13 @@ class Cluster:
                 # cluster-level node failure: latch the view, evict the
                 # directory, recover the threads.
                 fleet.health.on_down.append(failure_domain.node_failed)
-            for node_id, at_ns in crashes:
+            for node_id, at_ns in cfg.crashes:
                 if node_id not in fleet.nodes or node_id == 0:
                     raise ConfigError(f"cannot crash node {node_id}")
                 sim.timeout(at_ns).add_callback(
                     lambda _e, n=node_id: fleet.nodes[n].crash()
                 )
-            for node_id, at_ns in drains:
+            for node_id, at_ns in cfg.drains:
                 if node_id not in fleet.nodes or node_id == 0:
                     raise ConfigError(f"cannot drain node {node_id}")
                 if failure_domain is None:

@@ -282,6 +282,22 @@ class DQEMUConfig:
         return self.cpi_dbt * QEMU_CPI_DISCOUNT if self.pure_qemu else self.cpi_dbt
 
     @property
+    def crashes(self) -> tuple[tuple[int, int], ...]:
+        """The fault plan's ``(node, at_ns)`` crash schedule (empty without one)."""
+        return self.fault_plan.crashes if self.fault_plan is not None else ()
+
+    @property
+    def drains(self) -> tuple[tuple[int, int], ...]:
+        """The fault plan's ``(node, at_ns)`` drain schedule (empty without one)."""
+        return self.fault_plan.drains if self.fault_plan is not None else ()
+
+    @property
+    def failure_domain(self) -> bool:
+        """The master's failure domain is armed: crashes are recovered, or a
+        drain is scheduled.  Without it every service stays failure-blind."""
+        return self.evacuation_enabled or bool(self.drains)
+
+    @property
     def heartbeat_lease_ns(self) -> Optional[int]:
         """Silence the master tolerates before a peer accrues missed-lease
         evidence.  Four intervals absorb three consecutive lost-or-late

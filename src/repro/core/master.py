@@ -56,7 +56,7 @@ from repro.net.messages import Shutdown
 from repro.sim.engine import Event, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.health import ClusterHealthView
+    from repro.net.health import HealthTracker
 
 __all__ = ["MasterRuntime", "MasterShard"]
 
@@ -104,7 +104,7 @@ class MasterRuntime:
         run_stats: RunStats,
         done: Event,
         *,
-        failure_view: Optional["ClusterHealthView"] = None,
+        failure_view: Optional["HealthTracker"] = None,
         tenant: int = 0,
     ) -> None:
         self.sim = sim
@@ -122,8 +122,8 @@ class MasterRuntime:
         self.done = done
         self.trace = node.trace
         self.finished = False
-        # Cluster failure view; None keeps every service on its
-        # failure-blind, bit-identical code paths.
+        # The fleet's health tracker when the failure domain is armed; None
+        # keeps every service on its failure-blind, bit-identical code paths.
         self.failure_view = failure_view
 
         # -- shard pools (see docs/PROTOCOL.md "Sharded master") ----------------
@@ -141,18 +141,16 @@ class MasterRuntime:
 
         # The failure domain exists only when armed: registering it eagerly
         # would add a zero "failure" row to every committed breakdown table.
-        # Same rule for the checkpoint service (checkpoint_interval_ns set
-        # implies evacuation_enabled, so failure_view is always there too)
-        # and for active liveness (docs/PROTOCOL.md "Failure detection").
-        armed = failure_view is not None
+        # Checkpoints and heartbeats (docs/PROTOCOL.md "Failure detection")
+        # require evacuation_enabled, so they only come with it.
         self.checkpoint_service = (
-            CheckpointService(self)
-            if armed and config.checkpoint_interval_ns is not None else None
+            CheckpointService(self) if config.checkpoint_interval_ns is not None else None
         )
-        self.failure_domain = FailureDomainService(self) if armed else None
+        self.failure_domain = (
+            FailureDomainService(self) if failure_view is not None else None
+        )
         self.heartbeat_service = (
-            HeartbeatService(self)
-            if armed and config.heartbeat_interval_ns is not None else None
+            HeartbeatService(self) if config.heartbeat_interval_ns is not None else None
         )
 
         shard0 = self.shards[0]

@@ -115,12 +115,8 @@ class NodeTenant:
             NodeControlService.name,
         ):
             run_stats.service(name)
-        if (
-            config.heartbeat_interval_ns is not None
-            and node.node_id != node.master_id
-        ):
-            # The lease-renewal sender's row exists exactly when the service
-            # does (slaves only: the master's liveness is axiomatic).
+        if node.heartbeat_sender is not None:
+            # The lease-renewal sender's row exists exactly when it does.
             run_stats.service(NodeHeartbeatService.name)
         if node.rpc_retry is not None:
             # Where delegated syscalls bill their retransmits; not a

@@ -13,12 +13,13 @@ Worker threads go to slave nodes; the master runs the main thread (Fig. 2),
 unless there are no slaves.
 
 With ``DQEMUConfig.health_aware_placement`` the placer also consults the
-cluster health view (:class:`repro.net.health.ClusterHealthView`): ``down``,
-failed and draining candidates are skipped outright and ``suspect`` ones are
-deprioritized (used only when every candidate is degraded).  The choice is
-deterministic — the pool is filtered, never shuffled, and the same
-round-robin cursor walks whatever pool is left — and every skip is recorded
-with its reason so the breakdown tables can attribute placement decisions.
+cluster's one health object (:class:`repro.net.health.HealthTracker`):
+``down``, failed and draining candidates are skipped outright and
+``suspect`` ones are deprioritized (used only when every candidate is
+degraded; ``HealthTracker.usable_pool``).  The choice is deterministic — the
+pool is filtered, never shuffled, and the same round-robin cursor walks
+whatever pool is left — and every skip is recorded with its reason so the
+breakdown tables can attribute placement decisions.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro.errors import ConfigError
 from repro.sim.engine import Event, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.health import ClusterHealthView
+    from repro.net.health import HealthTracker
 
 __all__ = ["ThreadPlacer", "FairRunQueue"]
 
@@ -41,7 +42,7 @@ class ThreadPlacer:
         policy: str,
         candidates: Sequence[int],
         *,
-        health: Optional["ClusterHealthView"] = None,
+        health: Optional["HealthTracker"] = None,
         fallback: Optional[int] = None,
         rr_offset: int = 0,
     ):
@@ -64,43 +65,13 @@ class ThreadPlacer:
         #: placement).
         self.skips: Counter = Counter()
 
-    # -- health filtering --------------------------------------------------
-
-    def _usable_pool(self) -> list[int]:
-        """Candidates eligible for the next placement, health permitting.
-
-        Healthy (``up``, not failed, not draining) candidates win; if none
-        are left, ``suspect`` ones are pressed back into service rather
-        than refusing to place at all.  Skips are recorded per (node,
-        reason) each time a placement actually bypasses a candidate.
-        """
-        if self.health is None:
-            return self.candidates
-        healthy: list[int] = []
-        suspect: list[int] = []
-        skipped: list[tuple[int, str]] = []
-        for n in self.candidates:
-            reason = self.health.unusable_reason(n)
-            if reason is not None:
-                skipped.append((n, reason))
-            elif self.health.is_suspect(n):
-                suspect.append(n)
-            else:
-                healthy.append(n)
-        if healthy:
-            for n in suspect:
-                skipped.append((n, "suspect"))
-            pool = healthy
-        else:
-            pool = suspect
-        for key in skipped:
-            self.skips[key] += 1
-        return pool
-
     # -- placement ---------------------------------------------------------
 
     def place(self, hint_group: Optional[int] = None) -> int:
-        pool = self._usable_pool()
+        pool = (
+            self.candidates if self.health is None
+            else self.health.usable_pool(self.candidates, skips=self.skips)
+        )
         if not pool:
             # Every candidate is down or draining: the master (fallback)
             # absorbs the thread rather than placing it on a dead node.

@@ -164,8 +164,9 @@ class MasterService:
         self.run_stats = master.run_stats
         self.tenant = master.tenant
         self.node_id = master.node.node_id
-        # Cluster failure view: when set, work touching a confirmed-dead
-        # peer degrades (skip it, count it) instead of aborting the run.
+        # The fleet's HealthTracker when the failure domain is armed: work
+        # touching a confirmed-dead peer degrades (skip it, count it)
+        # instead of aborting the run.
         # None keeps every code path and event schedule bit-identical to
         # the failure-blind protocol.
         self.view = master.failure_view

@@ -4,9 +4,9 @@ Owns the cluster's reaction to a node leaving — by force (the health
 tracker's detector confirms a crash) or by order (a scheduled drain):
 
 * **Crash recovery** (``node_failed``, wired as a ``HealthTracker.on_down``
-  callback): latch the node as failed in the :class:`ClusterHealthView`,
-  evict its directory footprint (Shared copies re-homed, Modified pages
-  written off), then re-home its threads.  A thread parked in ``futex_wait``
+  callback): latch the node as failed in the health tracker, evict its
+  directory footprint (Shared copies re-homed, Modified pages written
+  off), then re-home its threads.  A thread parked in ``futex_wait``
   left its CPU context with the master (the syscall service attaches it to
   the waiter record when the failure domain is armed), so it is *evacuable*:
   re-spawned on a healthy node as a spurious wake.  A thread that was
@@ -61,8 +61,16 @@ class FailureDomainService(MasterService):
         a tolerant service catches that timeout, the view is latched and the
         directory already evicted.  Thread recovery needs the clock (guest
         memory writes, spawn round trips) and runs as a spawned process.
+
+        A node that crashes during or after its drain is recovered all the
+        same: its drain record becomes a crash record that keeps the
+        threads the drain already evacuated.
         """
-        if node == self.node_id or node in self.failures.nodes or self.master.finished:
+        prior = self.failures.nodes.get(node)
+        if (
+            node == self.node_id or self.master.finished
+            or (prior is not None and prior.kind == "crash")
+        ):
             return
         self.view.mark_failed(node)
         # Calls still waiting out retry budgets against the corpse cannot
@@ -74,7 +82,8 @@ class FailureDomainService(MasterService):
             # Which evidence fired first — an exhausted RPC budget or the
             # heartbeat monitor's lease expiry (docs/PROTOCOL.md "Failure
             # detection").
-            evidence=self.view.tracker.down_evidence(node),
+            evidence=self.view.down_evidence(node),
+            evacuated=prior.evacuated if prior is not None else [],
         )
         self.failures.nodes[node] = rec
         stats = self.run_stats.service(self.name)
@@ -158,26 +167,8 @@ class FailureDomainService(MasterService):
         rec.recovered_ns = self.sim.now
         stats.busy_ns += self.sim.now - t0
 
-    def _usable_pool(self, exclude: int = -1) -> list[int]:
-        """Candidates a thread may land on, healthy before suspect.
-
-        ``view.usable`` already rules out failed/draining/down nodes, but a
-        *suspect* node (missed timeout windows, not yet confirmed dead) is
-        a bad bet for a thread we are trying to save: placing there risks a
-        second evacuation moments later.  Mirror the ThreadPlacer's policy
-        — suspect nodes are pressed into service only when no healthy
-        candidate is left.
-        """
-        healthy: list[int] = []
-        suspect: list[int] = []
-        for n in self.master.placer.candidates:
-            if n == exclude or not self.view.usable(n):
-                continue
-            (suspect if self.view.is_suspect(n) else healthy).append(n)
-        return healthy or suspect
-
     def _pick_target(self, exclude: int = -1) -> int:
-        pool = self._usable_pool(exclude)
+        pool = self.view.usable_pool(self.master.placer.candidates, exclude)
         if not pool:
             return self.node_id  # last resort: everything runs on the master
         target = pool[self._evac_rr % len(pool)]
@@ -187,7 +178,7 @@ class FailureDomainService(MasterService):
     def _pick_rebalance_target(self, exclude: int = -1) -> int:
         """Least-loaded usable node (thread count): a rebalanced thread must
         land where the queue pressure is lowest, not at a blind cursor."""
-        pool = self._usable_pool(exclude)
+        pool = self.view.usable_pool(self.master.placer.candidates, exclude)
         if not pool:
             return self.node_id
         return min(pool, key=lambda n: (len(self.state.threads.on_node(n)), n))

@@ -64,8 +64,6 @@ class HeartbeatService(MasterService):
 
     def __init__(self, master: "MasterRuntime") -> None:
         super().__init__(master)
-        #: The fleet's shared tracker: lease evidence merges with RPC evidence.
-        self.health = self.endpoint.fabric.health
         self.interval_ns = self.config.heartbeat_interval_ns
         self.lease_ns = self.config.heartbeat_lease_ns
         #: Per-peer lease expiry on the simulated clock: the instant after
@@ -105,11 +103,12 @@ class HeartbeatService(MasterService):
                 if self.sim.now < self.deadlines[nid]:
                     continue
                 proto.heartbeat_lease_expiries += 1
-                was = self.health.state_of(nid)
+                was = self.view.state_of(nid)
+                # Lease evidence merges with RPC evidence in the one tracker.
                 # May fire on_down synchronously -> FailureDomainService
                 # .node_failed, exactly as an exhausted RPC budget does.
-                self.health.lease_missed(nid)
-                now_state = self.health.state_of(nid)
+                self.view.lease_missed(nid)
+                now_state = self.view.state_of(nid)
                 if now_state is not was:
                     overdue = self.sim.now - self.deadlines[nid]
                     self.trace.emit(
@@ -121,9 +120,6 @@ class HeartbeatService(MasterService):
     # -- inbound frames ---------------------------------------------------------
 
     def handle(self, msg):
-        yield from self._on_heartbeat(msg)
-
-    def _on_heartbeat(self, msg):
         proto = self.run_stats.protocol
         if self.view.is_failed(msg.src):
             # A posthumous renewal (delayed in the fabric, or racing the
@@ -135,7 +131,7 @@ class HeartbeatService(MasterService):
         proto.heartbeats_received += 1
         # Positive liveness evidence: demotes suspect back to up, exactly
         # as an answered RPC would.
-        self.health.record_success(msg.src)
+        self.view.heard_from(msg.src)
         return
         yield  # pragma: no cover - generator protocol
 
@@ -143,14 +139,13 @@ class HeartbeatService(MasterService):
 class NodeHeartbeatService:
     """Node half: the periodic lease-renewal sender.
 
-    Not a frame handler — the master never messages the sender — but
-    shaped like every other node service so its conditional stats row and
-    lifecycle follow the same rules.  Master node 0 never sends: its
-    liveness is axiomatic (the cluster has no run without it).
+    Not a frame handler — the master never messages the sender — so no
+    dispatcher knows it; its stats row exists exactly when it does.  Master
+    node 0 never sends: its liveness is axiomatic (the cluster has no run
+    without it).
     """
 
     name = "node.heartbeat"
-    handled_kinds = frozenset()
 
     def __init__(self, node: "NodeRuntime") -> None:
         self.node = node
@@ -175,6 +170,3 @@ class NodeHeartbeatService:
             proto.heartbeats_sent += 1
             proto.heartbeat_bytes += msg.size_bytes()
             node.endpoint.send(node.master_id, msg)
-
-    def handle(self, msg):  # pragma: no cover - no inbound kinds
-        raise AssertionError(f"{self.name} handles no inbound frames")

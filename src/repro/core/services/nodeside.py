@@ -217,11 +217,10 @@ class NodeFailureDomain:
         """A drain is scheduled for ``node``, or checkpointing or rebalancing
         is on — never on the master, which neither crashes nor drains."""
         cfg = node.config
-        drains = cfg.fault_plan.drains if cfg.fault_plan is not None else ()
         return node.node_id != node.master_id and (
             cfg.checkpoint_interval_ns is not None
             or cfg.rebalance_threshold_ns is not None
-            or any(n == node.node_id for n, _ in drains)
+            or any(n == node.node_id for n, _ in cfg.drains)
         )
 
     # -- the node's scheduling points -----------------------------------------

@@ -107,7 +107,7 @@ from typing import Callable, Optional
 from repro.dbt import fpu
 from repro.dbt import runtime as rt
 from repro.dbt.frontend import BlockIR
-from repro.dbt.tcg import InstrIR, TCGOp
+from repro.dbt.tcg import TERMINALS, InstrIR, TCGOp
 from repro.mem.flat import PACK, UNPACK
 from repro.mem.layout import PAGE_SHIFT, PAGE_SIZE
 from repro.mem.msi import MSIState
@@ -181,8 +181,6 @@ _BIN_EXPR = {
     "remu": "urem64({a}, {b})",
 }
 
-_TERMINALS = ("brcond", "jmp", "jmp_ind", "exit")
-
 
 @dataclass(eq=False)
 class TranslationBlock:
@@ -251,7 +249,7 @@ def _page_span(pc: int, end_pc: int) -> tuple[int, ...]:
 def _successors(instrs: list[InstrIR], next_pc: int) -> tuple[int, ...]:
     """Static successor entry pcs of a block ending in ``instrs[-1]``."""
     last = instrs[-1].ops[-1] if instrs and instrs[-1].ops else None
-    if last is None or last.name not in _TERMINALS:
+    if last is None or last.name not in TERMINALS:
         return (next_pc,)
     if last.name == "brcond":
         _a, _b, _cond, tgt, fall = last.args
@@ -702,7 +700,7 @@ class _Emitter:
             lines.append(f"# {ir.pc:#x}: {ir.mnemonic}")
             self.temps.clear()  # a temp lives within one instruction (tcg.py)
             for op in ir.ops:
-                if op.name in _TERMINALS:
+                if op.name in TERMINALS:
                     self.terminal(op, ir, k, end_ic, next_entry, side_exits)
                     terminated = True
                 elif op.name == "ld":

@@ -24,11 +24,6 @@ __all__ = [
     "guest",
     "temp",
     "imm",
-    "BINOPS",
-    "SETCONDS",
-    "FBINOPS",
-    "FUNOPS",
-    "FSETCONDS",
     "TERMINALS",
 ]
 
@@ -46,26 +41,6 @@ def temp(i: int) -> Operand:
 def imm(v: int) -> Operand:
     return ("i", v)
 
-
-#: Integer binary micro-ops (dst, a, b).
-BINOPS = frozenset(
-    {
-        "add", "sub", "and", "or", "xor",
-        "shl", "shr", "sar",
-        "mul", "mulh", "mulhu", "div", "divu", "rem", "remu",
-    }
-)
-
-#: Conditions for setcond/brcond.
-SETCONDS = frozenset({"eq", "ne", "lt", "ge", "ltu", "geu"})
-
-#: FP binary ops (dst, a, b, op).
-FBINOPS = frozenset({"fadd", "fsub", "fmul", "fdiv", "fmin", "fmax"})
-
-#: FP unary ops (dst, a, op).
-FUNOPS = frozenset({"fsqrt", "fcvt_l_d", "fcvt_d_l"})
-
-FSETCONDS = frozenset({"feq", "flt", "fle"})
 
 #: Ops that end a translation block.
 TERMINALS = frozenset({"brcond", "jmp", "jmp_ind", "exit"})

@@ -116,62 +116,13 @@ class MESIPolicy(CoherencePolicy):
         return True
 
 
-class MigrationPolicy(MESIPolicy):
-    """MESI + home migration toward each page's dominant writer.
-
-    A page whose last ``trigger`` write acquisitions were all made by the
-    same node is considered write-dominated by it; its home migrates to
-    that node's shard-affine store, so the node's subsequent faults on the
-    page are metadata-only for the master (billed at the fast-path service
-    time).  A different node writing resets the streak — and can later
-    steal the home the same way, so dominance shifts follow the workload.
-    """
-
-    name = "migrate"
-
-    def __init__(self, trigger: int) -> None:
-        self.trigger = trigger
-        # page -> (last writer, consecutive write acquisitions by it)
-        self._streaks: dict[int, tuple[int, int]] = {}
-        self._homes: dict[int, int] = {}
-
-    def observe(self, node: int, page: int, write: bool) -> tuple[Optional[int], bool]:
-        if not write:
-            return None, False
-        last, count = self._streaks.get(page, (node, 0))
-        count = count + 1 if last == node else 1
-        self._streaks[page] = (node, count)
-        if (
-            count >= self.trigger
-            and node != MASTER_NODE
-            and self._homes.get(page) != node
-        ):
-            self._homes[page] = node
-            return node, False
-        return None, False
-
-    def home_of(self, page: int) -> Optional[int]:
-        return self._homes.get(page)
-
-    def evict_node(self, node: int) -> list[int]:
-        reverted = sorted(p for p, h in self._homes.items() if h == node)
-        for page in reverted:
-            del self._homes[page]
-        for page, (last, _) in list(self._streaks.items()):
-            if last == node:
-                del self._streaks[page]
-        return reverted
-
-
 class _PageClass:
     """One page's windowed access stats + current per-page protocol."""
 
     __slots__ = ("mode", "pending", "reads", "writes", "writers", "streak_node", "streak")
 
-    def __init__(self) -> None:
-        # Pages start as single-writer candidates: the first reader gets an
-        # Exclusive grant, so private pages win from their very first fault.
-        self.mode = "mesi"
+    def __init__(self, mode: str) -> None:
+        self.mode = mode
         self.pending: Optional[str] = None
         self.reads = 0
         self.writes = 0
@@ -197,15 +148,24 @@ class AdaptivePolicy(CoherencePolicy):
 
     A switch needs the same verdict on two consecutive windows
     (hysteresis); each performed switch counts as one reclassification.
-    Pages classified ``migrate`` run the same dominant-writer home
-    migration as :class:`MigrationPolicy`; leaving the class reverts the
-    page's home to the master.
+    Pages classified ``migrate`` run dominant-writer home migration: a page
+    whose last ``trigger`` write acquisitions all came from one node gets
+    its home migrated to that node's shard-affine store, so the node's
+    subsequent faults on the page are metadata-only for the master (billed
+    at the fast-path service time).  A different node writing resets the
+    streak — and can later steal the home the same way.  Leaving the class
+    reverts the page's home to the master.
     """
 
     name = "adaptive"
+    #: Every page's class before its first verdict: single-writer, so the
+    #: first reader gets an Exclusive grant and private pages win from
+    #: their very first fault.
+    start_mode = "mesi"
 
-    def __init__(self, trigger: int, window: int) -> None:
+    def __init__(self, trigger: int, window: Optional[int]) -> None:
         self.trigger = trigger
+        #: Requests between verdicts; None never reclassifies a page.
         self.window = window
         self._pages: dict[int, _PageClass] = {}
         self._homes: dict[int, int] = {}
@@ -213,7 +173,7 @@ class AdaptivePolicy(CoherencePolicy):
     def _rec(self, page: int) -> _PageClass:
         rec = self._pages.get(page)
         if rec is None:
-            rec = self._pages[page] = _PageClass()
+            rec = self._pages[page] = _PageClass(self.start_mode)
         return rec
 
     def observe(self, node: int, page: int, write: bool) -> tuple[Optional[int], bool]:
@@ -234,7 +194,7 @@ class AdaptivePolicy(CoherencePolicy):
                 new_home = node
         else:
             rec.reads += 1
-        if rec.reads + rec.writes < self.window:
+        if self.window is None or rec.reads + rec.writes < self.window:
             return new_home, False
         verdict = self._classify(rec)
         rec.reads = rec.writes = 0
@@ -267,7 +227,7 @@ class AdaptivePolicy(CoherencePolicy):
 
     def _mode(self, page: int) -> str:
         rec = self._pages.get(page)
-        return rec.mode if rec is not None else "mesi"
+        return rec.mode if rec is not None else self.start_mode
 
     def grant_exclusive(self, node: int, page: int) -> bool:
         return self._mode(page) != "msi"
@@ -291,6 +251,17 @@ class AdaptivePolicy(CoherencePolicy):
                 rec.streak_node = None
                 rec.streak = 0
         return reverted
+
+
+class MigrationPolicy(AdaptivePolicy):
+    """MESI + home migration toward each page's dominant writer: the
+    adaptive policy with every page held in its ``migrate`` class."""
+
+    name = "migrate"
+    start_mode = "migrate"
+
+    def __init__(self, trigger: int) -> None:
+        super().__init__(trigger, window=None)
 
 
 def make_policy(config) -> CoherencePolicy:

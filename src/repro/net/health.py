@@ -1,4 +1,5 @@
-"""Per-peer health tracking fed by the RPC reliability layer.
+"""Cluster-wide peer health, fed by the RPC reliability layer and the
+heartbeat monitor.
 
 The retransmit layer (:mod:`repro.net.rpc`) distinguishes three things about
 a peer: it answered (heard from), it missed a timeout window and forced a
@@ -13,20 +14,23 @@ One :class:`HealthTracker` serves the whole cluster: every endpoint's
 :class:`~repro.net.rpc.RpcChannel` reports into it through
 ``Fabric.health`` (mirroring how ``Fabric.fault_stats`` is attached), and
 entries are keyed by the *peer being judged*, merging observations from all
-of its clients.  The tracker is pure bookkeeping — it never schedules a
-simulator event — so attaching it cannot perturb event ordering, and every
-run (retries armed or not) can carry one for free.
+of its clients.  It is also the master's failure view: the failure domain
+latches nodes ``failed`` or ``draining`` in it, and the placer and services
+ask it which nodes may take new work.  The tracker is pure bookkeeping — it
+never schedules a simulator event — so attaching it cannot perturb event
+ordering, and every run (retries armed or not) can carry one for free.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.sim.engine import Simulator
 
-__all__ = ["PeerState", "PeerHealth", "HealthTracker", "ClusterHealthView"]
+__all__ = ["PeerState", "PeerHealth", "HealthTracker"]
 
 
 class PeerState(str, Enum):
@@ -41,7 +45,8 @@ class PeerHealth:
 
     node: int
     state: PeerState = PeerState.UP
-    #: Timeout windows missed since the peer last answered anyone.
+    #: Missed windows (RPC timeouts or expired leases) since the peer last
+    #: answered anyone.
     consecutive_failures: int = 0
     retransmits: int = 0  # retransmits ever aimed at this peer
     recoveries: int = 0  # calls that recovered after retransmitting to it
@@ -65,12 +70,20 @@ class PeerHealth:
 
 @dataclass
 class HealthTracker:
-    """Cluster-wide peer states: up until proven slow, down when exhausted.
+    """Cluster-wide peer health: transient states plus two latched sets.
 
-    ``suspect_after`` consecutive missed timeout windows demote a peer to
-    ``suspect``; ``down_after`` (or any call exhausting its retry budget)
-    demote it to ``down``.  Any answered call resets the peer to ``up`` —
-    a healed partition heals the health view too.
+    ``suspect_after`` consecutive missed windows — RPC timeout windows and
+    expired heartbeat leases alike — demote a peer to ``suspect``;
+    ``down_after`` (or any call exhausting its retry budget) demote it to
+    ``down``.  Any answered call or lease renewal resets the peer to ``up``
+    — a healed partition heals the health view too.
+
+    That is the wrong semantics for a crash: a node declared *failed* must
+    stay failed even if a stale reply trickles in.  The master's failure
+    domain therefore latches nodes in ``failed`` (crashed nodes the
+    detector gave up on) and ``draining`` (nodes being evacuated
+    cooperatively; healthy, but closed for new placements), and the
+    queries below read both layers.
     """
 
     sim: Simulator
@@ -85,16 +98,70 @@ class HealthTracker:
     #: time a handler observes the timeout the cluster view already reflects
     #: the failure.
     on_down: list[Callable[[int], None]] = field(default_factory=list)
+    failed: set[int] = field(default_factory=set)
+    draining: set[int] = field(default_factory=set)
 
     def peer(self, node: int) -> PeerHealth:
         if node not in self.peers:
             self.peers[node] = PeerHealth(node=node)
         return self.peers[node]
 
-    def _went_down(self, p: PeerHealth, was: PeerState) -> None:
-        if was is PeerState.DOWN or p.state is not PeerState.DOWN:
-            return
-        if p.down_reported:
+    # -- evidence -------------------------------------------------------------
+
+    def heard_from(self, node: int) -> None:
+        """Positive liveness evidence — an answered RPC, a lease renewal:
+        resets the peer to ``up``.  A slow-but-alive node that was
+        ``suspect`` (or even transiently ``down``) recovers the moment it
+        proves itself again."""
+        p = self.peers.get(node) or self.peer(node)
+        p.last_heard_ns = self.sim.now
+        p.consecutive_failures = 0
+        p.state = PeerState.UP
+
+    def recovered(self, node: int) -> None:
+        self.peer(node).recoveries += 1
+        # heard_from() runs alongside and resets state/failure counts.
+
+    def retransmitted(self, node: int) -> None:
+        """A call to ``node`` missed a timeout window."""
+        p = self.peer(node)
+        p.retransmits += 1
+        self._missed(p, "rpc-timeout")
+
+    def lease_missed(self, node: int) -> None:
+        """A whole heartbeat lease expired with no renewal: the same weight
+        as a missed RPC timeout window (docs/PROTOCOL.md "Failure
+        detection")."""
+        p = self.peer(node)
+        p.lease_misses += 1
+        self._missed(p, "lease-expiry")
+
+    def exhausted_budget(self, node: int) -> None:
+        """A call to ``node`` ran out its whole retry budget: down at once."""
+        p = self.peer(node)
+        p.exhausted += 1
+        self._demote(p, PeerState.DOWN, "rpc-timeout")
+
+    def _missed(self, p: PeerHealth, evidence: str) -> None:
+        """One missed window of either kind, escalated through the shared
+        thresholds."""
+        p.consecutive_failures += 1
+        if p.consecutive_failures >= self.down_after:
+            state = PeerState.DOWN
+        elif p.consecutive_failures >= self.suspect_after:
+            state = PeerState.SUSPECT
+        else:
+            state = p.state
+        self._demote(p, state, evidence)
+
+    def _demote(self, p: PeerHealth, state: PeerState, evidence: str) -> None:
+        """Record failure evidence; the first transition into ``down``
+        fires ``on_down``, once per peer ever."""
+        was = p.state
+        p.state = state
+        p.last_failure_ns = self.sim.now
+        p.last_evidence = evidence
+        if state is not PeerState.DOWN or was is PeerState.DOWN or p.down_reported:
             return
         # Latch before notifying: a callback that re-enters the tracker
         # (the failure domain aborts pending calls, which can record more
@@ -103,69 +170,72 @@ class HealthTracker:
         for cb in list(self.on_down):
             cb(p.node)
 
-    # -- signals from the RPC layer ------------------------------------------
+    # -- latches (the master's failure domain) --------------------------------
 
-    def heard_from(self, node: int) -> None:
-        p = self.peers.get(node) or self.peer(node)
-        p.last_heard_ns = self.sim.now
-        p.consecutive_failures = 0
-        p.state = PeerState.UP
+    def mark_failed(self, node: int) -> None:
+        self.failed.add(node)
+        self.draining.discard(node)
 
-    def record_success(self, node: int) -> None:
-        """Positive liveness evidence from any source — an answered RPC, a
-        heartbeat lease renewal: resets the peer to ``up``.  A
-        slow-but-alive node that was ``suspect`` (or even transiently
-        ``down``) recovers the moment it proves itself again."""
-        self.heard_from(node)
-
-    def retransmitted(self, node: int) -> None:
-        p = self.peer(node)
-        was = p.state
-        p.retransmits += 1
-        p.consecutive_failures += 1
-        p.last_failure_ns = self.sim.now
-        p.last_evidence = "rpc-timeout"
-        if p.consecutive_failures >= self.down_after:
-            p.state = PeerState.DOWN
-        elif p.consecutive_failures >= self.suspect_after:
-            p.state = PeerState.SUSPECT
-        self._went_down(p, was)
-
-    def recovered(self, node: int) -> None:
-        p = self.peer(node)
-        p.recoveries += 1
-        # heard_from() runs alongside and resets state/failure counts.
-
-    def exhausted_budget(self, node: int) -> None:
-        p = self.peer(node)
-        was = p.state
-        p.exhausted += 1
-        p.last_failure_ns = self.sim.now
-        p.last_evidence = "rpc-timeout"
-        p.state = PeerState.DOWN
-        self._went_down(p, was)
-
-    # -- signals from the heartbeat monitor ----------------------------------
-
-    def lease_missed(self, node: int) -> None:
-        """A whole heartbeat lease expired with no renewal: failure
-        evidence, escalated through the same consecutive-failure
-        thresholds as a missed RPC timeout window — heartbeat and RPC
-        evidence merge in one view instead of forking a second health
-        state (docs/PROTOCOL.md "Failure detection")."""
-        p = self.peer(node)
-        was = p.state
-        p.lease_misses += 1
-        p.consecutive_failures += 1
-        p.last_failure_ns = self.sim.now
-        p.last_evidence = "lease-expiry"
-        if p.consecutive_failures >= self.down_after:
-            p.state = PeerState.DOWN
-        elif p.consecutive_failures >= self.suspect_after:
-            p.state = PeerState.SUSPECT
-        self._went_down(p, was)
+    def mark_draining(self, node: int) -> None:
+        if node not in self.failed:
+            self.draining.add(node)
 
     # -- queries ----------------------------------------------------------------
+
+    def is_failed(self, node: int) -> bool:
+        return node in self.failed
+
+    def state_of(self, node: int) -> PeerState:
+        """``down`` once latched failed; the transient state otherwise."""
+        if node in self.failed:
+            return PeerState.DOWN
+        p = self.peers.get(node)
+        return p.state if p is not None else PeerState.UP
+
+    def unusable_reason(self, node: int) -> Optional[str]:
+        """Why this node must not receive new work (None = usable)."""
+        if node in self.failed:
+            return "down"
+        if node in self.draining:
+            return "draining"
+        if self.state_of(node) is PeerState.DOWN:
+            return "down"
+        return None
+
+    def usable(self, node: int) -> bool:
+        return self.unusable_reason(node) is None
+
+    def usable_pool(
+        self, candidates: Iterable[int], exclude: int = -1,
+        skips: Optional[Counter] = None,
+    ) -> list[int]:
+        """The ``candidates`` that may take new work, healthy before suspect.
+
+        Failed, draining and down nodes are left out.  A *suspect* node
+        (missed windows, not yet confirmed dead) is a bad bet — placing
+        there risks a second evacuation moments later — so suspect nodes
+        are pressed into service only when no healthy candidate is left.
+        ``skips`` counts each ``(node, reason)`` the result bypasses.
+        """
+        healthy: list[int] = []
+        suspect: list[int] = []
+        for n in candidates:
+            if n == exclude:
+                continue
+            reason = self.unusable_reason(n)
+            if reason is not None:
+                if skips is not None:
+                    skips[(n, reason)] += 1
+            elif self.state_of(n) is PeerState.SUSPECT:
+                suspect.append(n)
+            else:
+                healthy.append(n)
+        if not healthy:
+            return suspect
+        if skips is not None:
+            for n in suspect:
+                skips[(n, "suspect")] += 1
+        return healthy
 
     def down_evidence(self, node: int) -> str:
         """Which evidence demoted ``node``: "rpc-timeout" or "lease-expiry".
@@ -178,10 +248,6 @@ class HealthTracker:
             return "rpc-timeout"
         return p.last_evidence
 
-    def state_of(self, node: int) -> PeerState:
-        p = self.peers.get(node)
-        return p.state if p is not None else PeerState.UP
-
     def states(self) -> dict[int, PeerState]:
         return {node: p.state for node, p in sorted(self.peers.items())}
 
@@ -193,64 +259,3 @@ class HealthTracker:
             f"(fails={p.consecutive_failures}, retx={p.retransmits})"
             for node, p in sorted(self.peers.items())
         )
-
-
-@dataclass
-class ClusterHealthView:
-    """Cluster-level failure view layered over the per-peer tracker.
-
-    The :class:`HealthTracker` state is transient — an answered call heals a
-    ``down`` peer back to ``up`` — which is the right semantics for a
-    partition but the wrong one for a crash: a node declared *failed* must
-    stay failed even if a stale reply trickles in.  The view therefore keeps
-    two latched sets on top of the tracker: ``failed`` (crashed nodes the
-    failure detector gave up on) and ``draining`` (nodes being evacuated
-    cooperatively; healthy, but closed for new placements).
-
-    Shared by the :class:`~repro.core.scheduler.ThreadPlacer` and the
-    master's degradation-aware services; pure bookkeeping, no simulator
-    events.
-    """
-
-    tracker: HealthTracker
-    failed: set[int] = field(default_factory=set)
-    draining: set[int] = field(default_factory=set)
-
-    # -- state transitions (master failure detector) -------------------------
-
-    def mark_failed(self, node: int) -> None:
-        self.failed.add(node)
-        self.draining.discard(node)
-
-    def mark_draining(self, node: int) -> None:
-        if node not in self.failed:
-            self.draining.add(node)
-
-    # -- queries -------------------------------------------------------------
-
-    def is_failed(self, node: int) -> bool:
-        return node in self.failed
-
-    def is_draining(self, node: int) -> bool:
-        return node in self.draining
-
-    def is_suspect(self, node: int) -> bool:
-        return self.tracker.state_of(node) is PeerState.SUSPECT
-
-    def unusable_reason(self, node: int) -> Optional[str]:
-        """Why this node must not receive new work (None = usable)."""
-        if node in self.failed:
-            return "down"
-        if node in self.draining:
-            return "draining"
-        if self.tracker.state_of(node) is PeerState.DOWN:
-            return "down"
-        return None
-
-    def usable(self, node: int) -> bool:
-        return self.unusable_reason(node) is None
-
-    def state_of(self, node: int) -> PeerState:
-        if node in self.failed:
-            return PeerState.DOWN
-        return self.tracker.state_of(node)

@@ -43,15 +43,12 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.errors import ConfigError, NetworkError
 from repro.net.faults import clone_frame
 from repro.net.messages import Message
 from repro.sim.engine import Event, Simulator
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.health import HealthTracker
 
 __all__ = ["RpcChannel", "RpcTimeout", "RetryPolicy", "RpcStats"]
 
@@ -167,7 +164,9 @@ class _Call:
     stats: object  # duck-typed ServiceStats (or None)
     first_sent_ns: int
     attempt: int = 0  # retransmits sent so far
-    retransmitted: bool = False
+    #: The one live timer (timeout window or backoff); a timer that fires
+    #: after being replaced or cancelled is stale and ignored.
+    timer: Optional[Event] = None
 
 
 class RpcChannel:
@@ -190,10 +189,6 @@ class RpcChannel:
         self._pending: dict[int, Event] = {}
         #: req_id -> state of an armed call (timeout and/or retries).
         self._calls: dict[int, _Call] = {}
-        #: req_id -> the currently armed timer (timeout or backoff).  Exactly
-        #: one live timer per armed call; stale ones are cancelled on re-arm
-        #: and on completion so long runs don't accumulate dead callbacks.
-        self._timers: dict[int, Event] = {}
         #: req_id -> (settled-at ns, "expired" | "completed"), oldest first.
         self._tombstones: OrderedDict[int, tuple[int, str]] = OrderedDict()
         #: No tombstone is older than this (the oldest one's stamp as of the
@@ -247,47 +242,54 @@ class RpcChannel:
         self.endpoint.transmit(dst, msg)
         self._pending[msg.req_id] = ev
         if timeout_ns is not None:
-            self._calls[msg.req_id] = _Call(
+            call = self._calls[msg.req_id] = _Call(
                 dst=dst, msg=msg, timeout_ns=timeout_ns, retry=retry,
                 stats=stats, first_sent_ns=self.sim.now,
             )
-            self._arm(msg.req_id, timeout_ns, self._expired)
+            self._arm(call, timeout_ns, self._expired)
         elif retry is not None:
             raise ConfigError("a retry policy needs timeout_ns to detect loss")
         return ev
 
-    def _arm(self, req_id: int, delay: int, fire) -> None:
-        timer = self.sim.timeout(delay)
-        self._timers[req_id] = timer
+    def _arm(self, call: _Call, delay: int, fire) -> None:
+        # The callback names the call by id: a cancelled timer stays in the
+        # event heap until its time, and must not keep the call alive.
+        req_id = call.msg.req_id
+        timer = call.timer = self.sim.timeout(delay)
         timer.add_callback(lambda _e: fire(req_id, timer))
 
-    def _disarm(self, req_id: int) -> None:
-        timer = self._timers.pop(req_id, None)
-        if timer is not None:
-            timer.cancel()
+    @staticmethod
+    def _disarm(call: _Call) -> None:
+        if call.timer is not None:
+            call.timer.cancel()
+            call.timer = None
+
+    def _live(self, req_id: int, timer: Event) -> Optional[_Call]:
+        """The call ``timer`` fired for, unless that call settled (completed,
+        failed or aborted) or re-armed meanwhile."""
+        call = self._calls.get(req_id)
+        if call is None or call.timer is not timer:
+            return None
+        call.timer = None
+        return call
 
     def _expired(self, req_id: int, timer: Event) -> None:
         """One timeout window elapsed: retransmit (after backoff) or fail."""
-        if self._timers.get(req_id) is not timer:
-            return  # stale timer: the call completed or re-armed meanwhile
-        del self._timers[req_id]
-        call = self._calls.get(req_id)
-        ev = self._pending.get(req_id)
-        if call is None or ev is None or ev.triggered:
+        call = self._live(req_id, timer)
+        if call is None:
             return
         if call.retry is not None and call.attempt < call.retry.max_retries:
             self._arm(
-                req_id, call.retry.backoff_ns(call.attempt, req_id),
-                self._retransmit,
+                call, call.retry.backoff_ns(call.attempt, req_id), self._retransmit
             )
             return
         # Budget exhausted (or no retry policy): fail the call.
-        del self._pending[req_id]
+        ev = self._pending.pop(req_id)
         del self._calls[req_id]
         self._remember(req_id, "expired")
         if call.attempt:
             self.exhausted += 1
-        health = self._health()
+        health = self.endpoint.fabric.health
         if health is not None:
             # Retries or not, an unanswered budget means the peer is gone as
             # far as this call is concerned.
@@ -296,28 +298,20 @@ class RpcChannel:
 
     def _retransmit(self, req_id: int, timer: Event) -> None:
         """Backoff elapsed: re-send a clone and re-arm the timeout window."""
-        if self._timers.get(req_id) is not timer:
-            return
-        del self._timers[req_id]
-        call = self._calls.get(req_id)
-        ev = self._pending.get(req_id)
-        if call is None or ev is None or ev.triggered:
+        call = self._live(req_id, timer)
+        if call is None:
             return
         call.attempt += 1
-        call.retransmitted = True
         self.retransmits += 1
         if call.stats is not None:
             call.stats.retransmits += 1
-        health = self._health()
+        health = self.endpoint.fabric.health
         if health is not None:
             health.retransmitted(call.dst)
         # Clone per the endpoint aliasing contract: the original instance is
         # owned by the fabric from its first transmission.
         self.endpoint.transmit(call.dst, clone_frame(call.msg))
-        self._arm(req_id, call.timeout_ns, self._expired)
-
-    def _health(self) -> Optional["HealthTracker"]:
-        return getattr(self.endpoint.fabric, "health", None)
+        self._arm(call, call.timeout_ns, self._expired)
 
     def abort_peer(self, node: int) -> None:
         """Fail every pending armed call aimed at ``node``, right now.
@@ -333,7 +327,7 @@ class RpcChannel:
         doomed = [rid for rid, call in self._calls.items() if call.dst == node]
         for rid in doomed:
             call = self._calls.pop(rid)
-            self._disarm(rid)
+            self._disarm(call)
             ev = self._pending.pop(rid, None)
             self._remember(rid, "expired")
             if ev is not None and not ev.triggered:
@@ -352,9 +346,8 @@ class RpcChannel:
         suspend forever rather than raise into the node's service loops.
         Subsequent inbound replies are swallowed by :meth:`complete`.
         """
-        for timer in self._timers.values():
-            timer.cancel()
-        self._timers.clear()
+        for call in self._calls.values():
+            self._disarm(call)
         self._calls.clear()
         self._pending.clear()
         self._halted = True
@@ -423,15 +416,13 @@ class RpcChannel:
             raise NetworkError(
                 f"node {self.endpoint.node_id}: reply to unknown request {req_id}"
             )
-        if self._calls:  # an armed call: disarm it, count a recovery
-            self._disarm(req_id)
-            call = self._calls.pop(req_id, None)
-        else:
-            call = None
+        call = self._calls.pop(req_id, None) if self._calls else None
+        if call is not None:  # an armed call: disarm it, count a recovery
+            self._disarm(call)
         health = self.endpoint.fabric.health
         if health is not None:
             health.heard_from(msg.src)
-        if call is not None and call.retransmitted:
+        if call is not None and call.attempt:
             self.recoveries += 1
             waited = self.sim.now - call.first_sent_ns
             self.recovery_wait_ns += waited

@@ -1,8 +1,8 @@
 """Failure domains: health-aware placement, crash tolerance, drain.
 
 Unit coverage for the pieces docs/PROTOCOL.md "Failure domains" composes —
-:class:`ThreadPlacer` health filtering, the latched
-:class:`ClusterHealthView` over the transient :class:`HealthTracker`,
+:class:`ThreadPlacer` health filtering, the latched failed/draining sets
+of the :class:`HealthTracker` over its transient peer states,
 ``FaultPlan.crash``/``drain`` schedules, directory re-homing via
 ``evict_node``, ``RpcChannel.abort_peer`` — plus end-to-end cluster runs:
 a mid-run crash aborts the seed configuration, completes degraded with the
@@ -19,19 +19,17 @@ from repro.errors import ConfigError
 from repro.mem.directory import Directory
 from repro.net import Endpoint, Fabric
 from repro.net.faults import FaultInjector, drop
-from repro.net.health import ClusterHealthView, HealthTracker, PeerState
+from repro.net.health import HealthTracker, PeerState
 from repro.net.messages import PageRequest
 from repro.net.rpc import RetryPolicy, RpcTimeout
 from repro.sim import Simulator
-from repro.workloads import blackscholes, memaccess
+from repro.workloads import blackscholes, memaccess, pi_taylor
 
 RETRY = RetryPolicy(max_retries=3, backoff_base_ns=10_000)
 
 
-def make_view(suspect_after=2, down_after=5):
-    sim = Simulator()
-    tracker = HealthTracker(sim, suspect_after=suspect_after, down_after=down_after)
-    return ClusterHealthView(tracker=tracker), tracker
+def make_tracker(suspect_after=2, down_after=5):
+    return HealthTracker(Simulator(), suspect_after=suspect_after, down_after=down_after)
 
 
 # -- health-aware placement (§5.3 + failure domains) ---------------------------
@@ -44,17 +42,17 @@ class TestHealthAwarePlacer:
         assert p.skip_counts() == {}
 
     def test_failed_and_draining_candidates_are_skipped(self):
-        view, _ = make_view()
-        p = ThreadPlacer("round_robin", [1, 2, 3], health=view, fallback=0)
-        view.mark_failed(2)
-        view.mark_draining(3)
+        tracker = make_tracker()
+        p = ThreadPlacer("round_robin", [1, 2, 3], health=tracker, fallback=0)
+        tracker.mark_failed(2)
+        tracker.mark_draining(3)
         assert [p.place() for _ in range(3)] == [1, 1, 1]
         skips = p.skip_counts()
         assert skips["n2:down"] == 3 and skips["n3:draining"] == 3
 
     def test_tracker_down_is_skipped_without_latching(self):
-        view, tracker = make_view(suspect_after=1, down_after=2)
-        p = ThreadPlacer("round_robin", [1, 2], health=view, fallback=0)
+        tracker = make_tracker(suspect_after=1, down_after=2)
+        p = ThreadPlacer("round_robin", [1, 2], health=tracker, fallback=0)
         tracker.retransmitted(2)
         tracker.retransmitted(2)
         assert tracker.state_of(2) is PeerState.DOWN
@@ -65,8 +63,8 @@ class TestHealthAwarePlacer:
         assert p.place() == 2
 
     def test_suspect_deprioritized_until_no_healthy_left(self):
-        view, tracker = make_view(suspect_after=1, down_after=3)
-        p = ThreadPlacer("round_robin", [1, 2], health=view, fallback=0)
+        tracker = make_tracker(suspect_after=1, down_after=3)
+        p = ThreadPlacer("round_robin", [1, 2], health=tracker, fallback=0)
         tracker.retransmitted(2)
         assert tracker.state_of(2) is PeerState.SUSPECT
         assert p.place() == 1
@@ -79,26 +77,26 @@ class TestHealthAwarePlacer:
         assert p.place() == 2
 
     def test_fallback_absorbs_when_nothing_usable(self):
-        view, _ = make_view()
-        p = ThreadPlacer("round_robin", [1, 2], health=view, fallback=0)
-        view.mark_failed(1)
-        view.mark_failed(2)
+        tracker = make_tracker()
+        p = ThreadPlacer("round_robin", [1, 2], health=tracker, fallback=0)
+        tracker.mark_failed(1)
+        tracker.mark_failed(2)
         assert p.place() == 0
         assert p.skip_counts()["n0:fallback"] == 1
         # Off-candidate placements are counted, not KeyError'd.
         assert p.distribution() == {1: 0, 2: 0, 0: 1}
 
     def test_no_fallback_raises(self):
-        view, _ = make_view()
-        p = ThreadPlacer("round_robin", [1], health=view)
-        view.mark_failed(1)
+        tracker = make_tracker()
+        p = ThreadPlacer("round_robin", [1], health=tracker)
+        tracker.mark_failed(1)
         with pytest.raises(ConfigError):
             p.place()
 
     def test_hint_policy_respects_health_filter(self):
-        view, _ = make_view()
-        p = ThreadPlacer("hint", [1, 2, 3], health=view, fallback=0)
-        view.mark_failed(2)
+        tracker = make_tracker()
+        p = ThreadPlacer("hint", [1, 2, 3], health=tracker, fallback=0)
+        tracker.mark_failed(2)
         # Group hashing walks the filtered pool [1, 3].
         assert p.place(hint_group=0) == 1
         assert p.place(hint_group=1) == 3
@@ -107,10 +105,10 @@ class TestHealthAwarePlacer:
         # Group 1's home with a healthy pool [1, 2, 3] is node 2.  With the
         # home failed, every placement of the group lands on the *same*
         # replacement node — locality degrades, determinism doesn't.
-        view, _ = make_view()
-        p = ThreadPlacer("hint", [1, 2, 3], health=view, fallback=0)
+        tracker = make_tracker()
+        p = ThreadPlacer("hint", [1, 2, 3], health=tracker, fallback=0)
         assert p.place(hint_group=1) == 2  # healthy home
-        view.mark_failed(2)
+        tracker.mark_failed(2)
         rehomed = [p.place(hint_group=1) for _ in range(4)]
         assert rehomed == [3, 3, 3, 3]  # pool [1, 3], group 1 -> index 1
         assert p.skip_counts()["n2:down"] == 4
@@ -118,18 +116,18 @@ class TestHealthAwarePlacer:
         assert p.place(hint_group=0) == 1
 
     def test_hinted_group_rehomes_when_home_draining(self):
-        view, _ = make_view()
-        p = ThreadPlacer("hint", [1, 2], health=view, fallback=0)
+        tracker = make_tracker()
+        p = ThreadPlacer("hint", [1, 2], health=tracker, fallback=0)
         assert p.place(hint_group=0) == 1
-        view.mark_draining(1)
+        tracker.mark_draining(1)
         assert [p.place(hint_group=0) for _ in range(3)] == [2, 2, 2]
         assert p.skip_counts() == {"n1:draining": 3}
 
     def test_hinted_group_falls_back_when_every_candidate_unusable(self):
-        view, _ = make_view()
-        p = ThreadPlacer("hint", [1, 2], health=view, fallback=0)
-        view.mark_failed(1)
-        view.mark_draining(2)
+        tracker = make_tracker()
+        p = ThreadPlacer("hint", [1, 2], health=tracker, fallback=0)
+        tracker.mark_failed(1)
+        tracker.mark_draining(2)
         assert p.place(hint_group=5) == 0
         skips = p.skip_counts()
         assert skips["n1:down"] == 1
@@ -140,8 +138,8 @@ class TestHealthAwarePlacer:
     def test_hinted_group_returns_home_after_tracker_heals(self):
         # Tracker-driven DOWN (unlike a latched failure) heals; the group
         # resumes its original home once the peer answers again.
-        view, tracker = make_view(suspect_after=1, down_after=2)
-        p = ThreadPlacer("hint", [1, 2], health=view, fallback=0)
+        tracker = make_tracker(suspect_after=1, down_after=2)
+        p = ThreadPlacer("hint", [1, 2], health=tracker, fallback=0)
         tracker.retransmitted(2)
         tracker.retransmitted(2)
         assert p.place(hint_group=1) == 1  # re-homed while node 2 is down
@@ -149,9 +147,9 @@ class TestHealthAwarePlacer:
         assert p.place(hint_group=1) == 2  # home again
 
     def test_unhinted_threads_round_robin_over_filtered_pool(self):
-        view, _ = make_view()
-        p = ThreadPlacer("hint", [1, 2, 3], health=view, fallback=0)
-        view.mark_draining(2)
+        tracker = make_tracker()
+        p = ThreadPlacer("hint", [1, 2, 3], health=tracker, fallback=0)
+        tracker.mark_draining(2)
         assert [p.place() for _ in range(4)] == [1, 3, 1, 3]
 
     def test_rr_offset_staggers_tenant_cursors(self):
@@ -163,31 +161,32 @@ class TestHealthAwarePlacer:
         assert [p1.place() for _ in range(3)] == [2, 3, 1]
 
 
-# -- latched cluster view over the transient tracker ---------------------------
+# -- latched failed/draining sets over the transient peer states --------------
 
 
-class TestClusterHealthView:
+class TestLatchedHealth:
     def test_failure_latches_over_tracker_healing(self):
-        view, tracker = make_view(suspect_after=1, down_after=2)
+        tracker = make_tracker(suspect_after=1, down_after=2)
         tracker.retransmitted(3)
         tracker.retransmitted(3)
-        view.mark_failed(3)
+        tracker.mark_failed(3)
         tracker.heard_from(3)  # a stale reply trickles in post-mortem
-        assert tracker.state_of(3) is PeerState.UP
-        assert view.is_failed(3)
-        assert view.unusable_reason(3) == "down"
-        assert view.state_of(3) is PeerState.DOWN
+        assert tracker.peer(3).state is PeerState.UP
+        assert tracker.is_failed(3)
+        assert not tracker.usable(3)
+        assert tracker.unusable_reason(3) == "down"
+        assert tracker.state_of(3) is PeerState.DOWN
 
     def test_draining_and_failed_interplay(self):
-        view, _ = make_view()
-        view.mark_failed(1)
-        view.mark_draining(1)  # no-op: the node is already gone
-        assert not view.is_draining(1)
-        view.mark_draining(2)
-        assert view.unusable_reason(2) == "draining"
-        view.mark_failed(2)  # a crash mid-drain upgrades the verdict
-        assert view.unusable_reason(2) == "down"
-        assert not view.is_draining(2)
+        tracker = make_tracker()
+        tracker.mark_failed(1)
+        tracker.mark_draining(1)  # no-op: the node is already gone
+        assert 1 not in tracker.draining
+        tracker.mark_draining(2)
+        assert tracker.unusable_reason(2) == "draining"
+        tracker.mark_failed(2)  # a crash mid-drain upgrades the verdict
+        assert tracker.unusable_reason(2) == "down"
+        assert 2 not in tracker.draining
 
 
 class TestHealthTrackerHealing:
@@ -341,6 +340,71 @@ def _clean():
     return _run()
 
 
+#: What each configuration arms, and the ``RunStats.services`` rows a run of
+#: it reports, in order: master services on shard 0, whether the master has
+#: a failure view, the slaves with a ``NodeFailureDomain`` and with a
+#: heartbeat sender, whether the placer consults health.
+_EVAC = dict(rpc_timeout_ns=5_000_000, rpc_max_retries=4, evacuation_enabled=True)
+_MASTER = "coherence splitting syscall forwarding futex"
+_NODE = "node.coherence node.split_table node.control"
+_ARMED_ROWS = _NODE + " node.syscall {node} coherence splitting futex syscall failure forwarding"
+ARMING = {
+    "default": (
+        {}, _MASTER, False, [], [], False, _NODE + " " + _MASTER,
+    ),
+    "placement": (
+        dict(health_aware_placement=True),
+        _MASTER, False, [], [], True, _NODE + " " + _MASTER,
+    ),
+    "evacuation": (
+        _EVAC, _MASTER + " failure", True, [], [], False,
+        _ARMED_ROWS.format(node=""),
+    ),
+    "checkpoint": (
+        dict(_EVAC, checkpoint_interval_ns=20_000),
+        _MASTER + " failure checkpoint", True, [1, 2, 3], [], False,
+        _ARMED_ROWS.format(node="") + " checkpoint node.checkpoint",
+    ),
+    "heartbeat": (
+        dict(_EVAC, heartbeat_interval_ns=20_000),
+        _MASTER + " failure heartbeat", True, [], [1, 2, 3], False,
+        _ARMED_ROWS.format(node="node.heartbeat") + " heartbeat",
+    ),
+    "rebalance": (
+        dict(_EVAC, rebalance_threshold_ns=2_000),
+        _MASTER + " failure", True, [1, 2, 3], [], False,
+        _ARMED_ROWS.format(node=""),
+    ),
+    "drain": (
+        dict(fault_plan=FaultPlan.drain(2, 50_000)),
+        _MASTER + " failure", True, [2], [], False,
+        _NODE + " " + _MASTER + " failure",
+    ),
+}
+
+
+class TestArming:
+    """One table of what each failure-handling knob builds: a part armed by
+    the wrong condition adds or drops a stats row in a committed table."""
+
+    @pytest.mark.parametrize("case", ARMING)
+    def test_arming(self, case):
+        cfg_kw, master_svcs, view, domains, senders, placer_health, rows = ARMING[case]
+        cluster = Cluster(3, DQEMUConfig(**cfg_kw).time_scaled(100.0))
+        r = cluster.run(
+            pi_taylor.build(n_threads=3, terms=600, reps=2), max_virtual_ms=60_000_000
+        )
+        assert r.exit_code == 0
+        runtime = cluster.jobs[0].runtime
+        nodes = cluster._fleet.nodes.items()
+        assert [s.name for s in runtime.master.dispatcher.services] == master_svcs.split()
+        assert (runtime.master.failure_view is not None) == view
+        assert [n for n, node in nodes if node.failure_domain is not None] == domains
+        assert [n for n, node in nodes if node.heartbeat_sender is not None] == senders
+        assert (runtime.placer.health is not None) == placer_health
+        assert list(r.stats.services) == rows.split()
+
+
 class TestCrashTolerance:
     def test_crash_aborts_without_failure_domain(self):
         # Seed behavior: retries alone cannot ride out a fail-stop crash.
@@ -393,6 +457,36 @@ class TestCrashTolerance:
         assert rec.rehomed_pages == 0 and rec.lost_pages == 0
         assert rec.recovered_ns is not None
         assert all(target != 2 for _tid, target in rec.evacuated)
+
+    @pytest.mark.parametrize("crash_frac, heartbeat_ns, evacuated", [
+        (0.355, None, 0),  # mid-drain; was a ServiceTimeout on the corpse
+        (0.37, 5_000, 1),  # mid-drain, quiet victim; was a hang
+        (0.6, 5_000, 2),  # after the drain; its directory entries stayed
+    ])
+    def test_crash_during_or_after_drain_is_recovered(
+        self, crash_frac, heartbeat_ns, evacuated
+    ):
+        # The drain record must not hide the crash: the node is latched
+        # failed, its directory evicted, and its record turns into a crash
+        # record that keeps what the drain evacuated.
+        drain_at = int(_clean().virtual_ns * 0.35)
+        crash_at = int(_clean().virtual_ns * crash_frac)
+        plan = FaultPlan(
+            rules=FaultPlan.crash(2, crash_at).rules,
+            crashes=((2, crash_at),), drains=((2, drain_at),),
+        )
+        cfg = DQEMUConfig(
+            fault_plan=plan, evacuation_enabled=True, health_aware_placement=True,
+            heartbeat_interval_ns=heartbeat_ns, **RELIABLE,
+        ).time_scaled(100.0)
+        r = Cluster(3, cfg).run(blackscholes.build(**PROG_KW), max_virtual_ms=5)
+        assert r.exit_code == 0
+        rec = r.failures.nodes[2]
+        assert rec.kind == "crash" and rec.detected_ns >= crash_at
+        assert rec.recovered_ns is not None and rec.rehomed_pages > 0
+        assert len(rec.evacuated) == evacuated
+        assert all(target != 2 for _tid, target in rec.evacuated)
+        assert r.health.is_failed(2) and 2 not in r.health.draining
 
     def test_default_run_is_untouched_by_the_machinery(self):
         armed = _run(**RELIABLE)
@@ -488,7 +582,7 @@ class TestEvacuationTargeting:
     latched health view — a restored or evacuated thread landing on a
     suspect or draining node risks a second evacuation moments later."""
 
-    def _svc(self, view, candidates=(1, 2, 3)):
+    def _svc(self, tracker, candidates=(1, 2, 3)):
         """The service over a fake runtime: taking the runtime is what lets a
         test hand in only the parts target selection reads."""
         from types import SimpleNamespace
@@ -497,7 +591,7 @@ class TestEvacuationTargeting:
         from repro.core.stats import RunStats
 
         runtime = SimpleNamespace(
-            sim=Simulator(), config=DQEMUConfig(), failure_view=view,
+            sim=Simulator(), config=DQEMUConfig(), failure_view=tracker,
             placer=SimpleNamespace(candidates=list(candidates)),
             node=SimpleNamespace(node_id=0),
             endpoint=None, trace=None, run_stats=RunStats(), tenant=0, state=None,
@@ -505,29 +599,29 @@ class TestEvacuationTargeting:
         return FailureDomainService(runtime)
 
     def test_pick_target_skips_suspect_nodes(self):
-        view, tracker = make_view(suspect_after=1, down_after=5)
-        svc = self._svc(view)
+        tracker = make_tracker(suspect_after=1, down_after=5)
+        svc = self._svc(tracker)
         tracker.retransmitted(2)
         assert [svc._pick_target() for _ in range(4)] == [1, 3, 1, 3]
 
     def test_pick_target_never_lands_on_draining_or_failed(self):
-        view, _ = make_view()
-        svc = self._svc(view)
-        view.mark_failed(1)
-        view.mark_draining(3)
+        tracker = make_tracker()
+        svc = self._svc(tracker)
+        tracker.mark_failed(1)
+        tracker.mark_draining(3)
         assert [svc._pick_target() for _ in range(3)] == [2, 2, 2]
 
     def test_suspect_pressed_into_service_when_no_healthy_left(self):
-        view, tracker = make_view(suspect_after=1, down_after=5)
-        svc = self._svc(view)
-        view.mark_failed(1)
-        view.mark_failed(3)
+        tracker = make_tracker(suspect_after=1, down_after=5)
+        svc = self._svc(tracker)
+        tracker.mark_failed(1)
+        tracker.mark_failed(3)
         tracker.retransmitted(2)
         assert svc._pick_target() == 2
 
     def test_exhausted_pool_falls_back_to_master(self):
-        view, _ = make_view()
-        svc = self._svc(view, candidates=(1,))
+        tracker = make_tracker()
+        svc = self._svc(tracker, candidates=(1,))
         assert svc._pick_target(exclude=1) == 0
 
     def test_rebalance_target_is_least_loaded_usable_node(self):
@@ -542,8 +636,8 @@ class TestEvacuationTargeting:
             def __init__(self, loads):
                 self.threads = _Threads(loads)
 
-        view, tracker = make_view(suspect_after=1, down_after=5)
-        svc = self._svc(view)
+        tracker = make_tracker(suspect_after=1, down_after=5)
+        svc = self._svc(tracker)
         svc.state = _State({1: 3, 2: 1, 3: 2})
         assert svc._pick_rebalance_target() == 2
         # Suspicion trumps load: the lightest node, once suspect, loses.

@@ -112,20 +112,20 @@ class TestHealthEvidence:
         t.lease_missed(5)  # already down: no re-fire
         t.exhausted_budget(5)  # already down: no re-fire
         assert fired == [5]
-        t.record_success(5)  # heals the tracker state...
+        t.heard_from(5)  # heals the tracker state...
         assert t.state_of(5) is PeerState.UP
         t.exhausted_budget(5)  # ...but a relapse must not re-run recovery
         assert t.state_of(5) is PeerState.DOWN
         assert fired == [5]
 
-    def test_record_success_recovers_suspect(self):
+    def test_heard_from_recovers_suspect(self):
         # Satellite: a renewal that arrives in time demotes suspicion back
         # to up and clears the accumulated evidence.
         t, fired = self.tracker(suspect_after=2, down_after=5)
         t.lease_missed(1)
         t.lease_missed(1)
         assert t.state_of(1) is PeerState.SUSPECT
-        t.record_success(1)
+        t.heard_from(1)
         assert t.state_of(1) is PeerState.UP
         assert t.peer(1).consecutive_failures == 0
         assert fired == []

@@ -157,7 +157,7 @@ class TestRetransmission:
         assert "after 3 retransmits" in str(failures[0])
         assert a.rpc.retransmits == 3
         assert a.rpc.exhausted == 1 and a.rpc.recoveries == 0
-        assert a.rpc._timers == {}  # no timer leaked past the failure
+        assert a.rpc._calls == {}  # no call (or its timer) outlives the failure
 
     def test_completion_cancels_timer(self):
         sim, _fabric, _inj, eps = make_cluster()
@@ -165,16 +165,18 @@ class TestRetransmission:
         sim.spawn(echo_server(b))
         replies = []
 
+        armed = []
+
         def caller():
-            reply = yield a.request(
-                1, PageRequest(page=1), timeout_ns=1_000_000, retry=RETRY
-            )
-            replies.append(reply)
+            ev = a.request(1, PageRequest(page=1), timeout_ns=1_000_000, retry=RETRY)
+            armed.extend(a.rpc._calls.values())
+            replies.append((yield ev))
 
         sim.spawn(caller())
         sim.run()
         assert len(replies) == 1
-        assert a.rpc._timers == {}
+        [call] = armed
+        assert call.timer is None and a.rpc._calls == {}
         assert a.rpc.retransmits == 0
         # The cancelled timeout still advances the clock to its expiry (the
         # heap entry stays), but fires no retransmission.

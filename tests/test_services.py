@@ -22,7 +22,7 @@ from repro.core.trace import NULL_TRACER
 from repro.errors import NetworkError, ProtocolError
 from repro.mem.pagestore import PageStore
 from repro.net import Endpoint, Fabric
-from repro.net.health import ClusterHealthView, HealthTracker
+from repro.net.health import HealthTracker
 from repro.net.messages import (
     HEADER_BYTES,
     Ack,
@@ -208,10 +208,7 @@ class TestGather:
 
     def _rig(self, route, with_view, silent):
         sim, _fabric, eps = make_cluster(3)
-        view = (
-            ClusterHealthView(tracker=HealthTracker(sim, suspect_after=2, down_after=5))
-            if with_view else None
-        )
+        view = HealthTracker(sim, suspect_after=2, down_after=5) if with_view else None
         runtime = SimpleNamespace(
             sim=sim, config=DQEMUConfig(rpc_timeout_ns=self.TIMEOUT_NS),
             endpoint=eps[0], trace=NULL_TRACER, run_stats=RunStats(), tenant=0,
