@@ -1,4 +1,4 @@
-"""The CI smoke matrix: 24 sub-second cells across the fault, crash, liveness,
+"""The CI smoke matrix: 25 sub-second cells across the fault, crash, liveness,
 tenant, DBT and coherence dimensions, all through ``run_cell``.
 
 Every cell is a registry cell (``repro.analysis.experiments``) — taken as is,
@@ -100,6 +100,24 @@ def test_busy_victim_crash_is_recovered(busy_clean, victim, checkpoint, heartbea
         assert record["protocol"]["heartbeats_sent"] > 0
     else:
         assert record["protocol"]["heartbeats_sent"] == 0
+
+
+def test_clone_onto_a_corpse_runs_once(busy_clean):
+    # Node 2 is dead from the start and the placer is health-blind, so clones
+    # keep being placed on it: each spawn fails over to a live node, and the
+    # recovery pass reaps none of them as lost.
+    cell = HEARTBEAT["busy: crash + slack hb"]
+    record = _completed(
+        replace(
+            cell, label="clone onto a corpse",
+            config={**cell.config, "health_aware_placement": False},
+            fault=Fault("crash", node=2, at_frac=0.0), ref_fracs={},
+        ),
+        busy_clean,
+    )
+    assert record["stdout"] == busy_clean["stdout"]
+    assert record["failures"]["lost_threads"] == 0
+    assert record["protocol"]["spawn_failovers"] > 0
 
 
 def test_quiet_victim_hangs_without_heartbeats(quiet_clean):

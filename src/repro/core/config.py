@@ -226,12 +226,6 @@ class DQEMUConfig:
         min=1, requires=("evacuation_enabled", "lease expiry drives the failure domain's recovery"),
         help="period of every slave's lease-renewal frame to the master; bounds crash "
              "detection even on nodes nobody calls"))
-    # Drain-driven load rebalancing: the node cooperatively evacuates its
-    # hottest runnable thread to an underloaded node via the EvacuateThread
-    # path (reason="rebalance").
-    rebalance_threshold_ns: Optional[int] = field(default=None, metadata=dict(
-        min=1, requires=("evacuation_enabled", "rebalancing reuses the failure domain's handler"),
-        help="single-stint queue wait beyond which a node sheds its hottest thread"))
 
     # -- multi-tenant job admission (docs/PROTOCOL.md "Multi-tenant jobs") ----
     # Beyond queue depth on top of max_concurrent_jobs, submit() refuses
@@ -367,7 +361,7 @@ class DQEMUConfig:
         (see EXPERIMENTS.md, "scaling methodology").  Only the fields tabled
         ``scaled`` move: CPU-side trap costs scale with guest work, not with
         the network, and a duration the user chose (timeout, backoff,
-        heartbeat/checkpoint/rebalance period) means what it says at any scale.
+        heartbeat/checkpoint period) means what it says at any scale.
         """
         if k <= 0:
             raise ConfigError("scale factor must be positive")

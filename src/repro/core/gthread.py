@@ -22,8 +22,7 @@ class GuestThread:
     """A guest thread as a DQEMU node sees it: vCPU context + accounting."""
 
     __slots__ = (
-        "cpu", "stats", "state", "enqueued_at", "blocked_at", "tenant",
-        "last_checkpoint_ns", "evac_requested",
+        "cpu", "stats", "state", "enqueued_at", "blocked_at", "tenant", "last_checkpoint_ns",
     )
 
     def __init__(self, cpu: CPUState, stats: ThreadStats, tenant: int = 0):
@@ -37,10 +36,6 @@ class GuestThread:
         #: (set to arrival time on spawn, so the first snapshot waits a
         #: full checkpoint_interval_ns).
         self.last_checkpoint_ns: int = 0
-        #: Set by the load rebalancer: evacuate this thread at its next
-        #: dequeue instead of running it (docs/PROTOCOL.md
-        #: "Checkpoint/restore", rebalancing).
-        self.evac_requested: bool = False
 
     @property
     def tid(self) -> int:

@@ -125,6 +125,9 @@ class MasterRuntime:
         # The fleet's health tracker when the failure domain is armed; None
         # keeps every service on its failure-blind, bit-identical code paths.
         self.failure_view = failure_view
+        #: Tids whose ``SpawnThread`` is outstanding (``MasterService.land``):
+        #: the failure domain's recovery pass leaves them to their landing.
+        self.landing: set[int] = set()
 
         # -- shard pools (see docs/PROTOCOL.md "Sharded master") ----------------
         self.coordinator = CrossShardCoordinator(self)

@@ -12,13 +12,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.isa.registers import SP
+from repro.isa.registers import A0, SP
 from repro.kernel.syscalls import CloneRequest, KernelMemory, SystemState
 from repro.kernel.sysnums import CLONE_CHILD_CLEARTID, CLONE_CHILD_SETTID, CLONE_PARENT_SETTID
 
-__all__ = ["build_child_context", "create_child"]
-
-A0 = 10
+__all__ = ["build_child_context", "create_child", "returning_zero"]
 
 
 def build_child_context(parent_snapshot: dict, clone: CloneRequest, child_tid: int,
@@ -51,3 +49,13 @@ def create_child(state: SystemState, mem: KernelMemory, parent_snapshot: dict,
     if clone.flags & CLONE_CHILD_SETTID and clone.ctid:
         yield from mem.write_guest(clone.ctid, rec.tid.to_bytes(8, "little"))
     return rec.tid, build_child_context(parent_snapshot, clone, rec.tid, hint)
+
+
+def returning_zero(snapshot: dict) -> dict:
+    """A copy of ``snapshot`` whose a0 reads 0: a thread re-placed from inside
+    a syscall resumes on its new node with that return value
+    (``sched_setaffinity`` succeeded; a parked ``futex_wait`` woke
+    spuriously)."""
+    regs = list(snapshot["regs"])
+    regs[A0] = 0
+    return {**snapshot, "regs": regs}

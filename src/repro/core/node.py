@@ -209,7 +209,7 @@ class NodeRuntime:
         #: Fail-stop (set by FaultPlan.crash schedules, docs/PROTOCOL.md
         #: "Failure domains").
         self.crashed = False
-        #: Drain, checkpoint and rebalance duties; None where none can happen.
+        #: Drain and checkpoint duties; None where neither can happen.
         self.failure_domain: Optional[NodeFailureDomain] = (
             NodeFailureDomain(self) if NodeFailureDomain.armed(self) else None
         )
@@ -345,10 +345,7 @@ class NodeRuntime:
             domain = self.failure_domain
             if domain is not None and domain.diverts(th):
                 continue
-            waited = self.sim.now - th.enqueued_at
-            th.stats.runnable_wait_ns += waited
-            if domain is not None and domain.rebalances(th, waited):
-                continue
+            th.stats.runnable_wait_ns += self.sim.now - th.enqueued_at
             th.state = GuestThreadState.RUNNING
             yield from self._run_turn(th)
 

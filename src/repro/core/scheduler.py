@@ -142,9 +142,6 @@ class FairRunQueue:
             self._getters.append(ev)
         return ev
 
-    def peek_all(self) -> list[Any]:
-        return list(self._items)
-
     def _pick(self) -> Any:
         items = self._items
         tenants = {th.tenant for th in items if th is not None}

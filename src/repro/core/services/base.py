@@ -43,6 +43,8 @@ from typing import (
 
 from repro.core.stats import RunStats
 from repro.errors import NetworkError, ProtocolError
+from repro.kernel.threads import ThreadState
+from repro.net.messages import SpawnThread
 from repro.net.rpc import RpcTimeout
 from repro.sim.engine import Simulator
 
@@ -144,7 +146,8 @@ class MasterService:
     This class is also the one path by which the master originates frames:
     :meth:`send` and :meth:`request` stamp the job's tenant id and carry the
     configured timeout and retransmit budget; :meth:`call`, :meth:`ask` and
-    :meth:`gather` are the three ways of awaiting a request.
+    :meth:`gather` are the three ways of awaiting a request, and :meth:`land`
+    is the one way of putting a thread on a node.
     """
 
     name = "master"
@@ -253,6 +256,38 @@ class MasterService:
             if ack is not None:
                 acks.append(ack)
         return acks, len(requests) - len(acks)
+
+    # -- placing threads --------------------------------------------------------
+
+    def land(self, tid: int, context, target: int, why: str):
+        """Put thread ``tid`` on ``target`` — the one way the master places a
+        thread (clone, migration, evacuation, restore); returns the node it
+        landed on.
+
+        Moves its record there, marks it RUNNING, emits ``why`` and ships
+        ``context`` in a ``SpawnThread``.  Until that is acked the tid is in
+        ``master.landing``, which the failure domain's recovery pass skips:
+        if the target is latched failed mid-call, the thread is re-placed
+        here on ``failure_domain.pick_target`` (``spawn_failovers``), not
+        also reaped.  A timeout against a live target still raises,
+        attributed to this service.
+        """
+        threads = self.master.state.threads
+        attempts = len(self.master.node_ids) + 1
+        self.master.landing.add(tid)
+        for _ in range(attempts):
+            threads.move(tid, target)
+            threads.set_state(tid, ThreadState.RUNNING)
+            self.trace.emit("thread", target, why, tid=tid)
+            with attribute_timeouts(self.name):
+                ack = yield from self.ask(target, SpawnThread(tid=tid, context=context))
+            if ack is not None:
+                self.master.landing.discard(tid)
+                return target
+            self.run_stats.protocol.spawn_failovers += 1
+            why = f"spawn failover: n{target} died mid-spawn"
+            target = self.master.failure_domain.pick_target(exclude=target)
+        raise RuntimeError(f"spawn of tid {tid} failed over more than {attempts} times")
 
 
 class Dispatcher:

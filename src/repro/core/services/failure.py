@@ -12,12 +12,16 @@ tracker's detector confirms a crash) or by order (a scheduled drain):
   re-spawned on a healthy node as a spurious wake.  A thread that was
   running has no recoverable context — it is reaped through the kernel's
   exit path so joiners unblock, and reported lost with per-thread
-  attribution instead of hanging the run.
+  attribution instead of hanging the run.  A thread whose ``SpawnThread``
+  to the node was still outstanding is neither: its landing re-places it.
 * **Cooperative drain** (``start_drain``): order the node to stop running
   guest threads; it hands each one back via ``EvacuateThread`` (handled
   here: re-placed on a usable node) and announces ``DrainComplete`` when
   empty.  Nothing is lost — a drain is the zero-casualty rehearsal of the
   crash path.
+
+Every re-placed thread lands (:meth:`MasterService.land`) on the node
+:meth:`FailureDomainService.pick_target` names, the one re-placement rule.
 
 Registered on shard 0's dispatcher only when armed
 (``DQEMUConfig.evacuation_enabled`` or a drain schedule), so default runs
@@ -28,17 +32,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.core.migration import returning_zero
 from repro.core.services.base import MasterService
 from repro.core.stats import FailureStats, NodeFailure
-from repro.kernel.threads import ThreadState
-from repro.net.messages import Ack, SpawnThread, StartDrain
+from repro.net.messages import Ack, StartDrain
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.master import MasterRuntime
 
 __all__ = ["FailureDomainService"]
-
-A0 = 10
 
 
 class FailureDomainService(MasterService):
@@ -49,7 +51,7 @@ class FailureDomainService(MasterService):
         super().__init__(master)
         self.state = master.state
         self.failures = FailureStats()
-        self._evac_rr = 0  # round-robin cursor over evacuation targets
+        self._evac_rr = 0  # pick_target's round-robin cursor
 
     # -- crash recovery ---------------------------------------------------------
 
@@ -107,23 +109,18 @@ class FailureDomainService(MasterService):
         stats = self.run_stats.service(self.name)
         for trec in list(self.state.threads.on_node(node)):
             tid = trec.tid
+            if tid in self.master.landing:
+                continue  # in flight to the dead node: its landing re-places it
             waiter = self.state.futexes.find(tid)
             if waiter is not None and waiter.context is not None:
                 # Parked in futex_wait with its context on the master:
                 # evacuate as a spurious wake (retval 0) — the guest's futex
                 # loop re-checks the word and goes back to sleep if needed.
                 self.state.futexes.remove(tid)
-                target = self._pick_target(exclude=node)
-                self.state.threads.move(tid, target)
-                self.state.threads.set_state(tid, ThreadState.RUNNING)
-                context = dict(waiter.context)
-                regs = list(context["regs"])
-                regs[A0] = 0
-                context["regs"] = regs
-                self.trace.emit(
-                    "thread", target, f"evacuated from dead n{node}", tid=tid
+                target = yield from self.land(
+                    tid, returning_zero(waiter.context), self.pick_target(exclude=node),
+                    f"evacuated from dead n{node}",
                 )
-                yield from self.call(target, SpawnThread(tid=tid, context=context))
                 rec.evacuated.append((tid, target))
                 stats.evacuations += 1
                 continue
@@ -139,16 +136,11 @@ class FailureDomainService(MasterService):
                 taken_ns, context = snap
                 if waiter is not None:
                     self.state.futexes.remove(tid)
-                target = self._pick_target(exclude=node)
-                self.state.threads.move(tid, target)
-                self.state.threads.set_state(tid, ThreadState.RUNNING)
                 rollback_ns = rec.detected_ns - taken_ns
-                self.trace.emit(
-                    "thread", target,
-                    f"restored from checkpoint (rollback "
-                    f"{rollback_ns / 1000:.1f}us)", tid=tid,
+                target = yield from self.land(
+                    tid, context, self.pick_target(exclude=node),
+                    f"restored from checkpoint (rollback {rollback_ns / 1000:.1f}us)",
                 )
-                yield from self.call(target, SpawnThread(tid=tid, context=context))
                 rec.restored.append((tid, target, rollback_ns))
                 stats.restores += 1
             else:
@@ -167,21 +159,16 @@ class FailureDomainService(MasterService):
         rec.recovered_ns = self.sim.now
         stats.busy_ns += self.sim.now - t0
 
-    def _pick_target(self, exclude: int = -1) -> int:
+    def pick_target(self, exclude: int = -1) -> int:
+        """The one re-placement rule — evacuation, restore, drain and spawn
+        failover: round-robin over the health tracker's usable pool, the
+        master when the pool is empty."""
         pool = self.view.usable_pool(self.master.placer.candidates, exclude)
         if not pool:
             return self.node_id  # last resort: everything runs on the master
         target = pool[self._evac_rr % len(pool)]
         self._evac_rr += 1
         return target
-
-    def _pick_rebalance_target(self, exclude: int = -1) -> int:
-        """Least-loaded usable node (thread count): a rebalanced thread must
-        land where the queue pressure is lowest, not at a blind cursor."""
-        pool = self.view.usable_pool(self.master.placer.candidates, exclude)
-        if not pool:
-            return self.node_id
-        return min(pool, key=lambda n: (len(self.state.threads.on_node(n)), n))
 
     # -- cooperative drain ------------------------------------------------------
 
@@ -204,24 +191,14 @@ class FailureDomainService(MasterService):
         yield from getattr(self, "_on_" + msg.kind)(msg)
 
     def _on_evacuate_thread(self, msg):
-        if msg.reason == "rebalance":
-            # Load shedding, not a failure: aim at the coldest node and
-            # leave the failure record alone (nothing failed).
-            target = self._pick_rebalance_target(exclude=msg.src)
-            self.trace.emit(
-                "thread", target, f"rebalanced from n{msg.src}", tid=msg.tid
-            )
-        else:
-            target = self._pick_target(exclude=msg.src)
-            rec = self.failures.nodes.get(msg.src)
-            if rec is not None:
-                rec.evacuated.append((msg.tid, target))
-            self.trace.emit(
-                "thread", target, f"evacuated from n{msg.src}", tid=msg.tid
-            )
-        self.state.threads.move(msg.tid, target)
+        target = yield from self.land(
+            msg.tid, msg.context, self.pick_target(exclude=msg.src),
+            f"evacuated from n{msg.src}",
+        )
+        rec = self.failures.nodes.get(msg.src)
+        if rec is not None:
+            rec.evacuated.append((msg.tid, target))
         self.run_stats.service(self.name).evacuations += 1
-        yield from self.call(target, SpawnThread(tid=msg.tid, context=msg.context))
         self.endpoint.reply(msg, Ack())
 
     def _on_drain_complete(self, msg):

@@ -8,8 +8,8 @@ reference to their :class:`~repro.core.node.NodeRuntime` because the state
 they act on (page store, run queue, guest threads) is shared with the
 execution engine.
 
-Beside them, :class:`NodeFailureDomain` owns a slave's drain, checkpoint and
-rebalance duties; it handles no frame, so no dispatcher knows it.
+Beside them, :class:`NodeFailureDomain` owns a slave's drain and checkpoint
+duties; it handles no frame, so no dispatcher knows it.
 
 Every handler resolves the frame's tenant bundle first: page stores, split
 tables and thread tables are per-job namespaces on a multi-tenant node, and
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.gthread import GuestThreadState
 from repro.dbt.cpu import CPUState
 from repro.mem.msi import MSIState
 from repro.mem.splitmap import SplitEntry
@@ -194,9 +193,9 @@ class NodeControlService(_NodeService):
 
 class NodeFailureDomain:
     """A slave's failure-domain duties and their state (docs/PROTOCOL.md
-    "Failure domains", "Checkpoint/restore"): cooperative drain, crash-restore
-    checkpoints, load-shedding rebalance.  Built only where one of them can
-    happen (:meth:`armed`); the node consults it when a thread is requeued or
+    "Failure domains", "Checkpoint/restore"): cooperative drain and
+    crash-restore checkpoints.  Built only where one of them can happen
+    (:meth:`armed`); the node consults it when a thread is requeued or
     dequeued."""
 
     def __init__(self, node: "NodeRuntime") -> None:
@@ -208,18 +207,14 @@ class NodeFailureDomain:
         self.draining = False
         self.evacuating = 0  # evacuation RPCs still in flight
         self.drain_sent = False
-        #: Virtual time of the last rebalance this node triggered
-        #: (cooldown: at most one per rebalance_threshold_ns window).
-        self.last_rebalance_ns = 0
 
     @staticmethod
     def armed(node: "NodeRuntime") -> bool:
-        """A drain is scheduled for ``node``, or checkpointing or rebalancing
-        is on — never on the master, which neither crashes nor drains."""
+        """A drain is scheduled for ``node``, or checkpointing is on — never
+        on the master, which neither crashes nor drains."""
         cfg = node.config
         return node.node_id != node.master_id and (
             cfg.checkpoint_interval_ns is not None
-            or cfg.rebalance_threshold_ns is not None
             or any(n == node.node_id for n, _ in cfg.drains)
         )
 
@@ -237,51 +232,27 @@ class NodeFailureDomain:
 
     def diverts(self, th: "GuestThread") -> bool:
         """True if ``th``, just dequeued, was evacuated instead of run: it was
-        queued before the drain order, or the rebalancer picked it."""
+        queued before the drain order."""
         if self.draining:
             self.evacuate(th)
             return True
-        if th.evac_requested:
-            th.evac_requested = False
-            self.evacuate(th, reason="rebalance")
-            return True
-        return False
-
-    def rebalances(self, th: "GuestThread", waited_ns: int) -> bool:
-        """Shed the hottest runnable thread if ``th``'s queue wait crossed the
-        threshold; True if ``th`` itself went."""
-        if not self._should_rebalance(waited_ns):
-            return False
-        victim = self._rebalance_victim(th)
-        self.last_rebalance_ns = self.sim.now
-        self.node.tenants[victim.tenant].run_stats.protocol.rebalance_evacuations += 1
-        if victim is th:
-            self.evacuate(th, reason="rebalance")
-            return True
-        victim.evac_requested = True
         return False
 
     # -- drain evacuation -------------------------------------------------------
 
-    def evacuate(self, th: "GuestThread", reason: str = "drain") -> None:
+    def evacuate(self, th: "GuestThread") -> None:
         """Hand a thread back to the master, whose failure-domain service
-        re-spawns it on a usable node.  ``reason`` is "drain" (the node
-        empties itself) or "rebalance" (it sheds its hottest thread)."""
+        lands it on a usable node."""
         node = self.node
         self.evacuating += 1
-        node.leave(th, f"evacuating ({reason})")
-        node.spawn(
-            self._evacuate_rpc(th.cpu, node.tenants[th.tenant], reason),
-            f"evac@{node.node_id}",
-        )
+        node.leave(th, "evacuating (drain)")
+        node.spawn(self._evacuate_rpc(th.cpu, node.tenants[th.tenant]), f"evac@{node.node_id}")
 
-    def _evacuate_rpc(self, cpu, bundle: "NodeTenant", reason: str):
+    def _evacuate_rpc(self, cpu, bundle: "NodeTenant"):
         node = self.node
         yield from node._call(
             bundle, NodeControlService.name, node.master_id,
-            EvacuateThread(
-                tid=cpu.tid, context=cpu.snapshot(), tenant=bundle.tenant, reason=reason,
-            ),
+            EvacuateThread(tid=cpu.tid, context=cpu.snapshot(), tenant=bundle.tenant),
         )
         self.evacuating -= 1
         self.check_drain_complete()
@@ -311,7 +282,7 @@ class NodeFailureDomain:
             yield from node._call(
                 node.tenants[0], NodeControlService.name, node.master_id, done
             )
-        else:  # pragma: no cover - drains require armed timeouts in practice
+        else:
             node.endpoint.send(node.master_id, done)
 
     # -- checkpointing ------------------------------------------------------------
@@ -379,27 +350,3 @@ class NodeFailureDomain:
                 "thread", node.node_id, "checkpoint lost (holder timeout)",
                 tid=tid,
             )
-
-    # -- rebalancing --------------------------------------------------------------
-
-    def _should_rebalance(self, waited_ns: int) -> bool:
-        """The wait crossed the threshold on a healthy slave, and the
-        cooldown (one shed per threshold window) has passed."""
-        threshold = self.config.rebalance_threshold_ns
-        return (
-            threshold is not None
-            and not self.draining
-            and not self.node.shutdown
-            and waited_ns >= threshold
-            and self.sim.now - self.last_rebalance_ns >= threshold
-        )
-
-    def _rebalance_victim(self, current: "GuestThread") -> "GuestThread":
-        """The hottest runnable thread: shedding the biggest compute consumer
-        moves the most queue pressure per evacuation."""
-        candidates = [current] + [
-            t for t in self.node.runqueue.peek_all()
-            if t is not None and t.state is GuestThreadState.READY
-            and not t.evac_requested
-        ]
-        return max(candidates, key=lambda t: (t.stats.execute_ns, -t.tid))

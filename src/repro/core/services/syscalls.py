@@ -19,14 +19,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.migration import create_child
+from repro.core.migration import create_child, returning_zero
 from repro.core.services.base import MasterService
 from repro.core.services.coherence import CoherentGuestMemory
 from repro.dbt.cpu import CPUState
 from repro.kernel.syscalls import SyscallExecutor, SyscallResult, SystemState
 from repro.kernel.sysnums import ERRNO, sys_name
 from repro.kernel.threads import ThreadState
-from repro.net.messages import SpawnThread, SyscallReply
+from repro.net.messages import SyscallReply
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.gthread import GuestThread
@@ -101,42 +101,10 @@ class SyscallService(MasterService):
         tid, child = yield from create_child(
             self.state, self.guest_mem, msg.context, result.clone, node_id
         )
+        node_id = yield from self.land(tid, child, node_id, f"clone: placed (hint={hint})")
         if node_id != self.node_id:
             self.run_stats.protocol.remote_thread_spawns += 1
-        self.trace.emit(
-            "thread", node_id,
-            f"clone: placed (hint={hint})", tid=tid,
-        )
-        yield from self._spawn_with_failover(node_id, tid, child)
         self.endpoint.reply(msg, SyscallReply(retval=tid))
-
-    def _spawn_with_failover(self, node_id: int, tid: int, context):
-        """Ship a new thread's context, re-placing it if the target dies.
-
-        Without a failure view this is exactly one request (timeouts, if
-        armed, escalate as before).  With one, a spawn that times out
-        against a peer the detector confirmed dead is retargeted onto the
-        next usable candidate — the child was already announced to its
-        parent, so failing the clone retroactively is not an option.
-        """
-        attempts = len(self.master.node_ids) + 1
-        for _ in range(attempts):
-            ack = yield from self.ask(node_id, SpawnThread(tid=tid, context=context))
-            if ack is not None:
-                return
-            pool = [
-                n for n in self.master.placer.candidates
-                if n != node_id and self.view.usable(n)
-            ]
-            retarget = pool[tid % len(pool)] if pool else self.node_id
-            self.trace.emit(
-                "thread", retarget,
-                f"spawn failover: n{node_id} died mid-clone", tid=tid,
-            )
-            self.run_stats.protocol.spawn_failovers += 1
-            self.state.threads.move(tid, retarget)
-            node_id = retarget
-        raise RuntimeError(f"spawn of tid {tid} failed over more than {attempts} times")
 
     def _handle_migrate(self, msg, result: SyscallResult):
         """Live thread migration (sched_setaffinity): re-place the calling
@@ -157,16 +125,10 @@ class SyscallService(MasterService):
         if target == msg.src:
             self.endpoint.reply(msg, SyscallReply(retval=0))
             return
-        self.state.threads.move(msg.tid, target)
-        context = dict(msg.context)
-        regs = list(context["regs"])
-        regs[10] = 0  # a0: sched_setaffinity returns 0 on the new node
-        context["regs"] = regs
-        self.trace.emit(
-            "thread", target, f"migrated from n{msg.src}", tid=msg.tid
+        yield from self.land(
+            msg.tid, returning_zero(msg.context), target, f"migrated from n{msg.src}"
         )
         self.run_stats.protocol.thread_migrations += 1
-        yield from self._spawn_with_failover(target, msg.tid, context)
         self.endpoint.reply(msg, SyscallReply(migrated=True))
 
 

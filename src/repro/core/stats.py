@@ -43,12 +43,6 @@ class ThreadStats:
     def busy_ns(self) -> int:
         return self.execute_ns + self.translate_ns + self.pagefault_ns + self.syscall_ns
 
-    @property
-    def lifetime_ns(self) -> Optional[int]:
-        if self.finished_ns is None:
-            return None
-        return self.finished_ns - self.created_ns
-
 
 @dataclass
 class ProtocolStats:
@@ -75,8 +69,8 @@ class ProtocolStats:
     #: Degradation counters (docs/PROTOCOL.md "Failure domains"), all zero
     #: unless a node failed mid-run: RPCs to a confirmed-dead peer that a
     #: tolerant service skipped instead of aborting on, futex wakes whose
-    #: sleeper died with its node, and thread spawns re-placed after their
-    #: original target failed mid-clone.
+    #: sleeper died with its node, and landings re-placed after their target
+    #: failed mid-spawn (``MasterService.land``).
     dead_peer_skips: int = 0
     lost_wakes: int = 0
     spawn_failovers: int = 0
@@ -102,9 +96,6 @@ class ProtocolStats:
     checkpoint_pages_flushed: int = 0  # Modified pages folded into home copies
     checkpoint_stale_pages: int = 0  # flushed pages skipped (ownership moved)
     checkpoint_bytes: int = 0  # wire bytes spent shipping snapshots
-    #: Drain-driven load rebalancing: hottest-thread evacuations triggered by
-    #: a queue-wait stint crossing rebalance_threshold_ns.
-    rebalance_evacuations: int = 0
     #: Active-liveness telemetry (docs/PROTOCOL.md "Failure detection");
     #: all zero unless DQEMUConfig.heartbeat_interval_ns is set.
     heartbeats_sent: int = 0  # lease renewals slaves put on the wire

@@ -57,13 +57,6 @@ class CPUState:
 
     # -- register helpers ---------------------------------------------------
 
-    def read_reg(self, idx: int) -> int:
-        return self.regs[idx]
-
-    def write_reg(self, idx: int, value: int) -> None:
-        if idx != 0:
-            self.regs[idx] = value & M64
-
     @property
     def sp(self) -> int:
         return self.regs[SP]

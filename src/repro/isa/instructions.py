@@ -80,10 +80,6 @@ class InstrSpec:
     def is_atomic(self) -> bool:
         return bool(self.flags & Flag.ATOMIC)
 
-    @property
-    def is_branch(self) -> bool:
-        return bool(self.flags & Flag.BRANCH)
-
 
 def _build_specs() -> dict[str, InstrSpec]:
     rows: list[tuple] = []

@@ -29,9 +29,6 @@ class Section:
     def end(self) -> int:
         return self.base + len(self.data)
 
-    def contains(self, addr: int) -> bool:
-        return self.base <= addr < self.end
-
 
 @dataclass
 class Program:

@@ -34,10 +34,6 @@ class MemoryManager:
             self._brk = addr
         return self._brk
 
-    @property
-    def current_brk(self) -> int:
-        return self._brk
-
     # -- mmap --------------------------------------------------------------
 
     def mmap(self, length: int) -> int:
@@ -58,13 +54,3 @@ class MemoryManager:
             return -ERRNO.EINVAL
         del self._regions[addr]
         return 0
-
-    def is_mapped(self, addr: int) -> bool:
-        for base, length in self._regions.items():
-            if base <= addr < base + length:
-                return True
-        return False
-
-    @property
-    def mapped_bytes(self) -> int:
-        return sum(self._regions.values())

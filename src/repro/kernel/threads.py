@@ -79,9 +79,6 @@ class ThreadTable:
     def on_node(self, node: int) -> list[ThreadRecord]:
         return [t for t in self.alive() if t.node == node]
 
-    def all_threads(self) -> list[ThreadRecord]:
-        return list(self._threads.values())
-
     def __len__(self) -> int:
         return len(self._threads)
 

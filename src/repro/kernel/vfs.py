@@ -143,7 +143,3 @@ class VFS:
 
     def stderr_text(self) -> str:
         return self.stderr.decode("utf-8", errors="replace")
-
-    @property
-    def open_fd_count(self) -> int:
-        return len(self._fds)

@@ -36,15 +36,14 @@ class DirEntry:
 class CoherencePlan:
     """Actions the master must take before granting a request.
 
-    ``fetch_from``   — node whose Modified copy must be written back first.
+    ``fetch_from``   — node whose Modified copy must be written back first
+                       (on a read it keeps the page, Shared).
     ``invalidate``   — nodes whose copies must be dropped (write requests).
-    ``downgrade``    — owner that keeps the page but drops to Shared (reads).
     ``already_granted`` — requester already holds a sufficient copy.
     """
 
     fetch_from: Optional[int] = None
     invalidate: tuple[int, ...] = ()
-    downgrade: Optional[int] = None
     already_granted: bool = False
 
 
@@ -83,7 +82,7 @@ class Directory:
         if ent.owner == node or node in ent.sharers:
             return CoherencePlan(already_granted=True)
         if ent.owner is not None:
-            return CoherencePlan(fetch_from=ent.owner, downgrade=ent.owner)
+            return CoherencePlan(fetch_from=ent.owner)
         return CoherencePlan()
 
     # -- commit ------------------------------------------------------------

@@ -275,10 +275,6 @@ class EvacuateThread(Message):
     kind: ClassVar[str] = "evacuate_thread"
     tid: int = 0
     context: Any = None  # CPUState snapshot, same blob as SpawnThread
-    #: Why the thread is being shipped back: "drain" (the node is emptying
-    #: itself, PR 5's cooperative path) or "rebalance" (the node's queue wait
-    #: crossed rebalance_threshold_ns and it is shedding its hottest thread).
-    reason: str = "drain"
 
     def payload_bytes(self) -> int:
         return 1024  # registers + thread metadata

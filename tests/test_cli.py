@@ -66,7 +66,6 @@ class TestRunCli:
                 hello_file, "--slaves", "2",
                 "--rpc-timeout-ns", "2000000", "--evacuation",
                 "--checkpoint-interval-ns", "50000",
-                "--rebalance-threshold-ns", "100000",
             ]
         ) == 5
 

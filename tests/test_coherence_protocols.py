@@ -56,7 +56,6 @@ class TestDirectoryExclusive:
         plan = d.plan(4, 100, write=False)
         # The E holder may have silently upgraded: treat it as an owner.
         assert plan.fetch_from == 3
-        assert plan.downgrade == 3
 
     def test_evict_exclusive_owner_counts_page_lost(self):
         d = Directory()

@@ -42,7 +42,6 @@ INVALID = [
     (dict(checkpoint_interval_ns=0, **ARMED), "checkpoint_interval_ns must be >= 1"),
     (dict(checkpoint_service_ns=-1), "checkpoint_service_ns must be >= 0"),
     (dict(heartbeat_interval_ns=0, **ARMED), "heartbeat_interval_ns must be >= 1"),
-    (dict(rebalance_threshold_ns=0, **ARMED), "rebalance_threshold_ns must be >= 1"),
     (dict(max_concurrent_jobs=0), "max_concurrent_jobs must be >= 1"),
     (dict(admission_queue_depth=-1), "admission_queue_depth must be >= 0"),
     # -- choice sets --
@@ -56,8 +55,6 @@ INVALID = [
      "checkpoint_interval_ns needs evacuation_enabled"),
     (dict(heartbeat_interval_ns=1_000, rpc_timeout_ns=10_000),
      "heartbeat_interval_ns needs evacuation_enabled"),
-    (dict(rebalance_threshold_ns=5_000, rpc_timeout_ns=10_000),
-     "rebalance_threshold_ns needs evacuation_enabled"),
     # -- the hand-written rules --
     (dict(health_suspect_after=3, health_down_after=3), "health_down_after must exceed"),
     (dict(fault_plan="drop everything"), "fault_plan must be"),
@@ -102,8 +99,7 @@ def test_every_tabled_rule_has_a_row():
 def test_the_whole_dependency_chain_armed_is_valid():
     cfg = DQEMUConfig(
         rpc_max_retries=2, health_suspect_after=3, health_down_after=9,
-        checkpoint_interval_ns=10_000, heartbeat_interval_ns=1_000,
-        rebalance_threshold_ns=5_000, **ARMED,
+        checkpoint_interval_ns=10_000, heartbeat_interval_ns=1_000, **ARMED,
     )
     assert (cfg.health_suspect_after, cfg.health_down_after) == (3, 9)
     assert cfg.heartbeat_lease_ns == 4_000
@@ -114,7 +110,7 @@ def test_time_scaled_moves_exactly_the_scaled_fields(k):
     assert {f.name for f in fields(DQEMUConfig) if "scaled" in f.metadata} == SCALED
     cfg = DQEMUConfig(
         rpc_max_retries=2, checkpoint_interval_ns=7_000, heartbeat_interval_ns=3,
-        rebalance_threshold_ns=5_000, coherence_protocol="migrate", **ARMED,
+        coherence_protocol="migrate", **ARMED,
     )
     scaled = cfg.time_scaled(k)
     for f in fields(DQEMUConfig):

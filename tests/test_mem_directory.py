@@ -52,7 +52,6 @@ class TestPlans:
         d.commit(1, 100, write=True)
         plan = d.plan(2, 100, write=False)
         assert plan.fetch_from == 1
-        assert plan.downgrade == 1
         d.commit(2, 100, write=False)
         assert d.owner(100) is None
         assert d.sharers(100) == frozenset({1, 2})
