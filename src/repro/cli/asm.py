@@ -13,6 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from repro.errors import AssemblerError
 from repro.isa import assemble, disassemble_block
 
 __all__ = ["main", "build_parser"]
@@ -57,7 +58,11 @@ def render_symbols(program) -> str:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     source = sys.stdin.read() if args.source == "-" else Path(args.source).read_text()
-    program = assemble(source, entry_symbol=args.entry)
+    try:
+        program = assemble(source, entry_symbol=args.entry)
+    except AssemblerError as exc:
+        print(f"repro-asm: {args.source}: {exc}", file=sys.stderr)
+        return 1
     text = render_symbols(program) if args.symbols else render_listing(program)
     if args.output:
         Path(args.output).write_text(text + "\n")

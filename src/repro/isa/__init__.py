@@ -6,7 +6,7 @@ from repro.isa.disassembler import disassemble_block, disassemble_word, format_i
 from repro.isa.encoding import INSTR_BYTES, decode, encode
 from repro.isa.instructions import BY_OPCODE, SPECS, Flag, Fmt, Instruction, InstrSpec
 from repro.isa.program import DEFAULT_TEXT_BASE, Program, Section
-from repro.isa.registers import ABI_NAMES, NUM_REGS, reg_name, reg_num
+from repro.isa.registers import ABI_NAMES, NUM_REGS, reg_name
 
 __all__ = [
     "ABI_NAMES",
@@ -30,5 +30,4 @@ __all__ = [
     "encode",
     "format_instruction",
     "reg_name",
-    "reg_num",
 ]

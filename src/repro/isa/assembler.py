@@ -18,32 +18,64 @@ Operand syntax by format::
     sc    rd, rs2, (rs1)
     cas   rd, rs2, (rs1)
     hint  imm                   # scheduling hint (paper §5.3)
+
+Pass 1 tokenizes each line once, looks its mnemonic up in one table and lays
+out the sections; pass 2 runs the table's encoders, one per emitted word,
+which return words through the field encoders of :mod:`repro.isa.encoding`.
+Comments start at ``#`` or ``//`` outside quotes; every error names its line.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import struct
 from typing import Optional
 
-from repro.errors import AssemblerError
-from repro.isa.encoding import IMM14_MAX, IMM14_MIN, INSTR_BYTES, encode
+from repro.errors import AssemblerError, EncodingError
+from repro.isa.encoding import (
+    IMM14_MAX, IMM14_MIN, INSTR_BYTES, encode_b, encode_i, encode_j, encode_m, encode_r, encode_s,
+)
 from repro.isa.instructions import SPECS, Fmt, Instruction
 from repro.isa.program import DEFAULT_TEXT_BASE, Program, Section
-from repro.isa.registers import reg_num
+from repro.isa.registers import REG_BY_NAME
 
 __all__ = ["Assembler", "assemble"]
 
-_LABEL_RE = re.compile(r"^[A-Za-z_.$][\w.$]*$")
-_MEM_RE = re.compile(r"^(?P<off>[^()]*)\((?P<reg>[^()]+)\)$")
+_NAME = r"[A-Za-z_.$][\w.$]*"
+_LABEL_RE = re.compile(_NAME)
+_LABEL_DEF_RE = re.compile(rf"({_NAME})\s*:\s*")
+_SYM_OFFSET_RE = re.compile(rf"({_NAME})\s*([+-])\s*(.+)")
+_MEM_RE = re.compile(r"([^()]*?)\s*\(\s*([^()]+?)\s*\)")
+_COMMA_RE = re.compile(r"\s*,\s*")
+_OPERAND_RE = re.compile(r"""(?:'(?:\\.|[^'\\])*'|"(?:\\.|[^"\\])*"|\([^()]*\)?|[^,'"(]|['"])+""")
+#: The code before a line's comment: ``#`` or ``//`` outside quotes.
+_CODE_RE = re.compile(r"""(?:[^#/"']+|/(?!/)|"(?:\\.|[^"\\])*"|'(?:\\.|[^'\\])*'|["'])*""")
+_STRING_RE = re.compile(r'"(.*)"')
 
 PAGE = 4096
+_DATA_SIZES = {".quad": 8, ".word": 4, ".half": 2, ".byte": 1}
+
+
+class _CaseFolded(dict):
+    """Name -> value; a miss retries in lower case, then fails as unknown."""
+
+    def __init__(self, what: str, table: dict) -> None:
+        super().__init__(table)
+        self.what = what
+
+    def __missing__(self, name):
+        lowered = name.lower()
+        if lowered in self:
+            return self[lowered]
+        raise KeyError(f"unknown {self.what} {name!r}")
+
+
+_REG = _CaseFolded("register", REG_BY_NAME)
 
 
 def _parse_int(tok: str) -> int:
-    tok = tok.strip()
     try:
-        if tok.startswith("'") and tok.endswith("'") and len(tok) >= 3:
+        if tok[:1] == "'" and tok[-1:] == "'" and len(tok) >= 3:
             body = tok[1:-1].encode().decode("unicode_escape")
             if len(body) != 1:
                 raise ValueError
@@ -53,21 +85,143 @@ def _parse_int(tok: str) -> int:
         raise AssemblerError(f"bad integer literal {tok!r}") from None
 
 
-@dataclass
-class _PendingInstr:
-    addr: int  # offset within .text
-    lineno: int
-    mnemonic: str
-    ops: list[str]
+def _eval(expr: str, symbols: dict[str, int]) -> int:
+    """``symbol``, ``symbol±int`` or an integer literal."""
+    if expr in symbols:
+        return symbols[expr]
+    try:
+        return int(expr, 0)
+    except ValueError:
+        pass
+    m = _SYM_OFFSET_RE.fullmatch(expr)
+    if m:
+        name, sign, off = m.groups()
+        if name not in symbols:
+            raise AssemblerError(f"unknown symbol {name!r}")
+        return symbols[name] + (_parse_int(off) if sign == "+" else -_parse_int(off))
+    if _LABEL_RE.fullmatch(expr):
+        raise AssemblerError(f"unknown symbol {expr!r}")
+    return _parse_int(expr)
 
 
-@dataclass
-class _PendingData:
-    section: str
-    offset: int
-    size: int
-    expr: str
-    lineno: int
+def _target(tok: str, pc: int, symbols: dict[str, int]) -> int:
+    """Branch/jump operand: a label (pc-relative) or a literal byte offset."""
+    if tok in symbols:
+        return symbols[tok] - pc
+    if _LABEL_RE.fullmatch(tok) or "+" in tok or "-" in tok[1:]:
+        return _eval(tok, symbols) - pc
+    return _parse_int(tok)
+
+
+def _mem(tok: str, symbols: dict[str, int]) -> tuple[int, int]:
+    """``imm(reg)`` -> (offset, register)."""
+    m = _MEM_RE.fullmatch(tok)
+    if m is None:
+        raise AssemblerError(f"bad memory operand {tok!r}")
+    off, reg = m.groups()
+    return (_eval(off, symbols) if off else 0), _REG[reg]
+
+
+def _bare_mem(tok: str) -> int:
+    """``(reg)`` -> register (atomics take no offset)."""
+    m = _MEM_RE.fullmatch(tok)
+    if m is None or m.group(1):
+        raise AssemblerError(f"atomic operand must be (reg): {tok!r}")
+    return _REG[m.group(2)]
+
+
+def _operands(text: str) -> list[str]:
+    """Split on commas; with quotes present, not on those inside quotes or parentheses."""
+    if "'" in text or '"' in text:
+        return [op.strip() for op in _OPERAND_RE.findall(text)]
+    return _COMMA_RE.split(text)
+
+
+# -- the instruction table ------------------------------------------------------
+#
+# mnemonic -> (operand counts, one encoder per emitted word); an encoder maps
+# (operands, pc of its word, symbols) to the word.  ``li`` has no encoders: its
+# operand is a literal, so pass 1 emits its words.
+
+_OP = {m: spec.opcode for m, spec in SPECS.items()}
+_UNARY_R = ("fsqrt", "fcvt.d.l", "fcvt.l.d")
+
+
+def _real(m: str, spec) -> tuple[tuple[int, ...], tuple]:
+    op, fmt = spec.opcode, spec.fmt
+    if fmt is Fmt.SYS:
+        return (0,), (lambda o, pc, s: op << 24,)
+    if m == "hint":  # `hint 5` (literal group) or `hint t0` (group from register)
+        return (1,), (lambda o, pc, s: encode_i(op, 0, _REG[o[0]], 0) if o[0].lower() in _REG
+                       else encode_i(op, 0, 0, _eval(o[0], s)),)
+    if fmt is Fmt.R:
+        if m == "lr":
+            return (2,), (lambda o, pc, s: encode_r(op, _REG[o[0]], _bare_mem(o[1]), 0),)
+        if spec.is_atomic:
+            return (3,), (lambda o, pc, s: encode_r(op, _REG[o[0]], _bare_mem(o[2]), _REG[o[1]]),)
+        if m in _UNARY_R:
+            return (2,), (lambda o, pc, s: encode_r(op, _REG[o[0]], _REG[o[1]], 0),)
+        return (3,), (lambda o, pc, s: encode_r(op, _REG[o[0]], _REG[o[1]], _REG[o[2]]),)
+    if fmt is Fmt.I and spec.is_load:
+        def load(o, pc, s):
+            off, base = _mem(o[1], s)
+            return encode_i(op, _REG[o[0]], base, off)
+        return (2,), (load,)
+    if fmt is Fmt.I:
+        return (3,), (lambda o, pc, s: encode_i(op, _REG[o[0]], _REG[o[1]], _eval(o[2], s)),)
+    if fmt is Fmt.S:
+        def store(o, pc, s):
+            off, base = _mem(o[1], s)
+            return encode_s(op, base, _REG[o[0]], off)
+        return (2,), (store,)
+    if fmt is Fmt.B:
+        return (3,), (lambda o, pc, s: encode_b(op, _REG[o[0]], _REG[o[1]], _target(o[2], pc, s)),)
+    if fmt is Fmt.M:
+        return (2, 3), (lambda o, pc, s: encode_m(
+            op, _REG[o[0]], _eval(o[1], s) & 0xFFFF, _eval(o[2], s) if len(o) > 2 else 0),)
+    return (2,), (lambda o, pc, s: encode_j(op, _REG[o[0]], _target(o[1], pc, s)),)  # J
+
+
+def _la_half(k: int):
+    op = _OP["movk"] if k else _OP["movz"]
+    return lambda o, pc, s: encode_m(op, _REG[o[0]], (_eval(o[1], s) >> 16 * k) & 0xFFFF, k)
+
+
+def _pseudos() -> dict[str, tuple[tuple[int, ...], Optional[tuple]]]:
+    addi, sub, xori, sltiu, sltu, jal, jalr = (
+        _OP[m] for m in ("addi", "sub", "xori", "sltiu", "sltu", "jal", "jalr"))
+    table = {
+        "nop": ((0,), (lambda o, pc, s: encode_i(addi, 0, 0, 0),)),
+        "mv": ((2,), (lambda o, pc, s: encode_i(addi, _REG[o[0]], _REG[o[1]], 0),)),
+        "neg": ((2,), (lambda o, pc, s: encode_r(sub, _REG[o[0]], 0, _REG[o[1]]),)),
+        "not": ((2,), (lambda o, pc, s: encode_i(xori, _REG[o[0]], _REG[o[1]], -1),)),
+        "seqz": ((2,), (lambda o, pc, s: encode_i(sltiu, _REG[o[0]], _REG[o[1]], 1),)),
+        "snez": ((2,), (lambda o, pc, s: encode_r(sltu, _REG[o[0]], 0, _REG[o[1]]),)),
+        "j": ((1,), (lambda o, pc, s: encode_j(jal, 0, _target(o[0], pc, s)),)),
+        "jr": ((1,), (lambda o, pc, s: encode_i(jalr, 0, _REG[o[0]], 0),)),
+        "call": ((1,), (lambda o, pc, s: encode_j(jal, 1, _target(o[0], pc, s)),)),
+        "ret": ((0,), (lambda o, pc, s: encode_i(jalr, 0, 1, 0),)),
+        "li": ((2,), None),
+        "la": ((2,), tuple(_la_half(k) for k in range(4))),
+    }
+    for m, real in (("beqz", "beq"), ("bnez", "bne")):
+        op = _OP[real]
+        table[m] = (2,), (lambda o, pc, s, op=op: encode_b(op, _REG[o[0]], 0, _target(o[1], pc, s)),)
+    for m, real in (("bgt", "blt"), ("ble", "bge"), ("bgtu", "bltu"), ("bleu", "bgeu")):
+        op = _OP[real]
+        table[m] = (3,), (lambda o, pc, s, op=op: encode_b(
+            op, _REG[o[1]], _REG[o[0]], _target(o[2], pc, s)),)
+    return table
+
+
+_INSTRS = _CaseFolded("mnemonic", {m: _real(m, spec) for m, spec in SPECS.items()} | _pseudos())
+PSEUDOS = frozenset(_INSTRS) - frozenset(SPECS)
+_NOP = encode_i(_OP["addi"], 0, 0, 0)
+
+
+def _located(lineno: int, exc: Exception) -> AssemblerError:
+    message = exc.args[0] if isinstance(exc, KeyError) else str(exc)
+    return AssemblerError(f"line {lineno}: {message}")
 
 
 class Assembler:
@@ -87,57 +241,67 @@ class Assembler:
     # -- public API ----------------------------------------------------------
 
     def assemble(self, source: str) -> Program:
-        lines = source.splitlines()
-        symbols: dict[str, int] = {}
         sections = {
             ".text": Section(".text", self.text_base),
             ".data": Section(".data", 0),  # base fixed after pass 1
             ".bss": Section(".bss", 0),
         }
-        pending_instrs: list[_PendingInstr] = []
-        pending_data: list[_PendingData] = []
+        data = sections[".data"].data
+        # .text rows: (lineno, encoder, operands) or (lineno, None, word).
+        rows: list[tuple] = []
+        fixups: list[tuple[int, int, int, str]] = []  # (lineno, offset, size, expr)
+        labels: dict[str, tuple[str, int]] = {}
 
-        # ---- pass 1: layout .text, record label positions ----
+        # ---- pass 1: tokenize, lay out the sections, record labels ----
         cursor = {".text": 0, ".data": 0, ".bss": 0}
         current = ".text"
-        label_positions: dict[str, tuple[str, int]] = {}
-
-        def here() -> int:
-            return cursor[current]
-
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.split("#", 1)[0].split("//", 1)[0].strip()
-            if not line:
-                continue
-            # Labels (possibly several on one line).
-            while True:
-                m = re.match(r"^([A-Za-z_.$][\w.$]*)\s*:\s*", line)
-                if not m:
-                    break
-                name = m.group(1)
-                if name in label_positions:
-                    raise AssemblerError(f"line {lineno}: duplicate label {name!r}")
-                label_positions[name] = (current, here())
-                line = line[m.end():]
-            if not line:
-                continue
-            if line.startswith("."):
-                current, size = self._directive_pass1(
-                    line, lineno, current, cursor, sections, pending_data
-                )
-                continue
-            # Instruction (or pseudo): compute expansion size.
-            mnemonic, ops = self._split_instr(line, lineno)
-            n_words = self._expansion_words(mnemonic, ops, lineno)
-            if current != ".text":
-                raise AssemblerError(f"line {lineno}: instruction outside .text")
-            pending_instrs.append(
-                _PendingInstr(addr=here(), lineno=lineno, mnemonic=mnemonic, ops=ops)
-            )
-            cursor[".text"] += n_words * INSTR_BYTES
+        for lineno, line in enumerate(source.splitlines(), start=1):
+            try:
+                if "#" in line or "/" in line or '"' in line or "'" in line:
+                    line = _CODE_RE.match(line).group()
+                line = line.strip()
+                if not line:
+                    continue
+                while ":" in line:  # labels, possibly several on one line
+                    m = _LABEL_DEF_RE.match(line)
+                    if not m:
+                        break
+                    name = m.group(1)
+                    if name in labels:
+                        raise AssemblerError(f"duplicate label {name!r}")
+                    labels[name] = (current, cursor[current])
+                    line = line[m.end():]
+                if not line:
+                    continue
+                if line[0] == ".":
+                    current = self._directive(line, lineno, current, cursor, data, rows, fixups)
+                    continue
+                parts = line.split(None, 1)
+                mnemonic = parts[0]
+                counts, encoders = _INSTRS[mnemonic]
+                if len(parts) == 1:
+                    ops = []
+                elif "'" in line or '"' in line:
+                    ops = _operands(parts[1])
+                else:  # the common case, inline
+                    ops = _COMMA_RE.split(parts[1])
+                if len(ops) not in counts:
+                    raise AssemblerError(f"{mnemonic} takes {' or '.join(map(str, counts))}"
+                                         f" operands, got {len(ops)}")
+                if current != ".text":
+                    raise AssemblerError("instruction outside .text")
+                if encoders is None:  # li
+                    for word in _li_words(_REG[ops[0]], _parse_int(ops[1])):
+                        rows.append((lineno, None, word))
+                        cursor[".text"] += INSTR_BYTES
+                else:
+                    for encoder in encoders:
+                        rows.append((lineno, encoder, ops))
+                        cursor[".text"] += INSTR_BYTES
+            except (AssemblerError, EncodingError, KeyError) as exc:
+                raise _located(lineno, exc) from exc
 
         # ---- fix section bases ----
-        sections[".text"].data = bytearray(cursor[".text"])
         text_end = self.text_base + cursor[".text"]
         data_base = (
             self.data_base
@@ -145,335 +309,127 @@ class Assembler:
             else (text_end + PAGE - 1) // PAGE * PAGE
         )
         sections[".data"].base = data_base
-        data_end = data_base + cursor[".data"]
-        bss_base = (data_end + PAGE - 1) // PAGE * PAGE
-        sections[".bss"].base = bss_base
+        sections[".bss"].base = (data_base + len(data) + PAGE - 1) // PAGE * PAGE
         sections[".bss"].data = bytearray(cursor[".bss"])
-        # .data content gets filled during pass 1 directives; pad to cursor.
-        if len(sections[".data"].data) < cursor[".data"]:
-            sections[".data"].data.extend(
-                bytes(cursor[".data"] - len(sections[".data"].data))
-            )
+        symbols = {name: sections[sec].base + off for name, (sec, off) in labels.items()}
 
-        # ---- resolve labels to absolute addresses ----
-        for name, (sec, off) in label_positions.items():
-            symbols[name] = sections[sec].base + off
-
-        # ---- pass 2: encode instructions ----
-        text = sections[".text"]
-        for pi in pending_instrs:
-            pc = self.text_base + pi.addr
-            instrs = self._expand(pi.mnemonic, pi.ops, pc, symbols, pi.lineno)
-            for k, instr in enumerate(instrs):
-                word = encode(instr)
-                off = pi.addr + k * INSTR_BYTES
-                text.data[off : off + 4] = word.to_bytes(4, "little")
-
-        # ---- pass 2: data fixups ----
-        for pd in pending_data:
-            value = self._eval(pd.expr, symbols, pd.lineno)
-            sec = sections[pd.section]
-            sec.data[pd.offset : pd.offset + pd.size] = (value & ((1 << (8 * pd.size)) - 1)).to_bytes(pd.size, "little")
+        # ---- pass 2: encode .text, then resolve symbolic data ----
+        words = []
+        pc = self.text_base
+        for lineno, encoder, arg in rows:
+            if encoder is None:
+                words.append(arg)
+            else:
+                try:
+                    words.append(encoder(arg, pc, symbols))
+                except (AssemblerError, EncodingError, KeyError) as exc:
+                    raise _located(lineno, exc) from exc
+            pc += INSTR_BYTES
+        sections[".text"].data = bytearray(struct.pack(f"<{len(words)}I", *words))
+        for lineno, offset, size, expr in fixups:
+            try:
+                value = _eval(expr, symbols)
+            except AssemblerError as exc:
+                raise _located(lineno, exc) from exc
+            data[offset : offset + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
 
         if self.entry_symbol not in symbols:
             raise AssemblerError(f"entry symbol {self.entry_symbol!r} not defined")
         return Program(sections=sections, symbols=symbols, entry=symbols[self.entry_symbol])
 
-    # -- pass-1 helpers -------------------------------------------------------
+    # -- pass-1 directives ----------------------------------------------------
 
-    def _directive_pass1(self, line, lineno, current, cursor, sections, pending_data):
+    @staticmethod
+    def _directive(line, lineno, current, cursor, data, rows, fixups) -> str:
+        """Apply one directive; returns the section that is current after it."""
         parts = line.split(None, 1)
         name = parts[0]
         rest = parts[1] if len(parts) > 1 else ""
         if name in (".text", ".data", ".bss"):
-            return name, 0
+            return name
         if name == ".global" or name == ".globl":
-            return current, 0
+            return current
         if name == ".align":
             n = _parse_int(rest)
             if n <= 0:
-                raise AssemblerError(f"line {lineno}: bad alignment {n}")
+                raise AssemblerError(f"bad alignment {n}")
             pad = (-cursor[current]) % n
-            cursor[current] += pad
-            if current == ".data":
-                sections[".data"].data.extend(bytes(pad))
-            elif current == ".text":
-                # pad with nops? simpler: zero words are invalid opcodes; pad
-                # must be instruction-sized anyway.
+            if current == ".text":
                 if pad % INSTR_BYTES:
-                    raise AssemblerError(f"line {lineno}: .align in .text must be 4-aligned")
-            return current, 0
+                    raise AssemblerError(".align in .text must be 4-aligned")
+                rows.extend([(lineno, None, _NOP)] * (pad // INSTR_BYTES))
+            elif current == ".data":
+                data.extend(bytes(pad))
+            cursor[current] += pad
+            return current
         if name == ".space" or name == ".zero":
             n = _parse_int(rest)
             if n < 0:
-                raise AssemblerError(f"line {lineno}: negative .space")
+                raise AssemblerError("negative .space")
             if current == ".text":
-                raise AssemblerError(f"line {lineno}: .space not allowed in .text")
+                raise AssemblerError(".space not allowed in .text")
             cursor[current] += n
             if current == ".data":
-                sections[".data"].data.extend(bytes(n))
-            return current, 0
-        if name in (".quad", ".word", ".half", ".byte"):
-            size = {".quad": 8, ".word": 4, ".half": 2, ".byte": 1}[name]
+                data.extend(bytes(n))
+            return current
+        if name in _DATA_SIZES:
+            size = _DATA_SIZES[name]
             if current == ".bss":
-                raise AssemblerError(f"line {lineno}: initialized data in .bss")
+                raise AssemblerError("initialized data in .bss")
             if current == ".text":
-                raise AssemblerError(f"line {lineno}: data directive in .text")
-            for item in self._split_operands(rest):
-                pending_data.append(
-                    _PendingData(current, cursor[current], size, item, lineno)
-                )
-                cursor[current] += size
-                sections[".data"].data.extend(bytes(size))
-            return current, 0
+                raise AssemblerError("data directive in .text")
+            for item in _operands(rest):
+                try:  # a plain integer is written now; only symbols wait for pass 2
+                    value = int(item, 0)
+                except ValueError:
+                    fixups.append((lineno, len(data), size, item))
+                    value = 0
+                data.extend((value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
+            cursor[current] = len(data)
+            return current
         if name in (".asciz", ".ascii", ".string"):
             if current != ".data":
-                raise AssemblerError(f"line {lineno}: strings only allowed in .data")
-            m = re.match(r'^"(.*)"$', rest.strip())
+                raise AssemblerError("strings only allowed in .data")
+            m = _STRING_RE.fullmatch(rest.strip())
             if not m:
-                raise AssemblerError(f"line {lineno}: bad string literal")
+                raise AssemblerError("bad string literal")
             payload = m.group(1).encode().decode("unicode_escape").encode("latin-1")
             if name in (".asciz", ".string"):
                 payload += b"\x00"
-            sections[".data"].data.extend(payload)
+            data.extend(payload)
             cursor[".data"] += len(payload)
-            return current, 0
-        raise AssemblerError(f"line {lineno}: unknown directive {name}")
-
-    @staticmethod
-    def _split_instr(line: str, lineno: int) -> tuple[str, list[str]]:
-        parts = line.split(None, 1)
-        mnemonic = parts[0].lower()
-        ops = Assembler._split_operands(parts[1]) if len(parts) > 1 else []
-        return mnemonic, ops
-
-    @staticmethod
-    def _split_operands(text: str) -> list[str]:
-        """Split on commas not inside parentheses or quotes."""
-        out, depth, cur, quote = [], 0, "", False
-        for ch in text:
-            if ch == "'" and not quote:
-                quote = True
-                cur += ch
-            elif ch == "'" and quote:
-                quote = False
-                cur += ch
-            elif ch == "(" and not quote:
-                depth += 1
-                cur += ch
-            elif ch == ")" and not quote:
-                depth -= 1
-                cur += ch
-            elif ch == "," and depth == 0 and not quote:
-                out.append(cur.strip())
-                cur = ""
-            else:
-                cur += ch
-        if cur.strip():
-            out.append(cur.strip())
-        return out
-
-    # -- pseudo-instruction expansion -----------------------------------------
-
-    _PSEUDO_FIXED = {
-        "nop": 1, "mv": 1, "neg": 1, "not": 1, "j": 1, "jr": 1,
-        "call": 1, "ret": 1, "beqz": 1, "bnez": 1, "bgt": 1, "ble": 1,
-        "bgtu": 1, "bleu": 1, "seqz": 1, "snez": 1, "la": 4,
-    }
-
-    def _expansion_words(self, mnemonic: str, ops: list[str], lineno: int) -> int:
-        if mnemonic in SPECS:
-            return 1
-        if mnemonic in self._PSEUDO_FIXED:
-            return self._PSEUDO_FIXED[mnemonic]
-        if mnemonic == "li":
-            if len(ops) != 2:
-                raise AssemblerError(f"line {lineno}: li needs 2 operands")
-            value = _parse_int(ops[1])
-            return len(_li_sequence(0, value))
-        raise AssemblerError(f"line {lineno}: unknown mnemonic {mnemonic!r}")
-
-    def _expand(
-        self,
-        mnemonic: str,
-        ops: list[str],
-        pc: int,
-        symbols: dict[str, int],
-        lineno: int,
-    ) -> list[Instruction]:
-        A = lambda m, **kw: Instruction(SPECS[m], **kw)  # noqa: E731
-        R = reg_num
-        try:
-            if mnemonic == "nop":
-                return [A("addi", rd=0, rs1=0, imm=0)]
-            if mnemonic == "mv":
-                return [A("addi", rd=R(ops[0]), rs1=R(ops[1]), imm=0)]
-            if mnemonic == "neg":
-                return [A("sub", rd=R(ops[0]), rs1=0, rs2=R(ops[1]))]
-            if mnemonic == "not":
-                return [A("xori", rd=R(ops[0]), rs1=R(ops[1]), imm=-1)]
-            if mnemonic == "seqz":
-                return [A("sltiu", rd=R(ops[0]), rs1=R(ops[1]), imm=1)]
-            if mnemonic == "snez":
-                return [A("sltu", rd=R(ops[0]), rs1=0, rs2=R(ops[1]))]
-            if mnemonic == "j":
-                return [A("jal", rd=0, imm=self._branch_off(ops[0], pc, symbols, lineno))]
-            if mnemonic == "jr":
-                return [A("jalr", rd=0, rs1=R(ops[0]), imm=0)]
-            if mnemonic == "call":
-                return [A("jal", rd=1, imm=self._branch_off(ops[0], pc, symbols, lineno))]
-            if mnemonic == "ret":
-                return [A("jalr", rd=0, rs1=1, imm=0)]
-            if mnemonic in ("beqz", "bnez"):
-                real = "beq" if mnemonic == "beqz" else "bne"
-                return [
-                    A(real, rs1=R(ops[0]), rs2=0,
-                      imm=self._branch_off(ops[1], pc, symbols, lineno))
-                ]
-            if mnemonic in ("bgt", "ble", "bgtu", "bleu"):
-                real = {"bgt": "blt", "ble": "bge", "bgtu": "bltu", "bleu": "bgeu"}[mnemonic]
-                return [
-                    A(real, rs1=R(ops[1]), rs2=R(ops[0]),
-                      imm=self._branch_off(ops[2], pc, symbols, lineno))
-                ]
-            if mnemonic == "li":
-                return _li_sequence(R(ops[0]), _parse_int(ops[1]))
-            if mnemonic == "la":
-                addr = self._eval(ops[1], symbols, lineno)
-                return _la_sequence(R(ops[0]), addr)
-            spec = SPECS.get(mnemonic)
-            if spec is None:
-                raise AssemblerError(f"line {lineno}: unknown mnemonic {mnemonic!r}")
-            return [self._parse_real(spec, mnemonic, ops, pc, symbols, lineno)]
-        except (KeyError, IndexError) as exc:
-            raise AssemblerError(f"line {lineno}: bad operands for {mnemonic}: {exc}") from None
-
-    def _parse_real(self, spec, mnemonic, ops, pc, symbols, lineno) -> Instruction:
-        A = lambda **kw: Instruction(spec, **kw)  # noqa: E731
-        R = reg_num
-        fmt = spec.fmt
-        if fmt is Fmt.SYS:
-            if ops:
-                raise AssemblerError(f"line {lineno}: {mnemonic} takes no operands")
-            return A()
-        if mnemonic == "hint":
-            # `hint 5` (literal group) or `hint t0` (group from register)
-            operand = ops[0].strip()
-            from repro.isa.registers import REG_BY_NAME
-
-            if operand.lower() in REG_BY_NAME:
-                return A(rd=0, rs1=R(operand), imm=0)
-            return A(rd=0, rs1=0, imm=self._eval(operand, symbols, lineno))
-        if fmt is Fmt.R:
-            if spec.is_atomic:
-                if mnemonic == "lr":
-                    rd, mem = ops
-                    return A(rd=R(rd), rs1=self._bare_mem(mem, lineno))
-                rd, rs2, mem = ops
-                return A(rd=R(rd), rs2=R(rs2), rs1=self._bare_mem(mem, lineno))
-            if mnemonic in ("fsqrt", "fcvt.d.l", "fcvt.l.d"):
-                return A(rd=R(ops[0]), rs1=R(ops[1]))
-            return A(rd=R(ops[0]), rs1=R(ops[1]), rs2=R(ops[2]))
-        if fmt is Fmt.I:
-            if spec.is_load:
-                off, base = self._mem_operand(ops[1], symbols, lineno)
-                return A(rd=R(ops[0]), rs1=base, imm=off)
-            if mnemonic == "jalr":
-                return A(rd=R(ops[0]), rs1=R(ops[1]), imm=self._eval(ops[2], symbols, lineno))
-            return A(rd=R(ops[0]), rs1=R(ops[1]), imm=self._eval(ops[2], symbols, lineno))
-        if fmt is Fmt.S:
-            off, base = self._mem_operand(ops[1], symbols, lineno)
-            return A(rs2=R(ops[0]), rs1=base, imm=off)
-        if fmt is Fmt.B:
-            return A(rs1=R(ops[0]), rs2=R(ops[1]),
-                     imm=self._branch_off(ops[2], pc, symbols, lineno))
-        if fmt is Fmt.M:
-            return A(rd=R(ops[0]), imm=self._eval(ops[1], symbols, lineno) & 0xFFFF,
-                     hw=self._eval(ops[2], symbols, lineno) if len(ops) > 2 else 0)
-        if fmt is Fmt.J:
-            return A(rd=R(ops[0]), imm=self._branch_off(ops[1], pc, symbols, lineno))
-        raise AssemblerError(f"line {lineno}: cannot parse {mnemonic}")  # pragma: no cover
-
-    # -- operand helpers ------------------------------------------------------
-
-    def _mem_operand(self, text: str, symbols, lineno) -> tuple[int, int]:
-        m = _MEM_RE.match(text.strip())
-        if not m:
-            raise AssemblerError(f"line {lineno}: bad memory operand {text!r}")
-        off_text = m.group("off").strip()
-        off = self._eval(off_text, symbols, lineno) if off_text else 0
-        return off, reg_num(m.group("reg").strip())
-
-    def _bare_mem(self, text: str, lineno) -> int:
-        m = _MEM_RE.match(text.strip())
-        if not m or m.group("off").strip():
-            raise AssemblerError(f"line {lineno}: atomic operand must be (reg): {text!r}")
-        return reg_num(m.group("reg").strip())
-
-    def _branch_off(self, target: str, pc: int, symbols, lineno) -> int:
-        target = target.strip()
-        if _LABEL_RE.match(target) or "+" in target or "-" in target[1:]:
-            return self._eval(target, symbols, lineno) - pc
-        return _parse_int(target)
-
-    def _eval(self, expr: str, symbols: dict[str, int], lineno: int) -> int:
-        expr = expr.strip()
-        m = re.match(r"^([A-Za-z_.$][\w.$]*)\s*([+-])\s*(.+)$", expr)
-        if m:
-            base = symbols.get(m.group(1))
-            if base is None:
-                raise AssemblerError(f"line {lineno}: unknown symbol {m.group(1)!r}")
-            off = _parse_int(m.group(3))
-            return base + off if m.group(2) == "+" else base - off
-        if _LABEL_RE.match(expr) and not re.match(r"^-?\d|^0x", expr):
-            if expr not in symbols:
-                raise AssemblerError(f"line {lineno}: unknown symbol {expr!r}")
-            return symbols[expr]
-        return _parse_int(expr)
+            return current
+        raise AssemblerError(f"unknown directive {name}")
 
 
-# -- wide-constant sequences ---------------------------------------------------
+# -- wide constants ---------------------------------------------------------------
 
 
-def _halfwords(value: int) -> list[int]:
+def _li_steps(value: int) -> list[tuple[str, int, int]]:
+    """Minimal addi or movz/movn/movk steps ``(mnemonic, imm, hw)`` for ``value``."""
+    if IMM14_MIN <= value <= IMM14_MAX:
+        return [("addi", value, 0)]
     u = value & 0xFFFF_FFFF_FFFF_FFFF
-    return [(u >> (16 * k)) & 0xFFFF for k in range(4)]
+    hws = [(u >> (16 * k)) & 0xFFFF for k in range(4)]
+    nonzero = [k for k, h in enumerate(hws) if h != 0]
+    nonffff = [k for k, h in enumerate(hws) if h != 0xFFFF]
+    if len(nonffff) < len(nonzero):
+        first, *rest = nonffff or [0]
+        steps = [("movn", ~hws[first] & 0xFFFF, first)]
+    else:
+        first, *rest = nonzero or [0]
+        steps = [("movz", hws[first], first)]
+    return steps + [("movk", hws[k], k) for k in rest]
+
+
+def _li_words(rd: int, value: int) -> list[int]:
+    return [encode_i(_OP[m], rd, 0, imm) if m == "addi" else encode_m(_OP[m], rd, imm, hw)
+            for m, imm, hw in _li_steps(value)]
 
 
 def _li_sequence(rd: int, value: int) -> list[Instruction]:
-    """Minimal movz/movn/movk (or addi) sequence materializing ``value``."""
-    from repro.isa.instructions import SPECS
-
-    if IMM14_MIN <= value <= IMM14_MAX:
-        return [Instruction(SPECS["addi"], rd=rd, rs1=0, imm=value)]
-    hws = _halfwords(value)
-    nonzero = [k for k, h in enumerate(hws) if h != 0]
-    nonffff = [k for k, h in enumerate(hws) if h != 0xFFFF]
-    out: list[Instruction] = []
-    if len(nonffff) < len(nonzero):
-        first, *rest = nonffff if nonffff else [0]
-        out.append(Instruction(SPECS["movn"], rd=rd, imm=(~hws[first]) & 0xFFFF, hw=first))
-        for k in rest:
-            out.append(Instruction(SPECS["movk"], rd=rd, imm=hws[k], hw=k))
-    else:
-        if not nonzero:
-            return [Instruction(SPECS["movz"], rd=rd, imm=0, hw=0)]
-        first, *rest = nonzero
-        out.append(Instruction(SPECS["movz"], rd=rd, imm=hws[first], hw=first))
-        for k in rest:
-            out.append(Instruction(SPECS["movk"], rd=rd, imm=hws[k], hw=k))
-    return out
-
-
-def _la_sequence(rd: int, addr: int) -> list[Instruction]:
-    """Fixed four-instruction absolute-address load (size known in pass 1)."""
-    from repro.isa.instructions import SPECS
-
-    hws = _halfwords(addr)
-    out = [Instruction(SPECS["movz"], rd=rd, imm=hws[0], hw=0)]
-    for k in (1, 2, 3):
-        out.append(Instruction(SPECS["movk"], rd=rd, imm=hws[k], hw=k))
-    return out
+    """The :class:`Instruction` view of ``li rd, value``."""
+    return [Instruction(SPECS[m], rd=rd, imm=imm, hw=hw) for m, imm, hw in _li_steps(value)]
 
 
 def assemble(source: str, **kwargs) -> Program:

@@ -22,22 +22,43 @@ collision-free across library routines.
 from __future__ import annotations
 
 import itertools
+import keyword
 
 from repro.errors import AssemblerError
-from repro.isa.assembler import Assembler
+from repro.isa.assembler import PSEUDOS, Assembler
 from repro.isa.instructions import SPECS
 from repro.isa.program import Program
 
 __all__ = ["AsmBuilder"]
 
-_PSEUDOS = {
-    "nop", "mv", "neg", "not", "j", "jr", "call", "ret", "beqz", "bnez",
-    "bgt", "ble", "bgtu", "bleu", "seqz", "snez", "li", "la",
-}
-
 _LOADS = {"lb", "lh", "lw", "ld", "lbu", "lhu", "lwu"}
 _STORES = {"sb", "sh", "sw", "sd"}
 _ATOMIC_RMW = {"sc", "cas", "amoadd", "amoswap"}
+
+
+def _emitter(mnemonic: str):
+    """The builder method that appends one ``mnemonic`` line."""
+    if mnemonic in _LOADS or mnemonic in _STORES:  # (rd|rs2, offset, base)
+        def method(self, reg, off, base):
+            self._section.append(f"{mnemonic} {reg}, {off}({base})")
+            return self
+    elif mnemonic == "lr":
+        def method(self, rd, addr):
+            self._section.append(f"lr {rd}, ({addr})")
+            return self
+    elif mnemonic in _ATOMIC_RMW:
+        def method(self, rd, rs2, addr):
+            self._section.append(f"{mnemonic} {rd}, {rs2}, ({addr})")
+            return self
+    else:
+        def method(self, *ops):
+            self._section.append(f"{mnemonic} {', '.join(map(str, ops))}" if ops else mnemonic)
+            return self
+    method.__name__ = mnemonic
+    return method
+
+
+_EMITTERS = {m: _emitter(m) for m in (*SPECS, *PSEUDOS)}
 
 
 class AsmBuilder:
@@ -105,36 +126,17 @@ class AsmBuilder:
     # -- instructions ------------------------------------------------------------
 
     def emit(self, mnemonic: str, *ops) -> "AsmBuilder":
-        mnemonic = mnemonic.lower()
-        if mnemonic in _LOADS:
-            rd, off, base = ops
-            self._section.append(f"{mnemonic} {rd}, {off}({base})")
-        elif mnemonic in _STORES:
-            rs2, off, base = ops
-            self._section.append(f"{mnemonic} {rs2}, {off}({base})")
-        elif mnemonic == "lr":
-            rd, addr = ops
-            self._section.append(f"lr {rd}, ({addr})")
-        elif mnemonic in _ATOMIC_RMW:
-            rd, rs2, addr = ops
-            self._section.append(f"{mnemonic} {rd}, {rs2}, ({addr})")
-        elif mnemonic in SPECS or mnemonic in _PSEUDOS:
-            self._section.append(
-                mnemonic + (" " + ", ".join(str(o) for o in ops) if ops else "")
-            )
-        else:
-            raise AssemblerError(f"unknown mnemonic {mnemonic!r}")
-        return self
+        emitter = _EMITTERS.get(mnemonic.lower())
+        if emitter is None:
+            raise AssemblerError(f"unknown mnemonic {mnemonic.lower()!r}")
+        return emitter(self, *ops)
 
     def __getattr__(self, name: str):
+        # Only spellings no generated method covers reach here (``ADD``, ``Fcvt_D_L``).
         lowered = name.lower()
-        if lowered in SPECS or lowered in _PSEUDOS:
-            return lambda *ops: self.emit(lowered, *ops)
-        if lowered.endswith("_") and lowered[:-1] in SPECS:  # and_/or_/not_ (keywords)
-            return lambda *ops: self.emit(lowered[:-1], *ops)
-        dotted = lowered.replace("_", ".")
-        if dotted in SPECS:  # fcvt_d_l -> fcvt.d.l
-            return lambda *ops: self.emit(dotted, *ops)
+        for mnemonic in (lowered, lowered.rstrip("_"), lowered.replace("_", ".")):
+            if mnemonic in _EMITTERS:
+                return lambda *ops: self.emit(mnemonic, *ops)
         raise AttributeError(name)
 
     # -- common idioms ------------------------------------------------------------
@@ -166,3 +168,11 @@ class AsmBuilder:
 
     def assemble(self, **kwargs) -> Program:
         return Assembler(**kwargs).assemble(self.source())
+
+
+# One method per mnemonic, made once: ``and_``/``or_``/``not_`` for the keywords,
+# ``fcvt_d_l`` for the dotted forms.
+for _m, _method in _EMITTERS.items():
+    _attr = _m.replace(".", "_") + ("_" if keyword.iskeyword(_m) else "")
+    if not hasattr(AsmBuilder, _attr):
+        setattr(AsmBuilder, _attr, _method)

@@ -42,56 +42,83 @@ IMM14_MIN, IMM14_MAX = -(1 << 13), (1 << 13) - 1
 IMM19_MIN, IMM19_MAX = -(1 << 18), (1 << 18) - 1
 
 
-def _check_reg(value: int, what: str) -> None:
-    if not 0 <= value < NUM_REGS:
-        raise EncodingError(f"{what} out of range: {value}")
+def _bad_reg(**fields: int) -> None:
+    for what, value in fields.items():
+        if not 0 <= value < NUM_REGS:
+            raise EncodingError(f"{what} out of range: {value}")
 
 
-def _check_imm(value: int, lo: int, hi: int, what: str) -> None:
-    if not lo <= value <= hi:
-        raise EncodingError(f"{what} out of range [{lo}, {hi}]: {value}")
+# Per-format field encoders: the assembler calls them directly and
+# :func:`encode` is a wrapper over them, so there is one set of range checks.
+# ``(a | b) >> 5`` is non-zero exactly when a register is outside 0..31.
+
+
+def encode_r(opcode: int, rd: int, rs1: int, rs2: int) -> int:
+    if (rd | rs1 | rs2) >> 5:
+        _bad_reg(rd=rd, rs1=rs1, rs2=rs2)
+    return opcode << 24 | rd << 19 | rs1 << 14 | rs2 << 9
+
+
+def encode_i(opcode: int, rd: int, rs1: int, imm: int) -> int:
+    if (rd | rs1) >> 5:
+        _bad_reg(rd=rd, rs1=rs1)
+    if not IMM14_MIN <= imm <= IMM14_MAX:
+        raise EncodingError(f"imm14 out of range [{IMM14_MIN}, {IMM14_MAX}]: {imm}")
+    return opcode << 24 | rd << 19 | rs1 << 14 | (imm & 0x3FFF)
+
+
+def encode_s(opcode: int, rs1: int, rs2: int, imm: int) -> int:
+    if (rs1 | rs2) >> 5:
+        _bad_reg(rs1=rs1, rs2=rs2)
+    if not IMM14_MIN <= imm <= IMM14_MAX:
+        raise EncodingError(f"imm14 out of range [{IMM14_MIN}, {IMM14_MAX}]: {imm}")
+    return opcode << 24 | rs1 << 19 | rs2 << 14 | (imm & 0x3FFF)
+
+
+def encode_b(opcode: int, rs1: int, rs2: int, imm: int) -> int:
+    word = encode_s(opcode, rs1, rs2, imm)
+    if imm % 4:
+        raise EncodingError(f"branch offset not 4-aligned: {imm}")
+    return word
+
+
+def encode_m(opcode: int, rd: int, imm: int, hw: int) -> int:
+    if rd >> 5:
+        _bad_reg(rd=rd)
+    if not 0 <= hw <= 3:
+        raise EncodingError(f"halfword index out of range: {hw}")
+    if not 0 <= imm <= 0xFFFF:
+        raise EncodingError(f"imm16 out of range: {imm}")
+    return opcode << 24 | rd << 19 | hw << 16 | imm
+
+
+def encode_j(opcode: int, rd: int, imm: int) -> int:
+    if rd >> 5:
+        _bad_reg(rd=rd)
+    if not IMM19_MIN <= imm <= IMM19_MAX:
+        raise EncodingError(f"imm19 out of range [{IMM19_MIN}, {IMM19_MAX}]: {imm}")
+    if imm % 4:
+        raise EncodingError(f"jump offset not 4-aligned: {imm}")
+    return opcode << 24 | rd << 19 | (imm & 0x7FFFF)
 
 
 def encode(instr: Instruction) -> int:
     """Encode an :class:`Instruction` into its 32-bit word."""
     spec = instr.spec
-    word = spec.opcode << 24
-    fmt = spec.fmt
+    opcode, fmt = spec.opcode, spec.fmt
     if fmt is Fmt.R:
-        _check_reg(instr.rd, "rd")
-        _check_reg(instr.rs1, "rs1")
-        _check_reg(instr.rs2, "rs2")
-        word |= instr.rd << 19 | instr.rs1 << 14 | instr.rs2 << 9
-    elif fmt is Fmt.I:
-        _check_reg(instr.rd, "rd")
-        _check_reg(instr.rs1, "rs1")
-        _check_imm(instr.imm, IMM14_MIN, IMM14_MAX, "imm14")
-        word |= instr.rd << 19 | instr.rs1 << 14 | (instr.imm & 0x3FFF)
-    elif fmt in (Fmt.S, Fmt.B):
-        _check_reg(instr.rs1, "rs1")
-        _check_reg(instr.rs2, "rs2")
-        _check_imm(instr.imm, IMM14_MIN, IMM14_MAX, "imm14")
-        if fmt is Fmt.B and instr.imm % 4 != 0:
-            raise EncodingError(f"branch offset not 4-aligned: {instr.imm}")
-        word |= instr.rs1 << 19 | instr.rs2 << 14 | (instr.imm & 0x3FFF)
-    elif fmt is Fmt.M:
-        _check_reg(instr.rd, "rd")
-        if not 0 <= instr.hw <= 3:
-            raise EncodingError(f"halfword index out of range: {instr.hw}")
-        if not 0 <= instr.imm <= 0xFFFF:
-            raise EncodingError(f"imm16 out of range: {instr.imm}")
-        word |= instr.rd << 19 | instr.hw << 16 | instr.imm
-    elif fmt is Fmt.J:
-        _check_reg(instr.rd, "rd")
-        _check_imm(instr.imm, IMM19_MIN, IMM19_MAX, "imm19")
-        if instr.imm % 4 != 0:
-            raise EncodingError(f"jump offset not 4-aligned: {instr.imm}")
-        word |= instr.rd << 19 | (instr.imm & 0x7FFFF)
-    elif fmt is Fmt.SYS:
-        pass
-    else:  # pragma: no cover - exhaustive
-        raise EncodingError(f"unknown format {fmt}")
-    return word
+        return encode_r(opcode, instr.rd, instr.rs1, instr.rs2)
+    if fmt is Fmt.I:
+        return encode_i(opcode, instr.rd, instr.rs1, instr.imm)
+    if fmt is Fmt.S:
+        return encode_s(opcode, instr.rs1, instr.rs2, instr.imm)
+    if fmt is Fmt.B:
+        return encode_b(opcode, instr.rs1, instr.rs2, instr.imm)
+    if fmt is Fmt.M:
+        return encode_m(opcode, instr.rd, instr.imm, instr.hw)
+    if fmt is Fmt.J:
+        return encode_j(opcode, instr.rd, instr.imm)
+    return opcode << 24  # SYS
 
 
 def _sext(value: int, bits: int) -> int:

@@ -19,7 +19,6 @@ __all__ = [
     "TP",
     "ABI_NAMES",
     "REG_BY_NAME",
-    "reg_num",
     "reg_name",
 ]
 
@@ -52,18 +51,6 @@ for _i in range(NUM_REGS):
 # Argument/return registers for the syscall and call ABI.
 A0 = 10
 A7 = 17
-
-
-def reg_num(name: str | int) -> int:
-    """Resolve a register operand (name or number) to its index."""
-    if isinstance(name, int):
-        if not 0 <= name < NUM_REGS:
-            raise KeyError(f"register number out of range: {name}")
-        return name
-    try:
-        return REG_BY_NAME[name.lower()]
-    except KeyError:
-        raise KeyError(f"unknown register {name!r}") from None
 
 
 def reg_name(num: int) -> str:

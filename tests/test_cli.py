@@ -122,6 +122,16 @@ class TestAsmCli:
         assert "disassembly" in out_path.read_text()
         assert capsys.readouterr().out == ""
 
+    def test_assembler_error_is_one_line_with_its_line_number(self, tmp_path, capsys):
+        src = tmp_path / "bad.s"
+        src.write_text("_start:\n    addi a0, zero, 99999\n")
+        assert asm_cli.main([str(src)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            f"repro-asm: {src}: line 2: imm14 out of range [-8192, 8191]: 99999\n"
+        )
+
 
 class TestExperimentsCli:
     def test_registry_covers_every_artifact(self):
