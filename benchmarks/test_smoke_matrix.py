@@ -88,7 +88,7 @@ def test_busy_victim_crash_is_recovered(busy_clean, victim, checkpoint, heartbea
         # victim's threads restores, and its accounting is attributed.
         assert failed["restored"]
         assert record["protocol"]["checkpoints_taken"] > 0
-        assert record["services"]["failure"]["restores"] == len(failed["restored"])
+        assert record["failures"]["restored_threads"] == len(failed["restored"])
         assert all(rollback > 0 for _tid, _target, rollback in failed["restored"])
     else:
         assert not failed["restored"]

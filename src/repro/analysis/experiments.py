@@ -21,6 +21,7 @@ from repro.analysis.runner import Cell, Fault, run_cell
 from repro.analysis.views import (
     bandwidth_mbps, breakdown, failure_footer, get, group, series, stacked, table, us,
 )
+from repro.net.messages import Heartbeat
 from repro.workloads import mutex_bench
 
 __all__ = ["Experiment", "EXPERIMENTS", "run_experiment", "render", "save"]
@@ -264,6 +265,7 @@ _QUIET = ("pi_taylor", dict(n_threads=3, terms=600, reps=2))
 _QUIET_CFG = {**_reliable(5_000_000, 4), **EVACUATION}
 _QUIET_CRASH = Fault("crash", node=3, at_frac=0.5, seed=7)
 _BUSY = ("blackscholes", dict(n_threads=6, n_options=2040, reps=4))
+_HEARTBEAT_BYTES = Heartbeat().size_bytes()  # every renewal is the same size
 
 _experiment(
     "services_fig5_heartbeat",
@@ -295,7 +297,7 @@ _experiment(
                 ("evidence", lambda r: get(r, "failures.victim.evidence") or "-"),
                 ("lost threads", "failures.lost_threads"),
                 ("hb frames", "protocol.heartbeats_sent"),
-                ("hb wire (B)", "protocol.heartbeat_bytes"),
+                ("hb wire (B)", lambda r: get(r, "protocol.heartbeats_sent", 0) * _HEARTBEAT_BYTES),
             ],
         ),
         "shortest-interval run", ["quiet: crash + hb (0.01x)"],

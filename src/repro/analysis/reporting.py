@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
-__all__ = ["render_table", "render_series", "render_service_breakdown", "format_value"]
+__all__ = [
+    "render_table", "render_series", "render_service_breakdown", "FAILURE_COLUMNS", "format_value",
+]
 
 
 def format_value(v: Any) -> str:
@@ -44,7 +46,17 @@ def render_series(name: str, xs: Sequence[Any], series: dict[str, Sequence[float
     return render_table(headers, rows, title=name)
 
 
-def render_service_breakdown(stats) -> str:
+#: The failure-domain columns: header -> ``RunResult.failures`` aggregate.
+FAILURE_COLUMNS = {
+    "evacuated": "evacuated_threads",
+    "restored": "restored_threads",
+    "lost threads": "lost_threads",
+    "rehomed pages": "rehomed_pages",
+    "lost M pages": "lost_pages",
+}
+
+
+def render_service_breakdown(stats, failures: Optional[Mapping[str, int]] = None) -> str:
     """Per-service load attribution from a run's ``RunStats.services``.
 
     One row per runtime service (master + node side), sorted by busy time —
@@ -57,38 +69,22 @@ def render_service_breakdown(stats) -> str:
     The reliability columns (retransmits / recoveries / mean recovery
     latency, fed by the RPC retransmit layer) appear only when some service
     actually retried — zero-loss tables keep rendering byte-identically.
-    The failure-domain columns (threads evacuated / restored from
-    checkpoint / lost, directory pages re-homed / written off) follow the
-    same rule: they appear only when a node actually crashed or drained
-    mid-run.  So do the coherence-protocol
-    columns (Exclusive grants, silent E→M upgrades, home migrations,
-    adaptive reclassifications): they only render under a non-MSI
-    ``coherence_protocol``, keeping every default table byte-identical.
+    ``failures`` (the run's ``FailureStats`` aggregates, keyed as in
+    :data:`FAILURE_COLUMNS`) fills the failure-domain columns on the
+    ``failure`` row, 0 on the others; they appear only when a node actually
+    crashed or drained mid-run.
     """
     services = sorted(
         stats.services.values(), key=lambda s: (-s.busy_ns, -s.requests, s.name)
     )
     reliable = any(s.retransmits or s.recoveries for s in services)
-    failure = any(
-        s.evacuations or s.restores or s.lost_threads or s.rehomed_pages
-        or s.lost_pages
-        for s in services
-    )
-    coherent = any(
-        s.exclusive_grants or s.silent_upgrades or s.home_migrations
-        or s.reclassifications
-        for s in services
-    )
+    failed = [failures[key] for key in FAILURE_COLUMNS.values()] if failures else []
+    failure = any(failed)
     headers = ["service", "shard", "requests", "busy (us)", "queue-wait (us)"]
     if reliable:
         headers += ["retransmits", "recovered", "mean recovery (us)"]
     if failure:
-        headers += [
-            "evacuated", "restored", "lost threads", "rehomed pages",
-            "lost M pages",
-        ]
-    if coherent:
-        headers += ["E grants", "silent E->M", "migrations", "reclass"]
+        headers += list(FAILURE_COLUMNS)
     rows = []
     for s in services:
         row = [s.name, "all", s.requests, s.busy_ns / 1e3, s.queue_wait_ns / 1e3]
@@ -96,15 +92,7 @@ def render_service_breakdown(stats) -> str:
             mean = s.recovery_wait_ns / s.recoveries / 1e3 if s.recoveries else 0.0
             row += [s.retransmits, s.recoveries, mean]
         if failure:
-            row += [
-                s.evacuations, s.restores, s.lost_threads, s.rehomed_pages,
-                s.lost_pages,
-            ]
-        if coherent:
-            row += [
-                s.exclusive_grants, s.silent_upgrades, s.home_migrations,
-                s.reclassifications,
-            ]
+            row += failed if s.name == "failure" else [0] * len(failed)
         rows.append(row)
         if len(s.shards) > 1:
             for k in sorted(s.shards):
@@ -114,10 +102,7 @@ def render_service_breakdown(stats) -> str:
                     # Retransmit counters are per service, not per shard.
                     sub += ["", "", ""]
                 if failure:
-                    # Failure accounting is per service, not per shard.
-                    sub += ["", "", "", "", ""]
-                if coherent:
-                    # Protocol telemetry is per service, not per shard.
-                    sub += ["", "", "", ""]
+                    # Failure accounting is per run, not per shard.
+                    sub += [""] * len(failed)
                 rows.append(sub)
     return render_table(headers, rows, title="Runtime service load")

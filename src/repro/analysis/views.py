@@ -98,7 +98,7 @@ def breakdown(label: str) -> View:
             })
             for name, s in record["services"].items()
         }
-        return render_service_breakdown(RunStats(services=services))
+        return render_service_breakdown(RunStats(services=services), record["failures"])
 
     return view
 

@@ -85,50 +85,45 @@ def main(argv: list[str] | None = None) -> int:
                            max_virtual_ms=args.max_ms)
             for i in range(args.jobs)
         ]
-        results = cluster.join(jobs)
-        for job, res in zip(jobs, results):
-            sys.stdout.write(res.stdout)
-            if res.stderr:
-                sys.stderr.write(res.stderr)
-            print(f"[{job.name}: exit {res.exit_code}; "
-                  f"{res.virtual_ns / 1e6:.3f} ms virtual; "
-                  f"queue wait {res.queue_wait_ns / 1e6:.3f} ms]",
-                  file=sys.stderr)
-        return max(res.exit_code for res in results)
+        runs = [(f"{job.name}: ", res) for job, res in zip(jobs, cluster.join(jobs))]
+    else:
+        runs = [("", cluster.run(program, stdin=stdin, files=files, max_virtual_ms=args.max_ms))]
 
-    result = cluster.run(program, stdin=stdin, files=files,
-                         max_virtual_ms=args.max_ms)
+    for prefix, result in runs:
+        sys.stdout.write(result.stdout)
+        if result.stderr:
+            sys.stderr.write(result.stderr)
+        queued = f"; queue wait {result.queue_wait_ns / 1e6:.3f} ms" if prefix else ""
+        print(f"[{prefix}exit {result.exit_code}; "
+              f"{result.virtual_ns / 1e6:.3f} ms virtual{queued}]", file=sys.stderr)
+        if args.stats:
+            _print_stats(prefix, result.stats.protocol, config.coherence_protocol)
+    if args.trace:
+        print(cluster.tracer.render(limit=args.trace_limit), file=sys.stderr)
+    return max(result.exit_code for _, result in runs)
 
-    sys.stdout.write(result.stdout)
-    if result.stderr:
-        sys.stderr.write(result.stderr)
-    print(f"[exit {result.exit_code}; {result.virtual_ns / 1e6:.3f} ms virtual]",
-          file=sys.stderr)
 
-    if args.stats:
-        p = result.stats.protocol
+def _print_stats(prefix: str, p, coherence_protocol: str) -> None:
+    """One job's protocol counters on stderr, each line led by ``prefix``."""
+    print(
+        f"[{prefix}page requests {p.page_requests} (r{p.read_requests}/w{p.write_requests}),"
+        f" invalidations {p.invalidations}, forwarded {p.pages_forwarded},"
+        f" splits {p.splits}, merges {p.merges},"
+        f" syscalls {p.delegated_syscalls} delegated/{p.local_syscalls} local]",
+        file=sys.stderr,
+    )
+    if (p.exclusive_grants or p.silent_upgrades or p.home_migrations
+            or p.adaptive_reclassifications):
         print(
-            f"[page requests {p.page_requests} (r{p.read_requests}/w{p.write_requests}),"
-            f" invalidations {p.invalidations}, forwarded {p.pages_forwarded},"
-            f" splits {p.splits}, merges {p.merges},"
-            f" syscalls {p.delegated_syscalls} delegated/{p.local_syscalls} local]",
+            f"[{prefix}coherence {coherence_protocol}:"
+            f" E grants {p.exclusive_grants},"
+            f" silent E->M {p.silent_upgrades},"
+            f" upgrade acks {p.upgrade_acks},"
+            f" home migrations {p.home_migrations},"
+            f" home hits {p.home_local_hits}/misses {p.home_remote_misses},"
+            f" reclassifications {p.adaptive_reclassifications}]",
             file=sys.stderr,
         )
-        if (p.exclusive_grants or p.silent_upgrades or p.home_migrations
-                or p.adaptive_reclassifications):
-            print(
-                f"[coherence {config.coherence_protocol}:"
-                f" E grants {p.exclusive_grants},"
-                f" silent E->M {p.silent_upgrades},"
-                f" upgrade acks {p.upgrade_acks},"
-                f" home migrations {p.home_migrations},"
-                f" home hits {p.home_local_hits}/misses {p.home_remote_misses},"
-                f" reclassifications {p.adaptive_reclassifications}]",
-                file=sys.stderr,
-            )
-    if args.trace and result.trace is not None:
-        print(result.trace.render(limit=args.trace_limit), file=sys.stderr)
-    return result.exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover

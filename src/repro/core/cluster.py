@@ -67,7 +67,8 @@ class RunResult:
     stats: RunStats
     fabric: Optional[FabricStats] = None
     faults: Optional[FaultStats] = None  # set when the run had a fault plan
-    rpc: Optional[RpcStats] = None  # channel reliability counters, summed
+    #: Reliability counters: the job's service rows plus the channels' delta.
+    rpc: Optional[RpcStats] = None
     health: Optional[HealthTracker] = None  # per-peer up/suspect/down view
     #: Structured failure accounting (docs/PROTOCOL.md "Failure domains");
     #: only set when the failure domain was armed for the run.
@@ -394,7 +395,7 @@ class Cluster:
             master=master,
             failure_domain=failure_domain,
             # Channel counters are fleet-wide; a snapshot at admission lets
-            # the result report this job's delta.
+            # the result report this job's delta (its service rows start at 0).
             rpc_base=RpcStats.collect(
                 n.endpoint.rpc for n in fleet.nodes.values()
             ),
@@ -443,7 +444,7 @@ class Cluster:
             stats.insns_translated += engine.insns_translated
             stats.dbt.add_engine(engine)
         rpc_total = RpcStats.collect(
-            node.endpoint.rpc for node in fleet.nodes.values()
+            (node.endpoint.rpc for node in fleet.nodes.values()), stats.services.values()
         )
         return RunResult(
             exit_code=exit_code,
@@ -462,7 +463,7 @@ class Cluster:
             placements=rt.placer.distribution(),
             placement_skips=rt.placer.skip_counts(),
             files=rt.state.vfs.dump_files(),
-            trace=self.tracer if self.tracer.enabled else None,
+            trace=self.tracer if self.tracer is not NULL_TRACER else None,
             tenant=job.tenant,
             queue_wait_ns=job.queue_wait_ns,
         )

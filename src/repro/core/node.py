@@ -424,7 +424,6 @@ class NodeRuntime:
                 # — the fault costs the local trap, never a master round
                 # trip (docs/PROTOCOL.md "Coherence protocols").
                 bundle.run_stats.protocol.silent_upgrades += 1
-                bundle.run_stats.service(NodeCoherenceService.name).silent_upgrades += 1
                 return
             if store.has_write(page) or (not write and store.has_read(page)):
                 return
@@ -493,7 +492,6 @@ class NodeRuntime:
         yield self.sim.timeout(self._cycles_to_ns(SYSCALL_TRAP_CYCLES))
         sysno = cpu.regs[A7]
         args = tuple(cpu.regs[A0: A0 + 6])
-        th.stats.syscalls += 1
 
         if not is_global(sysno):
             yield from self._local_syscall(th, sysno, args)

@@ -300,11 +300,9 @@ class CoherenceService(MasterService):
             new_home, reclassified = self.policy.observe(node, page, write)
             if new_home is not None:
                 proto.home_migrations += 1
-                self.run_stats.service(self.name).home_migrations += 1
                 self.trace.emit("page", new_home, "home migrated", page=page)
             if reclassified:
                 proto.adaptive_reclassifications += 1
-                self.run_stats.service(self.name).reclassifications += 1
 
             plan = self.directory.plan(node, page, write)
             fetch_from = plan.fetch_from
@@ -360,7 +358,6 @@ class CoherenceService(MasterService):
             self.directory.commit(node, page, write=False, exclusive=exclusive)
             if exclusive:
                 proto.exclusive_grants += 1
-                self.run_stats.service(self.name).exclusive_grants += 1
             self.trace.emit(
                 "page", node, "grant E" if exclusive else "grant S", page=page
             )

@@ -88,14 +88,11 @@ class FailureDomainService(MasterService):
             evacuated=prior.evacuated if prior is not None else [],
         )
         self.failures.nodes[node] = rec
-        stats = self.run_stats.service(self.name)
-        stats.requests += 1
+        self.run_stats.service(self.name).requests += 1
         for shard in self.master.shards:
             rehomed, lost = shard.coherence.evict_node(node)
             rec.rehomed_pages += len(rehomed)
             rec.lost_pages += len(lost)
-        stats.rehomed_pages += rec.rehomed_pages
-        stats.lost_pages += rec.lost_pages
         self.trace.emit(
             "node", node,
             f"declared dead: {rec.rehomed_pages} pages re-homed, "
@@ -106,7 +103,6 @@ class FailureDomainService(MasterService):
     def _recover(self, node: int, rec: NodeFailure):
         """Re-home every thread the dead node was running or parking."""
         t0 = self.sim.now
-        stats = self.run_stats.service(self.name)
         for trec in list(self.state.threads.on_node(node)):
             tid = trec.tid
             if tid in self.master.landing:
@@ -122,7 +118,6 @@ class FailureDomainService(MasterService):
                     f"evacuated from dead n{node}",
                 )
                 rec.evacuated.append((tid, target))
-                stats.evacuations += 1
                 continue
             # Checkpoint store (docs/PROTOCOL.md "Checkpoint/restore"): None
             # unless checkpoint_interval_ns is armed — recovery then reaps
@@ -142,7 +137,6 @@ class FailureDomainService(MasterService):
                     f"restored from checkpoint (rollback {rollback_ns / 1000:.1f}us)",
                 )
                 rec.restored.append((tid, target, rollback_ns))
-                stats.restores += 1
             else:
                 # Context died with the node.  Run the kernel exit path
                 # (zero clear_child_tid, wake joiners) so threads joining on
@@ -152,12 +146,11 @@ class FailureDomainService(MasterService):
                 result = yield from self.master.syscalls.executor.exit_thread(tid, 137)
                 self.master.futexes.wake(result.woken)
                 rec.lost.append((tid, "context lost in crash"))
-                stats.lost_threads += 1
                 self.trace.emit(
                     "thread", node, "lost in crash (reaped)", tid=tid
                 )
         rec.recovered_ns = self.sim.now
-        stats.busy_ns += self.sim.now - t0
+        self.run_stats.service(self.name).busy_ns += self.sim.now - t0
 
     def pick_target(self, exclude: int = -1) -> int:
         """The one re-placement rule — evacuation, restore, drain and spawn
@@ -198,7 +191,6 @@ class FailureDomainService(MasterService):
         rec = self.failures.nodes.get(msg.src)
         if rec is not None:
             rec.evacuated.append((msg.tid, target))
-        self.run_stats.service(self.name).evacuations += 1
         self.endpoint.reply(msg, Ack())
 
     def _on_drain_complete(self, msg):

@@ -92,7 +92,6 @@ class HeartbeatService(MasterService):
         ``up -> suspect -> down`` over ``health_down_after`` silent
         intervals rather than being shot on first expiry.
         """
-        proto = self.run_stats.protocol
         while True:
             yield self.sim.timeout(self.interval_ns)
             if self.master.finished:
@@ -102,9 +101,9 @@ class HeartbeatService(MasterService):
                     continue  # already latched; recovery ran
                 if self.sim.now < self.deadlines[nid]:
                     continue
-                proto.heartbeat_lease_expiries += 1
                 was = self.view.state_of(nid)
-                # Lease evidence merges with RPC evidence in the one tracker.
+                # Lease evidence is booked per peer (lease_misses) and
+                # merges with RPC evidence in the one tracker.
                 # May fire on_down synchronously -> FailureDomainService
                 # .node_failed, exactly as an exhausted RPC budget does.
                 self.view.lease_missed(nid)
@@ -165,8 +164,6 @@ class NodeHeartbeatService:
             if node.crashed or node.shutdown:
                 return
             self.seq += 1
-            msg = Heartbeat(seq=self.seq)
             stats.requests += 1
             proto.heartbeats_sent += 1
-            proto.heartbeat_bytes += msg.size_bytes()
-            node.endpoint.send(node.master_id, msg)
+            node.endpoint.send(node.master_id, Heartbeat(seq=self.seq))

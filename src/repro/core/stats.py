@@ -37,7 +37,6 @@ class ThreadStats:
     finished_ns: Optional[int] = None
     quanta: int = 0
     page_faults: int = 0
-    syscalls: int = 0
 
     @property
     def busy_ns(self) -> int:
@@ -52,7 +51,6 @@ class ProtocolStats:
     invalidations: int = 0
     downgrades: int = 0
     pages_forwarded: int = 0
-    forward_hits: int = 0  # page already local (S) thanks to a push
     splits: int = 0
     merges: int = 0
     split_retry_replies: int = 0
@@ -97,12 +95,12 @@ class ProtocolStats:
     checkpoint_stale_pages: int = 0  # flushed pages skipped (ownership moved)
     checkpoint_bytes: int = 0  # wire bytes spent shipping snapshots
     #: Active-liveness telemetry (docs/PROTOCOL.md "Failure detection");
-    #: all zero unless DQEMUConfig.heartbeat_interval_ns is set.
+    #: all zero unless DQEMUConfig.heartbeat_interval_ns is set.  Their wire
+    #: bytes are heartbeats_sent x Heartbeat().size_bytes(); expired leases
+    #: are booked per peer (``PeerHealth.lease_misses``).
     heartbeats_sent: int = 0  # lease renewals slaves put on the wire
     heartbeats_received: int = 0  # renewals the master's monitor landed
     heartbeats_ignored: int = 0  # posthumous renewals from latched-failed nodes
-    heartbeat_lease_expiries: int = 0  # monitor checks that found an expired lease
-    heartbeat_bytes: int = 0  # wire bytes spent on renewals
 
 
 @dataclass
@@ -139,26 +137,14 @@ class ServiceStats:
     they reached the handler (nonzero only under duplication faults or a
     retransmitting fabric).
 
-    The reliability counters are filled by the RPC retransmit layer
+    The reliability counters are the one book of the RPC retransmit layer
     (docs/PROTOCOL.md "Reliable delivery") for requests *issued* by this
     service: ``retransmits`` clones re-sent after a missed timeout window,
     ``recoveries`` retried calls that did complete, and
     ``recovery_wait_ns`` the total first-send-to-reply span of those
     recoveries (mean recovery latency = recovery_wait_ns / recoveries).
-    All zero unless ``DQEMUConfig.rpc_max_retries`` is armed.
-
-    The failure-domain counters (docs/PROTOCOL.md "Failure domains") are
-    filled only when a node crashed or drained mid-run: threads this
-    service evacuated to healthy peers, threads it had to declare lost
-    (context unrecoverable after a hard crash), and directory pages it
-    re-homed / wrote off when their holder died.
-
-    The coherence-protocol counters (docs/PROTOCOL.md "Coherence
-    protocols") follow the same conditional-column rule: the master
-    coherence service fills ``exclusive_grants`` / ``home_migrations`` /
-    ``reclassifications``, the node-side mirror fills ``silent_upgrades``
-    (E→M flips that cost no master round trip).  All zero — and absent
-    from rendered tables — under the default MSI protocol.
+    ``RunResult.rpc`` sums them over a job's rows.  All zero unless
+    ``DQEMUConfig.rpc_max_retries`` is armed.
     """
 
     name: str = ""
@@ -169,15 +155,6 @@ class ServiceStats:
     retransmits: int = 0
     recoveries: int = 0
     recovery_wait_ns: int = 0
-    evacuations: int = 0
-    restores: int = 0
-    lost_threads: int = 0
-    rehomed_pages: int = 0
-    lost_pages: int = 0
-    exclusive_grants: int = 0
-    silent_upgrades: int = 0
-    home_migrations: int = 0
-    reclassifications: int = 0
     shards: dict[int, ShardLoadStats] = field(default_factory=dict)
 
     def shard(self, k: int) -> ShardLoadStats:

@@ -1,8 +1,9 @@
 """Protocol tracing.
 
-Enable with ``Cluster(..., trace=True)`` (or pass a :class:`Tracer`): every
-coherence transaction, delegated syscall, thread lifecycle event and
-optimization action is recorded with its virtual timestamp.  The trace is
+Enable with ``Cluster(..., trace=True)``: every coherence transaction,
+delegated syscall, thread lifecycle event and optimization action is
+recorded with its virtual timestamp.  An untraced cluster emits into
+:data:`NULL_TRACER`, the one off-switch.  The trace is
 what you want when a DSM protocol misbehaves — `result.trace.render()`
 gives a readable timeline, and the query helpers slice it by page, node or
 category.
@@ -49,8 +50,7 @@ class TraceEvent:
 class Tracer:
     """Bounded in-memory event log with query helpers."""
 
-    def __init__(self, *, enabled: bool = True, capacity: int = 200_000):
-        self.enabled = enabled
+    def __init__(self, *, capacity: int = 200_000):
         self.capacity = capacity
         self.events: list[TraceEvent] = []
         self.dropped = 0
@@ -63,8 +63,6 @@ class Tracer:
 
     def emit(self, category: str, node: int, what: str, *, page: Optional[int] = None,
              tid: Optional[int] = None) -> None:
-        if not self.enabled:
-            return
         if len(self.events) >= self.capacity:
             self.dropped += 1
             return
@@ -114,12 +112,9 @@ class Tracer:
 
 
 class _NullTracer(Tracer):
-    """Zero-overhead tracer used when tracing is off."""
+    """The tracer of every untraced run: records nothing."""
 
-    def __init__(self) -> None:
-        super().__init__(enabled=False, capacity=0)
-
-    def emit(self, *args, **kwargs) -> None:  # pragma: no cover - trivial
+    def emit(self, *args, **kwargs) -> None:
         return
 
 

@@ -36,8 +36,6 @@ class CacheStats:
     chain_follows: int = 0
     #: Chain references severed by invalidation or promotion.
     unchains: int = 0
-    #: Superblocks promoted into the cache.
-    superblocks: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -108,7 +106,6 @@ class CodeCache:
             self._drop_page_index(old)
         self._blocks[sb.pc] = sb
         self.stats.translations += 1
-        self.stats.superblocks += 1
         for page in sb.pages:
             self._by_page.setdefault(page, set()).add(sb.pc)
 

@@ -49,7 +49,6 @@ class PeerHealth:
     #: answered anyone.
     consecutive_failures: int = 0
     retransmits: int = 0  # retransmits ever aimed at this peer
-    recoveries: int = 0  # calls that recovered after retransmitting to it
     exhausted: int = 0  # calls that ran out their whole retry budget
     #: Whole heartbeat leases that expired with no renewal (0 unless the
     #: heartbeat detector is armed; see repro.core.services.heartbeat).
@@ -117,10 +116,6 @@ class HealthTracker:
         p.last_heard_ns = self.sim.now
         p.consecutive_failures = 0
         p.state = PeerState.UP
-
-    def recovered(self, node: int) -> None:
-        self.peer(node).recoveries += 1
-        # heard_from() runs alongside and resets state/failure counts.
 
     def retransmitted(self, node: int) -> None:
         """A call to ``node`` missed a timeout window."""

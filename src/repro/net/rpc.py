@@ -107,16 +107,24 @@ class RetryPolicy:
         return delay
 
 
+#: Counters each :class:`RpcChannel` books itself.
+_ON_CHANNEL = ("dropped_replies", "duplicate_replies", "exhausted", "reply_replays")
+#: Counters booked on the issuing service's ``ServiceStats`` row.
+_ON_SERVICE = ("retransmits", "recoveries", "recovery_wait_ns")
+
+
 @dataclass
 class RpcStats:
-    """Aggregate reliability counters across a run's RPC channels.
+    """Aggregate reliability counters of a run (``RunResult.rpc``).
 
-    The per-channel counters live on each endpoint's :class:`RpcChannel`;
-    :meth:`collect` sums them for ``RunResult.rpc`` so experiments read one
-    place.  ``recovery_wait_ns`` accumulates, for each recovered call, the
-    span from its *first* transmission to the reply that finally landed —
-    ``mean_recovery_us`` is the recovery-latency column of the partition
-    experiment.
+    Each counter has one book.  A call's retransmits and recoveries are
+    booked on the calling service's ``ServiceStats`` row; the replies a
+    channel dropped or replayed, and the calls that exhausted their budget,
+    on each endpoint's :class:`RpcChannel`.  :meth:`collect` sums both so
+    experiments read one place.  ``recovery_wait_ns`` accumulates, for each
+    recovered call, the span from its *first* transmission to the reply
+    that finally landed — ``mean_recovery_us`` is the recovery-latency
+    column of the partition experiment.
     """
 
     dropped_replies: int = 0
@@ -134,19 +142,24 @@ class RpcStats:
         return self.recovery_wait_ns / self.recoveries / 1e3
 
     @classmethod
-    def collect(cls, channels: Iterable["RpcChannel"]) -> "RpcStats":
-        channels = list(channels)
-        return cls(**{
-            f.name: sum(getattr(ch, f.name) for ch in channels) for f in fields(cls)
-        })
+    def collect(cls, channels: Iterable["RpcChannel"], services: Iterable = ()) -> "RpcStats":
+        """The channel counters summed over ``channels``, the rest over
+        ``services`` (duck-typed ``ServiceStats`` rows)."""
+        channels, services = list(channels), list(services)
+        return cls(
+            **{name: sum(getattr(ch, name) for ch in channels) for name in _ON_CHANNEL},
+            **{name: sum(getattr(s, name) for s in services) for name in _ON_SERVICE},
+        )
 
     def minus(self, base: "RpcStats") -> "RpcStats":
         """Counter delta since ``base`` — a job's share of shared channels.
 
-        Channels are per node, not per tenant, so a job's RPC numbers are
-        the fleet totals between its admission and its finish; overlapping
-        jobs that retransmit on the same channel show up in each other's
-        window (a documented attribution caveat, not a bug).
+        Channels are per node, not per tenant, so a job's channel counters
+        (``dropped_replies``, ``duplicate_replies``, ``exhausted``,
+        ``reply_replays``) are the fleet totals between its admission and
+        its finish; overlapping jobs show up in each other's window (a
+        documented attribution caveat, not a bug).  The service-row counters
+        are per tenant and exact.
         """
         return RpcStats(**{
             f.name: getattr(self, f.name) - getattr(base, f.name) for f in fields(self)
@@ -161,7 +174,7 @@ class _Call:
     msg: Message
     timeout_ns: int
     retry: Optional[RetryPolicy]
-    stats: object  # duck-typed ServiceStats (or None)
+    stats: object  # duck-typed ServiceStats; required once the call retransmits
     first_sent_ns: int
     attempt: int = 0  # retransmits sent so far
     #: The one live timer (timeout window or backoff); a timer that fires
@@ -204,11 +217,8 @@ class RpcChannel:
         self._halted = False
         self.dropped_replies = 0  # late replies to timed-out requests
         self.duplicate_replies = 0  # replayed replies to completed requests
-        self.retransmits = 0  # cloned frames re-sent after a timeout window
-        self.recoveries = 0  # retried calls that did complete
         self.exhausted = 0  # calls that failed after their whole budget
         self.reply_replays = 0  # cached replies re-sent to retransmits
-        self.recovery_wait_ns = 0  # first-send -> reply, summed over recoveries
 
     # -- client side ----------------------------------------------------------
 
@@ -227,9 +237,12 @@ class RpcChannel:
         :class:`RpcTimeout` if the reply does not arrive in time (a late
         reply to a timed-out request is then dropped silently).  A ``retry``
         policy turns each expiry into a backoff + retransmission of a cloned
-        frame until the budget runs out; ``stats`` (a duck-typed
-        :class:`~repro.core.stats.ServiceStats`) receives per-service
-        ``retransmits`` / ``recoveries`` counts.
+        frame until the budget runs out.  ``stats`` (a duck-typed
+        :class:`~repro.core.stats.ServiceStats`) is the one book of the
+        call's ``retransmits`` / ``recoveries`` / ``recovery_wait_ns``: a
+        call that has to retransmit without one raises
+        :class:`~repro.errors.ConfigError`, as a retry without
+        ``timeout_ns`` does.
         """
         ev = Event(self.sim)
         if self._halted:
@@ -279,6 +292,10 @@ class RpcChannel:
         if call is None:
             return
         if call.retry is not None and call.attempt < call.retry.max_retries:
+            if call.stats is None:
+                # Every retransmit is booked on a service row, or
+                # RunResult.rpc, their sum, would miss it.
+                raise ConfigError("a retransmitting call needs a stats row to book it on")
             self._arm(
                 call, call.retry.backoff_ns(call.attempt, req_id), self._retransmit
             )
@@ -302,9 +319,7 @@ class RpcChannel:
         if call is None:
             return
         call.attempt += 1
-        self.retransmits += 1
-        if call.stats is not None:
-            call.stats.retransmits += 1
+        call.stats.retransmits += 1
         health = self.endpoint.fabric.health
         if health is not None:
             health.retransmitted(call.dst)
@@ -423,14 +438,8 @@ class RpcChannel:
         if health is not None:
             health.heard_from(msg.src)
         if call is not None and call.attempt:
-            self.recoveries += 1
-            waited = self.sim.now - call.first_sent_ns
-            self.recovery_wait_ns += waited
-            if call.stats is not None:
-                call.stats.recoveries += 1
-                call.stats.recovery_wait_ns += waited
-            if health is not None:
-                health.recovered(msg.src)
+            call.stats.recoveries += 1
+            call.stats.recovery_wait_ns += self.sim.now - call.first_sent_ns
         self._remember(req_id, "completed")
         ev.succeed(msg)
 

@@ -55,6 +55,16 @@ class TestRunCli:
         err = capsys.readouterr().err
         assert "[syscall" in err or "[page" in err
 
+    def test_jobs_print_stats_per_job_and_trace_once(self, hello_file, capsys):
+        rc = run_cli.main([hello_file, "--slaves", "2", "--jobs", "2", "--stats", "--trace"])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 5
+        stats = [line for line in lines if "page requests" in line]
+        assert [line.split(":")[0] for line in stats] == ["[job0", "[job1"]
+        # One fleet trace, holding each job's main-thread start once.
+        starts = [line for line in lines if "[thread ]" in line and line.endswith(" start")]
+        assert len(starts) == 2
+
     def test_optimization_flags_accepted(self, hello_file):
         assert run_cli.main(
             [hello_file, "--forwarding", "--splitting", "--scheduler", "hint"]

@@ -14,6 +14,7 @@ import functools
 import pytest
 
 from repro import Cluster, DQEMUConfig, FaultPlan, ServiceTimeout
+from repro.analysis.reporting import FAILURE_COLUMNS, render_service_breakdown
 from repro.core.scheduler import ThreadPlacer
 from repro.errors import ConfigError
 from repro.mem.directory import Directory
@@ -335,6 +336,16 @@ def _run(n_slaves=3, trace=False, **cfg_kw):
     return Cluster(n_slaves, cfg, trace=trace).run(prog, max_virtual_ms=60_000_000)
 
 
+def _failure_row(result):
+    """The rendered service breakdown's ``failure`` row, header -> cell."""
+    failures = {key: getattr(result.failures, key) for key in FAILURE_COLUMNS.values()}
+    lines = render_service_breakdown(result.stats, failures).splitlines()
+    headers = [h.strip() for h in lines[1].split(" | ")]
+    rows = [[c.strip() for c in line.split(" | ")] for line in lines[3:]]
+    (row,) = [r for r in rows if r[0] == "failure" and r[1] == "all"]
+    return dict(zip(headers, row))
+
+
 @functools.lru_cache(maxsize=None)
 def _clean():
     return _run()
@@ -440,12 +451,12 @@ class TestCrashTolerance:
         assert "n1 crash" in r.failures.describe()
         # The detector's verdict sticks for the rest of the run.
         assert r.health.state_of(1) is PeerState.DOWN
-        # The failure service attributed exactly this recovery's work.
-        svc = r.stats.services["failure"]
-        assert svc.evacuations == len(rec.evacuated)
-        assert svc.lost_threads == len(rec.lost)
-        assert svc.rehomed_pages == rec.rehomed_pages
-        assert svc.lost_pages == rec.lost_pages
+        # The breakdown's failure row is this recovery's FailureStats.
+        row = _failure_row(r)
+        assert row["evacuated"] == str(len(rec.evacuated))
+        assert row["lost threads"] == str(len(rec.lost))
+        assert row["rehomed pages"] == str(rec.rehomed_pages)
+        assert row["lost M pages"] == str(rec.lost_pages)
 
     def test_drain_completes_without_loss(self):
         drain_at = int(_clean().virtual_ns * 0.35)
@@ -704,8 +715,7 @@ class TestCheckpointRestore:
         assert rec.restored and not rec.lost and not rec.evacuated
         # Private worker state: rollback re-executes to the exact answers.
         assert r.stdout == _clean().stdout
-        svc = r.stats.services["failure"]
-        assert svc.restores == len(rec.restored)
+        assert _failure_row(r)["restored"] == str(len(rec.restored))
         for tid, target, rollback_ns in rec.restored:
             assert target != 1 and rollback_ns > 0
         assert r.failures.restored_threads == len(rec.restored)

@@ -11,6 +11,7 @@ transitions, and end-to-end cluster runs that ride out a network partition.
 import pytest
 
 from repro import Cluster, DQEMUConfig, FaultPlan, ServiceTimeout
+from repro.core.stats import ServiceStats
 from repro.errors import ConfigError
 from repro.net import Endpoint, Fabric
 from repro.net.faults import FaultInjector, drop
@@ -101,10 +102,11 @@ class TestRetransmission:
         a, b = eps
         sim.spawn(echo_server(b))
         replies = []
+        sink = ServiceStats(name="svc")
 
         def caller():
             reply = yield a.request(
-                1, PageRequest(page=1), timeout_ns=5_000, retry=RETRY
+                1, PageRequest(page=1), timeout_ns=5_000, retry=RETRY, stats=sink
             )
             replies.append(reply)
 
@@ -112,11 +114,11 @@ class TestRetransmission:
         sim.run()
         assert [r.retval for r in replies] == [7]
         assert inj.stats.dropped == 1
-        assert a.rpc.retransmits == 1
-        assert a.rpc.recoveries == 1
+        assert sink.retransmits == 1
+        assert sink.recoveries == 1
         # Recovery latency spans first send -> reply: at least the timeout
         # window plus the first backoff.
-        assert a.rpc.recovery_wait_ns >= 5_000 + 10_000
+        assert sink.recovery_wait_ns >= 5_000 + 10_000
 
     def test_dropped_reply_is_recovered_by_retransmit(self):
         plan = FaultPlan.of(drop(kinds={"syscall_reply"}, max_count=1))
@@ -124,10 +126,11 @@ class TestRetransmission:
         a, b = eps
         sim.spawn(echo_server(b))
         replies = []
+        sink = ServiceStats(name="svc")
 
         def caller():
             reply = yield a.request(
-                1, PageRequest(page=1), timeout_ns=5_000, retry=RETRY
+                1, PageRequest(page=1), timeout_ns=5_000, retry=RETRY, stats=sink
             )
             replies.append(reply)
 
@@ -135,7 +138,7 @@ class TestRetransmission:
         sim.run()
         assert [r.retval for r in replies] == [7]
         assert inj.stats.dropped == 1
-        assert a.rpc.retransmits == 1 and a.rpc.recoveries == 1
+        assert sink.retransmits == 1 and sink.recoveries == 1
 
     def test_budget_exhaustion_escalates_with_retry_count(self):
         plan = FaultPlan.of(drop(kinds={"page_request"}))  # nothing gets through
@@ -143,10 +146,13 @@ class TestRetransmission:
         a, b = eps
         sim.spawn(echo_server(b))
         failures = []
+        sink = ServiceStats(name="svc")
 
         def caller():
             try:
-                yield a.request(1, PageRequest(page=1), timeout_ns=5_000, retry=RETRY)
+                yield a.request(
+                    1, PageRequest(page=1), timeout_ns=5_000, retry=RETRY, stats=sink
+                )
             except RpcTimeout as exc:
                 failures.append(exc)
 
@@ -155,8 +161,8 @@ class TestRetransmission:
         assert len(failures) == 1
         assert failures[0].retries == RETRY.max_retries
         assert "after 3 retransmits" in str(failures[0])
-        assert a.rpc.retransmits == 3
-        assert a.rpc.exhausted == 1 and a.rpc.recoveries == 0
+        assert sink.retransmits == 3
+        assert a.rpc.exhausted == 1 and sink.recoveries == 0
         assert a.rpc._calls == {}  # no call (or its timer) outlives the failure
 
     def test_completion_cancels_timer(self):
@@ -166,9 +172,12 @@ class TestRetransmission:
         replies = []
 
         armed = []
+        sink = ServiceStats(name="svc")
 
         def caller():
-            ev = a.request(1, PageRequest(page=1), timeout_ns=1_000_000, retry=RETRY)
+            ev = a.request(
+                1, PageRequest(page=1), timeout_ns=1_000_000, retry=RETRY, stats=sink
+            )
             armed.extend(a.rpc._calls.values())
             replies.append((yield ev))
 
@@ -177,14 +186,12 @@ class TestRetransmission:
         assert len(replies) == 1
         [call] = armed
         assert call.timer is None and a.rpc._calls == {}
-        assert a.rpc.retransmits == 0
+        assert sink.retransmits == 0
         # The cancelled timeout still advances the clock to its expiry (the
         # heap entry stays), but fires no retransmission.
         assert sim.now >= 1_000_000
 
     def test_stats_sink_receives_attributed_counts(self):
-        from repro.core.stats import ServiceStats
-
         sink = ServiceStats(name="svc")
         plan = FaultPlan.of(drop(kinds={"page_request"}, max_count=2))
         sim, _fabric, _inj, eps = make_cluster(plan=plan)
@@ -201,6 +208,21 @@ class TestRetransmission:
         assert sink.retransmits == 2
         assert sink.recoveries == 1
         assert sink.recovery_wait_ns > 0
+
+    def test_retransmit_without_stats_row_rejected(self):
+        # Retransmits are booked only on the issuing service's row, so a
+        # call that would retransmit without one is a configuration error.
+        plan = FaultPlan.of(drop(kinds={"page_request"}, max_count=1))
+        sim, _fabric, _inj, eps = make_cluster(plan=plan)
+        a, b = eps
+        sim.spawn(echo_server(b))
+
+        def caller():
+            yield a.request(1, PageRequest(page=1), timeout_ns=5_000, retry=RETRY)
+
+        sim.spawn(caller())
+        with pytest.raises(ConfigError, match="stats row"):
+            sim.run()
 
 
 # -- server-side reply cache ---------------------------------------------------
@@ -283,6 +305,7 @@ class TestTombstoneBoundaries:
         sim, _fabric, _inj, eps = make_cluster()
         a, b = eps
         replies = []
+        sink = ServiceStats(name="svc")
 
         def slow_then_fast_server():
             q = b.subscribe("page_request")
@@ -297,7 +320,7 @@ class TestTombstoneBoundaries:
 
         def caller():
             reply = yield a.request(
-                1, PageRequest(page=1), timeout_ns=5_000, retry=RETRY
+                1, PageRequest(page=1), timeout_ns=5_000, retry=RETRY, stats=sink
             )
             replies.append(reply)
 
@@ -308,7 +331,7 @@ class TestTombstoneBoundaries:
         # second server reply hits a completed tombstone, not the caller.
         assert [r.retval for r in replies] == [1]
         assert a.rpc.duplicate_replies == 1
-        assert a.rpc.retransmits == 1 and a.rpc.recoveries == 1
+        assert sink.retransmits == 1 and sink.recoveries == 1
 
 
 # -- peer health ---------------------------------------------------------------
@@ -329,7 +352,6 @@ class TestPeerHealth:
         h.heard_from(2)
         assert h.state_of(2) is PeerState.UP
         assert h.peer(2).consecutive_failures == 0
-        assert h.peer(2).recoveries == 0  # heard_from alone is not a recovery
 
     def test_exhausted_budget_marks_down(self):
         sim = Simulator()
@@ -346,7 +368,10 @@ class TestPeerHealth:
 
         def caller():
             try:
-                yield a.request(1, PageRequest(page=1), timeout_ns=5_000, retry=RETRY)
+                yield a.request(
+                    1, PageRequest(page=1), timeout_ns=5_000, retry=RETRY,
+                    stats=ServiceStats(name="svc"),
+                )
             except RpcTimeout:
                 pass
 
@@ -435,7 +460,7 @@ class TestClusterReliability:
             s.retransmits for s in result.stats.services.values()
         )
         assert attributed > 0
-        assert attributed <= result.rpc.retransmits
+        assert attributed == result.rpc.retransmits
         recovered = [
             s for s in result.stats.services.values() if s.recoveries
         ]
