@@ -33,9 +33,9 @@ from repro.core.cluster import Cluster, RunResult
 from repro.core.config import DQEMUConfig
 from repro.core.jobs import Job, JobState
 from repro.errors import AdmissionError
-from repro.core.services.base import ServiceTimeout
 from repro.isa import AsmBuilder, Program, assemble
 from repro.net.faults import FaultPlan, FaultRule
+from repro.net.rpc import RpcTimeout as ServiceTimeout
 
 __version__ = "1.0.0"
 

@@ -27,7 +27,7 @@ from repro.analysis.metrics import mean_fault_latency_us
 from repro.baselines.qemu import qemu_config
 from repro.core.cluster import Cluster, RunResult
 from repro.core.config import DQEMUConfig
-from repro.core.services.base import ServiceTimeout
+from repro.net.rpc import RpcTimeout
 from repro.errors import SimulationError
 from repro.net.faults import FaultPlan, drop
 from repro.workloads import (
@@ -149,7 +149,7 @@ def run_cell(cell: Cell, ref: Optional[dict] = None) -> dict:
             for name, params in cell.jobs or [(cell.workload, cell.params)]
         ]
         results = cluster.join(jobs)
-    except (ServiceTimeout, SimulationError) as exc:
+    except (RpcTimeout, SimulationError) as exc:
         return {**record, "completed": False, "failure": str(exc)}
     return {**record, **_measure(cell, cfg, results, ref)}
 

@@ -75,7 +75,8 @@ class MasterShard:
         self.coherence = CoherenceService(master, self)
         self.splitting = SplittingService(master, self)
         self.dispatcher = Dispatcher(
-            master.sim, master.run_stats, shard=shard, endpoint=master.endpoint
+            master.sim, master.run_stats, shard=shard, endpoint=master.endpoint,
+            failure_view=master.failure_view,
         )
         self.dispatcher.register(self.coherence)
         self.dispatcher.register(self.splitting)
@@ -122,8 +123,10 @@ class MasterRuntime:
         self.done = done
         self.trace = node.trace
         self.finished = False
-        # The fleet's health tracker when the failure domain is armed; None
-        # keeps every service on its failure-blind, bit-identical code paths.
+        # The fleet's health tracker when the failure domain is armed (each
+        # shard's dispatcher refuses frames from the nodes it latched
+        # failed); None keeps every service on its failure-blind,
+        # bit-identical code paths.
         self.failure_view = failure_view
         #: Tids whose ``SpawnThread`` is outstanding (``MasterService.land``):
         #: the failure domain's recovery pass leaves them to their landing.

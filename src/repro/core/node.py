@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from repro.core.config import DQEMUConfig
 from repro.core.dsmmem import DSMMemory, MergeStall
 from repro.core.gthread import GuestThread, GuestThreadState
-from repro.core.services.base import Dispatcher, attribute_timeouts
+from repro.core.services.base import Dispatcher
 from repro.core.services.heartbeat import NodeHeartbeatService
 from repro.core.services.nodeside import (
     NodeCoherenceService,
@@ -233,18 +233,15 @@ class NodeRuntime:
 
     def _request(self, bundle: NodeTenant, service: str, dst: int, msg):
         """Issue one node-side RPC with the configured timeout and retransmit
-        budget; retransmit traffic is billed to the tenant's ``service`` row
-        (looked up only when retries are armed, so default runs create no
-        extra RunStats rows).  Returns the reply event."""
+        budget; a timeout names ``service``, and retransmit traffic is billed
+        to the tenant's ``service`` row (looked up only when retries are
+        armed, so default runs create no extra RunStats rows).  Returns the
+        reply event."""
         stats = bundle.run_stats.service(service) if self.rpc_retry is not None else None
         return self.endpoint.request(
-            dst, msg, timeout_ns=self.config.rpc_timeout_ns, retry=self.rpc_retry, stats=stats,
+            dst, msg, timeout_ns=self.config.rpc_timeout_ns, retry=self.rpc_retry,
+            stats=stats, service=service,
         )
-
-    def _call(self, bundle: NodeTenant, service: str, dst: int, msg):
-        """:meth:`_request`, awaited, its timeout attributed to ``service``."""
-        with attribute_timeouts(service):
-            return (yield self._request(bundle, service, dst, msg))
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -402,15 +399,14 @@ class NodeRuntime:
     def _resolve_stall(self, stall: PageStall, tenant: int):
         """Do what the stalled access asked for; the access then re-executes."""
         if isinstance(stall, MergeStall):
-            yield from self._call(
+            yield self._request(
                 self.tenants[tenant], NodeSplitTableService.name, self.master_id,
                 MergeRequest(page=stall.orig_page, tenant=tenant),
             )
         else:
-            with attribute_timeouts(NodeCoherenceService.name):
-                yield from self._acquire_page(
-                    self.tenants[tenant], stall.page, stall.write, stall.offset, stall.size
-                )
+            yield from self._acquire_page(
+                self.tenants[tenant], stall.page, stall.write, stall.offset, stall.size
+            )
 
     def _acquire_page(
         self, bundle: NodeTenant, page: int, write: bool, offset: int, size: int
@@ -505,7 +501,7 @@ class NodeRuntime:
             reply = yield from kernel.execute(th, sysno, args)
         else:
             bundle.run_stats.protocol.delegated_syscalls += 1
-            reply = yield from self._call(
+            reply = yield self._request(
                 bundle, "node.syscall", self.master_id,
                 SyscallRequest(
                     tid=cpu.tid, sysno=sysno, args=args, context=cpu.snapshot(),

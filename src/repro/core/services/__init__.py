@@ -5,12 +5,7 @@ services; see :mod:`repro.core.services.base` for the :class:`Service`
 protocol and the :class:`Dispatcher` that routes frames by message kind.
 """
 
-from repro.core.services.base import (
-    Dispatcher,
-    Service,
-    ServiceTimeout,
-    attribute_timeouts,
-)
+from repro.core.services.base import Dispatcher, Service
 from repro.core.services.coherence import CoherenceService, CoherentGuestMemory
 from repro.core.services.forwarding import ForwardingService
 from repro.core.services.futexes import FutexService
@@ -32,8 +27,6 @@ __all__ = [
     "NodeControlService",
     "NodeSplitTableService",
     "Service",
-    "ServiceTimeout",
     "SplittingService",
     "SyscallService",
-    "attribute_timeouts",
 ]

@@ -12,16 +12,19 @@ routes inbound frames by kind and keeps uniform per-service counters
 :class:`~repro.core.stats.RunStats` so experiments can attribute
 master-link load per subsystem.
 
-Two protocol-robustness concerns live at this seam as well:
+Every request names the service issuing it (:meth:`MasterService.request`,
+``NodeRuntime._request``), so when ``DQEMUConfig.rpc_timeout_ns`` arms the
+RPC layer and a peer never answers, the :class:`~repro.net.rpc.RpcTimeout`
+already names that service where it fires: a dead or partitioned node fails
+the run loudly and attributably instead of deadlocking it.
 
-* **Timeout attribution** — when ``DQEMUConfig.rpc_timeout_ns`` arms the RPC
-  layer and a peer never answers, the bare
-  :class:`~repro.net.rpc.RpcTimeout` is re-raised as a
-  :class:`ServiceTimeout` naming the service whose handler was waiting, so
-  a dead or partitioned node fails the run loudly and attributably instead
-  of deadlocking it.  Processes issuing RPCs outside a dispatch (pushers,
-  merge reverts, node-side fault handlers) get the same attribution via
-  :func:`attribute_timeouts`.
+Two protocol-robustness concerns live at the dispatcher:
+
+* **Dead senders** — a master shard's dispatcher holds the failure view
+  when the failure domain is armed, and refuses any frame whose sender is
+  latched failed (billed, counted once in ``dead_peer_skips``, never
+  handled): recovery for that node already ran, and serving its frame would
+  re-admit it to the directory, the kernel state or the snapshot store.
 * **Replay tolerance** — a duplicated request frame (fault injection, or a
   retransmitting fabric) must not be served twice: side effects like
   delegated syscalls or futex wakes are not idempotent.  The dispatcher
@@ -42,7 +45,7 @@ from typing import (
 )
 
 from repro.core.stats import RunStats
-from repro.errors import NetworkError, ProtocolError
+from repro.errors import ProtocolError
 from repro.kernel.threads import ThreadState
 from repro.net.messages import SpawnThread
 from repro.net.rpc import RpcTimeout
@@ -50,57 +53,10 @@ from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.master import MasterRuntime
+    from repro.net.health import HealthTracker
     from repro.net.messages import Message
 
-__all__ = [
-    "Service", "MasterService", "Dispatcher", "ServiceTimeout", "attribute_timeouts",
-]
-
-
-class ServiceTimeout(RpcTimeout):
-    """An RPC issued on behalf of a named runtime service timed out.
-
-    Carries the service name next to the request's message kind and peer, so
-    slave death surfaces as e.g. ``service 'coherence': no reply to
-    'invalidate' ... from node 3`` rather than a bare :class:`RpcTimeout`.
-    """
-
-    def __init__(self, service: str, inner: RpcTimeout):
-        retries = getattr(inner, "retries", 0)
-        detail = f" after {retries} retransmits" if retries else ""
-        NetworkError.__init__(
-            self,
-            f"service {service!r}: no reply to {inner.request.kind!r} "
-            f"(req {inner.request.req_id}) from node {inner.request.dst} "
-            f"within {inner.timeout_ns} ns{detail}",
-        )
-        self.service = service
-        self.request = inner.request
-        self.timeout_ns = inner.timeout_ns
-        self.retries = retries
-
-
-class attribute_timeouts:
-    """Context manager: re-raise any bare :class:`RpcTimeout` escaping the
-    block as a :class:`ServiceTimeout` attributed to ``service``.
-
-    Safe inside generator-based simulation processes (the block may span
-    ``yield`` suspension points), and idempotent: an already-attributed
-    timeout passes through unchanged.  A plain class rather than a
-    ``@contextmanager`` generator: it sits on every fault.
-    """
-
-    __slots__ = ("service",)
-
-    def __init__(self, service: str):
-        self.service = service
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, _exc_type, exc, _tb) -> None:
-        if isinstance(exc, RpcTimeout) and not isinstance(exc, ServiceTimeout):
-            raise ServiceTimeout(self.service, exc) from exc
+__all__ = ["Service", "MasterService", "Dispatcher"]
 
 
 @runtime_checkable
@@ -145,9 +101,9 @@ class MasterService:
 
     This class is also the one path by which the master originates frames:
     :meth:`send` and :meth:`request` stamp the job's tenant id and carry the
-    configured timeout and retransmit budget; :meth:`call`, :meth:`ask` and
-    :meth:`gather` are the three ways of awaiting a request, and :meth:`land`
-    is the one way of putting a thread on a node.
+    configured timeout and retransmit budget; awaiting :meth:`request`,
+    :meth:`ask` and :meth:`gather` are the three ways of waiting on a reply,
+    and :meth:`land` is the one way of putting a thread on a node.
     """
 
     name = "master"
@@ -206,18 +162,13 @@ class MasterService:
 
     def request(self, dst: int, msg: "Message"):
         """Issue one RPC with the configured timeout and retransmit budget
-        (retransmits billed to this service's row); returns the reply event."""
+        (retransmits billed to this service's row, a timeout naming it);
+        returns the reply event."""
         msg.tenant = self.tenant
         return self.endpoint.request(
             dst, msg, timeout_ns=self.config.rpc_timeout_ns,
-            retry=self.retry, stats=self.retry_stats,
+            retry=self.retry, stats=self.retry_stats, service=self.name,
         )
-
-    def call(self, dst: int, msg: "Message"):
-        """:meth:`request`, awaited, its timeout attributed to this service
-        (for processes running outside a dispatch)."""
-        with attribute_timeouts(self.name):
-            return (yield self.request(dst, msg))
 
     def _reply_or_none(self, peer: int, reply_event):
         """Await a request issued to ``peer``, tolerating it dying mid-call.
@@ -269,8 +220,8 @@ class MasterService:
         ``master.landing``, which the failure domain's recovery pass skips:
         if the target is latched failed mid-call, the thread is re-placed
         here on ``failure_domain.pick_target`` (``spawn_failovers``), not
-        also reaped.  A timeout against a live target still raises,
-        attributed to this service.
+        also reaped.  A timeout against a live target still raises, naming
+        this service.
         """
         threads = self.master.state.threads
         attempts = len(self.master.node_ids) + 1
@@ -279,8 +230,7 @@ class MasterService:
             threads.move(tid, target)
             threads.set_state(tid, ThreadState.RUNNING)
             self.trace.emit("thread", target, why, tid=tid)
-            with attribute_timeouts(self.name):
-                ack = yield from self.ask(target, SpawnThread(tid=tid, context=context))
+            ack = yield from self.ask(target, SpawnThread(tid=tid, context=context))
             if ack is not None:
                 self.master.landing.discard(tid)
                 return target
@@ -305,6 +255,7 @@ class Dispatcher:
         shard: Optional[int] = None,
         endpoint=None,
         stats_resolver=None,
+        failure_view: Optional["HealthTracker"] = None,
     ):
         self.sim = sim
         self.run_stats = run_stats
@@ -322,6 +273,11 @@ class Dispatcher:
         #: must get its reply again, or a lost reply would be unrecoverable).
         #: Optional so bare dispatchers in tests keep working.
         self.endpoint = endpoint
+        #: The fleet's health tracker on a master shard whose failure domain
+        #: is armed: frames from a sender it has latched failed are refused.
+        #: None elsewhere (node-side dispatchers: the master is never
+        #: latched), which keeps the failure-blind path one attribute test.
+        self.failure_view = failure_view
         self.services: list[Service] = []
         self._routes: dict[str, Service] = {}
         self._served: OrderedDict[int, None] = OrderedDict()
@@ -366,7 +322,11 @@ class Dispatcher:
 
         A replayed frame (same correlation id as one already served) is
         dropped without reaching the handler: serving it twice would repeat
-        side effects, and its reply would be a duplicate anyway.
+        side effects, and its reply would be a duplicate anyway.  A frame
+        whose sender the failure view has latched failed is billed, counted
+        in ``dead_peer_skips`` and refused: it was still in the mailbox (or
+        the fabric) when its node was declared dead, recovery already ran
+        against the state as it was, and its reply would be unroutable.
         """
         service = self._routes.get(msg.kind)
         if service is None:
@@ -401,12 +361,12 @@ class Dispatcher:
         if shard_stats is not None:
             shard_stats.requests += 1
             shard_stats.queue_wait_ns += waited
+        view = self.failure_view
+        if view is not None and view.is_failed(msg.src):
+            run_stats.protocol.dead_peer_skips += 1
+            return None
         try:
             result = yield from service.handle(msg)
-        except ServiceTimeout:
-            raise
-        except RpcTimeout as exc:
-            raise ServiceTimeout(service.name, exc) from exc
         finally:
             busy = self.sim.now - t0
             stats.busy_ns += busy

@@ -84,15 +84,11 @@ class CheckpointService(MasterService):
                 lock.release()
 
     def handle(self, msg):
-        proto = self.run_stats.protocol
-        if self.view.is_failed(msg.src):
-            # The sender was declared dead while this frame was in flight;
-            # recovery for it already ran (or is running) against the store
-            # as it was.  A posthumous snapshot must not resurrect state.
-            proto.checkpoints_discarded += 1
-            return
+        # A snapshot from a sender latched failed never gets here (the
+        # dispatcher refuses it): it must not resurrect state that recovery
+        # already rolled back or reaped.
         yield self.sim.timeout(self.config.checkpoint_service_ns)
         yield from self._install_pages(msg.src, msg.pages)
         self._remember(msg.tid, msg.taken_ns, msg.context)
-        proto.checkpoints_stored += 1
+        self.run_stats.protocol.checkpoints_stored += 1
         self.endpoint.reply(msg, Ack())

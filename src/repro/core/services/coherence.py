@@ -229,12 +229,6 @@ class CoherenceService(MasterService):
         splitting = self.shard.splitting
         page, node, write = msg.page, msg.src, msg.write
         proto = self.run_stats.protocol
-        if self._dead(node):
-            # A dead node's request was still in the mailbox when it died.
-            # Serving it would re-admit the node to the directory after
-            # eviction; the reply is unroutable anyway.
-            proto.dead_peer_skips += 1
-            return
         lock = self.lock(page)
         yield lock.acquire()
         try:

@@ -174,9 +174,9 @@ class FailureDomainService(MasterService):
         self.failures.nodes[node] = rec
         self.run_stats.service(self.name).requests += 1
         self.trace.emit("node", node, "drain ordered")
-        self.master.node.spawn(
-            self.call(node, StartDrain()), f"drain-n{node}@master"
-        )
+        # A node that dies right as the order goes out is the crash path's
+        # business: the order's ack is simply never heard.
+        self.master.node.spawn(self.ask(node, StartDrain()), f"drain-n{node}@master")
 
     # -- inbound frames ---------------------------------------------------------
 

@@ -11,7 +11,7 @@ Delivery mode follows ``DQEMUConfig.rpc_timeout_ns``: by default wakes are
 fire-and-forget sends (the paper's lossless-fabric assumption, and the
 cheapest thing that works).  With a timeout armed, each wake becomes an
 acked request watched by a guarded process, so a wake swallowed by the
-fabric fails the run loudly as a futex-attributed :class:`ServiceTimeout`
+fabric fails the run loudly as a timeout naming the futex service
 instead of leaving the waiter parked forever.  The node side mirrors the
 same gate (:class:`~repro.core.services.nodeside.NodeControlService` only
 acks wakes when timeouts are armed), keeping the default wire traffic —
@@ -20,7 +20,7 @@ and therefore every timing — bit-identical.
 
 from __future__ import annotations
 
-from repro.core.services.base import MasterService, attribute_timeouts
+from repro.core.services.base import MasterService
 from repro.kernel.futex import Waiter
 from repro.net.messages import FutexWake, Message, SyscallReply
 
@@ -63,12 +63,11 @@ class FutexService(MasterService):
                 )
 
     def _await_ack(self, ack, peer: int):
-        with attribute_timeouts(self.name):
-            if (yield from self._reply_or_none(peer, ack)) is None:
-                # The sleeper's node died before the wake landed; the
-                # recovery pass owns that thread's fate now (evacuated or
-                # reaped), so a lost wake is accounting, not an abort.
-                self.run_stats.protocol.lost_wakes += 1
+        if (yield from self._reply_or_none(peer, ack)) is None:
+            # The sleeper's node died before the wake landed; the recovery
+            # pass owns that thread's fate now (evacuated or reaped), so a
+            # lost wake is accounting, not an abort.
+            self.run_stats.protocol.lost_wakes += 1
 
     def park(self, msg: Message) -> None:
         """Answer a delegated ``futex_wait`` with a parked reply."""

@@ -119,15 +119,11 @@ class HeartbeatService(MasterService):
     # -- inbound frames ---------------------------------------------------------
 
     def handle(self, msg):
-        proto = self.run_stats.protocol
-        if self.view.is_failed(msg.src):
-            # A posthumous renewal (delayed in the fabric, or racing the
-            # detector) must not resurrect a latched-failed peer: recovery
-            # already re-homed its state.
-            proto.heartbeats_ignored += 1
-            return
+        # A posthumous renewal (delayed in the fabric, or racing the
+        # detector) is refused at dispatch: it must not resurrect a
+        # latched-failed peer whose state recovery already re-homed.
         self.deadlines[msg.src] = self.sim.now + self.lease_ns
-        proto.heartbeats_received += 1
+        self.run_stats.protocol.heartbeats_received += 1
         # Positive liveness evidence: demotes suspect back to up, exactly
         # as an answered RPC would.
         self.view.heard_from(msg.src)

@@ -250,7 +250,7 @@ class NodeFailureDomain:
 
     def _evacuate_rpc(self, cpu, bundle: "NodeTenant"):
         node = self.node
-        yield from node._call(
+        yield node._request(
             bundle, NodeControlService.name, node.master_id,
             EvacuateThread(tid=cpu.tid, context=cpu.snapshot(), tenant=bundle.tenant),
         )
@@ -279,7 +279,7 @@ class NodeFailureDomain:
         node = self.node
         done = DrainComplete()  # drains are single-job (tenant 0) territory
         if self.config.rpc_timeout_ns is not None:
-            yield from node._call(
+            yield node._request(
                 node.tenants[0], NodeControlService.name, node.master_id, done
             )
         else:
@@ -341,7 +341,7 @@ class NodeFailureDomain:
         )
         proto.checkpoint_bytes += msg.size_bytes()
         try:
-            yield from node._call(bundle, "node.checkpoint", node.master_id, msg)
+            yield node._request(bundle, "node.checkpoint", node.master_id, msg)
         except RpcTimeout:
             # The master stopped answering (it is drowning): a checkpoint is
             # best-effort, so drop this one; the next interval tries again.

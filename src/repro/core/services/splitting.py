@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.services.base import MasterService, attribute_timeouts
+from repro.core.services.base import MasterService
 from repro.core.splitting import FalseSharingDetector, SplitDecision
 from repro.errors import ProtocolError
 from repro.mem.layout import PAGE_SIZE
@@ -132,13 +132,10 @@ class SplittingService(MasterService):
             )
 
     def _merge_and_release(self, orig: int):
-        # Runs as its own spawned process, outside any dispatch — attribute
-        # timeouts here or a peer death during the revert surfaces bare.
-        with attribute_timeouts(self.name):
-            try:
-                yield from self._do_merge(orig)
-            finally:
-                self._merging.discard(orig)
+        try:
+            yield from self._do_merge(orig)
+        finally:
+            self._merging.discard(orig)
 
     def _do_merge(self, orig: int):
         """Merge a split page's shadows back into the original (locks the

@@ -49,14 +49,7 @@ class SyscallService(MasterService):
     # -- delegated syscalls (§4.3) ---------------------------------------------------
 
     def handle(self, msg):
-        cfg = self.config
-        if self._dead(msg.src):
-            # The caller's node died with this request still in the mailbox;
-            # executing it would mutate kernel state for a dead thread and
-            # the reply is unroutable.
-            self.run_stats.protocol.dead_peer_skips += 1
-            return
-        yield self.sim.timeout(cfg.syscall_service_ns)
+        yield self.sim.timeout(self.config.syscall_service_ns)
         self.trace.emit("syscall", msg.src, sys_name(msg.sysno), tid=msg.tid)
         result: SyscallResult = yield from self.executor.execute(
             msg.tid, msg.src, msg.sysno, msg.args

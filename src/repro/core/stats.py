@@ -66,9 +66,10 @@ class ProtocolStats:
     post_finish_drops: int = 0
     #: Degradation counters (docs/PROTOCOL.md "Failure domains"), all zero
     #: unless a node failed mid-run: RPCs to a confirmed-dead peer that a
-    #: tolerant service skipped instead of aborting on, futex wakes whose
-    #: sleeper died with its node, and landings re-placed after their target
-    #: failed mid-spawn (``MasterService.land``).
+    #: tolerant service skipped instead of aborting on, and frames from one
+    #: the master's dispatcher refused; futex wakes whose sleeper died with
+    #: its node; and landings re-placed after their target failed mid-spawn
+    #: (``MasterService.land``).
     dead_peer_skips: int = 0
     lost_wakes: int = 0
     spawn_failovers: int = 0
@@ -90,7 +91,7 @@ class ProtocolStats:
     #: all zero unless DQEMUConfig.checkpoint_interval_ns is set.
     checkpoints_taken: int = 0  # snapshots captured at quantum boundaries
     checkpoints_stored: int = 0  # snapshots the master landed and kept
-    checkpoints_discarded: int = 0  # frames from already-dead senders dropped
+    checkpoints_discarded: int = 0  # node-side snapshots written off on timeout
     checkpoint_pages_flushed: int = 0  # Modified pages folded into home copies
     checkpoint_stale_pages: int = 0  # flushed pages skipped (ownership moved)
     checkpoint_bytes: int = 0  # wire bytes spent shipping snapshots
@@ -100,7 +101,6 @@ class ProtocolStats:
     #: are booked per peer (``PeerHealth.lease_misses``).
     heartbeats_sent: int = 0  # lease renewals slaves put on the wire
     heartbeats_received: int = 0  # renewals the master's monitor landed
-    heartbeats_ignored: int = 0  # posthumous renewals from latched-failed nodes
 
 
 @dataclass

@@ -85,14 +85,18 @@ class Endpoint:
         timeout_ns: Optional[int] = None,
         retry=None,
         stats=None,
+        service: Optional[str] = None,
     ) -> Event:
         """Send ``msg`` and return an event firing with the reply message.
 
         ``retry`` (a :class:`~repro.net.rpc.RetryPolicy`) arms loss recovery
         on top of the timeout; ``stats`` receives the per-service
-        retransmit/recovery counts (see :meth:`RpcChannel.call`).
+        retransmit/recovery counts and ``service``, the issuing service's
+        name, is what a timeout names (see :meth:`RpcChannel.call`).
         """
-        return self.rpc.call(dst, msg, timeout_ns=timeout_ns, retry=retry, stats=stats)
+        return self.rpc.call(
+            dst, msg, timeout_ns=timeout_ns, retry=retry, stats=stats, service=service
+        )
 
     def reply(self, to: Message, msg: Message) -> None:
         """Send ``msg`` as the reply correlated with request ``to``."""

@@ -9,7 +9,8 @@ the endpoint's subscriber queues — requests and replies are distinct planes,
 mirroring the paper's manager/communicator split (§4, Fig. 2).
 
 An optional per-call timeout hook fails the completion event with
-:class:`RpcTimeout` if no reply arrives in time.  The production protocol
+:class:`RpcTimeout`, naming the service that issued the call, if no reply
+arrives in time.  The production protocol
 never times out on a lossless fabric, but ``DQEMUConfig.rpc_timeout_ns``
 arms the hook on every service-issued request so fault-injection
 experiments (:mod:`repro.net.faults`) and slave-death detection hang off
@@ -54,14 +55,26 @@ __all__ = ["RpcChannel", "RpcTimeout", "RetryPolicy", "RpcStats"]
 
 
 class RpcTimeout(NetworkError):
-    """A request's timeout (and retry budget, if any) expired unanswered."""
+    """A request's timeout (and retry budget, if any) expired unanswered.
 
-    def __init__(self, msg: Message, timeout_ns: int, retries: int = 0):
+    ``service`` names the runtime service that issued the request (the name
+    it passed to :meth:`RpcChannel.call`), so slave death surfaces as e.g.
+    ``service 'coherence': no reply to 'invalidate' ... from node 3``.  It is
+    ``None`` only for calls that name no service.  Exported publicly as
+    ``repro.ServiceTimeout``.
+    """
+
+    def __init__(
+        self, msg: Message, timeout_ns: int, retries: int = 0,
+        service: Optional[str] = None,
+    ):
         detail = f" after {retries} retransmits" if retries else ""
+        who = "rpc" if service is None else f"service {service!r}"
         super().__init__(
-            f"rpc: no reply to {msg.kind} (req {msg.req_id}) from node "
+            f"{who}: no reply to {msg.kind!r} (req {msg.req_id}) from node "
             f"{msg.dst} within {timeout_ns} ns{detail}"
         )
+        self.service = service
         self.request = msg
         self.timeout_ns = timeout_ns
         self.retries = retries
@@ -175,6 +188,7 @@ class _Call:
     timeout_ns: int
     retry: Optional[RetryPolicy]
     stats: object  # duck-typed ServiceStats; required once the call retransmits
+    service: Optional[str]  # the issuing service, named by its timeout
     first_sent_ns: int
     attempt: int = 0  # retransmits sent so far
     #: The one live timer (timeout window or backoff); a timer that fires
@@ -230,12 +244,14 @@ class RpcChannel:
         timeout_ns: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
         stats=None,
+        service: Optional[str] = None,
     ) -> Event:
         """Send ``msg`` to ``dst``; the returned event fires with the reply.
 
         With ``timeout_ns`` set, the event instead *fails* with
         :class:`RpcTimeout` if the reply does not arrive in time (a late
-        reply to a timed-out request is then dropped silently).  A ``retry``
+        reply to a timed-out request is then dropped silently); the timeout
+        names ``service``, the service issuing the call.  A ``retry``
         policy turns each expiry into a backoff + retransmission of a cloned
         frame until the budget runs out.  ``stats`` (a duck-typed
         :class:`~repro.core.stats.ServiceStats`) is the one book of the
@@ -257,7 +273,7 @@ class RpcChannel:
         if timeout_ns is not None:
             call = self._calls[msg.req_id] = _Call(
                 dst=dst, msg=msg, timeout_ns=timeout_ns, retry=retry,
-                stats=stats, first_sent_ns=self.sim.now,
+                stats=stats, service=service, first_sent_ns=self.sim.now,
             )
             self._arm(call, timeout_ns, self._expired)
         elif retry is not None:
@@ -311,7 +327,7 @@ class RpcChannel:
             # Retries or not, an unanswered budget means the peer is gone as
             # far as this call is concerned.
             health.exhausted_budget(call.dst)
-        ev.fail(RpcTimeout(call.msg, call.timeout_ns, retries=call.attempt))
+        ev.fail(RpcTimeout(call.msg, call.timeout_ns, call.attempt, call.service))
 
     def _retransmit(self, req_id: int, timer: Event) -> None:
         """Backoff elapsed: re-send a clone and re-arm the timeout window."""
@@ -350,7 +366,7 @@ class RpcChannel:
                 # of the engine when its failure is processed (a later yield
                 # still delivers the error into the awaiting process).
                 ev.add_callback(lambda _e: None)
-                ev.fail(RpcTimeout(call.msg, call.timeout_ns, retries=call.attempt))
+                ev.fail(RpcTimeout(call.msg, call.timeout_ns, call.attempt, call.service))
 
     def halt(self) -> None:
         """Kill the channel in place (the owning node crashed).

@@ -4,13 +4,13 @@ splitting, the node's read-fault wait, the image loader."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import ServiceTimeout
 from repro.core.cluster import Cluster
 from repro.core.config import DQEMUConfig
 from repro.core.forwarding import ReadAheadEngine
 from repro.core.llsc import LLSCTable
 from repro.core.node import NodeRuntime
 from repro.core.scheduler import ThreadPlacer
-from repro.core.services.base import ServiceTimeout, attribute_timeouts
 from repro.core.splitting import FalseSharingDetector
 from repro.core.stats import RunStats
 from repro.errors import ConfigError
@@ -19,7 +19,7 @@ from repro.mem import FlatMemory, MSIState, PageStall, PageStore
 from repro.mem.layout import PAGE_SIZE, page_of
 from repro.net import Endpoint, Fabric
 from repro.net.messages import PageData, PagePush, PageRequest
-from repro.net.rpc import RpcTimeout
+from repro.net.rpc import RetryPolicy, RpcTimeout
 from repro.sim import Simulator
 
 
@@ -362,39 +362,53 @@ class TestReadFaultWait:
         assert marker.processed and not s.sim.pending
 
 
-class TestAttributeTimeouts:
-    def _timeout(self):
-        return RpcTimeout(PageRequest(page=1, dst=3, req_id=9), 1000)
+class TestTimeoutAttribution:
+    """A timeout names the service that issued the request, on both of the
+    channel's failure paths; a call that names none fails with ``None``."""
 
-    def test_bare_timeout_is_attributed_and_chained(self):
-        inner = self._timeout()
-        with pytest.raises(ServiceTimeout, match="service 'coherence'") as exc:
-            with attribute_timeouts("coherence"):
-                raise inner
-        assert exc.value.__cause__ is inner and exc.value.service == "coherence"
+    RETRY = RetryPolicy(max_retries=2, backoff_base_ns=100)
 
-    def test_attributed_timeout_and_other_errors_pass_through(self):
-        attributed = ServiceTimeout("futex", self._timeout())
-        with pytest.raises(ServiceTimeout) as exc:
-            with attribute_timeouts("coherence"):
-                raise attributed
-        assert exc.value is attributed
-        with pytest.raises(KeyError):
-            with attribute_timeouts("coherence"):
-                raise KeyError("not a timeout")
-
-    def test_spans_a_yield_inside_a_process(self):
+    def _failure(self, service, *, abort=False):
         sim = Simulator()
-        reply = sim.event()
+        fabric = Fabric(sim)
+        client, server = Endpoint(sim, fabric, 0), Endpoint(sim, fabric, 1)
+        server.subscribe("page_request")  # heard, never answered
+        failures = []
 
-        def proc():
-            with attribute_timeouts("node.coherence"):
-                yield reply
+        def caller():
+            try:
+                yield client.request(
+                    1, PageRequest(page=1), timeout_ns=1000, retry=self.RETRY,
+                    stats=RunStats().service("any"), service=service,
+                )
+            except RpcTimeout as exc:
+                failures.append(exc)
 
-        p = sim.spawn(proc())
-        reply.fail(self._timeout())
-        with pytest.raises(ServiceTimeout, match="node.coherence"):
-            sim.run(until=p)
+        sim.spawn(caller())
+        if abort:
+            client.rpc.abort_peer(1)
+        sim.run()
+        (exc,) = failures
+        return exc
+
+    def test_budget_exhaustion_names_the_issuer(self):
+        exc = self._failure("node.coherence")
+        assert isinstance(exc, ServiceTimeout) and exc.service == "node.coherence"
+        assert str(exc) == (
+            f"service 'node.coherence': no reply to 'page_request' "
+            f"(req {exc.request.req_id}) from node 1 within 1000 ns after 2 retransmits"
+        )
+
+    def test_abort_peer_names_the_issuer(self):
+        exc = self._failure("coherence", abort=True)
+        assert exc.service == "coherence" and exc.retries == 0
+        assert str(exc).startswith("service 'coherence': no reply to 'page_request'")
+
+    def test_a_call_naming_no_service_fails_unattributed(self):
+        for abort in (False, True):
+            exc = self._failure(None, abort=abort)
+            assert exc.service is None
+            assert str(exc).startswith("rpc: no reply to 'page_request'")
 
 
 def test_page_stall_formats_its_text_on_demand():

@@ -487,6 +487,10 @@ class TestCrashTolerance:
         assert rec.recovered_ns is not None
 
     @pytest.mark.parametrize("crash_frac, heartbeat_ns, evacuated", [
+        # Crashed right as the drain order goes out: the order's own request
+        # must tolerate the corpse, not abort the run.
+        (0.35, None, 0),
+        (0.35, 5_000, 0),
         (0.355, None, 0),  # mid-drain; was a ServiceTimeout on the corpse
         (0.37, 5_000, 1),  # mid-drain, quiet victim; was a hang
         (0.6, 5_000, 2),  # after the drain; its directory entries stayed

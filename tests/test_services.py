@@ -103,6 +103,52 @@ class TestDispatcher:
         assert stats.services["idle"].requests == 0
 
 
+#: Every kind a master-side service handles: the frames a slave sends in.
+MASTER_KINDS = (
+    "page_request", "syscall_request", "checkpoint", "heartbeat",
+    "evacuate_thread", "drain_complete", "merge_request",
+)
+
+
+def test_master_kinds_are_every_master_handled_kind():
+    from repro.core.services.base import MasterService
+
+    handled = set()
+    for info in pkgutil.iter_modules(importlib.import_module("repro.core.services").__path__):
+        module = importlib.import_module(f"repro.core.services.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if issubclass(cls, MasterService):
+                handled |= cls.handled_kinds
+    assert handled == set(MASTER_KINDS)
+
+
+class TestDeadSenderRefusal:
+    """A master shard's dispatcher refuses a frame whose sender the failure
+    view has latched failed: billed and counted once, never handled."""
+
+    @pytest.mark.parametrize("kind", MASTER_KINDS)
+    def test_latched_sender_is_billed_and_refused(self, kind):
+        sim = Simulator()
+        stats = RunStats()
+        view = HealthTracker(sim)
+        view.mark_failed(2)
+        d = Dispatcher(sim, stats, shard=0, failure_view=view)
+        stub = d.register(StubService("svc", MASTER_KINDS))
+        cls = {c.kind: c for c in all_message_types()}[kind]
+        dead, live = cls(src=2, req_id=1), cls(src=1, req_id=2)
+        sim.run(until=40)
+        dead._arrived_ns = live._arrived_ns = 10
+        sim.spawn(d.dispatch(dead))
+        assert stub.seen == []
+        row = stats.services["svc"]
+        assert (row.requests, row.queue_wait_ns, row.busy_ns) == (1, 30, 0)
+        assert (row.shard(0).requests, row.shard(0).queue_wait_ns) == (1, 30)
+        assert stats.protocol.dead_peer_skips == 1
+        sim.spawn(d.dispatch(live))  # a live sender is served as ever
+        assert stub.seen == [kind]
+        assert stats.protocol.dead_peer_skips == 1
+
+
 class TestRpc:
     def test_correlation_under_concurrent_in_flight_requests(self):
         """Several outstanding calls from one endpoint resolve to the right
