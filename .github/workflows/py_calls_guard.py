@@ -40,12 +40,14 @@ CALLS = "prof.py_calls_per_kinsn"
 #: 17223.0 and 577.7 before it; the table-driven assembler measured 1089.5 on
 #: cold_start, against 1356.6 before it; attributing timeouts where they fire
 #: and refusing dead senders at dispatch measured 15172.4 on fault_storm and
-#: 538.9 on full_stack_pipeline, against 15458.1 and 544.5 before it).
+#: 538.9 on full_stack_pipeline, against 15458.1 and 544.5 before it; inline
+#: FP conversions and back-edge liveness measured 367.6 on fp_compute and
+#: 1060.8 on cold_start, against 1033.1 and 1076.9 before them).
 CEILINGS = {
     "mem_read_walk": {CALLS: 22.4},
     "mem_rmw_walk": {CALLS: 171.4},
-    "fp_compute": {CALLS: 1085.5},
-    "cold_start": {CALLS: 1144.0, "prof.dbt.blocks_compiled": 268},
+    "fp_compute": {CALLS: 386.0},
+    "cold_start": {CALLS: 1113.8, "prof.dbt.blocks_compiled": 268},
     "fault_storm": {CALLS: 15931.0},
     "full_stack_pipeline": {CALLS: 565.8},
 }

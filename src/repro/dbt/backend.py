@@ -34,12 +34,18 @@ reassigned while the temp is still live.
 
 Float shadow.  Inside a generated function an FP value is a host local
 ``fN`` (a Python ``float``) and ``R[N]`` may be stale; an FP write forgets the
-integer local.  ``R[N] = f2b(fN)`` is emitted before an integer read of ``N``,
-in the miss arm of every plain access (which does not clear the emitter's
-``dirty`` set: the hit path runs no ``f2b``), before every atomic, on a loop's
-back edge and on every ``return`` — the only points at which anything outside
-the function (fault handler, migration and checkpoint capture, the next
-block) reads ``cpu.regs``, so the register file is exact whenever read.
+integer local.  A shadow is *committed*, ``R[N] = <bits of fN>``, only where
+its bits can be read: before an integer read of ``N``, in the miss arm of every
+plain access (which does not clear the emitter's ``dirty`` set: the hit path
+commits nothing), before every atomic and on every ``return`` — the points at
+which anything outside the function (fault handler, migration and checkpoint
+capture, the next block) can read ``cpu.regs``, so the register file is exact
+whenever read — and on a loop's back edge only if the next trip can observe
+it ("Loop residency").  Conversions are inline: the templates of
+:mod:`repro.dbt.fpu` over ``struct``'s C accessors, which also inline the
+common case of division, square root and min/max against a literal; a helper
+runs only as an edge case's slow arm, or for min/max of two unknown operands.
+An FP op into ``x0`` emits nothing: GA64 has no FP flags or rounding state.
 
 Resident fast path.  Every ``ld``/``st`` micro-op is emitted as the memory's
 hit test inline plus the out-of-line method as its miss arm — QEMU's softmmu
@@ -61,14 +67,20 @@ Loop residency.  Every generated function is ``fn(cpu, mem, n)``.  One whose
 static successors include its own entry pc — a plain block branching to
 itself, a superblock whose tail can branch to its head — is emitted as a
 loop: a *pre-header* binds, once, every register whose first access in the
-body is a read (``rN = R[N]`` for integer reads, ``fN = b2f(R[N])`` for FP
-reads: the value there is the value on entry), then ``i = 0`` and the body
-inside ``while True:``.  At the tail, ahead of the unchanged exit, sits the
-*back edge*: ``if i + 1 < n and (<the branch re-enters>): <commit dirty floats;
-re-bind what the pre-header bound and the body left stale>; i += 1; continue``
-— the loop head always finds exactly what the pre-header left it, and
-``cpu.regs`` is exact there.  ``n`` is the engine's allowance, the number of
-entries this call may make; a function that does not loop never reads it.
+body is a read (``rN = R[N]`` for integer reads, ``fN`` from the bits of
+``R[N]`` for FP reads: the value there is the value on entry), then ``i = 0``
+and the body inside ``while True:``.  At the tail, ahead of the unchanged exit,
+sits the *back edge*: ``if i + 1 < n and (<the branch re-enters>): <commit the
+live dirty floats; re-bind what the pre-header bound and the body left stale>;
+i += 1; continue`` — the loop head always finds exactly what the pre-header
+left it.  A dirty float is live there unless the body writes its register
+(integer or FP) before reading it and before the first point where anything
+outside the function can read ``cpu.regs``; such a register is found while the
+body is emitted, as the pre-header is (``_Emitter.dead``), and the next trip
+overwrites it unseen, so ``cpu.regs`` is exact at the loop head but for it.
+Miss arms and exits still commit every dirty float.  ``n`` is the engine's
+allowance, the number of entries this call may make; a function that does not
+loop never reads it.
 Every way out of a looping function reports through ``cpu.block_runs``: a
 return (tail or side exit) sets it to ``i + 1``, the entries made, with the
 last one's instruction count in ``cpu.block_ic`` as ever; a fault point sets
@@ -132,14 +144,7 @@ _CODEGEN_GLOBALS = {
     "urem64": rt.urem64,
     "mulh64": rt.mulh64,
     "mulhu64": rt.mulhu64,
-    "b2f": fpu.b2f,
-    "f2b": fpu.f2b,
-    "fdiv_h": fpu.fdiv,
-    "fsqrt_h": fpu.fsqrt,
-    "fmin_h": fpu.fmin,
-    "fmax_h": fpu.fmax,
-    "d2l": fpu.d2l,
-    "l2d": fpu.l2d,
+    **fpu.CODEGEN,
     "W": MSIState.MODIFIED,
     # The wide accessors of ``repro.mem.flat``: ``u8``/``u4``/``u2`` read
     # unsigned, ``s4``/``s2`` signed, ``p8``/``p4``/``p2`` write.
@@ -156,7 +161,7 @@ _FBIN_EXPR = {
     "fadd": "{a} + {b}",
     "fsub": "{a} - {b}",
     "fmul": "{a} * {b}",
-    "fdiv": "fdiv_h({a}, {b})",
+    "fdiv": fpu.FDIV,
     "fmin": "fmin_h({a}, {b})",
     "fmax": "fmax_h({a}, {b})",
 }
@@ -447,6 +452,27 @@ def _text(value: "int | str") -> str:
     return value if isinstance(value, str) else repr(value)
 
 
+def _bits(v: int) -> str:
+    """The register bits of the float shadow ``fN`` of guest register ``v``."""
+    return fpu.F2B.format(x=f"f{v}")
+
+
+def _unbits(v: int) -> str:
+    """The float whose bits guest register ``v`` holds."""
+    return fpu.B2F.format(x=f"R[{v}]")
+
+
+def _fbin(f: str, a: str, b: str) -> str:
+    """``a <f> b`` over float expressions: min/max against a literal is a
+    conditional expression, two unknown operands call the helper."""
+    if f in ("fmin", "fmax"):
+        inline = fpu.fmin_const if f == "fmin" else fpu.fmax_const
+        for v, c in ((a, b), (b, a)):
+            if c[0] != "f":  # a literal (``fref`` makes them of finite values only)
+                return inline(v, float(c))
+    return _FBIN_EXPR[f].format(a=a, b=b)
+
+
 class _Emitter:
     """Source lines of one generated function, plus what is known while they
     are emitted: which host local or constant equals which guest register
@@ -480,6 +506,12 @@ class _Emitter:
         self.shadow: dict[int, str | int] = {}
         #: Guest regs whose ``fN`` is newer than ``R[N]``.
         self.dirty: set[int] = set()
+        #: Guest regs written before they are read, and before the first point
+        #: where anything outside the function can read ``cpu.regs``; fixed
+        #: there (``None`` until then), and exact only in a loop, whose
+        #: pre-header pins every register read first.  The back edge leaves
+        #: their shadows uncommitted: the next trip overwrites them unseen.
+        self.dead: Optional[set[int]] = None
         #: :data:`MEM_VIEW` locals the emitted resident tests read.
         self.views: set[str] = set()
 
@@ -533,7 +565,7 @@ class _Emitter:
         if v not in self.local:
             if v in self.dirty:
                 self.keep(f"r{v}")
-                self.lines.append(f"R[{v}] = r{v} = f2b(f{v})")
+                self.lines.append(f"R[{v}] = r{v} = {_bits(v)}")
                 self.dirty.discard(v)
             else:
                 if v in self.written:
@@ -584,8 +616,9 @@ class _Emitter:
             self.const[v] = self.shadow[v] = value
 
     def fref(self, operand) -> str:
-        """FP read of a guest register: a float expression.  ``b2f`` is
-        emitted once, on the first FP read with no shadow."""
+        """FP read of a guest register: a float expression, the local ``fN``
+        or a literal of a finite value.  The bits are reinterpreted once, on
+        the first FP read with no shadow."""
         _g, v = operand  # FP micro-ops take guest registers only (tcg.py)
         if v == 0:
             return "0.0"
@@ -596,7 +629,7 @@ class _Emitter:
                 expr = repr(x)
             else:  # unknown bits, or inf/NaN (no literal)
                 expr = f"f{v}"
-                self.bind(v, f"f{v} = b2f(R[{v}])", self.fpins)
+                self.bind(v, f"f{v} = {_unbits(v)}", self.fpins)
             self.shadow[v] = expr
         return expr
 
@@ -604,9 +637,6 @@ class _Emitter:
         """FP write: the result stays a host float, ``R[d]`` goes stale and
         the integer local is forgotten with it."""
         _g, v = d
-        if v == 0:
-            self.lines.append(f"_ = {expr}")
-            return
         self.lines.append(f"f{v} = {expr}")
         self.shadow[v] = f"f{v}"
         self.dirty.add(v)
@@ -638,8 +668,15 @@ class _Emitter:
 
     # -- materialisation points ---------------------------------------------------
 
-    def _commits(self) -> list[str]:
-        return [f"R[{n}] = f2b(f{n})" for n in sorted(self.dirty)]
+    def _commits(self, *, live: bool = False) -> list[str]:
+        """``R[N] = <bits of fN>`` for every dirty shadow, where something
+        outside the function can read ``cpu.regs`` — at the back edge
+        (``live``) only for those the next trip does not overwrite unseen.
+        The first such point fixes ``dead``."""
+        if self.dead is None:
+            self.dead = self.written - self.pins - self.fpins
+        regs = self.dirty - self.dead if live else self.dirty
+        return [f"R[{n}] = {_bits(n)}" for n in sorted(regs)]
 
     def _fault_point(self, ir: InstrIR, k: int) -> list[str]:
         """What makes guest state precise should ``ir`` (the function's
@@ -667,12 +704,12 @@ class _Emitter:
     def back_edge(self, taken: Optional[str]) -> None:
         """The function's exit re-enters it when ``taken`` holds (always, if
         ``None``): while the allowance lasts, go round in place.  The loop
-        head finds what the pre-header left it: registers exact, every pinned
-        local equal to its register."""
+        head finds what the pre-header left it: every pinned local equal to
+        its register, and registers exact but for the ``dead`` ones."""
         self.lines.append("if i + 1 < n" + (f" and ({taken}):" if taken else ":"))
-        again = self._commits()
+        again = self._commits(live=True)
         again += [f"r{v} = R[{v}]" for v in sorted(self.pins - self.local)]
-        again += [f"f{v} = b2f(R[{v}])" for v in sorted(self.fpins)
+        again += [f"f{v} = {_unbits(v)}" for v in sorted(self.fpins)
                   if self.shadow.get(v) != f"f{v}"]
         self.lines.extend("    " + ln for ln in again + ["i += 1", "continue"])
 
@@ -835,17 +872,20 @@ class _Emitter:
         elif name == "setcond":
             d, a, b, cond = op.args
             self.set(d, f"1 if {self.cond(cond, self.val(a), self.val(b))} else 0")
+        elif name in ("fbin", "fun", "fsetcond") and op.args[0] == ("g", 0):
+            pass  # a result nobody can see: GA64 has no FP flags or rounding state
         elif name == "fbin":
             d, a, b, f = op.args
-            self.fset(d, _FBIN_EXPR[f].format(a=self.fref(a), b=self.fref(b)))
+            self.fset(d, _fbin(f, self.fref(a), self.fref(b)))
         elif name == "fun":
             d, a, f = op.args
             if f == "fsqrt":
-                self.fset(d, f"fsqrt_h({self.fref(a)})")
+                self.fset(d, fpu.FSQRT.format(a=self.fref(a)))
             elif f == "fcvt_d_l":
-                self.fset(d, f"l2d({ref(a)})")
+                x = self.val(a)
+                self.fset(d, repr(fpu.l2d(x)) if isinstance(x, int) else fpu.L2D.format(x=x))
             else:  # fcvt_l_d: float in, integer bits out
-                self.set(d, f"d2l({self.fref(a)})")
+                self.set(d, fpu.D2L.format(x=self.fref(a)))
         elif name == "fsetcond":
             d, a, b, cond = op.args
             expr = _FSET_EXPR[cond].format(a=self.fref(a), b=self.fref(b))

@@ -122,6 +122,25 @@ def python_calls(fn, *args):
     return calls
 
 
+def c_calls(fn, *args):
+    """Every C function called while running ``fn(*args)``, in call order: the
+    calls ``python_calls`` cannot see, such as the ``struct`` accessors an
+    inline float cast is made of (``fpu.QP`` for bits → float, ``fpu.DP`` for
+    float → bits)."""
+    calls = []
+
+    def profiler(frame, event, arg):
+        if event == "c_call":
+            calls.append(arg)
+
+    sys.setprofile(profiler)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
 def run_to_ecall(source: str, *, mode: str = "dbt", regs: dict | None = None,
                  max_quanta: int = 10_000):
     """Assemble and run a program until the first ecall; returns (cpu, mem, engine).

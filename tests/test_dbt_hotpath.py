@@ -9,10 +9,12 @@ thread would.
 
 import pytest
 
-from repro.dbt import Backend, CPUState, EngineTiming, ExecutionEngine, StopKind
+from repro.dbt import Backend, CPUState, EngineTiming, ExecutionEngine, Frontend, StopKind
 from repro.dbt.backend import TranslationBlock
 from repro.dbt.codecache import CodeCache
 from repro.dbt.frontend import BlockIR
+from repro.dbt.interp import Interpreter
+from repro.dbt.stop import RC_SYSCALL
 from repro.dbt.tcg import InstrIR, TCGOp, guest, imm, temp
 from repro.isa import SPECS, Instruction, assemble, encode
 from repro.mem import FlatMemory, PAGE_SIZE, PageStall, page_of
@@ -673,6 +675,46 @@ hop:
 
 SELF_JUMP = "_start:\n  j _start\n"
 
+# Back-edge liveness: a3 is a float left dirty at the back edge, and the store
+# walks into the withheld second page of ``region`` on trip 4.  In the first
+# loop the next trip overwrites a3 before anything can read it, so the back
+# edge does not commit it; in the other two something reads it first — the
+# store's miss arm, then the integer add.
+FP_LIVENESS = """
+_start:
+  li a0, 0x3FF8000000000000
+  li a4, 0
+  li t2, 0
+  la t0, region
+  li t1, 8
+loop:
+{body}
+  addi t0, t0, 1024
+  addi t1, t1, -1
+  bnez t1, loop
+  ecall
+.bss
+.align 4096
+region: .space 8192
+"""
+FP_DEAD_AT_BACK_EDGE = FP_LIVENESS.format(body="""\
+  addi a3, t1, 3
+  fcvt.d.l a3, a3
+  fmul a3, a3, a0
+  fadd a4, a4, a3
+  sd a4, 0(t0)""")
+FP_LIVE_INTO_MISS_ARM = FP_LIVENESS.format(body="""\
+  sd a4, 0(t0)
+  addi a3, t1, 3
+  fcvt.d.l a3, a3
+  fmul a3, a3, a0
+  fadd a4, a4, a3""")
+FP_READ_AS_INT_FIRST = FP_LIVENESS.format(body="""\
+  add t2, t2, a3
+  fcvt.d.l a3, t1
+  fmul a3, a3, a0
+  sd t2, 0(t0)""")
+
 LOOPS = {
     "plain": (LOOP_SRC, ()),
     "walk-load": (WALK.format(access="lbu t5, 0(t0)"), ("region",)),
@@ -688,6 +730,9 @@ LOOPS = {
     "chase": (CHASE, ()),
     "jalr-self": (JALR_SELF, ()),
     "self-jump": (SELF_JUMP, ()),
+    "fp-dead-at-back-edge": (FP_DEAD_AT_BACK_EDGE, ("region",)),
+    "fp-live-into-miss-arm": (FP_LIVE_INTO_MISS_ARM, ("region",)),
+    "fp-read-as-int-first": (FP_READ_AS_INT_FIRST, ("region",)),
 }
 HOT_TIERS = [
     {}, dict(fusion=True), dict(superblock_threshold=2), dict(superblock_threshold=8, fusion=True)
@@ -777,6 +822,65 @@ class TestLoopResidency:
             cpu = CPUState(pc=prog.entry, tid=1)
             assert engine.run_quantum(cpu, 10**6).kind is StopKind.SYSCALL
             assert cpu.regs[5] == 200
+
+
+class TestBackEdgeLiveness:
+    """A float shadow left dirty at the back edge is committed there only if
+    the next trip can observe it before overwriting it; wherever it is
+    observed — here the miss arm of a store whose page goes away on trip 4 —
+    ``cpu.regs`` is the interpreter's."""
+
+    CASES = {  # program, store's index in the body, back edge commits a3
+        "dead": (FP_DEAD_AT_BACK_EDGE, 4, False),
+        "live-into-miss-arm": (FP_LIVE_INTO_MISS_ARM, 0, True),
+        "read-as-int-first": (FP_READ_AS_INT_FIRST, 3, True),
+    }
+    STALL_TRIP = 4
+
+    @staticmethod
+    def _back_edge(source):
+        return source.split("if i + 1 < n", 1)[1].split("continue", 1)[0]
+
+    @pytest.mark.parametrize("superblock", [False, True], ids=["block", "superblock"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_stall_mid_loop_and_resume_match_the_interpreter(self, case, superblock):
+        source, store_at, commits = self.CASES[case]
+        prog = assemble(source)
+        mem = StallingMemory([page_of(prog.symbol("region")) + 1])
+        mem.load_image(prog.iter_load_segments())
+        cpu = CPUState(pc=prog.entry, tid=1, sp=0x7000_0000)
+        head = prog.symbol("loop")
+        prefix = (head - prog.entry) // 4
+        Interpreter(mem).run(cpu, prefix)  # no memory access before the loop
+        assert cpu.pc == head
+        ir = Frontend(mem).build_block(head)
+        backend = Backend()
+        # A trace of the loop body twice over loops in place like the block.
+        tb = backend.compile_superblock([ir, ir]) if superblock else backend.compile(ir)
+        body = len(ir.instrs)
+        assert tb.loops
+        assert ("R[13] = " in self._back_edge(tb.source)) is commits, tb.source
+
+        oracle_mem = FlatMemory()
+        oracle_mem.load_image(prog.iter_load_segments())
+        oracle = CPUState(pc=prog.entry, tid=1, sp=0x7000_0000)
+        stalled_at = prefix + self.STALL_TRIP * body + store_at
+        Interpreter(oracle_mem).run(oracle, stalled_at)
+
+        with pytest.raises(PageStall):
+            tb.fn(cpu, mem, 100)
+        trips = 2 if superblock else 1  # per entry
+        assert (cpu.pc, cpu.regs) == (oracle.pc, oracle.regs)
+        assert cpu.block_runs == self.STALL_TRIP // trips
+        assert cpu.block_ic == self.STALL_TRIP % trips * body + store_at
+
+        engine = ExecutionEngine(mem)
+        stop = engine.run_quantum(cpu, 10**6)
+        assert stop.kind is StopKind.SYSCALL, stop
+        assert Interpreter(oracle_mem).run(oracle) == RC_SYSCALL
+        assert (cpu.pc, cpu.regs) == (oracle.pc, oracle.regs)
+        assert cpu.block_ic == 1  # the ecall's own block ran last
+        assert stalled_at + engine.insns_executed == prefix + 8 * body + 1
 
 
 class TestKnownValues:

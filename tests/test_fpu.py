@@ -2,8 +2,10 @@
 
 import math
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import example, given, strategies as st
 
+from repro.dbt import fpu
 from repro.dbt.fpu import (
     CANONICAL_NAN,
     b2f,
@@ -123,3 +125,77 @@ class TestConversions:
     @given(st.integers(-(2**52), 2**52))
     def test_int_roundtrip_exact_range(self, v):
         assert fcvt_l_d(fcvt_d_l(v & M64)) == v & M64
+
+
+# -- the backend's inline templates against the functions they stand for ---
+
+_I64_EDGE = 2.0**63
+_EDGE_DOUBLES = [
+    0.0, -0.0, math.inf, -math.inf, 1.0, -1.5, 5e-324, -5e-324, 2.225073858507201e-308,
+    _I64_EDGE, -_I64_EDGE, math.nextafter(_I64_EDGE, 0.0), math.nextafter(-_I64_EDGE, 0.0),
+    math.nextafter(_I64_EDGE, math.inf), math.nextafter(-_I64_EDGE, -math.inf),
+]
+#: Any NaN: quiet or signalling, either sign, any payload.
+_NANS = st.tuples(st.booleans(), st.integers(1, 2**52 - 1)).map(
+    lambda t: b2f(t[0] << 63 | 0x7FF << 52 | t[1])
+)
+DOUBLES = st.one_of(st.sampled_from(_EDGE_DOUBLES), _NANS, st.floats())
+#: Register bits, the int64 boundaries first.
+BITS = st.one_of(st.sampled_from([0, 1, I64_MAX, 2**63, M64]), st.integers(0, M64))
+#: What ``fref`` makes a literal of: finite values only.
+LITERALS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(allow_nan=False,
+                                                                      allow_infinity=False))
+
+
+def _raw(x):
+    """A double's bits as they are, payload included (``f2b`` would
+    canonicalise a NaN and hide which one came back)."""
+    return fpu.QU(fpu.DP(x))[0]
+
+
+def _inline(source, *params):
+    """An inline expression as a function of its operands, over the globals
+    the backend's generated code has."""
+    return eval(f"lambda {', '.join(params)}: {source}", dict(fpu.CODEGEN))
+
+
+class TestInlineTemplates:
+    """Each template the backend emits gives its function's result, bit for
+    bit, on every edge the function defines."""
+
+    b2f_inline = staticmethod(_inline(fpu.B2F.format(x="x"), "x"))
+    f2b_inline = staticmethod(_inline(fpu.F2B.format(x="x"), "x"))
+    l2d_inline = staticmethod(_inline(fpu.L2D.format(x="x"), "x"))
+    d2l_inline = staticmethod(_inline(fpu.D2L.format(x="x"), "x"))
+    fdiv_inline = staticmethod(_inline(fpu.FDIV.format(a="a", b="b"), "a", "b"))
+    fsqrt_inline = staticmethod(_inline(fpu.FSQRT.format(a="a"), "a"))
+
+    @given(BITS)
+    def test_bits_conversions(self, bits):
+        assert _raw(self.b2f_inline(bits)) == _raw(b2f(bits))
+        assert _raw(self.l2d_inline(bits)) == _raw(l2d(bits))
+
+    @given(DOUBLES)
+    @example(-0.0)
+    @example(math.nan)
+    def test_double_conversions(self, x):
+        assert self.f2b_inline(x) == f2b(x)
+        assert self.d2l_inline(x) == d2l(x)
+        assert _raw(self.fsqrt_inline(x)) == _raw(fsqrt(x))
+
+    @given(DOUBLES, DOUBLES)
+    @example(1.0, 0.0)
+    @example(-1.0, -0.0)
+    @example(0.0, -0.0)
+    @example(math.nan, 0.0)
+    def test_division(self, a, b):
+        assert _raw(self.fdiv_inline(a, b)) == _raw(fdiv(a, b))
+
+    @pytest.mark.parametrize("op, const", [(fmin, fpu.fmin_const), (fmax, fpu.fmax_const)])
+    @given(v=DOUBLES, c=LITERALS)
+    @example(v=0.0, c=-0.0)
+    @example(v=-0.0, c=0.0)
+    @example(v=math.nan, c=-0.0)
+    def test_min_max_against_a_literal_in_either_order(self, op, const, v, c):
+        inline = _inline(const("v", c), "v")
+        assert _raw(inline(v)) == _raw(op(v, c)) == _raw(op(c, v))
