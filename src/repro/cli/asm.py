@@ -36,7 +36,7 @@ def render_listing(program) -> str:
     lines.append("")
     lines.append("sections:")
     for sec in sorted(program.sections.values(), key=lambda s: s.base):
-        lines.append(f"  {sec.name:<8} {sec.base:#010x}..{sec.end:#010x}  {len(sec.data)} bytes")
+        lines.append(f"  {sec.name:<8} {sec.base:#010x}..{sec.end:#010x}  {sec.size} bytes")
     lines.append("")
     lines.append("symbols:")
     for name, addr in sorted(program.symbols.items(), key=lambda kv: kv[1]):

@@ -25,6 +25,7 @@ from repro.core.services.base import MasterService
 from repro.mem.directory import Directory
 from repro.mem.layout import PAGE_SIZE, page_of, page_offset
 from repro.mem.msi import MSIState
+from repro.mem.pagestore import ZERO_PAGE
 from repro.mem.protocols import make_policy
 from repro.net.messages import Invalidate, PageData, WriteBack
 from repro.sim.engine import Timeout
@@ -163,10 +164,9 @@ class CoherenceService(MasterService):
 
     # -- home-copy helpers ------------------------------------------------------
 
-    def _home_page(self, page: int) -> bytearray:
+    def _home_page(self, page: int) -> None:
         if page not in self.home:
-            return self.home.ensure(page, MSIState.SHARED)
-        return self.home.raw(page)
+            self.home.ensure(page, MSIState.SHARED)
 
     def home_bytes(self, addr: int, size: int) -> bytes:
         self._home_page(page_of(addr))
@@ -180,7 +180,8 @@ class CoherenceService(MasterService):
         self.home.install(page, data, MSIState.SHARED)
 
     def home_snapshot(self, page: int) -> bytes:
-        self._home_page(page)
+        if page not in self.home:
+            return ZERO_PAGE  # never written: nothing to materialise
         return self.home.snapshot(page)
 
     # -- kernel page ownership (syscall pointer arguments, §4.3) -----------------

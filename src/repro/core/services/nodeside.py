@@ -81,11 +81,11 @@ class NodeCoherenceService(_NodeService):
         # the master's home copy is still current, so the downgrade acks
         # without the 4 KiB payload (MESI's cheap E→S).  A silently
         # upgraded copy is Modified by then and writes back as usual.
-        if store.state(msg.page) is MSIState.EXCLUSIVE:
-            data = None
-        else:
-            data = store.snapshot(msg.page)
+        # The Shared copy left behind is the snapshot sent: node, frame
+        # and home hold one buffer.
+        clean = store.state(msg.page) is MSIState.EXCLUSIVE
         store.set_state(msg.page, MSIState.SHARED)
+        data = None if clean else store.snapshot(msg.page)
         self.endpoint.reply(msg, InvalidateAck(page=msg.page, data=data))
         return
         yield  # pragma: no cover - generator protocol

@@ -310,7 +310,7 @@ class Assembler:
         )
         sections[".data"].base = data_base
         sections[".bss"].base = (data_base + len(data) + PAGE - 1) // PAGE * PAGE
-        sections[".bss"].data = bytearray(cursor[".bss"])
+        sections[".bss"].zero_fill = cursor[".bss"]
         symbols = {name: sections[sec].base + off for name, (sec, off) in labels.items()}
 
         # ---- pass 2: encode .text, then resolve symbolic data ----

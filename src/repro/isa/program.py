@@ -21,13 +21,21 @@ DEFAULT_TEXT_BASE = 0x0001_0000
 
 @dataclass
 class Section:
+    """``data`` followed by ``zero_fill`` zero bytes that are a length only
+    (``.bss``): guest memory is demand-zero, so nothing loads them."""
+
     name: str
     base: int
     data: bytearray = field(default_factory=bytearray)
+    zero_fill: int = 0
+
+    @property
+    def size(self) -> int:
+        return len(self.data) + self.zero_fill
 
     @property
     def end(self) -> int:
-        return self.base + len(self.data)
+        return self.base + self.size
 
 
 @dataclass
@@ -51,9 +59,10 @@ class Program:
     def iter_load_segments(self) -> Iterator[tuple[int, memoryview]]:
         """Yield ``(vaddr, contents)`` pairs in ascending address order.
 
-        The contents are a read-only view of the section, not a copy (a
-        ``.bss`` runs to megabytes and every run loads the image): loaders
-        slice it page by page, and a slice of a view copies nothing either.
+        The contents are a read-only view of the section's data, not a copy:
+        loaders slice it page by page, and a slice of a view copies nothing
+        either.  A section's ``zero_fill`` is not yielded — every page reads
+        zero until something writes it.
         """
         for sec in sorted(self.sections.values(), key=lambda s: s.base):
             if sec.data:
@@ -69,6 +78,6 @@ class Program:
         secs = sorted(self.sections.values(), key=lambda s: s.base)
         bad = []
         for a, b in zip(secs, secs[1:]):
-            if a.end > b.base and a.data and b.data:
+            if a.end > b.base and a.size and b.size:
                 bad.append((a.name, b.name))
         return bad

@@ -76,7 +76,7 @@ class MemoryAPI(Protocol):
 
     Resident-access view.  Translated code does not call :meth:`load` /
     :meth:`store` for an access the page already permits: it tests these four
-    containers inline and indexes the page's ``bytearray`` itself
+    containers inline and indexes the page's buffer itself
     (:mod:`repro.dbt.backend`).  A load hits iff ``split_pages`` is empty, the
     span stays inside the page and the page has an entry in ``page_states``; a
     store iff additionally ``reservations`` is empty and the state is
@@ -89,8 +89,9 @@ class MemoryAPI(Protocol):
 
     #: page → coherence state; a page with no entry is Invalid.
     page_states: dict[int, "MSIState"]
-    #: page → its bytes; every page in ``page_states`` has one.
-    page_bufs: dict[int, bytearray]
+    #: page → its bytes; every page in ``page_states`` has one, a
+    #: ``bytearray`` while Modified (``repro.mem.pagestore``'s buffer rule).
+    page_bufs: dict[int, "bytes | bytearray"]
     #: Non-empty while any page is split into shadow pages (§5.1).
     split_pages: dict
     #: Non-empty while any LL reservation is armed (§4.4).

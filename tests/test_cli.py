@@ -132,6 +132,12 @@ class TestAsmCli:
         assert "disassembly" in out_path.read_text()
         assert capsys.readouterr().out == ""
 
+    def test_bss_lists_its_size(self, tmp_path, capsys):
+        src = tmp_path / "bss.s"
+        src.write_text("_start:\n  nop\n.bss\nbuf: .space 10000\n")
+        asm_cli.main([str(src)])
+        assert "0x00011000..0x00013710  10000 bytes" in capsys.readouterr().out
+
     def test_assembler_error_is_one_line_with_its_line_number(self, tmp_path, capsys):
         src = tmp_path / "bad.s"
         src.write_text("_start:\n    addi a0, zero, 99999\n")

@@ -1,6 +1,8 @@
 """Unit tests for core components: LL/SC table, scheduler, forwarding,
 splitting, the node's read-fault wait, the image loader."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,12 +13,15 @@ from repro.core.forwarding import ReadAheadEngine
 from repro.core.llsc import LLSCTable
 from repro.core.node import NodeRuntime
 from repro.core.scheduler import ThreadPlacer
+from repro.core.services.coherence import CoherenceService
 from repro.core.splitting import FalseSharingDetector
 from repro.core.stats import RunStats
+from repro.core.trace import NULL_TRACER
 from repro.errors import ConfigError
 from repro.isa.program import Program, Section
 from repro.mem import FlatMemory, MSIState, PageStall, PageStore
 from repro.mem.layout import PAGE_SIZE, page_of
+from repro.mem.pagestore import ZERO_PAGE
 from repro.net import Endpoint, Fabric
 from repro.net.messages import PageData, PagePush, PageRequest
 from repro.net.rpc import RetryPolicy, RpcTimeout
@@ -423,7 +428,12 @@ def test_page_stall_formats_its_text_on_demand():
 
 class TestImageLoad:
     """Sections are loaded through read-only views (no section-sized copy);
-    what lands in memory is what the copying loader put there."""
+    what lands in memory is what the copying loader put there.  A ``.bss``
+    is a length: nothing loads it, it reads as zeros, and the home holds no
+    page of it until something writes one."""
+
+    #: Starts mid-page and spans three pages, none of them loaded.
+    BSS = Section(".bss", 0x2BFF8, zero_fill=2 * PAGE_SIZE + 13)
 
     @staticmethod
     def _program():
@@ -434,9 +444,10 @@ class TestImageLoad:
             sections={
                 ".text": Section(".text", 0x10000, pattern(40, 3)),
                 # Odd bases and lengths: first and last pages are partial, and
-                # .bss starts inside the page .data ends in.
+                # .sdata starts inside the page .data ends in.
                 ".data": Section(".data", 0x20FF3, pattern(2 * PAGE_SIZE + 29, 5)),
-                ".bss": Section(".bss", 0x23010, pattern(3 * PAGE_SIZE - 7, 7)),
+                ".sdata": Section(".sdata", 0x23010, pattern(3 * PAGE_SIZE - 7, 7)),
+                ".bss": TestImageLoad.BSS,
                 ".empty": Section(".empty", 0x30000),
             },
             symbols={}, entry=0x10000,
@@ -456,7 +467,7 @@ class TestImageLoad:
         program = self._program()
         segments = list(program.iter_load_segments())
         assert [base for base, _ in segments] == [0x10000, 0x20FF3, 0x23010]
-        for (_, view), name in zip(segments, (".text", ".data", ".bss")):
+        for (_, view), name in zip(segments, (".text", ".data", ".sdata")):
             assert view.obj is program.sections[name].data and view.readonly
             assert view == program.sections[name].data
 
@@ -471,6 +482,31 @@ class TestImageLoad:
             assert home.raw(page) == contents
             assert home.state(page) is MSIState.SHARED
 
+    def test_bss_is_a_length_the_home_fills_on_demand(self):
+        program = self._program()
+        assert program.overlapping_sections() == []
+        program.sections[".zeros"] = Section(".zeros", self.BSS.end - 1, zero_fill=1)
+        assert program.overlapping_sections() == [(".bss", ".zeros")]
+        home = PageStore()
+        for vaddr, data in program.iter_load_segments():
+            Cluster._load_segment(home, vaddr, data)
+        master = SimpleNamespace(
+            sim=Simulator(), config=DQEMUConfig(), endpoint=None, trace=NULL_TRACER,
+            run_stats=RunStats(), tenant=0, node=SimpleNamespace(node_id=0),
+            failure_view=None, home=home,
+        )
+        co = CoherenceService(master, SimpleNamespace(shard=0))
+        bss_pages = range(page_of(self.BSS.base), page_of(self.BSS.end - 1) + 1)
+        for page in bss_pages:
+            # A grant of a page never written is the one shared zero page.
+            assert co.home_snapshot(page) is ZERO_PAGE
+            assert page not in home
+        # The kernel reading guest memory is the first access that fills it.
+        assert co.home_bytes(self.BSS.end - 5, 5) == bytes(5)
+        assert page in home
+        co.home_write(self.BSS.base, b"\x05")
+        assert co.home_snapshot(page_of(self.BSS.base))[self.BSS.base % PAGE_SIZE] == 5
+
     def test_flat_memory_matches_the_copying_loader(self):
         program = self._program()
         mem = FlatMemory()
@@ -479,3 +515,5 @@ class TestImageLoad:
         assert set(mem.pages.pages()) == set(expected)
         for page, contents in expected.items():
             assert mem.pages.raw(page) == contents
+        assert mem.load(self.BSS.base, 8, False) == 0
+        assert mem.load(self.BSS.end - 1, 1, False) == 0

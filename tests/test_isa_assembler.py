@@ -261,11 +261,15 @@ msg: .asciz "hello\\n"
 
 
 def image_digest(prog):
-    """sha256 over every section's name, base and bytes, the sorted symbols and the entry."""
+    """sha256 over every section's name, base and bytes, the sorted symbols and the entry.
+
+    A section's ``zero_fill`` hashes as the zero bytes it stands for, so an
+    image digests the same whether its ``.bss`` is stored or only sized."""
     h = hashlib.sha256()
     for sec in prog.sections.values():
-        h.update(f"{sec.name} {sec.base:#x} {len(sec.data)}\n".encode())
+        h.update(f"{sec.name} {sec.base:#x} {len(sec.data) + sec.zero_fill}\n".encode())
         h.update(bytes(sec.data))
+        h.update(bytes(sec.zero_fill))
     for name, addr in sorted(prog.symbols.items()):
         h.update(f"{name}={addr:#x}\n".encode())
     h.update(f"entry={prog.entry:#x}".encode())

@@ -5,6 +5,7 @@ memory and a bare FlatMemory run one implementation, checked here as one."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.cluster import Cluster
 from repro.core.config import DQEMUConfig
 from repro.core.dsmmem import DSMMemory
 from repro.core.llsc import LLSCTable
@@ -17,6 +18,7 @@ from repro.mem.api import sign_extend
 from repro.mem.splitmap import SplitMap
 from repro.net.fabric import Fabric
 from repro.sim import Simulator
+from repro.workloads import memaccess
 
 #: Pages the contract cases touch; the cluster variant holds them Modified.
 PAGES = (0, 1, 2, 3, 0x123)
@@ -100,6 +102,101 @@ class TestPageStore:
         ps.ensure(9, MSIState.MODIFIED)
         assert len(ps) == 2
         assert sorted(ps.pages()) == [1, 9]
+
+
+# -- the buffer rule: one host buffer per page version --------------------------
+
+_S, _E, _M = MSIState.SHARED, MSIState.EXCLUSIVE, MSIState.MODIFIED
+_STORE_OPS = st.tuples(
+    st.sampled_from(
+        ["install", "set_state", "upgrade", "ensure", "raw", "write_bytes", "snapshot", "drop"]
+    ),
+    st.integers(0, 1),  # which store
+    st.integers(0, 1),  # page
+    st.sampled_from([_S, _E, _M]),
+    st.integers(0, PAGE_SIZE - 1),  # offset; also picks the snapshot to install
+    st.binary(min_size=1, max_size=8),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=st.lists(_STORE_OPS, min_size=10, max_size=60))
+def test_buffer_rule(ops):
+    """Two stores exchanging snapshots, against a model of page -> (bytes,
+    state): contents always match, a Modified page is always a private
+    ``bytearray``, a copy nobody writes is the very ``bytes`` it was
+    installed from or snapshotted into, and no ``bytes`` a store returned or
+    took in ever changes afterwards."""
+    stores = (PageStore(), PageStore())
+    models: tuple[dict, dict] = ({}, {})
+    handed: list[tuple[bytes, bytes]] = []  # (object, independent copy)
+    snaps = [bytes(range(256)) * (PAGE_SIZE // 256)]
+    for name, k, page, state, off, payload in ops:
+        store, model = stores[k], models[k]
+        held = page in model
+        payload = payload[: PAGE_SIZE - off]
+        if name == "install":
+            data = snaps[off % len(snaps)]
+            store.install(page, data, state)
+            model[page] = (data, state)
+            handed.append((data, bytes(bytearray(data))))
+            if state is not _M:
+                assert store._pages[page] is data
+        elif name == "ensure":
+            store.ensure(page, state)
+            model[page] = (model[page][0] if held else bytes(PAGE_SIZE), state)
+        elif name == "drop":
+            assert store.drop(page) == (model.pop(page)[0] if held else None)
+        elif not held:
+            continue
+        elif name == "set_state":
+            store.set_state(page, state)
+            model[page] = (model[page][0], state)
+        elif name == "upgrade":
+            was = model[page][1]
+            assert store.silently_upgrade(page) == (was is _E)
+            model[page] = (model[page][0], _M if was is _E else was)
+        elif name in ("raw", "write_bytes"):
+            if name == "raw":
+                store.raw(page)[off : off + len(payload)] = payload
+            else:
+                store.write_bytes(page * PAGE_SIZE + off, payload)
+            content = bytearray(model[page][0])
+            content[off : off + len(payload)] = payload
+            model[page] = (bytes(content), model[page][1])
+        else:  # snapshot
+            snap = store.snapshot(page)
+            assert type(snap) is bytes and snap == model[page][0]
+            if model[page][1] is not _M:
+                assert store._pages[page] is snap
+            handed.append((snap, bytes(bytearray(snap))))
+            snaps.append(snap)
+        for st_, md in zip(stores, models):
+            assert set(st_.pages()) == set(md)
+            for p, (content, p_state) in md.items():
+                assert st_.read_bytes(p * PAGE_SIZE, PAGE_SIZE) == content
+                assert st_.state(p) is p_state
+                if p_state is _M:
+                    assert type(st_._pages[p]) is bytearray
+        for obj, copy in handed:
+            assert type(obj) is bytes and obj == copy
+
+
+def test_page_buffers_per_version_are_pinned():
+    """Host memory's exact count, the twin of the CI call-count guard: after
+    a small private-RMW run and its checksum read, the home and the three
+    nodes hold 31 page copies in 15 distinct buffers (34 in 34 when every
+    holder kept a private copy and the ``.bss`` was loaded as zeros).  A
+    change that copies a page nobody writes, or materialises one nobody
+    touched, moves it."""
+    cluster = Cluster(2)
+    r = cluster.run(memaccess.build_private_rmw(2, 2, pages_per_thread=2, passes=2, stride=8))
+    assert r.exit_code == 0
+    stores = [cluster.jobs[0].runtime.master.home] + [
+        node.tenants[0].memory.pages for node in cluster._fleet.nodes.values()
+    ]
+    buffers = {id(store._pages[page]) for store in stores for page in store.pages()}
+    assert len(buffers) == 15
 
 
 class TestPrivateMemory:
