@@ -15,7 +15,7 @@ merge the shadow pages back — data intact.
 Run:  python examples/false_sharing_splitting.py
 """
 
-from repro import Cluster, DQEMUConfig
+from repro import Cluster, CostModel, DQEMUConfig
 from repro.workloads.common import emit_fanout_main, workload_builder
 
 ITERS = 60_000
@@ -59,7 +59,8 @@ def build_program():
 
 def main() -> None:
     program = build_program()
-    fast = dict(dsm_service_ns=30_000, splitting_trigger=6)  # demo-scale knobs
+    # Demo-scale knobs: a cheaper master and an earlier split.
+    fast = dict(cost=CostModel(dsm_service_ns=30_000), splitting_trigger=6)
     for splitting in (False, True):
         cfg = DQEMUConfig(splitting_enabled=splitting, **fast)
         result = Cluster(2, cfg).run(build_program())

@@ -12,7 +12,7 @@ thread escape the slow node.
 Run:  python examples/heterogeneous_cluster.py
 """
 
-from repro import Cluster, DQEMUConfig
+from repro import Cluster, CostModel, DQEMUConfig
 from repro.workloads import pi_taylor
 
 THREADS = 8
@@ -24,10 +24,10 @@ def main() -> None:
     program = pi_taylor.build(n_threads=THREADS, terms=TERMS, reps=REPS)
     expected = pi_taylor.reference_output(TERMS)
 
-    hetero = DQEMUConfig(
+    hetero = DQEMUConfig(cost=CostModel(
         node_cores={1: 1, 2: 8},  # node 1 is thin, node 2 is fat
         node_ghz={1: 1.65, 2: 3.3},  # ... and runs at half clock
-    ).time_scaled(1000)
+    )).time_scaled(1000)
 
     result = Cluster(2, hetero).run(program)
     assert result.stdout == expected, "heterogeneity must not change results"

@@ -32,6 +32,7 @@ Quickstart::
 from repro.core.cluster import Cluster, RunResult
 from repro.core.config import DQEMUConfig
 from repro.core.jobs import Job, JobState
+from repro.cost import CostModel
 from repro.errors import AdmissionError
 from repro.isa import AsmBuilder, Program, assemble
 from repro.net.faults import FaultPlan, FaultRule
@@ -43,6 +44,7 @@ __all__ = [
     "AdmissionError",
     "AsmBuilder",
     "Cluster",
+    "CostModel",
     "DQEMUConfig",
     "FaultPlan",
     "FaultRule",

@@ -27,6 +27,7 @@ from repro.analysis.metrics import mean_fault_latency_us
 from repro.baselines.qemu import qemu_config
 from repro.core.cluster import Cluster, RunResult
 from repro.core.config import DQEMUConfig
+from repro.cost import CostModel
 from repro.net.rpc import RpcTimeout
 from repro.errors import SimulationError
 from repro.net.faults import FaultPlan, drop
@@ -100,7 +101,7 @@ class Cell:
     workload: str = ""
     params: dict = field(default_factory=dict)  # workload build arguments
     n_slaves: int = 1
-    config: dict = field(default_factory=dict)  # DQEMUConfig overrides
+    config: dict = field(default_factory=dict)  # DQEMUConfig/CostModel overrides
     comm_scale: Optional[float] = None  # DQEMUConfig.time_scaled factor
     fault: Optional[Fault] = None
     ref: Optional[str] = None
@@ -128,6 +129,9 @@ def build_config(cell: Cell, ref: Optional[dict] = None) -> DQEMUConfig:
         opts["fault_plan"] = cell.fault.plan(ref)
     for name, frac in cell.ref_fracs.items():
         opts[name] = max(1, int(frac * ref["virtual_ns"]))
+    costs = {k: opts.pop(k) for k in list(opts) if k in CostModel.__dataclass_fields__}
+    if costs:
+        opts["cost"] = CostModel(**costs)
     cfg = DQEMUConfig(**opts)
     if cell.comm_scale is not None:
         cfg = cfg.time_scaled(cell.comm_scale)

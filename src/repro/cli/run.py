@@ -21,7 +21,7 @@ __all__ = ["main", "build_parser"]
 
 #: Scalar annotation (a string: config.py defers evaluation) -> argparse ``type``.
 #: Every such DQEMUConfig field gets one flag, derived from its row of the field
-#: table; dict-valued node_cores/node_ghz and fault_plan have no flag.
+#: table; the cost model and fault_plan have no flag.
 _FLAG_TYPES = {"bool": None, "int": int, "float": float, "str": str, "Optional[int]": int}
 _FLAG_FIELDS = [f for f in dataclasses.fields(DQEMUConfig) if f.type in _FLAG_TYPES]
 

@@ -122,22 +122,13 @@ class _Fleet:
     def __init__(self, cluster: "Cluster", first_stats: RunStats) -> None:
         cfg = cluster.config
         self.sim = Simulator()
-        self.fabric = Fabric(
-            self.sim,
-            bandwidth_bps=cfg.bandwidth_bps,
-            one_way_latency_ns=cfg.one_way_latency_ns,
-            loopback_latency_ns=cfg.loopback_latency_ns,
-        )
+        self.fabric = Fabric(self.sim, cfg.cost)
         self.injector: Optional[FaultInjector] = None
         if cfg.fault_plan is not None:
             self.injector = FaultInjector(self.sim, cfg.fault_plan).attach(self.fabric)
         # Peer health is pure bookkeeping (no simulator events), so every
         # fleet carries a tracker; the RPC channels feed it via fabric.health.
-        self.health = HealthTracker(
-            self.sim,
-            suspect_after=cfg.health_suspect_after,
-            down_after=cfg.health_down_after,
-        )
+        self.health = HealthTracker(self.sim)
         self.fabric.health = self.health
         cluster.tracer.bind_clock(lambda: self.sim.now)
         self.node_ids = list(range(cluster.n_slaves + 1))

@@ -1,29 +1,16 @@
-"""DQEMU configuration and calibrated cost model.
+"""DQEMU configuration: the behaviour switches of a run, plus its cost model.
 
-Defaults reproduce the paper's testbed (§6.1): nodes with 4 cores at
-3.3 GHz, a 1 Gb/s switch with ~55 µs round-trip for small control messages,
-4 KiB pages, forwarding triggered by 4 sequential page requests, splitting
-by 10 multi-node false-sharing requests.
+Defaults reproduce the paper's setup (§6.1): 4 KiB pages, forwarding
+triggered by 4 sequential page requests, splitting by 10 multi-node
+false-sharing requests.  What each action costs in virtual time — clocks,
+cores, the network, protocol software — is one frozen
+:class:`~repro.cost.CostModel` (``cost``), calibrated in :mod:`repro.cost`.
 
 Every knob is declared once, as a field whose ``metadata`` is its row of the
-table: ``min``/``above`` (inclusive/exclusive lower bound), ``choices``,
-``requires=(other_field, reason)``, ``scaled`` (a modelled communication
-"cost" or "rate", moved by :meth:`DQEMUConfig.time_scaled`), ``help`` and, for
-six historic short spellings, ``flag``.  Three loops read it: ``__post_init__``,
-``time_scaled`` and ``repro-run``'s parser — ``repro-run --help`` is the knob
-reference.
-
-Calibration notes (see EXPERIMENTS.md for the resulting numbers):
-
-* ``page_fault_trap_cycles = 2000`` — the paper cites ~2 000 cycles for a
-  page-fault trap.
-* ``dsm_service_ns = 320_000`` — the measured remote-page latency in the
-  paper is 410.5 µs against a ~40 µs wire lower bound; the residual is
-  master-side protocol software (directory lookup, mprotect fiddling,
-  manager queueing).  We bill it as the manager's per-request service time.
-* ``QEMU_CPI_DISCOUNT`` — vanilla QEMU 4.2.0 runs ~4 % faster than a
-  one-node DQEMU (Fig. 5's dashed line at 1.04): DQEMU adds a shadow-page
-  lookup to guest address translation.
+table: ``min`` (inclusive lower bound), ``choices``,
+``requires=(other_field, reason)``, ``help`` and, for five historic short
+spellings, ``flag``.  Two loops read it: ``__post_init__`` and ``repro-run``'s
+parser — ``repro-run --help`` is the knob reference.
 """
 
 from __future__ import annotations
@@ -31,48 +18,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Optional
 
+from repro.cost import TESTBED, CostModel
 from repro.errors import ConfigError
 from repro.net.faults import FaultPlan
+from repro.net.health import HealthTracker
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.rpc import RetryPolicy
 
 __all__ = ["DQEMUConfig"]
 
-QEMU_CPI_DISCOUNT = 0.96
-
 
 @dataclass(frozen=True)
 class DQEMUConfig:
-    # -- cluster shape -------------------------------------------------------
-    cores_per_node: int = field(
-        default=4, metadata=dict(min=1, flag="--cores", help="cores per node"))
-    cpu_ghz: float = field(default=3.3, metadata=dict(above=0, help="core clock in GHz"))
-    # Heterogeneous clusters (paper §1: DBT "allows nodes in a cluster to
-    # have different kinds of physical cores"): per-node overrides of core
-    # count and clock, keyed by node id.  None = homogeneous.
-    node_cores: Optional[dict[int, int]] = None
-    node_ghz: Optional[dict[int, float]] = None
-
-    # -- network (paper §6.1: TP-Link Gigabit switch, 55 us TCP RTT) ----------
-    bandwidth_bps: float = field(
-        default=1e9, metadata=dict(above=0, scaled="rate", help="link bandwidth in bit/s"))
-    one_way_latency_ns: int = field(
-        default=27_400, metadata=dict(scaled="cost", help="one-way wire latency between nodes"))
-    loopback_latency_ns: int = field(
-        default=300, metadata=dict(scaled="cost", help="latency of a node's messages to itself"))
+    #: Virtual-time costs; every calibration constant lives here.
+    cost: CostModel = TESTBED
 
     # -- DBT engine ----------------------------------------------------------
     mode: str = field(default="dbt", metadata=dict(
         choices=("dbt", "interp"), help="run translated blocks, or interpret every instruction"))
-    # A quantum ends when its cycles are spent, so a CPI must move the clock
-    # forward; cpi_dbt is also a divisor (the engine's in-function allowance).
-    cpi_dbt: float = field(
-        default=3.0, metadata=dict(above=0, help="cycles per translated instruction"))
-    cpi_interp: float = field(
-        default=30.0, metadata=dict(above=0, help="cycles per interpreted instruction"))
-    translate_per_insn: float = field(
-        default=800.0, metadata=dict(min=0, help="cycles to translate one guest instruction"))
     quantum_cycles: int = field(default=50_000, metadata=dict(
         min=1, help="cycles a thread runs before its core looks at the run queue again"))
     # DBT hot-path tier (docs/PROTOCOL.md "DBT hot path").  Superblocks and
@@ -99,48 +63,23 @@ class DQEMUConfig:
              "migration toward dominant writers, or per-page adaptive selection"))
     migration_trigger: int = field(default=4, metadata=dict(
         min=1, help="consecutive write acquisitions by one node before a page's home moves to it"))
-    # Makes migration a real bet — it only pays off while the new home stays
-    # the dominant requester: the master must reach the remote home for the
-    # authoritative copy instead of its own store.
-    migration_penalty_ns: int = field(default=160_000, metadata=dict(
-        min=0, scaled="cost", help="extra hop every OTHER node pays once a page's home migrated"))
     adaptive_window: int = field(default=16, metadata=dict(
         min=2, help="page requests between adaptive-classifier evaluations of a page"))
-    page_fault_trap_cycles: int = field(
-        default=2_000, metadata=dict(help="local trap cost of a guest page fault"))
-    dsm_service_ns: int = field(default=320_000, metadata=dict(
-        scaled="cost", help="master manager service time per page request"))
-    # A request racing an already-delivered forwarded page (the directory
-    # already lists the node as sharer) is a cheap directory-lookup ack.
-    dsm_fast_service_ns: int = field(default=2_000, metadata=dict(
-        scaled="cost", help="master service time of a directory-lookup-only ack"))
-    slave_coherence_service_ns: int = field(default=2_000, metadata=dict(
-        scaled="cost", help="slave handling one invalidate/downgrade/control command"))
-    syscall_service_ns: int = field(
-        default=3_000, metadata=dict(scaled="cost", help="master executing a delegated syscall"))
 
     # -- optimizations (§5) ----------------------------------------------------
     forwarding_enabled: bool = field(default=False, metadata=dict(
         flag="--forwarding", help="enable data forwarding (§5.2)"))
-    forwarding_trigger: int = field(default=4, metadata=dict(
-        min=1, help="sequential page requests before the master starts pushing (§6.1.1)"))
     forwarding_initial_window: int = field(
-        default=8, metadata=dict(help="pages pushed by a stream's first forwarding burst"))
+        default=8, metadata=dict(min=1, help="pages pushed by a stream's first forwarding burst"))
     # Linux-readahead-style doubling; a large cap keeps long streams miss-free
     # (the paper's 1 GB walk approaches wire speed, 108 MB/s on 1 Gb/s).
     forwarding_max_window: int = field(
-        default=256, metadata=dict(help="cap on the doubling forwarding window"))
-    forwarding_push_ns: int = field(
-        default=4_000, metadata=dict(scaled="cost", help="master-side cost per pushed page"))
+        default=256, metadata=dict(min=1, help="cap on the doubling forwarding window"))
 
     splitting_enabled: bool = field(default=False, metadata=dict(
         flag="--splitting", help="enable page splitting (§5.1)"))
     splitting_trigger: int = field(default=10, metadata=dict(
         min=1, help="multi-node false-sharing requests before a page is split (§6.1.1)"))
-    split_service_ns: int = field(default=50_000, metadata=dict(
-        scaled="cost", help="master work per split: probe space, copy, broadcast"))
-    merge_service_ns: int = field(default=50_000, metadata=dict(
-        scaled="cost", help="master work per merge of a mis-inferred split"))
 
     # -- master sharding (ROADMAP "Async / sharded master") --------------------
     # Each shard owns the pages with page_no % master_shards == shard (see
@@ -181,13 +120,6 @@ class DQEMUConfig:
     # leaves the wire untouched; an empty plan attaches the injection
     # machinery but injects nothing — runs stay bit-identical either way.
     fault_plan: Optional[FaultPlan] = None
-    # Health-tracker thresholds (docs/PROTOCOL.md "Failure domains").  Any
-    # call exhausting its whole retry budget demotes the peer to down
-    # regardless.
-    health_suspect_after: int = field(default=2, metadata=dict(
-        min=1, help="consecutive missed timeout windows before a peer is marked suspect"))
-    health_down_after: int = field(default=5, metadata=dict(
-        help="consecutive missed timeout windows before a peer is marked down (> suspect)"))
     # Off by default — the paper's scheduler is health-blind, and default
     # runs must stay bit-identical.
     health_aware_placement: bool = field(default=False, metadata=dict(
@@ -210,9 +142,6 @@ class DQEMUConfig:
     checkpoint_interval_ns: Optional[int] = field(default=None, metadata=dict(
         min=1, requires=("evacuation_enabled", "restore rides the failure domain's recovery path"),
         help="virtual time between a running thread's crash-restore snapshots"))
-    # Storing the context, before per-page install work under the shard locks.
-    checkpoint_service_ns: int = field(default=4_000, metadata=dict(
-        min=0, scaled="cost", help="master-side cost of landing one checkpoint frame"))
     # Active liveness (docs/PROTOCOL.md "Failure detection"): the master's
     # HeartbeatService treats a renewal as positive liveness evidence and a
     # whole lease (heartbeat_lease_ns) of silence as failure evidence,
@@ -246,34 +175,14 @@ class DQEMUConfig:
                 continue
             if "min" in meta and value < meta["min"]:
                 raise ConfigError(f"{name} must be >= {meta['min']}")
-            if "above" in meta and value <= meta["above"]:
-                raise ConfigError(f"{name} must be > {meta['above']}")
             if "choices" in meta and value not in meta["choices"]:
                 raise ConfigError(f"unknown {name} {value!r} (choose from {meta['choices']})")
             if "requires" in meta and value:
                 other, reason = meta["requires"]
                 if not getattr(self, other):
                     raise ConfigError(f"{name} needs {other}: {reason}")
-        if self.health_down_after <= self.health_suspect_after:
-            raise ConfigError("health_down_after must exceed health_suspect_after: suspect first")
         if self.fault_plan is not None and not isinstance(self.fault_plan, FaultPlan):
             raise ConfigError("fault_plan must be a repro.net.faults.FaultPlan")
-        for nid, cores in (self.node_cores or {}).items():
-            if cores < 1:
-                raise ConfigError(f"node {nid}: cores must be >= 1")
-        for nid, ghz in (self.node_ghz or {}).items():
-            if ghz <= 0:
-                raise ConfigError(f"node {nid}: clock must be positive")
-
-    def cores_of(self, node_id: int) -> int:
-        return (self.node_cores or {}).get(node_id, self.cores_per_node)
-
-    def ghz_of(self, node_id: int) -> float:
-        return (self.node_ghz or {}).get(node_id, self.cpu_ghz)
-
-    @property
-    def effective_cpi_dbt(self) -> float:
-        return self.cpi_dbt * QEMU_CPI_DISCOUNT if self.pure_qemu else self.cpi_dbt
 
     @property
     def crashes(self) -> tuple[tuple[int, int], ...]:
@@ -305,14 +214,14 @@ class DQEMUConfig:
 
         A renewal in flight at the crash lands up to one one-way wire
         latency later and re-arms a full lease; the master's monitor then
-        needs ``health_down_after`` consecutive expired checks — one per
+        needs ``HealthTracker.down_after`` consecutive expired checks — one per
         renewal interval, plus up to one interval of tick phase — before
         the peer is demoted to down and the failure domain fires.
         """
         lease, interval = self.heartbeat_lease_ns, self.heartbeat_interval_ns
         if interval is None:
             return None
-        return lease + (self.health_down_after + 1) * interval + self.one_way_latency_ns
+        return lease + (HealthTracker.down_after + 1) * interval + self.cost.one_way_latency_ns
 
     def retry_policy(self) -> Optional["RetryPolicy"]:
         """The RPC reliability policy these options describe, or ``None``.
@@ -354,25 +263,13 @@ class DQEMUConfig:
         return replace(self, **kwargs)
 
     def time_scaled(self, k: float) -> "DQEMUConfig":
-        """Shrink every *communication* cost by ``k`` (and raise bandwidth by
-        ``k``), for experiments whose compute is scaled down by the same
-        factor.  Preserving the compute:communication ratio preserves the
-        paper's speedup-curve shapes at a fraction of the simulation cost
-        (see EXPERIMENTS.md, "scaling methodology").  Only the fields tabled
-        ``scaled`` move: CPU-side trap costs scale with guest work, not with
-        the network, and a duration the user chose (timeout, backoff,
-        heartbeat/checkpoint period) means what it says at any scale.
+        """This config with its communication costs divided by ``k``
+        (:meth:`CostModel.scaled`).  A duration the user chose (timeout,
+        backoff, heartbeat/checkpoint period) means what it says at any scale.
         """
-        if k <= 0:
-            raise ConfigError("scale factor must be positive")
-
-        def moved(value, kind):
-            return value * k if kind == "rate" else max(1, int(value / k))
-
-        return replace(self, **{name: moved(getattr(self, name), kind) for name, kind in _SCALED})
+        return replace(self, cost=self.cost.scaled(k))
 
 
 # Computed once at import, not per instance: ``cold_start`` builds configs in a loop.
-_RULES = {"min", "above", "choices", "requires"}
+_RULES = {"min", "choices", "requires"}
 _CHECKED = tuple((f.name, f.metadata) for f in fields(DQEMUConfig) if _RULES & f.metadata.keys())
-_SCALED = tuple((f.name, m["scaled"]) for f in fields(DQEMUConfig) if "scaled" in (m := f.metadata))

@@ -2,7 +2,7 @@
 
 Each node runs:
 
-* ``cores_per_node`` *core* processes executing guest (TCG-)threads in
+* ``CostModel.cores_of(node)`` *core* processes executing guest (TCG-)threads in
   quanta through the DBT engine;
 * one *communicator* process pumping inbound commands through a
   :class:`~repro.core.services.base.Dispatcher` over the node-side services
@@ -45,8 +45,9 @@ from repro.core.services.nodeside import (
     NodeSplitTableService,
 )
 from repro.core.stats import RunStats
+from repro.cost import SYSCALL_TRAP_CYCLES
 from repro.dbt.cpu import CPUState
-from repro.dbt.engine import EngineTiming, ExecutionEngine
+from repro.dbt.engine import ExecutionEngine
 from repro.dbt.stop import StopKind
 from repro.errors import GuestFault, ProtocolError
 from repro.kernel.classify import is_global
@@ -70,7 +71,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["NodeRuntime", "NodeTenant"]
 
 A0, A7 = 10, 17
-SYSCALL_TRAP_CYCLES = 500  # local trap cost of a guest syscall (both modes)
 
 
 def _reraise(exc: BaseException) -> None:
@@ -129,11 +129,7 @@ class NodeTenant:
         )
         self.engine = ExecutionEngine(
             self.memory,
-            timing=EngineTiming(
-                cpi_dbt=config.effective_cpi_dbt,
-                cpi_interp=config.cpi_interp,
-                translate_per_insn=config.translate_per_insn,
-            ),
+            cost=config.cost.pure_qemu() if config.pure_qemu else config.cost,
             mode=config.mode,
             superblock_threshold=config.superblock_threshold,
             fusion=config.fusion_enabled,
@@ -198,8 +194,8 @@ class NodeRuntime:
         )
         # Loss recovery for node-issued RPCs (see _request).
         self.rpc_retry = config.retry_policy()
-        self.n_cores = config.cores_of(node_id)
-        self.ghz = config.ghz_of(node_id)
+        self.n_cores = config.cost.cores_of(node_id)
+        self.ghz = config.cost.ghz_of(node_id)
         #: Tenant bundles; tenant 0 exists from birth so a bare node is
         #: immediately usable the way the single-job node always was.
         self.tenants: dict[int, NodeTenant] = {}
@@ -390,7 +386,7 @@ class NodeRuntime:
     def _fault_handler(self, th: GuestThread, stall: PageStall):
         cfg = self.config
         t0 = self.sim.now
-        yield Timeout(self.sim, self._cycles_to_ns(cfg.page_fault_trap_cycles))
+        yield Timeout(self.sim, self._cycles_to_ns(cfg.cost.page_fault_trap_cycles))
         yield from self._resolve_stall(stall, th.tenant)
         th.stats.pagefault_ns += self.sim.now - t0
         th.stats.page_faults += 1
@@ -578,7 +574,7 @@ class NodeRuntime:
             # its start as started_at bills it as the handling service's busy
             # time (not mailbox queue wait) without changing any timing.
             started_at = self.sim.now
-            yield Timeout(self.sim, cfg.slave_coherence_service_ns)
+            yield Timeout(self.sim, cfg.cost.slave_coherence_service_ns)
             yield from self.dispatcher.dispatch(msg, started_at=started_at)
             if self.shutdown:
                 return

@@ -247,7 +247,7 @@ class CoherenceService(MasterService):
                 and splitting.entry(page) is None
                 and self.directory.plan(node, page, write=False).already_granted
             ):
-                yield self.sim.timeout(cfg.dsm_fast_service_ns)
+                yield self.sim.timeout(cfg.cost.dsm_fast_service_ns)
                 # No payload: the node's copy arrived via PagePush already.
                 self.trace.emit("page", node, "fast-ack (already sharer)", page=page)
                 self.endpoint.reply(msg, PageData(page=page, write=False, ack_only=True))
@@ -260,16 +260,16 @@ class CoherenceService(MasterService):
                 # master's part is a metadata-only directory transaction
                 # billed at the fast-path service time.
                 proto.home_local_hits += 1
-                yield self.sim.timeout(cfg.dsm_fast_service_ns)
+                yield self.sim.timeout(cfg.cost.dsm_fast_service_ns)
             elif home is not None:
                 # Home migrated to SOME OTHER node: the master must reach
                 # the remote home for the authoritative copy — an extra hop
                 # on top of the normal service.  Migration only pays while
                 # the new home stays the dominant requester.
                 proto.home_remote_misses += 1
-                yield self.sim.timeout(cfg.dsm_service_ns + cfg.migration_penalty_ns)
+                yield self.sim.timeout(cfg.cost.dsm_service_ns + cfg.cost.migration_penalty_ns)
             else:
-                yield Timeout(self.sim, cfg.dsm_service_ns)
+                yield Timeout(self.sim, cfg.cost.dsm_service_ns)
 
             # Requests racing a split/merge retry against the new table.
             if splitting.entry(page) is not None or splitting.is_retired(page):

@@ -29,7 +29,6 @@ class ForwardingService(MasterService):
         super().__init__(master)
         config = self.config
         self.readahead = ReadAheadEngine(
-            trigger=config.forwarding_trigger,
             initial_window=config.forwarding_initial_window,
             max_window=config.forwarding_max_window,
         )
@@ -83,7 +82,7 @@ class ForwardingService(MasterService):
                         continue
                     if coord.split_entry(p) is not None or coord.split_retired(p):
                         continue
-                    yield self.sim.timeout(self.config.forwarding_push_ns)
+                    yield self.sim.timeout(self.config.cost.forwarding_push_ns)
                     co.directory.commit(node, p, write=False)
                     self.trace.emit("push", node, "forwarded", page=p)
                     self.send(node, PagePush(page=p, data=co.home_snapshot(p)))

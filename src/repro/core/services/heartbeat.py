@@ -29,7 +29,7 @@ adds the active half:
 
 Detection latency is bounded by
 :meth:`DQEMUConfig.heartbeat_detection_bound_ns`: one in-flight renewal's
-wire latency, plus a full lease, plus ``health_down_after`` (+1 tick of
+wire latency, plus a full lease, plus ``HealthTracker.down_after`` (+1 tick of
 phase) monitor intervals.  Because the lease covers four intervals and
 misses escalate through ``suspect`` first, a single delayed, dropped or
 duplicated renewal can never false-positive a healthy node, and
@@ -89,7 +89,7 @@ class HeartbeatService(MasterService):
 
         Each check of an expired lease is one unit of failure evidence —
         the analogue of one missed RPC timeout window — so a peer goes
-        ``up -> suspect -> down`` over ``health_down_after`` silent
+        ``up -> suspect -> down`` over ``HealthTracker.down_after`` silent
         intervals rather than being shot on first expiry.
         """
         while True:

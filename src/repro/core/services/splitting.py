@@ -88,7 +88,7 @@ class SplittingService(MasterService):
                 f"split of page {page:#x} routed to shard {self.shard.shard} "
                 f"(owner is shard {owner})"
             )
-        yield self.sim.timeout(cfg.split_service_ns)
+        yield self.sim.timeout(cfg.cost.split_service_ns)
         yield from co.pull_home_and_invalidate(page)
         content = co.home_snapshot(page)
         shadows = tuple(self._alloc_shadow() for _ in range(decision.regions))
@@ -152,7 +152,7 @@ class SplittingService(MasterService):
         try:
             if self.split.entry(orig) is None:
                 return  # merged concurrently
-            yield self.sim.timeout(self.config.merge_service_ns)
+            yield self.sim.timeout(self.config.cost.merge_service_ns)
             rb = entry.region_bytes
             for k, shadow in enumerate(entry.shadow_pages):
                 yield from co.pull_home_and_invalidate(shadow)

@@ -49,7 +49,7 @@ class SyscallService(MasterService):
     # -- delegated syscalls (§4.3) ---------------------------------------------------
 
     def handle(self, msg):
-        yield self.sim.timeout(self.config.syscall_service_ns)
+        yield self.sim.timeout(self.config.cost.syscall_service_ns)
         self.trace.emit("syscall", msg.src, sys_name(msg.sysno), tid=msg.tid)
         result: SyscallResult = yield from self.executor.execute(
             msg.tid, msg.src, msg.sysno, msg.args

@@ -3,7 +3,7 @@
 from repro.dbt.backend import Backend, TranslationBlock
 from repro.dbt.codecache import CacheStats, CodeCache
 from repro.dbt.cpu import CPUState
-from repro.dbt.engine import EngineTiming, ExecutionEngine
+from repro.dbt.engine import ExecutionEngine
 from repro.dbt.frontend import BlockIR, Frontend
 from repro.dbt.interp import Interpreter
 from repro.dbt.stop import RC_BREAK, RC_NEXT, RC_SYSCALL, StopEvent, StopKind
@@ -14,7 +14,6 @@ __all__ = [
     "CPUState",
     "CacheStats",
     "CodeCache",
-    "EngineTiming",
     "ExecutionEngine",
     "Frontend",
     "Interpreter",

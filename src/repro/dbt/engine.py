@@ -6,8 +6,8 @@ budget is spent or an event needs outside help: a syscall, a page the DSM
 must fetch, or a guest fault.  Cycle accounting is virtual: translated code
 is billed ``cpi_dbt`` cycles per guest instruction, interpretation
 ``cpi_interp``, superblock code ``cpi_superblock``, and translation
-``translate_per_insn`` once per block — constants calibrated in
-:mod:`repro.core.config`.  The *host* work of a translation is shared
+``translate_per_insn`` once per block — constants of the engine's
+:class:`~repro.cost.CostModel`.  The *host* work of a translation is shared
 process-wide (:mod:`repro.dbt.memo`); the virtual bill is not: every engine
 pays it for every block it inserts, as a node with its own TCG would.
 
@@ -65,9 +65,9 @@ simulated can tell an entry the function made from one the dispatcher made.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional
 
+from repro.cost import TESTBED, CostModel
 from repro.dbt import memo
 from repro.dbt.backend import MEM_VIEW, Backend, TranslationBlock
 from repro.dbt.codecache import CodeCache
@@ -78,17 +78,7 @@ from repro.dbt.stop import RC_BREAK, RC_SYSCALL, StopEvent, StopKind
 from repro.errors import ConfigError, GuestFault
 from repro.mem.api import MemoryAPI, PageStall
 
-__all__ = ["EngineTiming", "ExecutionEngine"]
-
-
-@dataclass(frozen=True)
-class EngineTiming:
-    """Virtual-cycle costs of the DBT pipeline."""
-
-    cpi_dbt: float = 3.0  # cycles per translated guest instruction
-    cpi_interp: float = 30.0  # cycles per interpreted instruction
-    cpi_superblock: float = 1.0  # cycles per instruction inside a superblock
-    translate_per_insn: float = 800.0  # one-time per-block translation cost
+__all__ = ["ExecutionEngine"]
 
 
 def _add_times(total: float, term: float, times: int) -> float:
@@ -106,7 +96,7 @@ class ExecutionEngine:
         self,
         mem: MemoryAPI,
         *,
-        timing: EngineTiming | None = None,
+        cost: CostModel = TESTBED,
         mode: str = "dbt",
         max_block_insns: int = 64,
         cache: CodeCache | None = None,
@@ -127,7 +117,7 @@ class ExecutionEngine:
             getattr(mem, attr)
         self.mem = mem
         self.mode = mode
-        self.timing = timing or EngineTiming()
+        self.cost = cost
         self.cache = CodeCache() if cache is None else cache  # an empty cache is falsy
         self.frontend = Frontend(mem, max_block_insns=max_block_insns)
         self.backend = Backend()
@@ -157,7 +147,7 @@ class ExecutionEngine:
     # -- DBT mode ----------------------------------------------------------
 
     def _run_dbt(self, cpu: CPUState, cycle_budget: int) -> StopEvent:
-        t = self.timing
+        t = self.cost
         cpi = t.cpi_dbt
         cycles = cpu.cycle_frac  # remainder carried from the last quantum
         cpu.cycle_frac = 0.0
@@ -266,7 +256,7 @@ class ExecutionEngine:
 
     # -- hot-path accounting -----------------------------------------------
 
-    def _bill(self, tb: TranslationBlock, done: int, t: EngineTiming) -> float:
+    def _bill(self, tb: TranslationBlock, done: int, t: CostModel) -> float:
         """Execution cycles for ``done`` completed guest instructions of
         ``tb``, with the hot tier's savings counted; the caller accumulates
         the cycles and the instruction count."""
@@ -298,7 +288,7 @@ class ExecutionEngine:
         accumulator takes the same additions in the same order, one per entry
         — they run at fractional CPIs and their rounding is part of virtual
         time."""
-        t = self.timing
+        t = self.cost
         self.cache.stats.chain_follows += entries
         self.insns_executed += entries * tb.n_insns
         tb.exec_count += entries
@@ -346,7 +336,7 @@ class ExecutionEngine:
         self.cache.promote(sb)
         self.superblocks_formed += 1
         self.insns_translated += sb.n_insns
-        return sb.n_insns * self.timing.translate_per_insn
+        return sb.n_insns * self.cost.translate_per_insn
 
     def _stop(
         self,
@@ -364,7 +354,7 @@ class ExecutionEngine:
     # -- interpreter mode ------------------------------------------------------
 
     def _run_interp(self, cpu: CPUState, cycle_budget: int) -> StopEvent:
-        t = self.timing
+        t = self.cost
         cycles = cpu.cycle_frac
         cpu.cycle_frac = 0.0
         while cycles < cycle_budget:

@@ -7,8 +7,9 @@ serialized again on the receiver's downlink.  Per-direction link occupancy is
 tracked so concurrent traffic queues realistically — this is what produces
 the master-link bottleneck visible in the paper's worst-case mutex test.
 
-With the default constants (1 Gb/s, 27.4 µs one-way) a 64-byte control
-message has a ~55 µs round trip, matching §6.1.
+Link bandwidth and latencies come from a :class:`~repro.cost.CostModel`,
+by default the paper's testbed (``tests/test_calibration.py`` derives its
+control-frame round trip).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import itertools
 from collections import Counter
 from typing import TYPE_CHECKING, Optional
 
+from repro.cost import TESTBED, CostModel
 from repro.errors import NetworkError
 from repro.net.messages import Message
 from repro.sim.engine import Simulator, Timeout
@@ -70,22 +72,9 @@ class FabricStats:
 class Fabric:
     """Star-topology switch connecting DQEMU node endpoints."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        *,
-        bandwidth_bps: float = 1e9,
-        one_way_latency_ns: int = 27_400,
-        loopback_latency_ns: int = 300,
-    ) -> None:
-        if bandwidth_bps <= 0:
-            raise NetworkError("bandwidth must be positive")
-        if one_way_latency_ns < 0 or loopback_latency_ns < 0:
-            raise NetworkError("latency must be non-negative")
+    def __init__(self, sim: Simulator, cost: CostModel = TESTBED) -> None:
         self.sim = sim
-        self.bandwidth_bps = float(bandwidth_bps)
-        self.one_way_latency_ns = int(one_way_latency_ns)
-        self.loopback_latency_ns = int(loopback_latency_ns)
+        self.cost = cost
         self._endpoints: dict[int, "Endpoint"] = {}
         self._uplink_free: dict[int, int] = {}
         self._downlink_free: dict[int, int] = {}
@@ -149,7 +138,7 @@ class Fabric:
     # -- transmission -------------------------------------------------------
 
     def serialization_ns(self, size_bytes: int) -> int:
-        return int(round(size_bytes * 8 / self.bandwidth_bps * 1e9))
+        return int(round(size_bytes * 8 / self.cost.bandwidth_bps * 1e9))
 
     def downlink_backlog_ns(self, node_id: int) -> int:
         """How far ahead of now the node's downlink is already booked.
@@ -191,13 +180,14 @@ class Fabric:
             record[1] += size
         sim = self.sim
         now = sim.now
+        cost = self.cost
         if src == dst:
-            arrival = now + self.loopback_latency_ns
+            arrival = now + cost.loopback_latency_ns
         else:
-            ser = int(round(size * 8 / self.bandwidth_bps * 1e9))  # serialization_ns
+            ser = int(round(size * 8 / cost.bandwidth_bps * 1e9))  # serialization_ns
             tx_end = max(now, self._uplink_free[src]) + ser
             self._uplink_free[src] = tx_end
-            at_switch = tx_end + self.one_way_latency_ns
+            at_switch = tx_end + cost.one_way_latency_ns
             arrival = max(at_switch, self._downlink_free[dst]) + ser
             self._downlink_free[dst] = arrival
         # The frame rides as the delivery timer's value, so the callback is

@@ -7,9 +7,14 @@ from repro.analysis.reporting import format_value, render_series, render_table
 from repro.baselines import qemu_config, run_qemu
 from repro.core.config import DQEMUConfig
 from repro.core.migration import build_child_context
+from repro.core.node import NodeRuntime
+from repro.core.stats import RunStats
+from repro.cost import QEMU_CPI_DISCOUNT
 from repro.dbt.cpu import CPUState
 from repro.isa import assemble
 from repro.kernel.syscalls import CloneRequest
+from repro.net import Fabric
+from repro.sim import Simulator
 
 
 class TestMetrics:
@@ -78,9 +83,13 @@ class TestConfig:
         assert not a.forwarding_enabled and b.forwarding_enabled
 
     def test_qemu_discount_only_in_pure_mode(self):
-        a = DQEMUConfig()
-        q = DQEMUConfig(pure_qemu=True)
-        assert q.effective_cpi_dbt < a.effective_cpi_dbt
+        def engine_cpi(cfg):
+            sim = Simulator()
+            node = NodeRuntime(sim, Fabric(sim), 0, cfg, RunStats())
+            return node.bundle(0).engine.cost.cpi_dbt
+
+        assert engine_cpi(DQEMUConfig()) == 3.0
+        assert engine_cpi(DQEMUConfig(pure_qemu=True)) == 3.0 * QEMU_CPI_DISCOUNT
 
 
 class TestBaselines:

@@ -1,73 +1,87 @@
-"""DQEMUConfig's field table and the three loops that read it.
+"""DQEMUConfig's field table and the loops that read it, and CostModel's rule.
 
-One row per bound, choice set and ``requires`` edge plus the three
-hand-written rules (``__post_init__``), exactly the ``scaled`` fields moved
-by exactly the documented arithmetic (``time_scaled``), and one flag per
-scalar field (``repro-run``'s parser).
+One row per bound, choice set and ``requires`` edge plus the hand-written
+rule (``DQEMUConfig.__post_init__``); one row per cost (``CostModel``: every
+cost >= 0, clocks, core counts, bandwidth and CPIs > 0); exactly the
+communication costs moved by exactly the documented arithmetic
+(``CostModel.scaled``), and one flag per scalar field (``repro-run``'s
+parser).
 """
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
-from repro import DQEMUConfig
+from repro import CostModel, DQEMUConfig
 from repro.cli import run
+from repro.cost import TESTBED
 from repro.errors import ConfigError
 
 ARMED = dict(rpc_timeout_ns=10_000, evacuation_enabled=True)
 
-#: (kwargs, start of the ConfigError message).
+#: (class, kwargs, start of the ConfigError message).
 INVALID = [
+    # -- costs: one rule, one row per field --
+    (CostModel, dict(cores_per_node=0), "cores_per_node must be > 0"),
+    (CostModel, dict(cpu_ghz=0), "cpu_ghz must be > 0"),
+    (CostModel, dict(node_cores={1: 0}), "node_cores[1] must be > 0"),
+    (CostModel, dict(node_ghz={1: 0.0}), "node_ghz[1] must be > 0"),
+    (CostModel, dict(bandwidth_bps=0), "bandwidth_bps must be > 0"),
+    (CostModel, dict(one_way_latency_ns=-5), "one_way_latency_ns must be >= 0"),
+    (CostModel, dict(loopback_latency_ns=-1), "loopback_latency_ns must be >= 0"),
+    # A zero CPI never exhausts a quantum, and a CPI is a divisor.
+    (CostModel, dict(cpi_dbt=0), "cpi_dbt must be > 0"),
+    (CostModel, dict(cpi_dbt=-1.0), "cpi_dbt must be > 0"),  # runs the clock backwards
+    (CostModel, dict(cpi_interp=0), "cpi_interp must be > 0"),
+    (CostModel, dict(cpi_superblock=0), "cpi_superblock must be > 0"),
+    (CostModel, dict(translate_per_insn=-5), "translate_per_insn must be >= 0"),
+    # A negative wait used to be accepted here and kill the run later.
+    (CostModel, dict(page_fault_trap_cycles=-10), "page_fault_trap_cycles must be >= 0"),
+    (CostModel, dict(dsm_service_ns=-1), "dsm_service_ns must be >= 0"),
+    (CostModel, dict(dsm_fast_service_ns=-1), "dsm_fast_service_ns must be >= 0"),
+    (CostModel, dict(migration_penalty_ns=-1), "migration_penalty_ns must be >= 0"),
+    (CostModel, dict(slave_coherence_service_ns=-1), "slave_coherence_service_ns must be >= 0"),
+    (CostModel, dict(syscall_service_ns=-3), "syscall_service_ns must be >= 0"),
+    (CostModel, dict(forwarding_push_ns=-1), "forwarding_push_ns must be >= 0"),
+    (CostModel, dict(split_service_ns=-1), "split_service_ns must be >= 0"),
+    (CostModel, dict(merge_service_ns=-1), "merge_service_ns must be >= 0"),
+    (CostModel, dict(checkpoint_service_ns=-1), "checkpoint_service_ns must be >= 0"),
     # -- bounds --
-    (dict(cores_per_node=0), "cores_per_node must be >= 1"),
-    (dict(cpu_ghz=0), "cpu_ghz must be > 0"),
-    (dict(bandwidth_bps=0), "bandwidth_bps must be > 0"),
-    (dict(cpi_dbt=0), "cpi_dbt must be > 0"),  # never exhausts a quantum; a divisor
-    (dict(cpi_dbt=-1.0), "cpi_dbt must be > 0"),  # runs the clock backwards
-    (dict(cpi_interp=0), "cpi_interp must be > 0"),
-    (dict(translate_per_insn=-5), "translate_per_insn must be >= 0"),
-    (dict(quantum_cycles=0), "quantum_cycles must be >= 1"),
-    (dict(superblock_threshold=-1), "superblock_threshold must be >= 0"),
-    (dict(migration_trigger=0), "migration_trigger must be >= 1"),
-    (dict(migration_penalty_ns=-1), "migration_penalty_ns must be >= 0"),
-    (dict(adaptive_window=1), "adaptive_window must be >= 2"),
-    (dict(forwarding_trigger=0), "forwarding_trigger must be >= 1"),
-    (dict(splitting_trigger=0), "splitting_trigger must be >= 1"),
-    (dict(master_shards=0), "master_shards must be >= 1"),
-    (dict(rpc_timeout_ns=0), "rpc_timeout_ns must be >= 1"),
-    (dict(rpc_max_retries=-1), "rpc_max_retries must be >= 0"),
-    (dict(rpc_backoff_base_ns=-1), "rpc_backoff_base_ns must be >= 0"),
-    (dict(rpc_backoff_jitter_ns=-1), "rpc_backoff_jitter_ns must be >= 0"),
-    (dict(health_suspect_after=0), "health_suspect_after must be >= 1"),
-    (dict(checkpoint_interval_ns=0, **ARMED), "checkpoint_interval_ns must be >= 1"),
-    (dict(checkpoint_service_ns=-1), "checkpoint_service_ns must be >= 0"),
-    (dict(heartbeat_interval_ns=0, **ARMED), "heartbeat_interval_ns must be >= 1"),
-    (dict(max_concurrent_jobs=0), "max_concurrent_jobs must be >= 1"),
-    (dict(admission_queue_depth=-1), "admission_queue_depth must be >= 0"),
+    (DQEMUConfig, dict(quantum_cycles=0), "quantum_cycles must be >= 1"),
+    (DQEMUConfig, dict(superblock_threshold=-1), "superblock_threshold must be >= 0"),
+    (DQEMUConfig, dict(migration_trigger=0), "migration_trigger must be >= 1"),
+    (DQEMUConfig, dict(adaptive_window=1), "adaptive_window must be >= 2"),
+    # A zero window used to push nothing, or cap nothing.
+    (DQEMUConfig, dict(forwarding_initial_window=0), "forwarding_initial_window must be >= 1"),
+    (DQEMUConfig, dict(forwarding_max_window=0), "forwarding_max_window must be >= 1"),
+    (DQEMUConfig, dict(splitting_trigger=0), "splitting_trigger must be >= 1"),
+    (DQEMUConfig, dict(master_shards=0), "master_shards must be >= 1"),
+    (DQEMUConfig, dict(rpc_timeout_ns=0), "rpc_timeout_ns must be >= 1"),
+    (DQEMUConfig, dict(rpc_max_retries=-1), "rpc_max_retries must be >= 0"),
+    (DQEMUConfig, dict(rpc_backoff_base_ns=-1), "rpc_backoff_base_ns must be >= 0"),
+    (DQEMUConfig, dict(rpc_backoff_jitter_ns=-1), "rpc_backoff_jitter_ns must be >= 0"),
+    (DQEMUConfig, dict(checkpoint_interval_ns=0, **ARMED), "checkpoint_interval_ns must be >= 1"),
+    (DQEMUConfig, dict(heartbeat_interval_ns=0, **ARMED), "heartbeat_interval_ns must be >= 1"),
+    (DQEMUConfig, dict(max_concurrent_jobs=0), "max_concurrent_jobs must be >= 1"),
+    (DQEMUConfig, dict(admission_queue_depth=-1), "admission_queue_depth must be >= 0"),
     # -- choice sets --
-    (dict(mode="jit"), "unknown mode 'jit'"),
-    (dict(scheduler="best-fit"), "unknown scheduler 'best-fit'"),
-    (dict(coherence_protocol="mosi"), "unknown coherence_protocol 'mosi'"),
+    (DQEMUConfig, dict(mode="jit"), "unknown mode 'jit'"),
+    (DQEMUConfig, dict(scheduler="best-fit"), "unknown scheduler 'best-fit'"),
+    (DQEMUConfig, dict(coherence_protocol="mosi"), "unknown coherence_protocol 'mosi'"),
     # -- requires edges: timeout -> retries / evacuation -> the rest --
-    (dict(rpc_max_retries=1), "rpc_max_retries needs rpc_timeout_ns"),
-    (dict(evacuation_enabled=True), "evacuation_enabled needs rpc_timeout_ns"),
-    (dict(checkpoint_interval_ns=10_000, rpc_timeout_ns=10_000),
+    (DQEMUConfig, dict(rpc_max_retries=1), "rpc_max_retries needs rpc_timeout_ns"),
+    (DQEMUConfig, dict(evacuation_enabled=True), "evacuation_enabled needs rpc_timeout_ns"),
+    (DQEMUConfig, dict(checkpoint_interval_ns=10_000, rpc_timeout_ns=10_000),
      "checkpoint_interval_ns needs evacuation_enabled"),
-    (dict(heartbeat_interval_ns=1_000, rpc_timeout_ns=10_000),
+    (DQEMUConfig, dict(heartbeat_interval_ns=1_000, rpc_timeout_ns=10_000),
      "heartbeat_interval_ns needs evacuation_enabled"),
-    # -- the hand-written rules --
-    (dict(health_suspect_after=3, health_down_after=3), "health_down_after must exceed"),
-    (dict(fault_plan="drop everything"), "fault_plan must be"),
-    (dict(node_cores={1: 0}), "node 1: cores must be >= 1"),
-    (dict(node_ghz={1: 0.0}), "node 1: clock must be positive"),
+    # -- the hand-written rule --
+    (DQEMUConfig, dict(fault_plan="drop everything"), "fault_plan must be"),
 ]
 
-RULE_WORDING = {
-    "min": "{} must be >= ", "above": "{} must be > ",
-    "choices": "unknown {} ", "requires": "{} needs ",
-}
+RULE_WORDING = {"min": "{} must be >= ", "choices": "unknown {} ", "requires": "{} needs "}
 
-#: The modelled communication quantities; everything else is either CPU-side
+#: The modelled communication costs; everything else is either CPU-side
 #: (scales with guest work) or a duration the user chose.
 SCALED = {
     "bandwidth_bps", "one_way_latency_ns", "loopback_latency_ns", "dsm_service_ns",
@@ -76,51 +90,60 @@ SCALED = {
     "merge_service_ns",
 }
 
-#: Fields with no command-line spelling (dict-valued, or a FaultPlan).
-UNFLAGGED = {"node_cores", "node_ghz", "fault_plan"}
+#: Fields with no command-line spelling (the cost model, a FaultPlan).
+UNFLAGGED = {"cost", "fault_plan"}
 
 
-@pytest.mark.parametrize("kwargs, message", INVALID, ids=[m for _, m in INVALID])
-def test_invalid_config_is_rejected_with_its_reason(kwargs, message):
+@pytest.mark.parametrize("cls, kwargs, message", INVALID, ids=[m for *_, m in INVALID])
+def test_invalid_config_is_rejected_with_its_reason(cls, kwargs, message):
     with pytest.raises(ConfigError) as err:
-        DQEMUConfig(**kwargs)
+        cls(**kwargs)
     assert str(err.value).startswith(message)
 
 
 def test_every_tabled_rule_has_a_row():
-    messages = [message for _, message in INVALID]
+    messages = [message for _, _, message in INVALID]
     for f in fields(DQEMUConfig):
         for rule, wording in RULE_WORDING.items():
             if rule in f.metadata:
                 start = wording.format(f.name)
                 assert any(m.startswith(start) for m in messages), (f.name, rule)
+    for f in fields(CostModel):
+        assert any(m.startswith((f"{f.name} must be", f"{f.name}[")) for m in messages), f.name
 
 
 def test_the_whole_dependency_chain_armed_is_valid():
     cfg = DQEMUConfig(
-        rpc_max_retries=2, health_suspect_after=3, health_down_after=9,
-        checkpoint_interval_ns=10_000, heartbeat_interval_ns=1_000, **ARMED,
+        rpc_max_retries=2, checkpoint_interval_ns=10_000, heartbeat_interval_ns=1_000, **ARMED,
     )
-    assert (cfg.health_suspect_after, cfg.health_down_after) == (3, 9)
     assert cfg.heartbeat_lease_ns == 4_000
+
+
+def test_every_config_shares_the_one_testbed():
+    assert DQEMUConfig().cost is DQEMUConfig(mode="interp").cost is TESTBED
+    assert TESTBED == CostModel()
 
 
 @pytest.mark.parametrize("k", [0.5, 10.0, 1000.0, 1e9])
 def test_time_scaled_moves_exactly_the_scaled_fields(k):
-    assert {f.name for f in fields(DQEMUConfig) if "scaled" in f.metadata} == SCALED
+    # A zero cost stays zero; it used to become 1 ns.
+    cost = CostModel(migration_penalty_ns=0, node_cores={1: 2}, node_ghz={1: 1.0})
+    scaled = cost.scaled(k)
+    for f in fields(CostModel):
+        before, after = getattr(cost, f.name), getattr(scaled, f.name)
+        if f.name == "bandwidth_bps":
+            assert after == before * k
+        elif f.name in SCALED:
+            assert after == (max(1, int(before / k)) if before else 0), f.name
+        else:
+            assert after == before, f.name
+    assert scaled.migration_penalty_ns == 0
+    # A duration the user chose means what it says at any scale.
     cfg = DQEMUConfig(
         rpc_max_retries=2, checkpoint_interval_ns=7_000, heartbeat_interval_ns=3,
         coherence_protocol="migrate", **ARMED,
     )
-    scaled = cfg.time_scaled(k)
-    for f in fields(DQEMUConfig):
-        before, after = getattr(cfg, f.name), getattr(scaled, f.name)
-        if f.name == "bandwidth_bps":
-            assert after == before * k
-        elif f.name in SCALED:
-            assert after == max(1, int(before / k)), f.name
-        else:
-            assert after == before, f.name
+    assert cfg.time_scaled(k) == replace(cfg, cost=cfg.cost.scaled(k))
     with pytest.raises(ConfigError, match="scale factor"):
         cfg.time_scaled(0)
 
@@ -147,13 +170,13 @@ def test_flags_build_the_config_they_name(tmp_path, monkeypatch):
     armed = dict(
         rpc_timeout_ns=50_000_000, rpc_max_retries=4, evacuation_enabled=True,
         heartbeat_interval_ns=500_000, master_shards=2, coherence_protocol="adaptive",
-        cores_per_node=2, forwarding_enabled=True, splitting_enabled=True, fusion_enabled=True,
+        forwarding_enabled=True, splitting_enabled=True, fusion_enabled=True,
     )
     argv = [
         "--rpc-timeout-ns", "50000000", "--rpc-max-retries", "4", "--evacuation",
         "--heartbeat-interval-ns", "500000", "--master-shards", "2",
         "--coherence-protocol", "adaptive",
-        "--cores", "2", "--forwarding", "--splitting", "--fusion",
+        "--forwarding", "--splitting", "--fusion",
     ]
     built = []
 

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.dsmmem import DSMMemory, MergeStall
-from repro.dbt import CPUState, EngineTiming, ExecutionEngine, StopKind, memo
+from repro.cost import CostModel
+from repro.dbt import CPUState, ExecutionEngine, StopKind, memo
 from repro.isa import SPECS, Instruction, assemble, encode
 from repro.isa.instructions import Fmt
 from repro.mem import FlatMemory, MSIState, PageStore
@@ -452,8 +453,8 @@ def _run_on_node(instrs, regs, states, split, mode, **engine_kwargs):
     """Run ``instrs`` to the ecall (or a guest fault) on a node's memory.
     ``states``: initial state of the two buffer pages and the two shadows."""
     mem, cpu = _node(instrs, regs, states, split)
-    one = EngineTiming(cpi_dbt=1.0, cpi_interp=1.0, cpi_superblock=1.0, translate_per_insn=0.0)
-    engine = ExecutionEngine(mem, mode=mode, timing=one, **engine_kwargs)
+    one = CostModel(cpi_dbt=1.0, cpi_interp=1.0, cpi_superblock=1.0, translate_per_insn=0.0)
+    engine = ExecutionEngine(mem, mode=mode, cost=one, **engine_kwargs)
     events, cycles = [], 0
     while True:
         stop = engine.run_quantum(cpu, 1_000_000)
@@ -634,7 +635,7 @@ def resident_loops(draw):
 def _trace_on_node(instrs, regs, states, split, quantum, timing, **engine_kwargs):
     """Run quantum by quantum; what every stop could show anyone, then the books."""
     mem, cpu = _node(instrs, regs, states, split)
-    engine = ExecutionEngine(mem, timing=timing, **engine_kwargs)
+    engine = ExecutionEngine(mem, cost=timing, **engine_kwargs)
     stops = []
     for _ in range(150):  # a self-branch taken once is taken for ever
         stop = engine.run_quantum(cpu, quantum)
@@ -655,7 +656,7 @@ def _trace_on_node(instrs, regs, states, split, quantum, timing, **engine_kwargs
 
 
 def _assert_loops_are_invisible(instrs, regs, states, split, quantum, cpi, threshold, fusion):
-    timing = EngineTiming(cpi_dbt=cpi, cpi_superblock=cpi / 3, translate_per_insn=2.5)
+    timing = CostModel(cpi_dbt=cpi, cpi_superblock=cpi / 3, translate_per_insn=2.5)
     where = dict(instrs=instrs, states=states, split=split, timing=timing, regs=regs)
     hot = dict(superblock_threshold=threshold, superblock_max_blocks=4, fusion=fusion)
     stops, books = _trace_on_node(quantum=quantum, **where, **hot)

@@ -5,7 +5,8 @@ import gc
 import pytest
 
 from repro import Cluster, DQEMUConfig
-from repro.dbt import Backend, CPUState, EngineTiming, ExecutionEngine, Frontend, StopKind, fpu
+from repro.cost import CostModel
+from repro.dbt import Backend, CPUState, ExecutionEngine, Frontend, StopKind, fpu
 from repro.dbt.interp import Interpreter
 from repro.errors import InvalidInstruction, UnalignedAccess
 from repro.isa import assemble
@@ -35,8 +36,8 @@ class TestQuantum:
 
     def test_cycles_accounted_for_translated_code(self):
         prog, mem, cpu = load("_start:\n li a0, 1\n li a1, 2\n ecall\n")
-        timing = EngineTiming(cpi_dbt=2.0, translate_per_insn=100.0)
-        engine = ExecutionEngine(mem, timing=timing)
+        timing = CostModel(cpi_dbt=2.0, translate_per_insn=100.0)
+        engine = ExecutionEngine(mem, cost=timing)
         stop = engine.run_quantum(cpu, 1_000_000)
         assert stop.kind is StopKind.SYSCALL
         # 3 instructions: translation 300 + execution 6
@@ -56,8 +57,8 @@ class TestQuantum:
               ecall
             """
         )
-        timing = EngineTiming(cpi_dbt=1.0, translate_per_insn=1000.0)
-        engine = ExecutionEngine(mem, timing=timing)
+        timing = CostModel(cpi_dbt=1.0, translate_per_insn=1000.0)
+        engine = ExecutionEngine(mem, cost=timing)
         stop = engine.run_quantum(cpu, 10_000_000)
         assert stop.kind is StopKind.SYSCALL
         assert engine.cache.stats.translations == 3  # entry, loop body, exit
@@ -182,8 +183,8 @@ class TestPreciseStalls:
         mem = StallingMemory([data_page])
         mem.load_image(prog.iter_load_segments())
         cpu = CPUState(pc=prog.entry, tid=1)
-        timing = EngineTiming(cpi_dbt=10.0, translate_per_insn=0.0)
-        engine = ExecutionEngine(mem, timing=timing)
+        timing = CostModel(cpi_dbt=10.0, translate_per_insn=0.0)
+        engine = ExecutionEngine(mem, cost=timing)
         stop = engine.run_quantum(cpu, 1_000_000)
         assert stop.kind is StopKind.PAGE_STALL
         # li (1) + la (4 = movz+3*movk) completed; ld not committed
@@ -314,7 +315,7 @@ class TestPreciseFloatState:
         assert (cpu.block_runs, cpu.block_ic) == (2, 3)
         ran = engine.insns_executed - before
         assert ran == (loop - prog.entry) // 4 + 3 * 8 + 3  # set-up, three whole trips, a part
-        assert stop.cycles == ran * engine.timing.cpi_dbt
+        assert stop.cycles == ran * engine.cost.cpi_dbt
 
         oracle_mem = FlatMemory()
         oracle_mem.load_image(prog.iter_load_segments())
@@ -486,7 +487,7 @@ class TestGeneratedCode:
         cast once, by the pre-header."""
         prog = swaptions.build(8, 16, trials=400)
         mem = resident_node_memory(prog)
-        engine = ExecutionEngine(mem, timing=EngineTiming(translate_per_insn=0.0))
+        engine = ExecutionEngine(mem, cost=CostModel(translate_per_insn=0.0))
         cpu = CPUState(pc=prog.symbol("worker"), tid=1, sp=0x7000_0000)
         assert engine.run_quantum(cpu, 400).kind is StopKind.QUANTUM
         hot = engine.cache.peek(prog.symbol(".sw_trial"))

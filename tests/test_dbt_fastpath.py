@@ -15,7 +15,8 @@ import itertools
 import pytest
 
 from repro.core.dsmmem import DSMMemory
-from repro.dbt import Backend, CPUState, EngineTiming, ExecutionEngine, Frontend, StopKind
+from repro.cost import CostModel
+from repro.dbt import Backend, CPUState, ExecutionEngine, Frontend, StopKind
 from repro.dbt.frontend import BlockIR
 from repro.dbt.runtime import s64
 from repro.dbt.tcg import InstrIR, TCGOp, guest, imm
@@ -154,8 +155,8 @@ def test_memory_without_the_view_is_refused_at_construction():
 def steady_quantum(prog, label, regs, trips=50, **engine_options):
     """Python calls of one warm quantum of about ``trips`` trips round the
     one-block loop at ``label``, and how many trips it made."""
-    free_translation = EngineTiming(translate_per_insn=0.0)
-    engine = ExecutionEngine(resident_node_memory(prog), timing=free_translation,
+    free_translation = CostModel(translate_per_insn=0.0)
+    engine = ExecutionEngine(resident_node_memory(prog), cost=free_translation,
                              **engine_options)
     cpu = CPUState(pc=prog.symbol(label), tid=1)
     for reg, value in regs.items():
@@ -163,7 +164,7 @@ def steady_quantum(prog, label, regs, trips=50, **engine_options):
     assert engine.run_quantum(cpu, 300).kind is StopKind.QUANTUM
     hot = engine.cache.peek(prog.symbol(label))
     assert hot.chain == {hot.pc: hot}  # translated and chained to itself
-    per_trip = (hot.n_insns - len(hot.fused)) * engine.timing.cpi_dbt
+    per_trip = (hot.n_insns - len(hot.fused)) * engine.cost.cpi_dbt
     before = hot.exec_count
     calls = python_calls(engine.run_quantum, cpu, int(trips * per_trip))
     return calls, hot.exec_count - before

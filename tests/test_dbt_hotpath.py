@@ -7,9 +7,12 @@ the engine directly against a flat memory, the way a single node's DBT
 thread would.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.dbt import Backend, CPUState, EngineTiming, ExecutionEngine, Frontend, StopKind
+from repro.cost import CostModel
+from repro.dbt import Backend, CPUState, ExecutionEngine, Frontend, StopKind
 from repro.dbt.backend import TranslationBlock
 from repro.dbt.codecache import CodeCache
 from repro.dbt.frontend import BlockIR
@@ -124,7 +127,7 @@ class TestBlockIcReset:
         mem = FlatMemory()
         cpu = CPUState(pc=TEXT, tid=1)
         engine = ExecutionEngine(
-            mem, timing=EngineTiming(cpi_dbt=10.0, translate_per_insn=0.0)
+            mem, cost=CostModel(cpi_dbt=10.0, translate_per_insn=0.0)
         )
         engine.cache.insert(synthetic_tb(TEXT, stalls_immediately, n_insns=4))
         cpu.block_ic = 57  # stale count from a previous block
@@ -154,7 +157,7 @@ class TestBlockIcReset:
         mem.load_image(prog.iter_load_segments())
         cpu = CPUState(pc=prog.entry, tid=1)
         engine = ExecutionEngine(
-            mem, timing=EngineTiming(cpi_dbt=10.0, translate_per_insn=0.0)
+            mem, cost=CostModel(cpi_dbt=10.0, translate_per_insn=0.0)
         )
         stop = engine.run_quantum(cpu, 1_000_000)
         assert stop.kind is StopKind.PAGE_STALL
@@ -172,8 +175,8 @@ class TestBlockIcReset:
 class TestExactCycleAccounting:
     def test_fractional_cpi_carries_remainder_across_quanta(self):
         prog, mem, cpu = load(LOOP_SRC.replace("li t1, 200", "li t1, 500"))
-        timing = EngineTiming(cpi_dbt=2.88, translate_per_insn=800.0)
-        engine = ExecutionEngine(mem, timing=timing)
+        timing = CostModel(cpi_dbt=2.88, translate_per_insn=800.0)
+        engine = ExecutionEngine(mem, cost=timing)
         total = 0
         quanta = 0
         while True:
@@ -207,8 +210,8 @@ class TestExactCycleAccounting:
 
     def test_interp_mode_also_carries_remainder(self):
         prog, mem, cpu = load(LOOP_SRC)
-        timing = EngineTiming(cpi_interp=30.5)
-        engine = ExecutionEngine(mem, mode="interp", timing=timing)
+        timing = CostModel(cpi_interp=30.5)
+        engine = ExecutionEngine(mem, mode="interp", cost=timing)
         total = 0
         while True:
             stop = engine.run_quantum(cpu, 100)
@@ -489,8 +492,8 @@ class TestFusion:
 class TestModeSplit:
     def test_stop_event_reports_translation_share(self):
         prog, mem, cpu = load("_start:\n li a0, 1\n li a1, 2\n ecall\n")
-        timing = EngineTiming(cpi_dbt=2.0, translate_per_insn=100.0)
-        engine = ExecutionEngine(mem, timing=timing)
+        timing = CostModel(cpi_dbt=2.0, translate_per_insn=100.0)
+        engine = ExecutionEngine(mem, cost=timing)
         stop = run_to_syscall(engine, cpu)
         assert stop.cycles == 306
         assert stop.translate_cycles == 300
@@ -747,7 +750,7 @@ def quanta(source, stall, quantum, timing, **engine_options):
     mem = StallingMemory({page_of(prog.symbol(label)) + 1 for label in stall})
     mem.load_image(prog.iter_load_segments())
     cpu = CPUState(pc=prog.entry, tid=1, sp=0x7000_0000)
-    engine = ExecutionEngine(mem, timing=timing, **engine_options)
+    engine = ExecutionEngine(mem, cost=timing, **engine_options)
     stops, spent = [], 0
     while spent < 200_000:
         stop = engine.run_quantum(cpu, quantum)
@@ -764,7 +767,7 @@ class TestLoopResidency:
     @pytest.mark.parametrize("name", list(LOOPS))
     def test_in_place_trips_are_booked_as_the_dispatcher_books_them(self, name):
         source, stall = LOOPS[name]
-        timing = EngineTiming(cpi_dbt=2.88, cpi_superblock=0.9, translate_per_insn=2.5)
+        timing = CostModel(cpi_dbt=2.88, cpi_superblock=0.9, translate_per_insn=2.5)
         for hot in HOT_TIERS:
             for quantum in (53, 997, 10**6):
                 stops, engine = quanta(source, stall, quantum, timing, **hot)
@@ -795,7 +798,7 @@ class TestLoopResidency:
         promotion (and its translation bill) lands after the same entry, and
         every later trip runs at the superblock's CPI."""
         source = LOOP_SRC.replace("li t1, 200", "li t1, 2000")
-        timing = EngineTiming(translate_per_insn=100.0)
+        timing = CostModel(translate_per_insn=100.0)
         stops, engine = quanta(source, (), 10**6, timing, superblock_threshold=8)
         want, pinned = quanta(source, (), 10**6, timing, superblock_threshold=8,
                               cache=OneEntryCache())
@@ -808,7 +811,7 @@ class TestLoopResidency:
         time, is not ``1157 * 8.64`` in the last bits — and those bits are the
         remainder the vCPU carries into its next quantum."""
         source = LOOP_SRC.replace("li t1, 200", "li t1, 20000")
-        timing = EngineTiming(cpi_dbt=2.88, translate_per_insn=0.0)
+        timing = CostModel(cpi_dbt=2.88, translate_per_insn=0.0)
         stops, engine = quanta(source, (), 10_000, timing)
         want, pinned = quanta(source, (), 10_000, timing, cache=OneEntryCache())
         assert len(stops) > 15
@@ -818,7 +821,10 @@ class TestLoopResidency:
     def test_a_non_positive_cpi_never_divides(self):
         prog, mem, cpu = load(LOOP_SRC)
         for cpi in (0.0, -1.0):
-            engine = ExecutionEngine(mem, timing=EngineTiming(cpi_dbt=cpi, translate_per_insn=1.0))
+            # CostModel refuses such a CPI; the engine must not rely on that.
+            cost = vars(CostModel(translate_per_insn=1.0))
+            unchecked = SimpleNamespace(**{**cost, "cpi_dbt": cpi})
+            engine = ExecutionEngine(mem, cost=unchecked)
             cpu = CPUState(pc=prog.entry, tid=1)
             assert engine.run_quantum(cpu, 10**6).kind is StopKind.SYSCALL
             assert cpu.regs[5] == 200

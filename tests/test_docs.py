@@ -83,3 +83,24 @@ def test_code_references_in_docs_resolve():
                 if name in classes and not any(_has_attr(c, attr) for c in classes[name]):
                     stale.append(f"{doc}:{lineno} {name}.{attr}")
     assert stale == []
+
+
+def test_cost_table_names_every_cost_with_its_default():
+    """docs/SIMULATION.md "Where virtual time comes from" has one row per
+    ``CostModel`` field, whose last cell opens with the field's default."""
+    import ast
+    from dataclasses import fields
+
+    from repro.cost import CostModel
+
+    text = (ROOT / "docs" / "SIMULATION.md").read_text()
+    section = text.split("## Where virtual time comes from", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 3:
+            continue
+        named, default = re.search(r"`(\w+)`", cells[1]), re.match(r"`([^`]+)`", cells[2])
+        if named and default:
+            rows[named.group(1)] = ast.literal_eval(default.group(1))
+    assert rows == {f.name: f.default for f in fields(CostModel)}

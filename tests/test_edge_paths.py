@@ -1,13 +1,13 @@
 """Edge-path integration tests: kernel access through split pages,
 interpreter-mode clusters, shutdown with parked threads."""
 
-from repro import Cluster, DQEMUConfig, assemble
+from repro import Cluster, CostModel, DQEMUConfig, assemble
 from repro.kernel.sysnums import SYS
 from repro.workloads.common import emit_fanout_main, workload_builder
 
 LONG = dict(max_virtual_ms=600_000)
 
-FAST_SPLIT = dict(dsm_service_ns=30_000, splitting_trigger=6)
+FAST_SPLIT = dict(cost=CostModel(dsm_service_ns=30_000), splitting_trigger=6)
 
 
 def split_then_syscall_program(iters=60_000):

@@ -90,7 +90,7 @@ class TestReferenceFractions:
         assert cfg.heartbeat_interval_ns == 10_000
         assert cfg.checkpoint_interval_ns == 100_000
         # ...while the fabric constants did scale.
-        assert cfg.one_way_latency_ns == DQEMUConfig().one_way_latency_ns // 100
+        assert cfg.cost.one_way_latency_ns == DQEMUConfig().cost.one_way_latency_ns // 100
 
     def test_baseline_cells_run_the_single_node_qemu_model(self):
         cfg = build_config(Cell("q", baseline=True, config=dict(forwarding_enabled=True)))

@@ -16,6 +16,7 @@ import pytest
 from repro import Cluster, DQEMUConfig, FaultPlan, ServiceTimeout
 from repro.analysis.reporting import FAILURE_COLUMNS, render_service_breakdown
 from repro.core.scheduler import ThreadPlacer
+from repro.cost import CostModel
 from repro.errors import ConfigError
 from repro.mem.directory import Directory
 from repro.net import Endpoint, Fabric
@@ -289,7 +290,7 @@ class TestDirectoryRehoming:
 class TestAbortPeer:
     def _mini(self, plan=None):
         sim = Simulator()
-        fabric = Fabric(sim, one_way_latency_ns=100, loopback_latency_ns=10)
+        fabric = Fabric(sim, CostModel(one_way_latency_ns=100, loopback_latency_ns=10))
         if plan is not None:
             FaultInjector(sim, plan).attach(fabric)
         return sim, [Endpoint(sim, fabric, i) for i in range(2)]
@@ -530,11 +531,6 @@ class TestCrashTolerance:
         assert "failure" not in plain.stats.services
         assert "failure" not in armed.stats.services
         assert armed.virtual_ns == plain.virtual_ns
-
-    def test_custom_health_thresholds_reach_the_tracker(self):
-        r = _run(health_suspect_after=3, health_down_after=9)
-        assert r.health.suspect_after == 3
-        assert r.health.down_after == 9
 
 
 # -- landing: the one way a thread reaches a node -----------------------------

@@ -51,8 +51,8 @@ class TestHeartbeatConfig:
         # lease + (down_after + 1) monitor checks + one-way delivery.
         expected = (
             4000
-            + (cfg.health_down_after + 1) * 1000
-            + cfg.one_way_latency_ns
+            + (HealthTracker.down_after + 1) * 1000
+            + cfg.cost.one_way_latency_ns
         )
         assert cfg.heartbeat_detection_bound_ns() == expected
 

@@ -1,22 +1,22 @@
 """Heterogeneous-cluster tests (paper §1: nodes with different cores/clocks)."""
 
-from repro import Cluster, DQEMUConfig
+from repro import Cluster, CostModel, DQEMUConfig
 from repro.workloads import pi_taylor
 
 
 class TestConfig:
     def test_overrides_resolved(self):
-        cfg = DQEMUConfig(node_cores={1: 8}, node_ghz={2: 1.1})
-        assert cfg.cores_of(1) == 8
-        assert cfg.cores_of(2) == 4
-        assert cfg.ghz_of(2) == 1.1
-        assert cfg.ghz_of(1) == 3.3
+        cost = CostModel(node_cores={1: 8}, node_ghz={2: 1.1})
+        assert cost.cores_of(1) == 8
+        assert cost.cores_of(2) == 4
+        assert cost.ghz_of(2) == 1.1
+        assert cost.ghz_of(1) == 3.3
 
 
 class TestExecution:
     def test_results_identical_on_heterogeneous_cluster(self):
         prog = pi_taylor.build(n_threads=8, terms=100, reps=1)
-        cfg = DQEMUConfig(node_cores={1: 2, 2: 8}, node_ghz={1: 1.0})
+        cfg = DQEMUConfig(cost=CostModel(node_cores={1: 2, 2: 8}, node_ghz={1: 1.0}))
         r = Cluster(2, cfg).run(prog, max_virtual_ms=600_000)
         assert r.stdout == pi_taylor.reference_output(100)
 
@@ -24,10 +24,10 @@ class TestExecution:
         """Same thread count per node; the 8-core 2x-clock node's threads
         should finish in much less virtual time than the 1-core node's."""
         prog = pi_taylor.build(n_threads=8, terms=400, reps=4)
-        cfg = DQEMUConfig(
+        cfg = DQEMUConfig(cost=CostModel(
             node_cores={1: 1, 2: 8},
             node_ghz={1: 1.65, 2: 3.3},
-        ).time_scaled(1000)
+        )).time_scaled(1000)
         r = Cluster(2, cfg).run(prog, max_virtual_ms=600_000)
         assert r.stdout == pi_taylor.reference_output(400)
         by_node = {1: [], 2: []}
@@ -47,7 +47,7 @@ class TestExecution:
             prog, max_virtual_ms=600_000
         )
         slow = Cluster(
-            1, DQEMUConfig(node_ghz={1: 3.3 / 2}).time_scaled(1000)
+            1, DQEMUConfig(cost=CostModel(node_ghz={1: 3.3 / 2})).time_scaled(1000)
         ).run(prog, max_virtual_ms=600_000)
         assert slow.stdout == base.stdout
         # worker execute time roughly doubles at half the clock

@@ -1,6 +1,6 @@
 """Live thread migration (sched_setaffinity) and nanosleep tests."""
 
-from repro import Cluster, DQEMUConfig, FaultPlan
+from repro import Cluster, CostModel, DQEMUConfig, FaultPlan
 from repro.baselines import run_qemu
 from repro.kernel.sysnums import SYS
 from repro.workloads.common import emit_fanout_main, workload_builder
@@ -184,7 +184,7 @@ class TestNanosleep:
         b.addi("sp", "sp", 32)
         b.ret()
         b.data().align(8).label("done").quad(0).text()
-        cfg = DQEMUConfig(node_cores={1: 1})
+        cfg = DQEMUConfig(cost=CostModel(node_cores={1: 1}))
         r = Cluster(1, cfg).run(b.assemble(), **LONG)
         assert r.stdout == "1\n"
         assert r.virtual_ns >= 50_000_000  # the sleep really happened

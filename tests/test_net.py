@@ -4,7 +4,8 @@ import pytest
 
 from collections import Counter
 
-from repro.errors import NetworkError
+from repro.cost import CostModel
+from repro.errors import ConfigError, NetworkError
 from repro.net import Endpoint, Fabric
 from repro.net.faults import FaultInjector, FaultPlan, duplicate
 from repro.net.messages import (
@@ -111,14 +112,15 @@ class TestTiming:
         sim.spawn(receiver())
         eps[0].send(0, PageData(page=0, data=bytes(4096)))
         sim.run()
-        assert arrivals["t"] == fabric.loopback_latency_ns
+        assert arrivals["t"] == fabric.cost.loopback_latency_ns
 
     def test_bandwidth_validation(self):
+        # A link's costs are validated once, by the cost model it is built from.
         sim = Simulator()
-        with pytest.raises(NetworkError):
-            Fabric(sim, bandwidth_bps=0)
-        with pytest.raises(NetworkError):
-            Fabric(sim, one_way_latency_ns=-5)
+        with pytest.raises(ConfigError, match="bandwidth_bps must be > 0"):
+            Fabric(sim, CostModel(bandwidth_bps=0))
+        with pytest.raises(ConfigError, match="one_way_latency_ns must be >= 0"):
+            Fabric(sim, CostModel(one_way_latency_ns=-5))
 
 
 class TestEndpoint:

@@ -5,12 +5,12 @@ correctness escape hatch are exercised with the access patterns that the
 paper's Table 1 uses, on small scaled-down sizes.
 """
 
-from repro import Cluster, DQEMUConfig
+from repro import Cluster, CostModel, DQEMUConfig
 from repro.workloads.common import emit_fanout_main, workload_builder
 
 # Test-scale knobs: lighter protocol costs so ping-pong cycles are short and
 # detector triggers fire within small iteration counts.
-FAST = dict(dsm_service_ns=30_000, splitting_trigger=6)
+FAST = dict(cost=CostModel(dsm_service_ns=30_000), splitting_trigger=6)
 
 
 def seq_reader_program(npages=40):

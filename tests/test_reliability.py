@@ -12,6 +12,7 @@ import pytest
 
 from repro import Cluster, DQEMUConfig, FaultPlan, ServiceTimeout
 from repro.core.stats import ServiceStats
+from repro.cost import CostModel
 from repro.errors import ConfigError
 from repro.net import Endpoint, Fabric
 from repro.net.faults import FaultInjector, drop
@@ -28,7 +29,7 @@ def make_cluster(n=2, plan=None, health=False):
     # Latency far below the tests' 5 us timeout windows, so a retransmit can
     # only ever come from an injected fault, never from wire delay.
     sim = Simulator()
-    fabric = Fabric(sim, one_way_latency_ns=100, loopback_latency_ns=10)
+    fabric = Fabric(sim, CostModel(one_way_latency_ns=100, loopback_latency_ns=10))
     injector = None
     if plan is not None:
         injector = FaultInjector(sim, plan).attach(fabric)

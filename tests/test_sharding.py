@@ -174,12 +174,7 @@ class TestPostFinishDrops:
     def _make_master(self, nshards=1):
         sim = Simulator()
         cfg = DQEMUConfig(master_shards=nshards)
-        fabric = Fabric(
-            sim,
-            bandwidth_bps=cfg.bandwidth_bps,
-            one_way_latency_ns=cfg.one_way_latency_ns,
-            loopback_latency_ns=cfg.loopback_latency_ns,
-        )
+        fabric = Fabric(sim, cfg.cost)
         stats = RunStats()
         node = NodeRuntime(sim, fabric, 0, cfg, stats)
         state = SystemState(brk_start=0x10000, stdin=b"")

@@ -9,7 +9,7 @@ never corrupt guest state.
 
 import pytest
 
-from repro import Cluster, DQEMUConfig
+from repro import Cluster, CostModel, DQEMUConfig
 from repro.workloads import (
     blackscholes,
     fluidanimate,
@@ -109,7 +109,9 @@ class TestMemaccess:
         prog = memaccess.build_false_sharing(
             n_threads=8, n_nodes=2, iters=30_000, warmup_iters=30_000
         )
-        cfg = DQEMUConfig(splitting_enabled=True, dsm_service_ns=30_000, splitting_trigger=6)
+        cfg = DQEMUConfig(
+            splitting_enabled=True, cost=CostModel(dsm_service_ns=30_000), splitting_trigger=6
+        )
         r = Cluster(2, cfg).run(prog, **LONG)
         _, checksum = memaccess.parse_false_sharing_output(r.stdout)
         assert checksum == memaccess.false_sharing_checksum(8, 60_000)
@@ -120,7 +122,7 @@ class TestMemaccess:
             n_threads=8, n_nodes=2, iters=60_000, warmup_iters=30_000
         )
         cfg = lambda sp: DQEMUConfig(
-            splitting_enabled=sp, dsm_service_ns=30_000, splitting_trigger=6
+            splitting_enabled=sp, cost=CostModel(dsm_service_ns=30_000), splitting_trigger=6
         )
         base = Cluster(2, cfg(False)).run(mk(), **LONG)
         split = Cluster(2, cfg(True)).run(mk(), **LONG)
