@@ -16,7 +16,7 @@ from typing import Optional
 
 from repro.mem.api import PageStall, check_span
 from repro.mem.flat import MODIFIED, OFFSET_MASK, FlatMemory
-from repro.mem.layout import PAGE_SHIFT
+from repro.mem.layout import PAGE_SHIFT, PAGE_SIZE
 from repro.mem.llsc import LLSCTable
 from repro.mem.pagestore import PageStore
 from repro.mem.splitmap import SplitCrossing, SplitMap
@@ -70,6 +70,28 @@ class DSMMemory(FlatMemory):
         if self.split_pages:
             addr = self._resolve(addr, size, True)
         FlatMemory.store(self, addr, size, value)
+
+    # Translated code's miss arms: a page the node lacks is returned, so a
+    # fault leaves generated code by a ``return``, not a ``raise`` through
+    # three frames.  A split page or a page-crossing span is the method's.
+
+    def miss_load(self, addr: int, size: int, signed: bool) -> Optional[int]:
+        off = addr & OFFSET_MASK
+        if self.split_pages or off + size > PAGE_SIZE or addr >> PAGE_SHIFT in self.page_states:
+            return self.load(addr, size, signed)
+        self.stall = PageStall(addr >> PAGE_SHIFT, False, off, size)
+        return None
+
+    def miss_store(self, addr: int, size: int, value: int) -> bool:
+        off = addr & OFFSET_MASK
+        if (
+            self.split_pages or off + size > PAGE_SIZE
+            or self.page_states.get(addr >> PAGE_SHIFT) is MODIFIED
+        ):
+            self.store(addr, size, value)
+            return False
+        self.stall = PageStall(addr >> PAGE_SHIFT, True, off, size)
+        return True
 
     def invalidate(self, page: int) -> Optional[bytes]:
         """Page teardown: drop the local copy and kill every reservation on it

@@ -63,7 +63,7 @@ from repro.net.endpoint import Endpoint
 from repro.net.fabric import Fabric
 from repro.net.messages import MergeRequest, PageRequest, SyscallRequest
 from repro.core.scheduler import FairRunQueue
-from repro.sim.engine import Event, Simulator, Timeout
+from repro.sim.engine import Event, Process, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.services.syscalls import LocalKernel
@@ -196,6 +196,8 @@ class NodeRuntime:
         self.rpc_retry = config.retry_policy()
         self.n_cores = config.cost.cores_of(node_id)
         self.ghz = config.cost.ghz_of(node_id)
+        self._trap_ns = self._cycles_to_ns(config.cost.page_fault_trap_cycles)
+        self._fault_name, self._sys_name = f"fault@{node_id}", f"sys@{node_id}"
         #: Tenant bundles; tenant 0 exists from birth so a bare node is
         #: immediately usable the way the single-job node always was.
         self.tenants: dict[int, NodeTenant] = {}
@@ -250,7 +252,7 @@ class NodeRuntime:
 
     def spawn(self, gen, name: str):
         """Start a node or master process whose crash is a run failure."""
-        return self.sim.spawn(gen, name, self._crashed)
+        return Process(self.sim, gen, name, self._crashed)
 
     def _crashed(self, exc: BaseException) -> None:
         if not self.crashed:  # a dead node's processes fail silently with it
@@ -349,9 +351,9 @@ class NodeRuntime:
         domain = self.failure_domain
         while not self.shutdown and not bundle.finished:
             stop = bundle.engine.run_quantum(cpu, cfg.quantum_cycles)
-            ns = self._cycles_to_ns(stop.cycles)
+            ns = round(stop.cycles / self.ghz)  # _cycles_to_ns
             if ns:
-                yield Timeout(self.sim, ns)
+                yield self.sim.sleep(ns)
             # Split the quantum's wall time into translation vs execution
             # mode for the Fig. 8 breakdown; the sum stays exactly ns.
             if stop.translate_cycles:
@@ -372,10 +374,10 @@ class NodeRuntime:
                     domain.capture(th)
                 continue
             if kind is StopKind.PAGE_STALL:
-                self.spawn(self._fault_handler(th, stop.info), f"fault@{self.node_id}")
+                self.spawn(self._resolve_stall(stop.info, th.tenant, th), self._fault_name)
                 return
             if kind is StopKind.SYSCALL:
-                self.spawn(self._syscall_handler(th), f"sys@{self.node_id}")
+                self.spawn(self._syscall_handler(th), self._sys_name)
                 return
             if kind is StopKind.BREAK:
                 raise GuestFault(f"ebreak at pc={cpu.pc - 4:#x}", pc=cpu.pc - 4)
@@ -383,97 +385,92 @@ class NodeRuntime:
 
     # -- page faults ------------------------------------------------------------
 
-    def _fault_handler(self, th: GuestThread, stall: PageStall):
-        cfg = self.config
-        t0 = self.sim.now
-        yield Timeout(self.sim, self._cycles_to_ns(cfg.cost.page_fault_trap_cycles))
-        yield from self._resolve_stall(stall, th.tenant)
-        th.stats.pagefault_ns += self.sim.now - t0
-        th.stats.page_faults += 1
-        self._requeue(th)
+    def _resolve_stall(self, stall: PageStall, tenant: int, th: Optional[GuestThread] = None):
+        """Do what the stalled access asked for; the access then re-executes.
 
-    def _resolve_stall(self, stall: PageStall, tenant: int):
-        """Do what the stalled access asked for; the access then re-executes."""
+        With ``th`` this is the thread's page-fault handler: the trap, the
+        page, then the thread back on the run queue, all in one generator.
+        A page is brought in at (at least) the needed state, deduplicating
+        concurrent requests from the tenant's threads on this node: the
+        first one's ``bundle.inflight`` entry stays ``None`` unless a second
+        thread comes to wait on it, which makes it an event."""
+        sim = self.sim
+        bundle = self.tenants[tenant]
+        if th is not None:
+            t0 = sim.now
+            yield sim.sleep(self._trap_ns)
         if isinstance(stall, MergeStall):
             yield self._request(
-                self.tenants[tenant], NodeSplitTableService.name, self.master_id,
+                bundle, NodeSplitTableService.name, self.master_id,
                 MergeRequest(page=stall.orig_page, tenant=tenant),
             )
         else:
-            yield from self._acquire_page(
-                self.tenants[tenant], stall.page, stall.write, stall.offset, stall.size
-            )
-
-    def _acquire_page(
-        self, bundle: NodeTenant, page: int, write: bool, offset: int, size: int
-    ):
-        """Bring ``page`` in at (at least) the needed state, deduplicating
-        concurrent requests from the tenant's threads on this node."""
-        store = bundle.memory.pages
-        while True:
-            if write and store.silently_upgrade(page):
-                # MESI: an Exclusive-clean copy becomes Modified right here
-                # — the fault costs the local trap, never a master round
-                # trip (docs/PROTOCOL.md "Coherence protocols").
-                bundle.run_stats.protocol.silent_upgrades += 1
-                return
-            if store.has_write(page) or (not write and store.has_read(page)):
-                return
-            inflight = bundle.inflight.get(page)
-            if inflight is not None:
-                ev, in_write = inflight
-                yield ev
-                continue  # re-check: the finished request may not suffice
-            ev = Event(self.sim)
-            bundle.inflight[page] = (ev, write)
-            try:
-                req = self._request(
-                    bundle, NodeCoherenceService.name, self.master_id,
-                    PageRequest(
-                        page=page, write=write, offset=offset, size=size,
-                        tenant=bundle.tenant,
-                    ),
-                )
-                if write or not self.config.forwarding_enabled:
-                    # No push can arrive: the reply alone completes the fault.
-                    reply = yield req
+            page, write = stall.page, stall.write
+            store = bundle.memory.pages
+            inflight = bundle.inflight
+            while True:
+                if write and store.silently_upgrade(page):
+                    # MESI: an Exclusive-clean copy becomes Modified right
+                    # here — the fault costs the local trap, never a master
+                    # round trip (docs/PROTOCOL.md "Coherence protocols").
+                    bundle.run_stats.protocol.silent_upgrades += 1
+                    break
+                if store.has_write(page) or (not write and store.has_read(page)):
+                    break
+                if page in inflight:
+                    ev = inflight[page]
+                    if ev is None:
+                        ev = inflight[page] = Event(sim)
+                    yield ev
+                    continue  # re-check: the finished request may not suffice
+                inflight[page] = None
+                try:
+                    req = self._request(
+                        bundle, NodeCoherenceService.name, self.master_id,
+                        PageRequest(
+                            page=page, write=write, offset=stall.offset, size=stall.size,
+                            tenant=tenant,
+                        ),
+                    )
+                    if write or not self.config.forwarding_enabled:
+                        # No push can arrive: the reply alone completes the fault.
+                        reply = yield req
+                    else:
+                        # A forwarded page may land while the demand request
+                        # is in flight; whichever arrives first completes it.
+                        gate = bundle.push_gates.get(page)
+                        if gate is None:
+                            gate = bundle.push_gates[page] = sim.event()
+                        which, value = yield sim.any_of([req, gate])
+                        reply = value if which == 0 else None
+                finally:
+                    bundle.push_gates.pop(page, None)
+                    ev = inflight.pop(page)
+                    if ev is not None:
+                        ev.succeed()
+                if reply is None or reply.ack_only or reply.retry:
+                    # A push installed the page (or will momentarily), or the
+                    # page was split/merged concurrently and the access
+                    # re-translates against the updated table; either way a
+                    # copy dropped meanwhile simply faults again.
+                    pass
+                elif reply.upgrade:
+                    # Payload-free S→M upgrade ack: the local Shared copy is
+                    # current, only its state flips.
+                    if store.has_read(page):
+                        store.set_state(page, MSIState.MODIFIED)
+                elif reply.write:
+                    store.install(page, reply.data, MSIState.MODIFIED)
                 else:
-                    # A forwarded page may land while the demand request is in
-                    # flight; whichever arrives first completes the fault.
-                    gate = bundle.push_gates.get(page)
-                    if gate is None:
-                        gate = bundle.push_gates[page] = self.sim.event()
-                    which, value = yield self.sim.any_of([req, gate])
-                    reply = value if which == 0 else None
-            finally:
-                del bundle.inflight[page]
-                bundle.push_gates.pop(page, None)
-                # Out of the table, so no new waiter can find it: with none
-                # subscribed already there is nobody to wake through the kernel.
-                ev.settle()
-            if reply is None or reply.ack_only:
-                # A push installed the page (or will momentarily); if it was
-                # somehow dropped meanwhile, the access simply faults again.
-                return
-            if reply.retry:
-                # Page was split/merged concurrently: the access re-translates
-                # against the updated table and faults again if needed.
-                return
-            if reply.upgrade:
-                # Payload-free S→M upgrade ack: the local Shared copy is
-                # current, only its state flips.  If the copy was somehow
-                # dropped meanwhile, the access simply faults again.
-                if store.has_read(page):
-                    store.set_state(page, MSIState.MODIFIED)
-                return
-            if reply.write:
-                state = MSIState.MODIFIED
-            elif reply.exclusive:
-                state = MSIState.EXCLUSIVE
-            else:
-                state = MSIState.SHARED
-            store.install(page, reply.data, state)
-            return
+                    store.install(
+                        page, reply.data,
+                        MSIState.EXCLUSIVE if reply.exclusive else MSIState.SHARED,
+                    )
+                break
+        if th is not None:
+            th.stats.pagefault_ns += sim.now - t0
+            th.stats.page_faults += 1
+            self._requeue(th)
 
     # -- syscalls ----------------------------------------------------------------
 
@@ -481,7 +478,7 @@ class NodeRuntime:
         cpu = th.cpu
         bundle = self.tenants[th.tenant]
         t0 = self.sim.now
-        yield self.sim.timeout(self._cycles_to_ns(SYSCALL_TRAP_CYCLES))
+        yield self.sim.sleep(self._cycles_to_ns(SYSCALL_TRAP_CYCLES))
         sysno = cpu.regs[A7]
         args = tuple(cpu.regs[A0: A0 + 6])
 
@@ -527,7 +524,7 @@ class NodeRuntime:
         if sysno == SYS.NANOSLEEP:
             spec = yield from self.read_guest(args[0], 16, tenant)
             sec, nsec = (int.from_bytes(spec[k : k + 8], "little") for k in (0, 8))
-            yield self.sim.timeout(sec * 1_000_000_000 + nsec)
+            yield self.sim.sleep(sec * 1_000_000_000 + nsec)
             cpu.regs[A0] = 0
         elif sysno == SYS.GETTID:
             cpu.regs[A0] = cpu.tid
@@ -574,7 +571,7 @@ class NodeRuntime:
             # its start as started_at bills it as the handling service's busy
             # time (not mailbox queue wait) without changing any timing.
             started_at = self.sim.now
-            yield Timeout(self.sim, cfg.cost.slave_coherence_service_ns)
+            yield self.sim.sleep(cfg.cost.slave_coherence_service_ns)
             yield from self.dispatcher.dispatch(msg, started_at=started_at)
             if self.shutdown:
                 return

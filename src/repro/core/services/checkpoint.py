@@ -87,7 +87,7 @@ class CheckpointService(MasterService):
         # A snapshot from a sender latched failed never gets here (the
         # dispatcher refuses it): it must not resurrect state that recovery
         # already rolled back or reaped.
-        yield self.sim.timeout(self.config.cost.checkpoint_service_ns)
+        yield self.sim.sleep(self.config.cost.checkpoint_service_ns)
         yield from self._install_pages(msg.src, msg.pages)
         self._remember(msg.tid, msg.taken_ns, msg.context)
         self.run_stats.protocol.checkpoints_stored += 1

@@ -28,7 +28,6 @@ from repro.mem.msi import MSIState
 from repro.mem.pagestore import ZERO_PAGE
 from repro.mem.protocols import make_policy
 from repro.net.messages import Invalidate, PageData, WriteBack
-from repro.sim.engine import Timeout
 from repro.sim.sync import SimLock
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -247,7 +246,7 @@ class CoherenceService(MasterService):
                 and splitting.entry(page) is None
                 and self.directory.plan(node, page, write=False).already_granted
             ):
-                yield self.sim.timeout(cfg.cost.dsm_fast_service_ns)
+                yield self.sim.sleep(cfg.cost.dsm_fast_service_ns)
                 # No payload: the node's copy arrived via PagePush already.
                 self.trace.emit("page", node, "fast-ack (already sharer)", page=page)
                 self.endpoint.reply(msg, PageData(page=page, write=False, ack_only=True))
@@ -260,16 +259,16 @@ class CoherenceService(MasterService):
                 # master's part is a metadata-only directory transaction
                 # billed at the fast-path service time.
                 proto.home_local_hits += 1
-                yield self.sim.timeout(cfg.cost.dsm_fast_service_ns)
+                yield self.sim.sleep(cfg.cost.dsm_fast_service_ns)
             elif home is not None:
                 # Home migrated to SOME OTHER node: the master must reach
                 # the remote home for the authoritative copy — an extra hop
                 # on top of the normal service.  Migration only pays while
                 # the new home stays the dominant requester.
                 proto.home_remote_misses += 1
-                yield self.sim.timeout(cfg.cost.dsm_service_ns + cfg.cost.migration_penalty_ns)
+                yield self.sim.sleep(cfg.cost.dsm_service_ns + cfg.cost.migration_penalty_ns)
             else:
-                yield Timeout(self.sim, cfg.cost.dsm_service_ns)
+                yield self.sim.sleep(cfg.cost.dsm_service_ns)
 
             # Requests racing a split/merge retry against the new table.
             if splitting.entry(page) is not None or splitting.is_retired(page):
@@ -316,9 +315,10 @@ class CoherenceService(MasterService):
                 else:
                     yield from self._pull(fetch_from, WriteBack(page=page))
                     proto.downgrades += 1
-            others = [n for n in plan.invalidate if n != plan.fetch_from]
-            if others:
-                yield from self._invalidate(page, others)
+            if plan.invalidate:
+                others = [n for n in plan.invalidate if n != plan.fetch_from]
+                if others:
+                    yield from self._invalidate(page, others)
 
             if self._dead(node):
                 # The requester died while we were serving it: do not commit

@@ -71,7 +71,7 @@ class ForwardingService(MasterService):
             for p in pages:
                 backlog = fabric.downlink_backlog_ns(node)
                 if backlog > pace_cap:
-                    yield self.sim.timeout(backlog - pace_cap)
+                    yield self.sim.sleep(backlog - pace_cap)
                 co = coord.coherence_of(p)
                 lock = co.lock(p)
                 yield lock.acquire()
@@ -82,7 +82,7 @@ class ForwardingService(MasterService):
                         continue
                     if coord.split_entry(p) is not None or coord.split_retired(p):
                         continue
-                    yield self.sim.timeout(self.config.cost.forwarding_push_ns)
+                    yield self.sim.sleep(self.config.cost.forwarding_push_ns)
                     co.directory.commit(node, p, write=False)
                     self.trace.emit("push", node, "forwarded", page=p)
                     self.send(node, PagePush(page=p, data=co.home_snapshot(p)))

@@ -93,7 +93,7 @@ class HeartbeatService(MasterService):
         intervals rather than being shot on first expiry.
         """
         while True:
-            yield self.sim.timeout(self.interval_ns)
+            yield self.sim.sleep(self.interval_ns)
             if self.master.finished:
                 return
             for nid in sorted(self.deadlines):
@@ -156,7 +156,7 @@ class NodeHeartbeatService:
         stats = node.run_stats.service(self.name)
         proto = node.run_stats.protocol
         while not node.crashed and not node.shutdown:
-            yield node.sim.timeout(interval)
+            yield node.sim.sleep(interval)
             if node.crashed or node.shutdown:
                 return
             self.seq += 1

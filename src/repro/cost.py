@@ -34,7 +34,9 @@ QEMU_CPI_DISCOUNT = 0.96
 SYSCALL_TRAP_CYCLES = 500
 
 #: Clocks, core counts, bandwidth and CPIs must be > 0 (a zero stops the
-#: clock; a CPI is also a divisor); every other cost must be >= 0.
+#: clock; a CPI is also a divisor); every other cost must be >= 0.  A field
+#: typed ``int`` (core counts, every ``*_ns`` and the trap's cycles) must be
+#: an integer: the virtual clock counts whole nanoseconds.
 _POSITIVE = {"cores_per_node", "cpu_ghz", "node_cores", "node_ghz", "bandwidth_bps",
              "cpi_dbt", "cpi_interp", "cpi_superblock"}
 #: The modelled communication costs: :meth:`CostModel.scaled` divides these.
@@ -88,7 +90,10 @@ class CostModel:
             else:
                 checks = [(f.name, value)]
             positive = f.name in _POSITIVE
+            integral = f.type == "int" or f.name == "node_cores"
             for name, v in checks:
+                if integral and (type(v) is not int):
+                    raise ConfigError(f"{name} must be an integer, not {v!r}")
                 if not (v > 0 if positive else v >= 0):
                     raise ConfigError(f"{name} must be {'>' if positive else '>='} 0")
 

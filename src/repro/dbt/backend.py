@@ -57,11 +57,14 @@ state is Modified — exactly when ``DSMMemory.load``/``store`` would neither
 enter ``_resolve`` nor call ``kill_store``.  A one-byte hit is an index; 2, 4
 and 8 bytes go through the ``unpack_from`` / ``pack_into`` accessors of
 :mod:`repro.mem.flat` (the same table ``FlatMemory`` uses), held in the codegen
-globals.  Anything else calls ``mem.load`` / ``mem.store`` unchanged, after the
-miss arm has committed pc, ``block_ic`` and float shadows, so stalls, faults
-and silent upgrades behave as if every access were the call.  The containers
-are read from the ``mem`` argument at function entry (:data:`MEM_VIEW`), never
-bound at compile time: a block serves whichever memory it is run against.
+globals.  Anything else calls ``mem.miss_load`` / ``mem.miss_store`` — the
+method, except that a page stall comes back as a value and the function
+returns ``RC_STALL`` (the stall in ``mem.stall``) instead of unwinding a
+``raise`` — after the miss arm has committed pc, ``block_ic`` and float
+shadows, so stalls, faults and silent upgrades behave as if every access were
+the call.  The containers are read from the ``mem`` argument at function
+entry (:data:`MEM_VIEW`), never bound at compile time: a block serves
+whichever memory it is run against.
 
 Loop residency.  Every generated function is ``fn(cpu, mem, n)``.  One whose
 static successors include its own entry pc — a plain block branching to
@@ -119,6 +122,7 @@ from typing import Callable, Optional
 from repro.dbt import fpu
 from repro.dbt import runtime as rt
 from repro.dbt.frontend import BlockIR
+from repro.dbt.stop import RC_STALL
 from repro.dbt.tcg import TERMINALS, InstrIR, TCGOp
 from repro.mem.flat import PACK, UNPACK
 from repro.mem.layout import PAGE_SHIFT, PAGE_SIZE
@@ -784,7 +788,9 @@ class _Emitter:
         target = self.target(d)  # after the address was read
         self.lines.append(f"if X or {spans}p not in S:")
         self.lines.extend("    " + ln for ln in fault_point)
-        self.lines.append(f"    {target} = mem.load({a}, {size}, {signed})")
+        self.lines.append(f"    v = mem.miss_load({a}, {size}, {signed})")
+        self.lines.append(f"    if v is None: return {RC_STALL}")
+        self.lines.append(f"    {target} = v")
         self.lines.append(f"else: {target} = {hit}")
 
     def store(self, a: "int | str", size: int, v: "int | str", fault_point: list[str]) -> None:
@@ -798,7 +804,7 @@ class _Emitter:
         hit = f"B[p][{o}] = {low}" if size == 1 else f"p{size}(B[p], o, {low})"
         self.lines.append(f"if X or A or {spans}S.get(p) is not W:")
         self.lines.extend("    " + ln for ln in fault_point)
-        self.lines.append(f"    mem.store({a}, {size}, {v})")
+        self.lines.append(f"    if mem.miss_store({a}, {size}, {v}): return {RC_STALL}")
         self.lines.append(f"else: {hit}")
 
     def terminal(

@@ -74,7 +74,7 @@ from repro.dbt.codecache import CodeCache
 from repro.dbt.cpu import CPUState
 from repro.dbt.frontend import Frontend
 from repro.dbt.interp import Interpreter
-from repro.dbt.stop import RC_BREAK, RC_SYSCALL, StopEvent, StopKind
+from repro.dbt.stop import RC_BREAK, RC_STALL, RC_SYSCALL, StopEvent, StopKind
 from repro.errors import ConfigError, GuestFault
 from repro.mem.api import MemoryAPI, PageStall
 
@@ -207,20 +207,25 @@ class ExecutionEngine:
             try:
                 rc = tb.fn(cpu, mem, n)
             except (PageStall, GuestFault) as exc:
+                # A stall's traceback holds this frame, whose ``info`` holds the
+                # stall: kept, every fault would leave a cycle for the GC.  A
+                # guest fault keeps its traceback: the node re-raises it.
+                info = exc.with_traceback(None) if isinstance(exc, PageStall) else exc
+                rc = RC_STALL  # stopped at the access, like a returned stall
+            else:
+                if rc == RC_STALL:  # a miss arm returns a page stall, never raises it
+                    info, mem.stall = mem.stall, None
+            if rc == RC_STALL:
                 if n > 1 and cpu.block_runs:  # the complete entries before this one
                     cycles, exec_cycles = self._replay(
                         tb, cpu.block_runs, full, cycles, exec_cycles
                     )
                 done = cpu.block_ic  # a partially-completed block
-                cost = self._bill(tb, done, t)
+                cost = self._bill(tb, done, t) if tb.fused or tb.is_superblock else done * cpi
                 insns += done
                 cycles += cost
                 exec_cycles += cost
-                kind = StopKind.PAGE_STALL if isinstance(exc, PageStall) else StopKind.FAULT
-                # A stall's traceback holds this frame, whose ``info`` holds the
-                # stall: kept, every fault would leave a cycle for the GC.  A
-                # guest fault keeps its traceback: the node re-raises it.
-                info = exc.with_traceback(None) if kind is StopKind.PAGE_STALL else exc
+                kind = StopKind.PAGE_STALL if isinstance(info, PageStall) else StopKind.FAULT
                 break
             if n > 1 and cpu.block_runs > 1:  # every entry but the last is complete
                 cycles, exec_cycles = self._replay(

@@ -12,6 +12,7 @@ __all__ = ["RC_NEXT", "RC_SYSCALL", "RC_BREAK", "StopKind", "StopEvent"]
 RC_NEXT = 0  # keep executing at cpu.pc
 RC_SYSCALL = 1  # ecall hit; cpu.pc already points past it
 RC_BREAK = 2  # ebreak hit
+RC_STALL = 3  # a miss arm's access stalled: the memory's ``stall`` says on what
 
 
 class StopKind(enum.Enum):

@@ -80,8 +80,10 @@ class MemoryAPI(Protocol):
     (:mod:`repro.dbt.backend`).  A load hits iff ``split_pages`` is empty, the
     span stays inside the page and the page has an entry in ``page_states``; a
     store iff additionally ``reservations`` is empty and the state is
-    Modified.  Everything else calls the method, which is therefore the miss
-    arm (and the interpreter's only path) and must behave exactly as if every
+    Modified.  Everything else calls the method (translated code through
+    ``miss_load`` / ``miss_store``, which may return a page stall instead of
+    raising it — ``FlatMemory.miss_load``), which is therefore the miss arm
+    (and the interpreter's only path) and must behave exactly as if every
     access came through it.  Generated functions read the four attributes
     from their ``mem`` argument on entry and the memory mutates them in place
     for its whole life, so none may ever be rebound.

@@ -32,7 +32,7 @@ class DirEntry:
         return self.owner is None and not self.sharers
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoherencePlan:
     """Actions the master must take before granting a request.
 
@@ -45,6 +45,11 @@ class CoherencePlan:
     fetch_from: Optional[int] = None
     invalidate: tuple[int, ...] = ()
     already_granted: bool = False
+
+
+#: The action-free plans :meth:`Directory.plan` shares.
+_GRANTED = CoherencePlan(already_granted=True)
+_NOTHING = CoherencePlan()
 
 
 class Directory:
@@ -62,28 +67,28 @@ class Directory:
 
     def peek(self, page: int) -> DirEntry:
         """Read-only view (does not create an entry)."""
-        return self._entries.get(page, DirEntry())
+        ent = self._entries.get(page)
+        return DirEntry() if ent is None else ent
 
     # -- planning ------------------------------------------------------------
 
     def plan(self, node: int, page: int, write: bool) -> CoherencePlan:
+        """What granting ``page`` to ``node`` takes (read-only: the two
+        action-free plans are shared)."""
         ent = self.peek(page)
         if write:
             if ent.owner == node:
-                return CoherencePlan(already_granted=True)
-            plan = CoherencePlan()
+                return _GRANTED
             if ent.owner is not None:
-                plan = CoherencePlan(fetch_from=ent.owner, invalidate=(ent.owner,))
-            elif ent.sharers:
-                others = tuple(sorted(ent.sharers - {node}))
-                plan = CoherencePlan(invalidate=others)
-            return plan
+                return CoherencePlan(fetch_from=ent.owner, invalidate=(ent.owner,))
+            others = tuple(sorted(ent.sharers - {node})) if ent.sharers else ()
+            return CoherencePlan(invalidate=others) if others else _NOTHING
         # read request
         if ent.owner == node or node in ent.sharers:
-            return CoherencePlan(already_granted=True)
+            return _GRANTED
         if ent.owner is not None:
             return CoherencePlan(fetch_from=ent.owner)
-        return CoherencePlan()
+        return _NOTHING
 
     # -- commit ------------------------------------------------------------
 

@@ -27,10 +27,10 @@ LL→SC window is short so checks are rare (§4.4).
 from __future__ import annotations
 
 from struct import Struct
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.errors import UnalignedAccess
-from repro.mem.api import M64, check_span, sign_extend
+from repro.mem.api import M64, PageStall, check_span, sign_extend
 from repro.mem.layout import PAGE_SHIFT, PAGE_SIZE
 from repro.mem.llsc import LLSCTable
 from repro.mem.msi import MSIState
@@ -115,6 +115,18 @@ class FlatMemory:
             PACK[size](self.page_bufs[page], off, value & ((1 << (8 * size)) - 1))
         if self.reservations:
             self.llsc.kill_store(addr, size)
+
+    # Translated code's miss arms: the methods, except that a variant may
+    # return a page stall (``None`` / True, the stall in ``stall``) instead
+    # of raising it (``DSMMemory``).  Private memory never stalls.
+    stall: Optional[PageStall] = None
+
+    def miss_load(self, addr: int, size: int, signed: bool) -> Optional[int]:
+        return self.load(addr, size, signed)
+
+    def miss_store(self, addr: int, size: int, value: int) -> bool:
+        self.store(addr, size, value)
+        return False
 
     def fetch_code(self, addr: int, size: int) -> bytes:
         addr = self._resolve(addr, size, False)

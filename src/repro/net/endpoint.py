@@ -17,7 +17,7 @@ from repro.errors import NetworkError
 from repro.net.fabric import Fabric
 from repro.net.messages import Message
 from repro.net.rpc import RpcChannel
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.sync import SimQueue
 
 __all__ = ["Endpoint"]
@@ -31,6 +31,14 @@ class Endpoint:
         self.fabric = fabric
         self.node_id = node_id
         self.rpc = RpcChannel(sim, self)
+        #: ``request(dst, msg, *, timeout_ns, retry, stats, service)``: send
+        #: ``msg`` and return an event firing with the reply message — the
+        #: channel's :meth:`~repro.net.rpc.RpcChannel.call`, which documents
+        #: the reliability options.
+        self.request = self.rpc.call
+        #: ``reply(to, msg)``: send ``msg`` as the reply correlated with
+        #: request ``to`` (:meth:`~repro.net.rpc.RpcChannel.reply`).
+        self.reply = self.rpc.reply
         self._queues: dict[Hashable, SimQueue] = {}
         self._route: Callable[[Message], Hashable] = lambda msg: msg.kind
         self._default_queue: Optional[SimQueue] = None
@@ -68,46 +76,19 @@ class Endpoint:
         (:func:`repro.net.faults.clone_frame`), never the same instance.
         """
         if not msg.req_id:
-            msg.req_id = self.fabric.next_req_id()
+            msg.req_id = next(self.fabric.req_ids)
         msg.src = self.node_id
         msg.dst = dst
         self.fabric.transmit(msg)
 
-    def send(self, dst: int, msg: Message) -> None:
-        """Fire-and-forget transmission."""
-        self.transmit(dst, msg)
-
-    def request(
-        self,
-        dst: int,
-        msg: Message,
-        *,
-        timeout_ns: Optional[int] = None,
-        retry=None,
-        stats=None,
-        service: Optional[str] = None,
-    ) -> Event:
-        """Send ``msg`` and return an event firing with the reply message.
-
-        ``retry`` (a :class:`~repro.net.rpc.RetryPolicy`) arms loss recovery
-        on top of the timeout; ``stats`` receives the per-service
-        retransmit/recovery counts and ``service``, the issuing service's
-        name, is what a timeout names (see :meth:`RpcChannel.call`).
-        """
-        return self.rpc.call(
-            dst, msg, timeout_ns=timeout_ns, retry=retry, stats=stats, service=service
-        )
-
-    def reply(self, to: Message, msg: Message) -> None:
-        """Send ``msg`` as the reply correlated with request ``to``."""
-        self.rpc.reply(to, msg)
+    #: Fire-and-forget transmission.
+    send = transmit
 
     # -- receiving (called by the fabric) ------------------------------------
 
-    def on_arrival(self, timer: Event) -> None:
-        """The fabric's delivery callback (the frame is the timer's value):
-        hand the frame to the RPC channel or a subscriber queue."""
-        msg = timer._value
+    def on_arrival(self, msg: Message) -> None:
+        """The fabric's delivery callback: hand the frame to the RPC channel
+        or a subscriber queue."""
         if msg.in_reply_to:
             self.rpc.complete(msg)
             return
@@ -126,11 +107,8 @@ class Endpoint:
             )
         queue.put(msg)
 
-    def deliver(self, msg: Message) -> None:
-        """Hand ``msg`` on exactly as if the fabric had just delivered it."""
-        carrier = Event(self.sim)
-        carrier._value = msg
-        self.on_arrival(carrier)
+    #: Hand a frame on exactly as if the fabric had just delivered it.
+    deliver = on_arrival
 
     @property
     def pending_requests(self) -> int:

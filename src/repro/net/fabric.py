@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.cost import TESTBED, CostModel
 from repro.errors import NetworkError
 from repro.net.messages import Message
-from repro.sim.engine import Simulator, Timeout
+from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.endpoint import Endpoint
@@ -82,11 +82,12 @@ class Fabric:
         #: tenant's slice, so each job's ``RunResult.fabric`` is exact
         #: attribution, not an estimate; the fleet-wide ``stats`` is their sum.
         self.tenant_stats: dict[int, FabricStats] = {}
-        # Request-id sequence for every endpoint attached to this fabric.
-        # Owning the counter here (instead of a module global) makes req ids
-        # — and the retry backoff jitter keyed on them — a function of the
-        # fleet alone, however many clusters the process builds.
-        self._req_seq = itertools.count(1)
+        #: Request-id sequence for every endpoint attached to this fabric
+        #: (``next(fabric.req_ids)``).  Owning the counter here (instead of a
+        #: module global) makes req ids — and the retry backoff jitter keyed
+        #: on them — a function of the fleet alone, however many clusters
+        #: the process builds.
+        self.req_ids = itertools.count(1)
         #: Injection counters, set by ``FaultInjector.attach``; ``None`` on a
         #: lossless (un-instrumented) fabric.
         self.fault_stats: Optional["FaultStats"] = None
@@ -114,10 +115,6 @@ class Fabric:
     @property
     def node_ids(self) -> list[int]:
         return sorted(self._endpoints)
-
-    def next_req_id(self) -> int:
-        """Allocate the next request id for a frame entering this fabric."""
-        return next(self._req_seq)
 
     @property
     def stats(self) -> FabricStats:
@@ -162,19 +159,23 @@ class Fabric:
         bypasses the switch with a small fixed cost.
         """
         src, dst = msg.src, msg.dst
-        dest = self._endpoints.get(dst)
-        if dest is None:
-            raise NetworkError(f"message to unknown node {dst}")
-        if src not in self._endpoints:
+        endpoints = self._endpoints
+        try:
+            dest = endpoints[dst]
+        except KeyError:
+            raise NetworkError(f"message to unknown node {dst}") from None
+        if src not in endpoints:
             raise NetworkError(f"message from unknown node {src}")
         size = msg.size_bytes()
-        slice_ = self.tenant_stats.get(msg.tenant)
-        if slice_ is None:
-            slice_ = self.stats_for(msg.tenant)
+        try:
+            frames = self.tenant_stats[msg.tenant].frames
+        except KeyError:
+            frames = self.stats_for(msg.tenant).frames
         key = (msg.kind, src, dst)
-        record = slice_.frames.get(key)
-        if record is None:
-            slice_.frames[key] = [1, size]
+        try:
+            record = frames[key]
+        except KeyError:
+            frames[key] = [1, size]
         else:
             record[0] += 1
             record[1] += size
@@ -185,12 +186,16 @@ class Fabric:
             arrival = now + cost.loopback_latency_ns
         else:
             ser = int(round(size * 8 / cost.bandwidth_bps * 1e9))  # serialization_ns
-            tx_end = max(now, self._uplink_free[src]) + ser
+            # Each link is busy until its ``*_free`` time: a frame starts when
+            # both it and the link are ready (``max``, spelled inline).
+            free = self._uplink_free[src]
+            tx_end = (free if free > now else now) + ser
             self._uplink_free[src] = tx_end
             at_switch = tx_end + cost.one_way_latency_ns
-            arrival = max(at_switch, self._downlink_free[dst]) + ser
+            free = self._downlink_free[dst]
+            arrival = (free if free > at_switch else at_switch) + ser
             self._downlink_free[dst] = arrival
-        # The frame rides as the delivery timer's value, so the callback is
-        # the destination's own bound method: no closure per frame.
-        Timeout(sim, arrival - now, msg).callbacks.append(dest.on_arrival)
+        # A delivery is one heap entry calling the destination's own bound
+        # method with the frame: no event, no closure per frame.
+        sim.schedule(arrival - now, dest.on_arrival, msg)
         return arrival

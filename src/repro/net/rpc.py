@@ -191,9 +191,9 @@ class _Call:
     service: Optional[str]  # the issuing service, named by its timeout
     first_sent_ns: int
     attempt: int = 0  # retransmits sent so far
-    #: The one live timer (timeout window or backoff); a timer that fires
-    #: after being replaced or cancelled is stale and ignored.
-    timer: Optional[Event] = None
+    #: The key of the one live timer (timeout window or backoff); a timer
+    #: whose key is no longer this one is stale and ignored.
+    timer: Optional[tuple[int, int]] = None
 
 
 class RpcChannel:
@@ -281,32 +281,27 @@ class RpcChannel:
         return ev
 
     def _arm(self, call: _Call, delay: int, fire) -> None:
-        # The callback names the call by id: a cancelled timer stays in the
-        # event heap until its time, and must not keep the call alive.
-        req_id = call.msg.req_id
-        timer = call.timer = self.sim.timeout(delay)
-        timer.add_callback(lambda _e: fire(req_id, timer))
+        # A timer is one heap entry carrying a fresh key (req id, attempt):
+        # it names the call by id, so a stale one keeps nothing alive, and
+        # disarming is forgetting the key (``call.timer = None``).
+        call.timer = key = (call.msg.req_id, call.attempt)
+        self.sim.schedule(delay, fire, key)
 
-    @staticmethod
-    def _disarm(call: _Call) -> None:
-        if call.timer is not None:
-            call.timer.cancel()
-            call.timer = None
-
-    def _live(self, req_id: int, timer: Event) -> Optional[_Call]:
-        """The call ``timer`` fired for, unless that call settled (completed,
-        failed or aborted) or re-armed meanwhile."""
-        call = self._calls.get(req_id)
-        if call is None or call.timer is not timer:
+    def _live(self, key: tuple[int, int]) -> Optional[_Call]:
+        """The call the timer ``key`` fired for, unless that call settled
+        (completed, failed or aborted) or re-armed meanwhile."""
+        call = self._calls.get(key[0])
+        if call is None or call.timer is not key:
             return None
         call.timer = None
         return call
 
-    def _expired(self, req_id: int, timer: Event) -> None:
+    def _expired(self, key: tuple[int, int]) -> None:
         """One timeout window elapsed: retransmit (after backoff) or fail."""
-        call = self._live(req_id, timer)
+        call = self._live(key)
         if call is None:
             return
+        req_id = key[0]
         if call.retry is not None and call.attempt < call.retry.max_retries:
             if call.stats is None:
                 # Every retransmit is booked on a service row, or
@@ -329,9 +324,9 @@ class RpcChannel:
             health.exhausted_budget(call.dst)
         ev.fail(RpcTimeout(call.msg, call.timeout_ns, call.attempt, call.service))
 
-    def _retransmit(self, req_id: int, timer: Event) -> None:
+    def _retransmit(self, key: tuple[int, int]) -> None:
         """Backoff elapsed: re-send a clone and re-arm the timeout window."""
-        call = self._live(req_id, timer)
+        call = self._live(key)
         if call is None:
             return
         call.attempt += 1
@@ -358,7 +353,7 @@ class RpcChannel:
         doomed = [rid for rid, call in self._calls.items() if call.dst == node]
         for rid in doomed:
             call = self._calls.pop(rid)
-            self._disarm(call)
+            call.timer = None
             ev = self._pending.pop(rid, None)
             self._remember(rid, "expired")
             if ev is not None and not ev.triggered:
@@ -371,14 +366,12 @@ class RpcChannel:
     def halt(self) -> None:
         """Kill the channel in place (the owning node crashed).
 
-        Cancels every armed timer and forgets all in-flight calls so a dead
+        Forgets all in-flight calls, so every armed timer is stale and a dead
         node's retransmit machinery cannot keep firing — a crashed machine
         does not report its peers as down, and its abandoned calls must
         suspend forever rather than raise into the node's service loops.
         Subsequent inbound replies are swallowed by :meth:`complete`.
         """
-        for call in self._calls.values():
-            self._disarm(call)
         self._calls.clear()
         self._pending.clear()
         self._halted = True
@@ -449,7 +442,7 @@ class RpcChannel:
             )
         call = self._calls.pop(req_id, None) if self._calls else None
         if call is not None:  # an armed call: disarm it, count a recovery
-            self._disarm(call)
+            call.timer = None
         health = self.endpoint.fabric.health
         if health is not None:
             health.heard_from(msg.src)

@@ -8,18 +8,24 @@ of SimPy: *processes* are Python generators that ``yield`` events, and the
 pushes.  Ties are broken by insertion sequence, which makes every run
 bit-for-bit reproducible.
 
-The order lives in two containers.  An event due later than now is a
-``(time, seq, event)`` entry of a binary heap; an event due *now* is appended
-to a FIFO beside it, no tuple and no heap operation.  Every heap entry due at
-time T was pushed before the clock reached T, so it precedes every zero-delay
-push made at T: :meth:`Simulator.step` takes the heap entries due now, then
-the FIFO, and only then advances the clock — exactly ``(time, seq)`` order.
+The order lives in two containers.  An entry due later than now is a
+``(time, seq, fn, arg)`` tuple of a binary heap: ``fn(arg)`` for a plain
+callback (a frame's delivery, :meth:`Simulator.schedule`, a process's
+:meth:`Simulator.sleep`), ``fn is None`` and ``arg`` the event for an event.
+An event due *now* is appended to a FIFO beside it, no tuple and no heap
+operation.  Every heap entry due at time T was pushed before the clock
+reached T, so it precedes every zero-delay push made at T:
+:meth:`Simulator.step` takes the heap entries due now, then the FIFO, and
+only then advances the clock — exactly ``(time, seq)`` order.
 
-The kernel's fixed cost is paid once per event, so the hot constructors
+The kernel's fixed cost is paid once per entry, so the hot constructors
 (:class:`Timeout`, :meth:`Event.succeed`) fill their slots and schedule
-themselves, and events that carry no information are never scheduled: a
-process runs its first segment inside :meth:`Simulator.spawn`, and an event
-settled with nobody subscribed (:meth:`Event.settle`) is processed in place.
+themselves, and what would be the very next entry anyway takes no second
+trip through the loop: a process runs its first segment inside
+:meth:`Simulator.spawn`, an event settled with nobody subscribed
+(:meth:`Event.settle`) is processed in place, a *hand-off* is processed by
+the :meth:`Simulator.step` before it, and a process waits in place on what
+it just triggered (:meth:`Process._resume`).
 docs/SIMULATION.md "Event kernel" states the contract.
 """
 
@@ -179,7 +185,7 @@ class Timeout(Event):
         self._cancelled = False
         if delay:
             sim._seq = seq = sim._seq + 1
-            heappush(sim._heap, (sim.now + delay, seq, self))
+            heappush(sim._heap, (sim.now + delay, seq, None, self))
         else:
             sim._fifo.append(self)
 
@@ -208,27 +214,66 @@ class Process(Event):
         self._resume(_STARTED)
 
     def _resume(self, trigger: Event) -> None:
-        try:
-            if trigger._ok:
-                target = self._gen.send(trigger._value)
+        """Run the generator from ``trigger`` to its next wait.
+
+        As the sole callback of the entry :meth:`Simulator.step` runs, this
+        is the step's last effect: a yielded event that is the kernel's very
+        next one (no heap entry due now, and the event alone in the FIFO or
+        already processed with the FIFO empty) is waited on in place."""
+        sim = self.sim
+        tail = trigger is sim._solo
+        gen = self._gen
+        while True:
+            try:
+                if trigger._ok:
+                    target = gen.send(trigger._value)
+                else:
+                    target = gen.throw(trigger._value)
+            except StopIteration as stop:
+                self.settle(stop.value)
+                return
+            except BaseException as exc:  # propagate crash to waiters
+                if isinstance(exc, (KeyboardInterrupt, SystemExit)):
+                    raise
+                self._crash(exc, trigger)
+                return
+            if target is _SLEEP:  # Simulator.sleep: no event, one heap entry
+                if sim._nap:
+                    sim._seq = seq = sim._seq + 1
+                    heappush(sim._heap, (sim.now + sim._nap, seq, self._resume, _WOKEN))
+                    return
+                target = Timeout(sim, 0)  # now: a FIFO event like any other
+            try:
+                processed = target._processed
+            except AttributeError:  # not an event
+                self._crash(
+                    SimulationError(f"process {self.name!r} yielded non-event {target!r}"),
+                    trigger,
+                )
+                return
+            if tail:
+                fifo = sim._fifo
+                if processed:
+                    alone = not fifo
+                else:  # just triggered, and nothing else waits on it
+                    alone = (
+                        fifo and fifo[0] is target and fifo[-1] is target
+                        and not target.callbacks and not target._cancelled
+                    )
+                if alone:
+                    heap = sim._heap
+                    if not heap or heap[0][0] != sim.now:
+                        if not processed:
+                            fifo.pop()
+                            target.callbacks = _NO_CALLBACKS
+                            target._processed = True
+                        trigger = target
+                        continue
+            if processed:
+                target.add_callback(self._resume)
             else:
-                target = self._gen.throw(trigger._value)
-        except StopIteration as stop:
-            self.settle(stop.value)
+                target.callbacks.append(self._resume)
             return
-        except BaseException as exc:  # propagate crash to waiters
-            if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                raise
-            self._crash(exc, trigger)
-            return
-        if not isinstance(target, Event):
-            self._crash(
-                SimulationError(f"process {self.name!r} yielded non-event {target!r}"), trigger
-            )
-        elif target._processed:
-            target.add_callback(self._resume)
-        else:
-            target.callbacks.append(self._resume)
 
     def _crash(self, exc: BaseException, trigger: Event) -> None:
         """The generator raised ``exc`` while resumed by ``trigger``.
@@ -267,6 +312,11 @@ class Process(Event):
 
 #: What a new process's first ``send`` sees as its trigger: ok, no value.
 _STARTED = Event(None)  # type: ignore[arg-type]
+#: The same, for a process waking from :meth:`Simulator.sleep` ...
+_WOKEN = Event(None)  # type: ignore[arg-type]
+#: ... which returns this for the process to yield; not an event, so using
+#: it as one fails loudly.
+_SLEEP = object()
 
 
 class AllOf(Event):
@@ -324,11 +374,19 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: int = 0
-        #: ``(time, seq, event)`` entries due after ``now``.
-        self._heap: list[tuple[int, int, Event]] = []
+        #: ``(time, seq, fn, arg)`` entries due after ``now`` (module docstring).
+        self._heap: list[tuple[int, int, Optional[Callable[[Any], None]], Any]] = []
         #: Events due at ``now``, in push order (module docstring).
         self._fifo: deque[Event] = deque()
         self._seq = 0
+        #: The event being stepped while it has one callback (:meth:`step`).
+        self._solo: Optional[Event] = None
+        #: The delay of the sleep a process is about to yield.
+        self._nap = 0
+        #: Every uncontended :class:`~repro.sim.sync.SimLock` grant: an event
+        #: already processed.
+        self.granted = Event(self)
+        self.granted.settle()
 
     # -- scheduling ---------------------------------------------------------
 
@@ -338,9 +396,20 @@ class Simulator:
         delay = int(delay)
         if delay:
             self._seq += 1
-            heappush(self._heap, (self.now + delay, self._seq, event))
+            heappush(self._heap, (self.now + delay, self._seq, None, event))
         else:
             self._fifo.append(event)
+
+    def schedule(self, delay: int, fn: Callable[[Any], None], arg: Any) -> None:
+        """Call ``fn(arg)`` after ``delay`` ns: one heap entry, no event.
+
+        For work nobody waits on (a frame's delivery); a zero delay still
+        takes its place in the same-time FIFO, carried by an event."""
+        if delay > 0:
+            self._seq = seq = self._seq + 1
+            heappush(self._heap, (self.now + delay, seq, fn, arg))
+        else:
+            Timeout(self, delay, arg).callbacks.append(lambda e: fn(e._value))
 
     @property
     def pending(self) -> int:
@@ -352,6 +421,17 @@ class Simulator:
 
     def timeout(self, delay: int, value: Any = None) -> Timeout:
         return Timeout(self, int(delay), value)
+
+    def sleep(self, delay: int) -> object:
+        """What a process yields to wait ``delay`` ns: ``yield sim.sleep(ns)``
+        is ``yield sim.timeout(ns)`` without an event.  The process resumes
+        from one heap entry pushed where the timeout would have been (the
+        yield is the moment it is asked for), so the order is the same."""
+        delay = int(delay)
+        if delay < 0:
+            raise SimulationError(f"negative timeout: {delay}")
+        self._nap = delay
+        return _SLEEP
 
     def spawn(self, gen: Generator[Event, Any, Any], name: str = "?",
               on_error: Optional[Callable[[BaseException], None]] = None) -> Process:
@@ -369,40 +449,65 @@ class Simulator:
     # -- main loop ----------------------------------------------------------
 
     def step(self) -> None:
-        """Process the single next event: a heap entry due now, else the
-        FIFO's head, else the heap's head, advancing the clock to it."""
+        """Process the next entry — a heap entry due now, else the FIFO's
+        head, else the heap's head, advancing the clock to it — and its
+        hand-offs: when the entry's sole callback (a plain callback entry
+        is one) started with the FIFO empty and left exactly one event in
+        it, and no heap entry is due now, that event is the very next one in
+        ``(time, seq)`` order, so it is processed here too, and so on."""
         fifo = self._fifo
+        heap = self._heap
+        now = self.now
         if fifo:
-            heap = self._heap
-            if heap and heap[0][0] == self.now:
-                event = heappop(heap)[2]
+            if heap and heap[0][0] == now:
+                _when, _seq, fn, event = heappop(heap)
             else:
+                fn = None
                 event = fifo.popleft()
         else:
-            when, _seq, event = heappop(self._heap)
-            if when < self.now:
-                raise SimulationError("time went backwards")
-            self.now = when
-        callbacks = event.callbacks
-        event.callbacks = _NO_CALLBACKS
-        event._processed = True
-        if event._cancelled:
-            # Same clock advance a live no-op callback would have caused, but
-            # neither callbacks nor the failed-event check run.
-            return
-        for cb in callbacks:
-            cb(event)
-        if not event._ok and not callbacks:
-            # A failed event nobody waited on would silently swallow the
-            # exception; surface it instead.
-            raise event._value
+            # Every push is at now or later, and run() refuses a past
+            # deadline: the clock never goes backwards.
+            now, _seq, fn, event = heappop(heap)
+            self.now = now
+        while True:
+            empty = not fifo
+            if fn is not None:
+                self._solo = event  # the sole callback (a sleep's resume sees _WOKEN)
+                fn(event)
+            else:
+                callbacks = event.callbacks
+                event.callbacks = _NO_CALLBACKS
+                event._processed = True
+                if event._cancelled:
+                    # Same clock advance a live no-op callback would have
+                    # caused, but neither callbacks nor the failed-event
+                    # check run.
+                    return
+                try:
+                    (cb,) = callbacks
+                except ValueError:  # none or several: no hand-off
+                    self._solo = None
+                    for cb in callbacks:
+                        cb(event)
+                    if not event._ok and not callbacks:
+                        # A failed event nobody waited on would silently
+                        # swallow the exception; surface it instead.
+                        raise event._value
+                    return
+                self._solo = event
+                cb(event)
+            if not (empty and fifo and fifo[0] is fifo[-1]) or (heap and heap[0][0] == now):
+                return
+            fn = None
+            event = fifo.popleft()
 
     def run(self, until: Optional[Event | int] = None) -> Any:
         """Run until nothing is scheduled, a deadline passes, or an event
         fires.
 
         ``until`` may be an :class:`Event` (returns its value; raises if it
-        failed) or an integer virtual-time deadline in ns.
+        failed) or an integer virtual-time deadline in ns, which must not
+        be earlier than now: the clock never goes backwards.
         """
         heap, fifo = self._heap, self._fifo
         if isinstance(until, Event):
@@ -416,6 +521,8 @@ class Simulator:
                 raise until._value
             return until._value
         deadline = None if until is None else int(until)
+        if deadline is not None and deadline < self.now:
+            raise SimulationError(f"run(until={deadline}) is before now (t={self.now} ns)")
         while heap or fifo:
             if deadline is not None and (self.now if fifo else heap[0][0]) > deadline:
                 self.now = deadline

@@ -20,11 +20,17 @@ __all__ = ["SimLock", "SimSemaphore", "SimQueue", "Gate"]
 class SimLock:
     """FIFO mutex for simulation processes.
 
-    Usage::
+    Usage (the grant is yielded the moment it is asked for)::
 
         yield lock.acquire()
         try: ...
         finally: lock.release()
+
+    An uncontended grant is ``sim.granted``, an event already processed:
+    it allocates nothing, and the acquirer goes on in place when nothing
+    else is due now, else it takes the hop a late subscription takes
+    (:meth:`~repro.sim.engine.Process._resume`) — from the FIFO's tail,
+    where an immediate grant event would have waited.
     """
 
     def __init__(self, sim: Simulator):
@@ -37,12 +43,11 @@ class SimLock:
         return self._locked
 
     def acquire(self) -> Event:
-        ev = Event(self.sim)
         if not self._locked:
             self._locked = True
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
+            return self.sim.granted
+        ev = Event(self.sim)
+        self._waiters.append(ev)
         return ev
 
     def release(self) -> None:

@@ -46,6 +46,14 @@ INVALID = [
     (CostModel, dict(split_service_ns=-1), "split_service_ns must be >= 0"),
     (CostModel, dict(merge_service_ns=-1), "merge_service_ns must be >= 0"),
     (CostModel, dict(checkpoint_service_ns=-1), "checkpoint_service_ns must be >= 0"),
+    # A fractional ns entered the clock through Timeout and crashed the run
+    # far away (the guest's clock syscall); a count must be whole too.
+    (CostModel, dict(dsm_service_ns=320_000.5), "dsm_service_ns must be an integer"),
+    (CostModel, dict(one_way_latency_ns=27_400.0), "one_way_latency_ns must be an integer"),
+    (CostModel, dict(page_fault_trap_cycles=2e3), "page_fault_trap_cycles must be an integer"),
+    (CostModel, dict(cores_per_node=4.0), "cores_per_node must be an integer"),
+    (CostModel, dict(node_cores={1: 2.5}), "node_cores[1] must be an integer"),
+    (CostModel, dict(merge_service_ns=True), "merge_service_ns must be an integer"),
     # -- bounds --
     (DQEMUConfig, dict(quantum_cycles=0), "quantum_cycles must be >= 1"),
     (DQEMUConfig, dict(superblock_threshold=-1), "superblock_threshold must be >= 0"),

@@ -351,9 +351,9 @@ class TestReadFaultWait:
         assert s.page() == REPLIED and not s.bundle.inflight
 
     def test_unwatched_fault_marker_costs_no_event(self):
-        """With one thread on the page, nobody waits on the in-flight marker:
-        it is settled in place, so the fault is done in the very step that
-        delivers the reply."""
+        """With one thread on the page nobody waits on the in-flight marker,
+        so it is never made: the table holds ``None``, and the fault is done
+        in the very step that delivers the reply."""
         s = _Slave()
 
         def master():
@@ -362,9 +362,23 @@ class TestReadFaultWait:
 
         s.sim.spawn(master())
         fault = s.fault()
-        marker, _write = s.bundle.inflight[PAGE]
+        assert s.bundle.inflight == {PAGE: None}
         s.sim.run(until=fault)
-        assert marker.processed and not s.sim.pending
+        assert s.page() == REPLIED and not s.bundle.inflight and not s.sim.pending
+
+    def test_a_second_thread_makes_the_marker_and_is_woken_through_it(self):
+        s = _Slave()
+
+        def master():
+            request = yield s.requests.get()
+            s.master.reply(request, PageData(page=PAGE, data=REPLIED))
+
+        s.sim.spawn(master())
+        first, second = s.fault(), s.fault()
+        marker = s.bundle.inflight[PAGE]
+        assert marker is not None and not marker.triggered
+        s.sim.run(until=s.sim.all_of([first, second]))
+        assert marker.processed and s.page() == REPLIED and not s.bundle.inflight
 
 
 class TestTimeoutAttribution:

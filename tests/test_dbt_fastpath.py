@@ -1,8 +1,9 @@
 """The resident fast path emitted into translated code.
 
 Generated code tests the memory's resident-access view inline and calls
-``mem.load`` / ``mem.store`` only as the miss arm (``repro.dbt.backend``,
-``repro.mem.api.MemoryAPI``).  Pinned here, on what the code does and never on
+``mem.miss_load`` / ``mem.miss_store`` only as the miss arm
+(``repro.dbt.backend``, ``repro.mem.api.MemoryAPI``); a page stall there
+comes back as ``RC_STALL`` with the stall in ``mem.stall``.  Pinned here, on what the code does and never on
 its text: the inline predicate is exactly "the out-of-line method would take
 no slow step", the two arms are indistinguishable from the method, a trip
 round a hot one-block loop leaves the generated function for nothing, and
@@ -19,6 +20,7 @@ from repro.cost import CostModel
 from repro.dbt import Backend, CPUState, ExecutionEngine, Frontend, StopKind
 from repro.dbt.frontend import BlockIR
 from repro.dbt.runtime import s64
+from repro.dbt.stop import RC_STALL
 from repro.dbt.tcg import InstrIR, TCGOp, guest, imm
 from repro.errors import GuestFault
 from repro.isa import SPECS, Instruction, encode
@@ -126,13 +128,14 @@ def test_inline_arm_is_taken_exactly_when_the_method_would_not_go_slow(kind, siz
 
         translated = node_memory(state, split, armed, addr)
         out_of_line: list[str] = []
-        spy(translated, kind, out_of_line)
+        spy(translated, f"miss_{kind}", out_of_line)
         cpu = CPUState(pc=TEXT, tid=1)
         cpu.regs[ADDR_REG] = addr - DISP
         cpu.regs[DATA_REG] = STORED
 
         def run():
-            tb.fn(cpu, translated, 1)
+            if tb.fn(cpu, translated, 1) == RC_STALL:
+                raise translated.stall  # returned, where the method raises it
             return cpu.regs[DATA_REG] if kind == "load" else None
 
         assert outcome(run, translated) == want, where

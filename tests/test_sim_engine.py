@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import SimQueue, Simulator
+from repro.sim import SimLock, SimQueue, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -488,9 +488,7 @@ def test_late_waiter_on_a_settled_process_resumes_on_the_next_slot():
     assert got == [(3, "done")]
 
 
-def test_watched_process_still_completes_through_the_heap():
-    sim = Simulator()
-
+def _child_and_parent(sim):
     def child():
         yield sim.timeout(1)
         return 1
@@ -499,11 +497,29 @@ def test_watched_process_still_completes_through_the_heap():
         return (yield p) + 1
 
     p = sim.spawn(child())
-    q = sim.spawn(parent(p))
-    sim.step()  # the child's timer: it finishes with a waiter subscribed ...
-    assert p.triggered and not p.processed  # ... so completion is an event
-    assert not q.triggered
+    return p, sim.spawn(parent(p))
+
+
+def test_watched_completion_is_handed_off_when_nothing_else_is_due():
+    sim = Simulator()
+    p, q = _child_and_parent(sim)
+    # The child's timer: it finishes with a waiter subscribed, so completion
+    # is an event — and the one thing due now, so the same step runs it.
     sim.step()
+    assert p.processed and q.processed and q.value == 2 and not sim.pending
+
+
+def test_watched_process_still_completes_through_the_heap():
+    """Completion is an event: with an entry due at the same time, it waits
+    its turn behind it."""
+    sim = Simulator()
+    p, q = _child_and_parent(sim)
+    rival = sim.timeout(1)  # due at the same time, pushed after the child's timer
+    sim.step()
+    assert p.triggered and not p.processed and not q.triggered
+    sim.step()  # the heap entry due now goes first ...
+    assert rival.processed and not p.processed
+    sim.step()  # ... then the completion
     assert p.processed and q.processed and q.value == 2
 
 
@@ -540,6 +556,52 @@ def test_failed_plain_event_nobody_waited_on_raises_out_of_step():
         sim.step()
 
 
+def test_run_until_a_past_deadline_is_refused():
+    """A deadline before now would move the clock backwards; a timeout
+    pending then fired at its old time, after the clock had read less."""
+    sim = Simulator()
+    sim.run(until=100)
+    late = sim.timeout(10)
+    with pytest.raises(SimulationError, match="before now"):
+        sim.run(until=50)
+    assert sim.now == 100
+    sim.run(until=100)  # now itself is a deadline that has not passed
+    sim.run()
+    assert late.processed and sim.now == 110
+
+
+def test_schedule_calls_back_in_push_order_with_no_event():
+    sim = Simulator()
+    seen = []
+    sim.schedule(5, seen.append, "b")
+    sim.timeout(5).add_callback(lambda _e: seen.append("c"))
+    sim.schedule(3, seen.append, "a")
+    sim.schedule(0, seen.append, "now")  # zero delay: the same-time FIFO
+    assert sim.pending == 4
+    sim.run()
+    assert seen == ["now", "a", "b", "c"] and sim.now == 5
+
+
+def test_sleep_is_a_timeout_without_an_event():
+    sim = Simulator()
+    order = []
+
+    def sleeper(tag, delay):
+        yield sim.sleep(delay)
+        order.append((sim.now, tag))
+
+    sim.timeout(5).add_callback(lambda _e: order.append((sim.now, "timer")))
+    sim.spawn(sleeper("five", 5))  # pushed after the timer: fires after it
+    sim.spawn(sleeper("now", 0))
+    assert sim.pending == 3  # one heap entry each, the zero sleep in the FIFO
+    sim.run()
+    assert order == [(0, "now"), (5, "timer"), (5, "five")]
+    with pytest.raises(SimulationError, match="negative"):
+        sim.sleep(-1)
+    with pytest.raises(AttributeError):  # not an event: no waiting on it elsewhere
+        sim.all_of([sim.sleep(1)])
+
+
 def test_negative_succeed_delay_rejected_before_triggering():
     sim = Simulator()
     ev = sim.event()
@@ -569,22 +631,30 @@ class _IntoHeap:
     def append(self, event):
         sim = self.sim
         sim._seq += 1
-        heappush(sim._heap, (sim.now, sim._seq, event))
+        heappush(sim._heap, (sim.now, sim._seq, None, event))
 
 
 class ReferenceSimulator(Simulator):
-    """The kernel without the FIFO: one ``(time, seq)`` heap holds every
-    scheduled event, ``seq`` counting every push — the order the FIFO kernel
-    must reproduce event for event."""
+    """The kernel without the FIFO, without hand-offs and without event-free
+    sleeps: one ``(time, seq, fn, arg)`` heap holds every scheduled entry,
+    ``seq`` counting every push, and each step processes exactly one entry —
+    the order the FIFO kernel must reproduce event for event."""
 
     def __init__(self):
         super().__init__()
         self._fifo = _IntoHeap(self)
 
+    def sleep(self, delay):
+        return self.timeout(delay)  # what a sleep stands for: a timeout event
+
     def step(self):
-        when, _seq, event = heappop(self._heap)
+        when, _seq, fn, event = heappop(self._heap)
         assert when >= self.now
         self.now = when
+        self._solo = None  # no process goes on in place: every wait is a hop
+        if fn is not None:
+            fn(event)
+            return
         callbacks, event.callbacks = event.callbacks, ()
         event._processed = True
         if event._cancelled:
@@ -608,6 +678,9 @@ def _ops(depth):
         st.tuples(st.just("succeed"), DELAYS),
         st.tuples(st.just("settle"), st.booleans()),
         st.tuples(st.just("late"), st.just(None)),
+        st.tuples(st.just("lock"), st.tuples(st.integers(0, 1), DELAYS)),
+        st.tuples(st.just("nap"), DELAYS),
+        st.tuples(st.just("deliver"), st.tuples(DELAYS, st.integers(0, 1))),
     )
     if depth == 0:
         return st.lists(leaf, max_size=5)
@@ -621,6 +694,7 @@ def _run_soup(scripts, deadlines=(), kernel=Simulator):
     until nothing is scheduled; returns what the properties need."""
     sim = kernel()
     queues = [SimQueue(sim), SimQueue(sim)]
+    locks = [SimLock(sim), SimLock(sim)]
     log = []  # everything observable, in the order it happened
     fired = []  # (fire time, timer serial) per timer callback
     timers = []  # serial -> (expiry, cancelled)
@@ -684,6 +758,30 @@ def _run_soup(scripts, deadlines=(), kernel=Simulator):
             elif op == "late":
                 if made:
                     log.append((yield made[0]))  # the oldest: most likely processed
+            elif op == "lock":
+                # Held across a sleep (contended when another process holds
+                # it), or released at once (uncontended if free).
+                k, hold = arg
+                yield locks[k].acquire()
+                log.append((sim.now, me, "locked", k))
+                if hold:
+                    log.append((yield timer(hold)))
+                locks[k].release()
+            elif op == "nap":  # a sleep: no event, one heap entry
+                due.append(sim.now + arg)
+                yield sim.sleep(arg)
+                log.append((sim.now, me, "woke"))
+            elif op == "deliver":
+                # A callback entry, the way the fabric delivers a frame: it
+                # puts the frame into a mailbox a getter may wait on.
+                delay, k = arg
+                due.append(sim.now + delay)
+
+                def arrive(frame, k=k):
+                    log.append((sim.now, "arrived", frame))
+                    queues[k].put(frame)
+
+                sim.schedule(delay, arrive, (me, sim.now))
             else:
                 start(arg)
         return me
@@ -735,17 +833,28 @@ def test_process_soup_keeps_the_kernel_contract(scripts):
     assert (log, fired, timers, clock, states) == _run_soup(scripts)[:5]
 
 
+def _is_subsequence(part, whole):
+    it = iter(whole)
+    return all(any(entry == other for other in it) for entry in part)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(_ops(2), min_size=1, max_size=5),
     st.lists(st.integers(0, 8), max_size=4),
 )
 def test_fifo_kernel_fires_in_reference_heap_order(scripts, deadlines):
-    """Same-time events beside the heap change where an event waits, never
-    when it fires: step for step, the clock and everything observed equal a
-    kernel that keeps every event in one ``(time, seq)`` heap — deadlines
-    that fall while same-time work is pending included."""
-    assert _run_soup(scripts, deadlines) == _run_soup(scripts, deadlines, ReferenceSimulator)
+    """Same-time events beside the heap, and hand-offs, change where an
+    event waits and which call processes it, never when it fires: everything
+    observed equals a kernel that keeps every entry in one ``(time, seq)``
+    heap and processes one per step — deadlines that fall while same-time
+    work is pending included.  A hand-off skips step boundaries but never
+    reorders them, so the per-step trace is an order-preserving subsequence
+    of the reference's."""
+    log, fired, timers, _clock, states, due, trace = _run_soup(scripts, deadlines)
+    ref = _run_soup(scripts, deadlines, ReferenceSimulator)
+    assert (log, fired, timers, states, due) == (ref[0], ref[1], ref[2], ref[4], ref[5])
+    assert _is_subsequence(trace, ref[6])
 
 
 def test_same_time_work_runs_after_the_heap_entries_due_now():

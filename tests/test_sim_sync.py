@@ -220,21 +220,78 @@ class TestGate:
 
 
 class TestHops:
-    """What crosses the heap and what does not (docs/SIMULATION.md "Event
-    kernel"): a primitive's grant is always an event, even when immediate —
-    same-time grants at the master are ordered by it — while a process starts
-    inside ``spawn()``."""
+    """What crosses the kernel and what does not (docs/SIMULATION.md "Event
+    kernel"): a grant is a step of its own exactly when something else is due
+    now — same-time grants at the master are ordered by that hop — and is
+    taken in place when it would be the very next event anyway; a process
+    starts inside ``spawn()``."""
 
-    def test_uncontended_acquire_still_takes_its_hop(self):
+    @staticmethod
+    def _grant_after(sim, wait, log, rival_at=None):
+        """A process that wakes at t=5 and waits on ``wait()`` (yielded the
+        moment it is made); with ``rival_at``, another entry falls due at
+        that time, pushed after the process's own timer."""
+
+        def proc():
+            yield sim.timeout(5)
+            log.append(("asked", sim.now))
+            got = yield wait()
+            log.append(("granted", sim.now, got))
+
+        sim.spawn(proc())
+        if rival_at is not None:
+            sim.timeout(rival_at).add_callback(lambda _e: log.append(("rival", sim.now)))
+
+    def test_uncontended_acquire_goes_on_in_place_when_nothing_else_is_due(self):
         sim = Simulator()
         lock = SimLock(sim)
-        grant = lock.acquire()
-        assert lock.locked
-        assert grant.triggered and not grant.processed
+        log = []
+        self._grant_after(sim, lock.acquire, log)
+        sim.step()  # the timer: ask, grant and go on, one step
+        assert log == [("asked", 5), ("granted", 5, None)] and lock.locked
+        assert not sim.pending
+
+    def test_uncontended_acquire_still_takes_its_hop(self):
+        """An uncontended grant keeps its hop whenever another event is due
+        now."""
+        sim = Simulator()
+        lock = SimLock(sim)
+        log = []
+        self._grant_after(sim, lock.acquire, log, rival_at=5)
         sim.step()
-        assert grant.processed
+        assert log == [("asked", 5)] and lock.locked  # held, not yet resumed
+        sim.run()
+        # The rival was due first: the grant waited behind it, in its place.
+        assert log == [("asked", 5), ("rival", 5), ("granted", 5, None)]
+
+    def test_an_uncontended_grant_is_one_shared_processed_event(self):
+        sim = Simulator()
+        first, second = SimLock(sim).acquire(), SimLock(sim).acquire()
+        assert first is second is sim.granted
+        assert first.processed and first.ok and not sim.pending
+
+    def test_get_from_a_nonempty_queue_goes_on_in_place_when_nothing_else_is_due(self):
+        sim = Simulator()
+        q = SimQueue(sim)
+        q.put("item")
+        log = []
+        self._grant_after(sim, q.get, log)
+        sim.step()
+        assert log == [("asked", 5), ("granted", 5, "item")] and not sim.pending
+
+    def test_get_from_a_nonempty_queue_keeps_its_hop_when_another_event_is_due_now(self):
+        sim = Simulator()
+        q = SimQueue(sim)
+        q.put("item")
+        log = []
+        self._grant_after(sim, q.get, log, rival_at=5)
+        sim.step()
+        assert log == [("asked", 5)]
+        sim.run()
+        assert log == [("asked", 5), ("rival", 5), ("granted", 5, "item")]
 
     def test_get_from_a_nonempty_queue_still_takes_its_hop(self):
+        """Outside a step nothing goes on in place."""
         sim = Simulator()
         q = SimQueue(sim)
         q.put("item")
