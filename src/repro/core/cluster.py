@@ -139,13 +139,12 @@ class _Fleet:
             )
             for nid in self.node_ids
         }
-        if cfg.rpc_max_retries:
-            # Retransmits of already-answered requests are deduplicated by the
-            # dispatchers, so the answer must come from the channels' reply
-            # caches; armed only with retries to keep default-state footprints
-            # identical.
-            for node in self.nodes.values():
-                node.endpoint.rpc.enable_reply_cache()
+        # Keep only the bookkeeping a frame can read: only a FaultPlan
+        # repeats, delays or drops frames, only a retry re-sends a request
+        # (docs/PROTOCOL.md "Recover vs. fail loudly").
+        faults, retries = cfg.fault_plan is not None, bool(cfg.rpc_max_retries)
+        for node in self.nodes.values():
+            node.endpoint.rpc.arm(faults=faults, retries=retries)
         #: Tenant-keyed read-only views over each job's directory shards.
         self.directories = TenantDirectoryView()
         #: Jobs currently running (admitted, not yet settled).
@@ -437,13 +436,17 @@ class Cluster:
         rpc_total = RpcStats.collect(
             (node.endpoint.rpc for node in fleet.nodes.values()), stats.services.values()
         )
+        # A copy: the live slice still grows with this job's frames in flight
+        # (its Shutdown acks) while later jobs run.
+        fabric = FabricStats()
+        fabric.add(fleet.fabric.stats_for(job.tenant))
         return RunResult(
             exit_code=exit_code,
             stdout=rt.state.vfs.stdout_text(),
             stderr=rt.state.vfs.stderr_text(),
             virtual_ns=fleet.sim.now - job.admitted_ns,
             stats=stats,
-            fabric=fleet.fabric.stats_for(job.tenant),
+            fabric=fabric,
             faults=fleet.injector.stats if fleet.injector is not None else None,
             rpc=rpc_total.minus(rt.rpc_base),
             health=fleet.health,

@@ -30,6 +30,9 @@ Two protocol-robustness concerns live at the dispatcher:
   delegated syscalls or futex wakes are not idempotent.  The dispatcher
   remembers recently served correlation ids (bounded FIFO) and silently
   skips replays, billing them to the service's ``duplicates`` counter.
+  It remembers them only where a request can arrive twice: its endpoint's
+  RPC channel says so (``RpcChannel.replays``: a FaultPlan or retries),
+  and a dispatcher without an endpoint always does.
   When the owning runtime's endpoint is known and the RPC reply cache is
   armed (retries configured), a skipped replay of an already-*answered*
   request is answered again from the cache — the half of at-most-once that
@@ -267,12 +270,13 @@ class Dispatcher:
         #: dispatchers): served work is additionally billed to the service's
         #: per-shard breakdown so shard imbalance is visible.
         self.shard = shard
-        #: The owning runtime's endpoint, when known: lets a deduplicated
-        #: replay be answered from the RPC channel's reply cache (a
+        #: The owning runtime's RPC channel, when its endpoint is known: its
+        #: ``replays`` says whether a request can arrive twice, and it
+        #: answers a deduplicated replay from its reply cache (a
         #: retransmitted request whose original was served *and* answered
         #: must get its reply again, or a lost reply would be unrecoverable).
-        #: Optional so bare dispatchers in tests keep working.
-        self.endpoint = endpoint
+        #: Optional so bare dispatchers in tests keep working (and dedup).
+        self._rpc = None if endpoint is None else endpoint.rpc
         #: The fleet's health tracker on a master shard whose failure domain
         #: is armed: frames from a sender it has latched failed are refused.
         #: None elsewhere (node-side dispatchers: the master is never
@@ -338,16 +342,17 @@ class Dispatcher:
         )
         stats = run_stats.service(service.name)
         req_id = msg.req_id
-        if req_id:
+        rpc = self._rpc
+        if req_id and (rpc is None or rpc.replays):
             served = self._served
             if req_id in served:
                 stats.duplicates += 1
-                if self.endpoint is not None:
+                if rpc is not None:
                     # A retransmit of an already-answered request: replay the
                     # cached reply (no-op when the cache is off, evicted, or
                     # the original dispatch is still running — its eventual
                     # reply or the client's next retransmit covers those).
-                    self.endpoint.rpc.resend_reply(msg)
+                    rpc.resend_reply(msg)
                 return None
             served[req_id] = None
             if len(served) > self.DEDUP_LIMIT:

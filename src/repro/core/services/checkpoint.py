@@ -72,8 +72,7 @@ class CheckpointService(MasterService):
         coherence_of = self.master.coordinator.coherence_of
         for page, data in pages:
             coherence = coherence_of(page)
-            lock = coherence.lock(page)
-            yield lock.acquire()
+            yield coherence.locks.acquire(page)
             try:
                 if coherence.directory.owner(page) == src:
                     coherence.home_install(page, data)
@@ -81,7 +80,7 @@ class CheckpointService(MasterService):
                 else:
                     proto.checkpoint_stale_pages += 1
             finally:
-                lock.release()
+                coherence.locks.release(page)
 
     def handle(self, msg):
         # A snapshot from a sender latched failed never gets here (the

@@ -28,7 +28,7 @@ from repro.mem.msi import MSIState
 from repro.mem.pagestore import ZERO_PAGE
 from repro.mem.protocols import make_policy
 from repro.net.messages import Invalidate, PageData, WriteBack
-from repro.sim.sync import SimLock
+from repro.sim.sync import LockTable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.master import MasterRuntime, MasterShard
@@ -103,7 +103,9 @@ class CoherenceService(MasterService):
         # pages are shard-disjoint.  The default MSI policy is stateless
         # no-ops — bit-identical behavior.
         self.policy = make_policy(self.config)
-        self._page_locks: dict[int, SimLock] = {}
+        #: Per-page serialization: every coherence transaction on a page
+        #: holds its lock; the table keeps only the pages locked now.
+        self.locks = LockTable(self.sim)
 
     # -- failure-domain degradation (docs/PROTOCOL.md "Failure domains") -------
 
@@ -152,15 +154,6 @@ class CoherenceService(MasterService):
             proto.invalidations += len(live)
         return live
 
-    # -- per-page serialization ---------------------------------------------
-
-    def lock(self, page: int) -> SimLock:
-        lock = self._page_locks.get(page)
-        if lock is None:
-            lock = SimLock(self.sim)
-            self._page_locks[page] = lock
-        return lock
-
     # -- home-copy helpers ------------------------------------------------------
 
     def _home_page(self, page: int) -> None:
@@ -186,8 +179,7 @@ class CoherenceService(MasterService):
     # -- kernel page ownership (syscall pointer arguments, §4.3) -----------------
 
     def own_page_for_read(self, page: int):
-        lock = self.lock(page)
-        yield lock.acquire()
+        yield self.locks.acquire(page)
         try:
             owner = self.directory.owner(page)
             if owner is not None and self._dead(owner):
@@ -201,15 +193,14 @@ class CoherenceService(MasterService):
                 self.directory.downgrade_owner(page)
                 self.run_stats.protocol.downgrades += 1
         finally:
-            lock.release()
+            self.locks.release(page)
 
     def own_page_for_write(self, page: int):
-        lock = self.lock(page)
-        yield lock.acquire()
+        yield self.locks.acquire(page)
         try:
             yield from self.pull_home_and_invalidate(page)
         finally:
-            lock.release()
+            self.locks.release(page)
 
     def pull_home_and_invalidate(self, page: int):
         """Invalidate every copy, pulling the owner's data home first.
@@ -229,8 +220,7 @@ class CoherenceService(MasterService):
         splitting = self.shard.splitting
         page, node, write = msg.page, msg.src, msg.write
         proto = self.run_stats.protocol
-        lock = self.lock(page)
-        yield lock.acquire()
+        yield self.locks.acquire(page)
         try:
             proto.page_requests += 1
             if write:
@@ -360,7 +350,7 @@ class CoherenceService(MasterService):
                 msg, PageData(page=page, write=False, data=data, exclusive=exclusive)
             )
         finally:
-            lock.release()
+            self.locks.release(page)
 
         if cfg.forwarding_enabled and not write:
             self.master.forwarding.note_read(node, page)

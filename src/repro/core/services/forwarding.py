@@ -73,8 +73,7 @@ class ForwardingService(MasterService):
                 if backlog > pace_cap:
                     yield self.sim.sleep(backlog - pace_cap)
                 co = coord.coherence_of(p)
-                lock = co.lock(p)
-                yield lock.acquire()
+                yield co.locks.acquire(p)
                 try:
                     if co.directory.owner(p) is not None:
                         continue  # modified elsewhere: a push would need invalidations
@@ -88,6 +87,6 @@ class ForwardingService(MasterService):
                     self.send(node, PagePush(page=p, data=co.home_snapshot(p)))
                     proto.pages_forwarded += 1
                 finally:
-                    lock.release()
+                    co.locks.release(p)
         finally:
             stats.busy_ns += self.sim.now - t0

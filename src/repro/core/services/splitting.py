@@ -146,9 +146,9 @@ class SplittingService(MasterService):
         if entry is None:
             return
         pages = sorted([orig, *entry.shadow_pages])
-        locks = [co.lock(p) for p in pages]
-        for lock in locks:
-            yield lock.acquire()
+        locks = co.locks
+        for p in pages:
+            yield locks.acquire(p)
         try:
             if self.split.entry(orig) is None:
                 return  # merged concurrently
@@ -165,8 +165,8 @@ class SplittingService(MasterService):
             self.trace.emit("split", self.node_id, "merged back", page=orig)
             self.run_stats.protocol.merges += 1
         finally:
-            for lock in reversed(locks):
-                lock.release()
+            for p in reversed(pages):
+                locks.release(p)
 
     # -- merge requests (wire-facing) -----------------------------------------
 

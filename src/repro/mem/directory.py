@@ -15,7 +15,7 @@ Invariants (checked by :meth:`check_invariants`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ProtocolError
@@ -23,10 +23,18 @@ from repro.errors import ProtocolError
 __all__ = ["DirEntry", "CoherencePlan", "Directory"]
 
 
-@dataclass
+#: The sharer set of every entry nobody shares.
+_NOBODY: frozenset[int] = frozenset()
+
+
+@dataclass(slots=True)
 class DirEntry:
+    """One page's holders.  ``sharers`` is immutable and replaced on change,
+    so a reader may keep it; in a :class:`Directory` equal sets are one
+    object, so a page costs its entry, not a set of its own."""
+
     owner: Optional[int] = None
-    sharers: set[int] = field(default_factory=set)
+    sharers: frozenset[int] = _NOBODY
 
     def is_idle(self) -> bool:
         return self.owner is None and not self.sharers
@@ -57,6 +65,12 @@ class Directory:
 
     def __init__(self) -> None:
         self._entries: dict[int, DirEntry] = {}
+        #: Every sharer set an entry holds, once (``_NOBODY`` included).
+        self._sets: dict[frozenset[int], frozenset[int]] = {_NOBODY: _NOBODY}
+
+    def _shared(self, sharers: frozenset[int]) -> frozenset[int]:
+        """The one object of this directory equal to ``sharers``."""
+        return self._sets.setdefault(sharers, sharers)
 
     def entry(self, page: int) -> DirEntry:
         ent = self._entries.get(page)
@@ -105,28 +119,29 @@ class Directory:
         ent = self.entry(page)
         if write or exclusive:
             ent.owner = node
-            ent.sharers = set()
+            ent.sharers = _NOBODY
         else:
             if ent.owner is not None:
                 if ent.owner != node:
                     # former owner was downgraded to sharer by the plan
-                    ent.sharers = {ent.owner}
+                    ent.sharers = frozenset((ent.owner,))
                 ent.owner = None
-            ent.sharers.add(node)
+            ent.sharers = self._shared(ent.sharers | {node})
 
     def drop_node(self, node: int, page: int) -> None:
         """Remove a node's copy (e.g. after an explicit invalidation)."""
         ent = self.peek(page)
         if ent.owner == node:
             ent.owner = None
-        ent.sharers.discard(node)
+        if node in ent.sharers:
+            ent.sharers = self._shared(ent.sharers - {node})
 
     def downgrade_owner(self, page: int) -> None:
         """Owner's M copy becomes S (kernel read path: master pulled the data
         home but grants nobody new access)."""
         ent = self.peek(page)
         if ent.owner is not None:
-            ent.sharers = {ent.owner}
+            ent.sharers = self._shared(frozenset((ent.owner,)))
             ent.owner = None
 
     def evict_node(self, node: int) -> tuple[list[int], list[int]]:
@@ -154,7 +169,7 @@ class Directory:
                 ent.owner = None
                 lost.append(page)
             elif node in ent.sharers:
-                ent.sharers.discard(node)
+                ent.sharers = self._shared(ent.sharers - {node})
                 rehomed.append(page)
         return sorted(rehomed), sorted(lost)
 
@@ -182,7 +197,7 @@ class Directory:
         return self.peek(page).owner
 
     def sharers(self, page: int) -> frozenset[int]:
-        return frozenset(self.peek(page).sharers)
+        return self.peek(page).sharers
 
     def check_invariants(self) -> None:
         for page, ent in self._entries.items():

@@ -38,6 +38,10 @@ of crashing the channel.  The tombstone table is bounded: entries are
 swept once they are older than any frame's possible flight time, and the
 table is capped outright, so long runs with timeouts cannot grow memory
 without limit.
+
+The cluster arms each channel from its config (:meth:`RpcChannel.arm`), so
+these tables exist only where a frame can read them; a bare channel keeps
+them all.
 """
 
 from __future__ import annotations
@@ -228,6 +232,12 @@ class RpcChannel:
         #: state and zero extra wire traffic.
         self._sent_replies: OrderedDict[int, Message] = OrderedDict()
         self._reply_cache_enabled = False
+        #: What frames can do here (:meth:`arm`; a bare channel assumes the
+        #: worst): any reply may come late or twice, so every settled call
+        #: leaves a tombstone; a request may arrive twice, so the dispatchers
+        #: behind this endpoint remember the ids they served.
+        self.frames_repeat = True
+        self.replays = True
         self._halted = False
         self.dropped_replies = 0  # late replies to timed-out requests
         self.duplicate_replies = 0  # replayed replies to completed requests
@@ -235,6 +245,14 @@ class RpcChannel:
         self.reply_replays = 0  # cached replies re-sent to retransmits
 
     # -- client side ----------------------------------------------------------
+
+    def arm(self, *, faults: bool, retries: bool) -> None:
+        """Keep only the bookkeeping a frame can read: ``faults`` says the
+        fabric has a :class:`~repro.net.faults.FaultPlan`, ``retries`` that
+        calls retransmit (which also arms the reply cache)."""
+        self.frames_repeat = faults
+        self.replays = faults or retries
+        self._reply_cache_enabled = retries
 
     def call(
         self,
@@ -260,6 +278,8 @@ class RpcChannel:
         :class:`~repro.errors.ConfigError`, as a retry without
         ``timeout_ns`` does.
         """
+        if retry is not None and timeout_ns is None:
+            raise ConfigError("a retry policy needs timeout_ns to detect loss")
         ev = Event(self.sim)
         if self._halted:
             # The owning node crashed: the call goes nowhere and never
@@ -276,8 +296,6 @@ class RpcChannel:
                 stats=stats, service=service, first_sent_ns=self.sim.now,
             )
             self._arm(call, timeout_ns, self._expired)
-        elif retry is not None:
-            raise ConfigError("a retry policy needs timeout_ns to detect loss")
         return ev
 
     def _arm(self, call: _Call, delay: int, fire) -> None:
@@ -449,7 +467,8 @@ class RpcChannel:
         if call is not None and call.attempt:
             call.stats.recoveries += 1
             call.stats.recovery_wait_ns += self.sim.now - call.first_sent_ns
-        self._remember(req_id, "completed")
+        if call is not None or self.frames_repeat:
+            self._remember(req_id, "completed")
         ev.succeed(msg)
 
     # -- tombstones -------------------------------------------------------------

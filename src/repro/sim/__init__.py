@@ -1,13 +1,14 @@
 """Deterministic discrete-event simulation kernel (virtual nanoseconds)."""
 
 from repro.sim.engine import AllOf, AnyOf, Event, Process, Simulator, Timeout
-from repro.sim.sync import Gate, SimLock, SimQueue, SimSemaphore
+from repro.sim.sync import Gate, LockTable, SimLock, SimQueue, SimSemaphore
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
     "Gate",
+    "LockTable",
     "Process",
     "SimLock",
     "SimQueue",

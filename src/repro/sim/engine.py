@@ -383,7 +383,7 @@ class Simulator:
         self._solo: Optional[Event] = None
         #: The delay of the sleep a process is about to yield.
         self._nap = 0
-        #: Every uncontended :class:`~repro.sim.sync.SimLock` grant: an event
+        #: Every uncontended :class:`~repro.sim.sync.LockTable` grant: an event
         #: already processed.
         self.granted = Event(self)
         self.granted.settle()

@@ -1,7 +1,7 @@
 """Synchronization primitives for simulation processes.
 
 These are *simulation-level* primitives used by the DQEMU infrastructure
-(manager threads, NIC queues, per-page directory locks) — they are distinct
+(manager threads, NIC queues, the master's page locks) — they are distinct
 from the *guest-level* futex/LL-SC machinery, which is part of the system
 under study.
 """
@@ -9,54 +9,68 @@ under study.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator
+from typing import Any, Deque, Generator, Hashable
 
 from repro.errors import SimulationError
 from repro.sim.engine import Event, Simulator
 
-__all__ = ["SimLock", "SimSemaphore", "SimQueue", "Gate"]
+__all__ = ["LockTable", "SimLock", "SimSemaphore", "SimQueue", "Gate"]
 
 
-class SimLock:
-    """FIFO mutex for simulation processes.
+class LockTable:
+    """FIFO mutexes keyed by any hashable, holding only what is held.
 
     Usage (the grant is yielded the moment it is asked for)::
 
-        yield lock.acquire()
+        yield locks.acquire(page)
         try: ...
-        finally: lock.release()
+        finally: locks.release(page)
 
-    An uncontended grant is ``sim.granted``, an event already processed:
-    it allocates nothing, and the acquirer goes on in place when nothing
-    else is due now, else it takes the hop a late subscription takes
+    A key is in the table only while it is held, its waiters a tuple that
+    is the shared ``()`` while nobody waits, so a run keeps one entry per
+    lock in use, not a lock per key ever locked.  An uncontended grant is
+    ``sim.granted``, an event already processed: it allocates nothing, and
+    the acquirer goes on in place when nothing else is due now, else it
+    takes the hop a late subscription takes
     (:meth:`~repro.sim.engine.Process._resume`) — from the FIFO's tail,
     where an immediate grant event would have waited.
     """
 
     def __init__(self, sim: Simulator):
         self.sim = sim
-        self._locked = False
-        self._waiters: Deque[Event] = deque()
+        #: key -> its waiters' grant events, oldest first, for every key held.
+        self._held: dict[Hashable, tuple[Event, ...]] = {}
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._held
+
+    def __len__(self) -> int:
+        return len(self._held)
+
+    def acquire(self, key: Hashable = None) -> Event:
+        waiters = self._held.get(key)
+        if waiters is None:
+            self._held[key] = ()
+            return self.sim.granted
+        ev = Event(self.sim)
+        self._held[key] = waiters + (ev,)
+        return ev
+
+    def release(self, key: Hashable = None) -> None:
+        waiters = self._held.pop(key, None)
+        if waiters is None:
+            raise SimulationError(f"release of unheld lock {key!r}")
+        if waiters:  # hand the lock to the oldest waiter
+            self._held[key] = waiters[1:]
+            waiters[0].succeed()
+
+
+class SimLock(LockTable):
+    """One FIFO mutex: the table's one-key case (``acquire()``/``release()``)."""
 
     @property
     def locked(self) -> bool:
-        return self._locked
-
-    def acquire(self) -> Event:
-        if not self._locked:
-            self._locked = True
-            return self.sim.granted
-        ev = Event(self.sim)
-        self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        if not self._locked:
-            raise SimulationError("release of unlocked SimLock")
-        if self._waiters:
-            self._waiters.popleft().succeed()
-        else:
-            self._locked = False
+        return None in self._held
 
     def held(self) -> Generator[Event, Any, "SimLock"]:
         """Convenience coroutine: ``lock = yield from lock.held()``."""

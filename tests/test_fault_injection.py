@@ -16,7 +16,7 @@ from repro.errors import ConfigError, NetworkError
 from repro.net import Endpoint, Fabric
 from repro.net.faults import FaultInjector, clone_frame, delay, drop, duplicate, reorder
 from repro.net.messages import Ack, PageData, PageRequest, SyscallReply
-from repro.net.rpc import RpcChannel, RpcTimeout
+from repro.net.rpc import RetryPolicy, RpcTimeout
 from repro.sim import Simulator
 from repro.workloads import mutex_bench
 
@@ -285,6 +285,16 @@ class TestRpcRobustness:
         assert len(replies) == 1 and replies[0].retval == 42
         assert a.rpc.duplicate_replies == 1
 
+    def test_a_retry_without_timeout_is_refused_before_anything_is_sent(self):
+        sim, fabric, _inj, (a, b) = make_cluster(2)
+        got = []
+        sim.spawn(collect(sim, b, "page_request", got))
+        with pytest.raises(ConfigError, match="needs timeout_ns"):
+            a.rpc.call(1, PageRequest(page=1), retry=RetryPolicy(2))
+        sim.run()
+        assert a.rpc.in_flight == 0
+        assert fabric.stats.messages_sent == 0 and got == []
+
     def test_reply_to_unknown_request_still_raises(self):
         sim, a, _b = self._pair()
         with pytest.raises(NetworkError, match="unknown request"):
@@ -470,6 +480,51 @@ class TestClusterUnderFaults:
             mutex_bench.build(n_threads=2, iters=10), **RUN_KW
         )
         assert result.exit_code == 0
+
+
+class TestBookkeepingArming:
+    """What a run remembers about settled calls and served requests exists
+    only where a frame can still read it: tombstones where a reply can come
+    late or twice (a call that armed a timeout, or a FaultPlan), served ids
+    where a request can arrive twice (retries or a FaultPlan), cached replies
+    where a retransmit waits for one (retries).  No page lock outlives its
+    transaction."""
+
+    #: config -> (channels remember every settled call, dispatchers dedup,
+    #: reply cache on); and whether a run leaves tombstones, served ids and
+    #: cached replies behind.
+    ROWS = {
+        "default": ({}, (False, False, False), (False, False, False)),
+        "timeout only": (
+            dict(rpc_timeout_ns=TIMEOUT_NS), (False, False, False), (True, False, False),
+        ),
+        "retries": (
+            dict(rpc_timeout_ns=TIMEOUT_NS, rpc_max_retries=2),
+            (False, True, True), (True, True, True),
+        ),
+        "fault plan": (
+            dict(fault_plan=FaultPlan()), (True, True, False), (True, True, False),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", ROWS)
+    def test_arming(self, case):
+        cfg_kw, armed, kept = self.ROWS[case]
+        cluster = Cluster(n_slaves=2, config=DQEMUConfig(**cfg_kw))
+        result = cluster.run(mutex_bench.build(n_threads=2, iters=10), **RUN_KW)
+        assert result.exit_code == 0
+        nodes = cluster._fleet.nodes.values()
+        channels = [node.endpoint.rpc for node in nodes]
+        shards = cluster.jobs[0].runtime.master.shards
+        dispatchers = [node.dispatcher for node in nodes] + [s.dispatcher for s in shards]
+        for ch in channels:
+            assert (ch.frames_repeat, ch.replays, ch._reply_cache_enabled) == armed
+        assert (
+            sum(ch.tombstones for ch in channels) > 0,
+            sum(len(d._served) for d in dispatchers) > 0,
+            sum(ch.cached_replies for ch in channels) > 0,
+        ) == kept
+        assert all(len(s.coherence.locks) == 0 for s in shards)
 
 
 class TestNoFaultRegression:

@@ -115,10 +115,21 @@ class TestConcurrentIsolation:
             for i in range(3)
         ]
         results = cluster.join(jobs)
-        fleet_total = cluster._fleet.fabric.stats.messages_sent
-        assert fleet_total == sum(r.fabric.messages_sent for r in results)
+        fabric = cluster._fleet.fabric
+        live = [fabric.stats_for(r.tenant).messages_sent for r in results]
+        assert fabric.stats.messages_sent == sum(live)
         for res in results:
             assert res.fabric.messages_sent > 0
+
+    def test_a_result_does_not_change_after_a_later_job(self):
+        """``RunResult.fabric`` is the job's traffic as it settled: frames of
+        it still in flight (its Shutdown acks) land in the live slice only."""
+        cluster = Cluster(4)
+        first = cluster.run(blackscholes.build(n_threads=4, n_options=64))
+        sent = first.fabric.messages_sent, first.fabric.bytes_sent
+        cluster.run(blackscholes.build(n_threads=4, n_options=64))
+        assert (first.fabric.messages_sent, first.fabric.bytes_sent) == sent
+        assert cluster._fleet.fabric.stats_for(first.tenant).messages_sent > sent[0]
 
     def test_per_tenant_directories_are_disjoint_views(self):
         cluster = Cluster(2, MULTI_CFG)

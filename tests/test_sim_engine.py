@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import SimLock, SimQueue, Simulator
+from repro.sim import LockTable, SimQueue, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -694,7 +694,7 @@ def _run_soup(scripts, deadlines=(), kernel=Simulator):
     until nothing is scheduled; returns what the properties need."""
     sim = kernel()
     queues = [SimQueue(sim), SimQueue(sim)]
-    locks = [SimLock(sim), SimLock(sim)]
+    locks = LockTable(sim)
     log = []  # everything observable, in the order it happened
     fired = []  # (fire time, timer serial) per timer callback
     timers = []  # serial -> (expiry, cancelled)
@@ -762,11 +762,11 @@ def _run_soup(scripts, deadlines=(), kernel=Simulator):
                 # Held across a sleep (contended when another process holds
                 # it), or released at once (uncontended if free).
                 k, hold = arg
-                yield locks[k].acquire()
+                yield locks.acquire(k)
                 log.append((sim.now, me, "locked", k))
                 if hold:
                     log.append((yield timer(hold)))
-                locks[k].release()
+                locks.release(k)
             elif op == "nap":  # a sleep: no event, one heap entry
                 due.append(sim.now + arg)
                 yield sim.sleep(arg)

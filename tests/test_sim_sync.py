@@ -1,9 +1,13 @@
 """Unit tests for simulation-level synchronization primitives."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import Gate, SimLock, SimQueue, SimSemaphore, Simulator
+from repro.sim import Gate, LockTable, SimLock, SimQueue, SimSemaphore, Simulator
 
 
 class TestSimLock:
@@ -57,6 +61,66 @@ class TestSimLock:
 
         p = sim.spawn(proc())
         assert sim.run(until=p) == "ok"
+
+
+class _ReferenceLock:
+    """One FIFO mutex as a lock was before the table: state kept forever.
+    Returns the tags each call grants."""
+
+    def __init__(self):
+        self.locked = False
+        self.waiters = deque()
+
+    def acquire(self, tag):
+        if not self.locked:
+            self.locked = True
+            return [tag]
+        self.waiters.append(tag)
+        return []
+
+    def release(self):
+        if not self.locked:
+            raise SimulationError("release of unlocked lock")
+        if self.waiters:
+            return [self.waiters.popleft()]
+        self.locked = False
+        return []
+
+
+class TestLockTable:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 2)), max_size=40))
+    def test_grants_follow_one_reference_lock_per_key(self, ops):
+        """Random acquire/release interleavings on a few keys grant in the
+        order a dict of per-key FIFO locks does (an uncontended grant being
+        ``sim.granted``), the table holds exactly the held keys (so it is
+        empty whenever nothing is held) with their waiters, and releasing an
+        unheld key raises."""
+        sim = Simulator()
+        locks = LockTable(sim)
+        ref = {k: _ReferenceLock() for k in range(3)}
+        waiting = {}  # grant event -> tag
+        for tag, (acquire, key) in enumerate(ops):
+            if acquire:
+                want = ref[key].acquire(tag)
+                ev = locks.acquire(key)
+                got = [tag] if ev is sim.granted else []
+                if not got:
+                    waiting[ev] = tag
+            else:
+                try:
+                    want = ref[key].release()
+                except SimulationError:
+                    with pytest.raises(SimulationError):
+                        locks.release(key)
+                    continue
+                locks.release(key)
+                got = [t for ev, t in waiting.items() if ev.triggered]
+                waiting = {ev: t for ev, t in waiting.items() if not ev.triggered}
+            assert got == want
+            held = {k for k, lock in ref.items() if lock.locked}
+            assert {k for k in range(3) if k in locks} == held and len(locks) == len(held)
+            assert all(len(locks._held[k]) == len(ref[k].waiters) for k in held)
 
 
 class TestSimSemaphore:
@@ -244,29 +308,30 @@ class TestHops:
 
     def test_uncontended_acquire_goes_on_in_place_when_nothing_else_is_due(self):
         sim = Simulator()
-        lock = SimLock(sim)
+        locks = LockTable(sim)
         log = []
-        self._grant_after(sim, lock.acquire, log)
+        self._grant_after(sim, lambda: locks.acquire(7), log)
         sim.step()  # the timer: ask, grant and go on, one step
-        assert log == [("asked", 5), ("granted", 5, None)] and lock.locked
+        assert log == [("asked", 5), ("granted", 5, None)] and 7 in locks
         assert not sim.pending
 
     def test_uncontended_acquire_still_takes_its_hop(self):
         """An uncontended grant keeps its hop whenever another event is due
         now."""
         sim = Simulator()
-        lock = SimLock(sim)
+        locks = LockTable(sim)
         log = []
-        self._grant_after(sim, lock.acquire, log, rival_at=5)
+        self._grant_after(sim, lambda: locks.acquire(7), log, rival_at=5)
         sim.step()
-        assert log == [("asked", 5)] and lock.locked  # held, not yet resumed
+        assert log == [("asked", 5)] and 7 in locks  # held, not yet resumed
         sim.run()
         # The rival was due first: the grant waited behind it, in its place.
         assert log == [("asked", 5), ("rival", 5), ("granted", 5, None)]
 
     def test_an_uncontended_grant_is_one_shared_processed_event(self):
         sim = Simulator()
-        first, second = SimLock(sim).acquire(), SimLock(sim).acquire()
+        locks = LockTable(sim)
+        first, second = locks.acquire(1), locks.acquire(2)
         assert first is second is sim.granted
         assert first.processed and first.ok and not sim.pending
 
