@@ -17,7 +17,10 @@ Multiple concurrent guests share the nodes — each admitted job is a
 namespace, and per-node memory bundles, so isolation is structural rather
 than filtered.  At most ``config.max_concurrent_jobs`` run at once; up to
 ``config.admission_queue_depth`` more wait in FIFO order, and beyond that
-``submit`` raises :class:`~repro.errors.AdmissionError`.
+``submit`` raises :class:`~repro.errors.AdmissionError`.  A settled job
+leaves a :class:`RunResult` that is a record; once every node has acked its
+Shutdown and nothing of it runs on the master any more, the job *retires*
+and the fleet frees its state (docs/PROTOCOL.md "Job lifecycle").
 
 :meth:`Cluster.run` survives as the one-job convenience wrapper (submit +
 join); a single ``run`` on a fresh cluster is bit-identical to the
@@ -60,6 +63,12 @@ _SETTLED = (JobState.FINISHED, JobState.FAILED)
 
 @dataclass
 class RunResult:
+    """One job's outcome: every field is a record taken when the job
+    settled, detached from the fleet, so a held result neither changes when
+    the cluster runs on nor keeps the fleet alive.  The one exception is
+    ``trace``, the cluster's live :class:`Tracer`: a traced result pins its
+    fleet."""
+
     exit_code: int
     stdout: str
     stderr: str
@@ -347,6 +356,7 @@ class Cluster:
                 [shard.coherence.directory for shard in master.shards],
                 policies=[shard.coherence.policy for shard in master.shards],
             )
+            master.on_retire = lambda j=job: self._retire(j)
 
         # -- failure-domain wiring (docs/PROTOCOL.md "Failure domains") --------
         failure_domain = master.failure_domain if master is not None else None
@@ -423,6 +433,22 @@ class Cluster:
         # Freeing the slot may admit the queue head — at this virtual time.
         self.manager.job_done(job)
 
+    def _retire(self, job: Job) -> None:
+        """The job is over on the master and every node acked its Shutdown:
+        free all of it but its record and its fabric slice
+        (docs/PROTOCOL.md "Job lifecycle")."""
+        fleet = self._fleet
+        tenant = job.tenant
+        fleet.fabric.retired.add(tenant)
+        for node in fleet.nodes.values():
+            del node.tenants[tenant]
+        master = job.runtime.master
+        for nid in fleet.node_ids:
+            for shard in master.shards:
+                master.endpoint.unsubscribe(("mgr", tenant, nid, shard.shard))
+        fleet.directories.remove(tenant)
+        job.runtime = None
+
     def _build_result(self, job: Job, exit_code: int) -> RunResult:
         fleet = self._fleet
         rt: _JobRuntime = job.runtime
@@ -436,8 +462,8 @@ class Cluster:
         rpc_total = RpcStats.collect(
             (node.endpoint.rpc for node in fleet.nodes.values()), stats.services.values()
         )
-        # A copy: the live slice still grows with this job's frames in flight
-        # (its Shutdown acks) while later jobs run.
+        # Copies: the live slice and stats still grow with this job's frames
+        # in flight (its Shutdown acks) while later jobs run.
         fabric = FabricStats()
         fabric.add(fleet.fabric.stats_for(job.tenant))
         return RunResult(
@@ -445,11 +471,11 @@ class Cluster:
             stdout=rt.state.vfs.stdout_text(),
             stderr=rt.state.vfs.stderr_text(),
             virtual_ns=fleet.sim.now - job.admitted_ns,
-            stats=stats,
+            stats=stats.copy(),
             fabric=fabric,
             faults=fleet.injector.stats if fleet.injector is not None else None,
             rpc=rpc_total.minus(rt.rpc_base),
-            health=fleet.health,
+            health=fleet.health.record(),
             failures=(
                 rt.failure_domain.failures
                 if rt.failure_domain is not None else None

@@ -33,7 +33,7 @@ thread table, system state) is per job by construction.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.config import DQEMUConfig
 from repro.core.node import NodeRuntime
@@ -53,7 +53,7 @@ from repro.kernel.syscalls import SystemState
 from repro.mem.pagestore import PageStore
 from repro.mem.sharding import ShardedDirectoryView, ShardedSplitView
 from repro.net.messages import Shutdown
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Event, Process, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.health import HealthTracker
@@ -131,6 +131,12 @@ class MasterRuntime:
         #: Tids whose ``SpawnThread`` is outstanding (``MasterService.land``):
         #: the failure domain's recovery pass leaves them to their landing.
         self.landing: set[int] = set()
+        #: Called once, when the job is over on the master: ``finish`` ran,
+        #: every node acked its Shutdown and ``in_flight`` is back to 0.
+        self.on_retire: Optional[Callable[[], None]] = None
+        #: This job's work the master still owes: manager dispatches and
+        #: processes (:meth:`spawn`) running, Shutdown acks outstanding.
+        self.in_flight = 0
 
         # -- shard pools (see docs/PROTOCOL.md "Sharded master") ----------------
         self.coordinator = CrossShardCoordinator(self)
@@ -218,13 +224,56 @@ class MasterRuntime:
                 # undiagnosable).
                 self.run_stats.protocol.post_finish_drops += 1
                 continue
+            self.in_flight += 1
             yield from shard.dispatcher.dispatch(msg)
+            self.in_flight -= 1  # work_done, inlined: no call per dispatch
+            if self.finished and not self.in_flight:
+                self._retire()
+
+    def spawn(self, gen, name: str) -> Process:
+        """Start a process of this job's master (a node process whose crash
+        is a run failure); the job retires only after it has returned."""
+        self.in_flight += 1
+        return _MasterProcess(self, gen, name)
+
+    def work_done(self, _ev: Optional[Event] = None) -> None:
+        """One unit of ``in_flight`` ended: a process returned or a Shutdown
+        was acked."""
+        self.in_flight -= 1
+        if self.finished and not self.in_flight:
+            self._retire()
+
+    def _retire(self) -> None:
+        """The job is over on the master: retire it (docs/PROTOCOL.md "Job
+        lifecycle") — once, though a second exit_group sends a second round
+        of Shutdowns."""
+        retire, self.on_retire = self.on_retire, None
+        if retire is not None:
+            retire()
 
     def finish(self, status: int) -> None:
         self.trace.emit("run", self.node.node_id, f"exit_group({status})")
         self.finished = True
+        self.in_flight += len(self.node_ids)
         for nid in self.node_ids:
-            # Un-timed, acks intentionally unawaited.
-            self.endpoint.request(nid, Shutdown(tenant=self.tenant))
+            # Un-timed and unawaited; the acks count out of ``in_flight``.
+            self.endpoint.request(nid, Shutdown(tenant=self.tenant)).add_callback(
+                self.work_done
+            )
         if not self.done.triggered:
             self.done.succeed(status & 0xFF)
+
+
+class _MasterProcess(Process):
+    """A process of one job's master: returning counts it out of the job's
+    ``in_flight``."""
+
+    __slots__ = ("_master",)
+
+    def __init__(self, master: MasterRuntime, gen, name: str) -> None:
+        self._master = master  # before the first segment runs, which may return
+        Process.__init__(self, master.sim, gen, name, master.node._crashed)
+
+    def settle(self, value=None) -> None:
+        Process.settle(self, value)
+        self._master.work_done()

@@ -321,7 +321,9 @@ class NodeRuntime:
         for good (its finish time is recorded)."""
         th.state = GuestThreadState.EXITED
         th.cpu.halted = True
-        self.tenants[th.tenant].threads.pop(th.tid, None)
+        bundle = self.tenants.get(th.tenant)
+        if bundle is not None:  # None: its job has retired
+            bundle.threads.pop(th.tid, None)
         if finished:
             th.stats.finished_ns = self.sim.now
         self.trace.emit("thread", self.node_id, why, tid=th.tid)
@@ -347,7 +349,10 @@ class NodeRuntime:
     def _run_turn(self, th: GuestThread):
         cfg = self.config
         cpu = th.cpu
-        bundle = self.tenants[th.tenant]
+        try:
+            bundle = self.tenants[th.tenant]
+        except KeyError:  # a late reply requeued a thread of a retired job
+            return
         domain = self.failure_domain
         while not self.shutdown and not bundle.finished:
             stop = bundle.engine.run_quantum(cpu, cfg.quantum_cycles)

@@ -98,7 +98,7 @@ class FailureDomainService(MasterService):
             f"declared dead: {rec.rehomed_pages} pages re-homed, "
             f"{rec.lost_pages} lost",
         )
-        self.master.node.spawn(self._recover(node, rec), f"recover-n{node}@master")
+        self.master.spawn(self._recover(node, rec), f"recover-n{node}@master")
 
     def _recover(self, node: int, rec: NodeFailure):
         """Re-home every thread the dead node was running or parking."""
@@ -176,7 +176,7 @@ class FailureDomainService(MasterService):
         self.trace.emit("node", node, "drain ordered")
         # A node that dies right as the order goes out is the crash path's
         # business: the order's ack is simply never heard.
-        self.master.node.spawn(self.ask(node, StartDrain()), f"drain-n{node}@master")
+        self.master.spawn(self.ask(node, StartDrain()), f"drain-n{node}@master")
 
     # -- inbound frames ---------------------------------------------------------
 

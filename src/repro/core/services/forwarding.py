@@ -43,7 +43,7 @@ class ForwardingService(MasterService):
             # serving this node's demand requests.
             stats = self.run_stats.service(self.name)
             stats.requests += 1
-            self.master.node.spawn(self._pusher(node, pushes), f"pusher->{node}")
+            self.master.spawn(self._pusher(node, pushes), f"pusher->{node}")
 
     def _pusher(self, node: int, pages: list[int]):
         """Forward pages ahead of a detected sequential stream (§5.2).

@@ -57,7 +57,7 @@ class FutexService(MasterService):
             if timeout_ns is None:
                 self.send(waiter.node, wake)
             else:
-                self.master.node.spawn(
+                self.master.spawn(
                     self._await_ack(self.request(waiter.node, wake), waiter.node),
                     f"futex-wake-ack@tid{waiter.tid}",
                 )

@@ -80,7 +80,7 @@ class HeartbeatService(MasterService):
         for nid in self.master.node_ids:
             if nid != self.node_id:
                 self.deadlines[nid] = self.sim.now + self.lease_ns
-        self.master.node.spawn(
+        self.master.spawn(
             self._monitor(), f"heartbeat-monitor@{self.node_id}"
         )
 

@@ -127,7 +127,7 @@ class SplittingService(MasterService):
                 "split", self.node_id,
                 "shadow still ping-ponging: revert + blacklist", page=orig,
             )
-            self.master.node.spawn(
+            self.master.spawn(
                 self._merge_and_release(orig), f"revert-split@{orig:#x}"
             )
 

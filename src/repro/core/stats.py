@@ -23,6 +23,14 @@ __all__ = [
 ]
 
 
+def _twin(record):
+    """A shallow copy of a counter record: ``copy.copy`` at a quarter of its
+    Python calls (every settled job copies its whole ``RunStats``)."""
+    twin = object.__new__(type(record))
+    twin.__dict__.update(record.__dict__)
+    return twin
+
+
 @dataclass
 class ThreadStats:
     tid: int = 0
@@ -349,6 +357,21 @@ class RunStats:
         if name not in self.services:
             self.services[name] = ServiceStats(name=name)
         return self.services[name]
+
+    def copy(self) -> "RunStats":
+        """The counters as they stand, sharing no mutable part: a job's
+        result keeps this record while frames of the job still in flight
+        (its Shutdown acks) bill the live object."""
+        twin = _twin(self)
+        twin.threads = {tid: _twin(ts) for tid, ts in self.threads.items()}
+        twin.protocol = _twin(self.protocol)
+        twin.services = {}
+        for name, row in self.services.items():
+            twin.services[name] = twin_row = _twin(row)
+            twin_row.shards = {k: _twin(part) for k, part in row.shards.items()}
+        twin.dbt = _twin(self.dbt)
+        twin.dbt.fusion_hits = dict(self.dbt.fusion_hits)
+        return twin
 
     # -- aggregations used by the Fig. 8 harness --------------------------------
 

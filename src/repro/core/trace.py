@@ -117,5 +117,9 @@ class _NullTracer(Tracer):
     def emit(self, *args, **kwargs) -> None:
         return
 
+    def bind_clock(self, clock: Callable[[], int]) -> None:
+        """Keeps no clock: one process-wide object must not pin the fleet
+        whose clock it would read."""
+
 
 NULL_TRACER = _NullTracer()

@@ -147,6 +147,10 @@ class TenantDirectoryView:
             raise ConfigError(f"tenant {tenant} already registered")
         self._views[tenant] = ShardedDirectoryView(directories, policies)
 
+    def remove(self, tenant: int) -> None:
+        """Forget a retired tenant's view."""
+        del self._views[tenant]
+
     def for_tenant(self, tenant: int) -> ShardedDirectoryView:
         try:
             return self._views[tenant]

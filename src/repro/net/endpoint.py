@@ -56,6 +56,10 @@ class Endpoint:
             self._queues[key] = SimQueue(self.sim)
         return self._queues[key]
 
+    def unsubscribe(self, key: Hashable) -> None:
+        """Forget the queue for ``key`` (a retired job's mailbox)."""
+        del self._queues[key]
+
     def subscribe_default(self) -> SimQueue:
         """Queue receiving inbound messages with no subscribed key."""
         if self._default_queue is None:
@@ -88,9 +92,13 @@ class Endpoint:
 
     def on_arrival(self, msg: Message) -> None:
         """The fabric's delivery callback: hand the frame to the RPC channel
-        or a subscriber queue."""
+        or a subscriber queue, or drop it if its tenant has retired."""
         if msg.in_reply_to:
             self.rpc.complete(msg)
+            return
+        if msg.tenant in self.fabric.retired:
+            # Nothing is left to serve it: its job's state is gone.
+            self.fabric.late_frames += 1
             return
         # Mailbox-arrival stamp: dispatchers subtract this from their dispatch
         # start to attribute queue wait (head-of-line blocking) per service.

@@ -95,6 +95,11 @@ class Fabric:
         #: (``repro.net.health.HealthTracker``), attached by the cluster the
         #: same way fault stats are; ``None`` on a bare fabric.
         self.health: Optional["HealthTracker"] = None
+        #: Tenants whose job retired (docs/PROTOCOL.md "Job lifecycle"): a
+        #: request or command still addressed to one is dropped on arrival
+        #: and counted in ``late_frames``; replies still complete their calls.
+        self.retired: set[int] = set()
+        self.late_frames = 0
 
     # -- wiring -------------------------------------------------------------
 

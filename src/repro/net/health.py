@@ -24,7 +24,7 @@ ordering, and every run (retries armed or not) can carry one for free.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Iterable, Optional
 
@@ -85,7 +85,7 @@ class HealthTracker:
     queries below read both layers.
     """
 
-    sim: Simulator
+    sim: Optional[Simulator]  # None on a record
     suspect_after: int = 2
     down_after: int = 5
     peers: dict[int, PeerHealth] = field(default_factory=dict)
@@ -174,6 +174,16 @@ class HealthTracker:
     def mark_draining(self, node: int) -> None:
         if node not in self.failed:
             self.draining.add(node)
+
+    def record(self) -> "HealthTracker":
+        """The view as it stands now, detached from the fleet: copied peer
+        records and latches, no simulator and no ``on_down`` callback
+        (``RunResult.health``)."""
+        return HealthTracker(
+            None, self.suspect_after, self.down_after,
+            {node: replace(p) for node, p in self.peers.items()},
+            failed=set(self.failed), draining=set(self.draining),
+        )
 
     # -- queries ----------------------------------------------------------------
 

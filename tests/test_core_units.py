@@ -437,6 +437,38 @@ def test_page_stall_formats_its_text_on_demand():
     assert repr(stall) == "PageStall('page stall: page=0x999 write=False')"
 
 
+def _shared_mutable_parts(a, b, path="stats"):
+    """Yield the path of every mutable part (container or record) that two
+    counter trees share, walking every instance attribute, so a field added
+    later is checked without naming it here."""
+    if isinstance(a, (list, dict, set)) or hasattr(a, "__dict__"):
+        if a is b:
+            yield path
+    if hasattr(a, "__dict__"):
+        for name, value in vars(a).items():
+            yield from _shared_mutable_parts(value, getattr(b, name), f"{path}.{name}")
+    elif isinstance(a, dict):
+        for key, value in a.items():
+            yield from _shared_mutable_parts(value, b[key], f"{path}[{key!r}]")
+    elif isinstance(a, (list, tuple)):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _shared_mutable_parts(x, y, f"{path}[{i}]")
+
+
+def test_a_stats_copy_shares_no_mutable_part():
+    live = RunStats(tenant=3)
+    live.thread(1).quanta = 2
+    live.protocol.page_requests = 5
+    live.service("node.control").shard(0).requests = 7
+    live.dbt.fusion_hits["li"] = 1
+    record = live.copy()
+    assert record == live
+    assert list(_shared_mutable_parts(record, live)) == []
+    live.thread(2)
+    live.service("master.new")
+    assert list(record.threads) == [1] and list(record.services) == ["node.control"]
+
+
 # -- image load ----------------------------------------------------------------
 
 

@@ -7,16 +7,28 @@ every job's exit code and stdout are identical to what a solo run of the
 same program produces on a fresh cluster.
 """
 
+import gc
+import tracemalloc
+import weakref
+from dataclasses import replace
+
 import pytest
 
 from repro import AdmissionError, Cluster, DQEMUConfig, JobState, assemble
+from repro.core.gthread import GuestThread
 from repro.core.jobs import Job, JobManager
 from repro.core.scheduler import FairRunQueue
-from repro.errors import ConfigError
+from repro.core.stats import ThreadStats
+from repro.dbt.cpu import CPUState
+from repro.errors import ConfigError, NetworkError
 from repro.mem.directory import Directory
 from repro.mem.sharding import TenantDirectoryView
+from repro.net.health import PeerState
+from repro.net.messages import Invalidate, PageData, PageRequest
 from repro.sim import Simulator
-from repro.workloads import blackscholes, mutex_bench, x264
+from repro.kernel.sysnums import SYS
+from repro.workloads import blackscholes, memaccess, mutex_bench, x264
+from repro.workloads.common import workload_builder
 
 
 def tagged_program(tag: str, exit_code: int):
@@ -122,14 +134,22 @@ class TestConcurrentIsolation:
             assert res.fabric.messages_sent > 0
 
     def test_a_result_does_not_change_after_a_later_job(self):
-        """``RunResult.fabric`` is the job's traffic as it settled: frames of
-        it still in flight (its Shutdown acks) land in the live slice only."""
+        """A result is the job as it settled: frames of it still in flight
+        (its Shutdown and their acks) reach only the live fleet."""
         cluster = Cluster(4)
         first = cluster.run(blackscholes.build(n_threads=4, n_options=64))
         sent = first.fabric.messages_sent, first.fabric.bytes_sent
+        control = first.stats.services["node.control"]
+        billed = control.requests, control.busy_ns
+        heard = {n: p.last_heard_ns for n, p in first.health.peers.items()}
         cluster.run(blackscholes.build(n_threads=4, n_options=64))
         assert (first.fabric.messages_sent, first.fabric.bytes_sent) == sent
-        assert cluster._fleet.fabric.stats_for(first.tenant).messages_sent > sent[0]
+        assert (control.requests, control.busy_ns) == billed
+        assert first.stats.services["node.control"] is control
+        assert {n: p.last_heard_ns for n, p in first.health.peers.items()} == heard
+        fleet = cluster._fleet
+        assert fleet.fabric.stats_for(first.tenant).messages_sent > sent[0]
+        assert fleet.health.peer(0).last_heard_ns > heard[0]
 
     def test_per_tenant_directories_are_disjoint_views(self):
         cluster = Cluster(2, MULTI_CFG)
@@ -145,6 +165,225 @@ class TestConcurrentIsolation:
         res = cluster.run(tagged_program("solo", 0))
         assert res.queue_wait_ns == 0
         assert res.tenant == 0
+
+
+class TestRetirement:
+    """A settled job whose Shutdown every node acked keeps only its record
+    (docs/PROTOCOL.md "Job lifecycle")."""
+
+    @staticmethod
+    def _retired():
+        cluster = Cluster(2, MULTI_CFG)
+        first = cluster.run(tagged_program("a", 0))
+        cluster.run(tagged_program("b", 0))  # job 0's Shutdown acks land here
+        return cluster, first
+
+    def test_retiring_frees_all_but_the_record(self):
+        cluster, first = self._retired()
+        fleet = cluster._fleet
+        job = cluster.jobs[0]
+        assert job.runtime is None and job.result is first
+        assert all(0 not in node.tenants for node in fleet.nodes.values())
+        assert cluster.directories.tenants() == (1,)
+        mailboxes = [k for k in fleet.nodes[0].endpoint._queues if k != "comm"]
+        assert mailboxes and all(k[1] == 1 for k in mailboxes)
+        assert fleet.fabric.stats_for(0).messages_sent > 0  # the slice stays
+        assert fleet.fabric.retired == {0} and fleet.fabric.late_frames == 0
+        # run() returns before its own job's Shutdown lands.
+        assert cluster.jobs[1].runtime is not None
+
+    def test_late_requests_are_dropped_and_counted(self):
+        cluster, _ = self._retired()
+        fleet = cluster._fleet
+        fleet.nodes[1].endpoint.deliver(Invalidate(page=5, src=0, tenant=0))
+        fleet.nodes[0].endpoint.deliver(PageRequest(page=5, src=1, tenant=0))
+        fleet.sim.run()
+        assert fleet.fabric.late_frames == 2
+        assert fleet.broken_error is None
+
+    def test_a_reply_still_completes_its_call(self):
+        cluster, _ = self._retired()
+        fleet = cluster._fleet
+        slave = fleet.nodes[1].endpoint
+        request = PageRequest(page=5, tenant=0)
+        call = slave.request(0, request)
+        fleet.sim.run()  # the request is dropped at the master
+        assert fleet.fabric.late_frames == 1 and not call.triggered
+        reply = PageData(page=5, src=0, in_reply_to=request.req_id, tenant=0)
+        slave.deliver(reply)
+        fleet.sim.run()
+        assert call.processed and call.value is reply
+        assert fleet.fabric.late_frames == 1
+
+    def test_a_late_requeue_of_a_retired_thread_is_dropped(self):
+        # A late reply resumes a handler whose thread left at the Shutdown:
+        # its core drops the requeued thread, and its exit finds no bundle.
+        cluster, _ = self._retired()
+        fleet = cluster._fleet
+        node = fleet.nodes[1]
+        th = GuestThread(CPUState(pc=0, tid=9), ThreadStats(tid=9), tenant=0)
+        node._requeue(th)
+        fleet.sim.run()
+        node.leave(th, "exit", finished=True)
+        assert fleet.broken_error is None and th.stats.quanta == 0
+
+    def test_a_tenant_that_never_existed_still_fails_loudly(self):
+        cluster, _ = self._retired()
+        fleet = cluster._fleet
+        with pytest.raises(NetworkError, match="no subscriber"):
+            fleet.nodes[0].endpoint.deliver(PageRequest(page=5, src=1, tenant=7))
+        fleet.nodes[1].endpoint.deliver(Invalidate(page=5, src=0, tenant=7))
+        fleet.sim.run()
+        assert isinstance(fleet.broken_error, KeyError)
+        assert fleet.fabric.late_frames == 0
+
+    @pytest.mark.parametrize("config", [
+        DQEMUConfig(),
+        DQEMUConfig(
+            rpc_timeout_ns=50_000_000, rpc_max_retries=4, evacuation_enabled=True,
+            heartbeat_interval_ns=500_000,
+        ),
+    ], ids=["default", "armed"])
+    def test_a_held_result_pins_no_fleet(self, config):
+        cluster = Cluster(2, config)
+        result = cluster.run(mutex_bench.build(n_threads=2, iters=10))
+        sim = weakref.ref(cluster._fleet.sim)
+        del cluster
+        gc.collect()
+        assert sim() is None
+        assert result.exit_code == 0 and result.health.state_of(1) is PeerState.UP
+
+    @staticmethod
+    def _retained_per_job(pages: int) -> float:
+        """Least-squares slope of traced memory over jobs 5-12 of a stream
+        of sequential jobs on one cluster, results held.  Tracing starts
+        after job 4: it slows a run about fourfold."""
+        cluster, results, traced = Cluster(4), [], []
+        try:
+            for job in range(1, 13):
+                results.append(cluster.run(memaccess.build_private_rmw(
+                    n_threads=4, pages_per_thread=pages, passes=1, stride=1024,
+                )))
+                gc.collect()
+                if job == 4:
+                    tracemalloc.start()
+                traced.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        xs = range(4, 12)  # jobs 5-12
+        mx = sum(xs) / len(xs)
+        my = sum(traced[x] for x in xs) / len(xs)
+        return (sum((x - mx) * (traced[x] - my) for x in xs)
+                / sum((x - mx) ** 2 for x in xs))
+
+    @staticmethod
+    def _twin_exits():
+        """Two workers on two slaves park on one futex word; ``main`` wakes
+        both at once and spins, and each worker calls exit_group(7)."""
+        b = workload_builder()
+        b.label("main")
+        for _ in range(2):
+            b.la("a0", "worker")
+            b.li("a1", 0)
+            b.call("rt_thread_create")
+        b.la("a0", "nap")
+        b.li("a1", 0)
+        b.li("a7", SYS.NANOSLEEP)  # both workers park meanwhile
+        b.ecall()
+        b.la("a0", "gate")
+        b.li("a1", 1)  # FUTEX_WAKE
+        b.li("a2", 2)
+        b.li("a7", SYS.FUTEX)
+        b.ecall()
+        b.label(".idle")
+        b.j(".idle")
+        b.label("worker")
+        b.la("a0", "gate")
+        b.li("a1", 0)  # FUTEX_WAIT
+        b.li("a2", 0)
+        b.li("a7", SYS.FUTEX)
+        b.ecall()
+        b.li("a0", 7)
+        b.li("a7", SYS.EXIT_GROUP)
+        b.ecall()
+        b.data()
+        b.align(8)
+        b.label("nap")
+        b.quad(0, 1_000_000)
+        b.label("gate")
+        b.quad(0)
+        b.text()
+        return b.assemble()
+
+    def test_a_second_exit_group_retires_the_job_once(self):
+        # A slow syscall service lets both exit_groups reach the master
+        # before either finishes the job: two rounds of Shutdown, whose acks
+        # all land during the second job, and one retirement.
+        cfg = replace(MULTI_CFG, cost=replace(MULTI_CFG.cost, syscall_service_ns=50_000))
+        cluster = Cluster(2, cfg, trace=True)
+        first = cluster.run(self._twin_exits())
+        second = cluster.run(self._twin_exits())
+        assert (first.exit_code, second.exit_code) == (7, 7)
+        exits = [e for e in cluster.tracer.filter(category="run")
+                 if e.ts_ns < cluster.jobs[1].finished_ns]
+        assert len(exits) == 2
+        fleet = cluster._fleet
+        assert cluster.jobs[0].runtime is None and fleet.broken_error is None
+        assert fleet.fabric.retired == {0} and fleet.fabric.late_frames == 0
+
+    @staticmethod
+    def _write_then_nap():
+        """``main`` writes one data page, sleeps 1 ms and exits 0."""
+        b = workload_builder()
+        b.label("main")
+        b.la("t0", "buf")
+        b.li("t1", 1)
+        b.sd("t1", 0, "t0")
+        b.la("a0", "nap")
+        b.li("a1", 0)
+        b.li("a7", SYS.NANOSLEEP)
+        b.ecall()
+        b.li("a0", 0)
+        b.ret()
+        b.data()
+        b.align(4096)
+        b.label("buf")
+        b.quad(0)
+        b.label("nap")
+        b.quad(0, 1_000_000)
+        b.text()
+        return b.assemble()
+
+    def test_a_handler_still_running_at_exit_delays_retirement(self):
+        # Node 1 asks for the page main wrote while the test holds its page
+        # lock; the handler is still queued on that lock when the job exits.
+        # Released during the next job, it must still reach node 0's copy
+        # (an Invalidate, timed): the job retires only after it.
+        cfg = replace(MULTI_CFG, rpc_timeout_ns=5_000_000)
+        cluster = Cluster(2, cfg)
+        program = self._write_then_nap()
+        job = cluster.submit(program)
+        fleet = cluster._fleet
+        sim = fleet.sim
+        sim.run(until=1_000_000)  # main has written the page and sleeps
+        page = program.symbol("buf") >> 12
+        locks = job.runtime.master.coherence.locks
+        assert locks.acquire(page) is sim.granted
+        call = fleet.nodes[1].endpoint.request(
+            0, PageRequest(page=page, write=True, tenant=job.tenant)
+        )
+        sim.timeout(1_500_000).add_callback(lambda _e: locks.release(page))
+        assert cluster.join([job])[0].exit_code == 0
+        assert cluster.run(self._write_then_nap()).exit_code == 0
+        sim.run()  # let every timer of both jobs run out
+        assert fleet.broken_error is None
+        assert call.processed and isinstance(call.value, PageData)
+        assert job.runtime is None and fleet.fabric.late_frames == 0
+
+    def test_a_finished_job_costs_its_record_not_its_pages(self):
+        small, large = (self._retained_per_job(p) for p in (32, 64))
+        assert small <= 64 * 1024 and large <= 64 * 1024
+        assert abs(large - small) <= 0.1 * max(small, large)
 
 
 class TestAdmissionControl:
