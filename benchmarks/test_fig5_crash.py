@@ -1,4 +1,4 @@
-"""Node-crash tolerance experiment (crash / evacuate / checkpoint / drain).
+"""Node-crash tolerance experiment (crash / evacuate / drain).
 
 ``test_fig5_crash`` regenerates the crash-tolerance table
 (``benchmarks/results/services_fig5_crash.txt`` and ``.json``) and asserts
@@ -6,10 +6,7 @@ its shape claims: a mid-kernel crash of one slave aborts the run with a
 ``ServiceTimeout`` when the failure domain is disarmed (the seed behavior),
 completes degraded when evacuation is armed (threads whose contexts died
 with the node are reaped and reported lost, its directory footprint is
-re-homed), completes without casualties under a cooperative drain, and —
-across the checkpoint-interval sweep — restores the victim's threads from
-their last snapshots, trading checkpoint wire bytes against rollback
-distance.
+re-homed), and completes without casualties under a cooperative drain.
 """
 
 from benchmarks.conftest import regenerate
@@ -57,35 +54,9 @@ def test_fig5_crash(benchmark):
     assert drain["failures"]["lost_threads"] == 0 and drain["failures"]["lost_pages"] == 0
     assert drain["failures"]["victim"]["recovery_ns"] > 0
 
-    # Checkpoint-interval sweep: snapshots turn the same crash's casualties
-    # into rollbacks.  Some finite interval achieves zero loss, and the
-    # interval trades checkpoint wire bytes against rollback distance.
-    sweep = [r for r in records.values() if r.get("checkpoint_interval_ns")]
-    assert len(sweep) >= 2
-    assert all(r["completed"] for r in sweep)
-    assert any(
-        r["failures"]["lost_threads"] == 0 and r["failures"]["restored_threads"] > 0
-        for r in sweep
-    )
-    by_interval = sorted(sweep, key=lambda r: r["checkpoint_interval_ns"])
-    wire_bytes = [r["protocol"]["checkpoint_bytes"] for r in by_interval]
-    assert wire_bytes == sorted(wire_bytes, reverse=True)
-    # Every restored thread rolled back a positive span: at most one
-    # detection span plus one checkpoint interval (its snapshot was the newest).
-    rollbacks = [
-        r["failures"]["mean_rollback_ns"] for r in by_interval
-        if r["failures"]["mean_rollback_ns"] is not None
-    ]
-    assert rollbacks and rollbacks[-1] > rollbacks[0]
-    assert all(rollback > 0 for rollback in rollbacks)
-
-    # The committed tables carry the failure-domain columns; the restored
-    # column appears in the checkpoint run's breakdown.
+    # The committed tables carry the failure-domain columns.
     evacuated_breakdown = breakdown("crash + evacuation")(list(records.values()))
-    checkpoint_breakdown = breakdown("crash + checkpoint (0.02x)")(list(records.values()))
     assert "lost threads" in evacuated_breakdown
     assert "rehomed pages" in evacuated_breakdown
-    assert "restored" in checkpoint_breakdown
-    assert "checkpoint" in checkpoint_breakdown
-    # The default (no-checkpoint) breakdown gains no checkpoint service row.
+    # There is no checkpoint service, so the breakdown has no such row.
     assert "checkpoint" not in evacuated_breakdown

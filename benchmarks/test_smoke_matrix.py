@@ -1,4 +1,4 @@
-"""The CI smoke matrix: 25 sub-second cells across the fault, crash, liveness,
+"""The CI smoke matrix: 22 sub-second cells across the fault, crash, liveness,
 tenant, DBT and coherence dimensions, all through ``run_cell``.
 
 Every cell is a registry cell (``repro.analysis.experiments``) — taken as is,
@@ -59,12 +59,9 @@ def test_seeded_loss_is_ridden_out(every, seed):
 
 
 @pytest.mark.parametrize("heartbeat", [False, True])
-@pytest.mark.parametrize("checkpoint", [False, True])
 @pytest.mark.parametrize("victim", [1, 2, 3])
-def test_busy_victim_crash_is_recovered(busy_clean, victim, checkpoint, heartbeat):
+def test_busy_victim_crash_is_recovered(busy_clean, victim, heartbeat):
     fracs = {}
-    if checkpoint:
-        fracs["checkpoint_interval_ns"] = 0.1
     if heartbeat:
         # A slack lease: the busy victim's RPC retry budget must still win
         # the detection race (heartbeats are a backstop here).
@@ -80,19 +77,8 @@ def test_busy_victim_crash_is_recovered(busy_clean, victim, checkpoint, heartbea
     failed = record["failures"]["victim"]
     assert failed["kind"] == "crash"
     assert failed["recovered_ns"] is not None
-    # Everything the victim held is accounted for: evacuated, restored from
-    # a checkpoint, or lost.
-    assert len(failed["evacuated"]) + len(failed["restored"]) + len(failed["lost"]) > 0
-    if checkpoint:
-        # With snapshots every tenth of the run, at least one of the
-        # victim's threads restores, and its accounting is attributed.
-        assert failed["restored"]
-        assert record["protocol"]["checkpoints_taken"] > 0
-        assert record["failures"]["restored_threads"] == len(failed["restored"])
-        assert all(rollback > 0 for _tid, _target, rollback in failed["restored"])
-    else:
-        assert not failed["restored"]
-        assert record["protocol"]["checkpoints_taken"] == 0
+    # Everything the victim held is accounted for: evacuated or lost.
+    assert len(failed["evacuated"]) + len(failed["lost"]) > 0
     if heartbeat:
         # Both detectors were armed; on a chatty victim the passive one
         # fires first, and the merged health view records that.

@@ -201,15 +201,12 @@ _experiment(
                 ("mean recovery (us)", "rpc.mean_recovery_us"),
             ],
         ),
-        "healed run", ["partition + retry"],
+        "healed run", "partition + retry",
     ),
 )
 
-# -- Fig. 5 (crash): node-crash tolerance — evacuate, restore, re-home -------
+# -- Fig. 5 (crash): node-crash tolerance — evacuate, re-home, drain ---------
 # The highest slave fails (or drains) at 0.35 of the clean run — mid-kernel.
-# The checkpoint rows sweep the interval as fractions of the clean duration:
-# shorter intervals spend more wire bytes and buy back rollback distance.
-# Shortest interval first, so its breakdown (the most restores) is committed.
 
 _CRASH_CFG = {**_reliable(20_000, 4), **EVACUATION}
 _CRASH = Fault("crash", node=3, at_frac=0.35, seed=3)
@@ -224,32 +221,22 @@ _experiment(
                  fault=_CRASH, ref="no faults", services=True),
         _faulted("cooperative drain", *_BS8, 3, _CRASH_CFG,
                  fault=Fault("drain", node=3, at_frac=0.35), ref="no faults"),
-        *(
-            _faulted(f"crash + checkpoint ({frac:g}x)", *_BS8, 3, _CRASH_CFG,
-                     fault=_CRASH, ref="no faults",
-                     ref_fracs=dict(checkpoint_interval_ns=frac), services=frac == 0.02)
-            for frac in (0.02, 0.05, 0.15)
-        ),
     ),
     failure_footer(
         table(
-            "Fig. 5 (crash) — node-crash tolerance: evacuation, "
-            "checkpoint/restore, re-homing, graceful degradation",
+            "Fig. 5 (crash) — node-crash tolerance: evacuation, re-homing, "
+            "graceful degradation",
             [
                 *SCENARIO_COLUMNS,
                 ("evacuated", "failures.evacuated_threads"),
-                ("restored", "failures.restored_threads"),
                 ("lost threads", "failures.lost_threads"),
                 ("rehomed pages", "failures.rehomed_pages"),
                 ("lost M pages", "failures.lost_pages"),
                 ("detection (us)", us("failures.victim.detection_ns")),
                 ("recovery (us)", us("failures.victim.recovery_ns")),
-                ("rollback (us)", us("failures.mean_rollback_ns")),
-                ("ckpt frames", "protocol.checkpoints_taken"),
-                ("ckpt wire (KiB)", lambda r: get(r, "protocol.checkpoint_bytes", 0) // 1024),
             ],
         ),
-        "crash+evacuation run", ["crash + evacuation", "crash + checkpoint (0.02x)"],
+        "crash+evacuation run", "crash + evacuation",
     ),
 )
 
@@ -300,7 +287,7 @@ _experiment(
                 ("hb wire (B)", lambda r: get(r, "protocol.heartbeats_sent", 0) * _HEARTBEAT_BYTES),
             ],
         ),
-        "shortest-interval run", ["quiet: crash + hb (0.01x)"],
+        "shortest-interval run", "quiet: crash + hb (0.01x)",
     ),
 )
 

@@ -49,7 +49,6 @@ def render_series(name: str, xs: Sequence[Any], series: dict[str, Sequence[float
 #: The failure-domain columns: header -> ``RunResult.failures`` aggregate.
 FAILURE_COLUMNS = {
     "evacuated": "evacuated_threads",
-    "restored": "restored_threads",
     "lost threads": "lost_threads",
     "rehomed pages": "rehomed_pages",
     "lost M pages": "lost_pages",

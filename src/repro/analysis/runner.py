@@ -209,7 +209,6 @@ def _measure(cell: Cell, cfg: DQEMUConfig, results: list[RunResult], ref: Option
             "lease_ns": cfg.heartbeat_lease_ns,
             "detection_bound_ns": cfg.heartbeat_detection_bound_ns(),
         },
-        "checkpoint_interval_ns": cfg.checkpoint_interval_ns,
         "peers": {str(nid): peer.state.value for nid, peer in first.health.peers.items()},
     }
     if cell.services:
@@ -230,8 +229,8 @@ def _failures(result: RunResult, fault: Optional[Fault], ref: Optional[dict]) ->
     return {
         **{
             k: getattr(failures, k)
-            for k in ("evacuated_threads", "restored_threads", "lost_threads", "rehomed_pages",
-                      "lost_pages", "mean_rollback_ns", "lease_detections")
+            for k in ("evacuated_threads", "lost_threads", "rehomed_pages", "lost_pages",
+                      "lease_detections")
         },
         "victim": node and {
             **asdict(node),

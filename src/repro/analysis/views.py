@@ -103,19 +103,18 @@ def breakdown(label: str) -> View:
     return view
 
 
-def failure_footer(body: View, caption: str, labels: Sequence[str]) -> View:
-    """``body``, then why each aborted run died, the final peer-health view
-    of the run ``labels[0]``, and the service breakdown of each of ``labels``."""
+def failure_footer(body: View, caption: str, label: str) -> View:
+    """``body``, then why each aborted run died, and the final peer health
+    and the service breakdown of the run ``label``."""
     def view(records: list) -> str:
         lines = [body(records), ""]
         lines += [f"{r['label']}: {r['failure']}" for r in records if not r["completed"]]
-        (healthy,) = group(records, labels[0])
+        (healthy,) = group(records, label)
         peers = sorted(healthy["peers"].items(), key=lambda kv: int(kv[0]))
         lines.append(
             f"peer health after {caption}: " + ", ".join(f"n{n}={state}" for n, state in peers)
         )
-        for label in labels:
-            lines += ["", breakdown(label)(records)]
+        lines += ["", breakdown(label)(records)]
         return "\n".join(lines)
 
     return view

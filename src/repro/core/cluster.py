@@ -447,7 +447,7 @@ class Cluster:
             for shard in master.shards:
                 master.endpoint.unsubscribe(("mgr", tenant, nid, shard.shard))
         fleet.directories.remove(tenant)
-        job.runtime = None
+        job.runtime = job.program = job.stdin = job.files = None
 
     def _build_result(self, job: Job, exit_code: int) -> RunResult:
         fleet = self._fleet

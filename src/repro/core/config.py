@@ -130,18 +130,7 @@ class DQEMUConfig:
     evacuation_enabled: bool = field(default=False, metadata=dict(
         flag="--evacuation",
         requires=("rpc_timeout_ns", "node failures are detected by timeout expiry"),
-        help="arm the failure domain: crashes evacuate/restore threads, not abort the run"))
-    # Checkpoint/restore (docs/PROTOCOL.md "Checkpoint/restore"): each slave
-    # snapshots a running thread's register context at a quantum boundary —
-    # together with a write-back of the tenant's Modified pages, so the
-    # snapshot is a consistent cut under every coherence protocol — and
-    # ships it to the master.  On a crash, threads with a live checkpoint
-    # are rolled back and re-placed instead of reaped.  None (the default)
-    # sends nothing: wire traffic and every committed table stay
-    # bit-identical.
-    checkpoint_interval_ns: Optional[int] = field(default=None, metadata=dict(
-        min=1, requires=("evacuation_enabled", "restore rides the failure domain's recovery path"),
-        help="virtual time between a running thread's crash-restore snapshots"))
+        help="arm the failure domain: crashes evacuate threads, not abort the run"))
     # Active liveness (docs/PROTOCOL.md "Failure detection"): the master's
     # HeartbeatService treats a renewal as positive liveness evidence and a
     # whole lease (heartbeat_lease_ns) of silence as failure evidence,
@@ -265,7 +254,7 @@ class DQEMUConfig:
     def time_scaled(self, k: float) -> "DQEMUConfig":
         """This config with its communication costs divided by ``k``
         (:meth:`CostModel.scaled`).  A duration the user chose (timeout,
-        backoff, heartbeat/checkpoint period) means what it says at any scale.
+        backoff, heartbeat period) means what it says at any scale.
         """
         return replace(self, cost=self.cost.scaled(k))
 

@@ -21,9 +21,7 @@ class GuestThreadState(enum.Enum):
 class GuestThread:
     """A guest thread as a DQEMU node sees it: vCPU context + accounting."""
 
-    __slots__ = (
-        "cpu", "stats", "state", "enqueued_at", "blocked_at", "tenant", "last_checkpoint_ns",
-    )
+    __slots__ = ("cpu", "stats", "state", "enqueued_at", "blocked_at", "tenant")
 
     def __init__(self, cpu: CPUState, stats: ThreadStats, tenant: int = 0):
         self.cpu = cpu
@@ -32,10 +30,6 @@ class GuestThread:
         self.enqueued_at: int = 0
         self.blocked_at: Optional[int] = None
         self.tenant = tenant
-        #: Virtual time of the last checkpoint shipped for this thread
-        #: (set to arrival time on spawn, so the first snapshot waits a
-        #: full checkpoint_interval_ns).
-        self.last_checkpoint_ns: int = 0
 
     @property
     def tid(self) -> int:

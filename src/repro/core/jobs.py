@@ -49,13 +49,16 @@ class Job:
     frames, directory shards, futex tables, thread records, and stat rows
     all carry it, which is what keeps concurrent guests isolated on a
     shared fleet.
+
+    ``program``, ``stdin`` and ``files`` are the job's inputs; they, like
+    ``runtime``, become None once the job retires.
     """
 
     tenant: int
     name: str
     program: Any
-    stdin: bytes = b""
-    files: dict[str, bytes] = field(default_factory=dict)
+    stdin: Optional[bytes] = b""
+    files: Optional[dict[str, bytes]] = field(default_factory=dict)
     max_virtual_ms: Optional[float] = None
 
     state: JobState = JobState.QUEUED

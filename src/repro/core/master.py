@@ -39,7 +39,6 @@ from repro.core.config import DQEMUConfig
 from repro.core.node import NodeRuntime
 from repro.core.scheduler import ThreadPlacer
 from repro.core.services.base import Dispatcher
-from repro.core.services.checkpoint import CheckpointService
 from repro.core.services.coherence import CoherenceService
 from repro.core.services.coordinator import CrossShardCoordinator
 from repro.core.services.failure import FailureDomainService
@@ -153,11 +152,8 @@ class MasterRuntime:
 
         # The failure domain exists only when armed: registering it eagerly
         # would add a zero "failure" row to every committed breakdown table.
-        # Checkpoints and heartbeats (docs/PROTOCOL.md "Failure detection")
-        # require evacuation_enabled, so they only come with it.
-        self.checkpoint_service = (
-            CheckpointService(self) if config.checkpoint_interval_ns is not None else None
-        )
+        # Heartbeats (docs/PROTOCOL.md "Failure detection") require
+        # evacuation_enabled, so they only come with it.
         self.failure_domain = (
             FailureDomainService(self) if failure_view is not None else None
         )
@@ -168,7 +164,7 @@ class MasterRuntime:
         shard0 = self.shards[0]
         for service in (
             self.syscalls, self.forwarding, self.futexes,
-            self.failure_domain, self.checkpoint_service, self.heartbeat_service,
+            self.failure_domain, self.heartbeat_service,
         ):
             if service is not None:
                 shard0.dispatcher.register(service)

@@ -207,7 +207,7 @@ class NodeRuntime:
         #: Fail-stop (set by FaultPlan.crash schedules, docs/PROTOCOL.md
         #: "Failure domains").
         self.crashed = False
-        #: Drain and checkpoint duties; None where neither can happen.
+        #: Drain duties; None where no drain is scheduled.
         self.failure_domain: Optional[NodeFailureDomain] = (
             NodeFailureDomain(self) if NodeFailureDomain.armed(self) else None
         )
@@ -287,7 +287,6 @@ class NodeRuntime:
         if ts.quanta == 0:  # fresh thread (not a live migration)
             ts.created_ns = self.sim.now
         th = GuestThread(cpu, ts, tenant)
-        th.last_checkpoint_ns = self.sim.now  # first snapshot waits a full interval
         bundle.threads[cpu.tid] = th
         self.trace.emit("thread", self.node_id, "start", tid=cpu.tid)
         self._requeue(th)
@@ -298,7 +297,7 @@ class NodeRuntime:
 
     def _requeue(self, th: GuestThread) -> None:
         domain = self.failure_domain
-        if domain is not None and domain.on_requeue(th):
+        if domain is not None and domain.evacuates(th):
             return
         th.state = GuestThreadState.READY
         th.enqueued_at = self.sim.now
@@ -340,7 +339,7 @@ class NodeRuntime:
             if th.state is not GuestThreadState.READY:
                 continue
             domain = self.failure_domain
-            if domain is not None and domain.diverts(th):
+            if domain is not None and domain.evacuates(th):
                 continue
             th.stats.runnable_wait_ns += self.sim.now - th.enqueued_at
             th.state = GuestThreadState.RUNNING
@@ -372,11 +371,6 @@ class NodeRuntime:
                 if len(self.runqueue) or (domain is not None and domain.draining):
                     self._requeue(th)  # other threads are waiting: yield the core
                     return
-                if domain is not None:
-                    # A solo thread keeps the core without requeueing, so
-                    # its quantum boundary is the capture point (the requeue
-                    # path handles every other scheduling boundary).
-                    domain.capture(th)
                 continue
             if kind is StopKind.PAGE_STALL:
                 self.spawn(self._resolve_stall(stop.info, th.tenant, th), self._fault_name)

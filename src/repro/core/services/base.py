@@ -112,7 +112,7 @@ class MasterService:
     name = "master"
     handled_kinds: frozenset[str] = frozenset()
     #: False on the services that never issue a request (forwarding only
-    #: pushes; checkpoint and heartbeat only receive): they get no
+    #: pushes; heartbeat only receives): they get no
     #: retransmit counter sink, so their stats row appears at registration
     #: whether or not retries are armed.
     originates_requests = True
@@ -215,7 +215,7 @@ class MasterService:
 
     def land(self, tid: int, context, target: int, why: str):
         """Put thread ``tid`` on ``target`` — the one way the master places a
-        thread (clone, migration, evacuation, restore); returns the node it
+        thread (clone, migration, evacuation); returns the node it
         landed on.
 
         Moves its record there, marks it RUNNING, emits ``why`` and ships

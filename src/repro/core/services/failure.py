@@ -119,43 +119,22 @@ class FailureDomainService(MasterService):
                 )
                 rec.evacuated.append((tid, target))
                 continue
-            # Checkpoint store (docs/PROTOCOL.md "Checkpoint/restore"): None
-            # unless checkpoint_interval_ns is armed — recovery then reaps
-            # running threads.
-            checkpoints = self.master.checkpoint_service
-            snap = checkpoints.take(tid) if checkpoints is not None else None
-            if snap is not None:
-                # A live checkpoint: roll the thread back to its last
-                # consistent cut and re-place it — the re-executed span
-                # (snapshot to detection) is the rollback distance.
-                taken_ns, context = snap
-                if waiter is not None:
-                    self.state.futexes.remove(tid)
-                rollback_ns = rec.detected_ns - taken_ns
-                target = yield from self.land(
-                    tid, context, self.pick_target(exclude=node),
-                    f"restored from checkpoint (rollback {rollback_ns / 1000:.1f}us)",
-                )
-                rec.restored.append((tid, target, rollback_ns))
-            else:
-                # Context died with the node.  Run the kernel exit path
-                # (zero clear_child_tid, wake joiners) so threads joining on
-                # it unblock with the loss reported instead of hanging.
-                if waiter is not None:
-                    self.state.futexes.remove(tid)
-                result = yield from self.master.syscalls.executor.exit_thread(tid, 137)
-                self.master.futexes.wake(result.woken)
-                rec.lost.append((tid, "context lost in crash"))
-                self.trace.emit(
-                    "thread", node, "lost in crash (reaped)", tid=tid
-                )
+            # Context died with the node.  Run the kernel exit path (zero
+            # clear_child_tid, wake joiners) so threads joining on it unblock
+            # with the loss reported instead of hanging.
+            if waiter is not None:
+                self.state.futexes.remove(tid)
+            result = yield from self.master.syscalls.executor.exit_thread(tid, 137)
+            self.master.futexes.wake(result.woken)
+            rec.lost.append((tid, "context lost in crash"))
+            self.trace.emit("thread", node, "lost in crash (reaped)", tid=tid)
         rec.recovered_ns = self.sim.now
         self.run_stats.service(self.name).busy_ns += self.sim.now - t0
 
     def pick_target(self, exclude: int = -1) -> int:
-        """The one re-placement rule — evacuation, restore, drain and spawn
-        failover: round-robin over the health tracker's usable pool, the
-        master when the pool is empty."""
+        """The one re-placement rule — evacuation, drain and spawn failover:
+        round-robin over the health tracker's usable pool, the master when
+        the pool is empty."""
         pool = self.view.usable_pool(self.master.placer.candidates, exclude)
         if not pool:
             return self.node_id  # last resort: everything runs on the master

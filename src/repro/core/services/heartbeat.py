@@ -24,8 +24,8 @@ adds the active half:
   merge in one health view instead of forking a second one.  The DOWN
   transition fires the tracker's ``on_down`` callbacks, driving
   :meth:`FailureDomainService.node_failed` exactly as an RPC-detected
-  death does: checkpoint restore, directory re-homing, waiter evacuation
-  and reaping all run without any tenant traffic touching the corpse.
+  death does: directory re-homing, waiter evacuation and reaping all
+  run without any tenant traffic touching the corpse.
 
 Detection latency is bounded by
 :meth:`DQEMUConfig.heartbeat_detection_bound_ns`: one in-flight renewal's

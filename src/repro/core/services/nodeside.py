@@ -8,8 +8,8 @@ reference to their :class:`~repro.core.node.NodeRuntime` because the state
 they act on (page store, run queue, guest threads) is shared with the
 execution engine.
 
-Beside them, :class:`NodeFailureDomain` owns a slave's drain and checkpoint
-duties; it handles no frame, so no dispatcher knows it.
+Beside them, :class:`NodeFailureDomain` owns a slave's drain; it handles
+no frame, so no dispatcher knows it.
 
 Every handler resolves the frame's tenant bundle first: page stores, split
 tables and thread tables are per-job namespaces on a multi-tenant node, and
@@ -25,7 +25,6 @@ from repro.mem.msi import MSIState
 from repro.mem.splitmap import SplitEntry
 from repro.net.messages import (
     Ack,
-    Checkpoint,
     DrainComplete,
     EvacuateThread,
     InvalidateAck,
@@ -192,15 +191,12 @@ class NodeControlService(_NodeService):
 
 
 class NodeFailureDomain:
-    """A slave's failure-domain duties and their state (docs/PROTOCOL.md
-    "Failure domains", "Checkpoint/restore"): cooperative drain and
-    crash-restore checkpoints.  Built only where one of them can happen
-    (:meth:`armed`); the node consults it when a thread is requeued or
-    dequeued."""
+    """A slave's cooperative drain (docs/PROTOCOL.md "Failure domains").
+    Built only on a node a drain is scheduled for (:meth:`armed`); the node
+    consults it when a thread is requeued or dequeued."""
 
     def __init__(self, node: "NodeRuntime") -> None:
         self.node = node
-        self.sim = node.sim
         self.config = node.config
         #: Set by the master's ``start_drain`` order: every thread reaching a
         #: scheduling point is evacuated instead of run or requeued.
@@ -210,30 +206,16 @@ class NodeFailureDomain:
 
     @staticmethod
     def armed(node: "NodeRuntime") -> bool:
-        """A drain is scheduled for ``node``, or checkpointing is on — never
-        on the master, which neither crashes nor drains."""
-        cfg = node.config
-        return node.node_id != node.master_id and (
-            cfg.checkpoint_interval_ns is not None
-            or any(n == node.node_id for n, _ in cfg.drains)
+        """A drain is scheduled for ``node`` (never the master, which
+        neither crashes nor drains)."""
+        return node.node_id != node.master_id and any(
+            n == node.node_id for n, _ in node.config.drains
         )
 
-    # -- the node's scheduling points -----------------------------------------
-
-    def on_requeue(self, th: "GuestThread") -> bool:
-        """True if ``th``, on its way back to the run queue, was evacuated."""
+    def evacuates(self, th: "GuestThread") -> bool:
+        """True if ``th``, at a scheduling point (requeued or just dequeued),
+        was evacuated instead of run: the node is draining."""
         if self.draining and not self.node.shutdown:
-            self.evacuate(th)
-            return True
-        # Every requeue is a consistent capture point: the fault or syscall
-        # that stopped the thread has fully resolved.
-        self.capture(th)
-        return False
-
-    def diverts(self, th: "GuestThread") -> bool:
-        """True if ``th``, just dequeued, was evacuated instead of run: it was
-        queued before the drain order."""
-        if self.draining:
             self.evacuate(th)
             return True
         return False
@@ -284,69 +266,3 @@ class NodeFailureDomain:
             )
         else:
             node.endpoint.send(node.master_id, done)
-
-    # -- checkpointing ------------------------------------------------------------
-
-    def capture(self, th: "GuestThread") -> None:
-        """Checkpoint ``th`` at this scheduling boundary if one is due."""
-        if self._checkpoint_due(th):
-            self._take_checkpoint(th, self.node.tenants[th.tenant])
-
-    def _checkpoint_due(self, th: "GuestThread") -> bool:
-        interval = self.config.checkpoint_interval_ns
-        return (
-            interval is not None
-            and not self.draining  # a draining node evacuates live contexts
-            and not self.node.tenants[th.tenant].finished
-            and self.sim.now - th.last_checkpoint_ns >= interval
-        )
-
-    def _take_checkpoint(self, th: "GuestThread", bundle: "NodeTenant") -> None:
-        """Snapshot ``th`` synchronously and ship it async.
-
-        The snapshot is the register context plus byte-copies of every page
-        the tenant holds Modified on this node (a superset of the thread's
-        own dirty pages), taken before the thread runs another instruction:
-        restoring it reproduces exactly the memory this thread could have
-        observed at ``taken_ns``, under any coherence protocol."""
-        node = self.node
-        taken_ns = self.sim.now
-        th.last_checkpoint_ns = taken_ns
-        context = th.cpu.snapshot()
-        store = bundle.memory.pages
-        pages = tuple(
-            (page, store.snapshot(page))
-            for page in sorted(store.pages())
-            if store.state(page) is MSIState.MODIFIED
-        )
-        bundle.run_stats.protocol.checkpoints_taken += 1
-        node.trace.emit(
-            "thread", node.node_id,
-            f"checkpoint ({len(pages)} M pages)", tid=th.tid,
-        )
-        node.spawn(
-            self._checkpoint_rpc(th.tid, taken_ns, context, pages, bundle),
-            f"ckpt@{node.node_id}",
-        )
-
-    def _checkpoint_rpc(self, tid: int, taken_ns: int, context, pages,
-                        bundle: "NodeTenant"):
-        from repro.net.rpc import RpcTimeout
-
-        node = self.node
-        proto = bundle.run_stats.protocol
-        msg = Checkpoint(
-            tid=tid, taken_ns=taken_ns, context=context, pages=pages,
-            tenant=bundle.tenant,
-        )
-        proto.checkpoint_bytes += msg.size_bytes()
-        try:
-            yield node._request(bundle, "node.checkpoint", node.master_id, msg)
-        except RpcTimeout:
-            # The master stopped answering (it is drowning): a checkpoint is
-            # best-effort, so drop this one; the next interval tries again.
-            proto.checkpoints_discarded += 1
-            node.trace.emit(
-                "thread", node.node_id, "checkpoint lost (holder timeout)",
-                tid=tid,
-            )

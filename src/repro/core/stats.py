@@ -95,14 +95,6 @@ class ProtocolStats:
     home_local_hits: int = 0  # requests fast-served at a migrated home
     home_remote_misses: int = 0  # other-node requests paying the extra hop
     adaptive_reclassifications: int = 0  # per-page protocol switches
-    #: Checkpoint/restore telemetry (docs/PROTOCOL.md "Checkpoint/restore");
-    #: all zero unless DQEMUConfig.checkpoint_interval_ns is set.
-    checkpoints_taken: int = 0  # snapshots captured at quantum boundaries
-    checkpoints_stored: int = 0  # snapshots the master landed and kept
-    checkpoints_discarded: int = 0  # node-side snapshots written off on timeout
-    checkpoint_pages_flushed: int = 0  # Modified pages folded into home copies
-    checkpoint_stale_pages: int = 0  # flushed pages skipped (ownership moved)
-    checkpoint_bytes: int = 0  # wire bytes spent shipping snapshots
     #: Active-liveness telemetry (docs/PROTOCOL.md "Failure detection");
     #: all zero unless DQEMUConfig.heartbeat_interval_ns is set.  Their wire
     #: bytes are heartbeats_sent x Heartbeat().size_bytes(); expired leases
@@ -238,10 +230,6 @@ class NodeFailure:
     recovered_ns: Optional[int] = None
     #: (tid, target node) for each live thread re-homed to a healthy peer.
     evacuated: list[tuple[int, int]] = field(default_factory=list)
-    #: (tid, target node, rollback_ns) for each running thread rolled back
-    #: to a live checkpoint and re-placed; rollback_ns is the virtual time
-    #: between the snapshot and the crash being detected — re-executed work.
-    restored: list[tuple[int, int, int]] = field(default_factory=list)
     #: (tid, reason) for each thread whose context died with the node.
     lost: list[tuple[int, str]] = field(default_factory=list)
     rehomed_pages: int = 0  # Shared copies the directory promoted elsewhere
@@ -277,22 +265,8 @@ class FailureStats:
         return sum(len(f.evacuated) for f in self.nodes.values())
 
     @property
-    def restored_threads(self) -> int:
-        return sum(len(f.restored) for f in self.nodes.values())
-
-    @property
     def lost_threads(self) -> int:
         return sum(len(f.lost) for f in self.nodes.values())
-
-    @property
-    def mean_rollback_ns(self) -> Optional[float]:
-        """Mean re-executed span across restored threads (None if none)."""
-        rollbacks = [
-            rb for f in self.nodes.values() for _, _, rb in f.restored
-        ]
-        if not rollbacks:
-            return None
-        return sum(rollbacks) / len(rollbacks)
 
     @property
     def rehomed_pages(self) -> int:
@@ -327,7 +301,6 @@ class FailureStats:
             f"n{node} {f.kind}"
             + (f" ({f.evidence})" if f.evidence else "")
             + f": {len(f.evacuated)} evacuated, "
-            + (f"{len(f.restored)} restored, " if f.restored else "")
             + f"{len(f.lost)} lost, {f.rehomed_pages} pages re-homed, "
             f"{f.lost_pages} pages lost"
             for node, f in sorted(self.nodes.items())

@@ -43,7 +43,7 @@ _POSITIVE = {"cores_per_node", "cpu_ghz", "node_cores", "node_ghz", "bandwidth_b
 _COMMUNICATION = (
     "one_way_latency_ns", "loopback_latency_ns", "dsm_service_ns", "dsm_fast_service_ns",
     "migration_penalty_ns", "slave_coherence_service_ns", "syscall_service_ns",
-    "checkpoint_service_ns", "forwarding_push_ns", "split_service_ns", "merge_service_ns",
+    "forwarding_push_ns", "split_service_ns", "merge_service_ns",
 )
 
 
@@ -80,7 +80,6 @@ class CostModel:
     forwarding_push_ns: int = 4_000  # master side, per pushed page
     split_service_ns: int = 50_000  # probe space, copy, broadcast
     merge_service_ns: int = 50_000  # undo a mis-inferred split
-    checkpoint_service_ns: int = 4_000  # land one checkpoint frame
 
     def __post_init__(self):
         for f in fields(self):

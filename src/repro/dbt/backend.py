@@ -38,8 +38,8 @@ integer local.  A shadow is *committed*, ``R[N] = <bits of fN>``, only where
 its bits can be read: before an integer read of ``N``, in the miss arm of every
 plain access (which does not clear the emitter's ``dirty`` set: the hit path
 commits nothing), before every atomic and on every ``return`` — the points at
-which anything outside the function (fault handler, migration and checkpoint
-capture, the next block) can read ``cpu.regs``, so the register file is exact
+which anything outside the function (fault handler, migration and
+evacuation, the next block) can read ``cpu.regs``, so the register file is exact
 whenever read — and on a loop's back edge only if the next trip can observe
 it ("Loop residency").  Conversions are inline: the templates of
 :mod:`repro.dbt.fpu` over ``struct``'s C accessors, which also inline the

@@ -33,7 +33,6 @@ __all__ = [
     "StartDrain",
     "EvacuateThread",
     "DrainComplete",
-    "Checkpoint",
     "Heartbeat",
     "HEADER_BYTES",
 ]
@@ -285,27 +284,6 @@ class DrainComplete(Message):
     """Slave → master: the drained node's last guest thread is gone."""
 
     kind: ClassVar[str] = "drain_complete"
-
-
-@dataclass(kw_only=True, slots=True)
-class Checkpoint(Message):
-    """Slave → master: periodic snapshot of one running thread.
-
-    Carries the register context plus byte-copies of every page the tenant
-    holds Modified on the sending node, taken synchronously at a quantum
-    boundary — the write-back barrier that makes the snapshot a consistent
-    cut (docs/PROTOCOL.md "Checkpoint/restore").  ``taken_ns`` orders
-    checkpoints for the same tid; the master keeps only the newest.
-    """
-
-    kind: ClassVar[str] = "checkpoint"
-    tid: int = 0
-    taken_ns: int = 0
-    context: Any = None  # CPUState snapshot, same blob as SpawnThread
-    pages: tuple = ()  # tuple of (page_no, bytes)
-
-    def payload_bytes(self) -> int:
-        return 1024 + sum(16 + len(data) for _, data in self.pages)
 
 
 @dataclass(kw_only=True, slots=True)

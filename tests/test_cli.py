@@ -70,15 +70,6 @@ class TestRunCli:
             [hello_file, "--forwarding", "--splitting", "--scheduler", "hint"]
         ) == 5
 
-    def test_checkpoint_flags_accepted(self, hello_file):
-        assert run_cli.main(
-            [
-                hello_file, "--slaves", "2",
-                "--rpc-timeout-ns", "2000000", "--evacuation",
-                "--checkpoint-interval-ns", "50000",
-            ]
-        ) == 5
-
     def test_stdin_file(self, tmp_path, capsys):
         src = tmp_path / "cat.s"
         src.write_text(

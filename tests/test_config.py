@@ -45,7 +45,6 @@ INVALID = [
     (CostModel, dict(forwarding_push_ns=-1), "forwarding_push_ns must be >= 0"),
     (CostModel, dict(split_service_ns=-1), "split_service_ns must be >= 0"),
     (CostModel, dict(merge_service_ns=-1), "merge_service_ns must be >= 0"),
-    (CostModel, dict(checkpoint_service_ns=-1), "checkpoint_service_ns must be >= 0"),
     # A fractional ns entered the clock through Timeout and crashed the run
     # far away (the guest's clock syscall); a count must be whole too.
     (CostModel, dict(dsm_service_ns=320_000.5), "dsm_service_ns must be an integer"),
@@ -68,7 +67,6 @@ INVALID = [
     (DQEMUConfig, dict(rpc_max_retries=-1), "rpc_max_retries must be >= 0"),
     (DQEMUConfig, dict(rpc_backoff_base_ns=-1), "rpc_backoff_base_ns must be >= 0"),
     (DQEMUConfig, dict(rpc_backoff_jitter_ns=-1), "rpc_backoff_jitter_ns must be >= 0"),
-    (DQEMUConfig, dict(checkpoint_interval_ns=0, **ARMED), "checkpoint_interval_ns must be >= 1"),
     (DQEMUConfig, dict(heartbeat_interval_ns=0, **ARMED), "heartbeat_interval_ns must be >= 1"),
     (DQEMUConfig, dict(max_concurrent_jobs=0), "max_concurrent_jobs must be >= 1"),
     (DQEMUConfig, dict(admission_queue_depth=-1), "admission_queue_depth must be >= 0"),
@@ -79,8 +77,6 @@ INVALID = [
     # -- requires edges: timeout -> retries / evacuation -> the rest --
     (DQEMUConfig, dict(rpc_max_retries=1), "rpc_max_retries needs rpc_timeout_ns"),
     (DQEMUConfig, dict(evacuation_enabled=True), "evacuation_enabled needs rpc_timeout_ns"),
-    (DQEMUConfig, dict(checkpoint_interval_ns=10_000, rpc_timeout_ns=10_000),
-     "checkpoint_interval_ns needs evacuation_enabled"),
     (DQEMUConfig, dict(heartbeat_interval_ns=1_000, rpc_timeout_ns=10_000),
      "heartbeat_interval_ns needs evacuation_enabled"),
     # -- the hand-written rule --
@@ -94,8 +90,7 @@ RULE_WORDING = {"min": "{} must be >= ", "choices": "unknown {} ", "requires": "
 SCALED = {
     "bandwidth_bps", "one_way_latency_ns", "loopback_latency_ns", "dsm_service_ns",
     "dsm_fast_service_ns", "migration_penalty_ns", "slave_coherence_service_ns",
-    "syscall_service_ns", "checkpoint_service_ns", "forwarding_push_ns", "split_service_ns",
-    "merge_service_ns",
+    "syscall_service_ns", "forwarding_push_ns", "split_service_ns", "merge_service_ns",
 }
 
 #: Fields with no command-line spelling (the cost model, a FaultPlan).
@@ -121,9 +116,7 @@ def test_every_tabled_rule_has_a_row():
 
 
 def test_the_whole_dependency_chain_armed_is_valid():
-    cfg = DQEMUConfig(
-        rpc_max_retries=2, checkpoint_interval_ns=10_000, heartbeat_interval_ns=1_000, **ARMED,
-    )
+    cfg = DQEMUConfig(rpc_max_retries=2, heartbeat_interval_ns=1_000, **ARMED)
     assert cfg.heartbeat_lease_ns == 4_000
 
 
@@ -148,7 +141,7 @@ def test_time_scaled_moves_exactly_the_scaled_fields(k):
     assert scaled.migration_penalty_ns == 0
     # A duration the user chose means what it says at any scale.
     cfg = DQEMUConfig(
-        rpc_max_retries=2, checkpoint_interval_ns=7_000, heartbeat_interval_ns=3,
+        rpc_max_retries=2, rpc_backoff_base_ns=7_000, heartbeat_interval_ns=3,
         coherence_protocol="migrate", **ARMED,
     )
     assert cfg.time_scaled(k) == replace(cfg, cost=cfg.cost.scaled(k))

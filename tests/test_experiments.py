@@ -83,12 +83,12 @@ class TestReferenceFractions:
         cell = Cell(
             "c", comm_scale=100.0, ref="clean",
             config=dict(rpc_timeout_ns=20_000, evacuation_enabled=True),
-            ref_fracs=dict(heartbeat_interval_ns=0.01, checkpoint_interval_ns=0.1),
+            ref_fracs=dict(heartbeat_interval_ns=0.01, rpc_backoff_base_ns=0.1),
         )
         cfg = build_config(cell, self.REF)
         # Post-scale: 1% of the reference run, not 1% / 100.
         assert cfg.heartbeat_interval_ns == 10_000
-        assert cfg.checkpoint_interval_ns == 100_000
+        assert cfg.rpc_backoff_base_ns == 100_000
         # ...while the fabric constants did scale.
         assert cfg.cost.one_way_latency_ns == DQEMUConfig().cost.one_way_latency_ns // 100
 

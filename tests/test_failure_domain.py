@@ -17,7 +17,7 @@ from repro import Cluster, DQEMUConfig, FaultPlan, ServiceTimeout
 from repro.analysis.reporting import FAILURE_COLUMNS, render_service_breakdown
 from repro.core.scheduler import ThreadPlacer
 from repro.cost import CostModel
-from repro.errors import ConfigError
+from repro.errors import ConfigError, InvalidInstruction, SegmentationFault
 from repro.mem.directory import Directory
 from repro.net import Endpoint, Fabric
 from repro.net.faults import FaultInjector, drop
@@ -384,11 +384,6 @@ ARMING = {
         _EVAC, _MASTER + " failure", True, [], [], False,
         _ARMED_ROWS.format(node=""),
     ),
-    "checkpoint": (
-        dict(_EVAC, checkpoint_interval_ns=20_000),
-        _MASTER + " failure checkpoint", True, [1, 2, 3], [], False,
-        _ARMED_ROWS.format(node="") + " checkpoint node.checkpoint",
-    ),
     "heartbeat": (
         dict(_EVAC, heartbeat_interval_ns=20_000),
         _MASTER + " failure heartbeat", True, [], [1, 2, 3], False,
@@ -643,12 +638,12 @@ class TestCoherenceProtocolCrashes:
         assert r.failures.nodes[1].kind == "crash"
 
 
-# -- evacuation/restore target selection (health-latched) ----------------------
+# -- evacuation target selection (health-latched) ------------------------------
 
 
 class TestEvacuationTargeting:
     """Regression: the failure domain's round-robin cursor must consult the
-    latched health view — a restored or evacuated thread landing on a
+    latched health view — an evacuated thread landing on a
     suspect or draining node risks a second evacuation moments later."""
 
     def _svc(self, tracker, candidates=(1, 2, 3)):
@@ -694,120 +689,20 @@ class TestEvacuationTargeting:
         assert svc.pick_target(exclude=1) == 0
 
 
-# -- checkpoint/restore --------------------------------------------------------
+# -- heartbeats under a fault-heavy guest -------------------------------------
+
+def _loaded(pages_per_thread=32):
+    """The host benchmark's fault_storm guest: every worker read-increment-
+    writes its private pages, plus its byte of one shared page every 8 steps.
+    Closed-form checksum: 8 * 4 * pages + 8 * (4 * pages // 8) = 36 * pages."""
+    return memaccess.build_private_rmw(
+        n_threads=8, n_nodes=4, pages_per_thread=pages_per_thread, passes=1,
+        stride=1024, shared_beat=8,
+    )
 
 
-class TestCheckpointRestore:
-    ARMED = dict(evacuation_enabled=True, health_aware_placement=True)
-
-    def _interval(self, frac=0.05):
-        return max(1, int(_clean().virtual_ns * frac))
-
-    def test_crash_restores_every_thread(self):
-        crash_at = int(_clean().virtual_ns * 0.35)
-        plan = FaultPlan.crash(1, crash_at, seed=1)
-        r = _run(
-            fault_plan=plan, checkpoint_interval_ns=self._interval(),
-            **self.ARMED, **RELIABLE,
-        )
-        assert r.exit_code == 0
-        rec = r.failures.nodes[1]
-        assert rec.restored and not rec.lost and not rec.evacuated
-        # Private worker state: rollback re-executes to the exact answers.
-        assert r.stdout == _clean().stdout
-        assert _failure_row(r)["restored"] == str(len(rec.restored))
-        for tid, target, rollback_ns in rec.restored:
-            assert target != 1 and rollback_ns > 0
-        assert r.failures.restored_threads == len(rec.restored)
-        assert r.failures.mean_rollback_ns > 0
-        assert "restored" in r.failures.describe()
-        p = r.stats.protocol
-        assert p.checkpoints_taken >= p.checkpoints_stored > 0
-        assert p.checkpoint_bytes > 0
-        # Shipped checkpoints bill their retransmits to their own row.
-        assert "node.checkpoint" in r.stats.services
-
-    def test_rollback_shrinks_with_the_interval(self):
-        crash_at = int(_clean().virtual_ns * 0.35)
-        plan = FaultPlan.crash(1, crash_at, seed=1)
-        rollbacks, wire = [], []
-        for frac in (0.02, 0.15):
-            r = _run(
-                fault_plan=plan, checkpoint_interval_ns=self._interval(frac),
-                **self.ARMED, **RELIABLE,
-            )
-            assert r.exit_code == 0
-            rollbacks.append(r.failures.mean_rollback_ns)
-            wire.append(r.stats.protocol.checkpoint_bytes)
-        assert rollbacks[0] is not None and rollbacks[1] is not None
-        assert rollbacks[0] < rollbacks[1]  # tighter interval, shorter redo
-        assert wire[0] > wire[1]  # paid for with checkpoint wire bytes
-
-    def test_crash_mid_snapshot_discards_the_in_flight_frame(self):
-        # Kill the victim the instant it emits a checkpoint: the frame is
-        # still on the wire when the node dies.  The master must either
-        # never see it (dropped by the fault rules) or discard it on
-        # arrival (posthumous frames cannot resurrect state); recovery
-        # restores from the last *stored* snapshot or reaps.
-        crash_at = int(_clean().virtual_ns * 0.35)
-        probe = _run(
-            fault_plan=FaultPlan.crash(1, crash_at, seed=1),
-            checkpoint_interval_ns=self._interval(0.02),
-            trace=True, **self.ARMED, **RELIABLE,
-        )
-        takes = [
-            ev for ev in probe.trace.events
-            if ev.node == 1 and ev.what.startswith("checkpoint (")
-        ]
-        assert takes, "victim never checkpointed before the crash"
-        plan = FaultPlan.crash(1, int(takes[-1].ts_ns) + 1, seed=1)
-        r = _run(
-            fault_plan=plan, checkpoint_interval_ns=self._interval(0.02),
-            **self.ARMED, **RELIABLE,
-        )
-        assert r.exit_code == 0
-        rec = r.failures.nodes[1]
-        # Every thread is accounted for, and any restore used a snapshot
-        # from strictly before the crash (positive rollback).
-        assert len(rec.restored) + len(rec.lost) + len(rec.evacuated) > 0
-        for _tid, _target, rollback_ns in rec.restored:
-            assert rollback_ns > 0
-
-    @pytest.mark.parametrize("protocol", ["msi", "mesi", "migrate", "adaptive"])
-    def test_restore_under_crash_per_protocol(self, protocol):
-        harness = TestCoherenceProtocolCrashes()
-        clean = harness._rmw_run(protocol)
-        plan = FaultPlan.crash(2, int(clean.virtual_ns * 0.4), seed=3)
-        r = harness._rmw_run(
-            protocol, fault_plan=plan,
-            checkpoint_interval_ns=max(1, int(clean.virtual_ns * 0.05)),
-            **self.ARMED, **RELIABLE,
-        )
-        assert r.exit_code == 0
-        rec = r.failures.nodes[2]
-        assert rec.restored and not rec.lost
-        for _tid, target, rollback_ns in rec.restored:
-            assert target != 2 and rollback_ns > 0
-
-    def test_default_run_has_no_checkpoint_rows(self):
-        plain = _clean()
-        assert "checkpoint" not in plain.stats.services
-        assert "node.checkpoint" not in plain.stats.services
-        assert plain.stats.protocol.checkpoints_taken == 0
-
-
-# -- checkpointing under a fault-heavy guest (open bug, ROADMAP item 1) --------
-
-#: The host benchmark's fault_storm guest at 32 pages per thread: every worker
-#: read-increment-writes its private pages, plus its byte of one shared page
-#: every 8 steps.  Closed-form checksum: 8 * 128 + 8 * (128 // 8) = 1152.
-LOADED = dict(
-    n_threads=8, n_nodes=4, pages_per_thread=32, passes=1, stride=1024, shared_beat=8
-)
-LOADED_CHECKSUM = "1152"
-#: Every correct default-off feature armed at once (the host benchmark's
-#: full-stack config), plus crash-restore checkpoints every 5 ms.
-CHECKPOINTED = DQEMUConfig(
+#: The host benchmark's reliability settings, with a 2 ms lease.
+LIVENESS = dict(
     rpc_timeout_ns=50_000_000,
     rpc_max_retries=4,
     rpc_backoff_base_ns=10_000,
@@ -815,53 +710,58 @@ CHECKPOINTED = DQEMUConfig(
     evacuation_enabled=True,
     health_aware_placement=True,
     heartbeat_interval_ns=500_000,
+)
+#: Every correct default-off feature armed at once (the host benchmark's
+#: full-stack config).
+FULL_STACK = DQEMUConfig(
+    **LIVENESS,
     master_shards=2,
     coherence_protocol="adaptive",
     forwarding_enabled=True,
     splitting_enabled=True,
     superblock_threshold=8,
     fusion_enabled=True,
-    checkpoint_interval_ns=5_000_000,
 )
 
 
-class TestCheckpointUnderLoad:
-    """Fault-free runs must print the oracle's checksum and latch no failure.
+class TestHeartbeatsUnderLoad:
+    """A fault-free run prints the oracle's checksum and latches no node:
+    the guest's page traffic never starves a healthy slave's renewals."""
 
-    With checkpoints and heartbeats both armed they do not: the master
-    expires the leases of healthy slaves.  The two failing cells are pinned
-    as strict xfails, so fixing the bug turns them into errors to promote.
-    """
-
-    @staticmethod
-    def _run(**overrides):
-        return Cluster(4, CHECKPOINTED.with_options(**overrides)).run(
-            memaccess.build_private_rmw(**LOADED)
+    @pytest.mark.parametrize("protocol", ["adaptive", "msi"])
+    @pytest.mark.parametrize("pages", [32, 128])
+    def test_full_stack(self, pages, protocol):
+        r = Cluster(4, FULL_STACK.with_options(coherence_protocol=protocol)).run(
+            _loaded(pages)
         )
-
-    @staticmethod
-    def _assert_oracle(r):
         assert r.exit_code == 0
-        assert r.stdout.splitlines()[-1] == LOADED_CHECKSUM
+        assert r.stdout.splitlines()[-1] == str(36 * pages)
         assert not r.failures.nodes
 
-    @pytest.mark.xfail(
-        strict=True, raises=ServiceTimeout,
-        reason="healthy slaves lose their leases; re-placing their threads now "
-               "fails over, and a page request times out ('page_request', req 765)",
-    )
-    def test_full_stack(self):
-        self._assert_oracle(self._run())
 
-    @pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="exits 0 with checksum 867: all four slaves latched failed "
-               "on lease expiry",
-    )
-    def test_full_stack_msi(self):
-        self._assert_oracle(self._run(coherence_protocol="msi"))
+class TestHeartbeatMute:
+    """Slave 1 stays alive but its renewals are dropped from ``mute_ns`` on.
+    The run must print the oracle, or latch exactly node 1 on lease expiry
+    and account for its threads: never an error nobody attributed."""
 
-    def test_heartbeats_off_is_correct(self):
-        """The control: without heartbeats the same run is correct, so they
-        are a necessary ingredient of the bug."""
-        self._assert_oracle(self._run(heartbeat_interval_ns=None))
+    @pytest.mark.parametrize("protocol, mute_ns", [
+        ("msi", 5_000_000),
+        pytest.param("msi", 1_000_000, marks=pytest.mark.xfail(
+            strict=True, raises=InvalidInstruction,
+            reason="unattributed InvalidInstruction: undefined opcode 0x0",
+        )),
+        pytest.param("adaptive", 10_000_000, marks=pytest.mark.xfail(
+            strict=True, raises=SegmentationFault,
+            reason="unattributed SegmentationFault: no copy of page 0x113",
+        )),
+    ])
+    def test_mute_is_latched_or_harmless(self, protocol, mute_ns):
+        plan = FaultPlan.of(drop(kinds=("heartbeat",), src=1, after_ns=mute_ns))
+        cfg = DQEMUConfig(**LIVENESS, coherence_protocol=protocol, fault_plan=plan)
+        r = Cluster(4, cfg).run(_loaded())
+        if r.exit_code == 0 and r.stdout.splitlines()[-1] == str(36 * 32) and not r.failures.nodes:
+            return
+        assert list(r.failures.nodes) == [1]
+        rec = r.failures.nodes[1]
+        assert rec.kind == "crash" and rec.evidence == "lease-expiry"
+        assert len(rec.evacuated) + len(rec.lost) > 0

@@ -183,6 +183,7 @@ class TestRetirement:
         fleet = cluster._fleet
         job = cluster.jobs[0]
         assert job.runtime is None and job.result is first
+        assert job.program is job.stdin is job.files is None  # its inputs too
         assert all(0 not in node.tenants for node in fleet.nodes.values())
         assert cluster.directories.tenants() == (1,)
         mailboxes = [k for k in fleet.nodes[0].endpoint._queues if k != "comm"]

@@ -105,7 +105,7 @@ class TestDispatcher:
 
 #: Every kind a master-side service handles: the frames a slave sends in.
 MASTER_KINDS = (
-    "page_request", "syscall_request", "checkpoint", "heartbeat",
+    "page_request", "syscall_request", "heartbeat",
     "evacuate_thread", "drain_complete", "merge_request",
 )
 
