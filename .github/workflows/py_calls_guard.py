@@ -28,13 +28,26 @@ when that entry is the very next one in ``(time, seq)`` order, so which call
 processes an entry follows from the entries and the rule alone, never from
 timing (docs/SIMULATION.md "Event kernel").
 
+``MEMO_BYTES_PER_ENTRY`` is the memory twin of the translation counts: the
+bytes ``repro.dbt.memo`` holds per entry after ``cold_start``'s 22 jobs (seed
+0, 255 entries), traced in-process with ``tracemalloc`` — what a memo entry
+frees when the memo is cleared.  An entry keeps the compiled function and the
+words it was made from; keeping a by-product of translation again (the
+block's IR, its source text) moves it by kilobytes.  Allocation sizes depend
+on the Python version; the ceiling is for the 3.11 CI runs.
+
 Each ceiling is the value measured by the PR that last lowered it, plus 5 %.
 Lower a ceiling when a PR lowers the count; raise one only with a reason.
 """
 
+import gc
 import json
+import pathlib
 import subprocess
 import sys
+import tracemalloc
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 CALLS = "prof.py_calls_per_kinsn"
 #: workload -> metric -> ceiling (PR 18 measured 255 blocks on cold_start,
@@ -57,7 +70,10 @@ CALLS = "prof.py_calls_per_kinsn"
 #: only the bookkeeping a frame can still read (page locks while held, one
 #: object per distinct sharer set, tombstones and served ids only where frames
 #: can repeat) measured 17.2, 155.1, 362.4, 936.4, 11449.2 and 472.2, against
-#: 17.3, 155.5, 362.8, 944.8, 11742.3 and 472.2 before it).
+#: 17.3, 155.5, 362.8, 944.8, 11742.3 and 472.2 before it; a memo entry that
+#: keeps no IR or source, with a superblock's members lowered again from their
+#: words on a miss, measured 17.2, 155.2, 362.5, 940.2, 11451.5 and 473.9,
+#: against 17.2, 155.2, 362.5, 940.6, 11450.5 and 472.6 before it).
 CEILINGS = {
     "mem_read_walk": {CALLS: 18.1},
     "mem_rmw_walk": {CALLS: 162.9},
@@ -66,6 +82,10 @@ CEILINGS = {
     "fault_storm": {CALLS: 12021.7},
     "full_stack_pipeline": {CALLS: 495.8},
 }
+#: Ceiling on the memo's traced bytes per entry after ``cold_start``'s jobs
+#: (dropping the retained IR and source text measured 3,352.3, against 9,534.0
+#: before it).
+MEMO_BYTES_PER_ENTRY = 3520
 #: workload -> metric -> the exact value it must keep.
 EQUALITIES = {
     "fault_storm": {
@@ -88,8 +108,35 @@ def measure(workload: str) -> dict:
     return result["metrics"]
 
 
+def memo_bytes_per_entry() -> float:
+    """Traced bytes the translation memo frees per entry when it is cleared
+    after ``cold_start``'s jobs (seed 0), each built and run in this process."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+    from benchmarks.host import workloads
+    from repro import Cluster
+    from repro.dbt import memo
+
+    tracemalloc.start()
+    try:
+        for job in workloads.plan("cold_start", 0):
+            Cluster(job.n_slaves, job.config).run(job.build())
+        gc.collect()
+        entries = len(memo._translations)
+        held = tracemalloc.get_traced_memory()[0]
+        memo.clear()
+        gc.collect()
+        return (held - tracemalloc.get_traced_memory()[0]) / entries
+    finally:
+        tracemalloc.stop()
+
+
 def main() -> int:
     bad = 0
+    value = memo_bytes_per_entry()
+    verdict = "ok" if value <= MEMO_BYTES_PER_ENTRY else "OVER"
+    print(f"{'cold_start':<16} {'memo bytes per entry':<26} {value:8.1f}  "
+          f"ceiling {MEMO_BYTES_PER_ENTRY:8.1f}  {verdict}")
+    bad += value > MEMO_BYTES_PER_ENTRY
     for workload, ceilings in CEILINGS.items():
         metrics = measure(workload)
         for metric, ceiling in ceilings.items():

@@ -435,11 +435,11 @@ class Cluster:
 
     def _retire(self, job: Job) -> None:
         """The job is over on the master and every node acked its Shutdown:
-        free all of it but its record and its fabric slice
-        (docs/PROTOCOL.md "Job lifecycle")."""
+        free all of it but its record, and fold its fabric slice into the
+        fleet's retired total (docs/PROTOCOL.md "Job lifecycle")."""
         fleet = self._fleet
         tenant = job.tenant
-        fleet.fabric.retired.add(tenant)
+        fleet.fabric.retire(tenant)
         for node in fleet.nodes.values():
             del node.tenants[tenant]
         master = job.runtime.master

@@ -305,15 +305,21 @@ class CoherenceService(MasterService):
                 else:
                     yield from self._pull(fetch_from, WriteBack(page=page))
                     proto.downgrades += 1
+            invalidated = ()
             if plan.invalidate:
                 others = [n for n in plan.invalidate if n != plan.fetch_from]
                 if others:
-                    yield from self._invalidate(page, others)
+                    invalidated = yield from self._invalidate(page, others)
 
             if self._dead(node):
                 # The requester died while we were serving it: do not commit
-                # a grant to a dead node (the eviction already scrubbed it).
+                # a grant to a dead node (the eviction already scrubbed it),
+                # but do record the copies already taken away.
                 proto.dead_peer_skips += 1
+                for peer in invalidated:
+                    self.directory.drop_node(peer, page)
+                if write and fetch_from is not None:
+                    self.directory.drop_node(fetch_from, page)
                 return
             if write:
                 if was_sharer:

@@ -121,7 +121,7 @@ from typing import Callable, Optional
 
 from repro.dbt import fpu
 from repro.dbt import runtime as rt
-from repro.dbt.frontend import BlockIR
+from repro.dbt.frontend import BlockIR, Frontend
 from repro.dbt.stop import RC_STALL
 from repro.dbt.tcg import TERMINALS, InstrIR, TCGOp
 from repro.mem.flat import PACK, UNPACK
@@ -193,8 +193,8 @@ _BIN_EXPR = {
 
 @dataclass(eq=False)
 class TranslationBlock:
-    """A compiled block: guest extent, host function, and the source kept for
-    diagnostics (``/proc``-style introspection and tests).
+    """A compiled block: guest extent, host function, and the guest words it
+    was compiled from.
 
     ``eq=False`` keeps object-identity hashing so blocks can sit in the
     chain-backlink sets the code cache maintains for unchaining.
@@ -202,14 +202,18 @@ class TranslationBlock:
     The translation (every field down to ``loops``) is a function of the
     guest words alone and is never written after ``compile``; the fields
     below it are one engine's execution state.  :meth:`fresh` gives an engine
-    its own block over a translation made for any other.
+    its own block over a translation made for any other.  What translation
+    makes on the way — IR, source text — is not kept: lowering is a pure
+    function of ``words``, and :attr:`source` emits the text again from them.
     """
 
     pc: int
     n_insns: int
     end_pc: int  # first byte past the last guest instruction
     fn: Callable
-    source: str
+    #: What it was compiled from, and with the fusion flag its memo key: the
+    #: block's instruction words, or a superblock's members' ``(pc, words)``.
+    words: tuple = ()
     #: Statically-known successor entry pcs (empty for indirect jumps).
     succ_pcs: tuple[int, ...] = ()
     #: Guest pages this block's code spans (union over members for
@@ -219,8 +223,6 @@ class TranslationBlock:
     #: the cumulative index of the pair's second instruction.  A group whose
     #: second instruction completed is billed as one host operation.
     fused: tuple[tuple[int, str], ...] = ()
-    #: Unfused block IR, kept so superblock formation can re-stitch it.
-    ir: Optional[BlockIR] = None
     is_superblock: bool = False
     member_pcs: tuple[int, ...] = ()
     #: ``(pattern, groups of it in fused)``: what one complete entry adds to
@@ -245,10 +247,23 @@ class TranslationBlock:
         its own: never run, chained to nothing."""
         return TranslationBlock(
             pc=self.pc, n_insns=self.n_insns, end_pc=self.end_pc, fn=self.fn,
-            source=self.source, succ_pcs=self.succ_pcs, pages=self.pages, fused=self.fused,
-            ir=self.ir, is_superblock=self.is_superblock, member_pcs=self.member_pcs,
+            words=self.words, succ_pcs=self.succ_pcs, pages=self.pages, fused=self.fused,
+            is_superblock=self.is_superblock, member_pcs=self.member_pcs,
             fused_counts=self.fused_counts, loops=self.loops,
         )
+
+    @property
+    def source(self) -> str:
+        """The text of ``fn``, emitted again from ``words`` (diagnostics and
+        tests; execution never reads it).  It was compiled with fusion iff a
+        group fused: with none, fusion rewrites no instruction."""
+        fusion = bool(self.fused)
+        if self.is_superblock:
+            members = [Frontend.lower_block(pc, words) for pc, words in self.words]
+            em, _ = _emit_superblock(members, fusion)
+        else:
+            em, _ = _emit_block(Frontend.lower_block(self.pc, self.words), fusion)
+        return em.text()
 
 
 def _page_span(pc: int, end_pc: int) -> tuple[int, ...]:
@@ -381,25 +396,8 @@ class Backend:
     """TCG-to-Python compiler.  Stateless: equal IR compiles to equal source."""
 
     def compile(self, block: BlockIR, *, fusion: bool = False) -> TranslationBlock:
-        instrs, groups = _fused(block, fusion)
-        succ_pcs = _successors(instrs, block.next_pc)
-        loops = block.pc in succ_pcs
-        em = _Emitter(block.pc if loops else None)
-        em.body(instrs, 0, None, block.next_pc, set())
-        fn, src = em.function(f"tb_{block.pc:x}", f"<tb@{block.pc:#x}>")
-        return TranslationBlock(
-            pc=block.pc,
-            n_insns=len(instrs),
-            end_pc=block.next_pc,
-            fn=fn,
-            source=src,
-            succ_pcs=succ_pcs,
-            pages=_page_span(block.pc, block.next_pc),
-            fused=tuple(groups),
-            ir=block,
-            fused_counts=_pattern_counts(groups),
-            loops=loops,
-        )
+        em, fields = _emit_block(block, fusion)
+        return TranslationBlock(fn=em.function(), **fields)
 
     def compile_superblock(
         self, members: list[BlockIR], *, fusion: bool = False
@@ -414,38 +412,62 @@ class Backend:
         up to the trace-length cap), and a tail that can branch to the head
         makes the whole trace loop in place.
         """
-        head = members[0]
-        fused = [_fused(block, fusion) for block in members]
-        tail_succs = _successors(fused[-1][0], members[-1].next_pc)
-        loops = head.pc in tail_succs
-        em = _Emitter(head.pc if loops else None)
-        groups_all: list[tuple[int, str]] = []
-        side_exits: set[int] = set()
-        pages: set[int] = set()
-        base = 0
-        for mi, (block, (instrs, groups)) in enumerate(zip(members, fused)):
-            groups_all.extend((base + end, pat) for end, pat in groups)
-            pages.update(_page_span(block.pc, block.next_pc))
-            next_entry = members[mi + 1].pc if mi + 1 < len(members) else None
-            em.lines.append(f"# member {mi}: block {block.pc:#x}")
-            em.body(instrs, base, next_entry, block.next_pc, side_exits)
-            base += len(instrs)
-        fn, src = em.function(f"sb_{head.pc:x}", f"<sb@{head.pc:#x}>")
-        return TranslationBlock(
-            pc=head.pc,
-            n_insns=base,
-            end_pc=head.next_pc,
-            fn=fn,
-            source=src,
-            succ_pcs=tuple(sorted(set(tail_succs) | side_exits)),
-            pages=tuple(sorted(pages)),
-            fused=tuple(groups_all),
-            ir=None,
-            is_superblock=True,
-            member_pcs=tuple(b.pc for b in members),
-            fused_counts=_pattern_counts(groups_all),
-            loops=loops,
-        )
+        em, fields = _emit_superblock(members, fusion)
+        return TranslationBlock(fn=em.function(), **fields)
+
+
+def _emit_block(block: BlockIR, fusion: bool) -> tuple["_Emitter", dict]:
+    """The emitted (not yet compiled) function of ``block``, and the fields
+    of its :class:`TranslationBlock` but ``fn``."""
+    instrs, groups = _fused(block, fusion)
+    succ_pcs = _successors(instrs, block.next_pc)
+    loops = block.pc in succ_pcs
+    em = _Emitter("tb", block.pc, loops)
+    em.body(instrs, 0, None, block.next_pc, set())
+    return em, dict(
+        pc=block.pc,
+        n_insns=len(instrs),
+        end_pc=block.next_pc,
+        words=block.words,
+        succ_pcs=succ_pcs,
+        pages=_page_span(block.pc, block.next_pc),
+        fused=tuple(groups),
+        fused_counts=_pattern_counts(groups),
+        loops=loops,
+    )
+
+
+def _emit_superblock(members: list[BlockIR], fusion: bool) -> tuple["_Emitter", dict]:
+    """:func:`_emit_block` for a trace (:meth:`Backend.compile_superblock`)."""
+    head = members[0]
+    fused = [_fused(block, fusion) for block in members]
+    tail_succs = _successors(fused[-1][0], members[-1].next_pc)
+    loops = head.pc in tail_succs
+    em = _Emitter("sb", head.pc, loops)
+    groups_all: list[tuple[int, str]] = []
+    side_exits: set[int] = set()
+    pages: set[int] = set()
+    base = 0
+    for mi, (block, (instrs, groups)) in enumerate(zip(members, fused)):
+        groups_all.extend((base + end, pat) for end, pat in groups)
+        pages.update(_page_span(block.pc, block.next_pc))
+        next_entry = members[mi + 1].pc if mi + 1 < len(members) else None
+        em.lines.append(f"# member {mi}: block {block.pc:#x}")
+        em.body(instrs, base, next_entry, block.next_pc, side_exits)
+        base += len(instrs)
+    return em, dict(
+        pc=head.pc,
+        n_insns=base,
+        end_pc=head.next_pc,
+        words=tuple((block.pc, block.words) for block in members),
+        succ_pcs=tuple(sorted(set(tail_succs) | side_exits)),
+        pages=tuple(sorted(pages)),
+        fused=tuple(groups_all),
+        is_superblock=True,
+        member_pcs=tuple(block.pc for block in members),
+        fused_counts=_pattern_counts(groups_all),
+        loops=loops,
+    )
 
 
 def _pattern_counts(groups: list[tuple[int, str]]) -> tuple[tuple[str, int], ...]:
@@ -484,10 +506,13 @@ class _Emitter:
     ("Float shadow"), and — for a function that loops — what its pre-header
     binds ("Loop residency"; module docstring for all three)."""
 
-    def __init__(self, head: Optional[int] = None) -> None:
+    def __init__(self, kind: str, pc: int, loops: bool) -> None:
+        #: ``tb_<pc>`` resp. ``sb_<pc>``, compiled as if from ``<tb@0x<pc>>``.
+        self.name = f"{kind}_{pc:x}"
+        self.filename = f"<{kind}@{pc:#x}>"
         #: The entry pc when the function's own exit can re-enter it (it is
         #: then emitted as a loop), else ``None``.
-        self.head = head
+        self.head = pc if loops else None
         self.lines: list[str] = []
         #: Bindings made once, before the loop: registers whose first access
         #: in the body is a read (so their value there is their value on entry).
@@ -519,19 +544,22 @@ class _Emitter:
         #: :data:`MEM_VIEW` locals the emitted resident tests read.
         self.views: set[str] = set()
 
-    def function(self, name: str, filename: str) -> tuple[Callable, str]:
-        """The emitted lines as a compiled ``name(cpu, mem, n)`` and its
-        source; only a looping function reads ``n``, its allowance."""
+    def text(self) -> str:
+        """The emitted lines as the source of ``name(cpu, mem, n)``; only a
+        looping function reads ``n``, its allowance."""
         entry = ["R = cpu.regs"]
         entry += [f"{v} = mem.{attr}" for v, attr in MEM_VIEW.items() if v in self.views]
         body = self.lines
         if self.head is not None:
             entry += self.pre + ["i = 0", "while True:"]
             body = ["    " + ln for ln in body]
-        src = f"def {name}(cpu, mem, n):\n" + "".join(f"    {ln}\n" for ln in entry + body)
+        return f"def {self.name}(cpu, mem, n):\n" + "".join(f"    {ln}\n" for ln in entry + body)
+
+    def function(self) -> Callable:
+        """:meth:`text`, compiled; the text is not kept."""
         ns: dict = {}
-        exec(compile(src, filename, "exec"), _CODEGEN_GLOBALS, ns)
-        return ns[name], src
+        exec(compile(self.text(), self.filename, "exec"), _CODEGEN_GLOBALS, ns)
+        return ns[self.name]
 
     # -- operands -------------------------------------------------------------
 

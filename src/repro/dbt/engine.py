@@ -330,14 +330,14 @@ class ExecutionEngine:
             # Hottest successor; ties break to the lowest pc (deterministic).
             pc = min(cur.edges, key=lambda p: (-cur.edges[p], p))
             nxt = self.cache.peek(pc)
-            if nxt is None or nxt.is_superblock or nxt.ir is None:
+            if nxt is None or nxt.is_superblock:
                 break
             trace.append(nxt)
             cur = nxt
         if len(trace) < 2:
             head.no_promote = True
             return 0.0
-        sb = memo.superblock(self.backend, [tb.ir for tb in trace], self.fusion)
+        sb = memo.superblock(self.frontend, self.backend, trace, self.fusion)
         self.cache.promote(sb)
         self.superblocks_formed += 1
         self.insns_translated += sb.n_insns

@@ -101,18 +101,21 @@ class Frontend:
                 break
         return tuple(words)
 
-    def lower_block(self, pc: int, words: tuple[int, ...]) -> BlockIR:
-        """IR of the block ``words`` forms at ``pc``; reads no memory."""
+    @staticmethod
+    def lower_block(pc: int, words: tuple[int, ...]) -> BlockIR:
+        """IR of the block ``words`` forms at ``pc``; reads no memory, so it
+        needs no frontend to call it."""
         next_pc = pc + len(words) * INSTR_BYTES
         instrs = [
-            self.lower(decode(word, pc=cur), cur)
+            Frontend.lower(decode(word, pc=cur), cur)
             for cur, word in zip(range(pc, next_pc, INSTR_BYTES), words)
         ]
         return BlockIR(pc=pc, instrs=instrs, next_pc=next_pc, words=words)
 
     # -- lowering ----------------------------------------------------------------
 
-    def lower(self, instr: Instruction, pc: int) -> InstrIR:
+    @staticmethod
+    def lower(instr: Instruction, pc: int) -> InstrIR:
         """Lower one guest instruction to micro-ops."""
         ops: list[TCGOp] = []
         m = instr.spec.mnemonic

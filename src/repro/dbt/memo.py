@@ -9,8 +9,16 @@ words, fusion flag)*: ``Frontend.lower_block`` reads no memory and
 arguments and bind nothing else.  So the host work — decode, lower, emit,
 ``compile()`` — is done once per distinct key and every engine that meets the
 same words at the same pc gets a :meth:`~TranslationBlock.fresh` block around
-the shared function, source and IR, with chain links, edge counts and
-``exec_count`` of its own.
+the shared function, with chain links, edge counts and ``exec_count`` of its
+own.
+
+An entry keeps what execution and chaining read — the function, its extent,
+successors, pages, fused groups — and the words it was made from, nothing
+that translation made on the way: as in QEMU, where TCG ops live only while
+a block is being generated, the IR and the source text are dropped once the
+function is compiled.  A superblock's members are lowered again from their
+words when it is compiled, and ``TranslationBlock.source`` emits its text
+again when a diagnostic asks for it.
 
 The key is content, never identity: no program, tenant, node or memory
 object is in it, so a rewritten or re-fetched code page can only hit a
@@ -25,13 +33,14 @@ and counts the insertion for every block it receives (``docs/SIMULATION.md``).
 from __future__ import annotations
 
 from repro.dbt.backend import Backend, TranslationBlock
-from repro.dbt.frontend import BlockIR, Frontend
+from repro.dbt.frontend import Frontend
 
 __all__ = ["LIMIT", "block", "clear", "superblock"]
 
 #: Translations kept; past it the oldest goes.  Eviction costs one
 #: re-translation, never correctness.  (All 20 experiments together make
-#: under 500; an entry is ~20 KB of source, code object and IR.)
+#: under 500; after ``cold_start``'s 22 jobs an entry holds ~3.3 KB, most of
+#: it the code object.)
 LIMIT = 4096
 
 #: key → the translation as compiled.  A stored block is a template: it is
@@ -62,10 +71,16 @@ def block(frontend: Frontend, backend: Backend, pc: int, fusion: bool) -> Transl
     )
 
 
-def superblock(backend: Backend, members: list[BlockIR], fusion: bool) -> TranslationBlock:
-    """The superblock stitched from ``members``, keyed by what they were
-    lowered from (a pair, where a block's key is a triple)."""
-    return _shared(
-        (tuple((ir.pc, ir.words) for ir in members), fusion),
-        lambda: backend.compile_superblock(members, fusion=fusion),
-    )
+def superblock(
+    frontend: Frontend, backend: Backend, members: list[TranslationBlock], fusion: bool
+) -> TranslationBlock:
+    """The superblock stitched from the plain blocks ``members``, keyed by
+    their ``(pc, words)`` pairs (a pair, where a block's key is a triple) and
+    lowered from them only on a miss — once per distinct member."""
+    words = tuple((tb.pc, tb.words) for tb in members)
+
+    def translate() -> TranslationBlock:
+        lowered = {pair: frontend.lower_block(*pair) for pair in set(words)}
+        return backend.compile_superblock([lowered[pair] for pair in words], fusion=fusion)
+
+    return _shared((words, fusion), translate)

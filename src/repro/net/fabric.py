@@ -80,8 +80,12 @@ class Fabric:
         self._downlink_free: dict[int, int] = {}
         #: Per-tenant traffic slices: every frame is recorded once, in its
         #: tenant's slice, so each job's ``RunResult.fabric`` is exact
-        #: attribution, not an estimate; the fleet-wide ``stats`` is their sum.
+        #: attribution, not an estimate; the fleet-wide ``stats`` is their sum
+        #: plus ``retired_stats``.
         self.tenant_stats: dict[int, FabricStats] = {}
+        #: The traffic of every retired tenant, folded into one total when
+        #: its job retires (:meth:`retire`); its result keeps its own copy.
+        self.retired_stats = FabricStats()
         #: Request-id sequence for every endpoint attached to this fabric
         #: (``next(fabric.req_ids)``).  Owning the counter here (instead of a
         #: module global) makes req ids — and the retry backoff jitter keyed
@@ -121,11 +125,20 @@ class Fabric:
     def node_ids(self) -> list[int]:
         return sorted(self._endpoints)
 
+    def retire(self, tenant: int) -> None:
+        """``tenant``'s job retired: its slice joins the retired total, and a
+        request still addressed to it will be dropped on arrival."""
+        self.retired.add(tenant)
+        slice_ = self.tenant_stats.pop(tenant, None)
+        if slice_ is not None:
+            self.retired_stats.add(slice_)
+
     @property
     def stats(self) -> FabricStats:
-        """Fleet-wide traffic totals: a fresh sum over the tenant slices."""
+        """Fleet-wide traffic totals: a fresh sum over the tenant slices and
+        the retired total."""
         total = FabricStats()
-        for slice_ in self.tenant_stats.values():
+        for slice_ in (self.retired_stats, *self.tenant_stats.values()):
             total.add(slice_)
         return total
 
@@ -175,7 +188,10 @@ class Fabric:
         try:
             frames = self.tenant_stats[msg.tenant].frames
         except KeyError:
-            frames = self.stats_for(msg.tenant).frames
+            frames = (
+                self.retired_stats if msg.tenant in self.retired
+                else self.stats_for(msg.tenant)
+            ).frames
         key = (msg.kind, src, dst)
         try:
             record = frames[key]

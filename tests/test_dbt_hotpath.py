@@ -58,7 +58,6 @@ def synthetic_tb(pc, fn, *, n_insns=1, pages=None):
         n_insns=n_insns,
         end_pc=pc + 4 * n_insns,
         fn=fn,
-        source="<synthetic>",
         pages=pages if pages is not None else (pc // PAGE_SIZE,),
     )
 
@@ -906,4 +905,4 @@ class TestKnownValues:
             cpu = CPUState(pc=TEXT, tid=1)
             cpu.regs[5], cpu.regs[7] = target, 0x8000
             tb.fn(cpu, FlatMemory(), 1)
-            assert cpu.pc == target and cpu.regs[5] != target, tb.source
+            assert cpu.pc == target and cpu.regs[5] != target, rewrite

@@ -3,20 +3,22 @@
 Two things must hold.  *Warm equals cold*: a run whose blocks were all
 translated before reports exactly what a run on an empty memo reports — every
 simulated number, every stall and fault.  *Sharing does not leak*: engines
-share functions, sources and IR, and nothing else; the key is the code's
-bytes, so the same pc holding other bytes is another block.
+share functions and the words they were made from, and nothing else; the key
+is the code's bytes, so the same pc holding other bytes is another block.
 """
 
 import dataclasses
+import gc
+import types
 
 import pytest
 
 from repro import Cluster, DQEMUConfig
 from repro.core.dsmmem import DSMMemory
 from repro.dbt import Backend, CPUState, ExecutionEngine, Frontend, StopKind, memo
-from repro.dbt.backend import _Emitter
-from repro.dbt.frontend import _ENDS_BLOCK
-from repro.dbt.tcg import TERMINALS
+from repro.dbt.backend import TranslationBlock, _Emitter
+from repro.dbt.frontend import _ENDS_BLOCK, BlockIR
+from repro.dbt.tcg import TERMINALS, InstrIR, TCGOp
 from repro.errors import InvalidInstruction
 from repro.isa import SPECS, Instruction, assemble, encode
 from repro.mem import PAGE_SIZE, FlatMemory, PageStall, PageStore, page_of
@@ -307,8 +309,7 @@ def test_two_engines_share_functions_and_nothing_that_changes():
     # a runs the same code to the end, then loses its code page.
     assert a.run_quantum(cpu_a, 100_000_000).kind is StopKind.SYSCALL
     tb_a = a.cache.peek(loop_pc)
-    assert tb_a is not tb_b and tb_a.fn is tb_b.fn and tb_a.source is tb_b.source
-    assert tb_a.ir is tb_b.ir
+    assert tb_a is not tb_b and tb_a.fn is tb_b.fn and tb_a.words is tb_b.words
     assert tb_a.chain is not tb_b.chain and tb_a.chained_from is not tb_b.chained_from
     assert tb_a.edges is not tb_b.edges and tb_a.exec_count != tb_b.exec_count
     assert all(t in a.cache._blocks.values() for t in tb_a.chain.values())
@@ -379,6 +380,84 @@ def test_memo_is_bounded_and_an_evicted_block_translates_again(monkeypatch):
     assert fn_of(memo.LIMIT) is newest  # eviction is oldest-first
 
 
+def test_a_superblock_forms_after_a_member_left_the_memo(monkeypatch):
+    """Promotion lowers the members from the words their cached blocks keep,
+    so it needs no memo entry of theirs."""
+    prog = assemble(LOOP_SRC)
+    loop_pc = prog.symbols["outer"]
+
+    def image():
+        mem = FlatMemory()
+        mem.load_image(prog.iter_load_segments())
+        return mem
+
+    memo.clear()
+    cpu_ref, ref, _ = run(image(), prog.entry, **HOT)
+    memo.clear()
+    monkeypatch.setattr(memo, "LIMIT", 1)
+    missing = []
+    compile_superblock = Backend.compile_superblock
+
+    def spy(self, members, *, fusion=False):
+        missing.extend((ir.pc, ir.words, fusion) not in memo._translations for ir in members)
+        return compile_superblock(self, members, fusion=fusion)
+
+    monkeypatch.setattr(Backend, "compile_superblock", spy)
+    cpu, engine, stop = run(image(), prog.entry, **HOT)
+    assert stop.kind is StopKind.SYSCALL and engine.superblocks_formed >= 1
+    assert missing and all(missing)  # every member had been evicted
+    assert engine.cache.peek(loop_pc).is_superblock
+    assert cpu.regs == cpu_ref.regs and engine_counters(engine) == engine_counters(ref)
+
+
+# -- an entry keeps the compiled code, not what translation made on the way ---------
+
+
+def _held(root):
+    """What ``root`` holds, through containers and a function's code object
+    but not its globals (the codegen helpers every function shares)."""
+    seen, stack, out = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        out.append(obj)
+        stack.extend([obj.__code__] if isinstance(obj, types.FunctionType)
+                     else gc.get_referents(obj))
+    return out
+
+
+def test_a_memo_entry_keeps_no_ir_and_no_source_yet_re_emits_what_was_compiled(monkeypatch):
+    compiled: dict = {}  # fn -> the text it was compiled from
+    function = _Emitter.function
+
+    def recording(self):
+        fn = function(self)
+        compiled[fn] = self.text()
+        return fn
+
+    monkeypatch.setattr(_Emitter, "function", recording)
+    memo.clear()
+    build, n_slaves, config = CLUSTER_RUNS["x264-hot-tier"]
+    assert Cluster(n_slaves, config).run(build()).exit_code == 0
+    Cluster(2).run(pi_taylor.build(4, 20, 1))  # the same guest runtime, unfused
+    templates = list(memo._translations.values())
+    assert len(compiled) == len(templates)  # nothing was evicted
+    kinds = {(tb.is_superblock, bool(tb.fused)) for tb in templates}
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+    names = {f.name for f in dataclasses.fields(TranslationBlock)}
+    assert "ir" not in names and "source" not in names
+    for tb in templates:
+        held = _held(tb)
+        assert not [o for o in held if isinstance(o, (BlockIR, InstrIR, TCGOp))]
+        assert not [o for o in held if isinstance(o, str) and o.startswith("def ")]
+        assert tb.source == compiled[tb.fn]
+        if tb.is_superblock:
+            assert tuple(pc for pc, _words in tb.words) == tb.member_pcs
+
+
 # -- generated functions are named by content ------------------------------------
 
 
@@ -387,7 +466,10 @@ def test_equal_blocks_compile_to_equal_source_under_a_content_name():
     first = Backend().compile(Frontend(mem).build_block(TEXT))
     again = Backend().compile(Frontend(mem).build_block(TEXT))
     assert first.source == again.source and first.fn is not again.fn  # cold API: no memo
+    assert first.words == again.words and first.words is not again.words  # each fetched
     assert first.fn.__name__ == f"tb_{TEXT:x}"
     assert first.fn.__code__.co_filename == f"<tb@{TEXT:#x}>"
-    sb = Backend().compile_superblock([first.ir, first.ir])
+    member = Frontend.lower_block(TEXT, first.words)
+    sb = Backend().compile_superblock([member, member])
+    assert sb.words == ((TEXT, first.words),) * 2 and sb.words[0][1] is first.words
     assert sb.fn.__name__ == f"sb_{TEXT:x}" and sb.fn.__code__.co_filename == f"<sb@{TEXT:#x}>"

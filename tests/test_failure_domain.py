@@ -17,7 +17,7 @@ from repro import Cluster, DQEMUConfig, FaultPlan, ServiceTimeout
 from repro.analysis.reporting import FAILURE_COLUMNS, render_service_breakdown
 from repro.core.scheduler import ThreadPlacer
 from repro.cost import CostModel
-from repro.errors import ConfigError, InvalidInstruction, SegmentationFault
+from repro.errors import ConfigError, InvalidInstruction
 from repro.mem.directory import Directory
 from repro.net import Endpoint, Fabric
 from repro.net.faults import FaultInjector, drop
@@ -750,10 +750,7 @@ class TestHeartbeatMute:
             strict=True, raises=InvalidInstruction,
             reason="unattributed InvalidInstruction: undefined opcode 0x0",
         )),
-        pytest.param("adaptive", 10_000_000, marks=pytest.mark.xfail(
-            strict=True, raises=SegmentationFault,
-            reason="unattributed SegmentationFault: no copy of page 0x113",
-        )),
+        ("adaptive", 10_000_000),
     ])
     def test_mute_is_latched_or_harmless(self, protocol, mute_ns):
         plan = FaultPlan.of(drop(kinds=("heartbeat",), src=1, after_ns=mute_ns))

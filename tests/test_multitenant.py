@@ -148,7 +148,8 @@ class TestConcurrentIsolation:
         assert first.stats.services["node.control"] is control
         assert {n: p.last_heard_ns for n, p in first.health.peers.items()} == heard
         fleet = cluster._fleet
-        assert fleet.fabric.stats_for(first.tenant).messages_sent > sent[0]
+        assert fleet.fabric.retired == {first.tenant}  # only its frames are retired
+        assert fleet.fabric.retired_stats.messages_sent > sent[0]
         assert fleet.health.peer(0).last_heard_ns > heard[0]
 
     def test_per_tenant_directories_are_disjoint_views(self):
@@ -188,8 +189,14 @@ class TestRetirement:
         assert cluster.directories.tenants() == (1,)
         mailboxes = [k for k in fleet.nodes[0].endpoint._queues if k != "comm"]
         assert mailboxes and all(k[1] == 1 for k in mailboxes)
-        assert fleet.fabric.stats_for(0).messages_sent > 0  # the slice stays
-        assert fleet.fabric.retired == {0} and fleet.fabric.late_frames == 0
+        # Its traffic is held once, in the fleet's retired total.
+        fabric = fleet.fabric
+        assert 0 not in fabric.tenant_stats
+        assert fabric.retired_stats.messages_sent >= first.fabric.messages_sent > 0
+        assert fabric.stats.messages_sent == (
+            fabric.retired_stats.messages_sent + fabric.tenant_stats[1].messages_sent
+        )
+        assert fabric.retired == {0} and fabric.late_frames == 0
         # run() returns before its own job's Shutdown lands.
         assert cluster.jobs[1].runtime is not None
 
@@ -210,6 +217,8 @@ class TestRetirement:
         call = slave.request(0, request)
         fleet.sim.run()  # the request is dropped at the master
         assert fleet.fabric.late_frames == 1 and not call.triggered
+        # The late frame is booked in the retired total: no slice comes back.
+        assert 0 not in fleet.fabric.tenant_stats
         reply = PageData(page=5, src=0, in_reply_to=request.req_id, tenant=0)
         slave.deliver(reply)
         fleet.sim.run()
