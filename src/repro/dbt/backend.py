@@ -5,25 +5,31 @@ generated Python function, built as source text and compiled with
 ``compile()`` — the same generate-once/execute-many structure as a JIT
 emitting machine code, with the translation cost paid once per block.
 
-Precise guest state: integer results are committed to ``cpu.regs`` as each
-guest instruction completes, and wherever an instruction can fault the
-generated code first records its pc and the count of completed instructions
-(``cpu.block_ic``).  A plain ``ld``/``st`` can only fault in its miss arm, so
-that bookkeeping lives *in the miss arm* and a resident access pays none of
-it; an atomic always leaves the function and keeps its bookkeeping up front.
-A :class:`~repro.mem.api.PageStall` raised by the memory system therefore
+Precise guest state.  One shadow rule covers every guest register: inside a
+generated function its newest value may live in a host local — the integer
+``rN``, or the float ``fN`` — and ``R[N]`` (``cpu.regs``) be stale; such a
+register is *dirty*, and it is *committed*, ``R[N] = rN`` resp. ``R[N] =
+<bits of fN>``, only at an *observation point*, where something outside the
+function (fault handler, migration and evacuation, the next block) can read
+``cpu.regs``: the miss arm of every plain access, before every atomic and on
+every ``return``.  So the register file is exact whenever it is read, as QEMU's
+TCG syncs its host registers only at helpers that may read them and at block
+exits.  Wherever an instruction can fault, the generated code also records its
+pc and the count of completed instructions (``cpu.block_ic``).  A plain
+``ld``/``st`` can only fault in its miss arm, so that bookkeeping lives *in the
+miss arm* and a resident access pays none of it (the miss arm does not clear
+the emitter's ``dirty`` set: the hit path commits nothing); an atomic always
+leaves the function and keeps its bookkeeping up front.  A
+:class:`~repro.mem.api.PageStall` raised by the memory system therefore
 propagates with the CPU stopped exactly at the faulting instruction, which
 DQEMU's coherence machinery requires (§4.2).
 
-Known values.  The emitter tracks what it already knows about each guest
-register while it emits: an integer write is *write-through*, ``R[28] = r28 =
-(r5 + r6) & M``, and every later integer read of that register in the function
-is the host local ``rN`` (a register first met as a read is bound there,
-``r6 = R[6]``).  So the integer side of ``cpu.regs`` is exact at every
-instant — miss arms and exits have nothing integer to flush, and a local can
-never be staler than the register file, only equal to it.  A visible
-``mov imm`` / ``li`` is remembered as a constant and folds into its consumers:
-into arithmetic (``(r18 + 8) & M``; a negative step subtracts its magnitude so
+Known values.  The emitter tracks what it knows about each guest register
+while it emits: an integer write is ``r28 = (r5 + r6) & M``, and every later
+integer read of that register in the function is the host local ``rN`` (a
+register first met as a read is bound there, ``r6 = R[6]``).  A visible ``mov
+imm`` / ``li`` is remembered as a constant and folds into its consumers: into
+arithmetic (``(r18 + 8) & M``; a negative step subtracts its magnitude so
 small operands stay one-digit ints), into shift amounts, and into signed
 order, which makes no call — against a constant one unsigned range test
 (``a < c or a >= 2**63``), otherwise the unsigned order flipped when the signs
@@ -32,20 +38,15 @@ differ (``(a < b) == ((a ^ b) < 2**63)``).  A temp that merely copies a value
 copies, and is given a statement of its own only if that local is about to be
 reassigned while the temp is still live.
 
-Float shadow.  Inside a generated function an FP value is a host local
-``fN`` (a Python ``float``) and ``R[N]`` may be stale; an FP write forgets the
-integer local.  A shadow is *committed*, ``R[N] = <bits of fN>``, only where
-its bits can be read: before an integer read of ``N``, in the miss arm of every
-plain access (which does not clear the emitter's ``dirty`` set: the hit path
-commits nothing), before every atomic and on every ``return`` — the points at
-which anything outside the function (fault handler, migration and
-evacuation, the next block) can read ``cpu.regs``, so the register file is exact
-whenever read — and on a loop's back edge only if the next trip can observe
-it ("Loop residency").  Conversions are inline: the templates of
-:mod:`repro.dbt.fpu` over ``struct``'s C accessors, which also inline the
-common case of division, square root and min/max against a literal; a helper
-runs only as an edge case's slow arm, or for min/max of two unknown operands.
-An FP op into ``x0`` emits nothing: GA64 has no FP flags or rounding state.
+Float shadow.  An FP value is a Python ``float`` in ``fN``; an FP write forgets
+the integer local, and an integer read of a register whose float is newer
+commits it first (``R[N] = rN = <bits of fN>``).  An FP read with no shadow
+binds ``fN`` from the newest copy of the bits, ``rN`` where that is known,
+else ``R[N]``.  Conversions are inline: the templates of :mod:`repro.dbt.fpu`
+over ``struct``'s C accessors, which also inline the common case of division,
+square root and min/max against a literal; a helper runs only as an edge
+case's slow arm, or for min/max of two unknown operands.  An FP op into ``x0``
+emits nothing: GA64 has no FP flags or rounding state.
 
 Resident fast path.  Every ``ld``/``st`` micro-op is emitted as the memory's
 hit test inline plus the out-of-line method as its miss arm — QEMU's softmmu
@@ -60,8 +61,8 @@ and 8 bytes go through the ``unpack_from`` / ``pack_into`` accessors of
 globals.  Anything else calls ``mem.miss_load`` / ``mem.miss_store`` — the
 method, except that a page stall comes back as a value and the function
 returns ``RC_STALL`` (the stall in ``mem.stall``) instead of unwinding a
-``raise`` — after the miss arm has committed pc, ``block_ic`` and float
-shadows, so stalls, faults and silent upgrades behave as if every access were
+``raise`` — after the miss arm has committed the dirty registers, pc and
+``block_ic``, so stalls, faults and silent upgrades behave as if every access were
 the call.  The containers are read from the ``mem`` argument at function
 entry (:data:`MEM_VIEW`), never bound at compile time: a block serves
 whichever memory it is run against.
@@ -70,26 +71,33 @@ Loop residency.  Every generated function is ``fn(cpu, mem, n)``.  One whose
 static successors include its own entry pc — a plain block branching to
 itself, a superblock whose tail can branch to its head — is emitted as a
 loop: a *pre-header* binds, once, every register whose first access in the
-body is a read (``rN = R[N]`` for integer reads, ``fN`` from the bits of
-``R[N]`` for FP reads: the value there is the value on entry), then ``i = 0``
-and the body inside ``while True:``.  At the tail, ahead of the unchanged exit,
-sits the *back edge*: ``if i + 1 < n and (<the branch re-enters>): <commit the
-live dirty floats; re-bind what the pre-header bound and the body left stale>;
-i += 1; continue`` — the loop head always finds exactly what the pre-header
-left it.  A dirty float is live there unless the body writes its register
-(integer or FP) before reading it and before the first point where anything
-outside the function can read ``cpu.regs``; such a register is found while the
-body is emitted, as the pre-header is (``_Emitter.dead``), and the next trip
-overwrites it unseen, so ``cpu.regs`` is exact at the loop head but for it.
-Miss arms and exits still commit every dirty float.  ``n`` is the engine's
+body is a read (``rN = R[N]`` for integer reads, ``fN`` from the bits for FP
+reads: the value there is the value on entry), then the body runs inside ``for
+i in range(n):``.  At the tail sits the *back edge*, ``if not (<the branch
+re-enters>): break``, then what makes the next trip find the loop head as the
+pre-header left it, and after the loop the one exit.  ``n`` is the engine's
 allowance, the number of entries this call may make; a function that does not
-loop never reads it.
+loop never reads it.  The shadow rule crosses the back edge:
+
+* an integer dirty there stays dirty across it, its ``rN`` carried into the
+  next trip.  Every observation point a trip makes before its first write of
+  that register commits it, and the pre-header binds it, so that trip 1's
+  commit rewrites the value on entry.  Only a register the pre-header bound as
+  a float (a float pin) is committed at the back edge, which re-binds its
+  ``fN`` from ``R[N]``;
+* a dirty float is committed there only if the next trip can observe it.  It
+  cannot if the body writes its register before reading it and before the
+  first observation point; such a register is found while the body is
+  emitted, as the pre-header is (``_Emitter.dead``), and the next trip
+  overwrites it unseen;
+* a pinned local the body left stale is re-bound.
+
 Every way out of a looping function reports through ``cpu.block_runs``: a
-return (tail or side exit) sets it to ``i + 1``, the entries made, with the
-last one's instruction count in ``cpu.block_ic`` as ever; a fault point sets
-it to ``i``, the complete entries before the faulting one, next to
-``cpu.pc``/``block_ic``.  Whether a function loops is read off its own
-successors (``TranslationBlock.loops``); there is no second emitter.
+return (the exit, or a superblock's side exit) sets it to ``i + 1``, the
+entries made, with the last one's instruction count in ``cpu.block_ic`` as
+ever; a fault point sets it to ``i``, the complete entries before the faulting
+one, next to ``cpu.pc``/``block_ic``.  Whether a function loops is read off
+its own successors (``TranslationBlock.loops``); there is no second emitter.
 
 Hot-path tier.  Beyond plain per-block compilation the backend supports:
 
@@ -116,8 +124,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from collections.abc import Mapping, Set as AbstractSet
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Callable, ClassVar, Optional
 
 from repro.dbt import fpu
 from repro.dbt import runtime as rt
@@ -137,6 +147,10 @@ SIGN = 1 << 63
 #: A generated function that touches memory binds the ones it tests at entry,
 #: from its ``mem`` argument (module docstring, "Resident fast path").
 MEM_VIEW = {"S": "page_states", "B": "page_bufs", "X": "split_pages", "A": "reservations"}
+
+#: An observation point's mark in a loop body, followed by its number; the back
+#: edge replaces it with the commits of the integers it carries.
+_CARRY = "#carry "
 
 #: Globals of every generated function (one shared dict: none assigns one).
 _CODEGEN_GLOBALS = {
@@ -234,23 +248,29 @@ class TranslationBlock:
     exec_count: int = 0
     #: Latched when trace formation from this head failed; stops retrying.
     no_promote: bool = False
+
+    # Execution containers.  Only :meth:`fresh` gives a block its own; a
+    # translation as compiled (a memo template, which never runs) reads these
+    # shared empty ones, and mutating them fails.
     #: Direct successor references (pc → block), filled by the code cache.
-    chain: dict[int, "TranslationBlock"] = field(default_factory=dict)
+    chain: ClassVar[Mapping[int, "TranslationBlock"]] = MappingProxyType({})
     #: Blocks holding a chain reference to this one (for unchaining).
-    chained_from: "set[TranslationBlock]" = field(default_factory=set)
+    chained_from: ClassVar[AbstractSet["TranslationBlock"]] = frozenset()
     #: Dynamic successor execution counts, recorded by the engine and used
     #: to pick the hottest path when growing a trace.
-    edges: dict[int, int] = field(default_factory=dict)
+    edges: ClassVar[Mapping[int, int]] = MappingProxyType({})
 
     def fresh(self) -> "TranslationBlock":
         """A block sharing this one's translation, with execution state of
         its own: never run, chained to nothing."""
-        return TranslationBlock(
+        tb = TranslationBlock(
             pc=self.pc, n_insns=self.n_insns, end_pc=self.end_pc, fn=self.fn,
             words=self.words, succ_pcs=self.succ_pcs, pages=self.pages, fused=self.fused,
             is_superblock=self.is_superblock, member_pcs=self.member_pcs,
             fused_counts=self.fused_counts, loops=self.loops,
         )
+        tb.chain, tb.chained_from, tb.edges = {}, set(), {}
+        return tb
 
     @property
     def source(self) -> str:
@@ -483,9 +503,9 @@ def _bits(v: int) -> str:
     return fpu.F2B.format(x=f"f{v}")
 
 
-def _unbits(v: int) -> str:
-    """The float whose bits guest register ``v`` holds."""
-    return fpu.B2F.format(x=f"R[{v}]")
+def _unbits(x: str) -> str:
+    """The float whose bits the integer expression ``x`` holds."""
+    return fpu.B2F.format(x=x)
 
 
 def _fbin(f: str, a: str, b: str) -> str:
@@ -501,10 +521,11 @@ def _fbin(f: str, a: str, b: str) -> str:
 
 class _Emitter:
     """Source lines of one generated function, plus what is known while they
-    are emitted: which host local or constant equals which guest register
-    ("Known values"), which float shadows are newer than the register file
-    ("Float shadow"), and — for a function that loops — what its pre-header
-    binds ("Loop residency"; module docstring for all three)."""
+    are emitted: which host local or constant holds which guest register's
+    value ("Known values", "Float shadow"), which registers the register file
+    holds stale ("Precise guest state"), and — for a function that loops —
+    what its pre-header binds and its back edge carries ("Loop residency";
+    module docstring for all four)."""
 
     def __init__(self, kind: str, pc: int, loops: bool) -> None:
         #: ``tb_<pc>`` resp. ``sb_<pc>``, compiled as if from ``<tb@0x<pc>>``.
@@ -520,9 +541,16 @@ class _Emitter:
         #: Guest regs the loop head finds bound: ``rN`` resp. ``fN``.
         self.pins: set[int] = set()
         self.fpins: set[int] = set()
-        #: Guest regs written so far (a loop's pre-header binds none of them).
-        self.written: set[int] = set()
-        #: Guest regs whose host local ``rN`` equals ``R[N]``.
+        #: Guest reg written so far → the observation points (:meth:`_commits`)
+        #: the loop body made before its first write (a loop's pre-header
+        #: binds none of them).
+        self.written: dict[int, int] = {}
+        #: Observation points made so far in a loop's body.
+        self.points = 0
+        #: Where a looping function's body ends: the lines after it are its
+        #: one exit, after the loop.
+        self.loop_end: Optional[int] = None
+        #: Guest regs whose host local ``rN`` holds their value.
         self.local: set[int] = set()
         #: Guest reg → the value a visible ``mov imm`` / ``li`` gave it.
         self.const: dict[int, int] = {}
@@ -533,7 +561,8 @@ class _Emitter:
         #: ``fN`` or a literal.  An ``int`` entry is the bits of a visible
         #: ``mov imm``, turned into one of the two on the first FP read.
         self.shadow: dict[int, str | int] = {}
-        #: Guest regs whose ``fN`` is newer than ``R[N]``.
+        #: Guest regs whose ``R[N]`` is stale: their value is in ``rN`` (in
+        #: ``local``) or else in the float shadow ``fN``.
         self.dirty: set[int] = set()
         #: Guest regs written before they are read, and before the first point
         #: where anything outside the function can read ``cpu.regs``; fixed
@@ -551,8 +580,8 @@ class _Emitter:
         entry += [f"{v} = mem.{attr}" for v, attr in MEM_VIEW.items() if v in self.views]
         body = self.lines
         if self.head is not None:
-            entry += self.pre + ["i = 0", "while True:"]
-            body = ["    " + ln for ln in body]
+            entry += self.pre + ["for i in range(n):"]
+            body = ["    " + ln for ln in body[:self.loop_end]] + body[self.loop_end:]
         return f"def {self.name}(cpu, mem, n):\n" + "".join(f"    {ln}\n" for ln in entry + body)
 
     def function(self) -> Callable:
@@ -583,8 +612,9 @@ class _Emitter:
 
     def val(self, operand) -> "int | str":
         """Integer read: a constant, or the host local holding the value.
-        Every integer use of a guest register comes through here, so a dirty
-        shadow is committed before its bits are read."""
+        Every integer use of a guest register comes through here, so a float
+        shadow newer than the register file is committed before its bits are
+        read."""
         kind, v = operand
         if kind == "i":
             return v & M64
@@ -610,11 +640,11 @@ class _Emitter:
         return _text(self.val(operand))
 
     def target(self, d) -> str:
-        """Where an integer write to ``d`` lands: a guest register is written
-        through (``R[N]`` and ``rN`` together) and loses its shadow.  The
-        written expression is built (and its reads flushed) before this runs,
-        so an instruction that reads and writes the same register reads it
-        first."""
+        """Where an integer write to ``d`` lands: a guest register's host
+        local ``rN``, which makes ``R[N]`` stale until the next observation
+        point commits it, and drops its float shadow.  The written expression
+        is built (and its reads flushed) before this runs, so an instruction
+        that reads and writes the same register reads it first."""
         kind, v = d
         if kind == "t":
             self.keep(f"t{v}")
@@ -625,10 +655,10 @@ class _Emitter:
         self.keep(f"r{v}")
         self.shadow.pop(v, None)
         self.const.pop(v, None)
-        self.dirty.discard(v)
-        self.written.add(v)
+        self.dirty.add(v)
+        self.written.setdefault(v, self.points)
         self.local.add(v)
-        return f"R[{v}] = r{v}"
+        return f"r{v}"
 
     def set(self, d, expr: str) -> None:
         """Integer write ``d = expr``."""
@@ -659,9 +689,10 @@ class _Emitter:
             x = math.nan if expr is None else fpu.b2f(expr)
             if math.isfinite(x):
                 expr = repr(x)
-            else:  # unknown bits, or inf/NaN (no literal)
+            else:  # unknown bits, or inf/NaN (no literal): from the newest copy
                 expr = f"f{v}"
-                self.bind(v, f"f{v} = {_unbits(v)}", self.fpins)
+                self.bind(v, f"f{v} = {_unbits(f'r{v}' if v in self.local else f'R[{v}]')}",
+                          self.fpins)
             self.shadow[v] = expr
         return expr
 
@@ -672,7 +703,7 @@ class _Emitter:
         self.lines.append(f"f{v} = {expr}")
         self.shadow[v] = f"f{v}"
         self.dirty.add(v)
-        self.written.add(v)
+        self.written.setdefault(v, self.points)
         self.local.discard(v)
         self.const.pop(v, None)
 
@@ -700,20 +731,38 @@ class _Emitter:
 
     # -- materialisation points ---------------------------------------------------
 
-    def _commits(self, *, live: bool = False) -> list[str]:
-        """``R[N] = <bits of fN>`` for every dirty shadow, where something
-        outside the function can read ``cpu.regs`` — at the back edge
-        (``live``) only for those the next trip does not overwrite unseen.
-        The first such point fixes ``dead``."""
+    def _commits(self, *, back_edge: bool = False) -> list[str]:
+        """``R[N] = rN`` resp. ``R[N] = <bits of fN>`` for every dirty
+        register, where something outside the function can read ``cpu.regs``
+        (an *observation point*).  At the back edge an integer stays dirty
+        across it unless a float pin is re-bound from ``R[N]`` there, and a
+        float is committed unless the next trip overwrites it unseen (``dead``,
+        fixed by the first of these points).  In a loop's body every point
+        also leaves a mark for the integers the back edge will carry."""
         if self.dead is None:
-            self.dead = self.written - self.pins - self.fpins
-        regs = self.dirty - self.dead if live else self.dirty
-        return [f"R[{n}] = {_bits(n)}" for n in sorted(regs)]
+            self.dead = set(self.written) - self.pins - self.fpins
+        self._check()
+        regs = self.dirty
+        if back_edge:
+            regs = {v for v in regs if (v in self.fpins if v in self.local else v not in self.dead)}
+        out = [f"R[{v}] = r{v}" if v in self.local else f"R[{v}] = {_bits(v)}"
+               for v in sorted(regs)]
+        if self.head is not None and self.loop_end is None and not back_edge:
+            out.insert(0, f"{_CARRY}{self.points}")
+            self.points += 1
+        return out
+
+    def _check(self) -> None:
+        """The invariants the shadow rule rests on (translation time only)."""
+        for v in self.dirty - self.local:
+            assert self.shadow.get(v) == f"f{v}", v
+        assert self.const.keys() <= self.local, self.const
+        assert self.dead is None or self.dead.isdisjoint(self.pins | self.fpins), self.dead
 
     def _fault_point(self, ir: InstrIR, k: int) -> list[str]:
         """What makes guest state precise should ``ir`` (the function's
-        ``k``-th instruction) fault: float shadows committed — the integer
-        file is never stale — its pc, and the count of what completed."""
+        ``k``-th instruction) fault: dirty registers committed, its pc, and the
+        count of what completed."""
         where = [f"cpu.pc = {ir.pc}", f"cpu.block_ic = {k}"]
         if self.head is not None:
             where.append("cpu.block_runs = i")
@@ -735,15 +784,36 @@ class _Emitter:
 
     def back_edge(self, taken: Optional[str]) -> None:
         """The function's exit re-enters it when ``taken`` holds (always, if
-        ``None``): while the allowance lasts, go round in place.  The loop
-        head finds what the pre-header left it: every pinned local equal to
-        its register, and registers exact but for the ``dead`` ones."""
-        self.lines.append("if i + 1 < n" + (f" and ({taken}):" if taken else ":"))
-        again = self._commits(live=True)
-        again += [f"r{v} = R[{v}]" for v in sorted(self.pins - self.local)]
-        again += [f"f{v} = {_unbits(v)}" for v in sorted(self.fpins)
+        ``None``): the loop's body ends here, and its one exit follows the
+        loop.  The loop head finds what the pre-header left it: every pinned
+        local holding its register's value, and registers exact but for the
+        ``dead`` floats and the carried integers."""
+        lines = self.lines
+        if taken:
+            lines.append(f"if not ({taken}): break")
+        lines += self._commits(back_edge=True)
+        lines += [f"r{v} = R[{v}]" for v in sorted(self.pins - self.local)]
+        lines += [f"f{v} = {_unbits(f'R[{v}]')}" for v in sorted(self.fpins)
                   if self.shadow.get(v) != f"f{v}"]
-        self.lines.extend("    " + ln for ln in again + ["i += 1", "continue"])
+        self._carry((self.dirty & self.local) - self.fpins)
+        self.loop_end = len(lines)
+
+    def _carry(self, carried: set[int]) -> None:
+        """Integers dirty at the back edge stay dirty across it: each
+        observation point a trip makes before its first write of one commits
+        it there, and the pre-header binds it, so that trip 1's commit
+        rewrites the value on entry."""
+        late = {v: self.written[v] for v in carried if self.written[v]}
+        self.pre += [f"r{v} = R[{v}]" for v in sorted(late) if v not in self.pins]
+        assert all(f"r{v} = R[{v}]" in self.pre for v in late), late
+        out = []
+        for ln in self.lines:
+            indent, mark, point = ln.partition(_CARRY)
+            if not mark:
+                out.append(ln)
+                continue
+            out += [f"{indent}R[{v}] = r{v}" for v in sorted(late) if int(point) < late[v]]
+        self.lines[:] = out
 
     # -- emission -------------------------------------------------------------
 

@@ -39,12 +39,13 @@ __all__ = ["LIMIT", "block", "clear", "superblock"]
 
 #: Translations kept; past it the oldest goes.  Eviction costs one
 #: re-translation, never correctness.  (All 20 experiments together make
-#: under 500; after ``cold_start``'s 22 jobs an entry holds ~3.3 KB, most of
+#: under 500; after ``cold_start``'s 22 jobs an entry holds ~3.0 KB, most of
 #: it the code object.)
 LIMIT = 4096
 
 #: key → the translation as compiled.  A stored block is a template: it is
-#: handed out only through ``fresh`` and never runs itself.
+#: handed out only through ``fresh`` and never runs itself, so it has no chain,
+#: back-link or edge container of its own.
 _translations: dict[tuple, TranslationBlock] = {}
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 from dataclasses import asdict
 
@@ -104,6 +105,21 @@ def memory_image(mem):
     )
 
 
+def _profiled(fn, args, profiler) -> None:
+    """``fn(*args)`` under ``profiler``, with cyclic collection held off: a
+    collection would run ``gc.callbacks`` (Hypothesis installs one) inside
+    the call, as if ``fn`` had made those calls."""
+    collecting = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profiler)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+
+
 def python_calls(fn, *args):
     """``(file, function)`` of every Python-level call made while running
     ``fn(*args)``, in call order (C functions make no ``call`` event)."""
@@ -114,11 +130,7 @@ def python_calls(fn, *args):
             code = frame.f_code  # co_qualname is CPython >= 3.11
             calls.append((code.co_filename, getattr(code, "co_qualname", code.co_name)))
 
-    sys.setprofile(profiler)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(None)
+    _profiled(fn, args, profiler)
     return calls
 
 
@@ -133,11 +145,7 @@ def c_calls(fn, *args):
         if event == "c_call":
             calls.append(arg)
 
-    sys.setprofile(profiler)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(None)
+    _profiled(fn, args, profiler)
     return calls
 
 

@@ -112,7 +112,14 @@ def _run(instrs, regs, mode, **engine_kwargs):
     return cpu, mem
 
 
-@settings(max_examples=150, deadline=None)
+def at_least(n: int) -> int:
+    """Tier-1's example count ``n``, or the loaded profile's where that is
+    larger (``--hypothesis-profile=ci`` runs the two main differentials at its
+    2,000)."""
+    return max(n, settings.default.max_examples)
+
+
+@settings(max_examples=at_least(150), deadline=None)
 @given(programs(), initial_regs())
 def test_dbt_matches_interpreter(instrs, regs):
     cpu_i, mem_i = _run(instrs, regs, "interp")
@@ -136,7 +143,7 @@ def test_all_registers_stay_64_bit(instrs, regs):
     assert all(0 <= r <= M64 for r in cpu.regs)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=at_least(100), deadline=None)
 @given(programs(), initial_regs())
 def test_fused_dbt_matches_interpreter(instrs, regs):
     """Idiom fusion must never change architectural state, whatever

@@ -498,6 +498,31 @@ class TestGeneratedCode:
         assert self._casts(c_calls(hot.fn, cpu, mem, trials)) == (3, trials + 1)
         assert (cpu.pc, cpu.block_runs) == (hot.pc, trials)
 
+    def test_an_fp_read_binds_from_the_newest_integer_value(self):
+        """A load leaves ``ra``'s newest value in its host local and ``R[1]``
+        stale, so the FP read that follows must take its bits from the local
+        (a case the differential found: ``add x1,x0,x0; lb x1,0(x9);
+        feq x1,x0,x1``; the loaded byte's bits are a subnormal, not 0.0)."""
+        source = """
+        _start:
+          la s1, cell
+          add ra, zero, zero
+          lb ra, 0(s1)
+          feq ra, zero, ra
+          ecall
+        .data
+        cell: .byte 0x40
+        """
+        prog, mem, cpu = load(source)
+        assert cpu.regs[1] == 0  # the stale bits read as 0.0, which feq would match
+        oracle_mem = FlatMemory()
+        oracle_mem.load_image(prog.iter_load_segments())
+        oracle = CPUState(pc=prog.entry, tid=1, sp=0x7000_0000)
+        oracle.regs = list(cpu.regs)
+        assert ExecutionEngine(mem).run_quantum(cpu, 10**6).kind is StopKind.SYSCALL
+        Interpreter(oracle_mem).run(oracle)
+        assert cpu.regs == oracle.regs and cpu.regs[1] == 0
+
     FP_CHAIN = """
     _start:
       fadd a2, a0, a1

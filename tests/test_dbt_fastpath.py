@@ -210,6 +210,22 @@ def test_private_rmw_inner_block_shape(fusion):
     assert_no_call_per_trip(*steady_quantum(prog, ".pr_step", regs, fusion=fusion))
 
 
+def test_private_rmw_loop_body_stores_no_register_outside_its_miss_arms():
+    """``mem_rmw_walk``'s hot loop (its sizes at seed 0; the block at 0x10544):
+    a trip keeps every integer it writes in a host local, and only the miss
+    arms and the one exit after the loop write ``cpu.regs``."""
+    prog = memaccess.build_private_rmw(8, 4, pages_per_thread=8, passes=10, stride=8)
+    pc = prog.symbol(".pr_step")
+    tb = Backend().compile(Frontend(resident_node_memory(prog)).build_block(pc))
+    assert tb.loops and pc == 0x10544
+    source = tb.source.split("    for i in range(n):\n", 1)[1].splitlines()
+    body = list(itertools.takewhile(lambda ln: ln.startswith(" " * 8), source))
+    arms = [ln for ln in body if ln.startswith(" " * 12)]
+    assert sum(ln.strip().startswith("if X or") for ln in body) == 2
+    assert [ln for ln in body if "R[" in ln and ln not in arms] == [], tb.source
+    assert any("R[" in ln for ln in arms) and "R[" in "".join(source[len(body):])
+
+
 def test_wide_accesses_add_the_span_test_and_pure_blocks_bind_no_view():
     """A resident access of any width is served without a Python call, up to
     the last offset its span fits; a block with no access reads nothing off

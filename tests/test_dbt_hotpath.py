@@ -7,6 +7,7 @@ the engine directly against a flat memory, the way a single node's DBT
 thread would.
 """
 
+import itertools
 from types import SimpleNamespace
 
 import pytest
@@ -53,13 +54,15 @@ def run_to_syscall(engine, cpu, budget=100_000_000):
 
 
 def synthetic_tb(pc, fn, *, n_insns=1, pages=None):
+    """A block an engine can run: like every block a cache holds, a
+    :meth:`~TranslationBlock.fresh` one, with execution containers of its own."""
     return TranslationBlock(
         pc=pc,
         n_insns=n_insns,
         end_pc=pc + 4 * n_insns,
         fn=fn,
         pages=pages if pages is not None else (pc // PAGE_SIZE,),
-    )
+    ).fresh()
 
 
 def emit_words(mem, addr, instrs):
@@ -716,6 +719,18 @@ FP_READ_AS_INT_FIRST = FP_LIVENESS.format(body="""\
   fcvt.d.l a3, t1
   fmul a3, a3, a0
   sd t2, 0(t0)""")
+# The integer twins: a3 an integer dirty at the back edge.  It stays dirty
+# across it when the trip's first write of it follows the store, whose miss arm
+# must then commit the previous trip's value; but where the trip reads a3 as a
+# float first, the back edge re-binds ``f13`` from ``R[13]`` and commits it.
+INT_CARRIED_INTO_MISS_ARM = FP_LIVENESS.format(body="""\
+  sd a4, 0(t0)
+  addi a3, t1, 3
+  add a4, a4, a3""")
+INT_OVER_FLOAT_PIN = FP_LIVENESS.format(body="""\
+  fadd a4, a4, a3
+  addi a3, t1, 3
+  sd a4, 0(t0)""")
 
 LOOPS = {
     "plain": (LOOP_SRC, ()),
@@ -735,6 +750,8 @@ LOOPS = {
     "fp-dead-at-back-edge": (FP_DEAD_AT_BACK_EDGE, ("region",)),
     "fp-live-into-miss-arm": (FP_LIVE_INTO_MISS_ARM, ("region",)),
     "fp-read-as-int-first": (FP_READ_AS_INT_FIRST, ("region",)),
+    "int-carried-into-miss-arm": (INT_CARRIED_INTO_MISS_ARM, ("region",)),
+    "int-over-float-pin": (INT_OVER_FLOAT_PIN, ("region",)),
 }
 HOT_TIERS = [
     {}, dict(fusion=True), dict(superblock_threshold=2), dict(superblock_threshold=8, fusion=True)
@@ -831,20 +848,26 @@ class TestLoopResidency:
 
 class TestBackEdgeLiveness:
     """A float shadow left dirty at the back edge is committed there only if
-    the next trip can observe it before overwriting it; wherever it is
-    observed — here the miss arm of a store whose page goes away on trip 4 —
-    ``cpu.regs`` is the interpreter's."""
+    the next trip can observe it before overwriting it, and an integer only
+    if the back edge re-binds its float pin from the register file; wherever
+    either is observed — here the miss arm of a store whose page goes away on
+    trip 4 — ``cpu.regs`` is the interpreter's."""
 
     CASES = {  # program, store's index in the body, back edge commits a3
         "dead": (FP_DEAD_AT_BACK_EDGE, 4, False),
         "live-into-miss-arm": (FP_LIVE_INTO_MISS_ARM, 0, True),
         "read-as-int-first": (FP_READ_AS_INT_FIRST, 3, True),
+        "int-carried-into-miss-arm": (INT_CARRIED_INTO_MISS_ARM, 0, False),
+        "int-over-float-pin": (INT_OVER_FLOAT_PIN, 2, True),
     }
     STALL_TRIP = 4
 
     @staticmethod
     def _back_edge(source):
-        return source.split("if i + 1 < n", 1)[1].split("continue", 1)[0]
+        """What a trip that goes round runs last: the loop body's lines after
+        its ``break``."""
+        tail = source.split(": break\n", 1)[1].splitlines()
+        return "\n".join(itertools.takewhile(lambda ln: ln.startswith(" " * 8), tail))
 
     @pytest.mark.parametrize("superblock", [False, True], ids=["block", "superblock"])
     @pytest.mark.parametrize("case", list(CASES))

@@ -456,6 +456,11 @@ def test_a_memo_entry_keeps_no_ir_and_no_source_yet_re_emits_what_was_compiled(m
         assert tb.source == compiled[tb.fn]
         if tb.is_superblock:
             assert tuple(pc for pc, _words in tb.words) == tb.member_pcs
+        # A template never runs: the execution containers are a fresh block's.
+        assert not vars(tb).keys() & {"chain", "chained_from", "edges"}
+        block = tb.fresh()
+        assert (block.chain, block.chained_from, block.edges) == ({}, set(), {})
+        assert block.chain is not tb.fresh().chain
 
 
 # -- generated functions are named by content ------------------------------------
