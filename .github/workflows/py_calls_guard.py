@@ -79,7 +79,10 @@ CALLS = "prof.py_calls_per_kinsn"
 #: kept in host locals until observed, loops counted with ``for`` and the
 #: emitter's invariants asserted at translation time measured 17.4, 155.7,
 #: 362.7, 944.7, 11461.4 and 475.7, against 17.2, 155.2, 362.5, 940.0, 11451.5
-#: and 473.9 before them: translation-time calls, since a trip makes none).
+#: and 473.9 before them: translation-time calls, since a trip makes none; one
+#: directory transaction per coherence exit path, written by one ``apply``,
+#: measured 17.3, 155.7, 362.7, 945.9, 11451.5 and 476.1, against 17.4,
+#: 155.7, 362.7, 944.7, 11461.4 and 475.7 before it).
 CEILINGS = {
     "mem_read_walk": {CALLS: 18.1},
     "mem_rmw_walk": {CALLS: 162.9},

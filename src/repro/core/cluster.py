@@ -352,9 +352,7 @@ class Cluster:
                 failure_view=fleet.health if cfg.failure_domain else None,
             )
             fleet.directories.add_tenant(
-                job.tenant,
-                [shard.coherence.directory for shard in master.shards],
-                policies=[shard.coherence.policy for shard in master.shards],
+                job.tenant, [shard.coherence.directory for shard in master.shards]
             )
             master.on_retire = lambda j=job: self._retire(j)
 

@@ -50,7 +50,7 @@ from repro.core.services.syscalls import SyscallService
 from repro.core.stats import RunStats
 from repro.kernel.syscalls import SystemState
 from repro.mem.pagestore import PageStore
-from repro.mem.sharding import ShardedDirectoryView, ShardedSplitView
+from repro.mem.sharding import ShardedSplitView
 from repro.net.messages import Shutdown
 from repro.sim.engine import Event, Process, Simulator
 
@@ -175,16 +175,6 @@ class MasterRuntime:
         self.dispatcher = shard0.dispatcher
 
     # -- convenience views (debugging, tests) ----------------------------------
-
-    @property
-    def directory(self):
-        """The page directory: the raw partition for one shard, a read-only
-        merged view across partitions otherwise."""
-        if len(self.shards) == 1:
-            return self.shards[0].coherence.directory
-        return ShardedDirectoryView(
-            [shard.coherence.directory for shard in self.shards]
-        )
 
     @property
     def split(self):

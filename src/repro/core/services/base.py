@@ -190,7 +190,8 @@ class MasterService:
         """Request/await; ``None`` if ``peer`` died mid-call."""
         return (yield from self._reply_or_none(peer, self.request(peer, msg)))
 
-    def gather(self, peers: Sequence[int], make_msg: Callable[[int], "Message"]):
+    def gather(self, peers: Sequence[int], make_msg: Callable[[int], "Message"],
+               landed: Optional[Callable[["Message"], None]] = None):
         """Issue ``make_msg(peer)`` to every peer, then await them all.
 
         Returns ``(acks, skipped)``: the replies in peer order and how many
@@ -198,18 +199,26 @@ class MasterService:
         that is billed).  All requests go out before any is awaited.
         Failure-blind, that is one ``all_of``; with a view each request is
         absorbed and awaited in turn so a peer's death costs its ack, not
-        the transaction."""
+        the transaction.  ``landed`` is called with every reply that has
+        landed when the gather ends, also when another peer's timeout ends
+        it, so a caller records what each answering peer did."""
         requests = [self.request(n, make_msg(n)) for n in peers]
-        if self.view is None:
-            return (yield self.sim.all_of(requests)), 0
-        for ev in requests:
-            ev.add_callback(_absorb)
-        acks = []
-        for n, ev in zip(peers, requests):
-            ack = yield from self._reply_or_none(n, ev)
-            if ack is not None:
-                acks.append(ack)
-        return acks, len(requests) - len(acks)
+        try:
+            if self.view is None:
+                return (yield self.sim.all_of(requests)), 0
+            for ev in requests:
+                ev.add_callback(_absorb)
+            acks = []
+            for n, ev in zip(peers, requests):
+                ack = yield from self._reply_or_none(n, ev)
+                if ack is not None:
+                    acks.append(ack)
+            return acks, len(requests) - len(acks)
+        finally:
+            if landed is not None:
+                for ev in requests:
+                    if ev.triggered and ev.ok:
+                        landed(ev.value)
 
     # -- placing threads --------------------------------------------------------
 

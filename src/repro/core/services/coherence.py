@@ -36,6 +36,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["CoherenceService", "CoherentGuestMemory"]
 
+#: Requester of the master's own transactions: no node, so every holder is
+#: acted on (node 0's guest copy is not the home copy).
+KERNEL = -1
+
 
 class CoherentGuestMemory:
     """Kernel access to guest memory through the coherence protocol.
@@ -97,7 +101,8 @@ class CoherenceService(MasterService):
         super().__init__(master)
         self.shard = shard
         self.home = master.home
-        self.directory = Directory()
+        # A node the failure view latched is never listed (Directory.apply).
+        self.directory = Directory(self.view.failed if self.view is not None else ())
         # Per-page protocol decisions (docs/PROTOCOL.md "Coherence
         # protocols").  One policy per shard: its state is page-keyed and
         # pages are shard-disjoint.  The default MSI policy is stateless
@@ -124,28 +129,46 @@ class CoherenceService(MasterService):
             self.trace.emit("page", node, "home reverted to master", page=page)
         return self.directory.evict_node(node)
 
-    def _pull(self, peer: int, msg):
-        """Ask ``peer`` to give up (``Invalidate``) or clean (``WriteBack``)
-        its copy of ``msg.page`` and fold any dirty data into the home copy.
-
-        A clean Exclusive holder acks without payload (the home copy is
-        still current); a peer that died mid-call is counted and the home
-        copy stands."""
-        ack = yield from self.ask(peer, msg)
+    def _pull(self, txn):
+        """Bring ``txn.fetch_from``'s copy home: a write invalidates it, a
+        read writes it back and leaves it Shared.  The effect is recorded in
+        ``txn`` when the ack lands, any dirty data folded into the home copy
+        (a clean Exclusive holder acks without payload).  A latched owner is
+        not asked (its copy died with it, a lost page counted at eviction)
+        but recorded dropped; one that dies mid-call is billed the same."""
+        peer, page = txn.fetch_from, txn.page
+        proto = self.run_stats.protocol
+        ack = None
+        if self._dead(peer):
+            txn.dropped.append(peer)
+        elif txn.write:
+            ack = yield from self.ask(peer, Invalidate(page=page, want_data=True))
+            proto.invalidations += 1
+        else:
+            ack = yield from self.ask(peer, WriteBack(page=page))
+            proto.downgrades += 1
         if ack is None:
-            self.run_stats.protocol.dead_peer_skips += 1
-        elif ack.data is not None:
-            self.home_install(msg.page, ack.data)
+            proto.dead_peer_skips += 1
+            return
+        if txn.write:
+            txn.dropped.append(peer)
+        else:
+            txn.cleaned = peer
+        if ack.data is not None:
+            self.home_install(page, ack.data)
 
-    def _invalidate(self, page: int, peers, owner=None):
-        """Invalidate ``page`` on every live peer (pulling ``owner``'s data
-        home), billing the dead ones; returns the peers that were asked."""
+    def _invalidate(self, txn, peers):
+        """Invalidate ``txn.page`` on every live peer (pulling
+        ``txn.fetch_from``'s data home), billing the dead ones and recording
+        each acked copy as dropped; returns the peers that were asked."""
+        page = txn.page
         proto = self.run_stats.protocol
         live = self.live(peers)
         proto.dead_peer_skips += len(peers) - len(live)
         if live:
             acks, skipped = yield from self.gather(
-                live, lambda n: Invalidate(page=page, want_data=(n == owner))
+                live, lambda n: Invalidate(page=page, want_data=(n == txn.fetch_from)),
+                landed=lambda ack: txn.dropped.append(ack.src),
             )
             proto.dead_peer_skips += skipped
             for ack in acks:
@@ -179,20 +202,15 @@ class CoherenceService(MasterService):
     # -- kernel page ownership (syscall pointer arguments, §4.3) -----------------
 
     def own_page_for_read(self, page: int):
+        """Pull the owner's copy home and leave it Shared (a transaction of
+        the master's that grants nobody)."""
         yield self.locks.acquire(page)
+        txn = self.directory.plan(KERNEL, page, write=False)
         try:
-            owner = self.directory.owner(page)
-            if owner is not None and self._dead(owner):
-                # The Modified copy died with its node; the stale home copy
-                # is all that is left (counted as a lost page at eviction).
-                self.run_stats.protocol.dead_peer_skips += 1
-                self.directory.downgrade_owner(page)
-                owner = None
-            if owner is not None:
-                yield from self._pull(owner, WriteBack(page=page))
-                self.directory.downgrade_owner(page)
-                self.run_stats.protocol.downgrades += 1
+            if txn.fetch_from is not None:
+                yield from self._pull(txn)
         finally:
+            self.directory.apply(txn)
             self.locks.release(page)
 
     def own_page_for_write(self, page: int):
@@ -203,15 +221,17 @@ class CoherenceService(MasterService):
             self.locks.release(page)
 
     def pull_home_and_invalidate(self, page: int):
-        """Invalidate every copy, pulling the owner's data home first.
+        """Invalidate every copy, pulling the owner's data home first (a
+        master write that grants nobody).
 
         Caller holds the page's lock."""
-        asked = yield from self._invalidate(
-            page, self.directory.holders(page), owner=self.directory.owner(page)
-        )
+        txn = self.directory.plan(KERNEL, page, write=True)
+        try:
+            asked = yield from self._invalidate(txn, txn.invalidate)
+        finally:
+            self.directory.apply(txn)
         for n in asked:
             self.trace.emit("page", n, "invalidate", page=page)
-        self.directory.invalidate_all(page)
 
     # -- page requests (§4.2) ------------------------------------------------------
 
@@ -220,6 +240,7 @@ class CoherenceService(MasterService):
         splitting = self.shard.splitting
         page, node, write = msg.page, msg.src, msg.write
         proto = self.run_stats.protocol
+        txn = None  # opened once the request is served, not answered early
         yield self.locks.acquire(page)
         try:
             proto.page_requests += 1
@@ -288,43 +309,22 @@ class CoherenceService(MasterService):
             if reclassified:
                 proto.adaptive_reclassifications += 1
 
-            plan = self.directory.plan(node, page, write)
-            fetch_from = plan.fetch_from
-            if fetch_from is not None and self._dead(fetch_from):
-                # The current copy died with its owner; fall back to the
-                # stale home copy (the loss is accounted at eviction time).
-                proto.dead_peer_skips += 1
-                self.directory.drop_node(fetch_from, page)
-                fetch_from = None
-            if fetch_from is not None:
-                if write:
-                    yield from self._pull(
-                        fetch_from, Invalidate(page=page, want_data=True)
-                    )
-                    proto.invalidations += 1
-                else:
-                    yield from self._pull(fetch_from, WriteBack(page=page))
-                    proto.downgrades += 1
-            invalidated = ()
-            if plan.invalidate:
-                others = [n for n in plan.invalidate if n != plan.fetch_from]
-                if others:
-                    invalidated = yield from self._invalidate(page, others)
+            txn = self.directory.plan(node, page, write)
+            if txn.fetch_from is not None:
+                yield from self._pull(txn)
+            others = [n for n in txn.invalidate if n != txn.fetch_from]
+            if others:
+                yield from self._invalidate(txn, others)
 
             if self._dead(node):
-                # The requester died while we were serving it: do not commit
-                # a grant to a dead node (the eviction already scrubbed it),
-                # but do record the copies already taken away.
+                # The requester died while we were serving it: no reply, and
+                # apply keeps what was done but refuses the grant.
                 proto.dead_peer_skips += 1
-                for peer in invalidated:
-                    self.directory.drop_node(peer, page)
-                if write and fetch_from is not None:
-                    self.directory.drop_node(fetch_from, page)
                 return
             if write:
                 if was_sharer:
                     proto.write_upgrades += 1
-                self.directory.commit(node, page, write=True)
+                txn.grant = MSIState.MODIFIED
                 if was_sharer and self.policy.upgrade_without_payload(node, page):
                     # The requester's Shared copy is current by protocol
                     # invariant (no invalidate can be in flight to it while
@@ -339,14 +339,15 @@ class CoherenceService(MasterService):
                     msg, PageData(page=page, write=True, data=self.home_snapshot(page))
                 )
                 return
-            # Read grant: an idle entry (no owner, no sharers — including
-            # the just-scrubbed dead-owner case) may be granted
-            # Exclusive-clean under MESI-family policies.
-            exclusive = self.directory.peek(page).is_idle() and self.policy.grant_exclusive(
+            # Read grant: a page nobody else holds once this transaction's
+            # effects land (a dead owner given up on included) may be
+            # granted Exclusive-clean under MESI-family policies.
+            owner, sharers = self.directory.settled(txn)
+            exclusive = owner is None and not sharers and self.policy.grant_exclusive(
                 node, page
             )
             data = self.home_snapshot(page)
-            self.directory.commit(node, page, write=False, exclusive=exclusive)
+            txn.grant = MSIState.EXCLUSIVE if exclusive else MSIState.SHARED
             if exclusive:
                 proto.exclusive_grants += 1
             self.trace.emit(
@@ -356,6 +357,8 @@ class CoherenceService(MasterService):
                 msg, PageData(page=page, write=False, data=data, exclusive=exclusive)
             )
         finally:
+            if txn is not None:
+                self.directory.apply(txn)
             self.locks.release(page)
 
         if cfg.forwarding_enabled and not write:

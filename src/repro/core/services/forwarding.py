@@ -12,6 +12,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.forwarding import ReadAheadEngine
 from repro.core.services.base import MasterService
+from repro.mem.msi import MSIState
 from repro.net.messages import PagePush
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -50,7 +51,7 @@ class ForwardingService(MasterService):
 
         Pushes are paced against the target's downlink backlog so a demand
         reply never queues behind a long push burst, and each page's
-        directory commit + send is atomic under the page lock (an Invalidate
+        directory transaction + send is atomic under the page lock (an Invalidate
         racing a push must be ordered after it on the wire).
 
         The forwarder is shared across master shards (a stream's consecutive
@@ -74,19 +75,21 @@ class ForwardingService(MasterService):
                     yield self.sim.sleep(backlog - pace_cap)
                 co = coord.coherence_of(p)
                 yield co.locks.acquire(p)
+                # A push is a read grant that needs no action: none planned
+                # (a Modified copy elsewhere would need one) and not held yet.
+                txn = co.directory.plan(node, p, write=False)
                 try:
-                    if co.directory.owner(p) is not None:
-                        continue  # modified elsewhere: a push would need invalidations
-                    if node in co.directory.holders(p):
+                    if txn.fetch_from is not None or txn.already_granted:
                         continue
                     if coord.split_entry(p) is not None or coord.split_retired(p):
                         continue
                     yield self.sim.sleep(self.config.cost.forwarding_push_ns)
-                    co.directory.commit(node, p, write=False)
+                    txn.grant = MSIState.SHARED
                     self.trace.emit("push", node, "forwarded", page=p)
                     self.send(node, PagePush(page=p, data=co.home_snapshot(p)))
                     proto.pages_forwarded += 1
                 finally:
+                    co.directory.apply(txn)
                     co.locks.release(p)
         finally:
             stats.busy_ns += self.sim.now - t0

@@ -2,25 +2,31 @@
 
 The master node owns one :class:`Directory`.  For every guest page it tracks
 which node holds it Modified (the *owner*) or which nodes hold it Shared.
-The directory is a pure data structure: :meth:`plan` computes the coherence
-actions a request requires, and :meth:`commit` applies the state change once
-the master has performed them.  Keeping planning separate from the network
-makes the protocol property-testable in isolation.
 
-Invariants (checked by :meth:`check_invariants`):
+Every change is one coherence *transaction*: :meth:`Directory.plan` reads
+the entry and opens a :class:`Transaction` naming what granting a request
+takes; the handler records in it each effect as it happens (a copy taken
+away or cleaned once its ack lands, then the grant); and
+:meth:`Directory.apply`, once on every exit path, writes the record into the
+entry as it stands then.  So an exit between two effects leaves the
+directory describing the copies that exist, a concurrent :meth:`evict_node`
+(the only other mutator) is kept, and the protocol is model-checkable
+without a network (``tests/test_directory_model.py``).
 
-* a page has an owner XOR (possibly empty) sharers — never both;
-* the owner, if any, is a single node.
+Invariants (checked by :meth:`check_invariants`): a page has an owner XOR
+(possibly empty) sharers; the owner is a single node; no node the failure
+view has latched is listed (``apply`` refuses its grant and unlists it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Container, Optional
 
 from repro.errors import ProtocolError
+from repro.mem.msi import MSIState
 
-__all__ = ["DirEntry", "CoherencePlan", "Directory"]
+__all__ = ["DirEntry", "Transaction", "Directory"]
 
 
 #: The sharer set of every entry nobody shares.
@@ -40,109 +46,130 @@ class DirEntry:
         return self.owner is None and not self.sharers
 
 
-@dataclass(frozen=True)
-class CoherencePlan:
-    """Actions the master must take before granting a request.
+#: What a page without an entry reads as (never written to).
+_IDLE = DirEntry()
 
-    ``fetch_from``   — node whose Modified copy must be written back first
-                       (on a read it keeps the page, Shared).
-    ``invalidate``   — nodes whose copies must be dropped (write requests).
-    ``already_granted`` — requester already holds a sufficient copy.
+
+class Transaction:
+    """Granting ``page`` to ``node`` (``write`` or read), as planned and as done.
+
+    The plan (:meth:`Directory.plan`): ``fetch_from``, the node whose
+    Modified copy must come home first (a read leaves it Shared);
+    ``invalidate``, the nodes whose copies must be dropped (writes);
+    ``already_granted``, ``node`` already holds a sufficient copy.
+
+    The record, written as each effect happens: ``dropped``, the nodes whose
+    copy was taken away (an acked ``Invalidate``, or an owner given up on
+    because its node died); ``cleaned``, the owner written back and left
+    Shared; ``grant``, the state granted to ``node``.  An Exclusive grant
+    lists ``node`` as owner: it may upgrade E→M without telling the master,
+    so later transactions treat the copy as possibly dirty.
+
+    Fields left at their class default are not set, so opening one per
+    request costs no Python-level call.
     """
 
+    node: int
+    page: int
+    write: bool
+    dropped: list[int]
     fetch_from: Optional[int] = None
     invalidate: tuple[int, ...] = ()
     already_granted: bool = False
-
-
-#: The action-free plans :meth:`Directory.plan` shares.
-_GRANTED = CoherencePlan(already_granted=True)
-_NOTHING = CoherencePlan()
+    cleaned: Optional[int] = None
+    grant: Optional[MSIState] = None
 
 
 class Directory:
-    """Per-page owner/sharer bookkeeping."""
+    """Per-page owner/sharer bookkeeping.
 
-    def __init__(self) -> None:
+    ``latched`` is the failure view's set of nodes latched failed, read live
+    and never written here (empty when no failure domain is armed)."""
+
+    def __init__(self, latched: Container[int] = _NOBODY) -> None:
         self._entries: dict[int, DirEntry] = {}
-        #: Every sharer set an entry holds, once (``_NOBODY`` included).
+        #: Every sharer set an entry holds, once (``_NOBODY`` included);
+        #: ``_sets.setdefault(s, s)`` is the one object equal to ``s``.
         self._sets: dict[frozenset[int], frozenset[int]] = {_NOBODY: _NOBODY}
-
-    def _shared(self, sharers: frozenset[int]) -> frozenset[int]:
-        """The one object of this directory equal to ``sharers``."""
-        return self._sets.setdefault(sharers, sharers)
-
-    def entry(self, page: int) -> DirEntry:
-        ent = self._entries.get(page)
-        if ent is None:
-            ent = DirEntry()
-            self._entries[page] = ent
-        return ent
+        self.latched = latched
 
     def peek(self, page: int) -> DirEntry:
-        """Read-only view (does not create an entry)."""
+        """Read-only view (a page without an entry reads as one shared idle
+        entry; never write to it)."""
+        return self._entries.get(page, _IDLE)
+
+    # -- transactions ------------------------------------------------------------
+
+    def plan(self, node: int, page: int, write: bool) -> Transaction:
+        """Open the transaction granting ``page`` to ``node`` (read-only:
+        the entry changes only at :meth:`apply`)."""
+        ent = self._entries.get(page, _IDLE)
+        owner, sharers = ent.owner, ent.sharers
+        txn = Transaction()
+        txn.node, txn.page, txn.write, txn.dropped = node, page, write, []
+        if owner == node or (not write and node in sharers):
+            txn.already_granted = True
+        elif owner is not None:
+            txn.fetch_from = owner
+            if write:
+                txn.invalidate = (owner,)
+        elif write and sharers:
+            txn.invalidate = tuple(sorted(sharers - {node}))
+        return txn
+
+    def settled(self, txn: Transaction) -> tuple[Optional[int], frozenset[int]]:
+        """``(owner, sharers)`` of ``txn``'s page once what ``txn`` recorded
+        lands on the entry as it stands now, the grant left out: a cleaned
+        owner becomes a sharer, dropped copies and latched nodes are
+        unlisted."""
+        ent = self._entries.get(txn.page, _IDLE)
+        owner, sharers = ent.owner, ent.sharers
+        if owner is not None and owner == txn.cleaned:
+            owner, sharers = None, frozenset((owner,))
+        gone, latched = txn.dropped, self.latched
+        if owner in gone or owner in latched:
+            owner = None
+        if sharers and (gone or latched):
+            sharers = sharers.difference(gone, latched)
+        return owner, sharers
+
+    def apply(self, txn: Transaction) -> None:
+        """Write what ``txn`` recorded into its page's entry: the one place
+        a transaction mutates the directory, called once on every exit path.
+
+        The recorded effects land first (:meth:`settled`), then the grant,
+        unless its node is latched; an idle page keeps no entry."""
+        owner, sharers = self.settled(txn)
+        grant, node = txn.grant, txn.node
+        if grant is not None and node not in self.latched:
+            if grant is MSIState.SHARED:
+                sharers = sharers | {node}
+            else:
+                owner, sharers = node, _NOBODY
+        page = txn.page
+        if owner is None and not sharers:
+            self._entries.pop(page, None)
+            return
+        sharers = self._sets.setdefault(sharers, sharers)
         ent = self._entries.get(page)
-        return DirEntry() if ent is None else ent
-
-    # -- planning ------------------------------------------------------------
-
-    def plan(self, node: int, page: int, write: bool) -> CoherencePlan:
-        """What granting ``page`` to ``node`` takes (read-only: the two
-        action-free plans are shared)."""
-        ent = self.peek(page)
-        if write:
-            if ent.owner == node:
-                return _GRANTED
-            if ent.owner is not None:
-                return CoherencePlan(fetch_from=ent.owner, invalidate=(ent.owner,))
-            others = tuple(sorted(ent.sharers - {node})) if ent.sharers else ()
-            return CoherencePlan(invalidate=others) if others else _NOTHING
-        # read request
-        if ent.owner == node or node in ent.sharers:
-            return _GRANTED
-        if ent.owner is not None:
-            return CoherencePlan(fetch_from=ent.owner)
-        return _NOTHING
-
-    # -- commit ------------------------------------------------------------
+        if ent is None:
+            self._entries[page] = DirEntry(owner, sharers)
+        else:
+            ent.owner, ent.sharers = owner, sharers
 
     def commit(self, node: int, page: int, write: bool, exclusive: bool = False) -> None:
-        """Apply the grant after the plan's actions were carried out.
-
-        ``exclusive`` records a MESI Exclusive-clean read grant: the node
-        becomes *owner* even though its copy is clean, because the holder
-        may silently upgrade E→M at any time without telling the master —
-        so every later transaction must treat the copy as possibly dirty
-        (peer reads fetch/write it back, exactly like a Modified owner).
-        Only valid when the entry is idle; the caller guarantees it.
-        """
-        ent = self.entry(page)
-        if write or exclusive:
-            ent.owner = node
-            ent.sharers = _NOBODY
+        """A whole transaction whose every planned action was acked
+        (``exclusive``: an Exclusive read grant, idle entry only)."""
+        txn = self.plan(node, page, write)
+        if txn.already_granted:
+            return
+        if write:
+            txn.dropped.extend(txn.invalidate)
+            txn.grant = MSIState.MODIFIED
         else:
-            if ent.owner is not None:
-                if ent.owner != node:
-                    # former owner was downgraded to sharer by the plan
-                    ent.sharers = frozenset((ent.owner,))
-                ent.owner = None
-            ent.sharers = self._shared(ent.sharers | {node})
-
-    def drop_node(self, node: int, page: int) -> None:
-        """Remove a node's copy (e.g. after an explicit invalidation)."""
-        ent = self.peek(page)
-        if ent.owner == node:
-            ent.owner = None
-        if node in ent.sharers:
-            ent.sharers = self._shared(ent.sharers - {node})
-
-    def downgrade_owner(self, page: int) -> None:
-        """Owner's M copy becomes S (kernel read path: master pulled the data
-        home but grants nobody new access)."""
-        ent = self.peek(page)
-        if ent.owner is not None:
-            ent.sharers = self._shared(frozenset((ent.owner,)))
-            ent.owner = None
+            txn.cleaned = txn.fetch_from
+            txn.grant = MSIState.EXCLUSIVE if exclusive else MSIState.SHARED
+        self.apply(txn)
 
     def evict_node(self, node: int) -> tuple[list[int], list[int]]:
         """Forget every copy a dead node held (directory re-homing).
@@ -169,20 +196,10 @@ class Directory:
                 ent.owner = None
                 lost.append(page)
             elif node in ent.sharers:
-                ent.sharers = self._shared(ent.sharers - {node})
+                rest = ent.sharers - {node}
+                ent.sharers = self._sets.setdefault(rest, rest)
                 rehomed.append(page)
         return sorted(rehomed), sorted(lost)
-
-    def invalidate_all(self, page: int) -> tuple[int, ...]:
-        """Forget every copy of a page (page-splitting migration). Returns
-        the nodes that held it."""
-        ent = self._entries.pop(page, None)
-        if ent is None:
-            return ()
-        holders = set(ent.sharers)
-        if ent.owner is not None:
-            holders.add(ent.owner)
-        return tuple(sorted(holders))
 
     # -- queries ----------------------------------------------------------------
 
@@ -205,3 +222,5 @@ class Directory:
                 raise ProtocolError(
                     f"page {page:#x}: owner {ent.owner} coexists with sharers {ent.sharers}"
                 )
+            if ent.owner in self.latched or not ent.sharers.isdisjoint(self.latched):
+                raise ProtocolError(f"page {page:#x}: latched node listed in {ent}")

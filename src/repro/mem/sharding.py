@@ -15,8 +15,8 @@ module provides the partitioning math that lets the master run K independent
   shard: the merge path locks the original and all shadows together, and
   keeping that lock set inside one shard preserves the single-shard
   deadlock-freedom argument (see docs/PROTOCOL.md).
-* :class:`ShardedDirectoryView` / :class:`ShardedSplitView` — read-only
-  merged views over the per-shard partitions, for tests and debugging.
+* :class:`ShardedDirectoryView` / :class:`ShardedSplitView` — one object
+  over the per-shard partitions, for tests and debugging.
 
 With ``K == 1`` every helper degenerates to the unsharded behavior
 bit-for-bit: one shard, the legacy shadow cursor, the underlying directory.
@@ -30,7 +30,7 @@ from repro.errors import ConfigError
 from repro.mem.layout import PAGE_SIZE, SHADOW_BASE
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.mem.directory import DirEntry, Directory
+    from repro.mem.directory import Directory
     from repro.mem.splitmap import SplitEntry, SplitMap
 
 __all__ = [
@@ -80,47 +80,14 @@ class ShadowPageAllocator:
 
 
 class ShardedDirectoryView:
-    """Read-only merged view over the per-shard directory partitions.
+    """One job's per-shard directory partitions as one object: what a test
+    walks (``shards``) and checks (:meth:`check_invariants`).  Reads go
+    through a shard's own directory; mutations stay shard-local by design."""
 
-    Each query routes to the owning shard, so the view is exactly as current
-    as the partitions themselves.  Mutations stay shard-local by design —
-    this view exposes none.
-
-    ``policies`` optionally carries the per-shard
-    :class:`~repro.mem.protocols.CoherencePolicy` objects alongside the
-    directories, so tests and debuggers can ask where a page's *home*
-    currently lives (:meth:`home_of`) under the migrating protocols.
-    """
-
-    def __init__(self, directories: Iterable["Directory"], policies=None):
+    def __init__(self, directories: Iterable["Directory"]):
         self.shards: list["Directory"] = list(directories)
         if not self.shards:
             raise ConfigError("ShardedDirectoryView needs at least one shard")
-        self.policies = list(policies) if policies is not None else None
-        if self.policies is not None and len(self.policies) != len(self.shards):
-            raise ConfigError("one policy per directory shard required")
-
-    def _of(self, page: int) -> "Directory":
-        return self.shards[shard_of(page, len(self.shards))]
-
-    def home_of(self, page: int) -> Optional[int]:
-        """Node the page's home migrated to, or ``None`` (home = master —
-        always the answer when no policies were registered)."""
-        if self.policies is None:
-            return None
-        return self.policies[shard_of(page, len(self.shards))].home_of(page)
-
-    def peek(self, page: int) -> "DirEntry":
-        return self._of(page).peek(page)
-
-    def owner(self, page: int) -> Optional[int]:
-        return self._of(page).owner(page)
-
-    def holders(self, page: int) -> tuple[int, ...]:
-        return self._of(page).holders(page)
-
-    def sharers(self, page: int) -> frozenset[int]:
-        return self._of(page).sharers(page)
 
     def check_invariants(self) -> None:
         for directory in self.shards:
@@ -140,12 +107,10 @@ class TenantDirectoryView:
     def __init__(self) -> None:
         self._views: dict[int, ShardedDirectoryView] = {}
 
-    def add_tenant(
-        self, tenant: int, directories: Iterable["Directory"], policies=None
-    ) -> None:
+    def add_tenant(self, tenant: int, directories: Iterable["Directory"]) -> None:
         if tenant in self._views:
             raise ConfigError(f"tenant {tenant} already registered")
-        self._views[tenant] = ShardedDirectoryView(directories, policies)
+        self._views[tenant] = ShardedDirectoryView(directories)
 
     def remove(self, tenant: int) -> None:
         """Forget a retired tenant's view."""
@@ -156,15 +121,6 @@ class TenantDirectoryView:
             return self._views[tenant]
         except KeyError:
             raise ConfigError(f"unknown tenant {tenant}") from None
-
-    def peek(self, tenant: int, page: int) -> "DirEntry":
-        return self.for_tenant(tenant).peek(page)
-
-    def owner(self, tenant: int, page: int) -> Optional[int]:
-        return self.for_tenant(tenant).owner(page)
-
-    def home_of(self, tenant: int, page: int) -> Optional[int]:
-        return self.for_tenant(tenant).home_of(page)
 
     def tenants(self) -> tuple[int, ...]:
         return tuple(sorted(self._views))

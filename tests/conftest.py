@@ -96,6 +96,39 @@ def resident_node_memory(prog):
     return mem
 
 
+def assert_directory_mirrors(cluster):
+    """The end of ``cluster``'s last run agrees with its directory: every
+    slave the failure view has not latched holds exactly the pages the
+    directory lists it for, no latched node is listed, and the directory's
+    invariants hold.  Call right after ``run()`` returns, before the
+    cluster is driven again (that retires the job's state)."""
+    fleet = cluster._fleet
+    latched = fleet.health.failed
+    for tenant in cluster.directories.tenants():
+        listed: dict[int, set[int]] = {}
+        for directory in cluster.directories.for_tenant(tenant).shards:
+            for page, ent in directory._entries.items():
+                for n in ent.sharers if ent.owner is None else (ent.owner,):
+                    listed.setdefault(n, set()).add(page)
+        assert not latched & listed.keys(), f"latched node listed: {sorted(latched)}"
+        for n, node in fleet.nodes.items():
+            if n == 0 or n in latched:
+                continue
+            held, mine = set(node.tenants[tenant].memory.pages._states), listed.get(n, set())
+            assert held == mine, (
+                f"job {tenant}: n{n} holds unlisted pages {sorted(held - mine)} "
+                f"and is listed for pages it lacks {sorted(mine - held)}"
+            )
+    cluster.directories.check_invariants()
+
+
+def mirrored_run(cluster, program, **kw):
+    """``cluster.run(program, **kw)``, then :func:`assert_directory_mirrors`."""
+    result = cluster.run(program, **kw)
+    assert_directory_mirrors(cluster)
+    return result
+
+
 def memory_image(mem):
     """Everything an access can leave behind: bytes, states, reservations."""
     return (

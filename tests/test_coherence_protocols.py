@@ -19,6 +19,7 @@ from repro.mem.protocols import (
     make_policy,
 )
 from repro.workloads import memaccess, pi_taylor
+from tests.conftest import mirrored_run
 
 
 class TestMSIState:
@@ -194,7 +195,7 @@ class TestEndToEnd:
             n_threads=4, n_nodes=2, pages_per_thread=4, passes=2
         )
         cfg = DQEMUConfig(coherence_protocol=protocol, adaptive_window=8, **cfg_kw)
-        return Cluster(2, cfg).run(prog, max_virtual_ms=60_000_000)
+        return mirrored_run(Cluster(2, cfg), prog, max_virtual_ms=60_000_000)
 
     def test_msi_never_uses_new_machinery(self):
         res = self.run_rmw("msi")
@@ -241,7 +242,7 @@ class TestEndToEnd:
         # streak at 3 in this small run; trigger at 2 so the migration
         # fires with an acquisition still to come (the local hit).
         cfg = DQEMUConfig(coherence_protocol="migrate", migration_trigger=2)
-        res = Cluster(2, cfg).run(prog, max_virtual_ms=60_000_000)
+        res = mirrored_run(Cluster(2, cfg), prog, max_virtual_ms=60_000_000)
         p = res.stats.protocol
         assert res.exit_code == 0
         assert p.home_migrations > 0
@@ -259,7 +260,7 @@ class TestEndToEnd:
         ref = None
         for protocol in PROTOCOL_NAMES:
             cfg = DQEMUConfig(coherence_protocol=protocol, adaptive_window=8)
-            res = Cluster(2, cfg).run(prog, max_virtual_ms=60_000_000)
+            res = mirrored_run(Cluster(2, cfg), prog, max_virtual_ms=60_000_000)
             assert res.exit_code == 0
             if ref is None:
                 ref = res.stdout

@@ -26,6 +26,7 @@ from repro.net.messages import PageRequest
 from repro.net.rpc import RetryPolicy, RpcTimeout
 from repro.sim import Simulator
 from repro.workloads import blackscholes, memaccess, pi_taylor
+from tests.conftest import mirrored_run
 
 RETRY = RetryPolicy(max_retries=3, backoff_base_ns=10_000)
 
@@ -334,7 +335,7 @@ RELIABLE = dict(
 def _run(n_slaves=3, trace=False, **cfg_kw):
     prog = blackscholes.build(**PROG_KW)
     cfg = DQEMUConfig(**cfg_kw).time_scaled(100.0)
-    return Cluster(n_slaves, cfg, trace=trace).run(prog, max_virtual_ms=60_000_000)
+    return mirrored_run(Cluster(n_slaves, cfg, trace=trace), prog, max_virtual_ms=60_000_000)
 
 
 def _failure_row(result):
@@ -361,7 +362,9 @@ CORPSE = dict(
 
 
 def _pi(cfg, trace=False):
-    return Cluster(3, cfg, trace=trace).run(pi_taylor.build(n_threads=6, terms=300, reps=2))
+    return mirrored_run(
+        Cluster(3, cfg, trace=trace), pi_taylor.build(n_threads=6, terms=300, reps=2)
+    )
 
 
 #: What each configuration arms, and the ``RunStats.services`` rows a run of
@@ -507,7 +510,7 @@ class TestCrashTolerance:
             fault_plan=plan, evacuation_enabled=True, health_aware_placement=True,
             heartbeat_interval_ns=heartbeat_ns, **RELIABLE,
         ).time_scaled(100.0)
-        r = Cluster(3, cfg).run(blackscholes.build(**PROG_KW), max_virtual_ms=5)
+        r = mirrored_run(Cluster(3, cfg), blackscholes.build(**PROG_KW), max_virtual_ms=5)
         assert r.exit_code == 0
         rec = r.failures.nodes[2]
         assert rec.kind == "crash" and rec.detected_ns >= crash_at
@@ -586,7 +589,7 @@ class TestCoherenceProtocolCrashes:
             coherence_protocol=protocol, adaptive_window=8,
             migration_trigger=3, **cfg_kw
         ).time_scaled(100.0)
-        return Cluster(3, cfg, trace=trace).run(prog, max_virtual_ms=60_000_000)
+        return mirrored_run(Cluster(3, cfg, trace=trace), prog, max_virtual_ms=60_000_000)
 
     def test_crash_with_exclusive_pages_completes_degraded(self):
         # The victim holds Exclusive-clean grants when it dies; eviction
@@ -731,8 +734,8 @@ class TestHeartbeatsUnderLoad:
     @pytest.mark.parametrize("protocol", ["adaptive", "msi"])
     @pytest.mark.parametrize("pages", [32, 128])
     def test_full_stack(self, pages, protocol):
-        r = Cluster(4, FULL_STACK.with_options(coherence_protocol=protocol)).run(
-            _loaded(pages)
+        r = mirrored_run(
+            Cluster(4, FULL_STACK.with_options(coherence_protocol=protocol)), _loaded(pages)
         )
         assert r.exit_code == 0
         assert r.stdout.splitlines()[-1] == str(36 * pages)
@@ -755,7 +758,7 @@ class TestHeartbeatMute:
     def test_mute_is_latched_or_harmless(self, protocol, mute_ns):
         plan = FaultPlan.of(drop(kinds=("heartbeat",), src=1, after_ns=mute_ns))
         cfg = DQEMUConfig(**LIVENESS, coherence_protocol=protocol, fault_plan=plan)
-        r = Cluster(4, cfg).run(_loaded())
+        r = mirrored_run(Cluster(4, cfg), _loaded())
         if r.exit_code == 0 and r.stdout.splitlines()[-1] == str(36 * 32) and not r.failures.nodes:
             return
         assert list(r.failures.nodes) == [1]

@@ -1,8 +1,11 @@
 """Directory/MSI protocol tests, including property-based invariants."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import ProtocolError
 from repro.mem.directory import Directory
+from repro.mem.msi import MSIState
 
 
 class TestPlans:
@@ -70,17 +73,23 @@ class TestPlans:
         d.commit(1, 100, write=True)
         assert d.owner(100) == 1
 
-    def test_invalidate_all_returns_holders(self):
+    def test_invalidating_every_holder_leaves_no_entry(self):
         d = Directory()
         d.commit(1, 100, write=False)
         d.commit(2, 100, write=False)
-        assert d.invalidate_all(100) == (1, 2)
+        txn = d.plan(0, 100, write=True)  # the master's own write
+        assert txn.invalidate == (1, 2)
+        txn.dropped.extend(txn.invalidate)
+        d.apply(txn)
         assert d.holders(100) == ()
+        assert 100 not in d._entries
 
-    def test_drop_node(self):
+    def test_dropped_owner_is_unlisted(self):
         d = Directory()
         d.commit(1, 100, write=True)
-        d.drop_node(1, 100)
+        txn = d.plan(2, 100, write=True)
+        txn.dropped.append(txn.fetch_from)
+        d.apply(txn)  # nothing granted
         assert d.owner(100) is None
 
     def test_pages_independent(self):
@@ -89,6 +98,82 @@ class TestPlans:
         d.commit(2, 200, write=True)
         assert d.owner(100) == 1
         assert d.owner(200) == 2
+
+
+class TestTransactions:
+    """``plan`` opens, the record says what was done, ``apply`` writes it."""
+
+    def test_plan_changes_nothing(self):
+        d = Directory()
+        d.commit(1, 100, write=False)
+        txn = d.plan(2, 100, write=True)
+        txn.dropped.append(1)
+        txn.grant = MSIState.MODIFIED
+        assert d.sharers(100) == {1} and d.owner(100) is None
+
+    def test_cleaned_owner_becomes_sharer(self):
+        d = Directory()
+        d.commit(1, 100, write=True)
+        txn = d.plan(2, 100, write=False)
+        txn.cleaned = txn.fetch_from
+        txn.grant = MSIState.SHARED
+        d.apply(txn)
+        assert d.owner(100) is None and d.sharers(100) == {1, 2}
+
+    def test_exclusive_grant_lists_an_owner(self):
+        d = Directory()
+        txn = d.plan(3, 100, write=False)
+        assert d.settled(txn) == (None, frozenset())
+        txn.grant = MSIState.EXCLUSIVE
+        d.apply(txn)
+        assert d.owner(100) == 3 and d.sharers(100) == frozenset()
+
+    def test_an_exit_keeps_the_effects_and_no_grant(self):
+        # The requester is latched after one invalidation landed: what was
+        # done is kept and the grant is refused.
+        latched = set()
+        d = Directory(latched)
+        for n in (1, 2, 3):
+            d.commit(n, 100, write=False)
+        txn = d.plan(1, 100, write=True)
+        assert txn.invalidate == (2, 3)
+        txn.dropped.append(2)  # 3's ack never landed
+        latched.add(1)
+        d.evict_node(1)
+        txn.grant = MSIState.MODIFIED
+        d.apply(txn)
+        assert d.owner(100) is None and d.sharers(100) == {3}
+        d.check_invariants()
+
+    def test_apply_reads_the_entry_as_it_stands(self):
+        d = Directory()
+        d.commit(1, 100, write=False)
+        d.commit(2, 100, write=False)
+        txn = d.plan(3, 100, write=False)
+        d.evict_node(2)  # concurrent with the transaction
+        txn.grant = MSIState.SHARED
+        d.apply(txn)
+        assert d.sharers(100) == {1, 3}
+
+    def test_a_latched_node_is_never_listed(self):
+        latched = {2}
+        d = Directory(latched)
+        d.commit(3, 100, write=False)
+        d.commit(2, 100, write=False)  # refused
+        assert d.sharers(100) == {3}
+        d.commit(1, 200, write=True)
+        latched.add(1)  # latched, not yet evicted
+        d.apply(d.plan(3, 200, write=False))  # any transaction unlists it
+        assert d.holders(200) == ()
+        d.check_invariants()
+
+    def test_check_invariants_names_a_latched_node(self):
+        latched = set()
+        d = Directory(latched)
+        d.commit(1, 100, write=True)
+        latched.add(1)
+        with pytest.raises(ProtocolError, match="latched"):
+            d.check_invariants()
 
 
 # -- property-based: random request streams keep invariants ----------------------

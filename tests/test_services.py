@@ -245,21 +245,27 @@ class TestRpc:
 
 class TestGather:
     """``MasterService.gather`` is the one dead-peer-tolerant await: driven
-    here through both routes that used to carry their own copy — a coherence
-    invalidation and a split-table broadcast — against two peers, one of
-    which may stay silent."""
+    here through every route that used to carry its own copy — a coherence
+    invalidation, a split-table broadcast, and a page request's
+    invalidations — against two peers, one of which may stay silent.  After
+    each outcome the directory keeps the transaction's rules: no latched
+    node listed, no peer that acked an ``Invalidate`` still listed, an owner
+    XOR sharers."""
 
     TIMEOUT_NS = 1_000_000
     PAGE = 7
+    REQUESTER = 3  # the page_request route's writer
 
-    def _rig(self, route, with_view, silent):
-        sim, _fabric, eps = make_cluster(3)
+    def _rig(self, route, with_view, silent, latch=()):
+        """``latch``: nodes the view latches failed the moment the first
+        ``Invalidate`` reaches a peer (mid-handler)."""
+        sim, _fabric, eps = make_cluster(4)
         view = HealthTracker(sim, suspect_after=2, down_after=5) if with_view else None
         runtime = SimpleNamespace(
             sim=sim, config=DQEMUConfig(rpc_timeout_ns=self.TIMEOUT_NS),
             endpoint=eps[0], trace=NULL_TRACER, run_stats=RunStats(), tenant=0,
             failure_view=view, node=SimpleNamespace(node_id=0), node_ids=[1, 2],
-            home=PageStore(),
+            home=PageStore(), acked=set(), reply=None,
         )
         shard = SimpleNamespace(shard=0)
         shard.coherence = CoherenceService(runtime, shard)
@@ -271,26 +277,42 @@ class TestGather:
             q = ep.subscribe_default()
             while ep.node_id not in silent:
                 msg = yield q.get()
-                ack = InvalidateAck(page=msg.page) if msg.kind == "invalidate" else Ack()
-                ep.reply(msg, ack)
+                if msg.kind == "invalidate":
+                    for n in latch:
+                        view.mark_failed(n)
+                    runtime.acked.add(ep.node_id)
+                    ep.reply(msg, InvalidateAck(page=msg.page))
+                else:
+                    ep.reply(msg, Ack())
 
-        for ep in eps[1:]:
+        for ep in eps[1:3]:
             sim.spawn(peer(ep))
 
-        if route == "invalidate":
+        if route == "broadcast":
+            service = shard.splitting
+            operation = runtime.coordinator.broadcast_split_table(via=service)
+        else:
             service = shard.coherence
             for n in (1, 2):
                 service.directory.commit(n, self.PAGE, write=False)
-            operation = service.pull_home_and_invalidate(self.PAGE)
-        else:
-            service = shard.splitting
-            operation = runtime.coordinator.broadcast_split_table(via=service)
+            if route == "invalidate":
+                operation = service.pull_home_and_invalidate(self.PAGE)
+            else:
+                inbox = eps[0].subscribe_default()
+                runtime.reply = eps[self.REQUESTER].request(
+                    0, PageRequest(page=self.PAGE, write=True)
+                )
+
+                def serve():
+                    yield from service.handle((yield inbox.get()))
+
+                operation = serve()
 
         gathered, raised = [], []
         inner = service.gather
 
-        def recording_gather(peers, make_msg):
-            result = yield from inner(peers, make_msg)
+        def recording_gather(peers, make_msg, **kw):
+            result = yield from inner(peers, make_msg, **kw)
             gathered.append(result)
             return result
 
@@ -305,7 +327,18 @@ class TestGather:
         sim.spawn(driver())
         return sim, runtime, gathered, raised
 
-    @pytest.mark.parametrize("route", ["invalidate", "broadcast"])
+    def _assert_directory(self, runtime):
+        directory = runtime.shards[0].coherence.directory
+        directory.check_invariants()  # owner XOR sharers, no latched node
+        holders = set(directory.holders(self.PAGE))
+        latched = runtime.failure_view.failed if runtime.failure_view else set()
+        assert not holders & latched
+        assert not holders & runtime.acked
+        return directory
+
+    ROUTES = ["invalidate", "broadcast", "page_request"]
+
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("with_view", [False, True])
     def test_all_peers_ack(self, route, with_view):
         sim, runtime, gathered, raised = self._rig(route, with_view, silent=())
@@ -313,18 +346,25 @@ class TestGather:
         [(acks, skipped)] = gathered
         assert len(acks) == 2 and skipped == 0 and not raised
         assert runtime.run_stats.protocol.dead_peer_skips == 0
+        directory = self._assert_directory(runtime)
+        if route == "page_request":
+            assert directory.owner(self.PAGE) == self.REQUESTER
+            assert runtime.reply.value.write
 
-    @pytest.mark.parametrize("route", ["invalidate", "broadcast"])
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("with_view", [False, True])
     def test_silent_live_peer_raises(self, route, with_view):
         # Failure-blind, or with a view that has not latched the peer as
         # failed: a slow peer is not a dead one.
-        sim, _runtime, gathered, raised = self._rig(route, with_view, silent={2})
+        sim, runtime, gathered, raised = self._rig(route, with_view, silent={2})
         sim.run()
         assert not gathered
         assert [exc.request.dst for exc in raised] == [2]
+        # The copy that was taken away is unlisted, the silent one stays.
+        if route != "broadcast":
+            assert self._assert_directory(runtime).holders(self.PAGE) == (2,)
 
-    @pytest.mark.parametrize("route", ["invalidate", "broadcast"])
+    @pytest.mark.parametrize("route", ROUTES)
     def test_peer_latched_failed_mid_call_is_skipped_and_reported(self, route):
         sim, runtime, gathered, raised = self._rig(route, True, silent={2})
         sim.timeout(self.TIMEOUT_NS // 2).add_callback(
@@ -336,7 +376,24 @@ class TestGather:
         # Billing stays with the caller: coherence counts the skip, the
         # coordinator's broadcast does not.
         billed = runtime.run_stats.protocol.dead_peer_skips
-        assert billed == (1 if route == "invalidate" else 0)
+        assert billed == (0 if route == "broadcast" else 1)
+        directory = self._assert_directory(runtime)
+        if route == "page_request":
+            assert directory.owner(self.PAGE) == self.REQUESTER
+
+    def test_requester_latched_mid_handler_keeps_what_was_done(self):
+        # The requester dies while its invalidations are out: the handler
+        # returns without a reply, the acked copies are unlisted and the
+        # grant is refused.
+        sim, runtime, gathered, raised = self._rig(
+            "page_request", True, silent=(), latch={self.REQUESTER}
+        )
+        sim.run()
+        [(acks, skipped)] = gathered
+        assert len(acks) == 2 and skipped == 0 and not raised
+        assert runtime.run_stats.protocol.dead_peer_skips == 1
+        assert not runtime.reply.triggered
+        assert self._assert_directory(runtime).peek(self.PAGE).is_idle()
 
 
 def all_message_types(cls=Message):
