@@ -82,7 +82,10 @@ CALLS = "prof.py_calls_per_kinsn"
 #: and 473.9 before them: translation-time calls, since a trip makes none; one
 #: directory transaction per coherence exit path, written by one ``apply``,
 #: measured 17.3, 155.7, 362.7, 945.9, 11451.5 and 476.1, against 17.4,
-#: 155.7, 362.7, 944.7, 11461.4 and 475.7 before it).
+#: 155.7, 362.7, 944.7, 11461.4 and 475.7 before it; at-most-once delivery
+#: asked of the RPC channel (one call per armed dispatch) and the view-binding
+#: assertion at translation time measured 17.4, 155.7, 362.7, 946.5, 11452.7
+#: and 477.1).
 CEILINGS = {
     "mem_read_walk": {CALLS: 18.1},
     "mem_rmw_walk": {CALLS: 162.9},

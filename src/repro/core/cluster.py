@@ -148,12 +148,6 @@ class _Fleet:
             )
             for nid in self.node_ids
         }
-        # Keep only the bookkeeping a frame can read: only a FaultPlan
-        # repeats, delays or drops frames, only a retry re-sends a request
-        # (docs/PROTOCOL.md "Recover vs. fail loudly").
-        faults, retries = cfg.fault_plan is not None, bool(cfg.rpc_max_retries)
-        for node in self.nodes.values():
-            node.endpoint.rpc.arm(faults=faults, retries=retries)
         #: Tenant-keyed read-only views over each job's directory shards.
         self.directories = TenantDirectoryView()
         #: Jobs currently running (admitted, not yet settled).

@@ -50,7 +50,6 @@ from repro.core.services.syscalls import SyscallService
 from repro.core.stats import RunStats
 from repro.kernel.syscalls import SystemState
 from repro.mem.pagestore import PageStore
-from repro.mem.sharding import ShardedSplitView
 from repro.net.messages import Shutdown
 from repro.sim.engine import Event, Process, Simulator
 
@@ -74,7 +73,7 @@ class MasterShard:
         self.coherence = CoherenceService(master, self)
         self.splitting = SplittingService(master, self)
         self.dispatcher = Dispatcher(
-            master.sim, master.run_stats, shard=shard, endpoint=master.endpoint,
+            master.endpoint, master.run_stats, shard=shard,
             failure_view=master.failure_view,
         )
         self.dispatcher.register(self.coherence)
@@ -173,19 +172,6 @@ class MasterRuntime:
         self.coherence = shard0.coherence
         self.splitting = shard0.splitting
         self.dispatcher = shard0.dispatcher
-
-    # -- convenience views (debugging, tests) ----------------------------------
-
-    @property
-    def split(self):
-        """The canonical split table (merged view when sharded)."""
-        if len(self.shards) == 1:
-            return self.shards[0].splitting.split
-        return ShardedSplitView([shard.splitting.split for shard in self.shards])
-
-    @property
-    def executor(self):
-        return self.syscalls.executor
 
     # -- lifecycle ------------------------------------------------------------
 

@@ -168,10 +168,19 @@ class NodeRuntime:
         self.on_failure = on_failure or _reraise
 
         self.endpoint = Endpoint(sim, fabric, node_id)
+        # Keep only the bookkeeping a frame can read: only a FaultPlan
+        # repeats, delays or drops frames, only a retry re-sends a request
+        # (docs/PROTOCOL.md "Recover vs. fail loudly"); notifications are
+        # acked exactly where a timeout can notice a lost one.
+        self.endpoint.rpc.arm(
+            faults=config.fault_plan is not None,
+            retries=bool(config.rpc_max_retries),
+            acks=config.rpc_timeout_ns is not None,
+        )
         # Node-side services serve every tenant on this node; billing follows
         # the frame's tenant to that job's RunStats via the resolver.
         self.dispatcher = Dispatcher(
-            sim, run_stats, endpoint=self.endpoint,
+            self.endpoint, run_stats,
             stats_resolver=lambda msg: self.tenants[msg.tenant].run_stats,
         )
         for service in (

@@ -24,11 +24,12 @@ breakdown tables can attribute placement decisions.
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from typing import TYPE_CHECKING, Any, Deque, Optional, Sequence
+from collections import Counter
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.sim.engine import Event, Simulator
+from repro.sim.sync import SimQueue
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.health import HealthTracker
@@ -106,33 +107,22 @@ class ThreadPlacer:
         }
 
 
-class FairRunQueue:
+class FairRunQueue(SimQueue):
     """A node's core feed with tenant-fair arbitration.
 
-    Drop-in for the plain :class:`~repro.sim.sync.SimQueue` the cores used
-    to block on: FIFO within a tenant, round-robin *across* tenants whenever
-    threads of more than one tenant are waiting, so one job's thread storm
-    cannot starve another job's runnable threads on a shared node.
+    A :class:`~repro.sim.sync.SimQueue` whose ``get`` picks differently:
+    FIFO within a tenant, round-robin *across* tenants whenever threads of
+    more than one tenant are waiting, so one job's thread storm cannot
+    starve another job's runnable threads on a shared node.
 
     With at most one tenant class queued — every single-job run, and any
     sentinel (``None``) shutdown marker — each pick is the FIFO head, which
-    makes the queue event-for-event identical to the SimQueue it replaces.
+    makes the queue event-for-event identical to a plain SimQueue.
     """
 
     def __init__(self, sim: Simulator):
-        self.sim = sim
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
+        super().__init__(sim)
         self._last_tenant = -1
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
 
     def get(self) -> Event:
         ev = Event(self.sim)

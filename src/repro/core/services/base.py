@@ -18,30 +18,29 @@ RPC layer and a peer never answers, the :class:`~repro.net.rpc.RpcTimeout`
 already names that service where it fires: a dead or partitioned node fails
 the run loudly and attributably instead of deadlocking it.
 
-Two protocol-robustness concerns live at the dispatcher:
+The dispatcher routes, bills and refuses; it decides no delivery rule.
+Two frames are refused before any handler runs, both billed:
 
+* **Replays** — where a request can arrive twice (``RpcChannel.replays``: a
+  FaultPlan or retries), the dispatcher asks its endpoint's RPC channel
+  whether this is the frame's first delivery
+  (:meth:`~repro.net.rpc.RpcChannel.first_delivery`, which remembers the
+  served ids and answers a replay of an answered request from its reply
+  cache); a replay is billed to the service's ``duplicates`` counter.
 * **Dead senders** — a master shard's dispatcher holds the failure view
   when the failure domain is armed, and refuses any frame whose sender is
   latched failed (billed, counted once in ``dead_peer_skips``, never
   handled): recovery for that node already ran, and serving its frame would
   re-admit it to the directory, the kernel state or the snapshot store.
-* **Replay tolerance** — a duplicated request frame (fault injection, or a
-  retransmitting fabric) must not be served twice: side effects like
-  delegated syscalls or futex wakes are not idempotent.  The dispatcher
-  remembers recently served correlation ids (bounded FIFO) and silently
-  skips replays, billing them to the service's ``duplicates`` counter.
-  It remembers them only where a request can arrive twice: its endpoint's
-  RPC channel says so (``RpcChannel.replays``: a FaultPlan or retries),
-  and a dispatcher without an endpoint always does.
-  When the owning runtime's endpoint is known and the RPC reply cache is
-  armed (retries configured), a skipped replay of an already-*answered*
-  request is answered again from the cache — the half of at-most-once that
-  makes a lost reply recoverable (docs/PROTOCOL.md "Reliable delivery").
+
+This module is also the one place on the master side that reads
+``rpc_timeout_ns``: :meth:`MasterService.request` issues every call with it,
+and :meth:`MasterService.notify` leaves whether a notification is acked to
+the channel.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import (
     TYPE_CHECKING, Any, Callable, Generator, Optional, Protocol, Sequence,
     runtime_checkable,
@@ -52,10 +51,10 @@ from repro.errors import ProtocolError
 from repro.kernel.threads import ThreadState
 from repro.net.messages import SpawnThread
 from repro.net.rpc import RpcTimeout
-from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.master import MasterRuntime
+    from repro.net.endpoint import Endpoint
     from repro.net.health import HealthTracker
     from repro.net.messages import Message
 
@@ -103,8 +102,9 @@ class MasterService:
     service once, here.
 
     This class is also the one path by which the master originates frames:
-    :meth:`send` and :meth:`request` stamp the job's tenant id and carry the
-    configured timeout and retransmit budget; awaiting :meth:`request`,
+    :meth:`send`, :meth:`request` and :meth:`notify` stamp the job's tenant
+    id, and :meth:`request` carries the configured timeout and retransmit
+    budget; awaiting :meth:`request`,
     :meth:`ask` and :meth:`gather` are the three ways of waiting on a reply,
     and :meth:`land` is the one way of putting a thread on a node.
     """
@@ -172,6 +172,13 @@ class MasterService:
             dst, msg, timeout_ns=self.config.rpc_timeout_ns,
             retry=self.retry, stats=self.retry_stats, service=self.name,
         )
+
+    def notify(self, dst: int, msg: "Message"):
+        """Deliver a notification the channel's rule makes a plain send or an
+        acked :meth:`request`; returns the ack event, or ``None`` when
+        unacked (:meth:`~repro.net.rpc.RpcChannel.notify`)."""
+        msg.tenant = self.tenant
+        return self.endpoint.rpc.notify(dst, msg, self.request)
 
     def _reply_or_none(self, peer: int, reply_event):
         """Await a request issued to ``peer``, tolerating it dying mid-call.
@@ -255,21 +262,16 @@ class MasterService:
 class Dispatcher:
     """Routes inbound messages to the service registered for their kind."""
 
-    #: Bound on remembered correlation ids for replay detection; old entries
-    #: are evicted FIFO (ids are globally unique, so collisions cannot
-    #: resurrect an evicted one).
-    DEDUP_LIMIT = 4096
-
     def __init__(
         self,
-        sim: Simulator,
+        endpoint: "Endpoint",
         run_stats: RunStats,
+        *,
         shard: Optional[int] = None,
-        endpoint=None,
         stats_resolver=None,
         failure_view: Optional["HealthTracker"] = None,
     ):
-        self.sim = sim
+        self.sim = endpoint.sim
         self.run_stats = run_stats
         #: Optional ``msg -> RunStats`` hook for dispatchers whose services
         #: serve several tenants (the node-side ones): billing follows the
@@ -279,13 +281,9 @@ class Dispatcher:
         #: dispatchers): served work is additionally billed to the service's
         #: per-shard breakdown so shard imbalance is visible.
         self.shard = shard
-        #: The owning runtime's RPC channel, when its endpoint is known: its
-        #: ``replays`` says whether a request can arrive twice, and it
-        #: answers a deduplicated replay from its reply cache (a
-        #: retransmitted request whose original was served *and* answered
-        #: must get its reply again, or a lost reply would be unrecoverable).
-        #: Optional so bare dispatchers in tests keep working (and dedup).
-        self._rpc = None if endpoint is None else endpoint.rpc
+        #: The endpoint's RPC channel: its ``replays`` says whether a request
+        #: can arrive twice, and its ``first_delivery`` whether this one has.
+        self._rpc = endpoint.rpc
         #: The fleet's health tracker on a master shard whose failure domain
         #: is armed: frames from a sender it has latched failed are refused.
         #: None elsewhere (node-side dispatchers: the master is never
@@ -293,7 +291,6 @@ class Dispatcher:
         self.failure_view = failure_view
         self.services: list[Service] = []
         self._routes: dict[str, Service] = {}
-        self._served: OrderedDict[int, None] = OrderedDict()
 
     def register(self, service: Service) -> Service:
         """Add a service, claiming its ``handled_kinds``; returns it."""
@@ -333,9 +330,8 @@ class Dispatcher:
         dispatching (the node communicator's per-command cost) bill that
         span as the service's busy time rather than as queue wait.
 
-        A replayed frame (same correlation id as one already served) is
-        dropped without reaching the handler: serving it twice would repeat
-        side effects, and its reply would be a duplicate anyway.  A frame
+        A replayed frame (one the channel has delivered before) is billed to
+        ``duplicates`` and dropped without reaching the handler.  A frame
         whose sender the failure view has latched failed is billed, counted
         in ``dead_peer_skips`` and refused: it was still in the mailbox (or
         the fabric) when its node was declared dead, recovery already ran
@@ -350,22 +346,10 @@ class Dispatcher:
             self.run_stats if self.stats_resolver is None else self.stats_resolver(msg)
         )
         stats = run_stats.service(service.name)
-        req_id = msg.req_id
         rpc = self._rpc
-        if req_id and (rpc is None or rpc.replays):
-            served = self._served
-            if req_id in served:
-                stats.duplicates += 1
-                if rpc is not None:
-                    # A retransmit of an already-answered request: replay the
-                    # cached reply (no-op when the cache is off, evicted, or
-                    # the original dispatch is still running — its eventual
-                    # reply or the client's next retransmit covers those).
-                    rpc.resend_reply(msg)
-                return None
-            served[req_id] = None
-            if len(served) > self.DEDUP_LIMIT:
-                served.popitem(last=False)
+        if rpc.replays and not rpc.first_delivery(msg):
+            stats.duplicates += 1
+            return None
         t0 = self.sim.now if started_at is None else started_at
         arrived = getattr(msg, "_arrived_ns", None)
         waited = t0 - arrived if arrived is not None else 0

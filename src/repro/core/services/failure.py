@@ -177,10 +177,6 @@ class FailureDomainService(MasterService):
         if rec is not None and rec.recovered_ns is None:
             rec.recovered_ns = self.sim.now
         self.trace.emit("node", msg.src, "drain complete")
-        # The node sends this as an acked request exactly when timeouts are
-        # armed (mirroring the futex-wake ack gate); replying to a
-        # fire-and-forget frame would be a protocol error.
-        if self.config.rpc_timeout_ns is not None:
-            self.endpoint.reply(msg, Ack())
+        self.endpoint.rpc.acknowledge(msg)  # a notification (NodeFailureDomain)
         return
         yield  # pragma: no cover - generator protocol

@@ -7,15 +7,14 @@ request and delivering ``FutexWake`` frames to each woken waiter's node.
 The syscall service drives it from futex syscall results; no wire frame
 routes here directly on the master.
 
-Delivery mode follows ``DQEMUConfig.rpc_timeout_ns``: by default wakes are
-fire-and-forget sends (the paper's lossless-fabric assumption, and the
-cheapest thing that works).  With a timeout armed, each wake becomes an
-acked request watched by a guarded process, so a wake swallowed by the
-fabric fails the run loudly as a timeout naming the futex service
-instead of leaving the waiter parked forever.  The node side mirrors the
-same gate (:class:`~repro.core.services.nodeside.NodeControlService` only
-acks wakes when timeouts are armed), keeping the default wire traffic —
-and therefore every timing — bit-identical.
+A wake is a *notification* (:meth:`~repro.net.rpc.RpcChannel.notify`): the
+RPC channel decides how it travels.  By default it is a fire-and-forget
+send (the paper's lossless-fabric assumption, and the cheapest thing that
+works); where timeouts are armed it is an acked request watched by a guarded
+process, so a wake swallowed by the fabric fails the run loudly as a
+timeout naming the futex service instead of leaving the waiter parked
+forever.  The node acknowledges it through the same channel rule, so the
+default wire traffic — and therefore every timing — stays bit-identical.
 """
 
 from __future__ import annotations
@@ -48,18 +47,15 @@ class FutexService(MasterService):
         """Deliver a ``FutexWake`` to each waiter's node."""
         proto = self.run_stats.protocol
         stats = self.run_stats.service(self.name)
-        timeout_ns = self.config.rpc_timeout_ns
         for waiter in waiters:
             proto.futex_wakes += 1
             stats.requests += 1
             wake = FutexWake(tid=waiter.tid, retval=0)
             self._bill_frame(wake)
-            if timeout_ns is None:
-                self.send(waiter.node, wake)
-            else:
+            ack = self.notify(waiter.node, wake)
+            if ack is not None:
                 self.master.spawn(
-                    self._await_ack(self.request(waiter.node, wake), waiter.node),
-                    f"futex-wake-ack@tid{waiter.tid}",
+                    self._await_ack(ack, waiter.node), f"futex-wake-ack@tid{waiter.tid}"
                 )
 
     def _await_ack(self, ack, peer: int):

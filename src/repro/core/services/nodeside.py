@@ -18,6 +18,7 @@ a master command only ever touches the slice of the job that sent it.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.dbt.cpu import CPUState
@@ -150,12 +151,7 @@ class NodeControlService(_NodeService):
 
     def _on_futex_wake(self, msg):
         self.node._wake_thread(msg.tid, msg.retval, tenant=msg.tenant)
-        # Wakes are fire-and-forget by default; with RPC timeouts armed the
-        # master sends them as acked requests (see FutexService.wake) and
-        # expects an answer.  Gating on the same config keeps default-mode
-        # wire traffic bit-identical.
-        if self.node.config.rpc_timeout_ns is not None:
-            self.endpoint.reply(msg, Ack())
+        self.endpoint.rpc.acknowledge(msg)  # a notification (FutexService.wake)
         return
         yield  # pragma: no cover - generator protocol
 
@@ -197,7 +193,6 @@ class NodeFailureDomain:
 
     def __init__(self, node: "NodeRuntime") -> None:
         self.node = node
-        self.config = node.config
         #: Set by the master's ``start_drain`` order: every thread reaching a
         #: scheduling point is evacuated instead of run or requeued.
         self.draining = False
@@ -260,9 +255,8 @@ class NodeFailureDomain:
     def _send_drain_complete(self):
         node = self.node
         done = DrainComplete()  # drains are single-job (tenant 0) territory
-        if self.config.rpc_timeout_ns is not None:
-            yield node._request(
-                node.tenants[0], NodeControlService.name, node.master_id, done
-            )
-        else:
-            node.endpoint.send(node.master_id, done)
+        ack = node.endpoint.rpc.notify(
+            node.master_id, done, partial(node._request, node.tenants[0], NodeControlService.name)
+        )
+        if ack is not None:
+            yield ack

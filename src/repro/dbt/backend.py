@@ -123,6 +123,7 @@ can observe the intermediate value.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from collections.abc import Mapping, Set as AbstractSet
 from dataclasses import dataclass
@@ -147,6 +148,9 @@ SIGN = 1 << 63
 #: A generated function that touches memory binds the ones it tests at entry,
 #: from its ``mem`` argument (module docstring, "Resident fast path").
 MEM_VIEW = {"S": "page_states", "B": "page_bufs", "X": "split_pages", "A": "reservations"}
+#: A :data:`MEM_VIEW` local read by an emitted line; a comment matches with
+#: the group empty, so its text is skipped.
+_VIEW_READ = re.compile(r"#.*|\b([" + "".join(MEM_VIEW) + r"])\b")
 
 #: An observation point's mark in a loop body, followed by its number; the back
 #: edge replaces it with the commits of the integers it carries.
@@ -579,6 +583,10 @@ class _Emitter:
         entry = ["R = cpu.regs"]
         entry += [f"{v} = mem.{attr}" for v, attr in MEM_VIEW.items() if v in self.views]
         body = self.lines
+        # Every view local the lines read is bound at entry, once: the
+        # containers are never rebound, so the binding stays the container.
+        read = set(_VIEW_READ.findall("\n".join(body))) - {""}
+        assert read <= self.views, read - self.views
         if self.head is not None:
             entry += self.pre + ["for i in range(n):"]
             body = ["    " + ln for ln in body[:self.loop_end]] + body[self.loop_end:]

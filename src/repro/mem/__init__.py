@@ -25,7 +25,6 @@ from repro.mem.protocols import (
 from repro.mem.sharding import (
     ShadowPageAllocator,
     ShardedDirectoryView,
-    ShardedSplitView,
     shard_of,
 )
 
@@ -47,7 +46,6 @@ __all__ = [
     "STACK_TOP",
     "ShadowPageAllocator",
     "ShardedDirectoryView",
-    "ShardedSplitView",
     "TEXT_BASE",
     "check_span",
     "make_policy",

@@ -15,8 +15,8 @@ module provides the partitioning math that lets the master run K independent
   shard: the merge path locks the original and all shadows together, and
   keeping that lock set inside one shard preserves the single-shard
   deadlock-freedom argument (see docs/PROTOCOL.md).
-* :class:`ShardedDirectoryView` / :class:`ShardedSplitView` — one object
-  over the per-shard partitions, for tests and debugging.
+* :class:`ShardedDirectoryView` — one object over a job's per-shard
+  directory partitions, for tests and debugging.
 
 With ``K == 1`` every helper degenerates to the unsharded behavior
 bit-for-bit: one shard, the legacy shadow cursor, the underlying directory.
@@ -24,20 +24,18 @@ bit-for-bit: one shard, the legacy shadow cursor, the underlying directory.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import ConfigError
 from repro.mem.layout import PAGE_SIZE, SHADOW_BASE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mem.directory import Directory
-    from repro.mem.splitmap import SplitEntry, SplitMap
 
 __all__ = [
     "shard_of",
     "ShadowPageAllocator",
     "ShardedDirectoryView",
-    "ShardedSplitView",
     "TenantDirectoryView",
 ]
 
@@ -128,25 +126,3 @@ class TenantDirectoryView:
     def check_invariants(self) -> None:
         for view in self._views.values():
             view.check_invariants()
-
-
-class ShardedSplitView:
-    """Read-only merged view over the per-shard split-table partitions."""
-
-    def __init__(self, splitmaps: Iterable["SplitMap"]):
-        self.shards: list["SplitMap"] = list(splitmaps)
-        if not self.shards:
-            raise ConfigError("ShardedSplitView needs at least one shard")
-
-    def entry(self, page: int) -> Optional["SplitEntry"]:
-        return self.shards[shard_of(page, len(self.shards))].entry(page)
-
-    def entries(self) -> tuple["SplitEntry", ...]:
-        out: list["SplitEntry"] = []
-        for sm in self.shards:
-            out.extend(sm.entries())
-        return tuple(out)
-
-    def shadow_to_orig(self, page: int):
-        # Shadow pages are shard-affine, so the owning shard answers.
-        return self.shards[shard_of(page, len(self.shards))].shadow_to_orig(page)

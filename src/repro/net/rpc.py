@@ -2,11 +2,20 @@
 
 Every node's :class:`~repro.net.endpoint.Endpoint` owns one
 :class:`RpcChannel`.  A *call* stamps the outbound frame with a correlation
-id (``req_id``), registers a per-request completion :class:`Event`, and
-transmits; the reply frame carries ``in_reply_to`` and completes the event
-with the reply message as its value.  Reply routing therefore never touches
-the endpoint's subscriber queues — requests and replies are distinct planes,
-mirroring the paper's manager/communicator split (§4, Fig. 2).
+id (``req_id``), registers a per-request completion :class:`Event` in the
+channel's one table of outstanding calls, and transmits; the reply frame
+carries ``in_reply_to`` and completes the event with the reply message as
+its value.  Reply routing therefore never touches the endpoint's subscriber
+queues — requests and replies are distinct planes, mirroring the paper's
+manager/communicator split (§4, Fig. 2).
+
+The channel alone decides delivery: besides correlating calls it keeps the
+served-id table every dispatcher behind the endpoint asks before a request
+reaches a handler (:meth:`RpcChannel.first_delivery`), and the one rule for
+*notifications*, frames their receiver only acknowledges (a futex wake, a
+drain completion): :meth:`RpcChannel.notify` sends one plainly, or as an
+acked call once timeouts are armed, and :meth:`RpcChannel.acknowledge`
+answers it accordingly.
 
 An optional per-call timeout hook fails the completion event with
 :class:`RpcTimeout`, naming the service that issued the call, if no reply
@@ -23,11 +32,12 @@ caller's object in place, so re-sending the same instance would alias
 protocol state across deliveries — see ``endpoint.transmit``) after an
 exponential backoff with deterministic jitter, escalating to
 :class:`RpcTimeout` only once the whole budget is spent.  Retransmits keep
-the original ``req_id``, so the server side can deduplicate replays
-(dispatcher dedup) and the client side can deduplicate a late first reply
-(tombstones); a retransmit whose original request was already *served* is
-answered from the server channel's bounded reply cache instead of being
-silently dropped, which is what makes a lost **reply** recoverable too.
+the original ``req_id``, so the server side can deduplicate replays (the
+served-id table, one bounded FIFO per endpoint) and the client side can
+deduplicate a late first reply (tombstones); a retransmit whose original
+request was already *served* is answered from the server channel's bounded
+reply cache instead of being silently dropped, which is what makes a lost
+**reply** recoverable too.
 Together the three mechanisms give at-most-once execution with
 effectively-once delivery under loss.
 
@@ -39,9 +49,9 @@ swept once they are older than any frame's possible flight time, and the
 table is capped outright, so long runs with timeouts cannot grow memory
 without limit.
 
-The cluster arms each channel from its config (:meth:`RpcChannel.arm`), so
-these tables exist only where a frame can read them; a bare channel keeps
-them all.
+Each node runtime arms its channel from its config (:meth:`RpcChannel.arm`),
+so these tables exist only where a frame can read them; a bare channel keeps
+them all and sends notifications unacked.
 """
 
 from __future__ import annotations
@@ -52,7 +62,7 @@ from typing import Iterable, Optional
 
 from repro.errors import ConfigError, NetworkError
 from repro.net.faults import clone_frame
-from repro.net.messages import Message
+from repro.net.messages import Ack, Message
 from repro.sim.engine import Event, Simulator
 
 __all__ = ["RpcChannel", "RpcTimeout", "RetryPolicy", "RpcStats"]
@@ -187,6 +197,7 @@ class RpcStats:
 class _Call:
     """Client-side state of one armed (timeout-carrying) call."""
 
+    event: Event  # completes with the reply, or fails with RpcTimeout
     dst: int
     msg: Message
     timeout_ns: int
@@ -201,7 +212,8 @@ class _Call:
 
 
 class RpcChannel:
-    """Correlation table for one endpoint's in-flight requests."""
+    """One endpoint's delivery rules: outstanding calls, served requests,
+    notification acks."""
 
     #: Hard cap on remembered tombstones; the oldest are evicted first.
     TOMBSTONE_LIMIT = 4096
@@ -213,13 +225,17 @@ class RpcChannel:
     #: requests whose original was already served); FIFO eviction, same
     #: rationale as the tombstone cap.
     REPLY_CACHE_LIMIT = 1024
+    #: Bound on remembered served request ids (replay detection); FIFO
+    #: eviction (ids are globally unique, so an evicted one cannot collide).
+    SERVED_LIMIT = 4096
 
     def __init__(self, sim: Simulator, endpoint):
         self.sim = sim
         self.endpoint = endpoint
-        self._pending: dict[int, Event] = {}
-        #: req_id -> state of an armed call (timeout and/or retries).
-        self._calls: dict[int, _Call] = {}
+        #: req_id -> an outstanding call: its completion event, or the
+        #: :class:`_Call` holding it when the call is armed (timeout and/or
+        #: retries).
+        self._calls: dict[int, Event | _Call] = {}
         #: req_id -> (settled-at ns, "expired" | "completed"), oldest first.
         self._tombstones: OrderedDict[int, tuple[int, str]] = OrderedDict()
         #: No tombstone is older than this (the oldest one's stamp as of the
@@ -227,17 +243,20 @@ class RpcChannel:
         #: nothing.
         self._oldest_tomb_ns = 0
         #: req_id -> the reply frame we sent, for replay to retransmits.
-        #: Only populated once :meth:`enable_reply_cache` is called (retries
-        #: armed somewhere in the cluster) — default runs keep zero extra
-        #: state and zero extra wire traffic.
+        #: Only populated where calls retransmit (:meth:`arm`) — default
+        #: runs keep zero extra state and zero extra wire traffic.
         self._sent_replies: OrderedDict[int, Message] = OrderedDict()
         self._reply_cache_enabled = False
+        #: Request ids served here, oldest first (:meth:`first_delivery`).
+        self._served: OrderedDict[int, None] = OrderedDict()
         #: What frames can do here (:meth:`arm`; a bare channel assumes the
         #: worst): any reply may come late or twice, so every settled call
         #: leaves a tombstone; a request may arrive twice, so the dispatchers
-        #: behind this endpoint remember the ids they served.
+        #: behind this endpoint ask :meth:`first_delivery` before serving it.
         self.frames_repeat = True
         self.replays = True
+        #: Notifications are acked calls rather than plain sends.
+        self.acks = False
         self._halted = False
         self.dropped_replies = 0  # late replies to timed-out requests
         self.duplicate_replies = 0  # replayed replies to completed requests
@@ -246,13 +265,15 @@ class RpcChannel:
 
     # -- client side ----------------------------------------------------------
 
-    def arm(self, *, faults: bool, retries: bool) -> None:
+    def arm(self, *, faults: bool, retries: bool, acks: bool) -> None:
         """Keep only the bookkeeping a frame can read: ``faults`` says the
         fabric has a :class:`~repro.net.faults.FaultPlan`, ``retries`` that
-        calls retransmit (which also arms the reply cache)."""
+        calls retransmit (which also arms the reply cache).  ``acks`` makes
+        notifications acked calls (:meth:`notify`)."""
         self.frames_repeat = faults
         self.replays = faults or retries
         self._reply_cache_enabled = retries
+        self.acks = acks
 
     def call(
         self,
@@ -286,17 +307,27 @@ class RpcChannel:
             # completes, which is what issuing an RPC from a dead machine
             # looks like.  No timer is armed — dead nodes do not retransmit.
             return ev
-        # Transmit before registering: the pending table is keyed by the req
+        # Transmit before registering: the call table is keyed by the req
         # id the endpoint stamps, and nothing is delivered synchronously.
         self.endpoint.transmit(dst, msg)
-        self._pending[msg.req_id] = ev
-        if timeout_ns is not None:
+        if timeout_ns is None:
+            self._calls[msg.req_id] = ev
+        else:
             call = self._calls[msg.req_id] = _Call(
-                dst=dst, msg=msg, timeout_ns=timeout_ns, retry=retry,
+                event=ev, dst=dst, msg=msg, timeout_ns=timeout_ns, retry=retry,
                 stats=stats, service=service, first_sent_ns=self.sim.now,
             )
             self._arm(call, timeout_ns, self._expired)
         return ev
+
+    def notify(self, dst: int, msg: Message, request) -> Optional[Event]:
+        """Send notification ``msg`` plainly (returns ``None``), or where
+        notifications are acked issue it through ``request(dst, msg)``, the
+        sender's budgeted call, and return that call's reply event."""
+        if self.acks:
+            return request(dst, msg)
+        self.endpoint.transmit(dst, msg)
+        return None
 
     def _arm(self, call: _Call, delay: int, fire) -> None:
         # A timer is one heap entry carrying a fresh key (req id, attempt):
@@ -309,7 +340,7 @@ class RpcChannel:
         """The call the timer ``key`` fired for, unless that call settled
         (completed, failed or aborted) or re-armed meanwhile."""
         call = self._calls.get(key[0])
-        if call is None or call.timer is not key:
+        if call.__class__ is not _Call or call.timer is not key:
             return None
         call.timer = None
         return call
@@ -330,7 +361,6 @@ class RpcChannel:
             )
             return
         # Budget exhausted (or no retry policy): fail the call.
-        ev = self._pending.pop(req_id)
         del self._calls[req_id]
         self._remember(req_id, "expired")
         if call.attempt:
@@ -340,7 +370,7 @@ class RpcChannel:
             # Retries or not, an unanswered budget means the peer is gone as
             # far as this call is concerned.
             health.exhausted_budget(call.dst)
-        ev.fail(RpcTimeout(call.msg, call.timeout_ns, call.attempt, call.service))
+        call.event.fail(RpcTimeout(call.msg, call.timeout_ns, call.attempt, call.service))
 
     def _retransmit(self, key: tuple[int, int]) -> None:
         """Backoff elapsed: re-send a clone and re-arm the timeout window."""
@@ -368,13 +398,16 @@ class RpcChannel:
         abort.  Tolerant handlers catch the early :class:`RpcTimeout`, see
         the peer latched as failed, and degrade instead.
         """
-        doomed = [rid for rid, call in self._calls.items() if call.dst == node]
+        doomed = [
+            rid for rid, call in self._calls.items()
+            if call.__class__ is _Call and call.dst == node
+        ]
         for rid in doomed:
             call = self._calls.pop(rid)
             call.timer = None
-            ev = self._pending.pop(rid, None)
             self._remember(rid, "expired")
-            if ev is not None and not ev.triggered:
+            ev = call.event
+            if not ev.triggered:
                 # Absorb first: a call nobody awaited yet must not raise out
                 # of the engine when its failure is processed (a later yield
                 # still delivers the error into the awaiting process).
@@ -391,21 +424,32 @@ class RpcChannel:
         Subsequent inbound replies are swallowed by :meth:`complete`.
         """
         self._calls.clear()
-        self._pending.clear()
         self._halted = True
 
     # -- server side ----------------------------------------------------------
 
-    def enable_reply_cache(self) -> None:
-        """Start caching outbound replies for replay to retransmits.
-
-        Armed by the cluster when retries are configured: a retransmitted
-        request whose original was served *and answered* is deduplicated by
-        the dispatcher before reaching any handler, so without this cache a
-        lost reply would never be re-sent and the client would burn its whole
-        budget for nothing.
-        """
-        self._reply_cache_enabled = True
+    def first_delivery(self, msg: Message) -> bool:
+        """Whether request ``msg`` reaches a handler: true the first time its
+        id arrives here (or when it has none, never having crossed the
+        fabric).  A replay is not served again (side effects are not
+        idempotent) but answered from the reply cache, since a retransmit
+        means its reply was lost.  Asked only where :attr:`replays` is set."""
+        req_id = msg.req_id
+        served = self._served
+        if req_id in served:
+            # Nothing cached means the cache is off or evicted, or the
+            # original dispatch is still running: its eventual reply, or the
+            # client's next retransmit, covers that.
+            cached = self._sent_replies.get(req_id)
+            if cached is not None:
+                self.reply_replays += 1
+                self.endpoint.transmit(msg.src, clone_frame(cached))
+            return False
+        if req_id:
+            served[req_id] = None
+            if len(served) > self.SERVED_LIMIT:
+                served.popitem(last=False)
+        return True
 
     def reply(self, to: Message, msg: Message) -> None:
         """Send ``msg`` as the reply correlated with request ``to``.
@@ -424,20 +468,12 @@ class RpcChannel:
                 cache.popitem(last=False)
         self.endpoint.transmit(to.src, msg)
 
-    def resend_reply(self, request: Message) -> bool:
-        """Replay the cached reply to a retransmitted, already-served request.
-
-        Returns False when there is nothing cached — either the cache is
-        disabled, the entry was evicted, or the original dispatch is still in
-        progress (its eventual reply, or the client's next retransmit, covers
-        that case).
-        """
-        cached = self._sent_replies.get(request.req_id)
-        if cached is None:
-            return False
-        self.reply_replays += 1
-        self.endpoint.transmit(request.src, clone_frame(cached))
-        return True
+    def acknowledge(self, msg: Message) -> None:
+        """Answer notification ``msg`` (:meth:`notify`): an ``Ack`` where
+        notifications are acked calls, nothing where they are plain sends —
+        replying to a fire-and-forget frame would be a protocol error."""
+        if self.acks:
+            self.reply(msg, Ack())
 
     # -- delivery (called by the endpoint) -------------------------------------
 
@@ -446,8 +482,8 @@ class RpcChannel:
         if self._halted:
             return  # the node is dead; whatever arrives no longer matters
         req_id = msg.in_reply_to
-        ev = self._pending.pop(req_id, None)
-        if ev is None:
+        call = self._calls.pop(req_id, None)
+        if call is None:
             tomb = self._tombstones.get(req_id)
             if tomb is not None:
                 if tomb[1] == "expired":
@@ -458,18 +494,20 @@ class RpcChannel:
             raise NetworkError(
                 f"node {self.endpoint.node_id}: reply to unknown request {req_id}"
             )
-        call = self._calls.pop(req_id, None) if self._calls else None
-        if call is not None:  # an armed call: disarm it, count a recovery
-            call.timer = None
         health = self.endpoint.fabric.health
         if health is not None:
             health.heard_from(msg.src)
-        if call is not None and call.attempt:
-            call.stats.recoveries += 1
-            call.stats.recovery_wait_ns += self.sim.now - call.first_sent_ns
-        if call is not None or self.frames_repeat:
+        if call.__class__ is _Call:  # an armed call: disarm it, count a recovery
+            call.timer = None
+            if call.attempt:
+                call.stats.recoveries += 1
+                call.stats.recovery_wait_ns += self.sim.now - call.first_sent_ns
             self._remember(req_id, "completed")
-        ev.succeed(msg)
+            call.event.succeed(msg)
+        else:
+            if self.frames_repeat:
+                self._remember(req_id, "completed")
+            call.succeed(msg)
 
     # -- tombstones -------------------------------------------------------------
 
@@ -499,7 +537,7 @@ class RpcChannel:
 
     @property
     def in_flight(self) -> int:
-        return len(self._pending)
+        return len(self._calls)
 
     @property
     def tombstones(self) -> int:

@@ -18,6 +18,7 @@ import pytest
 from repro.core.dsmmem import DSMMemory
 from repro.cost import CostModel
 from repro.dbt import Backend, CPUState, ExecutionEngine, Frontend, StopKind
+from repro.dbt.backend import MEM_VIEW, _Emitter
 from repro.dbt.frontend import BlockIR
 from repro.dbt.runtime import s64
 from repro.dbt.stop import RC_STALL
@@ -150,6 +151,59 @@ def test_memory_without_the_view_is_refused_at_construction():
 
     with pytest.raises(AttributeError, match="page_states"):
         ExecutionEngine(Opaque())
+
+
+def test_resident_view_containers_are_never_rebound():
+    """The containers a translated function binds at entry (``MEM_VIEW``) are
+    the owners' own dicts, and stay the same objects across everything that
+    changes what they hold: a split installed and merged, an invalidation, an
+    LR/SC pair and a silent E->M upgrade."""
+    store, table, llsc = PageStore(), SplitMap(), LLSCTable()
+    mem = DSMMemory(store, table, llsc)
+
+    def held():
+        return {"page_states": store._states, "page_bufs": store._pages,
+                "split_pages": table.by_orig, "reservations": llsc._res}
+
+    owners = held()
+    assert set(owners) == set(MEM_VIEW.values())
+
+    def same(step):
+        for attr, container in held().items():
+            assert container is owners[attr] and getattr(mem, attr) is container, (step, attr)
+
+    store.install(PAGE, pattern(11), MSIState.MODIFIED)
+    table.install(SplitEntry(PAGE, SHADOWS, PAGE_SIZE // 2))
+    assert mem.split_pages
+    same("split installed")
+    table.remove(PAGE)
+    assert not mem.split_pages
+    same("split merged")
+    cpu = CPUState(pc=TEXT, tid=1)
+    mem.load_reserved(cpu, BASE)
+    assert mem.reservations
+    assert mem.store_conditional(cpu, BASE, STORED)
+    same("LR/SC pair")
+    mem.invalidate(PAGE)
+    assert PAGE not in mem.page_states
+    same("invalidation")
+    store.install(PAGE, pattern(12), MSIState.EXCLUSIVE)
+    assert store.silently_upgrade(PAGE)
+    assert mem.page_states[PAGE] is MSIState.MODIFIED
+    same("silent E->M upgrade")
+
+
+def test_an_unbound_view_read_is_refused_at_translation():
+    """Every view local an emitted line reads must be bound at entry; a line
+    reading one the emitter did not record is caught before compilation."""
+    em = _Emitter("tb", TEXT, loops=False)
+    em.lines.append("# X in a comment is not a read")
+    em.views.add("S")
+    em.lines.append("if p not in S: return 0")
+    assert "S = mem.page_states" in em.text()
+    em.lines.append("if X: return 0")
+    with pytest.raises(AssertionError, match="X"):
+        em.text()
 
 
 # -- steady state: a loop iteration leaves the generated function for nothing ----

@@ -9,9 +9,13 @@ regression pins the no-fault guarantee: attaching an empty plan changes
 nothing, bit for bit.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro import Cluster, DQEMUConfig, FaultPlan, ServiceTimeout
+from repro.core.services.coherence import CoherenceService
+from repro.core.services.nodeside import NodeCoherenceService
 from repro.errors import ConfigError, NetworkError
 from repro.net import Endpoint, Fabric
 from repro.net.faults import FaultInjector, clone_frame, delay, drop, duplicate, reorder
@@ -343,7 +347,7 @@ class TestDispatcherReplayDedup:
 
         sim = Simulator()
         stats = RunStats()
-        d = Dispatcher(sim, stats)
+        d = Dispatcher(Endpoint(sim, Fabric(sim), 0), stats)  # a bare channel replays
         svc = d.register(Once())
         msg = PageRequest(page=1)
         msg.req_id = 7  # as stamped by the owning fabric at first transmit
@@ -487,23 +491,25 @@ class TestBookkeepingArming:
     only where a frame can still read it: tombstones where a reply can come
     late or twice (a call that armed a timeout, or a FaultPlan), served ids
     where a request can arrive twice (retries or a FaultPlan), cached replies
-    where a retransmit waits for one (retries).  No page lock outlives its
-    transaction."""
+    where a retransmit waits for one (retries).  Each node arms its own
+    channel; notifications are acked exactly where a timeout is armed.  No
+    page lock outlives its transaction."""
 
-    #: config -> (channels remember every settled call, dispatchers dedup,
-    #: reply cache on); and whether a run leaves tombstones, served ids and
-    #: cached replies behind.
+    #: config -> (channels remember every settled call, channels remember
+    #: served ids, reply cache on, notifications acked); and whether a run
+    #: leaves tombstones, served ids and cached replies behind.
     ROWS = {
-        "default": ({}, (False, False, False), (False, False, False)),
+        "default": ({}, (False, False, False, False), (False, False, False)),
         "timeout only": (
-            dict(rpc_timeout_ns=TIMEOUT_NS), (False, False, False), (True, False, False),
+            dict(rpc_timeout_ns=TIMEOUT_NS),
+            (False, False, False, True), (True, False, False),
         ),
         "retries": (
             dict(rpc_timeout_ns=TIMEOUT_NS, rpc_max_retries=2),
-            (False, True, True), (True, True, True),
+            (False, True, True, True), (True, True, True),
         ),
         "fault plan": (
-            dict(fault_plan=FaultPlan()), (True, True, False), (True, True, False),
+            dict(fault_plan=FaultPlan()), (True, True, False, False), (True, True, False),
         ),
     }
 
@@ -513,18 +519,71 @@ class TestBookkeepingArming:
         cluster = Cluster(n_slaves=2, config=DQEMUConfig(**cfg_kw))
         result = cluster.run(mutex_bench.build(n_threads=2, iters=10), **RUN_KW)
         assert result.exit_code == 0
-        nodes = cluster._fleet.nodes.values()
-        channels = [node.endpoint.rpc for node in nodes]
+        channels = [node.endpoint.rpc for node in cluster._fleet.nodes.values()]
         shards = cluster.jobs[0].runtime.master.shards
-        dispatchers = [node.dispatcher for node in nodes] + [s.dispatcher for s in shards]
         for ch in channels:
-            assert (ch.frames_repeat, ch.replays, ch._reply_cache_enabled) == armed
+            assert (ch.frames_repeat, ch.replays, ch._reply_cache_enabled, ch.acks) == armed
         assert (
             sum(ch.tombstones for ch in channels) > 0,
-            sum(len(d._served) for d in dispatchers) > 0,
+            sum(len(ch._served) for ch in channels) > 0,
             sum(ch.cached_replies for ch in channels) > 0,
         ) == kept
         assert all(len(s.coherence.locks) == 0 for s in shards)
+
+
+class TestChannelDecidesDelivery:
+    """At-most-once service and notification acks are the RPC channel's:
+    one served table per endpoint, whichever dispatcher serves the frame,
+    and one ack rule for every notification."""
+
+    def test_one_served_table_per_endpoint(self, monkeypatch):
+        # Node 0's endpoint carries two master shard dispatchers and its own
+        # node-side dispatcher; a replay to either kind is served once.
+        handled = Counter()
+        for cls in (CoherenceService, NodeCoherenceService):
+            def handle(self, msg, inner=cls.handle):
+                handled[self.name, msg.dst, msg.req_id] += 1
+                return (yield from inner(self, msg))
+            monkeypatch.setattr(cls, "handle", handle)
+        plan = FaultPlan.of(
+            duplicate(kinds={"page_request"}, max_count=1),
+            duplicate(kinds={"invalidate"}, dst=0, max_count=1),
+        )
+        cluster = Cluster(n_slaves=2, config=DQEMUConfig(master_shards=2, fault_plan=plan))
+        result = cluster.run(mutex_bench.build(n_threads=2, iters=10, private=False), **RUN_KW)
+        assert result.exit_code == 0 and result.faults.duplicated == 2
+        assert max(handled.values()) == 1
+        billed = {name: row.duplicates for name, row in result.stats.services.items()}
+        assert billed["coherence"] == billed["node.coherence"] == 1
+        assert sum(billed.values()) == 2
+        served = cluster._fleet.nodes[0].endpoint.rpc._served
+        assert all(req_id in served for (_name, dst, req_id) in handled if dst == 0)
+
+    @pytest.mark.parametrize("timed", [False, True])
+    def test_notifications_are_acked_exactly_when_timeouts_are_armed(self, timed):
+        cfg = DQEMUConfig(
+            fault_plan=FaultPlan.drain(3, 150_000),
+            rpc_timeout_ns=TIMEOUT_NS if timed else None,
+        )
+        result = Cluster(n_slaves=3, config=cfg).run(
+            mutex_bench.build(n_threads=4, iters=20, private=False), **RUN_KW
+        )
+        assert result.exit_code == 0
+        frames = Counter()
+        for (kind, src, dst), (count, _bytes) in result.fabric.frames.items():
+            frames[kind, src, dst] += count
+        # The requests always answered with an Ack (Shutdown's acks land
+        # after the exit the result is taken at), plus the notifications.
+        answered = ["start_drain", "evacuate_thread", "split_table_update", "merge_request"]
+        if timed:
+            answered += ["futex_wake", "drain_complete"]
+        assert sum(n for (kind, *_), n in frames.items() if kind == "futex_wake") >= 4
+        assert frames["drain_complete", 3, 0] == 1
+        nodes = range(4)
+        for x in nodes:
+            for y in nodes:
+                want = sum(frames[kind, y, x] for kind in answered)
+                assert frames["ack", x, y] == want, (x, y)
 
 
 class TestNoFaultRegression:

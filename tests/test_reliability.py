@@ -230,37 +230,55 @@ class TestRetransmission:
 
 
 class TestReplyCache:
+    """The server side of at-most-once: ``first_delivery`` remembers what
+    this endpoint served and answers a replay from the reply cache."""
+
     def _served_pair(self):
-        sim, _fabric, _inj, eps = make_cluster()
+        sim, fabric, _inj, eps = make_cluster()
         a, b = eps
-        b.rpc.enable_reply_cache()
+        b.rpc.arm(faults=False, retries=True, acks=False)
         req = PageRequest(page=1)
         req.req_id, req.src, req.dst = 11, 0, 1
+        assert b.rpc.first_delivery(req) is True
         b.rpc.reply(req, SyscallReply(retval=5))
-        return sim, a, b, req
+        return fabric, a, b, req
 
     def test_replay_resends_cached_clone(self):
-        sim, _a, b, req = self._served_pair()
+        fabric, _a, b, req = self._served_pair()
         assert b.rpc.cached_replies == 1
-        assert b.rpc.resend_reply(req) is True
+        assert b.rpc.first_delivery(req) is False
         assert b.rpc.reply_replays == 1
+        assert fabric.stats.messages_sent == 2  # the reply, then its replay
 
     def test_disabled_cache_replays_nothing(self):
-        sim, _fabric, _inj, eps = make_cluster()
+        sim, fabric, _inj, eps = make_cluster()
         b = eps[1]
         req = PageRequest(page=1)
         req.req_id, req.src, req.dst = 11, 0, 1
+        assert b.rpc.first_delivery(req) is True
         b.rpc.reply(req, SyscallReply(retval=5))
         assert b.rpc.cached_replies == 0
-        assert b.rpc.resend_reply(req) is False
+        assert b.rpc.first_delivery(req) is False  # still refused...
+        assert b.rpc.reply_replays == 0  # ...but nothing to answer it with
+        assert fabric.stats.messages_sent == 1
 
     def test_cache_is_fifo_bounded(self):
-        sim, _a, b, _req = self._served_pair()
+        _fabric, _a, b, _req = self._served_pair()
         for i in range(b.rpc.REPLY_CACHE_LIMIT + 50):
             req = PageRequest(page=1)
             req.req_id, req.src, req.dst = 100 + i, 0, 1
             b.rpc.reply(req, SyscallReply(retval=0))
         assert b.rpc.cached_replies == b.rpc.REPLY_CACHE_LIMIT
+
+    def test_served_ids_are_fifo_bounded(self):
+        _fabric, _a, b, first = self._served_pair()
+        for i in range(b.rpc.SERVED_LIMIT):
+            req = PageRequest(page=1)
+            req.req_id, req.src = 100 + i, 0
+            assert b.rpc.first_delivery(req) is True
+        assert len(b.rpc._served) == b.rpc.SERVED_LIMIT
+        # The oldest id was evicted: it is served again, as a new request.
+        assert b.rpc.first_delivery(first) is True
 
 
 # -- tombstone sweep boundaries ------------------------------------------------

@@ -58,11 +58,17 @@ class StubService:
         yield  # generator protocol when delay_ns == 0
 
 
+def make_dispatcher(stats=None, **kw):
+    """A dispatcher behind a bare endpoint (node 0 of a one-node fabric)."""
+    sim = Simulator()
+    endpoint = Endpoint(sim, Fabric(sim), 0)
+    return sim, Dispatcher(endpoint, RunStats() if stats is None else stats, **kw)
+
+
 class TestDispatcher:
     def test_routes_by_kind(self):
-        sim = Simulator()
         stats = RunStats()
-        d = Dispatcher(sim, stats)
+        sim, d = make_dispatcher(stats)
         a = d.register(StubService("a", {"page_request"}))
         b = d.register(StubService("b", {"ack", "shutdown"}))
         sim.spawn(d.dispatch(PageRequest(page=1)))
@@ -73,8 +79,7 @@ class TestDispatcher:
         assert d.service_for("shutdown") is b
 
     def test_unknown_kind_raises_protocol_error(self):
-        sim = Simulator()
-        d = Dispatcher(sim, RunStats())
+        _sim, d = make_dispatcher()
         d.register(StubService("a", {"page_request"}))
         gen = d.dispatch(Ack())
         with pytest.raises(ProtocolError, match="no service registered for kind 'ack'"):
@@ -83,15 +88,14 @@ class TestDispatcher:
             d.service_for("ack")
 
     def test_conflicting_kind_claim_rejected(self):
-        d = Dispatcher(Simulator(), RunStats())
+        _sim, d = make_dispatcher()
         d.register(StubService("a", {"page_request"}))
         with pytest.raises(ProtocolError, match="claimed by both"):
             d.register(StubService("b", {"page_request"}))
 
     def test_per_service_counters(self):
-        sim = Simulator()
         stats = RunStats()
-        d = Dispatcher(sim, stats)
+        sim, d = make_dispatcher(stats)
         d.register(StubService("slow", {"page_request"}, sim=sim, delay_ns=500))
         d.register(StubService("idle", {"ack"}))
         for _ in range(3):
@@ -132,7 +136,7 @@ class TestDeadSenderRefusal:
         stats = RunStats()
         view = HealthTracker(sim)
         view.mark_failed(2)
-        d = Dispatcher(sim, stats, shard=0, failure_view=view)
+        d = Dispatcher(Endpoint(sim, Fabric(sim), 0), stats, shard=0, failure_view=view)
         stub = d.register(StubService("svc", MASTER_KINDS))
         cls = {c.kind: c for c in all_message_types()}[kind]
         dead, live = cls(src=2, req_id=1), cls(src=1, req_id=2)
@@ -437,6 +441,30 @@ class TestRuntimeDecomposition:
 
         assert "msg.kind ==" not in inspect.getsource(master)
         assert "msg.kind ==" not in inspect.getsource(node)
+
+    def test_the_channel_alone_decides_delivery(self):
+        """No service but ``base.py`` reads ``config.rpc_timeout_ns`` (whether
+        a notification is acked is the RPC channel's rule), and the
+        dispatcher keeps no served-id table (the channel's ``first_delivery``
+        is the one)."""
+        services = Path(inspect.getsourcefile(importlib.import_module("repro.core.services")))
+        readers = {
+            path.name
+            for path in services.parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "rpc_timeout_ns"
+        }
+        assert readers == {"base.py"}
+        sim, d = make_dispatcher()
+        d.register(StubService("svc", {"page_request"}))
+        msg = PageRequest(page=1, req_id=7)
+        for _ in range(2):
+            sim.spawn(d.dispatch(msg))
+        sim.run()
+        assert d.run_stats.services["svc"].duplicates == 1
+        assert 7 in d._rpc._served
+        held = [v for v in vars(d).values() if isinstance(v, (dict, set)) and 7 in v]
+        assert held == [] and not hasattr(Dispatcher, "DEDUP_LIMIT")
 
     MASTER_SIDE = [
         Path(inspect.getsourcefile(importlib.import_module("repro.core.master"))),
