@@ -12,10 +12,11 @@ register is *dirty*, and it is *committed*, ``R[N] = rN`` resp. ``R[N] =
 <bits of fN>``, only at an *observation point*, where something outside the
 function (fault handler, migration and evacuation, the next block) can read
 ``cpu.regs``: the miss arm of every plain access, before every atomic and on
-every ``return``.  So the register file is exact whenever it is read, as QEMU's
-TCG syncs its host registers only at helpers that may read them and at block
-exits.  Wherever an instruction can fault, the generated code also records its
-pc and the count of completed instructions (``cpu.block_ic``).  A plain
+every ``return``; elsewhere only a loop's back edge does ("Loop residency").
+So the register file is exact whenever it is read, as QEMU's TCG syncs its host
+registers only at helpers that may read them and at block exits.  Wherever an
+instruction can fault, the generated code also records its pc and the count of
+completed instructions (``cpu.block_ic``).  A plain
 ``ld``/``st`` can only fault in its miss arm, so that bookkeeping lives *in the
 miss arm* and a resident access pays none of it (the miss arm does not clear
 the emitter's ``dirty`` set: the hit path commits nothing); an atomic always
@@ -40,10 +41,13 @@ reassigned while the temp is still live.
 
 Float shadow.  An FP value is a Python ``float`` in ``fN``; an FP write forgets
 the integer local, and an integer read of a register whose float is newer
-commits it first (``R[N] = rN = <bits of fN>``).  An FP read with no shadow
-binds ``fN`` from the newest copy of the bits, ``rN`` where that is known,
-else ``R[N]``.  Conversions are inline: the templates of :mod:`repro.dbt.fpu`
-over ``struct``'s C accessors, which also inline the common case of division,
+binds its bits, ``rN = <bits of fN>``, and the register stays dirty.  An
+8-byte store of it makes no integer: the hit arm packs the float (``pd``; a
+NaN as the canonical bits, through ``p8``), the miss arm passes the ``R[N]``
+its fault point committed.  An FP read with no shadow binds ``fN`` from the
+newest copy of the bits, ``rN`` where that is known, else ``R[N]``.
+Conversions are inline: the templates of :mod:`repro.dbt.fpu` over
+``struct``'s C accessors, which also inline the common case of division,
 square root and min/max against a literal; a helper runs only as an edge
 case's slow arm, or for min/max of two unknown operands.  An FP op into ``x0``
 emits nothing: GA64 has no FP flags or rounding state.
@@ -90,6 +94,11 @@ loop never reads it.  The shadow rule crosses the back edge:
   first observation point; such a register is found while the body is
   emitted, as the pre-header is (``_Emitter.dead``), and the next trip
   overwrites it unseen;
+* a float pin still shadowed by ``fN`` and first written before every
+  observation point of the body (an accumulator stored each trip) stays dirty
+  across it too.  A pin written later is committed: for its earlier points to
+  commit it, trip 1 would commit the bits of the ``fN`` bound on entry,
+  canonicalising a NaN;
 * a pinned local the body left stale is re-bound.
 
 Every way out of a looping function reports through ``cpu.block_runs``: a
@@ -127,6 +136,7 @@ import re
 from collections import Counter
 from collections.abc import Mapping, Set as AbstractSet
 from dataclasses import dataclass
+from struct import Struct
 from types import MappingProxyType
 from typing import Callable, ClassVar, Optional
 
@@ -172,6 +182,8 @@ _CODEGEN_GLOBALS = {
     # unsigned, ``s4``/``s2`` signed, ``p8``/``p4``/``p2`` write.
     **{f"{'s' if signed else 'u'}{size}": unpack for (size, signed), unpack in UNPACK.items()},
     **{f"p{size}": pack for size, pack in PACK.items()},
+    # A host float's 8 bytes (``_Emitter.store``).
+    "pd": Struct("<d").pack_into,
 }
 
 #: Conditions that are one host comparison; signed order is
@@ -621,8 +633,9 @@ class _Emitter:
     def val(self, operand) -> "int | str":
         """Integer read: a constant, or the host local holding the value.
         Every integer use of a guest register comes through here, so a float
-        shadow newer than the register file is committed before its bits are
-        read."""
+        shadow newer than the register file has its bits bound to ``rN``
+        first; ``R[N]`` stays stale, and the register dirty, until the next
+        observation point commits ``rN``."""
         kind, v = operand
         if kind == "i":
             return v & M64
@@ -635,14 +648,20 @@ class _Emitter:
         if v not in self.local:
             if v in self.dirty:
                 self.keep(f"r{v}")
-                self.lines.append(f"R[{v}] = r{v} = {_bits(v)}")
-                self.dirty.discard(v)
+                self.lines.append(f"r{v} = {_bits(v)}")
             else:
                 if v in self.written:
                     self.keep(f"r{v}")
                 self.bind(v, f"r{v} = R[{v}]", self.pins)
             self.local.add(v)
         return f"r{v}"
+
+    def newest_float(self, operand) -> Optional[str]:
+        """``fN`` if the operand's newest value is only its float shadow."""
+        kind, v = operand
+        if kind == "g" and v in self.dirty and v not in self.local:
+            return f"f{v}"
+        return None
 
     def ref(self, operand) -> str:
         return _text(self.val(operand))
@@ -742,23 +761,31 @@ class _Emitter:
     def _commits(self, *, back_edge: bool = False) -> list[str]:
         """``R[N] = rN`` resp. ``R[N] = <bits of fN>`` for every dirty
         register, where something outside the function can read ``cpu.regs``
-        (an *observation point*).  At the back edge an integer stays dirty
-        across it unless a float pin is re-bound from ``R[N]`` there, and a
-        float is committed unless the next trip overwrites it unseen (``dead``,
-        fixed by the first of these points).  In a loop's body every point
-        also leaves a mark for the integers the back edge will carry."""
+        (an *observation point*).  At the back edge only what :meth:`_crosses`
+        refuses is committed.  In a loop's body every point also leaves a mark
+        for the integers the back edge will carry."""
         if self.dead is None:
             self.dead = set(self.written) - self.pins - self.fpins
         self._check()
         regs = self.dirty
         if back_edge:
-            regs = {v for v in regs if (v in self.fpins if v in self.local else v not in self.dead)}
+            regs = {v for v in regs if not self._crosses(v)}
         out = [f"R[{v}] = r{v}" if v in self.local else f"R[{v}] = {_bits(v)}"
                for v in sorted(regs)]
         if self.head is not None and self.loop_end is None and not back_edge:
             out.insert(0, f"{_CARRY}{self.points}")
             self.points += 1
         return out
+
+    def _crosses(self, v: int) -> bool:
+        """Whether the dirty ``v`` crosses the back edge uncommitted: an
+        integer (:meth:`_carry`) or a ``dead`` float, and a float pin whose
+        newest value is ``fN``, written before the body's first observation
+        point and not re-bound from ``R[N]`` as an integer pin (module
+        docstring, "Loop residency")."""
+        if v in self.fpins:
+            return self.shadow.get(v) == f"f{v}" and not self.written[v] and v not in self.pins
+        return v in self.local or v in self.dead
 
     def _check(self) -> None:
         """The invariants the shadow rule rests on (translation time only)."""
@@ -794,8 +821,8 @@ class _Emitter:
         """The function's exit re-enters it when ``taken`` holds (always, if
         ``None``): the loop's body ends here, and its one exit follows the
         loop.  The loop head finds what the pre-header left it: every pinned
-        local holding its register's value, and registers exact but for the
-        ``dead`` floats and the carried integers."""
+        local holding its register's value, and registers exact but for what
+        crosses the back edge dirty (:meth:`_crosses`)."""
         lines = self.lines
         if taken:
             lines.append(f"if not ({taken}): break")
@@ -855,7 +882,9 @@ class _Emitter:
                     self.load(d, self.val(addr), size, signed, self._fault_point(ir, k))
                 elif op.name == "st":
                     val, addr, size = op.args
-                    self.store(self.val(addr), size, self.val(val), self._fault_point(ir, k))
+                    a, f = self.val(addr), self.newest_float(val) if size == 8 else None
+                    v = f"R[{val[1]}]" if f else self.val(val)
+                    self.store(a, size, v, self._fault_point(ir, k), f)
                 else:
                     if op.name in _ATOMIC_OPS:
                         # Always out of line: its precise exception point is
@@ -899,9 +928,14 @@ class _Emitter:
         self.lines.append(f"    {target} = v")
         self.lines.append(f"else: {target} = {hit}")
 
-    def store(self, a: "int | str", size: int, v: "int | str", fault_point: list[str]) -> None:
+    def store(
+        self, a: "int | str", size: int, v: "int | str", fault_point: list[str],
+        f: Optional[str] = None,
+    ) -> None:
         """``<size bytes at a> = v``: hit iff additionally no reservation is
-        armed and the page is Modified."""
+        armed and the page is Modified.  With ``f``, the float shadow whose
+        bits ``v`` (its ``R[N]``, committed by ``fault_point``) holds, the hit
+        packs the float, a NaN as the bits :data:`fpu.F2B` gives."""
         self.views.update("SBXA")
         o, spans = self.locate(a, size)
         # Registers and temps are held masked, so 8 bytes need no mask.
@@ -911,6 +945,9 @@ class _Emitter:
         self.lines.append(f"if X or A or {spans}S.get(p) is not W:")
         self.lines.extend("    " + ln for ln in fault_point)
         self.lines.append(f"    if mem.miss_store({a}, {size}, {v}): return {RC_STALL}")
+        if f:
+            self.lines.append(f"elif {f} != {f}: p8(B[p], o, NAN)")
+            hit = f"pd(B[p], o, {f})"
         self.lines.append(f"else: {hit}")
 
     def terminal(

@@ -378,7 +378,9 @@ class TestHotPathIdentity:
 # get right is varied here at once: two buffer pages (and the two shadow
 # regions of the first, split or not) start absent, Shared, Exclusive or
 # Modified; accesses of every width land anywhere up to and across the page
-# and region edges; LL/SC cells sit under plain stores.  A tiny node plays
+# and region edges; LL/SC cells sit under plain stores; FP results are stored
+# straight from their float shadows, through the miss arms as much as the
+# hits, with the loop carrying them round.  A tiny node plays
 # the DSM's part between quanta, and the interpreter — which only ever calls
 # the methods — is the oracle for everything observable.
 
@@ -393,7 +395,8 @@ page_state = st.sampled_from([None, MSIState.SHARED, MSIState.EXCLUSIVE, MSIStat
 
 @st.composite
 def dsm_instr(draw):
-    group = draw(st.sampled_from(["load"] * 3 + ["store"] * 3 + ["atomic"] * 2 + ["int"]))
+    group = draw(st.sampled_from(["load"] * 3 + ["store"] * 3 + ["atomic"] * 2 + ["int"]
+                                 + ["fp"] * 2))
     if group == "load":
         return [Instruction(SPECS[draw(st.sampled_from(_LOADS))],
                             rd=draw(dsm_reg), rs1=BUF_REG, imm=draw(dsm_offset))]
@@ -403,6 +406,13 @@ def dsm_instr(draw):
     if group == "int":
         return [Instruction(SPECS[draw(st.sampled_from(["add", "xor", "sltu"]))],
                             rd=draw(dsm_reg), rs1=draw(dsm_reg), rs2=draw(dsm_reg))]
+    if group == "fp":  # a float result, maybe stored at once from its shadow
+        rd = draw(dsm_reg)
+        fp = [Instruction(SPECS[draw(st.sampled_from(["fadd", "fmul", "fsub"]))],
+                          rd=rd, rs1=draw(dsm_reg), rs2=draw(dsm_reg))]
+        if draw(st.booleans()):
+            fp.append(Instruction(SPECS["sd"], rs1=BUF_REG, rs2=rd, imm=draw(dsm_offset)))
+        return fp
     stage = Instruction(SPECS["addi"], rd=ADDR_REG, rs1=BUF_REG,
                         imm=draw(st.sampled_from(_CELLS)))
     m = draw(st.sampled_from(_ATOMICS))

@@ -29,7 +29,7 @@ from repro.mem import PAGE_SIZE, FlatMemory, MSIState, PageStall
 from repro.mem.llsc import LLSCTable
 from repro.mem.pagestore import PageStore
 from repro.mem.splitmap import SplitEntry, SplitMap
-from repro.workloads import memaccess
+from repro.workloads import memaccess, swaptions
 from tests.conftest import memory_image, python_calls, resident_node_memory
 
 TEXT = 0x1_0000
@@ -278,6 +278,26 @@ def test_private_rmw_loop_body_stores_no_register_outside_its_miss_arms():
     assert sum(ln.strip().startswith("if X or") for ln in body) == 2
     assert [ln for ln in body if "R[" in ln and ln not in arms] == [], tb.source
     assert any("R[" in ln for ln in arms) and "R[" in "".join(source[len(body):])
+
+
+def test_fp_compute_trial_loop_stores_its_sum_as_a_float():
+    """``fp_compute``'s hot loop (swaptions' trial loop; the block at 0x10518):
+    the sum it stores each trial stays a host float, packed straight into the
+    page, so no trip casts a float to bits, and only the miss arm and the one
+    exit after the loop write ``cpu.regs``."""
+    prog = swaptions.build(32, 128, trials=2000)
+    pc = prog.symbol(".sw_trial")
+    tb = Backend().compile(Frontend(resident_node_memory(prog)).build_block(pc))
+    assert tb.loops and pc == 0x10518
+    source = tb.source.split("    for i in range(n):\n", 1)[1].splitlines()
+    body = list(itertools.takewhile(lambda ln: ln.startswith(" " * 8), source))
+    arms = [ln for ln in body if ln.startswith(" " * 12)]
+    outside = [ln for ln in body if ln not in arms]
+    assert sum(ln.strip().startswith("if X or") for ln in body) == 1
+    assert [ln for ln in outside if "R[" in ln] == [], tb.source
+    assert [ln for ln in outside if "QU(" in ln or "DP(" in ln] == [], tb.source
+    assert any("pd(B[p], o, f6)" in ln for ln in outside), tb.source
+    assert any("R[6] = " in ln for ln in arms) and "R[6] = " in "".join(source[len(body):])
 
 
 def test_wide_accesses_add_the_span_test_and_pure_blocks_bind_no_view():

@@ -731,6 +731,15 @@ INT_OVER_FLOAT_PIN = FP_LIVENESS.format(body="""\
   fadd a4, a4, a3
   addi a3, t1, 3
   sd a4, 0(t0)""")
+# A float pin carried across the back edge: a4 is read as a float first and
+# written before the store, the first observation point, so its sum stays a
+# host float from trip to trip and only the store's miss arm and the exit
+# commit it; a3, also read first but written after the store, is committed
+# at the back edge.
+FP_PIN_CARRIED = FP_LIVENESS.format(body="""\
+  fadd a4, a4, a3
+  sd a4, 0(t0)
+  fcvt.d.l a3, t1""")
 
 LOOPS = {
     "plain": (LOOP_SRC, ()),
@@ -752,6 +761,7 @@ LOOPS = {
     "fp-read-as-int-first": (FP_READ_AS_INT_FIRST, ("region",)),
     "int-carried-into-miss-arm": (INT_CARRIED_INTO_MISS_ARM, ("region",)),
     "int-over-float-pin": (INT_OVER_FLOAT_PIN, ("region",)),
+    "fp-pin-carried": (FP_PIN_CARRIED, ("region",)),
 }
 HOT_TIERS = [
     {}, dict(fusion=True), dict(superblock_threshold=2), dict(superblock_threshold=8, fusion=True)
@@ -848,17 +858,20 @@ class TestLoopResidency:
 
 class TestBackEdgeLiveness:
     """A float shadow left dirty at the back edge is committed there only if
-    the next trip can observe it before overwriting it, and an integer only
-    if the back edge re-binds its float pin from the register file; wherever
-    either is observed — here the miss arm of a store whose page goes away on
-    trip 4 — ``cpu.regs`` is the interpreter's."""
+    the next trip can observe it before overwriting it, or could observe the
+    register file before writing it; an integer only if the back edge
+    re-binds its float pin from the register file.  Wherever either is
+    observed — here the miss arm of a store whose page goes away on trip 4 —
+    ``cpu.regs`` is the interpreter's, and a resident store of a float packs
+    the float: its hit path casts nothing to bits."""
 
-    CASES = {  # program, store's index in the body, back edge commits a3
-        "dead": (FP_DEAD_AT_BACK_EDGE, 4, False),
-        "live-into-miss-arm": (FP_LIVE_INTO_MISS_ARM, 0, True),
-        "read-as-int-first": (FP_READ_AS_INT_FIRST, 3, True),
-        "int-carried-into-miss-arm": (INT_CARRIED_INTO_MISS_ARM, 0, False),
-        "int-over-float-pin": (INT_OVER_FLOAT_PIN, 2, True),
+    CASES = {  # program, store's index in the body, of a3/a4 what the back edge commits
+        "dead": (FP_DEAD_AT_BACK_EDGE, 4, set()),
+        "live-into-miss-arm": (FP_LIVE_INTO_MISS_ARM, 0, {13, 14}),
+        "read-as-int-first": (FP_READ_AS_INT_FIRST, 3, {13}),
+        "int-carried-into-miss-arm": (INT_CARRIED_INTO_MISS_ARM, 0, set()),
+        "int-over-float-pin": (INT_OVER_FLOAT_PIN, 2, {13}),
+        "fp-pin-carried": (FP_PIN_CARRIED, 1, {13}),
     }
     STALL_TRIP = 4
 
@@ -887,7 +900,10 @@ class TestBackEdgeLiveness:
         tb = backend.compile_superblock([ir, ir]) if superblock else backend.compile(ir)
         body = len(ir.instrs)
         assert tb.loops
-        assert ("R[13] = " in self._back_edge(tb.source)) is commits, tb.source
+        back = self._back_edge(tb.source)
+        assert {v for v in (13, 14) if f"R[{v}] = " in back} == commits, tb.source
+        hit = [ln for ln in tb.source.splitlines() if ln.lstrip().startswith(("elif ", "else: "))]
+        assert hit and not any("QU(" in ln for ln in hit), tb.source
 
         oracle_mem = FlatMemory()
         oracle_mem.load_image(prog.iter_load_segments())
