@@ -87,7 +87,9 @@ CALLS = "prof.py_calls_per_kinsn"
 #: assertion at translation time measured 17.4, 155.7, 362.7, 946.5, 11452.7
 #: and 477.1; FP results stored as floats, kept out of the register file across
 #: the back edge, measured 17.4, 155.8, 196.9, 945.6, 11453.2 and 477.1,
-#: against 17.4, 155.7, 362.7, 946.5, 11452.7 and 477.1 before it).
+#: against 17.4, 155.7, 362.7, 946.5, 11452.7 and 477.1 before it; one master
+#: record per guest thread, its park held on it, measured 17.4, 155.7, 196.9,
+#: 944.5, 11452.5 and 476.1).
 CEILINGS = {
     "mem_read_walk": {CALLS: 18.1},
     "mem_rmw_walk": {CALLS: 162.9},

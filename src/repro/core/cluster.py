@@ -310,9 +310,7 @@ class Cluster:
         job.admitted_ns = sim.now
         program = job.program
 
-        state = SystemState(
-            brk_start=program.load_end, stdin=job.stdin, tenant=job.tenant,
-        )
+        state = SystemState(brk_start=program.load_end, stdin=job.stdin)
         for path, data in job.files.items():
             state.vfs.add_file(path, data)
 
@@ -376,7 +374,7 @@ class Cluster:
                 )
 
         # Main thread starts on the master (paper Fig. 2).
-        main_rec = state.threads.create(node=0, parent_tid=0)
+        main_rec = state.threads.create(node=0)
         main_cpu = CPUState(pc=program.entry, tid=main_rec.tid, sp=STACK_TOP - 64)
 
         job.runtime = _JobRuntime(

@@ -126,9 +126,6 @@ class MasterRuntime:
         # failed); None keeps every service on its failure-blind,
         # bit-identical code paths.
         self.failure_view = failure_view
-        #: Tids whose ``SpawnThread`` is outstanding (``MasterService.land``):
-        #: the failure domain's recovery pass leaves them to their landing.
-        self.landing: set[int] = set()
         #: Called once, when the job is over on the master: ``finish`` ran,
         #: every node acked its Shutdown and ``in_flight`` is back to 0.
         self.on_retire: Optional[Callable[[], None]] = None

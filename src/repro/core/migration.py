@@ -41,9 +41,7 @@ def create_child(state: SystemState, mem: KernelMemory, parent_snapshot: dict,
     snapshot.  A kernel-style generator returning ``(tid, snapshot)``."""
     hint = parent_snapshot.get("hint_group")
     ctid = clone.ctid if clone.flags & CLONE_CHILD_CLEARTID else 0
-    rec = state.threads.create(
-        node=node, parent_tid=clone.parent_tid, ctid=ctid, hint_group=hint
-    )
+    rec = state.threads.create(node=node, ctid=ctid)
     if clone.flags & CLONE_PARENT_SETTID and clone.ptid:
         yield from mem.write_guest(clone.ptid, rec.tid.to_bytes(8, "little"))
     if clone.flags & CLONE_CHILD_SETTID and clone.ctid:

@@ -48,7 +48,6 @@ from typing import (
 
 from repro.core.stats import RunStats
 from repro.errors import ProtocolError
-from repro.kernel.threads import ThreadState
 from repro.net.messages import SpawnThread
 from repro.net.rpc import RpcTimeout
 
@@ -234,24 +233,23 @@ class MasterService:
         thread (clone, migration, evacuation); returns the node it
         landed on.
 
-        Moves its record there, marks it RUNNING, emits ``why`` and ships
-        ``context`` in a ``SpawnThread``.  Until that is acked the tid is in
-        ``master.landing``, which the failure domain's recovery pass skips:
-        if the target is latched failed mid-call, the thread is re-placed
-        here on ``failure_domain.pick_target`` (``spawn_failovers``), not
-        also reaped.  A timeout against a live target still raises, naming
-        this service.
+        Moves its record there, emits ``why`` and ships ``context`` in a
+        ``SpawnThread``.  Until that is acked the record is ``landing``,
+        which the failure domain's recovery pass skips: if the target is
+        latched failed mid-call, the thread is re-placed here on
+        ``failure_domain.pick_target`` (``spawn_failovers``), not also
+        reaped.  A timeout against a live target still raises, naming this
+        service.
         """
-        threads = self.master.state.threads
+        rec = self.master.state.threads.get(tid)
         attempts = len(self.master.node_ids) + 1
-        self.master.landing.add(tid)
+        rec.landing = True
         for _ in range(attempts):
-            threads.move(tid, target)
-            threads.set_state(tid, ThreadState.RUNNING)
+            rec.node = target
             self.trace.emit("thread", target, why, tid=tid)
             ack = yield from self.ask(target, SpawnThread(tid=tid, context=context))
             if ack is not None:
-                self.master.landing.discard(tid)
+                rec.landing = False
                 return target
             self.run_stats.protocol.spawn_failovers += 1
             why = f"spawn failover: n{target} died mid-spawn"

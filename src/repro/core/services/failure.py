@@ -7,8 +7,8 @@ tracker's detector confirms a crash) or by order (a scheduled drain):
   callback): latch the node as failed in the health tracker, evict its
   directory footprint (Shared copies re-homed, Modified pages written
   off), then re-home its threads.  A thread parked in ``futex_wait``
-  left its CPU context with the master (the syscall service attaches it to
-  the waiter record when the failure domain is armed), so it is *evacuable*:
+  left its CPU context with the master (the syscall service keeps it on the
+  thread's record while it is parked), so it is *evacuable*:
   re-spawned on a healthy node as a spurious wake.  A thread that was
   running has no recoverable context — it is reaped through the kernel's
   exit path so joiners unblock, and reported lost with per-thread
@@ -105,16 +105,16 @@ class FailureDomainService(MasterService):
         t0 = self.sim.now
         for trec in list(self.state.threads.on_node(node)):
             tid = trec.tid
-            if tid in self.master.landing:
+            if trec.landing:
                 continue  # in flight to the dead node: its landing re-places it
-            waiter = self.state.futexes.find(tid)
-            if waiter is not None and waiter.context is not None:
+            context = trec.context
+            if context is not None:
                 # Parked in futex_wait with its context on the master:
                 # evacuate as a spurious wake (retval 0) — the guest's futex
                 # loop re-checks the word and goes back to sleep if needed.
-                self.state.futexes.remove(tid)
+                self.state.futexes.remove(trec)
                 target = yield from self.land(
-                    tid, returning_zero(waiter.context), self.pick_target(exclude=node),
+                    tid, returning_zero(context), self.pick_target(exclude=node),
                     f"evacuated from dead n{node}",
                 )
                 rec.evacuated.append((tid, target))
@@ -122,8 +122,6 @@ class FailureDomainService(MasterService):
             # Context died with the node.  Run the kernel exit path (zero
             # clear_child_tid, wake joiners) so threads joining on it unblock
             # with the loss reported instead of hanging.
-            if waiter is not None:
-                self.state.futexes.remove(tid)
             result = yield from self.master.syscalls.executor.exit_thread(tid, 137)
             self.master.futexes.wake(result.woken)
             rec.lost.append((tid, "context lost in crash"))

@@ -20,7 +20,7 @@ default wire traffic — and therefore every timing — stays bit-identical.
 from __future__ import annotations
 
 from repro.core.services.base import MasterService
-from repro.kernel.futex import Waiter
+from repro.kernel.threads import ThreadRecord
 from repro.net.messages import FutexWake, Message, SyscallReply
 
 __all__ = ["FutexService"]
@@ -43,19 +43,19 @@ class FutexService(MasterService):
         stats = self.run_stats.service(self.name)
         stats.busy_ns += self.endpoint.fabric.serialization_ns(msg.size_bytes())
 
-    def wake(self, waiters: list[Waiter]) -> None:
-        """Deliver a ``FutexWake`` to each waiter's node."""
+    def wake(self, woken: list[ThreadRecord]) -> None:
+        """Deliver a ``FutexWake`` to each woken thread's node."""
         proto = self.run_stats.protocol
         stats = self.run_stats.service(self.name)
-        for waiter in waiters:
+        for rec in woken:
             proto.futex_wakes += 1
             stats.requests += 1
-            wake = FutexWake(tid=waiter.tid, retval=0)
+            wake = FutexWake(tid=rec.tid, retval=0)
             self._bill_frame(wake)
-            ack = self.notify(waiter.node, wake)
+            ack = self.notify(rec.node, wake)
             if ack is not None:
                 self.master.spawn(
-                    self._await_ack(ack, waiter.node), f"futex-wake-ack@tid{waiter.tid}"
+                    self._await_ack(ack, rec.node), f"futex-wake-ack@tid{rec.tid}"
                 )
 
     def _await_ack(self, ack, peer: int):

@@ -25,7 +25,6 @@ from repro.core.services.coherence import CoherentGuestMemory
 from repro.dbt.cpu import CPUState
 from repro.kernel.syscalls import SyscallExecutor, SyscallResult, SystemState
 from repro.kernel.sysnums import ERRNO, sys_name
-from repro.kernel.threads import ThreadState
 from repro.net.messages import SyscallReply
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -65,20 +64,17 @@ class SyscallService(MasterService):
         self.master.futexes.wake(result.woken)
 
         if result.action == "blocked":
-            if self.view is not None:
-                rec = self.state.threads.get(msg.tid)
-                if self.view.is_failed(msg.src) and rec.exit_status is not None:
-                    # The node died mid-call and the recovery pass already
-                    # reaped this thread as lost: un-park it and restore the
-                    # exited record instead of resurrecting a dead waiter.
-                    self.state.futexes.remove(msg.tid)
-                    rec.state = ThreadState.EXITED
-                    self.run_stats.protocol.dead_peer_skips += 1
-                    return
-                # A parked thread's context lives in the master's futex
-                # table, which is what makes it evacuable after its node
-                # dies (docs/PROTOCOL.md "Failure domains").
-                self.state.futexes.attach_context(msg.tid, msg.context)
+            rec = self.state.threads.get(msg.tid)
+            if rec.exit_status is not None:
+                # The node died mid-call and the recovery pass already reaped
+                # this thread as lost: un-park it, no reply to the corpse.
+                self.state.futexes.remove(rec)
+                self.run_stats.protocol.dead_peer_skips += 1
+                return
+            # A parked thread's context lives on its master record, which
+            # is what makes it evacuable after its node dies
+            # (docs/PROTOCOL.md "Failure domains").
+            rec.context = msg.context
             self.master.futexes.park(msg)
         elif result.action == "exit":
             self.endpoint.reply(msg, SyscallReply(exited=True))
@@ -157,8 +153,8 @@ class LocalKernel:
             return SyscallReply(retval=tid)
         if action == "migrate":
             return SyscallReply()  # one node: affinity is trivially satisfied
-        for waiter in result.woken:
-            node._wake_thread(waiter.tid, 0, th.tenant)
+        for rec in result.woken:
+            node._wake_thread(rec.tid, 0, th.tenant)
         if action == "blocked":
             return SyscallReply(parked=True)
         if action == "exit_group":

@@ -1,7 +1,7 @@
 """Emulated kernel layer: syscalls, VFS, futex table, thread table, mmap."""
 
 from repro.kernel.classify import GLOBAL_SYSCALLS, LOCAL_SYSCALLS, is_global
-from repro.kernel.futex import FutexTable, Waiter
+from repro.kernel.futex import FutexTable
 from repro.kernel.mm import MemoryManager
 from repro.kernel.syscalls import (
     CloneRequest,
@@ -11,7 +11,7 @@ from repro.kernel.syscalls import (
     SystemState,
 )
 from repro.kernel.sysnums import ERRNO, FUTEX_WAIT, FUTEX_WAKE, SYS, sys_name
-from repro.kernel.threads import ThreadRecord, ThreadState, ThreadTable
+from repro.kernel.threads import ThreadRecord, ThreadTable
 from repro.kernel.vfs import VFS
 
 __all__ = [
@@ -29,10 +29,8 @@ __all__ = [
     "SyscallResult",
     "SystemState",
     "ThreadRecord",
-    "ThreadState",
     "ThreadTable",
     "VFS",
-    "Waiter",
     "is_global",
     "sys_name",
 ]

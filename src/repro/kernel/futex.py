@@ -5,91 +5,62 @@ futex table on the master so threads on any node can sleep on and wake guest
 addresses.  The table itself is pure bookkeeping: the *value check* of
 FUTEX_WAIT (compare the word at uaddr against the expected value) is done by
 the syscall executor, which can read guest memory through the coherence
-protocol.
+protocol.  Every admitted job gets its own table (built into its own
+``SystemState``), so identical uaddrs in different guests can never wake
+each other — isolation is structural, not filtered.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, replace
-from typing import Any, Deque, Optional
+from itertools import islice
 
-__all__ = ["FutexTable", "Waiter"]
+from repro.kernel.threads import ThreadRecord
 
-
-@dataclass(frozen=True)
-class Waiter:
-    tid: int
-    node: int  # where the thread is parked — the wake message goes there
-    #: CPU snapshot taken when the thread parked (attached by the master's
-    #: syscall service).  A parked thread's context lives *here*, not on its
-    #: node, which is what makes it evacuable after the node dies.
-    context: Any = None
+__all__ = ["FutexTable"]
 
 
 class FutexTable:
-    """uaddr → FIFO of waiting threads.
+    """uaddr → the thread records parked on it, in FIFO order.
 
-    ``tenant`` labels which job's futex namespace this table is: every
-    admitted job gets its own table (built into its own ``SystemState``),
-    so identical uaddrs in different guests can never wake each other —
-    isolation is structural, not filtered.
+    The table keeps only the wait order; what is parked where, with which
+    context, is on the records themselves (``ThreadRecord.futex`` and
+    ``context``), so each operation is one lookup.
     """
 
-    def __init__(self, tenant: int = 0) -> None:
-        self.tenant = tenant
-        self._queues: dict[int, Deque[Waiter]] = {}
-        self.total_waits = 0
-        self.total_wakes = 0
+    def __init__(self) -> None:
+        self._queues: dict[int, dict[int, ThreadRecord]] = {}
 
-    def enqueue(self, uaddr: int, tid: int, node: int) -> None:
-        self._queues.setdefault(uaddr, deque()).append(Waiter(tid, node))
-        self.total_waits += 1
+    def enqueue(self, rec: ThreadRecord, uaddr: int) -> None:
+        """Park ``rec`` at the tail of ``uaddr``'s queue."""
+        rec.futex = uaddr
+        self._queues.setdefault(uaddr, {})[rec.tid] = rec
 
-    def wake(self, uaddr: int, count: int) -> list[Waiter]:
-        """Pop up to ``count`` waiters in FIFO order."""
+    def wake(self, uaddr: int, count: int) -> list[ThreadRecord]:
+        """Un-park up to ``count`` records in FIFO order."""
         queue = self._queues.get(uaddr)
         if not queue:
             return []
-        woken: list[Waiter] = []
-        while queue and len(woken) < count:
-            woken.append(queue.popleft())
+        woken = list(islice(queue.values(), max(count, 0)))
+        for rec in woken:
+            del queue[rec.tid]
+            rec.futex = rec.context = None
         if not queue:
             del self._queues[uaddr]
-        self.total_wakes += len(woken)
         return woken
 
-    def attach_context(self, tid: int, context: Any) -> bool:
-        """Record a parked thread's CPU snapshot on its waiter entry."""
-        for uaddr, queue in self._queues.items():
-            for i, w in enumerate(queue):
-                if w.tid == tid:
-                    queue[i] = replace(w, context=context)
-                    return True
-        return False
+    def remove(self, rec: ThreadRecord) -> bool:
+        """Un-park ``rec`` without a wake (thread killed or moved while
+        waiting); the rest of its queue keeps its order."""
+        queue = self._queues.get(rec.futex)
+        if queue is None or queue.pop(rec.tid, None) is None:
+            return False
+        if not queue:
+            del self._queues[rec.futex]
+        rec.futex = rec.context = None
+        return True
 
-    def find(self, tid: int) -> Optional[Waiter]:
-        """The waiter entry for a parked thread, if it is parked."""
-        for queue in self._queues.values():
-            for w in queue:
-                if w.tid == tid:
-                    return w
-        return None
-
-    def remove(self, tid: int) -> bool:
-        """Drop a thread from any queue (thread killed while waiting)."""
-        for uaddr, queue in list(self._queues.items()):
-            filtered = deque(w for w in queue if w.tid != tid)
-            if len(filtered) != len(queue):
-                if filtered:
-                    self._queues[uaddr] = filtered
-                else:
-                    del self._queues[uaddr]
-                return True
-        return False
-
-    def waiters(self, uaddr: int) -> tuple[Waiter, ...]:
-        return tuple(self._queues.get(uaddr, ()))
+    def waiters(self, uaddr: int) -> tuple[ThreadRecord, ...]:
+        return tuple(self._queues.get(uaddr, {}).values())
 
     @property
     def n_sleeping(self) -> int:

@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Generator, Optional, Protocol
 
-from repro.kernel.futex import FutexTable, Waiter
+from repro.kernel.futex import FutexTable
 from repro.kernel.mm import MemoryManager
 from repro.kernel.sysnums import ERRNO, FUTEX_OP_MASK, FUTEX_WAIT, FUTEX_WAKE, SYS
-from repro.kernel.threads import ThreadState, ThreadTable
+from repro.kernel.threads import ThreadRecord, ThreadTable
 from repro.kernel.vfs import VFS
 
 __all__ = ["KernelMemory", "SystemState", "SyscallResult", "SyscallExecutor", "CloneRequest"]
@@ -46,7 +46,6 @@ class CloneRequest:
     ptid: int
     tls: int
     ctid: int
-    parent_tid: int
 
 
 @dataclass
@@ -67,7 +66,7 @@ class SyscallResult:
 
     retval: int = 0
     action: str = "return"
-    woken: list[Waiter] = field(default_factory=list)
+    woken: list[ThreadRecord] = field(default_factory=list)
     clone: Optional[CloneRequest] = None
     exit_status: int = 0
     migrate_to: int = -1
@@ -77,14 +76,13 @@ class SystemState:
     """Authoritative cluster-wide system state, kept on the master.
 
     One per admitted job: the VFS, futex namespace, thread table and memory
-    map are the job's alone (``tenant`` labels which), which is what makes
-    per-tenant isolation structural on a shared fleet.
+    map are the job's alone, which is what makes per-tenant isolation
+    structural on a shared fleet.
     """
 
-    def __init__(self, *, brk_start: int, stdin: bytes = b"", tenant: int = 0):
-        self.tenant = tenant
+    def __init__(self, *, brk_start: int, stdin: bytes = b""):
         self.vfs = VFS(stdin=stdin)
-        self.futexes = FutexTable(tenant=tenant)
+        self.futexes = FutexTable()
         self.threads = ThreadTable()
         self.mm = MemoryManager(brk_start=brk_start)
 
@@ -123,6 +121,8 @@ class SyscallExecutor:
 
     def execute(self, tid: int, node: int, sysno: int, args: tuple[int, ...]
                 ) -> Generator[Any, Any, SyscallResult]:
+        """Run syscall ``sysno`` for thread ``tid``, called from ``node``
+        (informational: the thread's record names its node)."""
         a = tuple(args) + (0,) * (6 - len(args))
         st = self.state
 
@@ -158,10 +158,10 @@ class SyscallExecutor:
             return _ret(st.vfs.lseek(a[0], _s(a[1]), a[2]))
 
         if sysno == SYS.FUTEX:
-            return (yield from self._futex(tid, node, a))
+            return (yield from self._futex(tid, a))
 
         if sysno == SYS.SET_TID_ADDRESS:
-            st.threads.set_clear_child_tid(tid, a[0])
+            st.threads.get(tid).clear_child_tid = a[0]
             return _ret(tid)
 
         if sysno == SYS.CLONE:
@@ -169,7 +169,6 @@ class SyscallExecutor:
                 action="clone",
                 clone=CloneRequest(
                     flags=a[0], child_stack=a[1], ptid=a[2], tls=a[3], ctid=a[4],
-                    parent_tid=tid,
                 ),
             )
 
@@ -208,8 +207,7 @@ class SyscallExecutor:
 
     # -- futex ------------------------------------------------------------
 
-    def _futex(self, tid: int, node: int, a: tuple[int, ...]
-               ) -> Generator[Any, Any, SyscallResult]:
+    def _futex(self, tid: int, a: tuple[int, ...]) -> Generator[Any, Any, SyscallResult]:
         uaddr, op, val = a[0], a[1] & FUTEX_OP_MASK, a[2]
         st = self.state
         if op == FUTEX_WAIT:
@@ -217,13 +215,10 @@ class SyscallExecutor:
             current = int.from_bytes(raw, "little")
             if current != val:
                 return _ret(-ERRNO.EAGAIN)
-            st.futexes.enqueue(uaddr, tid, node)
-            st.threads.set_state(tid, ThreadState.BLOCKED)
+            st.futexes.enqueue(st.threads.get(tid), uaddr)
             return SyscallResult(action="blocked")
         if op == FUTEX_WAKE:
             woken = st.futexes.wake(uaddr, _s(val))
-            for w in woken:
-                st.threads.set_state(w.tid, ThreadState.RUNNING)
             return SyscallResult(retval=len(woken), woken=woken)
         return _ret(-ERRNO.ENOSYS)
 
@@ -240,8 +235,5 @@ class SyscallExecutor:
         if rec.clear_child_tid:
             # CLONE_CHILD_CLEARTID: zero the word and wake joiners.
             yield from self.mem.write_guest(rec.clear_child_tid, bytes(8))
-            woken = st.futexes.wake(rec.clear_child_tid, 2**31)
-            for w in woken:
-                st.threads.set_state(w.tid, ThreadState.RUNNING)
-            result.woken = woken
+            result.woken = st.futexes.wake(rec.clear_child_tid, 2**31)
         return result

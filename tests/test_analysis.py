@@ -55,7 +55,7 @@ class TestMigration:
         parent.regs[10] = 99  # a0
         parent.regs[15] = 7
         clone = CloneRequest(flags=0, child_stack=0x9000, ptid=0, tls=0,
-                             ctid=0x5000, parent_tid=1)
+                             ctid=0x5000)
         snap = build_child_context(parent.snapshot(), clone, child_tid=5,
                                    hint_group=3)
         child = CPUState.from_snapshot(snap)
@@ -68,8 +68,7 @@ class TestMigration:
 
     def test_zero_stack_keeps_parent_sp(self):
         parent = CPUState(pc=4, tid=1, sp=0x7000)
-        clone = CloneRequest(flags=0, child_stack=0, ptid=0, tls=0, ctid=0,
-                             parent_tid=1)
+        clone = CloneRequest(flags=0, child_stack=0, ptid=0, tls=0, ctid=0)
         child = CPUState.from_snapshot(
             build_child_context(parent.snapshot(), clone, 2, None)
         )

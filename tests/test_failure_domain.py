@@ -18,11 +18,12 @@ from repro.analysis.reporting import FAILURE_COLUMNS, render_service_breakdown
 from repro.core.scheduler import ThreadPlacer
 from repro.cost import CostModel
 from repro.errors import ConfigError, InvalidInstruction
+from repro.kernel import FUTEX_WAIT, SYS
 from repro.mem.directory import Directory
 from repro.net import Endpoint, Fabric
 from repro.net.faults import FaultInjector, drop
 from repro.net.health import HealthTracker, PeerState
-from repro.net.messages import PageRequest
+from repro.net.messages import PageRequest, SyscallRequest
 from repro.net.rpc import RetryPolicy, RpcTimeout
 from repro.sim import Simulator
 from repro.workloads import blackscholes, memaccess, pi_taylor
@@ -570,6 +571,52 @@ class TestLanding:
         # An evacuee in flight to node 1 was not running there: not reaped.
         lost = {tid for tid, _reason in r.failures.nodes[1].lost}
         assert lost.isdisjoint(tid for tid, _target in drained.evacuated)
+
+
+class TestReapedMidFutexWait:
+    """The recovery pass reaps a thread while the master is still reading
+    the futex word of its ``futex_wait``: the syscall service finds the
+    record exited, un-parks it and answers nobody."""
+
+    def test_reaped_waiter_is_neither_parked_nor_answered(self, monkeypatch):
+        cluster = Cluster(2, DQEMUConfig(**_EVAC))
+        runtime = cluster.submit(pi_taylor.build(n_threads=1, terms=10, reps=1)).runtime
+        master, state = runtime.master, runtime.state
+        waiter = state.threads.create(node=1)
+        service = master.syscalls
+
+        class CrashingRead:
+            """Node 1 is declared dead while the word is in flight, as when
+            the fetch from its owner times out; the word reads 0."""
+
+            def read_guest(self, addr, size):
+                master.failure_domain.node_failed(1)
+                return bytes(size)
+                yield  # pragma: no cover - makes this a generator
+
+        monkeypatch.setattr(service.executor, "mem", CrashingRead())
+        replies = []
+        monkeypatch.setattr(master.endpoint, "reply", lambda to, msg: replies.append(msg))
+        proto = master.run_stats.protocol
+        skips = proto.dead_peer_skips
+        msg = SyscallRequest(
+            src=1, tid=waiter.tid, sysno=SYS.FUTEX, args=(0x8000, FUTEX_WAIT, 0),
+            context={"regs": [0] * 32, "pc": 0x1000, "tid": waiter.tid},
+        )
+        handle = service.handle(msg)
+        next(handle)  # the syscall service time
+        with pytest.raises(StopIteration):
+            handle.send(None)
+
+        assert waiter.tid not in [t.tid for t in state.threads.alive()]
+        assert waiter.exit_status == 137
+        assert waiter.futex is None and waiter.context is None
+        assert state.futexes.n_sleeping == 0
+        assert replies == [] and proto.futex_waits == 0
+        assert proto.dead_peer_skips == skips + 1
+        assert runtime.failure_domain.failures.nodes[1].lost == [
+            (waiter.tid, "context lost in crash")
+        ]
 
 
 # -- coherence protocols × failure domains -------------------------------------

@@ -11,7 +11,7 @@ from repro.kernel import (
     SYS,
     SyscallExecutor,
     SystemState,
-    ThreadState,
+    ThreadRecord,
     ThreadTable,
     VFS,
 )
@@ -48,7 +48,7 @@ def drive(gen):
 def kernel():
     mem = FlatMemory()
     state = SystemState(brk_start=0x20_0000, stdin=b"hello stdin")
-    state.threads.create(node=0, parent_tid=0)  # main thread, tid 1
+    state.threads.create(node=0)  # main thread, tid 1
     executor = SyscallExecutor(state, DirectKernelMemory(mem))
     return state, executor, mem
 
@@ -125,69 +125,93 @@ class TestVFS:
         assert vfs.file_bytes("f") == b"\x00\x00\x00\x00x"
 
 
+def _park(table, uaddr, *tids):
+    """Park a fresh record per tid on ``uaddr`` (tid t on node t % 2)."""
+    recs = [ThreadRecord(tid=tid, node=tid % 2) for tid in tids]
+    for rec in recs:
+        table.enqueue(rec, uaddr)
+    return recs
+
+
 class TestFutexTable:
     def test_fifo_wake_order(self):
-        t = FutexTable()
-        for tid in (5, 6, 7):
-            t.enqueue(0x1000, tid, node=tid % 2)
-        woken = t.wake(0x1000, 2)
-        assert [w.tid for w in woken] == [5, 6]
-        assert [w.tid for w in t.wake(0x1000, 10)] == [7]
+        for tids, count in (((5, 6, 7), 2), ((3, 1, 2), 1), ((9, 4, 8, 2, 6), 3)):
+            t = FutexTable()
+            _park(t, 0x1000, *tids)
+            woken = t.wake(0x1000, count)
+            assert [w.tid for w in woken] == list(tids[:count])
+            assert [w.tid for w in t.wake(0x1000, 10)] == list(tids[count:])
+            assert t.n_sleeping == 0
 
     def test_wake_empty_address(self):
         t = FutexTable()
         assert t.wake(0x2000, 1) == []
+        _park(t, 0x1000, 1)
+        assert t.wake(0x2000, 1) == []
+        assert t.wake(0x1000, 0) == [] and t.wake(0x1000, -1) == []
 
     def test_waiter_records_node(self):
         t = FutexTable()
-        t.enqueue(0x1000, 9, node=3)
+        rec = ThreadRecord(tid=9, node=3)
+        t.enqueue(rec, 0x1000)
+        rec.context = {"pc": 4}
+        assert rec.futex == 0x1000
         (w,) = t.wake(0x1000, 1)
-        assert w.node == 3
+        assert w is rec and w.node == 3
+        assert rec.futex is None and rec.context is None  # un-parked
 
     def test_remove_sleeping_thread(self):
-        t = FutexTable()
-        t.enqueue(0x1000, 1, 0)
-        t.enqueue(0x1000, 2, 0)
-        assert t.remove(1) is True
-        assert [w.tid for w in t.wake(0x1000, 10)] == [2]
-        assert t.remove(99) is False
+        # Removing a record from anywhere in a queue keeps the rest in order.
+        tids = (1, 2, 3, 4)
+        for i, gone in enumerate(tids):
+            t = FutexTable()
+            recs = _park(t, 0x1000, *tids)
+            other = _park(t, 0x2000, 7)
+            assert t.remove(recs[i]) is True
+            assert recs[i].futex is None
+            assert t.remove(recs[i]) is False
+            rest = [tid for tid in tids if tid != gone]
+            assert [w.tid for w in t.waiters(0x1000)] == rest
+            assert [w.tid for w in t.wake(0x1000, 10)] == rest
+            assert t.waiters(0x2000) == tuple(other)
+        assert FutexTable().remove(ThreadRecord(tid=99, node=0)) is False
 
     def test_counters(self):
         t = FutexTable()
-        t.enqueue(1, 1, 0)
-        t.enqueue(2, 2, 0)
+        _park(t, 1, 1)
+        (rec,) = _park(t, 2, 2)
         t.wake(1, 1)
-        assert t.total_waits == 2
-        assert t.total_wakes == 1
         assert t.n_sleeping == 1
+        t.remove(rec)
+        assert t.n_sleeping == 0
 
 
 class TestThreadTable:
     def test_tids_sequential_from_one(self):
         t = ThreadTable()
-        assert t.create(node=0, parent_tid=0).tid == 1
-        assert t.create(node=1, parent_tid=1).tid == 2
+        assert t.create(node=0).tid == 1
+        assert t.create(node=1).tid == 2
 
     def test_lifecycle(self):
         t = ThreadTable()
-        rec = t.create(node=2, parent_tid=0)
-        assert rec.state is ThreadState.RUNNING
+        rec = t.create(node=2)
+        assert rec.exit_status is None and t.alive() == [rec]
         t.mark_exited(rec.tid, 7)
         assert t.get(rec.tid).exit_status == 7
         assert t.alive() == []
 
     def test_on_node(self):
         t = ThreadTable()
-        t.create(node=0, parent_tid=0)
-        t.create(node=1, parent_tid=1)
-        t.create(node=1, parent_tid=1)
+        t.create(node=0)
+        t.create(node=1)
+        t.create(node=1)
         assert len(t.on_node(1)) == 2
 
     def test_move(self):
         t = ThreadTable()
-        rec = t.create(node=0, parent_tid=0)
-        t.move(rec.tid, 4)
-        assert t.get(rec.tid).node == 4
+        rec = t.create(node=0)
+        rec.node = 4  # what a landing does
+        assert t.on_node(4) == [rec] and t.on_node(0) == []
 
 
 class TestMemoryManager:
@@ -247,7 +271,8 @@ class TestSyscallExecutor:
         mem.store(0x8000, 8, 42)
         res = syscall(executor, SYS.FUTEX, 0x8000, FUTEX_WAIT, 42)
         assert res.action == "blocked"
-        assert state.threads.get(1).state is ThreadState.BLOCKED
+        assert state.threads.get(1).futex == 0x8000
+        assert state.futexes.waiters(0x8000) == (state.threads.get(1),)
 
     def test_futex_wait_eagain_on_mismatch(self, kernel):
         state, executor, mem = kernel
@@ -258,14 +283,14 @@ class TestSyscallExecutor:
 
     def test_futex_wake_returns_waiters(self, kernel):
         state, executor, mem = kernel
-        t2 = state.threads.create(node=1, parent_tid=1)
+        t2 = state.threads.create(node=1)
         mem.store(0x8000, 8, 1)
         syscall(executor, SYS.FUTEX, 0x8000, FUTEX_WAIT, 1, tid=t2.tid, node=1)
         res = syscall(executor, SYS.FUTEX, 0x8000, FUTEX_WAKE, 10)
         assert res.retval == 1
         assert res.woken[0].tid == t2.tid
         assert res.woken[0].node == 1
-        assert state.threads.get(t2.tid).state is ThreadState.RUNNING
+        assert t2.futex is None and state.futexes.n_sleeping == 0
 
     def test_clone_returns_request(self, kernel):
         state, executor, mem = kernel
@@ -273,11 +298,10 @@ class TestSyscallExecutor:
         assert res.action == "clone"
         assert res.clone.child_stack == 0x4100_0000
         assert res.clone.ctid == 0x9000
-        assert res.clone.parent_tid == 1
 
     def test_exit_clears_ctid_and_wakes_joiner(self, kernel):
         state, executor, mem = kernel
-        t2 = state.threads.create(node=1, parent_tid=1, ctid=0xA000)
+        t2 = state.threads.create(node=1, ctid=0xA000)
         mem.store(0xA000, 8, t2.tid)
         # main joins: futex_wait on the ctid word
         syscall(executor, SYS.FUTEX, 0xA000, FUTEX_WAIT, t2.tid, tid=1, node=0)
