@@ -38,15 +38,23 @@ empty chain, back-link and edge containers only a block an engine runs needs
 moves it by 344 bytes.  Allocation sizes depend on the Python version; the
 ceiling is for the 3.11 CI runs.
 
+Every measurement runs in a child process that reads no bytecode cache: its
+``PYTHONPYCACHEPREFIX`` is a fresh, empty directory and it writes no
+bytecode, so each module is compiled from source.  Whether ``__pycache__``
+directories exist in the checkout (they moved the memo bytes by ~28 per
+entry) then changes no number here.
+
 Each ceiling is the value measured by the PR that last lowered it, plus 5 %.
 Lower a ceiling when a PR lowers the count; raise one only with a reason.
 """
 
 import gc
 import json
+import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -113,12 +121,22 @@ EQUALITIES = {
 }
 
 
+def run_child(args: list[str]) -> str:
+    """Run ``python args...`` from the repository root with no bytecode
+    cache to read or write; returns its stdout."""
+    with tempfile.TemporaryDirectory(prefix="pycache-") as prefix:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=prefix, PYTHONDONTWRITEBYTECODE="1")
+        return subprocess.run(
+            [sys.executable, *args], cwd=ROOT, env=env,
+            check=True, capture_output=True, text=True,
+        ).stdout
+
+
 def measure(workload: str) -> dict:
-    out = subprocess.run(
-        [sys.executable, "benchmarks/host/run.py", "--workload", workload,
-         "--seed", "0", "--seconds", "6", "--trace", "1"],
-        check=True, capture_output=True, text=True,
-    ).stdout
+    out = run_child(
+        ["benchmarks/host/run.py", "--workload", workload,
+         "--seed", "0", "--seconds", "6", "--trace", "1"]
+    )
     result = json.loads(out.strip().splitlines()[-1])
     if result["failed"] or not result["correct"]:
         sys.exit(f"{workload}: benchmark run failed: {result['failed']}/{result['attempted']}")
@@ -149,7 +167,7 @@ def memo_bytes_per_entry() -> float:
 
 def main() -> int:
     bad = 0
-    value = memo_bytes_per_entry()
+    value = float(run_child([str(pathlib.Path(__file__).resolve()), "--memo-bytes"]))
     verdict = "ok" if value <= MEMO_BYTES_PER_ENTRY else "OVER"
     print(f"{'cold_start':<16} {'memo bytes per entry':<26} {value:8.1f}  "
           f"ceiling {MEMO_BYTES_PER_ENTRY:8.1f}  {verdict}")
@@ -170,4 +188,7 @@ def main() -> int:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--memo-bytes"]:
+        print(memo_bytes_per_entry())
+        sys.exit(0)
     sys.exit(main())

@@ -13,7 +13,7 @@ fabric, nodes) and *admits* jobs onto it.  :meth:`Cluster.submit` hands a
 program to the admission queue and returns a :class:`~repro.core.jobs.Job`;
 :meth:`Cluster.join` drives the simulation until the given jobs settle.
 Multiple concurrent guests share the nodes — each admitted job is a
-*tenant* with its own master runtime, directory shards, system state, futex
+*tenant* with its own master runtime, directory, system state, futex
 namespace, and per-node memory bundles, so isolation is structural rather
 than filtered.  At most ``config.max_concurrent_jobs`` run at once; up to
 ``config.admission_queue_depth`` more wait in FIFO order, and beyond that
@@ -148,7 +148,7 @@ class _Fleet:
             )
             for nid in self.node_ids
         }
-        #: Tenant-keyed read-only views over each job's directory shards.
+        #: Tenant-keyed read-only view of each job's directory.
         self.directories = TenantDirectoryView()
         #: Jobs currently running (admitted, not yet settled).
         self.active: list[Job] = []
@@ -343,9 +343,7 @@ class Cluster:
                 stats, done, tenant=job.tenant,
                 failure_view=fleet.health if cfg.failure_domain else None,
             )
-            fleet.directories.add_tenant(
-                job.tenant, [shard.coherence.directory for shard in master.shards]
-            )
+            fleet.directories.add_tenant(job.tenant, master.coherence.directory)
             master.on_retire = lambda j=job: self._retire(j)
 
         # -- failure-domain wiring (docs/PROTOCOL.md "Failure domains") --------
@@ -434,8 +432,8 @@ class Cluster:
             del node.tenants[tenant]
         master = job.runtime.master
         for nid in fleet.node_ids:
-            for shard in master.shards:
-                master.endpoint.unsubscribe(("mgr", tenant, nid, shard.shard))
+            for shard in range(master.config.master_shards):
+                master.endpoint.unsubscribe(("mgr", tenant, nid, shard))
         fleet.directories.remove(tenant)
         job.runtime = job.program = job.stdin = job.files = None
 

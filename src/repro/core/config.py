@@ -81,15 +81,16 @@ class DQEMUConfig:
     splitting_trigger: int = field(default=10, metadata=dict(
         min=1, help="multi-node false-sharing requests before a page is split (§6.1.1)"))
 
-    # -- master sharding (ROADMAP "Async / sharded master") --------------------
-    # Each shard owns the pages with page_no % master_shards == shard (see
-    # repro.mem.sharding.shard_of), with its own dispatcher, directory
-    # partition, split-table partition, and per-node manager processes.  The
-    # default of 1 is the paper's single-directory master and reproduces every
-    # run bit-for-bit; higher values attack manager head-of-line blocking at
-    # large node counts (measured as ServiceStats.queue_wait_ns).
+    # -- master manager mailboxes (docs/PROTOCOL.md "Sharded master") ---------
+    # The master serves each node with this many manager processes, one per
+    # mailbox; a page request goes to mailbox page_no % master_shards (see
+    # repro.mem.sharding.shard_of), control frames to mailbox 0.  All master
+    # state (directory, split table, services) stays one per job.  The
+    # default of 1 is the paper's one manager per node; higher values attack
+    # manager head-of-line blocking at large node counts (measured as
+    # ServiceStats.queue_wait_ns).
     master_shards: int = field(default=1, metadata=dict(
-        min=1, help="partition the master directory across this many shard pools"))
+        min=1, help="manager mailboxes per node on the master"))
 
     # -- scheduling (§5.3) ----------------------------------------------------
     scheduler: str = field(default="round_robin", metadata=dict(

@@ -46,7 +46,7 @@ class Job:
     """One admitted (or waiting) guest program.
 
     ``tenant`` is the cluster-unique id threaded through every layer: RPC
-    frames, directory shards, futex tables, thread records, and stat rows
+    frames, directories, futex tables, thread records, and stat rows
     all carry it, which is what keeps concurrent guests isolated on a
     shared fleet.
 

@@ -5,30 +5,27 @@ manager processes serving each node's requests (including its own — the
 master's guest threads talk to their managers over the fabric's loopback).
 The protocol work itself lives in the service layer
 (:mod:`repro.core.services`); this class is the composition root: it
-builds each service from itself and registers it.
+builds each service from itself and registers it on its one
+:class:`~repro.core.services.base.Dispatcher`.
 
-The directory is partitioned across ``DQEMUConfig.master_shards``
-independent *shard pools* (:class:`MasterShard`): shard ``s`` owns the
-pages with ``page % K == s`` and runs its own coherence service (directory
-partition + page locks), splitting service (split-table partition +
-shard-affine shadow allocator), dispatcher, and one manager process per
-node.  Inbound frames are routed to ``("mgr", src, shard)`` by the
-endpoint's routing function (page-keyed kinds by their page's shard,
-control kinds to shard 0), so two nodes' requests for pages on different
-shards never queue behind each other.  Cross-shard work — split-table
-broadcasts, multi-page guest-memory access from global syscalls, read-ahead
-pushes — goes through the
-:class:`~repro.core.services.coordinator.CrossShardCoordinator`.  With the
-default ``master_shards = 1`` this collapses to the paper's
-single-directory master, bit-for-bit.
+A job's master holds one of each piece of state: one coherence service
+(directory, page locks, policy), one splitting service (split table), one
+dispatcher.  ``DQEMUConfig.master_shards`` only splits each node's manager
+mailbox: ``K`` managers per node, each subscribed to ``("mgr", tenant,
+src, shard)``, where the endpoint's router sends page-keyed kinds by their
+page's shard and control kinds to shard 0 (docs/PROTOCOL.md "Sharded
+master").  Two requests from one node for pages on different shards then
+never queue behind each other; a manager bills its work to its shard's
+slice of the service row.  With the default ``master_shards = 1`` this is
+the paper's one manager per node.
 
 Multi-tenancy: one ``MasterRuntime`` per admitted job, all sharing node 0's
 physical endpoint; the services' one send/request path
 (:class:`~repro.core.services.base.MasterService`) stamps the job's tenant
 id onto every frame the runtime originates.  Manager subscriptions are
-keyed ``("mgr", tenant, src, shard)``, so each job's managers only ever see
-its own frames, and the whole service stack below them (directory, futexes,
-thread table, system state) is per job by construction.
+keyed by tenant, so each job's managers only ever see its own frames, and
+the whole service stack below them (directory, futexes, thread table,
+system state) is per job by construction.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from repro.core.node import NodeRuntime
 from repro.core.scheduler import ThreadPlacer
 from repro.core.services.base import Dispatcher
 from repro.core.services.coherence import CoherenceService
-from repro.core.services.coordinator import CrossShardCoordinator
 from repro.core.services.failure import FailureDomainService
 from repro.core.services.forwarding import ForwardingService
 from repro.core.services.futexes import FutexService
@@ -56,32 +52,11 @@ from repro.sim.engine import Event, Process, Simulator
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.health import HealthTracker
 
-__all__ = ["MasterRuntime", "MasterShard"]
-
-
-class MasterShard:
-    """One shard pool: directory partition, split partition, dispatcher.
-
-    The shard's coherence and splitting services only ever see pages whose
-    :func:`~repro.mem.sharding.shard_of` is this shard (routing enforces
-    it), so their directory, split table, page locks, and shadow allocations
-    are disjoint from every other shard's by construction.
-    """
-
-    def __init__(self, master: "MasterRuntime", shard: int) -> None:
-        self.shard = shard
-        self.coherence = CoherenceService(master, self)
-        self.splitting = SplittingService(master, self)
-        self.dispatcher = Dispatcher(
-            master.endpoint, master.run_stats, shard=shard,
-            failure_view=master.failure_view,
-        )
-        self.dispatcher.register(self.coherence)
-        self.dispatcher.register(self.splitting)
+__all__ = ["MasterRuntime"]
 
 
 class MasterRuntime:
-    """Composition root for the master's shard pools and shared services.
+    """Composition root for one job's master services.
 
     Every service is built from this runtime and reads the shared state
     (``sim``, ``config``, ``state``, ``placer``, ``node_ids``, ``finished``,
@@ -121,10 +96,9 @@ class MasterRuntime:
         self.done = done
         self.trace = node.trace
         self.finished = False
-        # The fleet's health tracker when the failure domain is armed (each
-        # shard's dispatcher refuses frames from the nodes it latched
-        # failed); None keeps every service on its failure-blind,
-        # bit-identical code paths.
+        # The fleet's health tracker when the failure domain is armed (the
+        # dispatcher refuses frames from the nodes it latched failed); None
+        # keeps every service on its failure-blind, bit-identical code paths.
         self.failure_view = failure_view
         #: Called once, when the job is over on the master: ``finish`` ran,
         #: every node acked its Shutdown and ``in_flight`` is back to 0.
@@ -133,15 +107,8 @@ class MasterRuntime:
         #: processes (:meth:`spawn`) running, Shutdown acks outstanding.
         self.in_flight = 0
 
-        # -- shard pools (see docs/PROTOCOL.md "Sharded master") ----------------
-        self.coordinator = CrossShardCoordinator(self)
-        self.shards = [MasterShard(self, s) for s in range(config.master_shards)]
-
-        # -- shared services (control shard 0) ---------------------------------
-        # Forwarding spans the page space (consecutive stream pages interleave
-        # over every shard); syscalls and futexes operate on the centralized
-        # system state.  They live on shard 0's dispatcher, and control frames
-        # (syscall_request has no page key) route there.
+        self.coherence = CoherenceService(self)
+        self.splitting = SplittingService(self)
         self.forwarding = ForwardingService(self)
         self.futexes = FutexService(self)
         self.syscalls = SyscallService(self)
@@ -157,34 +124,30 @@ class MasterRuntime:
             HeartbeatService(self) if config.heartbeat_interval_ns is not None else None
         )
 
-        shard0 = self.shards[0]
+        self.dispatcher = Dispatcher(self.endpoint, run_stats, failure_view=failure_view)
         for service in (
-            self.syscalls, self.forwarding, self.futexes,
-            self.failure_domain, self.heartbeat_service,
+            self.coherence, self.splitting, self.syscalls, self.forwarding,
+            self.futexes, self.failure_domain, self.heartbeat_service,
         ):
             if service is not None:
-                shard0.dispatcher.register(service)
-
-        # Single-shard aliases (debugging, tests, unsharded call sites).
-        self.coherence = shard0.coherence
-        self.splitting = shard0.splitting
-        self.dispatcher = shard0.dispatcher
+                self.dispatcher.register(service)
 
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> None:
-        # Node-major spawn order: with one shard this is exactly the
-        # unsharded manager-per-node spawn sequence (bit-identity).
+        shards = range(self.config.master_shards)
         for nid in self.node_ids:
-            for shard in self.shards:
-                self.node.spawn(self._manager(nid, shard), f"mgr{nid}.{shard.shard}@master")
+            for shard in shards:
+                self.node.spawn(self._manager(nid, shard), f"mgr{nid}.{shard}@master")
         if self.heartbeat_service is not None:
             self.heartbeat_service.start()
 
-    def _manager(self, nid: int, shard: MasterShard):
-        """One manager per (node, shard), serving that node's requests for
-        that shard's pages (§4; sharding per docs/PROTOCOL.md)."""
-        q = self.endpoint.subscribe(("mgr", self.tenant, nid, shard.shard))
+    def _manager(self, nid: int, shard: int):
+        """One manager per (node, mailbox), serving that node's requests the
+        router sends to mailbox ``shard`` (§4; docs/PROTOCOL.md "Sharded
+        master")."""
+        q = self.endpoint.subscribe(("mgr", self.tenant, nid, shard))
+        dispatch = self.dispatcher.dispatch
         while True:
             msg = yield q.get()
             if self.finished:
@@ -194,7 +157,7 @@ class MasterRuntime:
                 self.run_stats.protocol.post_finish_drops += 1
                 continue
             self.in_flight += 1
-            yield from shard.dispatcher.dispatch(msg)
+            yield from dispatch(msg, shard=shard)
             self.in_flight -= 1  # work_done, inlined: no call per dispatch
             if self.finished and not self.in_flight:
                 self._retire()

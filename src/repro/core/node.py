@@ -79,9 +79,9 @@ def _reraise(exc: BaseException) -> None:
 
 
 def _master_shard_key(msg, nshards: int) -> int:
-    """Master shard a request frame routes to: page-keyed kinds go to their
-    page's shard, control kinds (no ``page`` attribute — syscall delegation)
-    to shard 0, where the shared syscall/futex services are registered."""
+    """Master manager mailbox a request frame routes to: page-keyed kinds go
+    to their page's mailbox, control kinds (no ``page`` attribute — syscall
+    delegation) to mailbox 0."""
     page = getattr(msg, "page", None)
     if page is None:
         return 0

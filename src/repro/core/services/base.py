@@ -27,7 +27,7 @@ Two frames are refused before any handler runs, both billed:
   (:meth:`~repro.net.rpc.RpcChannel.first_delivery`, which remembers the
   served ids and answers a replay of an answered request from its reply
   cache); a replay is billed to the service's ``duplicates`` counter.
-* **Dead senders** — a master shard's dispatcher holds the failure view
+* **Dead senders** — a master's dispatcher holds the failure view
   when the failure domain is armed, and refuses any frame whose sender is
   latched failed (billed, counted once in ``dead_peer_skips``, never
   handled): recovery for that node already ran, and serving its frame would
@@ -96,7 +96,7 @@ class MasterService:
     A service is built from the :class:`~repro.core.master.MasterRuntime` it
     belongs to and reads shared state (``master.state``, ``master.placer``,
     ``master.node_ids``, ``master.finished``, ...) and its sibling services
-    (``master.forwarding``, ``master.coordinator``, ...) from there when it
+    (``master.forwarding``, ``master.coherence``, ...) from there when it
     needs them.  What every handler touches per frame is copied onto the
     service once, here.
 
@@ -265,7 +265,6 @@ class Dispatcher:
         endpoint: "Endpoint",
         run_stats: RunStats,
         *,
-        shard: Optional[int] = None,
         stats_resolver=None,
         failure_view: Optional["HealthTracker"] = None,
     ):
@@ -275,14 +274,10 @@ class Dispatcher:
         #: serve several tenants (the node-side ones): billing follows the
         #: frame's tenant instead of the dispatcher's default RunStats.
         self.stats_resolver = stats_resolver
-        #: Master shard this dispatcher serves (``None`` for node-side
-        #: dispatchers): served work is additionally billed to the service's
-        #: per-shard breakdown so shard imbalance is visible.
-        self.shard = shard
         #: The endpoint's RPC channel: its ``replays`` says whether a request
         #: can arrive twice, and its ``first_delivery`` whether this one has.
         self._rpc = endpoint.rpc
-        #: The fleet's health tracker on a master shard whose failure domain
+        #: The fleet's health tracker on a master whose failure domain
         #: is armed: frames from a sender it has latched failed are refused.
         #: None elsewhere (node-side dispatchers: the master is never
         #: latched), which keeps the failure-blind path one attribute test.
@@ -319,10 +314,14 @@ class Dispatcher:
     # -- dispatch ----------------------------------------------------------------
 
     def dispatch(
-        self, msg: Any, started_at: Optional[int] = None
+        self, msg: Any, started_at: Optional[int] = None, shard: Optional[int] = None
     ) -> Generator[Any, Any, Any]:
         """Route ``msg`` to its service, billing requests, busy time, and
         mailbox queue wait (endpoint arrival stamp → dispatch start).
+
+        ``shard`` is the master mailbox the frame came from (``None`` on
+        node-side pumps): the work is also billed to the service's
+        per-shard slice, so mailbox imbalance is visible.
 
         ``started_at`` lets a pump that spends modeled service time *before*
         dispatching (the node communicator's per-command cost) bill that
@@ -353,7 +352,7 @@ class Dispatcher:
         waited = t0 - arrived if arrived is not None else 0
         stats.requests += 1
         stats.queue_wait_ns += waited
-        shard_stats = None if self.shard is None else stats.shard(self.shard)
+        shard_stats = None if shard is None else stats.shard(shard)
         if shard_stats is not None:
             shard_stats.requests += 1
             shard_stats.queue_wait_ns += waited

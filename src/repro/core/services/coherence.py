@@ -31,8 +31,7 @@ from repro.net.messages import Invalidate, PageData, WriteBack
 from repro.sim.sync import LockTable
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.master import MasterRuntime, MasterShard
-    from repro.core.services.coordinator import CrossShardCoordinator
+    from repro.core.master import MasterRuntime
 
 __all__ = ["CoherenceService", "CoherentGuestMemory"]
 
@@ -46,16 +45,12 @@ class CoherentGuestMemory:
 
     Pointer-argument pages are migrated to the master before the syscall
     reads or writes them (§4.3): reads pull the freshest copy home (owner
-    downgraded), writes invalidate every copy so slaves re-fetch.
-
-    A global syscall's buffer may span pages owned by different master
-    shards; each page is resolved to its shard's coherence service through
-    the coordinator and owned one page at a time (never holding page locks
-    on two shards at once — see docs/PROTOCOL.md "Sharded master").
+    downgraded), writes invalidate every copy so slaves re-fetch.  A
+    buffer spanning several pages is owned one page at a time.
     """
 
-    def __init__(self, coordinator: "CrossShardCoordinator"):
-        self.coordinator = coordinator
+    def __init__(self, master: "MasterRuntime"):
+        self.master = master
 
     def _spans(self, addr: int, size: int):
         """Split [addr, addr+size) into translated (taddr, length) chunks that
@@ -65,7 +60,7 @@ class CoherentGuestMemory:
         while pos < end:
             page = page_of(pos)
             off = page_offset(pos)
-            entry = self.coordinator.split_entry(page)
+            entry = self.master.splitting.entry(page)
             if entry is not None:
                 step = min(end - pos, entry.region_bytes - off % entry.region_bytes)
                 taddr = entry.shadow_pages[off // entry.region_bytes] * PAGE_SIZE + off
@@ -76,17 +71,17 @@ class CoherentGuestMemory:
             pos += step
 
     def read_guest(self, addr: int, size: int) -> Generator:
+        co = self.master.coherence
         out = bytearray()
         for taddr, step in list(self._spans(addr, size)):
-            co = self.coordinator.coherence_of(page_of(taddr))
             yield from co.own_page_for_read(page_of(taddr))
             out += co.home_bytes(taddr, step)
         return bytes(out)
 
     def write_guest(self, addr: int, data: bytes) -> Generator:
+        co = self.master.coherence
         pos = 0
         for taddr, step in list(self._spans(addr, len(data))):
-            co = self.coordinator.coherence_of(page_of(taddr))
             yield from co.own_page_for_write(page_of(taddr))
             co.home_write(taddr, data[pos : pos + step])
             pos += step
@@ -97,16 +92,14 @@ class CoherenceService(MasterService):
     name = "coherence"
     handled_kinds = frozenset({"page_request"})
 
-    def __init__(self, master: "MasterRuntime", shard: "MasterShard") -> None:
+    def __init__(self, master: "MasterRuntime") -> None:
         super().__init__(master)
-        self.shard = shard
         self.home = master.home
         # A node the failure view latched is never listed (Directory.apply).
         self.directory = Directory(self.view.failed if self.view is not None else ())
         # Per-page protocol decisions (docs/PROTOCOL.md "Coherence
-        # protocols").  One policy per shard: its state is page-keyed and
-        # pages are shard-disjoint.  The default MSI policy is stateless
-        # no-ops — bit-identical behavior.
+        # protocols").  The default MSI policy is stateless no-ops —
+        # bit-identical behavior.
         self.policy = make_policy(self.config)
         #: Per-page serialization: every coherence transaction on a page
         #: holds its lock; the table keeps only the pages locked now.
@@ -115,7 +108,7 @@ class CoherenceService(MasterService):
     # -- failure-domain degradation (docs/PROTOCOL.md "Failure domains") -------
 
     def evict_node(self, node: int) -> tuple[list[int], list[int]]:
-        """Drop a dead node from this shard's directory (re-homing).
+        """Drop a dead node from the directory (re-homing).
 
         Policy state goes first: pages whose migrated home lived on the
         dead node revert to the master's home copy (the directory pass
@@ -237,7 +230,7 @@ class CoherenceService(MasterService):
 
     def handle(self, msg):
         cfg = self.config
-        splitting = self.shard.splitting
+        splitting = self.master.splitting
         page, node, write = msg.page, msg.src, msg.write
         proto = self.run_stats.protocol
         txn = None  # opened once the request is served, not answered early

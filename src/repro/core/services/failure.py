@@ -23,7 +23,7 @@ tracker's detector confirms a crash) or by order (a scheduled drain):
 Every re-placed thread lands (:meth:`MasterService.land`) on the node
 :meth:`FailureDomainService.pick_target` names, the one re-placement rule.
 
-Registered on shard 0's dispatcher only when armed
+Registered on the master's dispatcher only when armed
 (``DQEMUConfig.evacuation_enabled`` or a drain schedule), so default runs
 create no stats row and stay bit-identical.
 """
@@ -89,10 +89,9 @@ class FailureDomainService(MasterService):
         )
         self.failures.nodes[node] = rec
         self.run_stats.service(self.name).requests += 1
-        for shard in self.master.shards:
-            rehomed, lost = shard.coherence.evict_node(node)
-            rec.rehomed_pages += len(rehomed)
-            rec.lost_pages += len(lost)
+        rehomed, lost = self.master.coherence.evict_node(node)
+        rec.rehomed_pages += len(rehomed)
+        rec.lost_pages += len(lost)
         self.trace.emit(
             "node", node,
             f"declared dead: {rec.rehomed_pages} pages re-homed, "

@@ -53,13 +53,9 @@ class ForwardingService(MasterService):
         reply never queues behind a long push burst, and each page's
         directory transaction + send is atomic under the page lock (an Invalidate
         racing a push must be ordered after it on the wire).
-
-        The forwarder is shared across master shards (a stream's consecutive
-        pages interleave over every shard, so per-shard detectors would never
-        trigger); each pushed page resolves to its owning shard's coherence
-        service and is handled entirely under that one shard's page lock.
         """
-        coord = self.master.coordinator
+        co = self.master.coherence
+        splitting = self.master.splitting
         proto = self.run_stats.protocol
         stats = self.run_stats.service(self.name)
         fabric = self.endpoint.fabric
@@ -73,7 +69,6 @@ class ForwardingService(MasterService):
                 backlog = fabric.downlink_backlog_ns(node)
                 if backlog > pace_cap:
                     yield self.sim.sleep(backlog - pace_cap)
-                co = coord.coherence_of(p)
                 yield co.locks.acquire(p)
                 # A push is a read grant that needs no action: none planned
                 # (a Modified copy elsewhere would need one) and not held yet.
@@ -81,7 +76,7 @@ class ForwardingService(MasterService):
                 try:
                     if txn.fetch_from is not None or txn.already_granted:
                         continue
-                    if coord.split_entry(p) is not None or coord.split_retired(p):
+                    if splitting.entry(p) is not None or splitting.is_retired(p):
                         continue
                     yield self.sim.sleep(self.config.cost.forwarding_push_ns)
                     txn.grant = MSIState.SHARED

@@ -1,16 +1,15 @@
 """Master false-sharing service: page splitting and merge-back (paper §5.1).
 
-Owns its shard's slice of the canonical split table, the false-sharing
-detector, the shard-affine shadow-page allocator, and the adaptive-revert
-state.  Write traffic is fed in by the shard's coherence service
-(:meth:`SplittingService.observe_write`); region-crossing accesses arrive as
-``merge_request`` frames routed to the original page's shard.
+Owns the canonical split table, the false-sharing detector, the
+shadow-page allocators, and the adaptive-revert state.  Write traffic is fed
+in by the coherence service (:meth:`SplittingService.observe_write`);
+region-crossing accesses arrive as ``merge_request`` frames.  Every split or
+merge publishes the whole table to every node (:meth:`_broadcast`).
 
-Shadow pages are allocated shard-affine (a split page's shadows live on the
-original's shard — :class:`~repro.mem.sharding.ShadowPageAllocator`), so the
-entire split/merge lock set stays inside one shard; split-table broadcasts,
-the one genuinely cross-shard operation, go through the
-:class:`~repro.core.services.coordinator.CrossShardCoordinator`.
+Shadow pages are numbered by the original page's manager mailbox (a split
+page's shadows route to the same mailbox as the original —
+:class:`~repro.mem.sharding.ShadowPageAllocator`), so shadow numbers and
+their routing do not depend on which manager performed the split.
 """
 
 from __future__ import annotations
@@ -19,14 +18,13 @@ from typing import TYPE_CHECKING
 
 from repro.core.services.base import MasterService
 from repro.core.splitting import FalseSharingDetector, SplitDecision
-from repro.errors import ProtocolError
 from repro.mem.layout import PAGE_SIZE
 from repro.mem.sharding import ShadowPageAllocator, shard_of
 from repro.mem.splitmap import SplitEntry, SplitMap
-from repro.net.messages import Ack
+from repro.net.messages import Ack, SplitTableUpdate
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.master import MasterRuntime, MasterShard
+    from repro.core.master import MasterRuntime
 
 __all__ = ["SplittingService"]
 
@@ -35,12 +33,12 @@ class SplittingService(MasterService):
     name = "splitting"
     handled_kinds = frozenset({"merge_request"})
 
-    def __init__(self, master: "MasterRuntime", shard: "MasterShard") -> None:
+    def __init__(self, master: "MasterRuntime") -> None:
         super().__init__(master)
-        self.shard = shard
-        self.split = SplitMap()  # this shard's slice of the canonical table
+        self.split = SplitMap()  # the canonical table every node copies
         self.detector = FalseSharingDetector(trigger=self.config.splitting_trigger)
-        self._shadows = ShadowPageAllocator(shard.shard, self.config.master_shards)
+        nshards = self.config.master_shards
+        self._shadows = [ShadowPageAllocator(s, nshards) for s in range(nshards)]
         self._retired_shadows: set[int] = set()
         # Adaptive revert (§5.1 "adaptive scheme"): a split whose shadow pages
         # keep ping-ponging was mis-inferred; merge it back and never re-split.
@@ -73,25 +71,16 @@ class SplittingService(MasterService):
 
     # -- page splitting (§5.1) ------------------------------------------------------
 
-    def _alloc_shadow(self) -> int:
-        """Next shadow page on *this shard* (shard-affine by construction)."""
-        return self._shadows.alloc()
-
     def _do_split(self, decision: SplitDecision):
         """Caller holds the original page's lock."""
         cfg = self.config
-        co = self.shard.coherence
+        co = self.master.coherence
         page = decision.page
-        owner = shard_of(page, cfg.master_shards)
-        if owner != self.shard.shard:
-            raise ProtocolError(
-                f"split of page {page:#x} routed to shard {self.shard.shard} "
-                f"(owner is shard {owner})"
-            )
         yield self.sim.sleep(cfg.cost.split_service_ns)
         yield from co.pull_home_and_invalidate(page)
         content = co.home_snapshot(page)
-        shadows = tuple(self._alloc_shadow() for _ in range(decision.regions))
+        shadows_of = self._shadows[shard_of(page, cfg.master_shards)]
+        shadows = tuple(shadows_of.alloc() for _ in range(decision.regions))
         for s in shadows:
             # Each shadow page carries the region at its original offset; we
             # copy the whole page so offsets line up (Fig. 4) — only the
@@ -100,9 +89,7 @@ class SplittingService(MasterService):
         self.split.install(
             SplitEntry(orig_page=page, shadow_pages=shadows, region_bytes=decision.region_bytes)
         )
-        # Cross-shard: nodes replace their whole table per update, so the
-        # coordinator unions every shard's entries and serializes broadcasts.
-        yield from self.master.coordinator.broadcast_split_table(via=self)
+        yield from self._broadcast()
         self.detector.forget(page)
         self.trace.emit(
             "split", self.node_id,
@@ -141,7 +128,7 @@ class SplittingService(MasterService):
         """Merge a split page's shadows back into the original (locks the
         original and every shadow in sorted order; single-lock managers and
         disjoint merge lock-sets cannot deadlock against this)."""
-        co = self.shard.coherence
+        co = self.master.coherence
         entry = self.split.entry(orig)
         if entry is None:
             return
@@ -161,12 +148,36 @@ class SplittingService(MasterService):
                 self._retired_shadows.add(shadow)
                 self._shadow_conflicts.pop(shadow, None)
             self.split.remove(orig)
-            yield from self.master.coordinator.broadcast_split_table(via=self)
+            yield from self._broadcast()
             self.trace.emit("split", self.node_id, "merged back", page=orig)
             self.run_stats.protocol.merges += 1
         finally:
             for p in reversed(pages):
                 locks.release(p)
+
+    # -- publication ---------------------------------------------------------------
+
+    def _broadcast(self):
+        """Push the whole split table to every live node.
+
+        Two managers may split or merge at once (one per node, and with
+        ``master_shards > 1`` several per node), yet no lock orders their
+        broadcasts: every snapshot is the whole table as it stands, and
+        :meth:`gather` sends all of a broadcast's frames at one instant,
+        which then travel FIFO on each link.  So a node applies the
+        snapshots in the order they were taken, and the last one it applies
+        is the newest.  (A lost frame's retransmit is the exception, at any
+        ``master_shards``: it can land after a newer snapshot.)
+
+        The caller still holds the page locks of the split or merge being
+        published.  A node that dies with the broadcast in flight must not
+        abort it — its table copy dies with it, and nothing is billed.
+        """
+        entries = self.split.clone_state()
+        yield from self.gather(
+            self.live(self.master.node_ids),
+            lambda _n: SplitTableUpdate(entries=entries),
+        )
 
     # -- merge requests (wire-facing) -----------------------------------------
 

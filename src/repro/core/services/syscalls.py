@@ -7,12 +7,6 @@ centralized system state, migrating pointer-argument pages home through the
 coherence layer's guest-memory accessor.  Thread-lifecycle results (clone
 placement, live migration, exit_group) are resolved here; futex park/wake
 delivery is delegated to the futex service.
-
-On a sharded master this is a *shared control service*, registered on shard
-0's dispatcher (``syscall_request`` carries no page key, so it routes to
-``("mgr", src, 0)``); a global syscall touching a multi-page buffer reaches
-each page's owning shard through the guest-memory accessor's coordinator,
-one page at a time.
 """
 
 from __future__ import annotations
@@ -42,7 +36,7 @@ class SyscallService(MasterService):
     def __init__(self, master: "MasterRuntime") -> None:
         super().__init__(master)
         self.state = master.state
-        self.guest_mem = CoherentGuestMemory(master.coordinator)
+        self.guest_mem = CoherentGuestMemory(master)
         self.executor = SyscallExecutor(self.state, self.guest_mem)
 
     # -- delegated syscalls (§4.3) ---------------------------------------------------

@@ -22,11 +22,7 @@ from repro.mem.protocols import (
     MigrationPolicy,
     make_policy,
 )
-from repro.mem.sharding import (
-    ShadowPageAllocator,
-    ShardedDirectoryView,
-    shard_of,
-)
+from repro.mem.sharding import ShadowPageAllocator, shard_of
 
 __all__ = [
     "AdaptivePolicy",
@@ -45,7 +41,6 @@ __all__ = [
     "SHADOW_BASE",
     "STACK_TOP",
     "ShadowPageAllocator",
-    "ShardedDirectoryView",
     "TEXT_BASE",
     "check_span",
     "make_policy",

@@ -14,7 +14,7 @@ per-page decisions, and this module isolates exactly those behind
   current by protocol invariant, so the reply is a bare upgrade ack.)
 * ``home_of`` — has the page's *home* been migrated to a node?  Requests
   from the home node are metadata-only for the master (the authoritative
-  data already lives with the requester's shard-affine store), so the
+  data already lives with the requester's store), so the
   service bills its fast-path service time instead of the full one.
 * ``observe`` — per-request hook feeding the access-pattern stats that
   drive home migration and the adaptive classifier.
@@ -150,7 +150,7 @@ class AdaptivePolicy(CoherencePolicy):
     (hysteresis); each performed switch counts as one reclassification.
     Pages classified ``migrate`` run dominant-writer home migration: a page
     whose last ``trigger`` write acquisitions all came from one node gets
-    its home migrated to that node's shard-affine store, so the node's
+    its home migrated to that node's store, so the node's
     subsequent faults on the page are metadata-only for the master (billed
     at the fast-path service time).  A different node writing resets the
     streak — and can later steal the home the same way.  Leaving the class
@@ -219,7 +219,7 @@ class AdaptivePolicy(CoherencePolicy):
         if len(rec.writers) == 1:
             # A steady single writer is worth a home migration even when
             # remote reads outnumber its writes: every one of its write
-            # faults serializes the home shard for a full service slot,
+            # faults holds the master's manager for a full service slot,
             # so moving the home off the queue pays for the readers' extra
             # hop.  Only sparsely-written pages stay plain MESI.
             return "migrate" if rec.writes * 4 >= self.window else "mesi"
@@ -265,8 +265,8 @@ class MigrationPolicy(AdaptivePolicy):
 
 
 def make_policy(config) -> CoherencePolicy:
-    """Policy instance for ``config.coherence_protocol`` (one per shard —
-    policy state is page-keyed, and pages are shard-disjoint)."""
+    """Policy instance for ``config.coherence_protocol`` (one per job's
+    coherence service; its state is page-keyed)."""
     name = config.coherence_protocol
     if name == "msi":
         return CoherencePolicy()

@@ -1,30 +1,25 @@
-"""Page-range sharding of the master directory (ROADMAP "Async / sharded master").
+"""Manager-mailbox sharding on the master, and the per-tenant directory view.
 
-The master's MSI directory is the serialization point of the whole cluster:
-every page request funnels through one manager per node into a single
-dispatcher over one global :class:`~repro.mem.directory.Directory`.  This
-module provides the partitioning math that lets the master run K independent
-*shard pools* instead, each owning a disjoint slice of the page space:
+With ``DQEMUConfig.master_shards = K`` the master runs K manager mailboxes
+per node instead of one (docs/PROTOCOL.md "Sharded master"); all master
+state stays one per job.  This module holds the two pieces of arithmetic
+that follow from the mailbox split:
 
-* :func:`shard_of` — the routing key.  Page ranges are interleaved across
-  shards (page ``p`` belongs to shard ``p mod K``), so contiguous working
-  sets (thread stacks, streamed buffers) spread across pools instead of
-  hammering one.
-* :class:`ShadowPageAllocator` — shard-affine shadow-page numbering for page
-  splitting (§5.1).  A split page's shadows MUST live on the original page's
-  shard: the merge path locks the original and all shadows together, and
-  keeping that lock set inside one shard preserves the single-shard
-  deadlock-freedom argument (see docs/PROTOCOL.md).
-* :class:`ShardedDirectoryView` — one object over a job's per-shard
-  directory partitions, for tests and debugging.
+* :func:`shard_of` — the routing key.  Page ``p`` goes to mailbox
+  ``p mod K``, so contiguous working sets (thread stacks, streamed
+  buffers) spread across a node's managers instead of queueing in one.
+* :class:`ShadowPageAllocator` — shadow-page numbering for page splitting
+  (§5.1), one allocator per mailbox: a split page's shadows are numbered so
+  that they route to the original page's mailbox.  With ``K == 1`` this is
+  the plain cursor from ``SHADOW_BASE`` up.
 
-With ``K == 1`` every helper degenerates to the unsharded behavior
-bit-for-bit: one shard, the legacy shadow cursor, the underlying directory.
+:class:`TenantDirectoryView` maps each admitted job to its directory, for
+tests and debugging.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
 from repro.mem.layout import PAGE_SIZE, SHADOW_BASE
@@ -35,17 +30,16 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "shard_of",
     "ShadowPageAllocator",
-    "ShardedDirectoryView",
     "TenantDirectoryView",
 ]
 
 
 def shard_of(page: int, nshards: int) -> int:
-    """Shard owning ``page``: a total, deterministic partition of page space.
+    """Mailbox serving ``page``: a total, deterministic partition of page space.
 
-    Interleaved page ranges — page ``p`` maps to shard ``p mod K`` — so every
-    page belongs to exactly one shard and contiguous ranges distribute
-    round-robin across the pools.
+    Interleaved page ranges — page ``p`` maps to mailbox ``p mod K`` — so
+    every page belongs to exactly one mailbox and contiguous ranges
+    distribute round-robin across them.
     """
     if nshards < 1:
         raise ConfigError("nshards must be >= 1")
@@ -53,12 +47,12 @@ def shard_of(page: int, nshards: int) -> int:
 
 
 class ShadowPageAllocator:
-    """Shard-affine shadow-page numbering (splitting §5.1).
+    """Shadow-page numbering for one mailbox (splitting §5.1).
 
-    Shard ``s`` allocates shadow pages from the probe region above
+    Mailbox ``s`` allocates shadow pages from the probe region above
     ``SHADOW_BASE``, restricted to page numbers that :func:`shard_of` maps
-    back to ``s`` — so a shadow always lands on its original page's shard.
-    With one shard this is exactly the legacy cursor (``SHADOW_BASE`` up,
+    back to ``s`` — so a shadow always routes to its original page's
+    mailbox.  With one mailbox this is the plain cursor (``SHADOW_BASE`` up,
     step 1).
     """
 
@@ -77,52 +71,38 @@ class ShadowPageAllocator:
         return page
 
 
-class ShardedDirectoryView:
-    """One job's per-shard directory partitions as one object: what a test
-    walks (``shards``) and checks (:meth:`check_invariants`).  Reads go
-    through a shard's own directory; mutations stay shard-local by design."""
-
-    def __init__(self, directories: Iterable["Directory"]):
-        self.shards: list["Directory"] = list(directories)
-        if not self.shards:
-            raise ConfigError("ShardedDirectoryView needs at least one shard")
-
-    def check_invariants(self) -> None:
-        for directory in self.shards:
-            directory.check_invariants()
-
-
 class TenantDirectoryView:
-    """Tenant-keyed registry of per-job directory views.
+    """Tenant-keyed registry of per-job directories.
 
-    A multi-tenant fleet runs one full shard-pool set *per admitted job* —
-    tenants share nodes and wires, never directory state.  This view maps a
-    tenant id to that job's merged :class:`ShardedDirectoryView`, giving
-    tests and debuggers one handle over the whole fleet's page ownership
-    without ever letting one tenant's queries observe another's partitions.
+    A multi-tenant fleet runs one master, and so one directory, *per
+    admitted job* — tenants share nodes and wires, never directory state.
+    This view maps a tenant id to that job's
+    :class:`~repro.mem.directory.Directory`, giving tests and debuggers one
+    handle over the whole fleet's page ownership without ever letting one
+    tenant's queries observe another's.
     """
 
     def __init__(self) -> None:
-        self._views: dict[int, ShardedDirectoryView] = {}
+        self._directories: dict[int, "Directory"] = {}
 
-    def add_tenant(self, tenant: int, directories: Iterable["Directory"]) -> None:
-        if tenant in self._views:
+    def add_tenant(self, tenant: int, directory: "Directory") -> None:
+        if tenant in self._directories:
             raise ConfigError(f"tenant {tenant} already registered")
-        self._views[tenant] = ShardedDirectoryView(directories)
+        self._directories[tenant] = directory
 
     def remove(self, tenant: int) -> None:
-        """Forget a retired tenant's view."""
-        del self._views[tenant]
+        """Forget a retired tenant's directory."""
+        del self._directories[tenant]
 
-    def for_tenant(self, tenant: int) -> ShardedDirectoryView:
+    def for_tenant(self, tenant: int) -> "Directory":
         try:
-            return self._views[tenant]
+            return self._directories[tenant]
         except KeyError:
             raise ConfigError(f"unknown tenant {tenant}") from None
 
     def tenants(self) -> tuple[int, ...]:
-        return tuple(sorted(self._views))
+        return tuple(sorted(self._directories))
 
     def check_invariants(self) -> None:
-        for view in self._views.values():
-            view.check_invariants()
+        for directory in self._directories.values():
+            directory.check_invariants()

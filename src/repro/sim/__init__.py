@@ -1,16 +1,14 @@
 """Deterministic discrete-event simulation kernel (virtual nanoseconds)."""
 
 from repro.sim.engine import AllOf, AnyOf, Event, Process, Simulator, Timeout
-from repro.sim.sync import Gate, LockTable, SimLock, SimQueue, SimSemaphore
+from repro.sim.sync import LockTable, SimQueue, SimSemaphore
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
-    "Gate",
     "LockTable",
     "Process",
-    "SimLock",
     "SimQueue",
     "SimSemaphore",
     "Simulator",

@@ -9,12 +9,12 @@ under study.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Hashable
+from typing import Any, Deque, Hashable
 
 from repro.errors import SimulationError
 from repro.sim.engine import Event, Simulator
 
-__all__ = ["LockTable", "SimLock", "SimSemaphore", "SimQueue", "Gate"]
+__all__ = ["LockTable", "SimSemaphore", "SimQueue"]
 
 
 class LockTable:
@@ -47,7 +47,7 @@ class LockTable:
     def __len__(self) -> int:
         return len(self._held)
 
-    def acquire(self, key: Hashable = None) -> Event:
+    def acquire(self, key: Hashable) -> Event:
         waiters = self._held.get(key)
         if waiters is None:
             self._held[key] = ()
@@ -56,26 +56,13 @@ class LockTable:
         self._held[key] = waiters + (ev,)
         return ev
 
-    def release(self, key: Hashable = None) -> None:
+    def release(self, key: Hashable) -> None:
         waiters = self._held.pop(key, None)
         if waiters is None:
             raise SimulationError(f"release of unheld lock {key!r}")
         if waiters:  # hand the lock to the oldest waiter
             self._held[key] = waiters[1:]
             waiters[0].succeed()
-
-
-class SimLock(LockTable):
-    """One FIFO mutex: the table's one-key case (``acquire()``/``release()``)."""
-
-    @property
-    def locked(self) -> bool:
-        return None in self._held
-
-    def held(self) -> Generator[Event, Any, "SimLock"]:
-        """Convenience coroutine: ``lock = yield from lock.held()``."""
-        yield self.acquire()
-        return self
 
 
 class SimSemaphore:
@@ -137,36 +124,3 @@ class SimQueue:
         else:
             self._getters.append(ev)
         return ev
-
-    def peek_all(self) -> list[Any]:
-        """Snapshot of queued items (diagnostics only)."""
-        return list(self._items)
-
-
-class Gate:
-    """A repeatable broadcast condition.
-
-    ``wait()`` returns an event that fires at the next ``open()``; every
-    waiter registered before the open is released at once.  Used for
-    "thread state changed" notifications.
-    """
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self._waiters: list[Event] = []
-
-    def wait(self) -> Event:
-        ev = Event(self.sim)
-        self._waiters.append(ev)
-        return ev
-
-    def open(self, value: Any = None) -> int:
-        """Release all current waiters; returns how many were released."""
-        waiters, self._waiters = self._waiters, []
-        for ev in waiters:
-            ev.succeed(value)
-        return len(waiters)
-
-    @property
-    def n_waiting(self) -> int:
-        return len(self._waiters)

@@ -106,10 +106,9 @@ def assert_directory_mirrors(cluster):
     latched = fleet.health.failed
     for tenant in cluster.directories.tenants():
         listed: dict[int, set[int]] = {}
-        for directory in cluster.directories.for_tenant(tenant).shards:
-            for page, ent in directory._entries.items():
-                for n in ent.sharers if ent.owner is None else (ent.owner,):
-                    listed.setdefault(n, set()).add(page)
+        for page, ent in cluster.directories.for_tenant(tenant)._entries.items():
+            for n in ent.sharers if ent.owner is None else (ent.owner,):
+                listed.setdefault(n, set()).add(page)
         assert not latched & listed.keys(), f"latched node listed: {sorted(latched)}"
         for n, node in fleet.nodes.items():
             if n == 0 or n in latched:

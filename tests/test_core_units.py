@@ -541,7 +541,7 @@ class TestImageLoad:
             run_stats=RunStats(), tenant=0, node=SimpleNamespace(node_id=0),
             failure_view=None, home=home,
         )
-        co = CoherenceService(master, SimpleNamespace(shard=0))
+        co = CoherenceService(master)
         bss_pages = range(page_of(self.BSS.base), page_of(self.BSS.end - 1) + 1)
         for page in bss_pages:
             # A grant of a page never written is the one shared zero page.

@@ -369,7 +369,7 @@ def _pi(cfg, trace=False):
 
 
 #: What each configuration arms, and the ``RunStats.services`` rows a run of
-#: it reports, in order: master services on shard 0, whether the master has
+#: it reports, in order: the master dispatcher's services, whether the master has
 #: a failure view, the slaves with a ``NodeFailureDomain`` and with a
 #: heartbeat sender, whether the placer consults health.
 _EVAC = dict(rpc_timeout_ns=5_000_000, rpc_max_retries=4, evacuation_enabled=True)

@@ -520,7 +520,7 @@ class TestBookkeepingArming:
         result = cluster.run(mutex_bench.build(n_threads=2, iters=10), **RUN_KW)
         assert result.exit_code == 0
         channels = [node.endpoint.rpc for node in cluster._fleet.nodes.values()]
-        shards = cluster.jobs[0].runtime.master.shards
+        locks = cluster.jobs[0].runtime.master.coherence.locks
         for ch in channels:
             assert (ch.frames_repeat, ch.replays, ch._reply_cache_enabled, ch.acks) == armed
         assert (
@@ -528,7 +528,7 @@ class TestBookkeepingArming:
             sum(len(ch._served) for ch in channels) > 0,
             sum(ch.cached_replies for ch in channels) > 0,
         ) == kept
-        assert all(len(s.coherence.locks) == 0 for s in shards)
+        assert len(locks) == 0
 
 
 class TestChannelDecidesDelivery:
@@ -537,8 +537,9 @@ class TestChannelDecidesDelivery:
     and one ack rule for every notification."""
 
     def test_one_served_table_per_endpoint(self, monkeypatch):
-        # Node 0's endpoint carries two master shard dispatchers and its own
-        # node-side dispatcher; a replay to either kind is served once.
+        # Node 0's endpoint carries two manager mailboxes per node on the
+        # master's dispatcher and its own node-side dispatcher; a replay to
+        # either kind is served once.
         handled = Counter()
         for cls in (CoherenceService, NodeCoherenceService):
             def handle(self, msg, inner=cls.handle):

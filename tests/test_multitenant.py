@@ -525,12 +525,12 @@ class TestTenantDirectoryView:
     def test_routes_and_rejects(self):
         view = TenantDirectoryView()
         d0, d1 = Directory(), Directory()
-        view.add_tenant(0, [d0])
-        view.add_tenant(1, [d1])
+        view.add_tenant(0, d0)
+        view.add_tenant(1, d1)
         with pytest.raises(ConfigError, match="already registered"):
-            view.add_tenant(0, [d0])
+            view.add_tenant(0, d0)
         with pytest.raises(ConfigError, match="unknown tenant"):
             view.for_tenant(9)
         assert view.tenants() == (0, 1)
-        assert view.for_tenant(1).shards == [d1]
+        assert view.for_tenant(1) is d1
         view.check_invariants()

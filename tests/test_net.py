@@ -19,6 +19,11 @@ from repro.net.messages import (
 from repro.sim import Simulator
 
 
+def drain(q):
+    """Every frame waiting in mailbox ``q``, oldest first."""
+    return [q.get().value for _ in range(len(q))]
+
+
 def make_cluster(n=3, **kw):
     sim = Simulator()
     fabric = Fabric(sim, **kw)
@@ -286,7 +291,7 @@ class TestFrameDelivery:
         for src, dst, msg in sent:
             eps[src].send(dst, msg)
         sim.run()
-        delivered = [m for q in inboxes for m in q.peek_all()]
+        delivered = [m for q in inboxes for m in drain(q)]
         assert sorted(map(id, delivered)) == sorted(id(m) for _, _, m in sent)
 
         def recount(frames):
@@ -341,7 +346,7 @@ class TestFrameDelivery:
         original = PageData(page=4, data=b"\x07" * 64)
         eps[0].send(1, original)
         sim.run()
-        first, second = inbox.peek_all()
+        first, second = drain(inbox)
         assert first is original and second is not original
         assert second == original  # field for field, request id included
         assert fabric.stats.messages_sent == 2

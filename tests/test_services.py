@@ -15,7 +15,6 @@ import pytest
 from repro import Cluster, DQEMUConfig, assemble
 from repro.core.services.base import Dispatcher
 from repro.core.services.coherence import CoherenceService
-from repro.core.services.coordinator import CrossShardCoordinator
 from repro.core.services.splitting import SplittingService
 from repro.core.stats import RunStats
 from repro.core.trace import NULL_TRACER
@@ -127,8 +126,8 @@ def test_master_kinds_are_every_master_handled_kind():
 
 
 class TestDeadSenderRefusal:
-    """A master shard's dispatcher refuses a frame whose sender the failure
-    view has latched failed: billed and counted once, never handled."""
+    """A master's dispatcher refuses a frame whose sender the failure view
+    has latched failed: billed and counted once, never handled."""
 
     @pytest.mark.parametrize("kind", MASTER_KINDS)
     def test_latched_sender_is_billed_and_refused(self, kind):
@@ -136,19 +135,19 @@ class TestDeadSenderRefusal:
         stats = RunStats()
         view = HealthTracker(sim)
         view.mark_failed(2)
-        d = Dispatcher(Endpoint(sim, Fabric(sim), 0), stats, shard=0, failure_view=view)
+        d = Dispatcher(Endpoint(sim, Fabric(sim), 0), stats, failure_view=view)
         stub = d.register(StubService("svc", MASTER_KINDS))
         cls = {c.kind: c for c in all_message_types()}[kind]
         dead, live = cls(src=2, req_id=1), cls(src=1, req_id=2)
         sim.run(until=40)
         dead._arrived_ns = live._arrived_ns = 10
-        sim.spawn(d.dispatch(dead))
+        sim.spawn(d.dispatch(dead, shard=0))
         assert stub.seen == []
         row = stats.services["svc"]
         assert (row.requests, row.queue_wait_ns, row.busy_ns) == (1, 30, 0)
         assert (row.shard(0).requests, row.shard(0).queue_wait_ns) == (1, 30)
         assert stats.protocol.dead_peer_skips == 1
-        sim.spawn(d.dispatch(live))  # a live sender is served as ever
+        sim.spawn(d.dispatch(live, shard=0))  # a live sender is served as ever
         assert stub.seen == [kind]
         assert stats.protocol.dead_peer_skips == 1
 
@@ -271,11 +270,8 @@ class TestGather:
             failure_view=view, node=SimpleNamespace(node_id=0), node_ids=[1, 2],
             home=PageStore(), acked=set(), reply=None,
         )
-        shard = SimpleNamespace(shard=0)
-        shard.coherence = CoherenceService(runtime, shard)
-        shard.splitting = SplittingService(runtime, shard)
-        runtime.shards = [shard]
-        runtime.coordinator = CrossShardCoordinator(runtime)
+        runtime.coherence = CoherenceService(runtime)
+        runtime.splitting = SplittingService(runtime)
 
         def peer(ep):
             q = ep.subscribe_default()
@@ -293,10 +289,10 @@ class TestGather:
             sim.spawn(peer(ep))
 
         if route == "broadcast":
-            service = shard.splitting
-            operation = runtime.coordinator.broadcast_split_table(via=service)
+            service = runtime.splitting
+            operation = service._broadcast()
         else:
-            service = shard.coherence
+            service = runtime.coherence
             for n in (1, 2):
                 service.directory.commit(n, self.PAGE, write=False)
             if route == "invalidate":
@@ -332,7 +328,7 @@ class TestGather:
         return sim, runtime, gathered, raised
 
     def _assert_directory(self, runtime):
-        directory = runtime.shards[0].coherence.directory
+        directory = runtime.coherence.directory
         directory.check_invariants()  # owner XOR sharers, no latched node
         holders = set(directory.holders(self.PAGE))
         latched = runtime.failure_view.failed if runtime.failure_view else set()
@@ -378,7 +374,7 @@ class TestGather:
         [(acks, skipped)] = gathered
         assert len(acks) == 1 and skipped == 1 and not raised
         # Billing stays with the caller: coherence counts the skip, the
-        # coordinator's broadcast does not.
+        # split-table broadcast does not.
         billed = runtime.run_stats.protocol.dead_peer_skips
         assert billed == (0 if route == "broadcast" else 1)
         directory = self._assert_directory(runtime)
@@ -500,13 +496,12 @@ class TestRuntimeDecomposition:
         assert not hasattr(repro.net, "TenantEndpoint")
 
     def test_services_are_built_from_their_runtime(self):
-        """Every service takes its runtime (plus its shard for the per-shard
-        ones).  ``Dispatcher`` is the router both runtimes share, not a
-        service, and keeps its optional hooks."""
+        """Every service takes its runtime (and at most one more argument:
+        the baseline kernel its state).  ``Dispatcher`` is the router both
+        runtimes share, not a service, and keeps its optional hooks."""
         import repro.core.services as pkg
-        from repro.core.master import MasterShard
 
-        classes = [MasterShard]
+        classes = []
         for info in pkgutil.iter_modules(pkg.__path__):
             module = importlib.import_module(f"{pkg.__name__}.{info.name}")
             classes += [

@@ -1,6 +1,8 @@
-"""Tests for the sharded master: routing invariants, shadow-page affinity,
-single-shard bit-identity, functional equivalence under sharding, queue-wait
-attribution, and post-finish frame-drop accounting."""
+"""Tests for the master's manager mailboxes (``master_shards``): routing
+invariants, per-mailbox shadow numbering, single-mailbox bit-identity, the
+paths that cross mailboxes (read-ahead pushes, multi-page syscall buffers,
+split-table broadcasts), queue-wait attribution, and post-finish frame-drop
+accounting."""
 
 import dataclasses
 
@@ -20,12 +22,101 @@ from repro.net.fabric import Fabric
 from repro.net.messages import PageRequest
 from repro.sim import Simulator
 from repro.workloads import memaccess, mutex_bench
+from repro.workloads.common import emit_fanout_main, workload_builder
+from tests.conftest import assert_directory_mirrors
 
 
 def run_mutex(**config_kw):
     prog = mutex_bench.build(n_threads=4, iters=200, private=False)
     cfg = DQEMUConfig(**config_kw)
     return Cluster(n_slaves=2, config=cfg).run(prog)
+
+
+def cross_mailbox_program(iters: int, stream_pages: int = 24):
+    """Two workers false-share one page (slots 2048 bytes apart, as in
+    ``tests.test_optimizations.false_sharing_program``).  Then worker 0
+    walks ``stream_pages`` pages with sequential loads, and worker 1 writes
+    ``ABCDEFGHIJKLMNOP`` into 16 bytes that straddle a page boundary.
+    After the joins, main ``write``s those 16 bytes to stdout and prints
+    the false-shared slots' byte sum."""
+    b = workload_builder()
+
+    def post(bb):
+        bb.la("a1", "span")
+        bb.li("t0", 4096 - 8)
+        bb.add("a1", "a1", "t0")
+        bb.li("a0", 1)
+        bb.li("a2", 16)
+        bb.syscall(64)  # write: the kernel reads both pages
+        bb.li("t1", 0)
+        for base_off in (0, 2048):
+            lbl = f".chk_{base_off}"
+            bb.li("t2", 0)
+            bb.label(lbl)
+            bb.addi("t3", "t2", base_off)
+            bb.la("t0", "arr")
+            bb.add("t3", "t3", "t0")
+            bb.lbu("t4", 0, "t3")
+            bb.add("t1", "t1", "t4")
+            bb.addi("t2", "t2", 1)
+            bb.li("t5", 128)
+            bb.blt("t2", "t5", lbl)
+        bb.mv("a0", "t1")
+        bb.call("rt_print_u64_ln")
+        bb.li("a0", 0)
+
+    emit_fanout_main(b, 2, post_join=post)
+    b.label("worker")
+    b.li("t0", 2048)
+    b.mul("t0", "a0", "t0")
+    b.la("t1", "arr")
+    b.add("t1", "t1", "t0")
+    b.li("t2", 0)
+    b.li("t6", iters)
+    b.label(".fs_loop")
+    b.andi("t3", "t2", 127)
+    b.add("t4", "t1", "t3")
+    b.lbu("t5", 0, "t4")
+    b.addi("t5", "t5", 1)
+    b.sb("t5", 0, "t4")
+    b.addi("t2", "t2", 1)
+    b.blt("t2", "t6", ".fs_loop")
+    b.bnez("a0", ".w_span")
+    b.la("t0", "stream")
+    b.li("t1", 0)
+    b.li("t2", stream_pages * 4096 // 8)
+    b.label(".w_stream")
+    b.slli("t3", "t1", 3)
+    b.add("t3", "t3", "t0")
+    b.ld("t4", 0, "t3")
+    b.addi("t1", "t1", 1)
+    b.blt("t1", "t2", ".w_stream")
+    b.j(".w_done")
+    b.label(".w_span")
+    b.la("t0", "span")
+    b.li("t1", 4096 - 8)
+    b.add("t0", "t0", "t1")
+    b.li("t2", 0)
+    b.li("t6", 16)
+    b.label(".w_letter")
+    b.addi("t3", "t2", ord("A"))
+    b.add("t4", "t0", "t2")
+    b.sb("t3", 0, "t4")
+    b.addi("t2", "t2", 1)
+    b.blt("t2", "t6", ".w_letter")
+    b.label(".w_done")
+    b.li("a0", 0)
+    b.ret()
+    b.bss()
+    b.align(4096)
+    b.label("arr")
+    b.space(4096)
+    b.label("span")
+    b.space(2 * 4096)
+    b.label("stream")
+    b.space(stream_pages * 4096)
+    b.text()
+    return b.assemble()
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +217,43 @@ class TestShardedRuns:
         assert sharded.exit_code == 0
         assert sharded.stats.protocol.splits == 1
         assert sharded.stats.protocol.split_retry_replies >= 1
+
+    CROSS_ITERS = 20_000
+    #: virtual_ns of cross_mailbox_program(CROSS_ITERS) at K = 1, 2 and 4, as
+    #: read when every mailbox had its own directory and split table.
+    CROSS_MAILBOX_NS = 6_202_163
+
+    @pytest.mark.parametrize("nshards", [1, 2, 4])
+    def test_cross_mailbox_paths(self, nshards):
+        """One run exercises every path that reaches pages of several
+        mailboxes: a read-ahead stream (consecutive pages route to
+        consecutive mailboxes), a global ``write`` whose buffer spans two
+        pages (two mailboxes when K > 1), and a split with its split-table
+        broadcast.  The guest prints the oracle, the directory mirrors the
+        nodes, and the virtual time is what it always was at each K."""
+        from tests.test_optimizations import FAST
+
+        iters = self.CROSS_ITERS
+        cfg = DQEMUConfig(
+            master_shards=nshards, forwarding_enabled=True, splitting_enabled=True, **FAST
+        )
+        cluster = Cluster(2, cfg)
+        r = cluster.run(cross_mailbox_program(iters), max_virtual_ms=600_000)
+        assert_directory_mirrors(cluster)
+        fs_sum = 2 * sum(((iters - j + 127) // 128) % 256 for j in range(128))
+        assert r.exit_code == 0
+        assert r.stdout == f"ABCDEFGHIJKLMNOP{fs_sum}\n"
+        assert r.stats.protocol.pages_forwarded > 0
+        assert r.stats.protocol.splits >= 1
+        assert r.virtual_ns == self.CROSS_MAILBOX_NS
+        # Every node got the table, and each shadow routes to the mailbox
+        # of its original page.
+        for node in cluster._fleet.nodes.values():
+            entries = node.tenants[0].memory.split.entries()
+            assert len(entries) == r.stats.protocol.splits - r.stats.protocol.merges
+            for e in entries:
+                routes = {shard_of(p, nshards) for p in (e.orig_page, *e.shadow_pages)}
+                assert len(routes) == 1
 
     def test_shard_breakdown_sums_to_aggregate(self):
         """Per-shard rows partition the aggregate exactly for dispatched

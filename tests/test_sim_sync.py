@@ -7,37 +7,39 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import Gate, LockTable, SimLock, SimQueue, SimSemaphore, Simulator
+from repro.sim import LockTable, SimQueue, SimSemaphore, Simulator
 
 
 class TestSimLock:
+    """One key of a :class:`LockTable`: a single FIFO mutex."""
+
     def test_uncontended_acquire_is_immediate(self):
         sim = Simulator()
-        lock = SimLock(sim)
+        locks = LockTable(sim)
         done = []
 
         def proc():
-            yield lock.acquire()
+            yield locks.acquire("k")
             done.append(sim.now)
-            lock.release()
+            locks.release("k")
 
         sim.spawn(proc())
         sim.run()
         assert done == [0]
-        assert not lock.locked
+        assert "k" not in locks
 
     def test_fifo_ordering_under_contention(self):
         sim = Simulator()
-        lock = SimLock(sim)
+        locks = LockTable(sim)
         order = []
 
         def proc(tag, hold):
-            yield lock.acquire()
+            yield locks.acquire("k")
             order.append(tag)
             yield sim.timeout(hold)
-            lock.release()
+            locks.release("k")
 
-        for i, tag in enumerate("abc"):
+        for tag in "abc":
             sim.spawn(proc(tag, 10))
         sim.run()
         assert order == ["a", "b", "c"]
@@ -45,22 +47,9 @@ class TestSimLock:
 
     def test_release_without_acquire_rejected(self):
         sim = Simulator()
-        lock = SimLock(sim)
+        locks = LockTable(sim)
         with pytest.raises(SimulationError):
-            lock.release()
-
-    def test_held_helper(self):
-        sim = Simulator()
-        lock = SimLock(sim)
-
-        def proc():
-            yield from lock.held()
-            assert lock.locked
-            lock.release()
-            return "ok"
-
-        p = sim.spawn(proc())
-        assert sim.run(until=p) == "ok"
+            locks.release("k")
 
 
 class _ReferenceLock:
@@ -229,58 +218,7 @@ class TestSimQueue:
         q.put(1)
         q.put(2)
         assert len(q) == 2
-        assert q.peek_all() == [1, 2]
-
-
-class TestGate:
-    def test_open_releases_all_waiters(self):
-        sim = Simulator()
-        gate = Gate(sim)
-        woken = []
-
-        def waiter(tag):
-            yield gate.wait()
-            woken.append((sim.now, tag))
-
-        for tag in "ab":
-            sim.spawn(waiter(tag))
-
-        def opener():
-            yield sim.timeout(40)
-            assert gate.open("go") == 2
-
-        sim.spawn(opener())
-        sim.run()
-        assert woken == [(40, "a"), (40, "b")]
-        assert gate.n_waiting == 0
-
-    def test_open_with_no_waiters_returns_zero(self):
-        sim = Simulator()
-        gate = Gate(sim)
-        assert gate.open() == 0
-
-    def test_gate_is_repeatable(self):
-        sim = Simulator()
-        gate = Gate(sim)
-        hits = []
-
-        def waiter():
-            yield gate.wait()
-            hits.append(sim.now)
-            yield gate.wait()
-            hits.append(sim.now)
-
-        sim.spawn(waiter())
-
-        def opener():
-            yield sim.timeout(10)
-            gate.open()
-            yield sim.timeout(10)
-            gate.open()
-
-        sim.spawn(opener())
-        sim.run()
-        assert hits == [10, 20]
+        assert list(q._items) == [1, 2]  # queued, not consumed
 
 
 class TestHops:
@@ -382,17 +320,3 @@ class TestHops:
             q.put(item)
         sim.run()
         assert served == [("a", 1), ("b", 2), ("c", 3)]
-
-    def test_gate_waiter_registered_inside_spawn_sees_the_next_open(self):
-        sim = Simulator()
-        gate = Gate(sim)
-        got = []
-
-        def waiter():
-            got.append((yield gate.wait()))
-
-        sim.spawn(waiter())
-        assert gate.n_waiting == 1
-        assert gate.open("now") == 1
-        sim.run()
-        assert got == ["now"]
