@@ -97,12 +97,16 @@ CALLS = "prof.py_calls_per_kinsn"
 #: the back edge, measured 17.4, 155.8, 196.9, 945.6, 11453.2 and 477.1,
 #: against 17.4, 155.7, 362.7, 946.5, 11452.7 and 477.1 before it; one master
 #: record per guest thread, its park held on it, measured 17.4, 155.7, 196.9,
-#: 944.5, 11452.5 and 476.1).
+#: 944.5, 11452.5 and 476.1; a resident loop that tests each page once per call
+#: and books its in-place entries in closed form measured 17.9, 40.6, 114.3,
+#: 896.9, 11453.2 and 476.8, against 17.4, 155.7, 196.9, 944.5, 11452.5 and
+#: 476.1 before it: a store trip no longer calls ``S.get``, and a long replay
+#: makes four calls where it made none).
 CEILINGS = {
     "mem_read_walk": {CALLS: 18.1},
-    "mem_rmw_walk": {CALLS: 162.9},
-    "fp_compute": {CALLS: 206.7},
-    "cold_start": {CALLS: 983.2, "prof.dbt.blocks_compiled": 268},
+    "mem_rmw_walk": {CALLS: 42.6},
+    "fp_compute": {CALLS: 120.0},
+    "cold_start": {CALLS: 941.7, "prof.dbt.blocks_compiled": 268},
     "fault_storm": {CALLS: 12021.7},
     "full_stack_pipeline": {CALLS: 495.8},
 }

@@ -71,6 +71,25 @@ the call.  The containers are read from the ``mem`` argument at function
 entry (:data:`MEM_VIEW`), never bound at compile time: a block serves
 whichever memory it is run against.
 
+A page is tested once per call, not once per access, where the function is a
+plain block that loops and its body has no atomic: each access site keeps the
+page its last hit of the full test verified, and that page's buffer, in loop
+locals (``vpK``/``vbK``; the pre-header sets ``vpK`` to no page).  An access to
+that page, its span inside it, indexes the buffer without a test; any other
+runs the full test and, on a hit, verifies its page in turn, and a miss takes
+the miss arm as ever.  A store site verifies only for writing (Modified, no
+reservation armed); sites never share a page, so a load that verified a Shared
+page leaves the store after it to miss.  A verification holds for the rest of
+the call because nothing a test reads can change meanwhile: no other process
+runs while a generated function does; ``page_states``, ``page_bufs`` and
+``split_pages`` change only in coherence handlers, which run between calls;
+``reservations`` gains an entry only through an atomic, and the body has none;
+and a miss arm that goes on in place (a split page, or a store that kills a
+reservation) changes no state and arms nothing, or, in private memory, where
+every page is Modified, adds a page.  A site whose address is a register the
+body never writes binds its page and offset (``hpK``/``hoK``) once, in the
+pre-header.  A superblock keeps the full test at every access.
+
 Loop residency.  Every generated function is ``fn(cpu, mem, n)``.  One whose
 static successors include its own entry pc — a plain block branching to
 itself, a superblock whose tail can branch to its head — is emitted as a
@@ -100,6 +119,9 @@ loop never reads it.  The shadow rule crosses the back edge:
   commit it, trip 1 would commit the bits of the ``fN`` bound on entry,
   canonicalising a NaN;
 * a pinned local the body left stale is re-bound.
+
+A verified page ("Resident fast path") crosses the back edge too, in its
+site's locals: it holds until the function returns.
 
 Every way out of a looping function reports through ``cpu.block_runs``: a
 return (the exit, or a superblock's side exit) sets it to ``i + 1``, the
@@ -323,6 +345,8 @@ def _successors(instrs: list[InstrIR], next_pc: int) -> tuple[int, ...]:
 
 _NEGATE_COND = {"eq": "ne", "ne": "eq", "lt": "ge", "ge": "lt", "ltu": "geu", "geu": "ltu"}
 _ATOMIC_OPS = ("lr", "sc", "cas", "amoadd", "amoswap")
+#: Micro-ops whose first operand is not a register they write.
+_NO_DEST = TERMINALS | {"st", "hint", "hint_reg", "fence"}
 
 
 def _branch_on_zero(instr: InstrIR):
@@ -458,7 +482,7 @@ def _emit_block(block: BlockIR, fusion: bool) -> tuple["_Emitter", dict]:
     instrs, groups = _fused(block, fusion)
     succ_pcs = _successors(instrs, block.next_pc)
     loops = block.pc in succ_pcs
-    em = _Emitter("tb", block.pc, loops)
+    em = _Emitter("tb", block.pc, loops, _loop_writes(instrs) if loops else None)
     em.body(instrs, 0, None, block.next_pc, set())
     return em, dict(
         pc=block.pc,
@@ -506,6 +530,17 @@ def _emit_superblock(members: list[BlockIR], fusion: bool) -> tuple["_Emitter", 
     )
 
 
+def _loop_writes(instrs: list[InstrIR]) -> Optional[frozenset[int]]:
+    """The guest registers a loop body writes, if its access sites may verify
+    their pages (module docstring, "Resident fast path"): it has no atomic."""
+    ops = [op for ir in instrs for op in ir.ops]
+    if any(op.name in _ATOMIC_OPS for op in ops):
+        return None
+    return frozenset(
+        op.args[0][1] for op in ops if op.name not in _NO_DEST and op.args[0][0] == "g"
+    )
+
+
 def _pattern_counts(groups: list[tuple[int, str]]) -> tuple[tuple[str, int], ...]:
     return tuple(Counter(pattern for _end, pattern in groups).items())
 
@@ -543,7 +578,9 @@ class _Emitter:
     what its pre-header binds and its back edge carries ("Loop residency";
     module docstring for all four)."""
 
-    def __init__(self, kind: str, pc: int, loops: bool) -> None:
+    def __init__(
+        self, kind: str, pc: int, loops: bool, writes: Optional[frozenset[int]] = None
+    ) -> None:
         #: ``tb_<pc>`` resp. ``sb_<pc>``, compiled as if from ``<tb@0x<pc>>``.
         self.name = f"{kind}_{pc:x}"
         self.filename = f"<{kind}@{pc:#x}>"
@@ -588,6 +625,12 @@ class _Emitter:
         self.dead: Optional[set[int]] = None
         #: :data:`MEM_VIEW` locals the emitted resident tests read.
         self.views: set[str] = set()
+        #: In a loop whose access sites verify their pages ("Resident fast
+        #: path"), every guest reg its body writes; else ``None``.
+        self.writes = writes
+        #: Verifying access sites emitted so far; site ``K`` keeps its page in
+        #: ``vpK`` and that page's buffer in ``vbK``.
+        self.sites = 0
 
     def text(self) -> str:
         """The emitted lines as the source of ``name(cpu, mem, n)``; only a
@@ -832,6 +875,7 @@ class _Emitter:
                   if self.shadow.get(v) != f"f{v}"]
         self._carry((self.dirty & self.local) - self.fpins)
         self.loop_end = len(lines)
+        assert self.writes is None or self.written.keys() <= self.writes, self.written
 
     def _carry(self, carried: set[int]) -> None:
         """Integers dirty at the back edge stay dirty across it: each
@@ -900,33 +944,62 @@ class _Emitter:
     # -- memory: resident test inline, the method as miss arm (module docstring)
 
     def locate(self, a: "int | str", size: int) -> tuple[str, str]:
-        """Bind ``p`` to the page of address ``a``; returns the page-offset
-        expression and the hit test's span term (none for one byte)."""
+        """Bind the page of address ``a`` and, wider than a byte, its offset;
+        returns their names (the offset of one byte is an expression).  A
+        verifying site whose address is a register the body never writes binds
+        its own ``hpK``/``hoK``, once, in the pre-header."""
+        if self.writes is not None and isinstance(a, str) and a[0] == "r" \
+                and int(a[1:]) not in self.writes:
+            p, o = f"hp{self.sites}", f"ho{self.sites}"
+            self.pre += [f"{p} = {a} >> {PAGE_SHIFT}", f"{o} = {a} & {PAGE_SIZE - 1}"]
+            return p, o
         self.lines.append(f"p = {a} >> {PAGE_SHIFT}")
         if size == 1:
-            return f"{a} & {PAGE_SIZE - 1}", ""
+            return "p", f"{a} & {PAGE_SIZE - 1}"
         self.lines.append(f"o = {a} & {PAGE_SIZE - 1}")
-        return "o", f"o > {PAGE_SIZE - size} or "
+        return "p", "o"
+
+    def resident(self, p: str, o: str, size: int, miss: str, hit: str, arm: list[str]) -> None:
+        """The access ``hit``, a statement over its page's buffer ``{b}``,
+        where the memory's test ``miss`` fails, else the miss ``arm``.  A
+        verifying site first tries the page it verified on an earlier hit of
+        this call, with the span alone tested (module docstring, "Resident
+        fast path"); a hit of the full test verifies the page."""
+        lines = self.lines
+        span = f"{o} > {PAGE_SIZE - size} or " if size > 1 else ""
+        if self.writes is None:
+            lines.append(f"if {miss.format(span=span)}:")
+            lines.extend("    " + ln for ln in arm)
+            lines.append("else: " + hit.format(b=f"B[{p}]"))
+            return
+        vp, vb = f"vp{self.sites}", f"vb{self.sites}"
+        self.sites += 1
+        self.pre.append(f"{vp} = -1")  # no page
+        inside = f" and {o} <= {PAGE_SIZE - size}" if size > 1 else ""
+        lines.append(f"if {p} == {vp}{inside}: " + hit.format(b=vb))
+        lines.append(f"elif {miss.format(span=span)}:")
+        lines.extend("    " + ln for ln in arm)
+        lines.append(f"else: {vp} = {p}; {vb} = B[{p}]; " + hit.format(b=vb))
 
     def load(self, d, a: "int | str", size: int, signed: bool, fault_point: list[str]) -> None:
         """``d = <size bytes at a>``: hit iff nothing is split, the span
         stays inside the page and the page has a state; the miss arm, the
         only place the access can fault, does the fault bookkeeping."""
         self.views.update("SBX")
-        o, spans = self.locate(a, size)
+        p, o = self.locate(a, size)
         if size == 1:
-            hit = f"(B[p][{o}] ^ 128) - 128 & M" if signed else f"B[p][{o}]"
+            read = f"({{b}}[{o}] ^ 128) - 128 & M" if signed else f"{{b}}[{o}]"
         elif signed and size < 8:
-            hit = f"s{size}(B[p], o)[0] & M"
+            read = f"s{size}({{b}}, {o})[0] & M"
         else:
-            hit = f"u{size}(B[p], o)[0]"
+            read = f"u{size}({{b}}, {o})[0]"
         target = self.target(d)  # after the address was read
-        self.lines.append(f"if X or {spans}p not in S:")
-        self.lines.extend("    " + ln for ln in fault_point)
-        self.lines.append(f"    v = mem.miss_load({a}, {size}, {signed})")
-        self.lines.append(f"    if v is None: return {RC_STALL}")
-        self.lines.append(f"    {target} = v")
-        self.lines.append(f"else: {target} = {hit}")
+        self.resident(p, o, size, f"X or {{span}}{p} not in S", f"{target} = {read}", [
+            *fault_point,
+            f"v = mem.miss_load({a}, {size}, {signed})",
+            f"if v is None: return {RC_STALL}",
+            f"{target} = v",
+        ])
 
     def store(
         self, a: "int | str", size: int, v: "int | str", fault_point: list[str],
@@ -937,18 +1010,19 @@ class _Emitter:
         bits ``v`` (its ``R[N]``, committed by ``fault_point``) holds, the hit
         packs the float, a NaN as the bits :data:`fpu.F2B` gives."""
         self.views.update("SBXA")
-        o, spans = self.locate(a, size)
+        p, o = self.locate(a, size)
         # Registers and temps are held masked, so 8 bytes need no mask.
         mask = (1 << 8 * size) - 1
         low = v if size == 8 else v & mask if isinstance(v, int) else f"{v} & {mask}"
-        hit = f"B[p][{o}] = {low}" if size == 1 else f"p{size}(B[p], o, {low})"
-        self.lines.append(f"if X or A or {spans}S.get(p) is not W:")
-        self.lines.extend("    " + ln for ln in fault_point)
-        self.lines.append(f"    if mem.miss_store({a}, {size}, {v}): return {RC_STALL}")
         if f:
-            self.lines.append(f"elif {f} != {f}: p8(B[p], o, NAN)")
-            hit = f"pd(B[p], o, {f})"
-        self.lines.append(f"else: {hit}")
+            hit = f"pd({{b}}, {o}, {f}) if {f} == {f} else p8({{b}}, {o}, NAN)"
+        elif size == 1:
+            hit = f"{{b}}[{o}] = {low}"
+        else:
+            hit = f"p{size}({{b}}, {o}, {low})"
+        self.resident(p, o, size, f"X or A or {{span}}S.get({p}) is not W", hit, [
+            *fault_point, f"if mem.miss_store({a}, {size}, {v}): return {RC_STALL}",
+        ])
 
     def terminal(
         self,

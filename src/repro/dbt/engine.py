@@ -57,13 +57,24 @@ The float accumulators are *replayed, not multiplied*: ``cycles``,
 (2.88 on every pure-QEMU row), ``cycles`` decides where a quantum ends and its
 remainder is carried into the next one, so how each sum rounds is part of
 virtual time — and ``c + k * x`` does not round like ``k`` additions of ``x``.
-They take the same additions in the same order, one per entry.  A fault books
-its complete entries first and then the partial one as before.  Nothing
+They get the result of the same additions, in closed form (``_add_times``):
+while a running total ``s`` stays in one binade ``[2**e, 2**(e+1))``, whose
+numbers are the multiples of one ulp ``u``, adding a positive ``x`` (with ``x =
+q*u + r``, ``0 <= r < u``) rounds ``s + x`` to ``s + d*u``, ``d`` being ``q``
+for ``r < u/2`` and ``q + 1`` for ``r > u/2`` whatever ``s`` is — so ``j`` such
+additions are ``s + j*d*u``, exactly, for every ``j`` whose exact sums stay
+below the binade's top.  A tie, ``r = u/2``, rounds to the even multiple: from
+an odd one it takes one plain addition, and from an even one ``d`` is ``q``
+rounded up to even.  The addition that crosses the top is made plainly, and
+``u`` doubles there.  So ``k`` additions cost a few steps per binade the total
+crosses, not ``k`` (up to 32 entries the loop is cheaper and is kept).  A fault
+books its complete entries first and then the partial one as before.  Nothing
 simulated can tell an entry the function made from one the dispatcher made.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from typing import Optional
 
@@ -81,11 +92,57 @@ from repro.mem.api import MemoryAPI, PageStall
 __all__ = ["ExecutionEngine"]
 
 
+#: ``times`` up to this many are added one at a time: the closed form's setup
+#: costs more than a short loop.
+_SHORT = 32
+#: A binade ``[2**e, 2**(e+1))`` holds ``2**53`` ulps of its numbers (the
+#: subnormals and the first normal binade share the smallest ulp).
+_ULPS = 2.0 ** 53
+#: Sums that may reach this (or are not finite) are left to the loop.
+_HUGE = 2.0 ** 1000
+
+
 def _add_times(total: float, term: float, times: int) -> float:
     """``total`` after ``term`` was added to it ``times`` times, one addition
-    at a time: ``total + term * times`` rounds differently."""
-    for _ in range(times):
+    at a time: ``total + term * times`` rounds differently.  Done in closed
+    form, a few steps per binade of the running total (module docstring,
+    "Allowance")."""
+    if times <= _SHORT or not (0.0 < term and 0.0 <= total and total + term * times < _HUGE):
+        for _ in range(times):
+            total += term
+        return total
+    u = math.ulp(total)
+    if term >= u * _ULPS:  # the first addition leaves the binade
         total += term
+        times -= 1
+        u = math.ulp(total)
+    # From here ``term`` is below the binade's top, so an addition crosses at
+    # most one binade boundary, and ``u`` doubles when it does.
+    top = u * _ULPS
+    while times > 0:
+        s = total / u  # exact: ``total`` is a multiple of ``u`` below 2**53 of them
+        x = term / u
+        q = x // 1.0
+        r = x - q
+        if r == 0.5 and s % 2.0:  # a tie from an odd multiple rounds to even once
+            j = 0
+        else:  # each addition in the binade adds ``d`` ulps
+            d = q + (q % 2.0 if r == 0.5 else r > 0.5)
+            if not d:
+                return total  # every addition rounds back to ``total``
+            # Additions whose exact sum stays below the top: s + (j-1)*d + q < 2**53.
+            j = -((s + q - _ULPS) // d)
+            if j > times:
+                j = times
+        if j > 0:
+            total = (s + j * d) * u
+            times -= j
+        else:
+            total += term
+            times -= 1
+        while total >= top:
+            u *= 2.0
+            top *= 2.0
     return total
 
 
@@ -301,9 +358,13 @@ class ExecutionEngine:
             tb.edges[tb.pc] = tb.edges.get(tb.pc, 0) + entries
         for pattern, count in tb.fused_counts:
             self.fusion_hits[pattern] = self.fusion_hits.get(pattern, 0) + count * entries
-        for _ in range(entries):
-            cycles += full
-            exec_cycles += full
+        if entries > _SHORT:
+            cycles = _add_times(cycles, full, entries)
+            exec_cycles = _add_times(exec_cycles, full, entries)
+        else:  # _add_times's loop, for both sums at once
+            for _ in range(entries):
+                cycles += full
+                exec_cycles += full
         if tb.fused:
             saved = len(tb.fused) * (t.cpi_superblock if tb.is_superblock else t.cpi_dbt)
             self.fusion_saved_cycles = _add_times(self.fusion_saved_cycles, saved, entries)

@@ -6,12 +6,14 @@ This is the guard that keeps the DBT backend semantically equal to the
 interpreter oracle across the whole ISA.
 """
 
+import itertools
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.dsmmem import DSMMemory, MergeStall
 from repro.cost import CostModel
-from repro.dbt import CPUState, ExecutionEngine, StopKind, memo
+from repro.dbt import Backend, CPUState, ExecutionEngine, Frontend, StopKind, memo
 from repro.isa import SPECS, Instruction, assemble, encode
 from repro.isa.instructions import Fmt
 from repro.mem import FlatMemory, MSIState, PageStore
@@ -721,3 +723,81 @@ def _assert_loops_are_invisible(instrs, regs, states, split, quantum, cpi, thres
 def test_loop_residency_is_invisible_to_everything_but_the_host_clock(
         loop, regs, states, split, quantum, cpi, threshold, fusion):
     _assert_loops_are_invisible(loop, regs, states, split, quantum, cpi, threshold, fusion)
+
+
+# -- verified pages: what a loop's access site may keep between trips ----------
+#
+# In a looping block with no atomic, each plain access site keeps the page it
+# verified on a hit of the full test and indexes that page's buffer on later
+# trips.  One program per way that could go wrong, each run under the same
+# references as the loops above, with whether its loop verifies at all.
+
+_S, _M = MSIState.SHARED, MSIState.MODIFIED
+
+
+def _walk(start):
+    return Instruction(SPECS["addi"], rd=WALK_REG, rs1=BUF_REG, imm=start)
+
+
+_VERIFIED_EXAMPLES = {
+    # an atomic in the body: no site keeps a page.  Trips with an even count
+    # leave an lr on the store's cell, odd ones none (their sc takes it), so
+    # the store finds no reservation on one trip and must kill one on the next
+    "atomic": ([], [
+        _st("sd", 5, 8), Instruction(SPECS["andi"], rd=28, rs1=LOOP_REG, imm=1),
+        Instruction(SPECS["xori"], rd=28, rs1=28, imm=1),
+        Instruction(SPECS["slli"], rd=28, rs1=28, imm=3),
+        Instruction(SPECS["add"], rd=ADDR_REG, rs1=BUF_REG, rs2=28),
+        Instruction(SPECS["lr"], rd=6, rs1=ADDR_REG),
+        Instruction(SPECS["sc"], rd=7, rs1=BUF_REG, rs2=6),
+    ], [], (_M, _M, _M, _M), False, []),
+    # the load verifies the Shared page for reading; the walking store reaches
+    # it on the third trip and must still take the upgrade fault
+    "shared-then-store": ([_walk(4096 + 2048)], [
+        _ld("ld", 5, 0), Instruction(SPECS["sb"], rs1=WALK_REG, rs2=5, imm=0),
+        Instruction(SPECS["addi"], rd=WALK_REG, rs1=WALK_REG, imm=-2048),
+    ], [], (_S, _M, None, None), True,
+        [("PageStall", TEXT + 12, DSM_PAGE, True, 2048, 1),
+         ("PageStall", TEXT + 12, DSM_PAGE - 1, True, 2048, 1)]),
+    # a reservation armed before the loop sends every store down the method,
+    # which goes on in place (the cell it kills is another one); the loads
+    # around it hit, and the sc after the loop sees the reservation survive
+    "armed-store-between-hits": (
+        [Instruction(SPECS["addi"], rd=ADDR_REG, rs1=BUF_REG, imm=32),
+         Instruction(SPECS["lr"], rd=7, rs1=ADDR_REG)],
+        [_ld("ld", 5, 0), _st("sd", 5, 8), _ld("lwu", 6, 16), _st("sw", 6, 4092)],
+        [Instruction(SPECS["sc"], rd=28, rs1=ADDR_REG, rs2=5)], (_M, _M, _M, _M), True, []),
+    # a verified page whose access walks off its end: the span is tested on
+    # every trip, so the fourth trip's access leaves the page and faults
+    "span-walk-load": ([_walk(4088)], [
+        Instruction(SPECS["lw"], rd=5, rs1=WALK_REG, imm=0),
+        Instruction(SPECS["addi"], rd=WALK_REG, rs1=WALK_REG, imm=2),
+    ], [], _ALL_M, True, [("UnalignedAccess", TEXT + 8)]),
+    "span-walk-store": ([_walk(4088)], [
+        Instruction(SPECS["sw"], rs1=WALK_REG, rs2=6, imm=0),
+        Instruction(SPECS["addi"], rd=WALK_REG, rs1=WALK_REG, imm=2),
+    ], [], _ALL_M, True, [("UnalignedAccess", TEXT + 8)]),
+    # a new page every trip: each access re-verifies, and the third page is
+    # absent, so the loop stalls on it and goes on once it arrived
+    "stride-4096": ([_walk(8)], [
+        Instruction(SPECS["ld"], rd=5, rs1=WALK_REG, imm=0),
+        Instruction(SPECS["sd"], rs1=WALK_REG, rs2=5, imm=8),
+        Instruction(SPECS["addi"], rd=WALK_REG, rs1=WALK_REG, imm=4096),
+    ], [], (_M, _M, None, None), True,
+        [("PageStall", TEXT + 8 + 4 * write, DSM_PAGE + page, write, 8 + 8 * write, 8)
+         for page in (2, 3, 4) for write in (False, True)]),
+}
+
+
+@pytest.mark.parametrize("before,body,after,states,verifies,stops", _VERIFIED_EXAMPLES.values(),
+                         ids=list(_VERIFIED_EXAMPLES))
+def test_a_verified_page_is_invisible(before, body, after, states, verifies, stops):
+    """``before`` and ``after`` run once, around five trips of ``body``."""
+    loop = _looped(body, 5)
+    instrs = loop[:1] + before + loop[1:] + after
+    mem, _cpu = _node(instrs, _REGS, states, False)
+    tb = Backend().compile(Frontend(mem).build_block(TEXT + 4 * (1 + len(before))))
+    assert tb.loops and ("vp0 = -1" in tb.source) == verifies, tb.source
+    assert _run_on_node(instrs, _REGS, states, False, "interp")["events"] == stops
+    for quantum, threshold in itertools.product((101, 10**6), (0, 2)):
+        _assert_loops_are_invisible(instrs, _REGS, states, False, quantum, 2.88, threshold, False)

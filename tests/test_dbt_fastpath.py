@@ -12,6 +12,7 @@ signed order — the last helper such a loop used to call — agrees with
 """
 
 import itertools
+import sys
 
 import pytest
 
@@ -30,7 +31,7 @@ from repro.mem.llsc import LLSCTable
 from repro.mem.pagestore import PageStore
 from repro.mem.splitmap import SplitEntry, SplitMap
 from repro.workloads import memaccess, swaptions
-from tests.conftest import memory_image, python_calls, resident_node_memory
+from tests.conftest import c_calls, memory_image, python_calls, resident_node_memory
 
 TEXT = 0x1_0000
 PAGE = 0x100
@@ -264,40 +265,80 @@ def test_private_rmw_inner_block_shape(fusion):
     assert_no_call_per_trip(*steady_quantum(prog, ".pr_step", regs, fusion=fusion))
 
 
-def test_private_rmw_loop_body_stores_no_register_outside_its_miss_arms():
-    """``mem_rmw_walk``'s hot loop (its sizes at seed 0; the block at 0x10544):
-    a trip keeps every integer it writes in a host local, and only the miss
-    arms and the one exit after the loop write ``cpu.regs``."""
-    prog = memaccess.build_private_rmw(8, 4, pages_per_thread=8, passes=10, stride=8)
-    pc = prog.symbol(".pr_step")
-    tb = Backend().compile(Frontend(resident_node_memory(prog)).build_block(pc))
-    assert tb.loops and pc == 0x10544
+def loop_body(tb):
+    """The lines of ``tb``'s loop body, and those of its miss arms among them."""
     source = tb.source.split("    for i in range(n):\n", 1)[1].splitlines()
     body = list(itertools.takewhile(lambda ln: ln.startswith(" " * 8), source))
-    arms = [ln for ln in body if ln.startswith(" " * 12)]
-    assert sum(ln.strip().startswith("if X or") for ln in body) == 2
+    return body, [ln for ln in body if ln.startswith(" " * 12)], "".join(source[len(body):])
+
+
+def private_rmw_step():
+    """``mem_rmw_walk``'s hot loop (its sizes at seed 0; the block at 0x10544),
+    compiled against a memory holding the program's pages Modified."""
+    prog = memaccess.build_private_rmw(8, 4, pages_per_thread=8, passes=10, stride=8)
+    pc = prog.symbol(".pr_step")
+    mem = resident_node_memory(prog)
+    tb = Backend().compile(Frontend(mem).build_block(pc))
+    assert tb.loops and pc == 0x10544
+    return prog, mem, tb
+
+
+def test_private_rmw_loop_body_stores_no_register_outside_its_miss_arms():
+    """A trip keeps every integer it writes in a host local, and only the miss
+    arms and the one exit after the loop write ``cpu.regs``.  Both accesses
+    are verifying sites: each tries the page it verified before the full test."""
+    _prog, _mem, tb = private_rmw_step()
+    body, arms, after = loop_body(tb)
+    sites = [ln.strip() for ln in body if ln not in arms and ln.strip().startswith(("if p", "el"))]
+    assert sites == [
+        "if p == vp0: r29 = vb0[r28 & 4095]", "elif X or p not in S:",
+        "else: vp0 = p; vb0 = B[p]; r29 = vb0[r28 & 4095]",
+        "if p == vp1: vb1[r28 & 4095] = r29 & 255", "elif X or A or S.get(p) is not W:",
+        "else: vp1 = p; vb1 = B[p]; vb1[r28 & 4095] = r29 & 255",
+    ], tb.source
     assert [ln for ln in body if "R[" in ln and ln not in arms] == [], tb.source
-    assert any("R[" in ln for ln in arms) and "R[" in "".join(source[len(body):])
+    assert any("R[" in ln for ln in arms) and "R[" in after
+
+
+def test_a_verified_page_is_served_without_a_call():
+    """Round ``mem_rmw_walk``'s loop, the only call a trip makes is the store
+    site's ``S.get``, and only on the trip that verifies a page: 1,024 trips
+    over two pages call it twice, and leave what the methods would."""
+    prog, mem, tb = private_rmw_step()
+    base = prog.symbol("region")
+    want = resident_node_memory(prog)
+    for addr in range(base, base + 2 * PAGE_SIZE, 8):
+        want.store(addr, 1, want.load(addr, 1, False) + 1)
+    cpu = CPUState(pc=tb.pc, tid=1)
+    cpu.regs[9] = base  # s1: the region; s2 (its offset) starts at 0
+    calls = c_calls(tb.fn, cpu, mem, 2 * PAGE_SIZE // 8)
+    assert [call for call in calls if call is not sys.setprofile] == [mem.page_states.get] * 2
+    assert cpu.block_runs == 2 * PAGE_SIZE // 8 and cpu.regs[18] == 2 * PAGE_SIZE
+    assert memory_image(mem) == memory_image(want)
 
 
 def test_fp_compute_trial_loop_stores_its_sum_as_a_float():
     """``fp_compute``'s hot loop (swaptions' trial loop; the block at 0x10518):
     the sum it stores each trial stays a host float, packed straight into the
     page, so no trip casts a float to bits, and only the miss arm and the one
-    exit after the loop write ``cpu.regs``."""
+    exit after the loop write ``cpu.regs``.  The store's base register is never
+    written in the body, so its page and offset are bound before the loop."""
     prog = swaptions.build(32, 128, trials=2000)
     pc = prog.symbol(".sw_trial")
     tb = Backend().compile(Frontend(resident_node_memory(prog)).build_block(pc))
     assert tb.loops and pc == 0x10518
-    source = tb.source.split("    for i in range(n):\n", 1)[1].splitlines()
-    body = list(itertools.takewhile(lambda ln: ln.startswith(" " * 8), source))
-    arms = [ln for ln in body if ln.startswith(" " * 12)]
+    body, arms, after = loop_body(tb)
     outside = [ln for ln in body if ln not in arms]
-    assert sum(ln.strip().startswith("if X or") for ln in body) == 1
+    pre = tb.source.split("    for i in range(n):\n", 1)[0]
+    assert "    hp0 = r26 >> 12\n    ho0 = r26 & 4095\n" in pre, tb.source
     assert [ln for ln in outside if "R[" in ln] == [], tb.source
     assert [ln for ln in outside if "QU(" in ln or "DP(" in ln] == [], tb.source
-    assert any("pd(B[p], o, f6)" in ln for ln in outside), tb.source
-    assert any("R[6] = " in ln for ln in arms) and "R[6] = " in "".join(source[len(body):])
+    assert [ln.strip() for ln in outside if "ho0" in ln] == [
+        "if hp0 == vp0 and ho0 <= 4088: pd(vb0, ho0, f6) if f6 == f6 else p8(vb0, ho0, NAN)",
+        "elif X or A or ho0 > 4088 or S.get(hp0) is not W:",
+        "else: vp0 = hp0; vb0 = B[hp0]; pd(vb0, ho0, f6) if f6 == f6 else p8(vb0, ho0, NAN)",
+    ], tb.source
+    assert any("R[6] = " in ln for ln in arms) and "R[6] = " in after
 
 
 def test_wide_accesses_add_the_span_test_and_pure_blocks_bind_no_view():

@@ -8,14 +8,17 @@ thread would.
 """
 
 import itertools
+import math
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cost import CostModel
 from repro.dbt import Backend, CPUState, ExecutionEngine, Frontend, StopKind
 from repro.dbt.backend import TranslationBlock
 from repro.dbt.codecache import CodeCache
+from repro.dbt.engine import _add_times
 from repro.dbt.frontend import BlockIR
 from repro.dbt.interp import Interpreter
 from repro.dbt.stop import RC_SYSCALL
@@ -789,6 +792,31 @@ def quanta(source, stall, quantum, timing, **engine_options):
     return stops, engine
 
 
+#: Running totals: zero, subnormals, and sums of cycles up to about 1e9.
+_totals = (st.sampled_from([0.0, 5e-324, 2.0**-1022])
+           | st.floats(0.0, 2.0**-1022, exclude_max=True) | st.floats(0.0, 1e9))
+
+
+@st.composite
+def repeated_sums(draw):
+    """``(total, term, times)``: a term that ties in the total's binade, one
+    below half its ulp (each addition a no-op), a fractional CPI times a
+    block's length, or any term; from no additions to 10**5, which crosses
+    many binades."""
+    total = draw(_totals)
+    ulp = math.ulp(total)
+    kind = draw(st.sampled_from(["tie", "below-half", "cpi", "any"]))
+    if kind == "tie":
+        term = ulp * (draw(st.integers(0, 2**20)) + 0.5)
+    elif kind == "below-half":
+        term = ulp * draw(st.floats(0.0, 0.5, exclude_max=True))
+    elif kind == "cpi":
+        term = draw(st.sampled_from([2.88, 0.7, 0.96, 3.0])) * draw(st.integers(1, 64))
+    else:
+        term = draw(st.floats(0.0, 1e6))
+    return total, term, draw(st.integers(0, 40) | st.integers(0, 10**5))
+
+
 class TestLoopResidency:
     @pytest.mark.parametrize("name", list(LOOPS))
     def test_in_place_trips_are_booked_as_the_dispatcher_books_them(self, name):
@@ -843,6 +871,20 @@ class TestLoopResidency:
         assert len(stops) > 15
         assert [s[3] for s in stops] == [s[3] for s in want]  # cycle_frac, to the bit
         assert engine.execute_cycles == pinned.execute_cycles
+
+    @settings(deadline=None)  # example count comes from the profile (tests/conftest.py)
+    @given(repeated_sums())
+    @example((1000.0, math.ulp(1000.0) * 4.5, 100))  # ties from an even multiple
+    @example((1000.0 + math.ulp(1000.0), math.ulp(1000.0) * 4.5, 100))  # from an odd one
+    @example((1e9, math.ulp(1e9) * 0.25, 1000))  # every addition a no-op
+    @example((7 * 5e-324, 3 * 5e-324, 1000))  # subnormal
+    @example((0.0, 2.88 * 7, 10**5))  # from zero, over many binades
+    def test_a_replay_in_closed_form_is_its_additions_bit_for_bit(self, case):
+        total, term, times = case
+        want = total
+        for _ in range(times):
+            want += term
+        assert _add_times(total, term, times).hex() == want.hex()
 
     def test_a_non_positive_cpi_never_divides(self):
         prog, mem, cpu = load(LOOP_SRC)
