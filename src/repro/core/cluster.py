@@ -114,13 +114,13 @@ class _JobRuntime:
     state: SystemState
     placer: ThreadPlacer
     master: Optional[MasterRuntime]
-    failure_domain: object  # Optional[FailureDomainService]
     rpc_base: RpcStats
     deadline_ns: Optional[int]
 
 
 class _Fleet:
-    """The long-lived shared substrate: simulator, fabric, nodes, health.
+    """The long-lived shared substrate: simulator, fabric (with the fleet's
+    health view), nodes.
 
     Built lazily on the first admission so a fresh cluster's first run
     reproduces the historical construction order event-for-event.  Tenants
@@ -135,10 +135,6 @@ class _Fleet:
         self.injector: Optional[FaultInjector] = None
         if cfg.fault_plan is not None:
             self.injector = FaultInjector(self.sim, cfg.fault_plan).attach(self.fabric)
-        # Peer health is pure bookkeeping (no simulator events), so every
-        # fleet carries a tracker; the RPC channels feed it via fabric.health.
-        self.health = HealthTracker(self.sim)
-        self.fabric.health = self.health
         cluster.tracer.bind_clock(lambda: self.sim.now)
         self.node_ids = list(range(cluster.n_slaves + 1))
         self.nodes = {
@@ -318,7 +314,7 @@ class Cluster:
         candidates = fleet.node_ids[1:] if self.n_slaves else [0]
         placer = ThreadPlacer(
             cfg.scheduler, candidates,
-            health=fleet.health if cfg.health_aware_placement else None,
+            health=fleet.fabric.health if cfg.health_aware_placement else None,
             fallback=0,
             # Stagger each tenant's round-robin cursor so concurrent jobs
             # interleave across the slaves instead of piling onto node 1.
@@ -341,7 +337,6 @@ class Cluster:
             master = MasterRuntime(
                 sim, cfg, fleet.nodes[0], fleet.node_ids, home, state, placer,
                 stats, done, tenant=job.tenant,
-                failure_view=fleet.health if cfg.failure_domain else None,
             )
             fleet.directories.add_tenant(job.tenant, master.coherence.directory)
             master.on_retire = lambda j=job: self._retire(j)
@@ -355,7 +350,7 @@ class Cluster:
                 # Promote peer-level DOWN (retry budget exhausted) into a
                 # cluster-level node failure: latch the view, evict the
                 # directory, recover the threads.
-                fleet.health.on_down.append(failure_domain.node_failed)
+                fleet.fabric.health.on_down = failure_domain.node_failed
             for node_id, at_ns in cfg.crashes:
                 if node_id not in fleet.nodes or node_id == 0:
                     raise ConfigError(f"cannot crash node {node_id}")
@@ -381,7 +376,6 @@ class Cluster:
             state=state,
             placer=placer,
             master=master,
-            failure_domain=failure_domain,
             # Channel counters are fleet-wide; a snapshot at admission lets
             # the result report this job's delta (its service rows start at 0).
             rpc_base=RpcStats.collect(
@@ -463,10 +457,11 @@ class Cluster:
             fabric=fabric,
             faults=fleet.injector.stats if fleet.injector is not None else None,
             rpc=rpc_total.minus(rt.rpc_base),
-            health=fleet.health.record(),
+            health=fleet.fabric.health.record(),
             failures=(
-                rt.failure_domain.failures
-                if rt.failure_domain is not None else None
+                rt.master.failure_domain.failures
+                if rt.master is not None and rt.master.failure_domain is not None
+                else None
             ),
             placements=rt.placer.distribution(),
             placement_skips=rt.placer.skip_counts(),

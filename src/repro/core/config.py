@@ -187,7 +187,7 @@ class DQEMUConfig:
     @property
     def failure_domain(self) -> bool:
         """The master's failure domain is armed: crashes are recovered, or a
-        drain is scheduled.  Without it every service stays failure-blind."""
+        drain is scheduled.  Without it no node is ever latched failed."""
         return self.evacuation_enabled or bool(self.drains)
 
     @property

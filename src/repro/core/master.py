@@ -30,7 +30,7 @@ system state) is per job by construction.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from repro.core.config import DQEMUConfig
 from repro.core.node import NodeRuntime
@@ -48,9 +48,6 @@ from repro.kernel.syscalls import SystemState
 from repro.mem.pagestore import PageStore
 from repro.net.messages import Shutdown
 from repro.sim.engine import Event, Process, Simulator
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.health import HealthTracker
 
 __all__ = ["MasterRuntime"]
 
@@ -78,7 +75,6 @@ class MasterRuntime:
         run_stats: RunStats,
         done: Event,
         *,
-        failure_view: Optional["HealthTracker"] = None,
         tenant: int = 0,
     ) -> None:
         self.sim = sim
@@ -96,10 +92,6 @@ class MasterRuntime:
         self.done = done
         self.trace = node.trace
         self.finished = False
-        # The fleet's health tracker when the failure domain is armed (the
-        # dispatcher refuses frames from the nodes it latched failed); None
-        # keeps every service on its failure-blind, bit-identical code paths.
-        self.failure_view = failure_view
         #: Called once, when the job is over on the master: ``finish`` ran,
         #: every node acked its Shutdown and ``in_flight`` is back to 0.
         self.on_retire: Optional[Callable[[], None]] = None
@@ -118,13 +110,13 @@ class MasterRuntime:
         # Heartbeats (docs/PROTOCOL.md "Failure detection") require
         # evacuation_enabled, so they only come with it.
         self.failure_domain = (
-            FailureDomainService(self) if failure_view is not None else None
+            FailureDomainService(self) if config.failure_domain else None
         )
         self.heartbeat_service = (
             HeartbeatService(self) if config.heartbeat_interval_ns is not None else None
         )
 
-        self.dispatcher = Dispatcher(self.endpoint, run_stats, failure_view=failure_view)
+        self.dispatcher = Dispatcher(self.endpoint, run_stats)
         for service in (
             self.coherence, self.splitting, self.syscalls, self.forwarding,
             self.futexes, self.failure_domain, self.heartbeat_service,

@@ -216,10 +216,9 @@ class NodeRuntime:
         #: Fail-stop (set by FaultPlan.crash schedules, docs/PROTOCOL.md
         #: "Failure domains").
         self.crashed = False
-        #: Drain duties; None where no drain is scheduled.
-        self.failure_domain: Optional[NodeFailureDomain] = (
-            NodeFailureDomain(self) if NodeFailureDomain.armed(self) else None
-        )
+        #: Drain duties, built when the drain order lands: not None exactly
+        #: while this node drains.
+        self.failure_domain: Optional[NodeFailureDomain] = None
         #: Set for the pure-QEMU baseline: global syscalls execute in the trap.
         self.local_kernel: Optional["LocalKernel"] = None
 
@@ -361,7 +360,6 @@ class NodeRuntime:
             bundle = self.tenants[th.tenant]
         except KeyError:  # a late reply requeued a thread of a retired job
             return
-        domain = self.failure_domain
         while not self.shutdown and not bundle.finished:
             stop = bundle.engine.run_quantum(cpu, cfg.quantum_cycles)
             ns = round(stop.cycles / self.ghz)  # _cycles_to_ns
@@ -377,7 +375,7 @@ class NodeRuntime:
             th.stats.quanta += 1
             kind = stop.kind
             if kind is StopKind.QUANTUM:
-                if len(self.runqueue) or (domain is not None and domain.draining):
+                if len(self.runqueue) or self.failure_domain is not None:
                     self._requeue(th)  # other threads are waiting: yield the core
                     return
                 continue

@@ -27,11 +27,13 @@ Two frames are refused before any handler runs, both billed:
   (:meth:`~repro.net.rpc.RpcChannel.first_delivery`, which remembers the
   served ids and answers a replay of an answered request from its reply
   cache); a replay is billed to the service's ``duplicates`` counter.
-* **Dead senders** — a master's dispatcher holds the failure view
-  when the failure domain is armed, and refuses any frame whose sender is
-  latched failed (billed, counted once in ``dead_peer_skips``, never
-  handled): recovery for that node already ran, and serving its frame would
-  re-admit it to the directory, the kernel state or the snapshot store.
+* **Dead senders** — every dispatcher refuses a frame whose sender the
+  fleet's health view (``Fabric.health``) has latched failed (billed,
+  counted once in ``dead_peer_skips``, never handled): recovery for that
+  node already ran, and serving its frame would re-admit it to the
+  directory, the kernel state or the snapshot store.  Only the master's
+  failure domain latches a node, and only slaves are latched, so on a
+  node-side dispatcher the test never holds.
 
 This module is also the one place on the master side that reads
 ``rpc_timeout_ns``: :meth:`MasterService.request` issues every call with it,
@@ -54,7 +56,6 @@ from repro.net.rpc import RpcTimeout
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.master import MasterRuntime
     from repro.net.endpoint import Endpoint
-    from repro.net.health import HealthTracker
     from repro.net.messages import Message
 
 __all__ = ["Service", "MasterService", "Dispatcher"]
@@ -76,17 +77,6 @@ class Service(Protocol):
 
     def handle(self, msg: Any) -> Generator[Any, Any, Any]:
         ...
-
-
-def _absorb(_event) -> None:
-    """No-op event callback: parks a possible failure until it is awaited.
-
-    The engine raises a failed event's exception out of ``step()`` when the
-    event has no callbacks (a failure nobody could see); a tolerant
-    :meth:`MasterService.gather` issues several requests before awaiting
-    any, so each needs a callback from the moment it is issued.  Awaiting
-    later still delivers the failure to the awaiting process (late
-    subscription re-fires)."""
 
 
 class MasterService:
@@ -125,12 +115,10 @@ class MasterService:
         self.run_stats = master.run_stats
         self.tenant = master.tenant
         self.node_id = master.node.node_id
-        # The fleet's HealthTracker when the failure domain is armed: work
-        # touching a confirmed-dead peer degrades (skip it, count it)
-        # instead of aborting the run.
-        # None keeps every code path and event schedule bit-identical to
-        # the failure-blind protocol.
-        self.view = master.failure_view
+        # The fleet's health view: work touching a peer it has latched
+        # failed degrades (skip it, count it) instead of aborting the run.
+        # Only the failure domain latches, so without one nothing is skipped.
+        self.view = self.endpoint.fabric.health
         # Loss recovery for the requests this service issues.  Resolved
         # once; the stats row is looked up only when armed, so default runs
         # create no extra RunStats entries.
@@ -147,13 +135,19 @@ class MasterService:
     # -- failure view -----------------------------------------------------------
 
     def _dead(self, node: int) -> bool:
-        return self.view is not None and self.view.is_failed(node)
+        return node in self.view.failed
 
     def live(self, peers: Sequence[int]) -> Sequence[int]:
-        """``peers`` minus the ones the failure view has latched failed."""
-        if self.view is None:
-            return peers
-        return [n for n in peers if not self.view.is_failed(n)]
+        """``peers`` minus the ones the failure view has latched failed
+        (``peers`` itself while nothing is latched: no list, no call)."""
+        failed = self.view.failed
+        return [n for n in peers if n not in failed] if failed else peers
+
+    def _died(self, exc: BaseException) -> bool:
+        """``exc`` is what an await of a reply tolerates: a timeout against a
+        peer the failure detector has confirmed dead.  Timeouts against live
+        peers are failures — a slow peer is not a dead one."""
+        return isinstance(exc, RpcTimeout) and exc.request.dst in self.view.failed
 
     # -- originating frames -----------------------------------------------------
 
@@ -179,22 +173,19 @@ class MasterService:
         msg.tenant = self.tenant
         return self.endpoint.rpc.notify(dst, msg, self.request)
 
-    def _reply_or_none(self, peer: int, reply_event):
-        """Await a request issued to ``peer``, tolerating it dying mid-call.
-
-        Returns the reply, or ``None`` when the call timed out against a
-        peer the failure detector has confirmed dead.  Timeouts against live
-        peers still raise — a slow peer is not a dead one."""
+    def _reply_or_none(self, reply_event):
+        """Await a request's reply event: the reply, or ``None`` when the call
+        timed out against a peer that died mid-call (:meth:`_died`)."""
         try:
             return (yield reply_event)
-        except RpcTimeout:
-            if not self._dead(peer):
+        except RpcTimeout as exc:
+            if not self._died(exc):
                 raise
             return None
 
     def ask(self, peer: int, msg: "Message"):
         """Request/await; ``None`` if ``peer`` died mid-call."""
-        return (yield from self._reply_or_none(peer, self.request(peer, msg)))
+        return (yield from self._reply_or_none(self.request(peer, msg)))
 
     def gather(self, peers: Sequence[int], make_msg: Callable[[int], "Message"],
                landed: Optional[Callable[["Message"], None]] = None):
@@ -202,29 +193,25 @@ class MasterService:
 
         Returns ``(acks, skipped)``: the replies in peer order and how many
         peers died mid-call and were skipped (the caller decides whether
-        that is billed).  All requests go out before any is awaited.
-        Failure-blind, that is one ``all_of``; with a view each request is
-        absorbed and awaited in turn so a peer's death costs its ack, not
-        the transaction.  ``landed`` is called with every reply that has
-        landed when the gather ends, also when another peer's timeout ends
-        it, so a caller records what each answering peer did."""
+        that is billed).  All requests go out before any is awaited, in one
+        ``all_of`` that tolerates what :meth:`ask` tolerates, so a peer's
+        death costs its ack, not the transaction; any other failure ends the
+        gather the moment it lands.  ``landed`` is called with every reply
+        that has landed when the gather ends, also when a failure ends it,
+        so a caller records what each answering peer did."""
         requests = [self.request(n, make_msg(n)) for n in peers]
+        done = self.sim.all_of(requests, tolerate=self._died)
         try:
-            if self.view is None:
-                return (yield self.sim.all_of(requests)), 0
-            for ev in requests:
-                ev.add_callback(_absorb)
-            acks = []
-            for n, ev in zip(peers, requests):
-                ack = yield from self._reply_or_none(n, ev)
-                if ack is not None:
-                    acks.append(ack)
-            return acks, len(requests) - len(acks)
+            replies = yield done
         finally:
             if landed is not None:
                 for ev in requests:
                     if ev.triggered and ev.ok:
                         landed(ev.value)
+        skipped = done.tolerated
+        if skipped:
+            replies = [ack for ack in replies if ack is not None]
+        return replies, skipped
 
     # -- placing threads --------------------------------------------------------
 
@@ -266,7 +253,6 @@ class Dispatcher:
         run_stats: RunStats,
         *,
         stats_resolver=None,
-        failure_view: Optional["HealthTracker"] = None,
     ):
         self.sim = endpoint.sim
         self.run_stats = run_stats
@@ -277,11 +263,10 @@ class Dispatcher:
         #: The endpoint's RPC channel: its ``replays`` says whether a request
         #: can arrive twice, and its ``first_delivery`` whether this one has.
         self._rpc = endpoint.rpc
-        #: The fleet's health tracker on a master whose failure domain
-        #: is armed: frames from a sender it has latched failed are refused.
-        #: None elsewhere (node-side dispatchers: the master is never
-        #: latched), which keeps the failure-blind path one attribute test.
-        self.failure_view = failure_view
+        #: The nodes the fleet's health view has latched failed (its
+        #: ``failed`` set, never rebound): a frame from one is refused, at
+        #: the cost of one set test.
+        self._failed = endpoint.fabric.health.failed
         self.services: list[Service] = []
         self._routes: dict[str, Service] = {}
 
@@ -356,8 +341,7 @@ class Dispatcher:
         if shard_stats is not None:
             shard_stats.requests += 1
             shard_stats.queue_wait_ns += waited
-        view = self.failure_view
-        if view is not None and view.is_failed(msg.src):
+        if msg.src in self._failed:
             run_stats.protocol.dead_peer_skips += 1
             return None
         try:

@@ -96,7 +96,7 @@ class CoherenceService(MasterService):
         super().__init__(master)
         self.home = master.home
         # A node the failure view latched is never listed (Directory.apply).
-        self.directory = Directory(self.view.failed if self.view is not None else ())
+        self.directory = Directory(self.view.failed)
         # Per-page protocol decisions (docs/PROTOCOL.md "Coherence
         # protocols").  The default MSI policy is stateless no-ops —
         # bit-identical behavior.

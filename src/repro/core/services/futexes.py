@@ -55,11 +55,11 @@ class FutexService(MasterService):
             ack = self.notify(rec.node, wake)
             if ack is not None:
                 self.master.spawn(
-                    self._await_ack(ack, rec.node), f"futex-wake-ack@tid{rec.tid}"
+                    self._await_ack(ack), f"futex-wake-ack@tid{rec.tid}"
                 )
 
-    def _await_ack(self, ack, peer: int):
-        if (yield from self._reply_or_none(peer, ack)) is None:
+    def _await_ack(self, ack):
+        if (yield from self._reply_or_none(ack)) is None:
             # The sleeper's node died before the wake landed; the recovery
             # pass owns that thread's fate now (evacuated or reaped), so a
             # lost wake is accounting, not an abort.

@@ -8,8 +8,8 @@ reference to their :class:`~repro.core.node.NodeRuntime` because the state
 they act on (page store, run queue, guest threads) is shared with the
 execution engine.
 
-Beside them, :class:`NodeFailureDomain` owns a slave's drain; it handles
-no frame, so no dispatcher knows it.
+Beside them, :class:`NodeFailureDomain` owns a slave's drain, built when
+the drain order lands; it handles no frame, so no dispatcher knows it.
 
 Every handler resolves the frame's tenant bundle first: page stores, split
 tables and thread tables are per-job namespaces on a multi-tenant node, and
@@ -160,8 +160,7 @@ class NodeControlService(_NodeService):
         # on every thread reaching a scheduling point is evacuated back to
         # the master instead of being run or requeued.  Coherence service
         # stays up — the node's pages migrate away lazily.
-        domain = self.node.failure_domain
-        domain.draining = True
+        domain = self.node.failure_domain = NodeFailureDomain(self.node)
         self.endpoint.reply(msg, Ack())
         domain.check_drain_complete()
         return
@@ -188,29 +187,20 @@ class NodeControlService(_NodeService):
 
 class NodeFailureDomain:
     """A slave's cooperative drain (docs/PROTOCOL.md "Failure domains").
-    Built only on a node a drain is scheduled for (:meth:`armed`); the node
-    consults it when a thread is requeued or dequeued."""
+
+    Built when the master's ``StartDrain`` order lands, so a node has one
+    exactly while it drains: from then on every thread reaching a
+    scheduling point (requeued or dequeued) is evacuated instead of run."""
 
     def __init__(self, node: "NodeRuntime") -> None:
         self.node = node
-        #: Set by the master's ``start_drain`` order: every thread reaching a
-        #: scheduling point is evacuated instead of run or requeued.
-        self.draining = False
         self.evacuating = 0  # evacuation RPCs still in flight
         self.drain_sent = False
 
-    @staticmethod
-    def armed(node: "NodeRuntime") -> bool:
-        """A drain is scheduled for ``node`` (never the master, which
-        neither crashes nor drains)."""
-        return node.node_id != node.master_id and any(
-            n == node.node_id for n, _ in node.config.drains
-        )
-
     def evacuates(self, th: "GuestThread") -> bool:
         """True if ``th``, at a scheduling point (requeued or just dequeued),
-        was evacuated instead of run: the node is draining."""
-        if self.draining and not self.node.shutdown:
+        was evacuated instead of run."""
+        if not self.node.shutdown:
             self.evacuate(th)
             return True
         return False
@@ -242,8 +232,7 @@ class NodeFailureDomain:
         every evacuation RPC has been acknowledged."""
         node = self.node
         if (
-            not self.draining
-            or self.drain_sent
+            self.drain_sent
             or node.shutdown
             or any(b.threads for b in node.tenants.values())
             or self.evacuating

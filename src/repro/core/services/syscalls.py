@@ -97,10 +97,10 @@ class SyscallService(MasterService):
         data follows through the coherence protocol, as at creation (§4.1).
         """
         target = result.migrate_to
-        unusable = self.view is not None and not self.view.usable(target)
+        # Where the failure domain is armed, a known-dead or draining target
+        # would strand the thread: EINVAL, as for an unknown node.
+        unusable = self.master.failure_domain is not None and not self.view.usable(target)
         if target not in self.master.node_ids or unusable:
-            # Unknown node, or a known-dead/draining one: migrating there
-            # would strand the thread, so the guest gets EINVAL either way.
             self.endpoint.reply(
                 msg, SyscallReply(retval=(-ERRNO.EINVAL) & 0xFFFF_FFFF_FFFF_FFFF)
             )

@@ -11,7 +11,7 @@ one-manager-per-slave design (§4, Fig. 2).
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Optional
+from typing import Callable, Hashable
 
 from repro.errors import NetworkError
 from repro.net.fabric import Fabric
@@ -41,7 +41,6 @@ class Endpoint:
         self.reply = self.rpc.reply
         self._queues: dict[Hashable, SimQueue] = {}
         self._route: Callable[[Message], Hashable] = lambda msg: msg.kind
-        self._default_queue: Optional[SimQueue] = None
         fabric.attach(self)
 
     # -- configuration ------------------------------------------------------
@@ -59,12 +58,6 @@ class Endpoint:
     def unsubscribe(self, key: Hashable) -> None:
         """Forget the queue for ``key`` (a retired job's mailbox)."""
         del self._queues[key]
-
-    def subscribe_default(self) -> SimQueue:
-        """Queue receiving inbound messages with no subscribed key."""
-        if self._default_queue is None:
-            self._default_queue = SimQueue(self.sim)
-        return self._default_queue
 
     # -- sending ------------------------------------------------------------
 
@@ -107,8 +100,6 @@ class Endpoint:
         msg._arrived_ns = self.sim.now
         key = self._route(msg)
         queue = self._queues.get(key)
-        if queue is None:
-            queue = self._default_queue
         if queue is None:
             raise NetworkError(
                 f"node {self.node_id}: no subscriber for key {key!r} (kind={msg.kind})"

@@ -20,13 +20,13 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.cost import TESTBED, CostModel
 from repro.errors import NetworkError
+from repro.net.health import HealthTracker
 from repro.net.messages import Message
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.endpoint import Endpoint
     from repro.net.faults import FaultStats
-    from repro.net.health import HealthTracker
 
 __all__ = ["Fabric", "FabricStats"]
 
@@ -95,10 +95,11 @@ class Fabric:
         #: Injection counters, set by ``FaultInjector.attach``; ``None`` on a
         #: lossless (un-instrumented) fabric.
         self.fault_stats: Optional["FaultStats"] = None
-        #: Per-peer health view fed by the RPC reliability layer
-        #: (``repro.net.health.HealthTracker``), attached by the cluster the
-        #: same way fault stats are; ``None`` on a bare fabric.
-        self.health: Optional["HealthTracker"] = None
+        #: The fleet's one health view (docs/PROTOCOL.md "Failure domains"):
+        #: fed by every endpoint's RPC channel and the heartbeat monitor,
+        #: latched by the master's failure domain, read by the placer, the
+        #: services and every dispatcher.
+        self.health = HealthTracker(sim)
         #: Tenants whose job retired (docs/PROTOCOL.md "Job lifecycle"): a
         #: request or command still addressed to one is dropped on arrival
         #: and counted in ``late_frames``; replies still complete their calls.

@@ -10,15 +10,15 @@ into a cluster-wide per-peer view — :class:`PeerState` ``up`` / ``suspect``
 so experiments and services can tell a slow peer from a dead one without
 parsing exception strings.
 
-One :class:`HealthTracker` serves the whole cluster: every endpoint's
-:class:`~repro.net.rpc.RpcChannel` reports into it through
-``Fabric.health`` (mirroring how ``Fabric.fault_stats`` is attached), and
-entries are keyed by the *peer being judged*, merging observations from all
-of its clients.  It is also the master's failure view: the failure domain
+One :class:`HealthTracker` serves the whole cluster: the
+:class:`~repro.net.fabric.Fabric` builds it (``Fabric.health``), every
+endpoint's :class:`~repro.net.rpc.RpcChannel` reports into it, and entries
+are keyed by the *peer being judged*, merging observations from all of its
+clients.  It is also the master's failure view: the failure domain
 latches nodes ``failed`` or ``draining`` in it, and the placer and services
 ask it which nodes may take new work.  The tracker is pure bookkeeping — it
-never schedules a simulator event — so attaching it cannot perturb event
-ordering, and every run (retries armed or not) can carry one for free.
+never schedules a simulator event — so carrying it cannot perturb event
+ordering, and every run (retries armed or not) has one for free.
 """
 
 from __future__ import annotations
@@ -89,14 +89,16 @@ class HealthTracker:
     suspect_after: int = 2
     down_after: int = 5
     peers: dict[int, PeerHealth] = field(default_factory=dict)
-    #: Called with the peer's node id each time a peer *transitions* into
-    #: DOWN (not on repeat confirmations).  The master's failure detector
-    #: subscribes here to promote peer-level DOWN into a cluster-level
-    #: NodeFailed event.  Callbacks run synchronously inside the RPC timer
-    #: expiry, *before* the failing call's exception is delivered, so by the
-    #: time a handler observes the timeout the cluster view already reflects
-    #: the failure.
-    on_down: list[Callable[[int], None]] = field(default_factory=list)
+    #: Called with the peer's node id the first time a peer *transitions*
+    #: into DOWN (not on repeat confirmations): the master's failure domain
+    #: (``FailureDomainService.node_failed``) where crashes are recovered,
+    #: promoting peer-level DOWN into a cluster-level node failure.  It runs
+    #: synchronously inside the RPC timer expiry, *before* the failing call's
+    #: exception is delivered, so by the time a handler observes the timeout
+    #: the cluster view already reflects the failure.
+    on_down: Optional[Callable[[int], None]] = None
+    #: Latched sets, mutated in place and never rebound: directories and
+    #: dispatchers hold ``failed`` itself.
     failed: set[int] = field(default_factory=set)
     draining: set[int] = field(default_factory=set)
 
@@ -162,8 +164,8 @@ class HealthTracker:
         # (the failure domain aborts pending calls, which can record more
         # evidence against the same peer) must not re-fire.
         p.down_reported = True
-        for cb in list(self.on_down):
-            cb(p.node)
+        if self.on_down is not None:
+            self.on_down(p.node)
 
     # -- latches (the master's failure domain) --------------------------------
 

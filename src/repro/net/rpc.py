@@ -365,11 +365,9 @@ class RpcChannel:
         self._remember(req_id, "expired")
         if call.attempt:
             self.exhausted += 1
-        health = self.endpoint.fabric.health
-        if health is not None:
-            # Retries or not, an unanswered budget means the peer is gone as
-            # far as this call is concerned.
-            health.exhausted_budget(call.dst)
+        # Retries or not, an unanswered budget means the peer is gone as far
+        # as this call is concerned.
+        self.endpoint.fabric.health.exhausted_budget(call.dst)
         call.event.fail(RpcTimeout(call.msg, call.timeout_ns, call.attempt, call.service))
 
     def _retransmit(self, key: tuple[int, int]) -> None:
@@ -379,9 +377,7 @@ class RpcChannel:
             return
         call.attempt += 1
         call.stats.retransmits += 1
-        health = self.endpoint.fabric.health
-        if health is not None:
-            health.retransmitted(call.dst)
+        self.endpoint.fabric.health.retransmitted(call.dst)
         # Clone per the endpoint aliasing contract: the original instance is
         # owned by the fabric from its first transmission.
         self.endpoint.transmit(call.dst, clone_frame(call.msg))
@@ -494,9 +490,7 @@ class RpcChannel:
             raise NetworkError(
                 f"node {self.endpoint.node_id}: reply to unknown request {req_id}"
             )
-        health = self.endpoint.fabric.health
-        if health is not None:
-            health.heard_from(msg.src)
+        self.endpoint.fabric.health.heard_from(msg.src)
         if call.__class__ is _Call:  # an armed call: disarm it, count a recovery
             call.timer = None
             if call.attempt:

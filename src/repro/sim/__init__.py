@@ -1,7 +1,7 @@
 """Deterministic discrete-event simulation kernel (virtual nanoseconds)."""
 
 from repro.sim.engine import AllOf, AnyOf, Event, Process, Simulator, Timeout
-from repro.sim.sync import LockTable, SimQueue, SimSemaphore
+from repro.sim.sync import LockTable, SimQueue
 
 __all__ = [
     "AllOf",
@@ -10,7 +10,6 @@ __all__ = [
     "LockTable",
     "Process",
     "SimQueue",
-    "SimSemaphore",
     "Simulator",
     "Timeout",
 ]

@@ -300,15 +300,6 @@ class Process(Event):
         else:
             self.fail(exc)
 
-    def interrupt(self, exc: BaseException) -> None:
-        """Throw ``exc`` into the process at the next scheduling slot."""
-        kick = Event(self.sim)
-        kick.callbacks.append(self._resume)
-        kick._triggered = True
-        kick._ok = False
-        kick._value = exc
-        self.sim._fifo.append(kick)
-
 
 #: What a new process's first ``send`` sees as its trigger: ok, no value.
 _STARTED = Event(None)  # type: ignore[arg-type]
@@ -320,15 +311,22 @@ _SLEEP = object()
 
 
 class AllOf(Event):
-    """Fires when every child event has fired; value is the list of values."""
+    """Fires when every child event has fired; value is the list of values.
 
-    __slots__ = ("_pending", "_values")
+    A failed child fails it at once, unless ``tolerate(exc)`` says that
+    failure is expected: the child's slot then stays ``None``, ``tolerated``
+    counts it, and the others are still awaited."""
 
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
+    __slots__ = ("_pending", "_values", "_tolerate", "tolerated")
+
+    def __init__(self, sim: "Simulator", events: Iterable[Event],
+                 tolerate: Optional[Callable[[BaseException], bool]] = None):
         super().__init__(sim)
         events = list(events)
         self._pending = len(events)
         self._values: list[Any] = [None] * len(events)
+        self._tolerate = tolerate
+        self.tolerated = 0
         if not events:
             self.succeed([])
             return
@@ -338,10 +336,13 @@ class AllOf(Event):
     def _child(self, i: int, ev: Event) -> None:
         if self._triggered:
             return
-        if not ev._ok:
+        if ev._ok:
+            self._values[i] = ev._value
+        elif self._tolerate is not None and self._tolerate(ev._value):
+            self.tolerated += 1
+        else:
             self.fail(ev._value)
             return
-        self._values[i] = ev._value
         self._pending -= 1
         if self._pending == 0:
             self.succeed(self._values)
@@ -440,8 +441,11 @@ class Simulator:
         of its waiters (:meth:`Process._crash`)."""
         return Process(self, gen, name, on_error)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
+    def all_of(self, events: Iterable[Event],
+               tolerate: Optional[Callable[[BaseException], bool]] = None) -> AllOf:
+        """An event firing once every one of ``events`` has (:class:`AllOf`;
+        ``tolerate`` names the failures that leave a ``None`` instead)."""
+        return AllOf(self, events, tolerate)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)

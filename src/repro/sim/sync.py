@@ -14,7 +14,7 @@ from typing import Any, Deque, Hashable
 from repro.errors import SimulationError
 from repro.sim.engine import Event, Simulator
 
-__all__ = ["LockTable", "SimSemaphore", "SimQueue"]
+__all__ = ["LockTable", "SimQueue"]
 
 
 class LockTable:
@@ -63,37 +63,6 @@ class LockTable:
         if waiters:  # hand the lock to the oldest waiter
             self._held[key] = waiters[1:]
             waiters[0].succeed()
-
-
-class SimSemaphore:
-    """Counting semaphore with FIFO wakeup order."""
-
-    def __init__(self, sim: Simulator, value: int = 0):
-        if value < 0:
-            raise SimulationError("semaphore value must be >= 0")
-        self.sim = sim
-        self._value = value
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def acquire(self) -> Event:
-        ev = Event(self.sim)
-        if self._value > 0:
-            self._value -= 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self._waiters:
-                self._waiters.popleft().succeed()
-            else:
-                self._value += 1
 
 
 class SimQueue:

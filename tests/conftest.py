@@ -103,7 +103,7 @@ def assert_directory_mirrors(cluster):
     invariants hold.  Call right after ``run()`` returns, before the
     cluster is driven again (that retires the job's state)."""
     fleet = cluster._fleet
-    latched = fleet.health.failed
+    latched = fleet.fabric.health.failed
     for tenant in cluster.directories.tenants():
         listed: dict[int, set[int]] = {}
         for page, ent in cluster.directories.for_tenant(tenant)._entries.items():

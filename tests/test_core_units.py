@@ -264,7 +264,7 @@ class _Slave:
         self.sim = Simulator()
         fabric = Fabric(self.sim)
         self.master = Endpoint(self.sim, fabric, 0)
-        self.requests = self.master.subscribe_default()
+        self.requests = self.master.subscribe("page_request")
         self.node = NodeRuntime(
             self.sim, fabric, 1, DQEMUConfig(**options), RunStats()
         )
@@ -536,10 +536,11 @@ class TestImageLoad:
         home = PageStore()
         for vaddr, data in program.iter_load_segments():
             Cluster._load_segment(home, vaddr, data)
+        sim = Simulator()
         master = SimpleNamespace(
-            sim=Simulator(), config=DQEMUConfig(), endpoint=None, trace=NULL_TRACER,
-            run_stats=RunStats(), tenant=0, node=SimpleNamespace(node_id=0),
-            failure_view=None, home=home,
+            sim=sim, config=DQEMUConfig(), endpoint=Endpoint(sim, Fabric(sim), 0),
+            trace=NULL_TRACER, run_stats=RunStats(), tenant=0,
+            node=SimpleNamespace(node_id=0), home=home,
         )
         co = CoherenceService(master)
         bss_pages = range(page_of(self.BSS.base), page_of(self.BSS.end - 1) + 1)

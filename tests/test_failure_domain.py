@@ -198,7 +198,7 @@ class TestHealthTrackerHealing:
         sim = Simulator()
         t = HealthTracker(sim, suspect_after=2, down_after=3)
         fired = []
-        t.on_down.append(fired.append)
+        t.on_down = fired.append
         for _ in range(3):
             t.retransmitted(4)
         assert t.state_of(4) is PeerState.DOWN
@@ -370,8 +370,9 @@ def _pi(cfg, trace=False):
 
 #: What each configuration arms, and the ``RunStats.services`` rows a run of
 #: it reports, in order: the master dispatcher's services, whether the master has
-#: a failure view, the slaves with a ``NodeFailureDomain`` and with a
-#: heartbeat sender, whether the placer consults health.
+#: a failure domain, the slaves that drained (built a ``NodeFailureDomain``
+#: when the drain order landed) and with a heartbeat sender, whether the
+#: placer consults health.
 _EVAC = dict(rpc_timeout_ns=5_000_000, rpc_max_retries=4, evacuation_enabled=True)
 _MASTER = "coherence splitting syscall forwarding futex"
 _NODE = "node.coherence node.split_table node.control"
@@ -407,7 +408,7 @@ class TestArming:
 
     @pytest.mark.parametrize("case", ARMING)
     def test_arming(self, case):
-        cfg_kw, master_svcs, view, domains, senders, placer_health, rows = ARMING[case]
+        cfg_kw, master_svcs, domain, drained, senders, placer_health, rows = ARMING[case]
         cluster = Cluster(3, DQEMUConfig(**cfg_kw).time_scaled(100.0))
         r = cluster.run(
             pi_taylor.build(n_threads=3, terms=600, reps=2), max_virtual_ms=60_000_000
@@ -416,8 +417,8 @@ class TestArming:
         runtime = cluster.jobs[0].runtime
         nodes = cluster._fleet.nodes.items()
         assert [s.name for s in runtime.master.dispatcher.services] == master_svcs.split()
-        assert (runtime.master.failure_view is not None) == view
-        assert [n for n, node in nodes if node.failure_domain is not None] == domains
+        assert (runtime.master.failure_domain is not None) == domain
+        assert [n for n, node in nodes if node.failure_domain is not None] == drained
         assert [n for n, node in nodes if node.heartbeat_sender is not None] == senders
         assert (runtime.placer.health is not None) == placer_health
         assert list(r.stats.services) == rows.split()
@@ -614,7 +615,7 @@ class TestReapedMidFutexWait:
         assert state.futexes.n_sleeping == 0
         assert replies == [] and proto.futex_waits == 0
         assert proto.dead_peer_skips == skips + 1
-        assert runtime.failure_domain.failures.nodes[1].lost == [
+        assert master.failure_domain.failures.nodes[1].lost == [
             (waiter.tid, "context lost in crash")
         ]
 
@@ -705,10 +706,11 @@ class TestEvacuationTargeting:
         from repro.core.stats import RunStats
 
         runtime = SimpleNamespace(
-            sim=Simulator(), config=DQEMUConfig(), failure_view=tracker,
+            sim=Simulator(), config=DQEMUConfig(),
             placer=SimpleNamespace(candidates=list(candidates)),
             node=SimpleNamespace(node_id=0),
-            endpoint=None, trace=None, run_stats=RunStats(), tenant=0, state=None,
+            endpoint=SimpleNamespace(fabric=SimpleNamespace(health=tracker)),
+            trace=None, run_stats=RunStats(), tenant=0, state=None,
         )
         return FailureDomainService(runtime)
 

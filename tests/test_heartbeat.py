@@ -65,7 +65,7 @@ class TestHealthEvidence:
     def tracker(self, **kw):
         fired = []
         t = HealthTracker(sim=Simulator(), **kw)
-        t.on_down.append(fired.append)
+        t.on_down = fired.append
         return t, fired
 
     def test_lease_misses_escalate_like_rpc_windows(self):

@@ -150,7 +150,7 @@ class TestConcurrentIsolation:
         fleet = cluster._fleet
         assert fleet.fabric.retired == {first.tenant}  # only its frames are retired
         assert fleet.fabric.retired_stats.messages_sent > sent[0]
-        assert fleet.health.peer(0).last_heard_ns > heard[0]
+        assert fleet.fabric.health.peer(0).last_heard_ns > heard[0]
 
     def test_per_tenant_directories_are_disjoint_views(self):
         cluster = Cluster(2, MULTI_CFG)

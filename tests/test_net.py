@@ -162,11 +162,12 @@ class TestEndpoint:
             sim.run()
 
     def test_default_queue_catches_unrouted(self):
+        """With no router set, a frame's routing key is its kind."""
         sim, fabric, (a, b, _) = make_cluster()
         got = []
 
         def receiver():
-            q = b.subscribe_default()
+            q = b.subscribe("page_request")
             got.append((yield q.get()))
 
         sim.spawn(receiver())
@@ -210,7 +211,7 @@ class TestMessages:
         # Ids come from the fabric's per-cluster sequence, assigned on first
         # transmit — construction alone leaves the frame unstamped.
         sim, fabric, (a, b, _) = make_cluster()
-        b.subscribe_default()
+        b.subscribe("page_request")
         msgs = [PageRequest(page=i) for i in range(100)]
         assert all(m.req_id == 0 for m in msgs)
         for m in msgs:
@@ -221,8 +222,8 @@ class TestMessages:
         # Two clusters in one process no longer interleave id streams.
         _, _, (a1, b1, _) = make_cluster()
         _, _, (a2, b2, _) = make_cluster()
-        b1.subscribe_default()
-        b2.subscribe_default()
+        b1.subscribe("page_request")
+        b2.subscribe("page_request")
         m1, m2 = PageRequest(page=1), PageRequest(page=1)
         a1.send(1, m1)
         a2.send(1, m2)
@@ -235,7 +236,8 @@ class TestMessages:
 
     def test_fabric_stats_accumulate(self):
         sim, fabric, (a, b, _) = make_cluster()
-        b.subscribe_default()
+        b.subscribe("page_request")
+        b.subscribe("page_data")
         a.send(1, PageRequest(page=1))
         a.send(1, PageData(page=1, data=bytes(100)))
         sim.run()
@@ -245,8 +247,9 @@ class TestMessages:
 
     def test_fabric_stats_per_node_tx_rx_bytes(self):
         sim, fabric, (a, b, c) = make_cluster()
-        a.subscribe_default()
-        b.subscribe_default()
+        for ep in (a, b):
+            ep.subscribe("page_request")
+        a.subscribe("page_data")
         b.send(0, PageRequest(page=1))
         c.send(0, PageData(page=1, data=bytes(100)))
         c.send(1, PageRequest(page=2))
@@ -279,7 +282,9 @@ class TestFrameDelivery:
 
     def test_stats_equal_a_recount_over_the_delivered_frames(self):
         sim, fabric, eps = make_cluster()
-        inboxes = [ep.subscribe_default() for ep in eps]
+        inboxes = [
+            ep.subscribe(kind) for ep in eps for kind in ("page_request", "page_data", "ack")
+        ]
         sent = [
             (0, 1, PageRequest(page=1)),
             (1, 0, PageData(page=1, data=bytes(4096), tenant=1)),
@@ -342,7 +347,7 @@ class TestFrameDelivery:
     def test_injected_duplicate_arrives_as_a_distinct_clone(self):
         sim, fabric, eps = make_cluster(n=2)
         FaultInjector(sim, FaultPlan.of(duplicate(kinds={"page_data"}))).attach(fabric)
-        inbox = eps[1].subscribe_default()
+        inbox = eps[1].subscribe("page_data")
         original = PageData(page=4, data=b"\x07" * 64)
         eps[0].send(1, original)
         sim.run()

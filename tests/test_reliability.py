@@ -25,7 +25,7 @@ from repro.workloads import blackscholes
 RETRY = RetryPolicy(max_retries=3, backoff_base_ns=10_000)
 
 
-def make_cluster(n=2, plan=None, health=False):
+def make_cluster(n=2, plan=None):
     # Latency far below the tests' 5 us timeout windows, so a retransmit can
     # only ever come from an injected fault, never from wire delay.
     sim = Simulator()
@@ -33,8 +33,6 @@ def make_cluster(n=2, plan=None, health=False):
     injector = None
     if plan is not None:
         injector = FaultInjector(sim, plan).attach(fabric)
-    if health:
-        fabric.health = HealthTracker(sim)
     eps = [Endpoint(sim, fabric, i) for i in range(n)]
     return sim, fabric, injector, eps
 
@@ -99,7 +97,7 @@ class TestRetryPolicy:
 class TestRetransmission:
     def test_dropped_request_is_retransmitted_and_recovers(self):
         plan = FaultPlan.of(drop(kinds={"page_request"}, max_count=1))
-        sim, _fabric, inj, eps = make_cluster(plan=plan, health=True)
+        sim, _fabric, inj, eps = make_cluster(plan=plan)
         a, b = eps
         sim.spawn(echo_server(b))
         replies = []
@@ -143,7 +141,7 @@ class TestRetransmission:
 
     def test_budget_exhaustion_escalates_with_retry_count(self):
         plan = FaultPlan.of(drop(kinds={"page_request"}))  # nothing gets through
-        sim, _fabric, _inj, eps = make_cluster(plan=plan, health=True)
+        sim, _fabric, _inj, eps = make_cluster(plan=plan)
         a, b = eps
         sim.spawn(echo_server(b))
         failures = []
@@ -381,7 +379,7 @@ class TestPeerHealth:
 
     def test_channel_feeds_tracker(self):
         plan = FaultPlan.of(drop(kinds={"page_request"}))
-        sim, fabric, _inj, eps = make_cluster(plan=plan, health=True)
+        sim, fabric, _inj, eps = make_cluster(plan=plan)
         a, b = eps
         sim.spawn(echo_server(b))
 

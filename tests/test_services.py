@@ -21,7 +21,6 @@ from repro.core.trace import NULL_TRACER
 from repro.errors import NetworkError, ProtocolError
 from repro.mem.pagestore import PageStore
 from repro.net import Endpoint, Fabric
-from repro.net.health import HealthTracker
 from repro.net.messages import (
     HEADER_BYTES,
     Ack,
@@ -126,16 +125,16 @@ def test_master_kinds_are_every_master_handled_kind():
 
 
 class TestDeadSenderRefusal:
-    """A master's dispatcher refuses a frame whose sender the failure view
-    has latched failed: billed and counted once, never handled."""
+    """A dispatcher refuses a frame whose sender the fleet's health view has
+    latched failed: billed and counted once, never handled."""
 
     @pytest.mark.parametrize("kind", MASTER_KINDS)
     def test_latched_sender_is_billed_and_refused(self, kind):
         sim = Simulator()
         stats = RunStats()
-        view = HealthTracker(sim)
-        view.mark_failed(2)
-        d = Dispatcher(Endpoint(sim, Fabric(sim), 0), stats, failure_view=view)
+        fabric = Fabric(sim)
+        fabric.health.mark_failed(2)
+        d = Dispatcher(Endpoint(sim, fabric, 0), stats)
         stub = d.register(StubService("svc", MASTER_KINDS))
         cls = {c.kind: c for c in all_message_types()}[kind]
         dead, live = cls(src=2, req_id=1), cls(src=1, req_id=2)
@@ -253,30 +252,41 @@ class TestGather:
     invalidations — against two peers, one of which may stay silent.  After
     each outcome the directory keeps the transaction's rules: no latched
     node listed, no peer that acked an ``Invalidate`` still listed, an owner
-    XOR sharers."""
+    XOR sharers.
+
+    Every master reads the fleet's health view; ``distrusted`` runs a case
+    with peer 2 already demoted ``down`` in it but not latched, which must
+    change nothing: only a latch makes a peer's timeout tolerable."""
 
     TIMEOUT_NS = 1_000_000
     PAGE = 7
     REQUESTER = 3  # the page_request route's writer
 
-    def _rig(self, route, with_view, silent, latch=()):
+    def _rig(self, route, distrusted, silent, latch=(), peers=(1, 2), slow=None):
         """``latch``: nodes the view latches failed the moment the first
-        ``Invalidate`` reaches a peer (mid-handler)."""
-        sim, _fabric, eps = make_cluster(4)
-        view = HealthTracker(sim, suspect_after=2, down_after=5) if with_view else None
+        ``Invalidate`` reaches a peer (mid-handler).  ``slow``: peer ->
+        how long it takes to answer; its calls wait three timeouts."""
+        sim, fabric, eps = make_cluster(5)
+        view = fabric.health
+        if distrusted:
+            view.exhausted_budget(2)
+        slow = slow or {}
         runtime = SimpleNamespace(
             sim=sim, config=DQEMUConfig(rpc_timeout_ns=self.TIMEOUT_NS),
             endpoint=eps[0], trace=NULL_TRACER, run_stats=RunStats(), tenant=0,
-            failure_view=view, node=SimpleNamespace(node_id=0), node_ids=[1, 2],
+            node=SimpleNamespace(node_id=0), node_ids=list(peers),
             home=PageStore(), acked=set(), reply=None,
         )
         runtime.coherence = CoherenceService(runtime)
         runtime.splitting = SplittingService(runtime)
 
         def peer(ep):
-            q = ep.subscribe_default()
+            ep.set_router(lambda _msg: "inbox")
+            q = ep.subscribe("inbox")
             while ep.node_id not in silent:
                 msg = yield q.get()
+                if ep.node_id in slow:
+                    yield sim.timeout(slow[ep.node_id])
                 if msg.kind == "invalidate":
                     for n in latch:
                         view.mark_failed(n)
@@ -285,20 +295,20 @@ class TestGather:
                 else:
                     ep.reply(msg, Ack())
 
-        for ep in eps[1:3]:
-            sim.spawn(peer(ep))
+        for n in peers:
+            sim.spawn(peer(eps[n]))
 
         if route == "broadcast":
             service = runtime.splitting
             operation = service._broadcast()
         else:
             service = runtime.coherence
-            for n in (1, 2):
+            for n in peers:
                 service.directory.commit(n, self.PAGE, write=False)
             if route == "invalidate":
                 operation = service.pull_home_and_invalidate(self.PAGE)
             else:
-                inbox = eps[0].subscribe_default()
+                inbox = eps[0].subscribe("page_request")
                 runtime.reply = eps[self.REQUESTER].request(
                     0, PageRequest(page=self.PAGE, write=True)
                 )
@@ -309,20 +319,25 @@ class TestGather:
                 operation = serve()
 
         gathered, raised = [], []
-        inner = service.gather
+        inner, request = service.gather, service.request
 
         def recording_gather(peers, make_msg, **kw):
             result = yield from inner(peers, make_msg, **kw)
             gathered.append(result)
             return result
 
-        service.gather = recording_gather
+        def patient_request(dst, msg):
+            if dst not in slow:
+                return request(dst, msg)
+            return eps[0].request(dst, msg, timeout_ns=3 * self.TIMEOUT_NS)
+
+        service.gather, service.request = recording_gather, patient_request
 
         def driver():
             try:
                 yield from operation
             except RpcTimeout as exc:
-                raised.append(exc)
+                raised.append((sim.now, exc))
 
         sim.spawn(driver())
         return sim, runtime, gathered, raised
@@ -331,17 +346,16 @@ class TestGather:
         directory = runtime.coherence.directory
         directory.check_invariants()  # owner XOR sharers, no latched node
         holders = set(directory.holders(self.PAGE))
-        latched = runtime.failure_view.failed if runtime.failure_view else set()
-        assert not holders & latched
+        assert not holders & runtime.endpoint.fabric.health.failed
         assert not holders & runtime.acked
         return directory
 
     ROUTES = ["invalidate", "broadcast", "page_request"]
 
     @pytest.mark.parametrize("route", ROUTES)
-    @pytest.mark.parametrize("with_view", [False, True])
-    def test_all_peers_ack(self, route, with_view):
-        sim, runtime, gathered, raised = self._rig(route, with_view, silent=())
+    @pytest.mark.parametrize("distrusted", [False, True])
+    def test_all_peers_ack(self, route, distrusted):
+        sim, runtime, gathered, raised = self._rig(route, distrusted, silent=())
         sim.run()
         [(acks, skipped)] = gathered
         assert len(acks) == 2 and skipped == 0 and not raised
@@ -352,23 +366,41 @@ class TestGather:
             assert runtime.reply.value.write
 
     @pytest.mark.parametrize("route", ROUTES)
-    @pytest.mark.parametrize("with_view", [False, True])
-    def test_silent_live_peer_raises(self, route, with_view):
-        # Failure-blind, or with a view that has not latched the peer as
-        # failed: a slow peer is not a dead one.
-        sim, runtime, gathered, raised = self._rig(route, with_view, silent={2})
+    @pytest.mark.parametrize("distrusted", [False, True])
+    def test_silent_live_peer_raises(self, route, distrusted):
+        # Nothing latched, the peer distrusted or not: a slow peer is not a
+        # dead one.
+        sim, runtime, gathered, raised = self._rig(route, distrusted, silent={2})
         sim.run()
         assert not gathered
-        assert [exc.request.dst for exc in raised] == [2]
+        assert [exc.request.dst for _, exc in raised] == [2]
         # The copy that was taken away is unlisted, the silent one stays.
         if route != "broadcast":
             assert self._assert_directory(runtime).holders(self.PAGE) == (2,)
 
+    def test_live_peer_timeout_ends_the_gather_at_once(self):
+        # Peer 4 is silent; peer 1, earlier in peer order, answers only after
+        # peer 4's timeout.  The gather ends when that timeout lands, having
+        # recorded the one reply that had landed by then (peer 2's): peer 1's
+        # later ack is not waited for, so its copy stays listed.
+        sim, runtime, gathered, raised = self._rig(
+            "invalidate", False, silent={4}, peers=(1, 2, 4),
+            slow={1: 2 * self.TIMEOUT_NS},
+        )
+        sim.run()
+        assert not gathered
+        [(at, exc)] = raised
+        assert (at, exc.request.dst) == (self.TIMEOUT_NS, 4)
+        directory = runtime.coherence.directory
+        directory.check_invariants()
+        assert directory.holders(self.PAGE) == (1, 4)
+        assert runtime.acked == {1, 2}  # peer 1 did answer, too late
+
     @pytest.mark.parametrize("route", ROUTES)
     def test_peer_latched_failed_mid_call_is_skipped_and_reported(self, route):
-        sim, runtime, gathered, raised = self._rig(route, True, silent={2})
+        sim, runtime, gathered, raised = self._rig(route, False, silent={2})
         sim.timeout(self.TIMEOUT_NS // 2).add_callback(
-            lambda _e: runtime.failure_view.mark_failed(2)
+            lambda _e: runtime.endpoint.fabric.health.mark_failed(2)
         )
         sim.run()
         [(acks, skipped)] = gathered
@@ -386,7 +418,7 @@ class TestGather:
         # returns without a reply, the acked copies are unlisted and the
         # grant is refused.
         sim, runtime, gathered, raised = self._rig(
-            "page_request", True, silent=(), latch={self.REQUESTER}
+            "page_request", False, silent=(), latch={self.REQUESTER}
         )
         sim.run()
         [(acks, skipped)] = gathered

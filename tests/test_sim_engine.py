@@ -197,6 +197,50 @@ def test_all_of_empty_fires_immediately():
     assert sim.run(until=p) == []
 
 
+class _Expected(Exception):
+    pass
+
+
+def _failing(sim, delay, exc):
+    ev = sim.event()
+    sim.timeout(delay).add_callback(lambda _e: ev.fail(exc))
+    return ev
+
+
+def test_all_of_tolerated_failure_leaves_none_and_waits_for_the_rest():
+    sim = Simulator()
+    ev = sim.all_of(
+        [sim.timeout(5, "a"), _failing(sim, 3, _Expected()), sim.timeout(9, "c")],
+        tolerate=lambda exc: isinstance(exc, _Expected),
+    )
+
+    def waiter():
+        return (yield ev)
+
+    assert sim.run(until=sim.spawn(waiter())) == ["a", None, "c"]
+    assert sim.now == 9 and ev.tolerated == 1
+
+
+def test_all_of_untolerated_failure_fails_at_once():
+    sim = Simulator()
+    seen = []
+    ev = sim.all_of(
+        [sim.timeout(5, "a"), _failing(sim, 3, ValueError("boom")), sim.timeout(9, "c")],
+        tolerate=lambda exc: seen.append(exc) or isinstance(exc, _Expected),
+    )
+
+    def waiter():
+        try:
+            yield ev
+        except ValueError as exc:
+            return sim.now, str(exc)
+
+    assert sim.run(until=sim.spawn(waiter())) == (3, "boom")
+    assert [str(exc) for exc in seen] == ["boom"]  # asked once, at the failure
+    sim.run()  # the children still pending settle without raising
+    assert sim.now == 9
+
+
 def test_any_of_returns_first():
     sim = Simulator()
 
@@ -217,25 +261,6 @@ def test_process_yielding_non_event_fails():
     p = sim.spawn(bad())
     with pytest.raises(SimulationError, match="non-event"):
         sim.run(until=p)
-
-
-def test_interrupt_throws_into_process():
-    sim = Simulator()
-
-    def sleeper():
-        try:
-            yield sim.timeout(1000)
-        except RuntimeError:
-            return sim.now
-
-    p = sim.spawn(sleeper())
-
-    def interrupter():
-        yield sim.timeout(7)
-        p.interrupt(RuntimeError("wake up"))
-
-    sim.spawn(interrupter())
-    assert sim.run(until=p) == 7
 
 
 def test_late_callback_still_invoked():
@@ -339,24 +364,6 @@ def test_raising_before_the_first_yield_fails_the_process():
             return f"caught {exc}"
 
     assert sim.run(until=sim.spawn(waiter())) == "caught no first yield"
-
-
-def test_interrupt_on_a_just_spawned_process_lands_at_its_first_suspension():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        log.append("started")
-        try:
-            yield sim.timeout(1000)
-        except RuntimeError as exc:
-            log.append(f"interrupted at {sim.now}: {exc}")
-
-    p = sim.spawn(sleeper())
-    p.interrupt(RuntimeError("kick"))
-    assert log == ["started"]  # thrown on the next slot, not synchronously
-    sim.run(until=p)
-    assert log == ["started", "interrupted at 0: kick"]
 
 
 # -- events nobody waits on are settled in place -------------------------------
@@ -615,10 +622,6 @@ def test_negative_succeed_delay_rejected_before_triggering():
 DELAYS = st.sampled_from([0, 1, 1, 2, 3, 5])  # few values: expiry times collide
 
 
-class _Kick(Exception):
-    pass
-
-
 class _IntoHeap:
     """The reference kernel's same-time "FIFO": every push is a heap entry."""
 
@@ -674,7 +677,6 @@ def _ops(depth):
         st.tuples(st.just("put"), st.integers(0, 1)),
         st.tuples(st.just("get"), st.integers(0, 1)),
         st.tuples(st.just("park"), st.just(None)),
-        st.tuples(st.just("interrupt"), st.integers(0, 7)),
         st.tuples(st.just("succeed"), DELAYS),
         st.tuples(st.just("settle"), st.booleans()),
         st.tuples(st.just("late"), st.just(None)),
@@ -700,7 +702,7 @@ def _run_soup(scripts, deadlines=(), kernel=Simulator):
     timers = []  # serial -> (expiry, cancelled)
     made = []  # events a "late" op may wait on, oldest first
     due = []  # when each timer and delayed succeed is scheduled to fire
-    procs, parked = [], set()
+    procs = []
     trace = []  # after every step: the clock and how much was observed
 
     def timer(delay, cancelled=False):
@@ -731,18 +733,9 @@ def _run_soup(scripts, deadlines=(), kernel=Simulator):
             elif op == "get":
                 log.append((yield queues[arg].get()))
             elif op == "park":
-                # Waits on an event nobody triggers, so an interrupt is the
-                # only thing that can ever resume it (interrupt does not
-                # unsubscribe the target it abandons).
-                parked.add(me)
-                try:
-                    yield sim.event()
-                except _Kick:
-                    log.append((sim.now, me, "kicked"))
-            elif op == "interrupt":
-                if arg in parked:
-                    parked.remove(arg)
-                    procs[arg].interrupt(_Kick())
+                # Waits on an event nobody triggers: the process never
+                # resumes, and the run still ends.
+                yield sim.event()
             elif op == "succeed":
                 ev = sim.event()
                 made.append(ev)

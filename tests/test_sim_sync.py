@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import LockTable, SimQueue, SimSemaphore, Simulator
+from repro.sim import LockTable, SimQueue, Simulator
 
 
 class TestSimLock:
@@ -110,39 +110,6 @@ class TestLockTable:
             held = {k for k, lock in ref.items() if lock.locked}
             assert {k for k in range(3) if k in locks} == held and len(locks) == len(held)
             assert all(len(locks._held[k]) == len(ref[k].waiters) for k in held)
-
-
-class TestSimSemaphore:
-    def test_initial_value_consumed(self):
-        sim = Simulator()
-        sem = SimSemaphore(sim, value=2)
-        got = []
-
-        def proc(tag):
-            yield sem.acquire()
-            got.append((sim.now, tag))
-
-        for tag in "abc":
-            sim.spawn(proc(tag))
-
-        def releaser():
-            yield sim.timeout(10)
-            sem.release()
-
-        sim.spawn(releaser())
-        sim.run()
-        assert got == [(0, "a"), (0, "b"), (10, "c")]
-
-    def test_negative_value_rejected(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            SimSemaphore(sim, value=-1)
-
-    def test_release_many(self):
-        sim = Simulator()
-        sem = SimSemaphore(sim, value=0)
-        sem.release(3)
-        assert sem.value == 3
 
 
 class TestSimQueue:
