@@ -101,12 +101,14 @@ CALLS = "prof.py_calls_per_kinsn"
 #: and books its in-place entries in closed form measured 17.9, 40.6, 114.3,
 #: 896.9, 11453.2 and 476.8, against 17.4, 155.7, 196.9, 944.5, 11452.5 and
 #: 476.1 before it: a store trip no longer calls ``S.get``, and a long replay
-#: makes four calls where it made none).
+#: makes four calls where it made none; a replay of whole cycles booked as one
+#: product, with no call, measured 17.4, 40.0, 113.9, 896.3, 11453.1 and
+#: 473.0, against 17.9, 40.6, 114.3, 896.9, 11453.2 and 476.8 before it).
 CEILINGS = {
     "mem_read_walk": {CALLS: 18.1},
-    "mem_rmw_walk": {CALLS: 42.6},
-    "fp_compute": {CALLS: 120.0},
-    "cold_start": {CALLS: 941.7, "prof.dbt.blocks_compiled": 268},
+    "mem_rmw_walk": {CALLS: 42.0},
+    "fp_compute": {CALLS: 119.6},
+    "cold_start": {CALLS: 941.2, "prof.dbt.blocks_compiled": 268},
     "fault_storm": {CALLS: 12021.7},
     "full_stack_pipeline": {CALLS: 495.8},
 }

@@ -10,7 +10,7 @@ percentile becomes visible exactly where the admission limit binds.
 """
 
 from benchmarks.conftest import regenerate
-from repro.analysis.experiments import MAX_CONCURRENT_JOBS
+from repro.core.jobs import JobManager
 
 
 def test_fig9_multitenant(benchmark):
@@ -25,7 +25,7 @@ def test_fig9_multitenant(benchmark):
         assert by_tenants[n]["queued_jobs"] == 0
         assert by_tenants[n]["p99_queue_wait_ms"] == 0
     for n in (4, 6):
-        assert by_tenants[n]["queued_jobs"] == n - MAX_CONCURRENT_JOBS
+        assert by_tenants[n]["queued_jobs"] == n - JobManager.MAX_CONCURRENT
         assert by_tenants[n]["p99_queue_wait_ms"] > 0
     # Co-scheduling pays: three overlapping tenants beat a solo stream's
     # aggregate goodput on the same fleet.

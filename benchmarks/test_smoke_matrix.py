@@ -12,8 +12,9 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analysis.experiments import EXPERIMENTS, MAX_CONCURRENT_JOBS
+from repro.analysis.experiments import EXPERIMENTS
 from repro.analysis.runner import Fault, run_cell
+from repro.core.jobs import JobManager
 
 
 def _cells(experiment):
@@ -130,7 +131,7 @@ def test_mixed_job_stream_is_admitted(tenants):
     record = _completed(TENANTS[f"{tenants} tenants"])
     assert len(record["exit_codes"]) == tenants
     assert record["goodput_mips"] > 0
-    if tenants <= MAX_CONCURRENT_JOBS:
+    if tenants <= JobManager.MAX_CONCURRENT:
         assert record["queued_jobs"] == 0
     else:
         assert record["queued_jobs"] > 0

@@ -21,6 +21,7 @@ from repro.analysis.runner import Cell, Fault, run_cell
 from repro.analysis.views import (
     bandwidth_mbps, breakdown, failure_footer, get, group, series, stacked, table, us,
 )
+from repro.core.jobs import JobManager
 from repro.net.messages import Heartbeat
 from repro.workloads import mutex_bench
 
@@ -560,27 +561,26 @@ _experiment(
 )
 
 # -- Fig. 9: multi-tenant admission (beyond the paper) -----------------------
-# Streams of up to max_concurrent_jobs run concurrently; deeper streams queue.
+# Streams of up to JobManager.MAX_CONCURRENT jobs run concurrently; deeper
+# streams queue.
 
 TENANT_MIX = (
     ("blackscholes", dict(n_threads=4, n_options=16)),
     ("mutex_bench", dict(n_threads=4, iters=40)),
     ("x264", dict(n_frames=8, group_size=4, pages_per_frame=1)),
 )
-MAX_CONCURRENT_JOBS = 3
 
 
 _experiment(
     "fig9_multitenant",
     (
         Cell(f"{n} tenants", n_slaves=2,
-             config=dict(max_concurrent_jobs=MAX_CONCURRENT_JOBS, admission_queue_depth=16),
              jobs=tuple(TENANT_MIX[i % len(TENANT_MIX)] for i in range(n)))
         for n in (1, 2, 3, 4, 6)
     ),
     table(
         "fig9: multi-tenant job admission (mixed blackscholes/mutex_bench/x264 "
-        f"stream, 2 slaves, max_concurrent_jobs={MAX_CONCURRENT_JOBS})",
+        f"stream, 2 slaves, max_concurrent_jobs={JobManager.MAX_CONCURRENT})",
         [
             ("tenants", lambda r: len(r["cell"]["jobs"])),
             ("makespan_ms", "virtual_ms"),

@@ -15,8 +15,8 @@ program to the admission queue and returns a :class:`~repro.core.jobs.Job`;
 Multiple concurrent guests share the nodes — each admitted job is a
 *tenant* with its own master runtime, directory, system state, futex
 namespace, and per-node memory bundles, so isolation is structural rather
-than filtered.  At most ``config.max_concurrent_jobs`` run at once; up to
-``config.admission_queue_depth`` more wait in FIFO order, and beyond that
+than filtered.  At most ``JobManager.MAX_CONCURRENT`` run at once; up to
+``JobManager.QUEUE_DEPTH`` more wait in FIFO order, and beyond that
 ``submit`` raises :class:`~repro.errors.AdmissionError`.  A settled job
 leaves a :class:`RunResult` that is a record; once every node has acked its
 Shutdown and nothing of it runs on the master any more, the job *retires*
@@ -47,9 +47,9 @@ from repro.errors import ConfigError, SimulationError
 from repro.isa.program import Program
 from repro.kernel.syscalls import SystemState
 from repro.mem.layout import STACK_TOP, page_of
+from repro.mem.directory import Directory
 from repro.mem.msi import MSIState
 from repro.mem.pagestore import PageStore
-from repro.mem.sharding import TenantDirectoryView
 from repro.net.fabric import Fabric, FabricStats
 from repro.net.faults import FaultInjector, FaultStats
 from repro.net.health import HealthTracker
@@ -144,8 +144,6 @@ class _Fleet:
             )
             for nid in self.node_ids
         }
-        #: Tenant-keyed read-only view of each job's directory.
-        self.directories = TenantDirectoryView()
         #: Jobs currently running (admitted, not yet settled).
         self.active: list[Job] = []
         #: The earliest virtual-time budget among them, if any has one.
@@ -182,18 +180,17 @@ class Cluster:
         self._fleet: Optional[_Fleet] = None
         self._next_tenant = 0
         self.jobs: list[Job] = []
-        self.manager = JobManager(
-            self.config.max_concurrent_jobs,
-            self.config.admission_queue_depth,
-            self._admit,
-        )
+        self.manager = JobManager(self._admit)
 
     @property
-    def directories(self) -> TenantDirectoryView:
-        """Tenant-keyed read-only directory views (debugging, tests)."""
-        if self._fleet is None:
-            raise ConfigError("no jobs admitted yet")
-        return self._fleet.directories
+    def directories(self) -> dict[int, Directory]:
+        """Each admitted, not yet retired job's directory, by tenant
+        (debugging, tests)."""
+        return {
+            job.tenant: job.runtime.master.coherence.directory
+            for job in self.jobs
+            if job.runtime is not None and job.runtime.master is not None
+        }
 
     # -- admission ------------------------------------------------------------
 
@@ -338,7 +335,6 @@ class Cluster:
                 sim, cfg, fleet.nodes[0], fleet.node_ids, home, state, placer,
                 stats, done, tenant=job.tenant,
             )
-            fleet.directories.add_tenant(job.tenant, master.coherence.directory)
             master.on_retire = lambda j=job: self._retire(j)
 
         # -- failure-domain wiring (docs/PROTOCOL.md "Failure domains") --------
@@ -428,7 +424,6 @@ class Cluster:
         for nid in fleet.node_ids:
             for shard in range(master.config.master_shards):
                 master.endpoint.unsubscribe(("mgr", tenant, nid, shard))
-        fleet.directories.remove(tenant)
         job.runtime = job.program = job.stdin = job.files = None
 
     def _build_result(self, job: Job, exit_code: int) -> RunResult:

@@ -146,14 +146,6 @@ class DQEMUConfig:
         help="period of every slave's lease-renewal frame to the master; bounds crash "
              "detection even on nodes nobody calls"))
 
-    # -- multi-tenant job admission (docs/PROTOCOL.md "Multi-tenant jobs") ----
-    # Beyond queue depth on top of max_concurrent_jobs, submit() refuses
-    # outright (back-pressure to the caller instead of unbounded buffering).
-    max_concurrent_jobs: int = field(default=3, metadata=dict(
-        min=1, help="jobs allowed to run at once; later submissions queue"))
-    admission_queue_depth: int = field(default=16, metadata=dict(
-        min=0, help="queued submissions tolerated before submit() is refused"))
-
     # -- baseline -------------------------------------------------------------
     pure_qemu: bool = field(default=False, metadata=dict(
         flag="--qemu", help="run the vanilla single-node QEMU baseline (no DSM layer)"))

@@ -5,10 +5,10 @@ program and dies; it *admits* jobs.  Each submitted program becomes a
 :class:`Job` with a cluster-unique tenant id, and the :class:`JobManager`
 decides when it actually starts:
 
-* at most ``max_concurrent`` jobs run at once (each gets its own
+* at most ``MAX_CONCURRENT`` jobs run at once (each gets its own
   ``MasterRuntime``, system state, futex namespace, and per-node memory
   bundles — sharing nodes and wires, never state);
-* up to ``queue_depth`` further submissions wait in a FIFO admission
+* up to ``QUEUE_DEPTH`` further submissions wait in a FIFO admission
   queue; a finishing job admits the head of the queue *at the virtual
   time it finishes*, so queue wait is a measurable simulated quantity;
 * beyond that, :class:`~repro.errors.AdmissionError` — backpressure is
@@ -88,10 +88,12 @@ class Job:
 class JobManager:
     """Admission control: bounded concurrency, bounded FIFO queue."""
 
-    def __init__(self, max_concurrent: int, queue_depth: int,
-                 admit: Callable[[Job], None]) -> None:
-        self.max_concurrent = max_concurrent
-        self.queue_depth = queue_depth
+    #: Jobs allowed to run at once; later submissions queue.
+    MAX_CONCURRENT = 3
+    #: Queued submissions tolerated before ``submit`` is refused.
+    QUEUE_DEPTH = 16
+
+    def __init__(self, admit: Callable[[Job], None]) -> None:
         self._admit = admit
         self.running: dict[int, Job] = {}
         self.queue: Deque[Job] = deque()
@@ -100,17 +102,16 @@ class JobManager:
 
     def submit(self, job: Job) -> None:
         """Start ``job`` now if a slot is free, else queue it, else refuse."""
-        if len(self.running) < self.max_concurrent:
+        if len(self.running) < self.MAX_CONCURRENT:
             self._start(job)
-        elif len(self.queue) < self.queue_depth:
+        elif len(self.queue) < self.QUEUE_DEPTH:
             self.queue.append(job)
         else:
             self.rejected_total += 1
             raise AdmissionError(
                 f"admission queue full: {len(self.running)} jobs running "
-                f"(max_concurrent_jobs={self.max_concurrent}), "
-                f"{len(self.queue)} queued "
-                f"(admission_queue_depth={self.queue_depth})"
+                f"(at most {self.MAX_CONCURRENT}), {len(self.queue)} queued "
+                f"(at most {self.QUEUE_DEPTH})"
             )
 
     def job_done(self, job: Job) -> None:
@@ -121,14 +122,10 @@ class JobManager:
         at the finishing job's completion time, deterministically.
         """
         self.running.pop(job.tenant, None)
-        while self.queue and len(self.running) < self.max_concurrent:
+        while self.queue and len(self.running) < self.MAX_CONCURRENT:
             self._start(self.queue.popleft())
 
     def _start(self, job: Job) -> None:
         self.running[job.tenant] = job
         self.admitted_total += 1
         self._admit(job)
-
-    @property
-    def active(self) -> int:
-        return len(self.running) + len(self.queue)

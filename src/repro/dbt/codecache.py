@@ -157,6 +157,3 @@ class CodeCache:
 
     def __len__(self) -> int:
         return len(self._blocks)
-
-    def __contains__(self, pc: int) -> bool:
-        return pc in self._blocks

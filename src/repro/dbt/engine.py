@@ -52,29 +52,19 @@ allowance of one, never a division.
 Afterwards the entries made in place are booked exactly as the dispatcher
 would have booked them (``_replay``).  Integer counters move in closed form
 (``chain_follows``, ``exec_count``, instructions, the self edge, fusion hits).
-The float accumulators are *replayed, not multiplied*: ``cycles``,
-``execute_cycles`` and the two ``*_saved_cycles`` run at fractional CPIs
-(2.88 on every pure-QEMU row), ``cycles`` decides where a quantum ends and its
-remainder is carried into the next one, so how each sum rounds is part of
-virtual time — and ``c + k * x`` does not round like ``k`` additions of ``x``.
-They get the result of the same additions, in closed form (``_add_times``):
-while a running total ``s`` stays in one binade ``[2**e, 2**(e+1))``, whose
-numbers are the multiples of one ulp ``u``, adding a positive ``x`` (with ``x =
-q*u + r``, ``0 <= r < u``) rounds ``s + x`` to ``s + d*u``, ``d`` being ``q``
-for ``r < u/2`` and ``q + 1`` for ``r > u/2`` whatever ``s`` is — so ``j`` such
-additions are ``s + j*d*u``, exactly, for every ``j`` whose exact sums stay
-below the binade's top.  A tie, ``r = u/2``, rounds to the even multiple: from
-an odd one it takes one plain addition, and from an even one ``d`` is ``q``
-rounded up to even.  The addition that crosses the top is made plainly, and
-``u`` doubles there.  So ``k`` additions cost a few steps per binade the total
-crosses, not ``k`` (up to 32 entries the loop is cheaper and is kept).  A fault
-books its complete entries first and then the partial one as before.  Nothing
-simulated can tell an entry the function made from one the dispatcher made.
+The float sums (``cycles``, ``execute_cycles`` and the two ``*_saved_cycles``)
+must come out bit for bit as ``k`` additions of the bill would leave them:
+``cycles`` decides where a quantum ends and its remainder is carried into the
+next one.  When the bill and the running sum are whole numbers and the result
+stays below ``2**53``, every one of those additions is exact, so one product
+gives the same bits; any other sum (the pure-QEMU baseline's 2.88 CPI) takes
+the ``k`` additions.  A fault books its complete entries first and then the
+partial one.  Nothing simulated can tell an entry the function made from one
+the dispatcher made.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from typing import Optional
 
@@ -92,57 +82,18 @@ from repro.mem.api import MemoryAPI, PageStall
 __all__ = ["ExecutionEngine"]
 
 
-#: ``times`` up to this many are added one at a time: the closed form's setup
-#: costs more than a short loop.
-_SHORT = 32
-#: A binade ``[2**e, 2**(e+1))`` holds ``2**53`` ulps of its numbers (the
-#: subnormals and the first normal binade share the smallest ulp).
-_ULPS = 2.0 ** 53
-#: Sums that may reach this (or are not finite) are left to the loop.
-_HUGE = 2.0 ** 1000
+#: Every whole number below this is a float, so whole sums below it are exact.
+_EXACT = 2.0 ** 53
 
 
 def _add_times(total: float, term: float, times: int) -> float:
     """``total`` after ``term`` was added to it ``times`` times, one addition
-    at a time: ``total + term * times`` rounds differently.  Done in closed
-    form, a few steps per binade of the running total (module docstring,
-    "Allowance")."""
-    if times <= _SHORT or not (0.0 < term and 0.0 <= total and total + term * times < _HUGE):
-        for _ in range(times):
-            total += term
-        return total
-    u = math.ulp(total)
-    if term >= u * _ULPS:  # the first addition leaves the binade
+    at a time (module docstring, "Allowance")."""
+    end = total + term * times
+    if total % 1.0 == term % 1.0 == 0.0 and 0.0 <= total and 0.0 <= term and end < _EXACT:
+        return end
+    for _ in range(times):
         total += term
-        times -= 1
-        u = math.ulp(total)
-    # From here ``term`` is below the binade's top, so an addition crosses at
-    # most one binade boundary, and ``u`` doubles when it does.
-    top = u * _ULPS
-    while times > 0:
-        s = total / u  # exact: ``total`` is a multiple of ``u`` below 2**53 of them
-        x = term / u
-        q = x // 1.0
-        r = x - q
-        if r == 0.5 and s % 2.0:  # a tie from an odd multiple rounds to even once
-            j = 0
-        else:  # each addition in the binade adds ``d`` ulps
-            d = q + (q % 2.0 if r == 0.5 else r > 0.5)
-            if not d:
-                return total  # every addition rounds back to ``total``
-            # Additions whose exact sum stays below the top: s + (j-1)*d + q < 2**53.
-            j = -((s + q - _ULPS) // d)
-            if j > times:
-                j = times
-        if j > 0:
-            total = (s + j * d) * u
-            times -= j
-        else:
-            total += term
-            times -= 1
-        while total >= top:
-            u *= 2.0
-            top *= 2.0
     return total
 
 
@@ -347,9 +298,8 @@ class ExecutionEngine:
         """Book ``entries`` complete entries ``tb`` made inside its own
         function, each billed ``full``, exactly as the dispatcher books a
         chained re-entry.  Counters move in closed form; every float
-        accumulator takes the same additions in the same order, one per entry
-        — they run at fractional CPIs and their rounding is part of virtual
-        time."""
+        accumulator ends with the bits of one addition per entry (module
+        docstring, "Allowance")."""
         t = self.cost
         self.cache.stats.chain_follows += entries
         self.insns_executed += entries * tb.n_insns
@@ -358,13 +308,6 @@ class ExecutionEngine:
             tb.edges[tb.pc] = tb.edges.get(tb.pc, 0) + entries
         for pattern, count in tb.fused_counts:
             self.fusion_hits[pattern] = self.fusion_hits.get(pattern, 0) + count * entries
-        if entries > _SHORT:
-            cycles = _add_times(cycles, full, entries)
-            exec_cycles = _add_times(exec_cycles, full, entries)
-        else:  # _add_times's loop, for both sums at once
-            for _ in range(entries):
-                cycles += full
-                exec_cycles += full
         if tb.fused:
             saved = len(tb.fused) * (t.cpi_superblock if tb.is_superblock else t.cpi_dbt)
             self.fusion_saved_cycles = _add_times(self.fusion_saved_cycles, saved, entries)
@@ -372,6 +315,17 @@ class ExecutionEngine:
             self.superblock_saved_cycles = _add_times(
                 self.superblock_saved_cycles, tb.n_insns * (t.cpi_dbt - t.cpi_superblock), entries
             )
+        # _add_times for both sums at once, without the call.
+        span = full * entries
+        if (
+            full % 1.0 == cycles % 1.0 == exec_cycles % 1.0 == 0.0
+            and 0.0 <= full and 0.0 <= cycles and 0.0 <= exec_cycles
+            and cycles + span < _EXACT and exec_cycles + span < _EXACT
+        ):
+            return cycles + span, exec_cycles + span
+        for _ in range(entries):
+            cycles += full
+            exec_cycles += full
         return cycles, exec_cycles
 
     def _try_promote(self, head: TranslationBlock) -> float:

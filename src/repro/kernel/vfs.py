@@ -57,9 +57,6 @@ class VFS:
     def file_bytes(self, path: str) -> bytes:
         return bytes(self._files[path])
 
-    def exists(self, path: str) -> bool:
-        return path in self._files
-
     # -- syscall surface (returns >=0 or -errno) ----------------------------------
 
     def openat(self, path: str, flags: int) -> int:

@@ -55,6 +55,3 @@ class LLSCTable:
             del self._res[a]
         self.spurious_kills += len(doomed)
         return len(doomed)
-
-    def clear(self) -> None:
-        self._res.clear()

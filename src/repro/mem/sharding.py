@@ -1,4 +1,4 @@
-"""Manager-mailbox sharding on the master, and the per-tenant directory view.
+"""Manager-mailbox sharding on the master.
 
 With ``DQEMUConfig.master_shards = K`` the master runs K manager mailboxes
 per node instead of one (docs/PROTOCOL.md "Sharded master"); all master
@@ -12,26 +12,14 @@ that follow from the mailbox split:
   (§5.1), one allocator per mailbox: a split page's shadows are numbered so
   that they route to the original page's mailbox.  With ``K == 1`` this is
   the plain cursor from ``SHADOW_BASE`` up.
-
-:class:`TenantDirectoryView` maps each admitted job to its directory, for
-tests and debugging.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.errors import ConfigError
 from repro.mem.layout import PAGE_SIZE, SHADOW_BASE
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.mem.directory import Directory
-
-__all__ = [
-    "shard_of",
-    "ShadowPageAllocator",
-    "TenantDirectoryView",
-]
+__all__ = ["shard_of", "ShadowPageAllocator"]
 
 
 def shard_of(page: int, nshards: int) -> int:
@@ -70,39 +58,3 @@ class ShadowPageAllocator:
         self._cursor += self.nshards
         return page
 
-
-class TenantDirectoryView:
-    """Tenant-keyed registry of per-job directories.
-
-    A multi-tenant fleet runs one master, and so one directory, *per
-    admitted job* — tenants share nodes and wires, never directory state.
-    This view maps a tenant id to that job's
-    :class:`~repro.mem.directory.Directory`, giving tests and debuggers one
-    handle over the whole fleet's page ownership without ever letting one
-    tenant's queries observe another's.
-    """
-
-    def __init__(self) -> None:
-        self._directories: dict[int, "Directory"] = {}
-
-    def add_tenant(self, tenant: int, directory: "Directory") -> None:
-        if tenant in self._directories:
-            raise ConfigError(f"tenant {tenant} already registered")
-        self._directories[tenant] = directory
-
-    def remove(self, tenant: int) -> None:
-        """Forget a retired tenant's directory."""
-        del self._directories[tenant]
-
-    def for_tenant(self, tenant: int) -> "Directory":
-        try:
-            return self._directories[tenant]
-        except KeyError:
-            raise ConfigError(f"unknown tenant {tenant}") from None
-
-    def tenants(self) -> tuple[int, ...]:
-        return tuple(sorted(self._directories))
-
-    def check_invariants(self) -> None:
-        for directory in self._directories.values():
-            directory.check_invariants()

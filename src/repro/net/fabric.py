@@ -122,10 +122,6 @@ class Fabric:
         except KeyError:
             raise NetworkError(f"no endpoint attached for node {node_id}") from None
 
-    @property
-    def node_ids(self) -> list[int]:
-        return sorted(self._endpoints)
-
     def retire(self, tenant: int) -> None:
         """``tenant``'s job retired: its slice joins the retired total, and a
         request still addressed to it will be dropped on arrival."""

@@ -37,7 +37,6 @@ __all__ = [
     "build_false_sharing",
     "build_private_rmw",
     "seq_walk_bytes",
-    "false_sharing_bytes",
     "false_sharing_checksum",
     "parse_output",
     "private_rmw_pages",
@@ -49,11 +48,6 @@ SECTION_BYTES = 128
 
 def seq_walk_bytes(npages: int) -> int:
     return npages * 4096
-
-
-def false_sharing_bytes(n_threads: int, iters: int) -> int:
-    """Bytes touched during the *measured* phase."""
-    return n_threads * iters
 
 
 def false_sharing_checksum(n_threads: int, total_iters: int) -> int:

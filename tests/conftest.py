@@ -104,9 +104,9 @@ def assert_directory_mirrors(cluster):
     cluster is driven again (that retires the job's state)."""
     fleet = cluster._fleet
     latched = fleet.fabric.health.failed
-    for tenant in cluster.directories.tenants():
+    for tenant, directory in cluster.directories.items():
         listed: dict[int, set[int]] = {}
-        for page, ent in cluster.directories.for_tenant(tenant)._entries.items():
+        for page, ent in directory._entries.items():
             for n in ent.sharers if ent.owner is None else (ent.owner,):
                 listed.setdefault(n, set()).add(page)
         assert not latched & listed.keys(), f"latched node listed: {sorted(latched)}"
@@ -118,7 +118,7 @@ def assert_directory_mirrors(cluster):
                 f"job {tenant}: n{n} holds unlisted pages {sorted(held - mine)} "
                 f"and is listed for pages it lacks {sorted(mine - held)}"
             )
-    cluster.directories.check_invariants()
+        directory.check_invariants()
 
 
 def mirrored_run(cluster, program, **kw):

@@ -68,8 +68,6 @@ INVALID = [
     (DQEMUConfig, dict(rpc_backoff_base_ns=-1), "rpc_backoff_base_ns must be >= 0"),
     (DQEMUConfig, dict(rpc_backoff_jitter_ns=-1), "rpc_backoff_jitter_ns must be >= 0"),
     (DQEMUConfig, dict(heartbeat_interval_ns=0, **ARMED), "heartbeat_interval_ns must be >= 1"),
-    (DQEMUConfig, dict(max_concurrent_jobs=0), "max_concurrent_jobs must be >= 1"),
-    (DQEMUConfig, dict(admission_queue_depth=-1), "admission_queue_depth must be >= 0"),
     # -- choice sets --
     (DQEMUConfig, dict(mode="jit"), "unknown mode 'jit'"),
     (DQEMUConfig, dict(scheduler="best-fit"), "unknown scheduler 'best-fit'"),

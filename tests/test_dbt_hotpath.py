@@ -9,6 +9,7 @@ thread would.
 
 import itertools
 import math
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -26,7 +27,7 @@ from repro.dbt.tcg import InstrIR, TCGOp, guest, imm, temp
 from repro.isa import SPECS, Instruction, assemble, encode
 from repro.mem import FlatMemory, PAGE_SIZE, PageStall, page_of
 from tests.conftest import (
-    OneEntryCache, StallingMemory, engine_books, memory_image, python_calls,
+    OneEntryCache, StallingMemory, c_calls, engine_books, memory_image, python_calls,
 )
 
 TEXT = 0x1_0000
@@ -792,29 +793,32 @@ def quanta(source, stall, quantum, timing, **engine_options):
     return stops, engine
 
 
-#: Running totals: zero, subnormals, and sums of cycles up to about 1e9.
+#: Running totals: zero, subnormals, sums of cycles up to about 1e9, and whole
+#: numbers just below 2**53, where a whole sum stops being exact.
 _totals = (st.sampled_from([0.0, 5e-324, 2.0**-1022])
-           | st.floats(0.0, 2.0**-1022, exclude_max=True) | st.floats(0.0, 1e9))
+           | st.floats(0.0, 2.0**-1022, exclude_max=True) | st.floats(0.0, 1e9)
+           | st.integers(0, 2**53).map(float)
+           | st.integers(0, 2**20).map(lambda k: float(2**53 - k)))
 
 
 @st.composite
 def repeated_sums(draw):
-    """``(total, term, times)``: a term that ties in the total's binade, one
-    below half its ulp (each addition a no-op), a fractional CPI times a
-    block's length, or any term; from no additions to 10**5, which crosses
-    many binades."""
-    total = draw(_totals)
-    ulp = math.ulp(total)
-    kind = draw(st.sampled_from(["tie", "below-half", "cpi", "any"]))
-    if kind == "tie":
-        term = ulp * (draw(st.integers(0, 2**20)) + 0.5)
-    elif kind == "below-half":
-        term = ulp * draw(st.floats(0.0, 0.5, exclude_max=True))
+    """``(total, other, term, times)``: two running totals and a whole term
+    (a whole CPI times a block's length, or any whole number), a fractional
+    CPI times a block's length, a term that ties in the total's binade, or
+    any term; from no additions to 10**5."""
+    total, other = draw(_totals), draw(_totals)
+    kind = draw(st.sampled_from(["whole", "cpi", "tie", "any"]))
+    if kind == "whole":
+        term = float(draw(st.sampled_from([1, 3, 800]) | st.integers(0, 2**24))
+                     * draw(st.integers(1, 64)))
     elif kind == "cpi":
         term = draw(st.sampled_from([2.88, 0.7, 0.96, 3.0])) * draw(st.integers(1, 64))
+    elif kind == "tie":
+        term = math.ulp(total) * (draw(st.integers(0, 2**20)) + 0.5)
     else:
         term = draw(st.floats(0.0, 1e6))
-    return total, term, draw(st.integers(0, 40) | st.integers(0, 10**5))
+    return total, other, term, draw(st.integers(0, 40) | st.integers(0, 10**5))
 
 
 class TestLoopResidency:
@@ -874,17 +878,43 @@ class TestLoopResidency:
 
     @settings(deadline=None)  # example count comes from the profile (tests/conftest.py)
     @given(repeated_sums())
-    @example((1000.0, math.ulp(1000.0) * 4.5, 100))  # ties from an even multiple
-    @example((1000.0 + math.ulp(1000.0), math.ulp(1000.0) * 4.5, 100))  # from an odd one
-    @example((1e9, math.ulp(1e9) * 0.25, 1000))  # every addition a no-op
-    @example((7 * 5e-324, 3 * 5e-324, 1000))  # subnormal
-    @example((0.0, 2.88 * 7, 10**5))  # from zero, over many binades
+    @example((2.0**53 - 22, 0.0, 3.0, 7))  # whole, the last sum one below 2**53
+    @example((2.0**53 - 21, 0.0, 3.0, 7))  # whole, the last sum 2**53 itself
+    @example((2.0**53 - 1, 0.0, 1.0, 3))  # past 2**53 the additions stick; a product would not
+    @example((0.0, 0.0, 2.88 * 7, 10**5))  # the pure-QEMU CPI, from zero
+    @example((1000.0, 5.0, 3.0 * 7, 100))  # whole, both sums in one product
+    @example((1000.0, 0.5, 3.0 * 7, 100))  # a whole term, one fractional sum
+    @example((1000.0, 1000.0, math.ulp(1000.0) * 4.5, 100))  # ties from an even multiple
+    @example((7 * 5e-324, 0.0, 3 * 5e-324, 1000))  # subnormal
     def test_a_replay_in_closed_form_is_its_additions_bit_for_bit(self, case):
-        total, term, times = case
-        want = total
-        for _ in range(times):
-            want += term
-        assert _add_times(total, term, times).hex() == want.hex()
+        """Both arms of ``_replay`` (one product for whole sums below 2**53,
+        one addition per entry otherwise) and of ``_add_times`` leave the
+        bits of the additions one at a time."""
+        total, other, term, times = case
+
+        def added(start):
+            for _ in range(times):
+                start += term
+            return start
+
+        assert _add_times(total, term, times).hex() == added(total).hex()
+        assert _add_times(other, term, times).hex() == added(other).hex()
+        engine = ExecutionEngine(FlatMemory())
+        tb = SimpleNamespace(pc=TEXT, n_insns=7, exec_count=0, fused=(), fused_counts=(),
+                             is_superblock=False)
+        cycles, execute = engine._replay(tb, times, term, total, other)
+        assert (cycles.hex(), execute.hex()) == (added(total).hex(), added(other).hex())
+        assert tb.exec_count == times and engine.insns_executed == 7 * times
+
+    def test_a_whole_replay_makes_no_call(self):
+        engine = ExecutionEngine(FlatMemory())
+        tb = SimpleNamespace(pc=TEXT, n_insns=7, exec_count=0, fused=(), fused_counts=(),
+                             is_superblock=False)
+        assert python_calls(engine._replay, tb, 10**4, 21.0, 5.0, 1e6) == [
+            (ExecutionEngine._replay.__code__.co_filename, "ExecutionEngine._replay")
+        ]
+        calls = c_calls(engine._replay, tb, 10**4, 21.0, 5.0, 1e6)
+        assert [call for call in calls if call is not sys.setprofile] == []
 
     def test_a_non_positive_cpi_never_divides(self):
         prog, mem, cpu = load(LOOP_SRC)

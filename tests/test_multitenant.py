@@ -8,21 +8,17 @@ same program produces on a fresh cluster.
 """
 
 import gc
-import tracemalloc
 import weakref
-from dataclasses import replace
 
 import pytest
 
-from repro import AdmissionError, Cluster, DQEMUConfig, JobState, assemble
+from repro import AdmissionError, Cluster, CostModel, DQEMUConfig, JobState, assemble
 from repro.core.gthread import GuestThread
 from repro.core.jobs import Job, JobManager
 from repro.core.scheduler import FairRunQueue
 from repro.core.stats import ThreadStats
 from repro.dbt.cpu import CPUState
 from repro.errors import ConfigError, NetworkError
-from repro.mem.directory import Directory
-from repro.mem.sharding import TenantDirectoryView
 from repro.net.health import PeerState
 from repro.net.messages import Invalidate, PageData, PageRequest
 from repro.sim import Simulator
@@ -48,12 +44,9 @@ msg: .asciz "{tag}\\n"
 """)
 
 
-MULTI_CFG = DQEMUConfig(max_concurrent_jobs=3, admission_queue_depth=16)
-
-
 class TestConcurrentIsolation:
     def test_three_concurrent_jobs_isolated_output(self):
-        cluster = Cluster(2, MULTI_CFG)
+        cluster = Cluster(2)
         jobs = [
             cluster.submit(tagged_program(f"guest{i}", 10 + i), name=f"g{i}")
             for i in range(3)
@@ -79,10 +72,10 @@ class TestConcurrentIsolation:
             ("x264", x264.build(n_frames=8, group_size=4, pages_per_frame=1)),
         ]
         solo = {
-            name: Cluster(2, MULTI_CFG).run(prog, max_virtual_ms=2_000)
+            name: Cluster(2).run(prog, max_virtual_ms=2_000)
             for name, prog in programs
         }
-        fleet = Cluster(2, MULTI_CFG)
+        fleet = Cluster(2)
         jobs = [
             fleet.submit(prog, name=name, max_virtual_ms=2_000)
             for name, prog in programs
@@ -102,7 +95,7 @@ class TestConcurrentIsolation:
         # A job's exit broadcasts Shutdown to every node; the frame must carry
         # the finishing job's tenant or it stops tenant 0's threads instead.
         prog = mutex_bench.build(n_threads=4, iters=40)
-        fleet = Cluster(2, MULTI_CFG)
+        fleet = Cluster(2)
         long_job = fleet.submit(prog, name="long", max_virtual_ms=2_000)
         short_job = fleet.submit(tagged_program("short", 3), name="short")
         long_res, short_res = fleet.join([long_job, short_job])
@@ -121,7 +114,7 @@ class TestConcurrentIsolation:
         assert a.stats.insns_executed == b.stats.insns_executed
 
     def test_tenant_fabric_slices_partition_global_traffic(self):
-        cluster = Cluster(2, MULTI_CFG)
+        cluster = Cluster(2)
         jobs = [
             cluster.submit(tagged_program(f"t{i}", 0), name=f"t{i}")
             for i in range(3)
@@ -153,16 +146,17 @@ class TestConcurrentIsolation:
         assert fleet.fabric.health.peer(0).last_heard_ns > heard[0]
 
     def test_per_tenant_directories_are_disjoint_views(self):
-        cluster = Cluster(2, MULTI_CFG)
+        cluster = Cluster(2)
         jobs = [cluster.submit(tagged_program(f"d{i}", 0)) for i in range(2)]
         cluster.join(jobs)
-        assert cluster.directories.tenants() == (0, 1)
-        assert (cluster.directories.for_tenant(0)
-                is not cluster.directories.for_tenant(1))
-        cluster.directories.check_invariants()
+        directories = cluster.directories
+        assert list(directories) == [0, 1]
+        assert directories[0] is not directories[1]
+        for directory in directories.values():
+            directory.check_invariants()
 
     def test_queue_wait_is_zero_for_immediately_admitted_jobs(self):
-        cluster = Cluster(1, MULTI_CFG)
+        cluster = Cluster(1)
         res = cluster.run(tagged_program("solo", 0))
         assert res.queue_wait_ns == 0
         assert res.tenant == 0
@@ -174,7 +168,7 @@ class TestRetirement:
 
     @staticmethod
     def _retired():
-        cluster = Cluster(2, MULTI_CFG)
+        cluster = Cluster(2)
         first = cluster.run(tagged_program("a", 0))
         cluster.run(tagged_program("b", 0))  # job 0's Shutdown acks land here
         return cluster, first
@@ -186,7 +180,7 @@ class TestRetirement:
         assert job.runtime is None and job.result is first
         assert job.program is job.stdin is job.files is None  # its inputs too
         assert all(0 not in node.tenants for node in fleet.nodes.values())
-        assert cluster.directories.tenants() == (1,)
+        assert list(cluster.directories) == [1]
         mailboxes = [k for k in fleet.nodes[0].endpoint._queues if k != "comm"]
         assert mailboxes and all(k[1] == 1 for k in mailboxes)
         # Its traffic is held once, in the fleet's retired total.
@@ -264,27 +258,26 @@ class TestRetirement:
         assert result.exit_code == 0 and result.health.state_of(1) is PeerState.UP
 
     @staticmethod
-    def _retained_per_job(pages: int) -> float:
-        """Least-squares slope of traced memory over jobs 5-12 of a stream
-        of sequential jobs on one cluster, results held.  Tracing starts
-        after job 4: it slows a run about fourfold."""
-        cluster, results, traced = Cluster(4), [], []
-        try:
-            for job in range(1, 13):
-                results.append(cluster.run(memaccess.build_private_rmw(
-                    n_threads=4, pages_per_thread=pages, passes=1, stride=1024,
-                )))
-                gc.collect()
-                if job == 4:
-                    tracemalloc.start()
-                traced.append(tracemalloc.get_traced_memory()[0])
-        finally:
-            tracemalloc.stop()
-        xs = range(4, 12)  # jobs 5-12
-        mx = sum(xs) / len(xs)
-        my = sum(traced[x] for x in xs) / len(xs)
-        return (sum((x - mx) * (traced[x] - my) for x in xs)
-                / sum((x - mx) ** 2 for x in xs))
+    def _objects_per_job(pages: int) -> list[int]:
+        """Growth of the collector's object count over each of jobs 4 and 5
+        of a stream of sequential jobs on one cluster, results held; and
+        that job 2's page stores, the master's home copy and each node's,
+        are freed once it retired."""
+        cluster, results, counts = Cluster(4), [], []
+        for job in range(5):
+            results.append(cluster.run(memaccess.build_private_rmw(
+                n_threads=4, pages_per_thread=pages, passes=1, stride=1024,
+            )))
+            if job == 1:
+                tenant = cluster.jobs[job].tenant
+                stores = [weakref.ref(cluster.jobs[job].runtime.master.home)] + [
+                    weakref.ref(node.tenants[tenant].memory.pages)
+                    for node in cluster._fleet.nodes.values()
+                ]
+            gc.collect()
+            counts.append(len(gc.get_objects()))
+        assert [store() for store in stores] == [None] * len(stores)
+        return [after - before for before, after in zip(counts[2:], counts[3:])]
 
     @staticmethod
     def _twin_exits():
@@ -329,7 +322,7 @@ class TestRetirement:
         # A slow syscall service lets both exit_groups reach the master
         # before either finishes the job: two rounds of Shutdown, whose acks
         # all land during the second job, and one retirement.
-        cfg = replace(MULTI_CFG, cost=replace(MULTI_CFG.cost, syscall_service_ns=50_000))
+        cfg = DQEMUConfig(cost=CostModel(syscall_service_ns=50_000))
         cluster = Cluster(2, cfg, trace=True)
         first = cluster.run(self._twin_exits())
         second = cluster.run(self._twin_exits())
@@ -369,7 +362,7 @@ class TestRetirement:
         # lock; the handler is still queued on that lock when the job exits.
         # Released during the next job, it must still reach node 0's copy
         # (an Invalidate, timed): the job retires only after it.
-        cfg = replace(MULTI_CFG, rpc_timeout_ns=5_000_000)
+        cfg = DQEMUConfig(rpc_timeout_ns=5_000_000)
         cluster = Cluster(2, cfg)
         program = self._write_then_nap()
         job = cluster.submit(program)
@@ -391,37 +384,36 @@ class TestRetirement:
         assert job.runtime is None and fleet.fabric.late_frames == 0
 
     def test_a_finished_job_costs_its_record_not_its_pages(self):
-        small, large = (self._retained_per_job(p) for p in (32, 64))
-        assert small <= 64 * 1024 and large <= 64 * 1024
-        assert abs(large - small) <= 0.1 * max(small, large)
+        # What a retired job leaves behind does not grow with its pages.
+        assert self._objects_per_job(32) == self._objects_per_job(64)
 
 
 class TestAdmissionControl:
     def test_queue_depth_overflow_is_refused(self):
-        cfg = DQEMUConfig(max_concurrent_jobs=1, admission_queue_depth=1)
-        cluster = Cluster(1, cfg)
-        cluster.submit(tagged_program("a", 0))
-        queued = cluster.submit(tagged_program("b", 0))
-        assert queued.state is JobState.QUEUED
+        cluster = Cluster(1)
+        accepted = JobManager.MAX_CONCURRENT + JobManager.QUEUE_DEPTH
+        jobs = [cluster.submit(tagged_program(f"j{i}", 0)) for i in range(accepted)]
+        assert [job.state for job in jobs].count(JobState.QUEUED) == JobManager.QUEUE_DEPTH
         with pytest.raises(AdmissionError, match="admission queue full"):
-            cluster.submit(tagged_program("c", 0))
+            cluster.submit(tagged_program("over", 0))
         assert cluster.manager.rejected_total == 1
-        # The refused submission left no trace: both accepted jobs complete.
+        # The refused submission left no trace: every accepted job completes.
         results = cluster.join()
-        assert [r.exit_code for r in results] == [0, 0]
+        assert [r.exit_code for r in results] == [0] * accepted
 
     def test_queued_job_admitted_when_slot_frees_and_waits_are_measured(self):
-        cfg = DQEMUConfig(max_concurrent_jobs=1, admission_queue_depth=4)
-        cluster = Cluster(1, cfg)
-        first = cluster.submit(tagged_program("first", 1))
-        second = cluster.submit(tagged_program("second", 2))
+        cluster = Cluster(1)
+        running = [cluster.submit(tagged_program(f"r{i}", i))
+                   for i in range(JobManager.MAX_CONCURRENT)]
+        queued = cluster.submit(tagged_program("queued", 9))
+        assert queued.state is JobState.QUEUED
         results = cluster.join()
-        assert [r.exit_code for r in results] == [1, 2]
-        # The second job started at the virtual time the first finished.
-        assert second.admitted_ns == first.finished_ns
-        assert results[1].queue_wait_ns == second.admitted_ns - second.submitted_ns
-        assert results[1].queue_wait_ns > 0
-        assert results[0].queue_wait_ns == 0
+        assert [r.exit_code for r in results] == [*range(JobManager.MAX_CONCURRENT), 9]
+        # The queued job started at the virtual time the first slot freed.
+        assert queued.admitted_ns == min(job.finished_ns for job in running)
+        assert results[-1].queue_wait_ns == queued.admitted_ns - queued.submitted_ns
+        assert results[-1].queue_wait_ns > 0
+        assert all(r.queue_wait_ns == 0 for r in results[:-1])
 
     def test_single_job_configs_refuse_second_submission(self):
         cluster = Cluster(0, DQEMUConfig(pure_qemu=True))
@@ -434,40 +426,41 @@ class TestAdmissionControl:
 
 
 class TestJobManagerUnit:
-    def _manager(self, max_concurrent=2, queue_depth=2):
+    def _manager(self):
         admitted = []
-        mgr = JobManager(max_concurrent, queue_depth, admitted.append)
-        return mgr, admitted
+        return JobManager(admitted.append), admitted
 
     def _job(self, tenant):
         return Job(tenant=tenant, name=f"j{tenant}", program=None)
 
     def test_admits_up_to_concurrency_then_queues(self):
         mgr, admitted = self._manager()
-        jobs = [self._job(i) for i in range(4)]
-        for job in jobs:
-            mgr.submit(job)
-        assert [j.tenant for j in admitted] == [0, 1]
-        assert [j.tenant for j in mgr.queue] == [2, 3]
-        assert mgr.admitted_total == 2
+        running = JobManager.MAX_CONCURRENT
+        for i in range(running + 2):
+            mgr.submit(self._job(i))
+        assert [j.tenant for j in admitted] == list(range(running))
+        assert [j.tenant for j in mgr.queue] == [running, running + 1]
+        assert mgr.admitted_total == running
 
     def test_refuses_beyond_queue_depth(self):
-        mgr, _ = self._manager(max_concurrent=1, queue_depth=1)
-        mgr.submit(self._job(0))
-        mgr.submit(self._job(1))
+        mgr, _ = self._manager()
+        accepted = JobManager.MAX_CONCURRENT + JobManager.QUEUE_DEPTH
+        for i in range(accepted):
+            mgr.submit(self._job(i))
         with pytest.raises(AdmissionError):
-            mgr.submit(self._job(2))
-        assert mgr.rejected_total == 1
+            mgr.submit(self._job(accepted))
+        assert mgr.rejected_total == 1 and len(mgr.queue) == JobManager.QUEUE_DEPTH
 
     def test_job_done_admits_fifo(self):
-        mgr, admitted = self._manager(max_concurrent=1, queue_depth=3)
-        jobs = [self._job(i) for i in range(3)]
+        mgr, admitted = self._manager()
+        running = JobManager.MAX_CONCURRENT
+        jobs = [self._job(i) for i in range(running + 2)]
         for job in jobs:
             mgr.submit(job)
         mgr.job_done(jobs[0])
-        assert [j.tenant for j in admitted] == [0, 1]
+        assert [j.tenant for j in admitted] == list(range(running + 1))
         mgr.job_done(jobs[1])
-        assert [j.tenant for j in admitted] == [0, 1, 2]
+        assert [j.tenant for j in admitted] == list(range(running + 2))
         assert not mgr.queue
 
 
@@ -519,18 +512,3 @@ class TestFairRunQueue:
         q.put(th)
         assert ev.triggered and ev.value is th
         assert len(q) == 0
-
-
-class TestTenantDirectoryView:
-    def test_routes_and_rejects(self):
-        view = TenantDirectoryView()
-        d0, d1 = Directory(), Directory()
-        view.add_tenant(0, d0)
-        view.add_tenant(1, d1)
-        with pytest.raises(ConfigError, match="already registered"):
-            view.add_tenant(0, d0)
-        with pytest.raises(ConfigError, match="unknown tenant"):
-            view.for_tenant(9)
-        assert view.tenants() == (0, 1)
-        assert view.for_tenant(1) is d1
-        view.check_invariants()

@@ -67,6 +67,55 @@ def false_sharing_program(iters=60_000, n_threads=2, section=2048, post_join=Non
     return b.assemble()
 
 
+def split_then_share_program(iters1, iters2):
+    """Worker ``i`` read-modify-writes bytes ``2048*i + (j & 127)`` for
+    ``iters1`` trips, then bytes ``256*i + (j & 127)`` for ``iters2`` trips,
+    all in ONE page; ``main`` prints the byte sum of the three slices."""
+    b = workload_builder()
+
+    def post(bb):
+        bb.la("t0", "arr")
+        bb.li("t1", 0)
+        for base in (0, 256, 2048):
+            bb.li("t2", 0)
+            bb.label(f".sum_{base}")
+            bb.add("t3", "t0", "t2")
+            bb.lbu("t4", base, "t3")
+            bb.add("t1", "t1", "t4")
+            bb.addi("t2", "t2", 1)
+            bb.li("t5", 128)
+            bb.blt("t2", "t5", f".sum_{base}")
+        bb.mv("a0", "t1")
+        bb.call("rt_print_u64_ln")
+        bb.li("a0", 0)
+
+    emit_fanout_main(b, 2, post_join=post)
+    b.label("worker")
+    b.la("t1", "arr")
+    for phase, (section, iters) in enumerate(((2048, iters1), (256, iters2))):
+        b.li("t0", section)
+        b.mul("t0", "a0", "t0")
+        b.add("t0", "t1", "t0")
+        b.li("t2", 0)
+        b.li("t6", iters)
+        b.label(f".phase{phase}")
+        b.andi("t3", "t2", 127)
+        b.add("t4", "t0", "t3")
+        b.lbu("t5", 0, "t4")
+        b.addi("t5", "t5", 1)
+        b.sb("t5", 0, "t4")
+        b.addi("t2", "t2", 1)
+        b.blt("t2", "t6", f".phase{phase}")
+    b.li("a0", 0)
+    b.ret()
+    b.bss()
+    b.align(4096)
+    b.label("arr")
+    b.space(4096)
+    b.text()
+    return b.assemble()
+
+
 class TestForwarding:
     def test_sequential_stream_gets_pushed(self):
         prog = seq_reader_program()
@@ -235,3 +284,30 @@ class TestMerge:
         r = Cluster(2, cfg).run(prog, max_virtual_ms=600_000)
         assert r.stats.protocol.merges == 1
         assert r.stdout == f"{0x55}\n"
+
+    def test_a_ping_ponging_shadow_reverts_the_split_for_good(self):
+        """Two workers write their own 2 KiB halves of one page, so it is
+        split in two; then both write inside the first half, 256 bytes
+        apart, so that half's shadow ping-pongs between the nodes.  The
+        split was mis-inferred: the master merges it back (the adaptive
+        revert, not a region-crossing merge request) and never splits the
+        page again, though the second pattern fits 16 regions."""
+        iters1, iters2 = 10_000, 40_000
+        prog = split_then_share_program(iters1, iters2)
+        cfg = DQEMUConfig(splitting_enabled=True, cost=FAST["cost"], splitting_trigger=3)
+        cluster = Cluster(2, cfg, trace=True)
+        r = cluster.run(prog, max_virtual_ms=600_000)
+        assert (r.stats.protocol.splits, r.stats.protocol.merges) == (1, 1)
+        page = prog.symbol("arr") // 4096
+        reverts = [ev.what for ev in cluster.tracer.filter(category="split", page=page)]
+        assert reverts == ["split into 2 x 2048B shadows",
+                           "shadow still ping-ponging: revert + blacklist", "merged back"]
+        assert cluster.jobs[0].runtime.master.splitting._split_blacklist == {page}
+
+        def count(n, k):  # increments of byte k by a loop of n trips over 128 bytes
+            return (n - k + 127) // 128
+
+        want = sum((count(iters1, k) + count(iters2, k)) % 256  # worker 0, both phases
+                   + count(iters2, k) % 256 + count(iters1, k) % 256 for k in range(128))
+        assert r.stdout == f"{want}\n"
+        assert Cluster(0, DQEMUConfig(pure_qemu=True)).run(prog).stdout == r.stdout
